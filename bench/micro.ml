@@ -35,7 +35,7 @@ let test_one_ant =
   Test.make ~name:"one_ant_pass2"
     (Staged.stage
        (let g = Lazy.force graph in
-        let params = Aco.Params.default in
+        let params = Engine.Params.default in
         let ant = Aco.Ant.create g params in
         let pheromone = Aco.Pheromone.create ~n:g.Ddg.Graph.n ~initial:1.0 in
         let rng = Support.Rng.create 4 in
@@ -51,7 +51,7 @@ let test_wavefront_iteration =
        (let g = Lazy.force graph in
         let config = { Gpusim.Config.bench with Gpusim.Config.num_wavefronts = 1 } in
         let w =
-          Gpusim.Wavefront.create config g Aco.Params.default
+          Gpusim.Wavefront.create config g Engine.Params.default
             ~heuristic:Sched.Heuristic.Critical_path ~allow_optional_stalls:true
         in
         let pheromone = Aco.Pheromone.create ~n:g.Ddg.Graph.n ~initial:1.0 in
@@ -115,7 +115,7 @@ let alloc_gate () =
   let g = Lazy.force graph in
   let config = { Gpusim.Config.bench with Gpusim.Config.num_wavefronts = 1 } in
   let w =
-    Gpusim.Wavefront.create config g Aco.Params.default
+    Gpusim.Wavefront.create config g Engine.Params.default
       ~heuristic:Sched.Heuristic.Critical_path ~allow_optional_stalls:true
   in
   let pheromone = Aco.Pheromone.create ~n:g.Ddg.Graph.n ~initial:1.0 in
@@ -144,7 +144,7 @@ let hot_loop () =
   let g = Lazy.force graph in
   let config = { Gpusim.Config.bench with Gpusim.Config.num_wavefronts = 1 } in
   let w =
-    Gpusim.Wavefront.create config g Aco.Params.default
+    Gpusim.Wavefront.create config g Engine.Params.default
       ~heuristic:Sched.Heuristic.Critical_path ~allow_optional_stalls:true
   in
   let pheromone = Aco.Pheromone.create ~n:g.Ddg.Graph.n ~initial:1.0 in
@@ -186,7 +186,7 @@ let obs_overhead () =
   let config = { Gpusim.Config.bench with Gpusim.Config.num_wavefronts = 1 } in
   let make ~traced =
     let w =
-      Gpusim.Wavefront.create config g Aco.Params.default
+      Gpusim.Wavefront.create config g Engine.Params.default
         ~heuristic:Sched.Heuristic.Critical_path ~allow_optional_stalls:true
     in
     let trace = if traced then Obs.Trace.create () else Obs.Trace.null in
@@ -263,7 +263,7 @@ type prune_row = {
    off vs on: the constructed orders and statuses must match run for
    run, and the prune-on ant must actually dismiss candidates. *)
 let tight_row name graph seed ~mode =
-  let params = Aco.Params.default in
+  let params = Engine.Params.default in
   (* Arm the static Chen bounds too: stand-alone ants default to a
      closure-less layout whose [min_lb] tables are zero. *)
   let closure = Ddg.Closure.compute graph in
@@ -328,7 +328,7 @@ let prune_gate () =
   in
   (* Smaller colony than the compile default: the gate exercises the
      same code paths at a fraction of the wall time. *)
-  let params = { Aco.Params.default with ants_per_iteration = 32; max_iterations = 8 } in
+  let params = { Engine.Params.default with ants_per_iteration = 32; max_iterations = 8 } in
   let ctx = { Engine.Backend.null_ctx with Engine.Backend.params; seed = 5 } in
   let tight_rows =
     List.map

@@ -9,7 +9,7 @@ type ctx = {
   config : Pipeline.Compile.config;
 }
 
-let category_label = Aco.Params.size_category_label
+let category_label = Engine.Params.size_category_label
 
 let table1 ctx =
   let t = Pipeline.Report.table1 ctx.filters ctx.report in
@@ -271,7 +271,7 @@ let faults ctx =
          "Shed (overload)" :: tally (fun t -> t.Pipeline.Robust.shed_overload);
          "Total retries" :: tally (fun t -> t.Pipeline.Robust.total_retries);
          "Faults injected"
-         :: col (fun r -> T.int (Gpusim.Faults.total r.Pipeline.Report.d_faults));
+         :: col (fun r -> T.int (Engine.Types.fault_counts_total r.Pipeline.Report.d_faults));
        ]);
   print_newline ()
 

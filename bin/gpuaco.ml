@@ -69,20 +69,20 @@ let run_schedule shape size seed scheduler verbose =
       0
   | "aco" ->
       let r = Aco.Seq_aco.run ~seed occ graph in
-      Printf.printf "heuristic: %s\n" (Sched.Cost.to_string r.Aco.Seq_aco.heuristic_cost);
+      Printf.printf "heuristic: %s\n" (Sched.Cost.to_string r.Engine.Types.heuristic_cost);
       Printf.printf "pass 1: %d iterations, pass 2: %d iterations\n"
-        r.Aco.Seq_aco.pass1.Aco.Seq_aco.iterations r.Aco.Seq_aco.pass2.Aco.Seq_aco.iterations;
-      finish "aco" r.Aco.Seq_aco.schedule;
+        r.Engine.Types.pass1.Engine.Types.iterations r.Engine.Types.pass2.Engine.Types.iterations;
+      finish "aco" r.Engine.Types.schedule;
       0
   | "par-aco" ->
       let config = { Gpusim.Config.bench with Gpusim.Config.num_wavefronts = 4 } in
       let params =
-        { Aco.Params.default with Aco.Params.ants_per_iteration = Gpusim.Config.threads config }
+        { Engine.Params.default with Engine.Params.ants_per_iteration = Gpusim.Config.threads config }
       in
       let r = Gpusim.Par_aco.run ~params ~seed config occ graph in
-      Printf.printf "heuristic: %s\n" (Sched.Cost.to_string r.Gpusim.Par_aco.heuristic_cost);
+      Printf.printf "heuristic: %s\n" (Sched.Cost.to_string r.Engine.Types.heuristic_cost);
       Printf.printf "simulated GPU time: %.3f ms\n" (Gpusim.Par_aco.total_time_ns r /. 1e6);
-      finish "par-aco" r.Gpusim.Par_aco.schedule;
+      finish "par-aco" r.Engine.Types.schedule;
       0
   | "weighted" ->
       let r = Aco.Weighted_aco.run ~seed occ graph in
@@ -373,7 +373,7 @@ let run_compile shape size seed fault_rate fault_seed budget_ms max_retries back
     Pipeline.Compile.run_region ~trace ~metrics ~log ~ctx config ~name:shape region
   in
   Printf.printf "region %s: %d instructions (size category %s)\n" shape r.Pipeline.Compile.n
-    (Aco.Params.size_category_label r.Pipeline.Compile.size_category);
+    (Engine.Params.size_category_label r.Pipeline.Compile.size_category);
   Printf.printf "heuristic: %s\n" (Sched.Cost.to_string r.Pipeline.Compile.heuristic_cost);
   Printf.printf "aco:       %s\n" (Sched.Cost.to_string r.Pipeline.Compile.aco_cost);
   Printf.printf "backend: %s%s\n" r.Pipeline.Compile.product_backend

@@ -7,14 +7,14 @@
 let run name opts setup params =
   let config = Gpusim.Config.with_opts { Gpusim.Config.bench with num_wavefronts = 4 } opts in
   let r = Gpusim.Par_aco.run_from_setup ~params ~seed:11 config setup in
-  let p2 = r.Gpusim.Par_aco.pass2 in
+  let p2 = r.Engine.Types.pass2 in
   Printf.printf "  %-28s %8.2f ms total  (pass 2: %d iterations, divergence overhead %+.0f%%)\n"
     name
     (Gpusim.Par_aco.total_time_ns r /. 1e6)
-    p2.Gpusim.Par_aco.iterations
-    (if p2.Gpusim.Par_aco.single_path_ops > 0 then
-       float_of_int (p2.Gpusim.Par_aco.serialized_ops - p2.Gpusim.Par_aco.single_path_ops)
-       /. float_of_int p2.Gpusim.Par_aco.single_path_ops *. 100.0
+    p2.Engine.Types.iterations
+    (if p2.Engine.Types.single_path_ops > 0 then
+       float_of_int (p2.Engine.Types.serialized_ops - p2.Engine.Types.single_path_ops)
+       /. float_of_int p2.Engine.Types.single_path_ops *. 100.0
      else 0.0)
 
 let () =
@@ -22,9 +22,9 @@ let () =
   let region = Workload.Shapes.transform (Support.Rng.create 8) ~unroll:16 ~chain:4 in
   Printf.printf "region: %d instructions (unrolled transform)\n" (Ir.Region.size region);
   let graph = Ddg.Graph.build region in
-  let setup = Aco.Setup.prepare occ graph in
+  let setup = Engine.Setup.prepare occ graph in
   let params =
-    { Aco.Params.default with Aco.Params.ants_per_iteration = 4 * 64 }
+    { Engine.Params.default with Engine.Params.ants_per_iteration = 4 * 64 }
   in
   print_endline "configurations:";
   run "all optimizations (paper)" Gpusim.Config.opts_paper setup params;

@@ -43,7 +43,7 @@ let () =
       Printf.printf "%-11.2f %-12s %8d %8d %-16s %s\n" rate
         (Pipeline.Robust.degradation_label r.Pipeline.Compile.degradation)
         r.Pipeline.Compile.retries
-        (Gpusim.Faults.total r.Pipeline.Compile.fault_counts)
+        (Engine.Types.fault_counts_total r.Pipeline.Compile.fault_counts)
         (Printf.sprintf "occ=%d len=%d"
            r.Pipeline.Compile.aco_cost.Sched.Cost.rp.Sched.Cost.occupancy
            r.Pipeline.Compile.aco_cost.Sched.Cost.length)

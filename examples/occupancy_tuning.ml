@@ -20,9 +20,9 @@ let () =
       let _, amd_cost = Sched.Amd_scheduler.run_with_cost occ graph in
       describe "AMD baseline" amd_cost;
       let r = Aco.Seq_aco.run ~seed:7 occ graph in
-      describe "two-pass ACO" r.Aco.Seq_aco.cost;
+      describe "two-pass ACO" r.Engine.Types.cost;
       let filters = Pipeline.Filters.default in
-      (match Pipeline.Filters.post_schedule filters ~heuristic:amd_cost ~aco:r.Aco.Seq_aco.cost with
+      (match Pipeline.Filters.post_schedule filters ~heuristic:amd_cost ~aco:r.Engine.Types.cost with
       | Pipeline.Filters.Keep_aco ->
           print_endline "  post-scheduling filter: ACO schedule shipped"
       | Pipeline.Filters.Revert_to_heuristic ->

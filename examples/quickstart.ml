@@ -38,8 +38,8 @@ let () =
   (* 4. Schedule with the two-pass ACO search. *)
   let result = Aco.Seq_aco.run ~seed:2024 occ graph in
   Printf.printf "ACO schedule: %s\n%s\n"
-    (Sched.Cost.to_string result.Aco.Seq_aco.cost)
-    (Sched.Schedule.to_string result.Aco.Seq_aco.schedule);
+    (Sched.Cost.to_string result.Engine.Types.cost)
+    (Sched.Schedule.to_string result.Engine.Types.schedule);
   Printf.printf "pass 1 iterations: %d, pass 2 iterations: %d\n"
-    result.Aco.Seq_aco.pass1.Aco.Seq_aco.iterations
-    result.Aco.Seq_aco.pass2.Aco.Seq_aco.iterations
+    result.Engine.Types.pass1.Engine.Types.iterations
+    result.Engine.Types.pass2.Engine.Types.iterations

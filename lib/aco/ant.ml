@@ -48,7 +48,7 @@ let shared_ready_ub shared = shared.s_ready_ub
 
 type t = {
   graph : Ddg.Graph.t;
-  params : Params.t;
+  params : Engine.Params.t;
   rl_order : Sched.Ready_list.t;  (* pass 1: latencies ignored *)
   rl_cycle : Sched.Ready_list.t;  (* pass 2: latency-aware *)
   rp : Sched.Rp_tracker.t;
@@ -158,7 +158,7 @@ let create ?shared ?arena ?fmat graph params =
   in
   let rp = Sched.Rp_tracker.create_in arena shared.s_layout in
   let ctx = Sched.Heuristic.make_ctx ~cp:shared.s_cp graph rp in
-  let beta = params.Params.beta in
+  let beta = params.Engine.Params.beta in
   let eta_cp_base = Support.Fmat.row_base fm (row0 + 1) in
   let eta_so_base = Support.Fmat.row_base fm (row0 + 2) in
   let fd = fm.Support.Fmat.data in
@@ -184,7 +184,7 @@ let create ?shared ?arena ?fmat graph params =
     eta_so_base;
     luc_base = Support.Fmat.row_base fm (row0 + 3);
     rng = Support.Rng.create 0;
-    heuristic = params.Params.heuristic;
+    heuristic = params.Engine.Params.heuristic;
     allow_optional = true;
     mode = Rp_pass;
     status = Dead;
@@ -247,7 +247,7 @@ let select_slice t ~pheromone ~explored m =
     let heuristic = effective_heuristic t in
     let ph = (Pheromone.mat pheromone).Support.Fmat.data in
     let base = Pheromone.row_base pheromone ~src:t.last in
-    let alpha = t.params.Params.alpha in
+    let alpha = t.params.Engine.Params.alpha in
     let fd = t.fd in
     let sb = t.score_base in
     (* tau^alpha * eta^beta per candidate. For the static heuristics
@@ -271,7 +271,7 @@ let select_slice t ~pheromone ~explored m =
           A1.unsafe_set fd (sb + k) (pow_fast tau alpha *. A1.unsafe_get fd (tb + i))
         done
     | Sched.Heuristic.Last_use_count ->
-        let beta = t.params.Params.beta in
+        let beta = t.params.Engine.Params.beta in
         Sched.Heuristic.fill_eta_mat heuristic t.ctx ~cand:t.cand ~n:m ~mat:t.fm
           ~base:t.luc_base;
         for k = 0 to m - 1 do
@@ -376,7 +376,7 @@ let step_hot t ~pheromone ~force_explore ~ready_limit =
      part of the construction's byte-identity contract. *)
   let explored =
     if force_explore >= 0 then force_explore = 1
-    else not (Support.Rng.bool t.rng t.params.Params.q0)
+    else not (Support.Rng.bool t.rng t.params.Engine.Params.q0)
   in
   match t.mode with
   | Rp_pass ->
@@ -417,7 +417,7 @@ let step_hot t ~pheromone ~force_explore ~ready_limit =
         else if
           t.allow_optional && has_semi_ready && fitting < m
           && Support.Rng.bool t.rng
-               (t.params.Params.stall_base_probability
+               (t.params.Engine.Params.stall_base_probability
                *. (0.5 ** float_of_int t.n_optional))
         then begin
           emit_stall t rl;

@@ -75,7 +75,7 @@ val create :
   ?arena:Support.Arena.t ->
   ?fmat:Support.Fmat.t * int ->
   Ddg.Graph.t ->
-  Params.t ->
+  Engine.Params.t ->
   t
 (** Without [shared], the region analyses are computed privately (and
     the scratch bound falls back to [n]). Without [arena], a private

@@ -1,22 +1,90 @@
-(* The sequential colony loop, shared by every CPU backend (the two-pass
-   [Seq_aco] and the weighted-sum [Weighted_aco]): iterate ants until the
-   lower bound is reached or [termination] improvement-free iterations
-   pass. Generic in the cost (RP scalar in pass 1, length in pass 2, the
-   weighted sum in the single-pass backend) and in the artifact kept for
-   the best solution (order in pass 1, schedule in pass 2).
+(* The sequential colony shared by every CPU backend (the two-pass
+   [Seq_aco] and the weighted-sum [Weighted_aco]): one constructor and
+   one pass loop. The loop iterates ants until the lower bound is reached
+   or [termination] improvement-free iterations pass, generic in the cost
+   and in the artifact kept for the best solution.
 
-   The loop body is the byte-identity anchor of the engine refactor: it
-   is the historical [Seq_aco.run_pass] verbatim (plus the
-   [allow_optional_stalls] parameter the weighted colony sets to false,
-   and the pheromone writes routed through [Pheromone_policy] — whose
-   [As] policy reproduces the historical calls exactly), so RNG draws,
-   work accounting and the measured minor-words window are exactly those
-   of the pre-engine driver. *)
-let run_pass (type a) ~params ~rng ~ants ~pheromone ~policy ~mode
-    ~(cost_of_ant : Ant.t -> int) ~(artifact_of_ant : Ant.t -> a) ~allow_optional_stalls
-    ~budget_work ~metrics ~pass_label ~initial_cost ~(initial_order : int array)
-    ~(initial_artifact : a) ~lb_cost ~termination : a * int * Engine.Types.pass_stats =
-  let open Params in
+   The loop body is the byte-identity anchor of the engine: RNG draws,
+   work accounting and the measured minor-words window must match the
+   frozen reference loops the test differentials compare against (the
+   [As] policy reproduces their pheromone calls). The colony's fields
+   are therefore bound to locals on entry, before the minor-words
+   snapshot, so the per-iteration closure captures locals, never the
+   colony record. *)
+
+type t = {
+  params : Engine.Params.t;
+  rng : Support.Rng.t;
+  ants : Ant.t array;
+  arena : Support.Arena.t;
+  fmat : Support.Fmat.t;
+  pheromone : Pheromone.t;
+  policy : Pheromone_policy.t;
+  termination : int;
+  allow_optional_stalls : bool;
+  metrics : Obs.Metrics.t;
+}
+
+let prepare ~policy:policy_spec ~prune ~allow_optional_stalls (ctx : Engine.Backend.ctx)
+    (rc : Engine.Region_ctx.t) =
+  let graph = Engine.Region_ctx.graph rc in
+  let n = graph.Ddg.Graph.n in
+  let params = ctx.Engine.Backend.params in
+  let rng = Support.Rng.create ctx.Engine.Backend.seed in
+  (* The region context's analyses and one SoA arena back the whole
+     colony; nothing region-derived is recomputed here. *)
+  let shared = Ant.shared_of_region_ctx rc in
+  let ints, floats = Ant.arena_demand shared in
+  let fmat_rows, fmat_cols = Ant.fmat_demand shared in
+  let lanes = params.Engine.Params.ants_per_iteration in
+  let arena = Support.Arena.take ~ints:(lanes * ints) ~floats:(lanes * floats) in
+  let fmat = Support.Fmat.take ~rows:(lanes * fmat_rows) ~cols:fmat_cols in
+  let ants =
+    Array.init lanes (fun lane ->
+        let ant = Ant.create ~shared ~arena ~fmat:(fmat, lane * fmat_rows) graph params in
+        if prune then Ant.set_prune ant true;
+        ant)
+  in
+  let pheromone = Pheromone.create ~n ~initial:params.Engine.Params.initial_pheromone in
+  let policy =
+    Pheromone_policy.make policy_spec ~params ~n ~metrics:ctx.Engine.Backend.metrics
+  in
+  {
+    params;
+    rng;
+    ants;
+    arena;
+    fmat;
+    pheromone;
+    policy;
+    termination = Pheromone_policy.patience policy;
+    allow_optional_stalls;
+    metrics = ctx.Engine.Backend.metrics;
+  }
+
+(* Two_pass runs teardown even on raise. The ants' slices are dead by
+   now — results were extracted during the passes. *)
+let teardown c =
+  Support.Arena.give c.arena;
+  Support.Fmat.give c.fmat
+
+(* The colony meters abstract work units, never wall time; the pipeline
+   converts nanoseconds to work through its CPU cost model before
+   handing a budget down. *)
+let work_of_budget = function
+  | Engine.Types.Unlimited -> max_int
+  | Engine.Types.Work w -> w
+  | Engine.Types.Time_ns _ ->
+      invalid_arg "Colony: nanosecond budgets require a time-model backend"
+
+let run_pass (type a) colony ~mode ~(cost_of_ant : Ant.t -> int)
+    ~(artifact_of_ant : Ant.t -> a) ~budget_work ~pass_label ~initial_cost
+    ~(initial_order : int array) ~(initial_artifact : a) ~lb_cost :
+    a * int * Engine.Types.pass_stats =
+  let { params; rng; ants; pheromone; policy; termination; allow_optional_stalls; metrics; _ } =
+    colony
+  in
+  let open Engine.Params in
   (* The initial (heuristic) schedule is the global best at the start:
      the policy resets the table and biases it toward that solution. *)
   policy.Pheromone_policy.init pheromone ~initial_order ~initial_cost;

@@ -18,8 +18,6 @@
 
 type spec = As | Mmas
 
-let spec_to_string = function As -> "as" | Mmas -> "mmas"
-
 type t = {
   spec : spec;
   init : Pheromone.t -> initial_order:int array -> initial_cost:int -> unit;
@@ -52,16 +50,16 @@ let restarts t = t.restarts ()
    a stagnated table. The per-restart stagnation limit extends the
    vanilla termination allowance by two iterations (a restarted table
    needs at least one full iteration to re-anchor), and the driver-side
-   patience covers all restart windows; [Params.max_iterations] still
+   patience covers all restart windows; [Engine.Params.max_iterations] still
    caps the pass. *)
 let mmas_max_restarts = 2
-let mmas_stagnation_limit ~n = Params.termination_condition n + 2
+let mmas_stagnation_limit ~n = Engine.Params.termination_condition n + 2
 let mmas_patience ~n = (mmas_max_restarts + 1) * mmas_stagnation_limit ~n
 
-let make_as ~(params : Params.t) ~n =
-  let initial = params.Params.initial_pheromone in
-  let decay = params.Params.decay in
-  let deposit = params.Params.deposit in
+let make_as ~(params : Engine.Params.t) ~n =
+  let initial = params.Engine.Params.initial_pheromone in
+  let decay = params.Engine.Params.decay in
+  let deposit = params.Engine.Params.deposit in
   {
     spec = As;
     init =
@@ -74,7 +72,7 @@ let make_as ~(params : Params.t) ~n =
         if winner_cost < max_int then
           Pheromone.deposit_path_scaled pheromone winner_order ~deposit ~cost:winner_cost);
     evaporate = (fun pheromone -> Pheromone.decay pheromone decay);
-    patience = Params.termination_condition n;
+    patience = Engine.Params.termination_condition n;
     restarts = (fun () -> 0);
   }
 
@@ -88,11 +86,11 @@ let make_as ~(params : Params.t) ~n =
 
    State lives in flat arrays so MMAS iterations stay cheap: float
    stores into [bounds] and int stores into [counters] do not box. *)
-let make_mmas ~(params : Params.t) ~n ~metrics =
-  let initial = params.Params.initial_pheromone in
-  let decay = params.Params.decay in
-  let deposit = params.Params.deposit in
-  (* Evaporation rate: [Params.decay] is a retention factor. *)
+let make_mmas ~(params : Engine.Params.t) ~n ~metrics =
+  let initial = params.Engine.Params.initial_pheromone in
+  let decay = params.Engine.Params.decay in
+  let deposit = params.Engine.Params.deposit in
+  (* Evaporation rate: [Engine.Params.decay] is a retention factor. *)
   let rho = 1.0 -. decay in
   let rho = if rho > 0.0 then rho else 1.0 in
   let stagnation_limit = mmas_stagnation_limit ~n in

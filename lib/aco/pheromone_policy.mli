@@ -26,8 +26,6 @@
 
 type spec = As | Mmas
 
-val spec_to_string : spec -> string
-
 type t = {
   spec : spec;
   init : Pheromone.t -> initial_order:int array -> initial_cost:int -> unit;
@@ -46,7 +44,7 @@ type t = {
   patience : int;
       (** Improvement-free iterations a driver should tolerate before
           ending the pass: the historical
-          [Params.termination_condition] for {!As}, extended under
+          [Engine.Params.termination_condition] for {!As}, extended under
           {!Mmas} so every restart window fits. *)
   restarts : unit -> int;  (** Stagnation restarts fired so far. *)
 }
@@ -55,7 +53,7 @@ val no_order : int array
 (** Sentinel order of a winner-less iteration (never read, never
     written — safe to share). *)
 
-val make : spec -> params:Params.t -> n:int -> metrics:Obs.Metrics.t -> t
+val make : spec -> params:Engine.Params.t -> n:int -> metrics:Obs.Metrics.t -> t
 (** Build a policy for a region of [n] instructions. All policy state
     is allocated here — callers run it from backend [prepare], outside
     any measured minor-words window. *)

@@ -1,49 +1,5 @@
-type pass_stats = Engine.Types.pass_stats = {
-  invoked : bool;
-  iterations : int;
-  ants_simulated : int;
-  work : int;
-  time_ns : float;
-  improved : bool;
-  hit_lower_bound : bool;
-  serialized_ops : int;
-  single_path_ops : int;
-  lockstep_steps : int;
-  ant_steps : int;
-  selections : int;
-  best_costs : int array;
-  minor_words : float;
-  retries : int;
-  aborted_budget : bool;
-  aborted_faults : bool;
-  scored_candidates : int;
-  pruned_candidates : int;
-  fault_counts : Engine.Types.fault_counts;
-}
-
-let no_pass = Engine.Types.no_pass
-
-type result = Engine.Types.result = {
-  schedule : Sched.Schedule.t;
-  cost : Sched.Cost.t;
-  heuristic_schedule : Sched.Schedule.t;
-  heuristic_cost : Sched.Cost.t;
-  rp_target : Sched.Cost.rp;
-  pass2_initial : Sched.Schedule.t;
-  pass1 : pass_stats;
-  pass2 : pass_stats;
-}
-
 type state = {
-  params : Params.t;
-  rng : Support.Rng.t;
-  ants : Ant.t array;
-  arena : Support.Arena.t;
-  fmat : Support.Fmat.t;
-  pheromone : Pheromone.t;
-  policy : Pheromone_policy.t;
-  termination : int;
-  metrics : Obs.Metrics.t;
+  colony : Colony.t;
   rp_scalar_of_ant : Ant.t -> int;
   pass2_cost_of_ant : Ant.t -> int;
       (* schedule length, plus the priced spill traffic of the ant's
@@ -53,43 +9,11 @@ type state = {
          ant costs stay comparable (always 0 under the cliff) *)
 }
 
-(* The sequential colony meters abstract work units, never wall time, so
-   its budget currency is [Work]; the pipeline converts nanoseconds to
-   work through its CPU cost model before handing a budget down. *)
-let work_of_budget = function
-  | Engine.Types.Unlimited -> max_int
-  | Engine.Types.Work w -> w
-  | Engine.Types.Time_ns _ ->
-      invalid_arg "Seq_aco: nanosecond budgets require a time-model backend"
-
-let prepare ~policy_spec ~(objective : Sched.Objective.t option) ~prune
-    (ctx : Engine.Backend.ctx) (rc : Engine.Region_ctx.t) =
-  let setup = rc.Engine.Region_ctx.setup in
-  let graph = setup.Setup.graph in
-  let occ = setup.Setup.occ in
-  let n = graph.Ddg.Graph.n in
-  let params = ctx.Engine.Backend.params in
-  let rng = Support.Rng.create ctx.Engine.Backend.seed in
-  (* The region context's analyses and one SoA arena back the whole
-     colony; nothing region-derived is recomputed here. *)
-  let shared = Ant.shared_of_region_ctx rc in
-  let ints, floats = Ant.arena_demand shared in
-  let fmat_rows, fmat_cols = Ant.fmat_demand shared in
-  let lanes = params.Params.ants_per_iteration in
-  let arena = Support.Arena.take ~ints:(lanes * ints) ~floats:(lanes * floats) in
-  let fmat = Support.Fmat.take ~rows:(lanes * fmat_rows) ~cols:fmat_cols in
-  let ants =
-    Array.init lanes (fun lane ->
-        let ant =
-          Ant.create ~shared ~arena ~fmat:(fmat, lane * fmat_rows) graph params
-        in
-        if prune then Ant.set_prune ant true;
-        ant)
-  in
-  let pheromone = Pheromone.create ~n ~initial:params.Params.initial_pheromone in
-  let policy =
-    Pheromone_policy.make policy_spec ~params ~n ~metrics:ctx.Engine.Backend.metrics
-  in
+let prepare ~policy ~(objective : Sched.Objective.t option) ~prune ctx
+    (rc : Engine.Region_ctx.t) =
+  let graph = Engine.Region_ctx.graph rc in
+  let occ = Engine.Region_ctx.occ rc in
+  let colony = Colony.prepare ~policy ~prune ~allow_optional_stalls:true ctx rc in
   let obj = match objective with Some o -> o | None -> Sched.Objective.Cliff in
   let rp_scalar_of_ant ant =
     let v, s = Ant.rp_peaks ant in
@@ -114,39 +38,24 @@ let prepare ~policy_spec ~(objective : Sched.Objective.t option) ~prune
             (ev * m.Sched.Objective.vgpr_spill_cycles)
             + (es * m.Sched.Objective.sgpr_spill_cycles) )
   in
-  {
-    params;
-    rng;
-    ants;
-    arena;
-    fmat;
-    pheromone;
-    policy;
-    termination = Pheromone_policy.patience policy;
-    metrics = ctx.Engine.Backend.metrics;
-    rp_scalar_of_ant;
-    pass2_cost_of_ant;
-    pass2_extra_of_initial;
-  }
+  { colony; rp_scalar_of_ant; pass2_cost_of_ant; pass2_extra_of_initial }
 
 let run_order_pass st (req : Engine.Backend.order_request) =
   let order, _, stats =
-    Colony.run_pass ~params:st.params ~rng:st.rng ~ants:st.ants ~pheromone:st.pheromone
-      ~policy:st.policy ~mode:Ant.Rp_pass ~cost_of_ant:st.rp_scalar_of_ant
-      ~artifact_of_ant:Ant.order ~allow_optional_stalls:true
-      ~budget_work:(work_of_budget req.Engine.Backend.o_budget)
-      ~metrics:st.metrics ~pass_label:req.Engine.Backend.o_label
+    Colony.run_pass st.colony ~mode:Ant.Rp_pass ~cost_of_ant:st.rp_scalar_of_ant
+      ~artifact_of_ant:Ant.order
+      ~budget_work:(Colony.work_of_budget req.Engine.Backend.o_budget)
+      ~pass_label:req.Engine.Backend.o_label
       ~initial_cost:req.Engine.Backend.o_initial_cost
       ~initial_order:req.Engine.Backend.o_initial_order
       ~initial_artifact:req.Engine.Backend.o_initial_order
-      ~lb_cost:req.Engine.Backend.o_lb_cost ~termination:st.termination
+      ~lb_cost:req.Engine.Backend.o_lb_cost
   in
   (order, stats)
 
 let run_schedule_pass st (req : Engine.Backend.schedule_request) =
   let schedule, _, stats =
-    Colony.run_pass ~params:st.params ~rng:st.rng ~ants:st.ants ~pheromone:st.pheromone
-      ~policy:st.policy
+    Colony.run_pass st.colony
       ~mode:
         (Ant.Ilp_pass
            {
@@ -158,27 +67,18 @@ let run_schedule_pass st (req : Engine.Backend.schedule_request) =
         match Ant.schedule ant with
         | Some s -> s
         | None -> invalid_arg "Seq_aco: finished ant produced invalid schedule")
-      ~allow_optional_stalls:true
-      ~budget_work:(work_of_budget req.Engine.Backend.s_budget)
-      ~metrics:st.metrics ~pass_label:req.Engine.Backend.s_label
+      ~budget_work:(Colony.work_of_budget req.Engine.Backend.s_budget)
+      ~pass_label:req.Engine.Backend.s_label
       ~initial_cost:
         (req.Engine.Backend.s_initial_length
         + st.pass2_extra_of_initial req.Engine.Backend.s_initial)
       ~initial_order:(Sched.Schedule.order req.Engine.Backend.s_initial)
       ~initial_artifact:req.Engine.Backend.s_initial
-      ~lb_cost:req.Engine.Backend.s_length_lb ~termination:st.termination
+      ~lb_cost:req.Engine.Backend.s_length_lb
   in
   (schedule, stats)
 
-(* Two_pass runs teardown even on raise; returning the arena here lets
-   the next region job on this domain reuse the backing arrays. The
-   ants' slices are dead by now — results were extracted during the
-   passes. *)
-let teardown st =
-  Support.Arena.give st.arena;
-  Support.Fmat.give st.fmat
-
-let make_backend ~name:backend_name ~policy:policy_spec ?objective ?(prune = false) () :
+let make_backend ~name:backend_name ~policy ?objective ?(prune = false) () :
     Engine.Backend.t =
   (module struct
     let name = backend_name
@@ -190,10 +90,10 @@ let make_backend ~name:backend_name ~policy:policy_spec ?objective ?(prune = fal
 
     type nonrec state = state
 
-    let prepare ctx rc = prepare ~policy_spec ~objective ~prune ctx rc
+    let prepare ctx rc = prepare ~policy ~objective ~prune ctx rc
     let run_order_pass = run_order_pass
     let run_schedule_pass = run_schedule_pass
-    let teardown = teardown
+    let teardown st = Colony.teardown st.colony
   end : Engine.Backend.S)
 
 let backend : Engine.Backend.t = make_backend ~name:"seq" ~policy:Pheromone_policy.As ()
@@ -212,8 +112,8 @@ let mmas_spill_backend spill_model : Engine.Backend.t =
 
 let register () = Engine.Registry.register backend
 
-let run_from_setup ?(params = Params.default) ?(seed = 1) ?(budget_work = max_int)
-    ?(metrics = Obs.Metrics.null) ?(label = "") (setup : Setup.t) =
+let run_from_setup ?(params = Engine.Params.default) ?(seed = 1) ?(budget_work = max_int)
+    ?(metrics = Obs.Metrics.null) ?(label = "") (setup : Engine.Setup.t) =
   Engine.Two_pass.run backend
     {
       Engine.Backend.params;
@@ -228,4 +128,4 @@ let run_from_setup ?(params = Params.default) ?(seed = 1) ?(budget_work = max_in
     }
     (Engine.Region_ctx.of_setup setup)
 
-let run ?params ?seed occ graph = run_from_setup ?params ?seed (Setup.prepare occ graph)
+let run ?params ?seed occ graph = run_from_setup ?params ?seed (Engine.Setup.prepare occ graph)

@@ -7,57 +7,11 @@
     pass 2 treats the best pass-1 RP as a constraint and searches for the
     shortest latency-feasible schedule (Section IV-A). Each pass stops
     when its lower bound is reached or after
-    [Params.termination_condition] improvement-free iterations. The pass
-    sequencing itself lives in {!Engine.Two_pass}; this module supplies
-    the CPU colony it drives. *)
-
-type pass_stats = Engine.Types.pass_stats = {
-  invoked : bool;
-  iterations : int;
-  ants_simulated : int;
-  work : int;  (** abstract work units (see {!Ant.work}) plus table upkeep *)
-  time_ns : float;  (** always 0: the CPU colony has no time model *)
-  improved : bool;
-  hit_lower_bound : bool;
-  serialized_ops : int;  (** always 0 (GPU-model counters) *)
-  single_path_ops : int;
-  lockstep_steps : int;
-  ant_steps : int;
-  selections : int;
-  best_costs : int array;
-      (** convergence series: entry 0 is the initial cost, entry [k] the
-          best cost after the [k]th attempted iteration (this colony
-          never retries, so attempted = completed) *)
-  minor_words : float;  (** host minor-heap words allocated during the pass *)
-  retries : int;  (** always 0: no fault model *)
-  aborted_budget : bool;
-      (** the pass exhausted its work budget and kept its best-so-far *)
-  aborted_faults : bool;  (** always false *)
-  scored_candidates : int;
-      (** pass-2 candidates whose RP fit was evaluated (tracker-meter
-          delta across the pass); 0 in pass 1 *)
-  pruned_candidates : int;
-      (** candidates dismissed by the min-register lower bounds; nonzero
-          only for the pruning backend *)
-  fault_counts : Engine.Types.fault_counts;  (** always zero *)
-}
-(** The engine's unified statistics record (see {!Engine.Types}); the
-    equality keeps historical [r.Aco.Seq_aco.pass1.work]-style accesses
-    compiling. *)
-
-val no_pass : pass_stats
-(** Stats of a pass that never ran. *)
-
-type result = Engine.Types.result = {
-  schedule : Sched.Schedule.t;
-  cost : Sched.Cost.t;
-  heuristic_schedule : Sched.Schedule.t;
-  heuristic_cost : Sched.Cost.t;
-  rp_target : Sched.Cost.rp;
-  pass2_initial : Sched.Schedule.t;
-  pass1 : pass_stats;
-  pass2 : pass_stats;
-}
+    [Engine.Params.termination_condition] improvement-free iterations.
+    The pass sequencing itself lives in {!Engine.Two_pass}; this module
+    supplies the costs and artifacts of each pass and runs them on the
+    shared CPU colony of {!Colony}. Results and pass statistics are the
+    engine's own {!Engine.Types.result} and {!Engine.Types.pass_stats}. *)
 
 val make_backend :
   name:string ->
@@ -99,18 +53,19 @@ val mmas_spill_backend : Sched.Objective.spill_model -> Engine.Backend.t
 val register : unit -> unit
 (** Install {!backend} in {!Engine.Registry} (idempotent). *)
 
-val run : ?params:Params.t -> ?seed:int -> Machine.Occupancy.t -> Ddg.Graph.t -> result
+val run :
+  ?params:Engine.Params.t -> ?seed:int -> Machine.Occupancy.t -> Ddg.Graph.t -> Engine.Types.result
 (** Schedule a region. Deterministic for a fixed seed. *)
 
 val run_from_setup :
-  ?params:Params.t ->
+  ?params:Engine.Params.t ->
   ?seed:int ->
   ?budget_work:int ->
   ?metrics:Obs.Metrics.t ->
   ?label:string ->
-  Setup.t ->
-  result
-(** Same, reusing an already-prepared {!Setup.t} (the pipeline prepares
+  Engine.Setup.t ->
+  Engine.Types.result
+(** Same, reusing an already-prepared {!Engine.Setup.t} (the pipeline prepares
     one setup and feeds it to every backend so they race from identical
     starting points).
 

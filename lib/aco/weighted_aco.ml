@@ -6,106 +6,12 @@ type result = {
   work : int;
 }
 
-type Engine.Backend.ext += Rp_weight of int
+(* The single objective: schedule length plus the RP scalar of the
+   peaks (whose occupancy term already dominates). *)
+let scalar occ ~length ~peaks:(v, s) =
+  length + Sched.Cost.rp_scalar (Sched.Cost.rp_of_peaks occ ~vgpr:v ~sgpr:s)
 
-let scalar occ ~rp_weight ~length ~peaks:(v, s) =
-  length + (rp_weight * Sched.Cost.rp_scalar (Sched.Cost.rp_of_peaks occ ~vgpr:v ~sgpr:s))
-
-let run ?(params = Params.default) ?(seed = 1) ?(rp_weight = 1) occ graph =
-  let n = graph.Ddg.Graph.n in
-  let rng = Support.Rng.create seed in
-  let ants = Array.init params.Params.ants_per_iteration (fun _ -> Ant.create graph params) in
-  let pheromone = Pheromone.create ~n ~initial:params.Params.initial_pheromone in
-  let policy = Pheromone_policy.make Pheromone_policy.As ~params ~n ~metrics:Obs.Metrics.null in
-  let termination = Pheromone_policy.patience policy in
-  (* Unconstrained ants: a target at the register-file size never
-     breaches, so no ant dies and no optional stall is inserted. *)
-  let no_target = Sched.Objective.no_target in
-  let mode = Ant.Ilp_pass { target_vgpr = no_target; target_sgpr = no_target } in
-  let amd = Sched.Amd_scheduler.run occ graph in
-  let amd_cost = Sched.Cost.of_schedule occ amd in
-  let cost_of schedule_len peaks = scalar occ ~rp_weight ~length:schedule_len ~peaks in
-  let lb =
-    scalar occ ~rp_weight ~length:(Ddg.Lower_bounds.schedule_length graph)
-      ~peaks:
-        ( Ddg.Lower_bounds.register_pressure graph Ir.Reg.Vgpr,
-          Ddg.Lower_bounds.register_pressure graph Ir.Reg.Sgpr )
-  in
-  let best = ref amd in
-  let best_cost =
-    ref
-      (cost_of (Sched.Schedule.length amd)
-         (let p = Sched.Rp_tracker.naive_peaks graph (Sched.Schedule.order amd) in
-          (p Ir.Reg.Vgpr, p Ir.Reg.Sgpr)))
-  in
-  policy.Pheromone_policy.init pheromone ~initial_order:(Sched.Schedule.order amd)
-    ~initial_cost:!best_cost;
-  let iterations = ref 0 in
-  let no_improve = ref 0 in
-  let work = ref 0 in
-  while !best_cost > lb && !no_improve < termination && !iterations < params.Params.max_iterations do
-    incr iterations;
-    let iter_best_cost = ref max_int in
-    let iter_best = ref None in
-    Array.iter
-      (fun ant ->
-        Ant.start ant ~rng:(Support.Rng.split rng) ~heuristic:params.Params.heuristic
-          ~allow_optional_stalls:false mode;
-        Ant.run_to_completion ant ~pheromone;
-        work := !work + Ant.work ant;
-        if Ant.status ant = Ant.Finished then begin
-          let c = cost_of (Ant.length ant) (Ant.rp_peaks ant) in
-          if c < !iter_best_cost then begin
-            iter_best_cost := c;
-            iter_best := Some ant
-          end
-        end)
-      ants;
-    work := !work + (((n + 1) * n) / 8) + n;
-    match !iter_best with
-    | Some ant ->
-        policy.Pheromone_policy.update pheromone ~winner_order:(Ant.order ant)
-          ~winner_cost:!iter_best_cost;
-        if !iter_best_cost < !best_cost then begin
-          best_cost := !iter_best_cost;
-          (match Ant.schedule ant with Some s -> best := s | None -> ());
-          no_improve := 0
-        end
-        else incr no_improve
-    | None ->
-        policy.Pheromone_policy.update pheromone ~winner_order:Pheromone_policy.no_order
-          ~winner_cost:max_int;
-        incr no_improve
-  done;
-  {
-    schedule = !best;
-    cost = Sched.Cost.of_schedule occ !best;
-    heuristic_cost = amd_cost;
-    iterations = !iterations;
-    work = !work;
-  }
-
-(* --- the "weighted" engine backend -------------------------------------- *)
-
-type state = {
-  params : Params.t;
-  rng : Support.Rng.t;
-  ants : Ant.t array;
-  arena : Support.Arena.t;
-  pheromone : Pheromone.t;
-  policy : Pheromone_policy.t;
-  termination : int;
-  metrics : Obs.Metrics.t;
-  occ : Machine.Occupancy.t;
-  graph : Ddg.Graph.t;
-  rp_weight : int;
-}
-
-let work_of_budget = function
-  | Engine.Types.Unlimited -> max_int
-  | Engine.Types.Work w -> w
-  | Engine.Types.Time_ns _ ->
-      invalid_arg "Weighted_aco: nanosecond budgets require a time-model backend"
+type state = { colony : Colony.t; occ : Machine.Occupancy.t; graph : Ddg.Graph.t }
 
 module Backend_impl = struct
   let name = "weighted"
@@ -129,40 +35,15 @@ module Backend_impl = struct
 
   type nonrec state = state
 
-  let prepare (ctx : Engine.Backend.ctx) (rc : Engine.Region_ctx.t) =
-    let setup = rc.Engine.Region_ctx.setup in
-    let graph = setup.Setup.graph in
-    let n = graph.Ddg.Graph.n in
-    let params = ctx.Engine.Backend.params in
-    let rp_weight =
-      List.fold_left
-        (fun acc e -> match e with Rp_weight w -> w | _ -> acc)
-        1 ctx.Engine.Backend.ext
-    in
-    let rng = Support.Rng.create ctx.Engine.Backend.seed in
-    let shared = Ant.shared_of_region_ctx rc in
-    let ints, floats = Ant.arena_demand shared in
-    let lanes = params.Params.ants_per_iteration in
-    let arena = Support.Arena.take ~ints:(lanes * ints) ~floats:(lanes * floats) in
-    let ants = Array.init lanes (fun _ -> Ant.create ~shared ~arena graph params) in
-    let pheromone = Pheromone.create ~n ~initial:params.Params.initial_pheromone in
-    let policy =
-      Pheromone_policy.make Pheromone_policy.As ~params ~n
-        ~metrics:ctx.Engine.Backend.metrics
-    in
-    let termination = Pheromone_policy.patience policy in
+  (* Unconstrained ants never insert optional stalls: without an RP
+     target there is nothing to stall for. *)
+  let prepare ctx rc =
     {
-      params;
-      rng;
-      ants;
-      arena;
-      pheromone;
-      policy;
-      termination;
-      metrics = ctx.Engine.Backend.metrics;
-      occ = setup.Setup.occ;
-      graph;
-      rp_weight;
+      colony =
+        Colony.prepare ~policy:Pheromone_policy.As ~prune:false ~allow_optional_stalls:false
+          ctx rc;
+      occ = Engine.Region_ctx.occ rc;
+      graph = Engine.Region_ctx.graph rc;
     }
 
   let run_order_pass _ (_ : Engine.Backend.order_request) =
@@ -174,12 +55,9 @@ module Backend_impl = struct
      choice the paper measured and rejected (Section II-A). The reported
      [best_costs] series therefore carries weighted costs, not lengths. *)
   let run_schedule_pass st (req : Engine.Backend.schedule_request) =
-    let cost_of_ant ant =
-      scalar st.occ ~rp_weight:st.rp_weight ~length:(Ant.length ant)
-        ~peaks:(Ant.rp_peaks ant)
-    in
+    let cost_of_ant ant = scalar st.occ ~length:(Ant.length ant) ~peaks:(Ant.rp_peaks ant) in
     let initial_cost =
-      scalar st.occ ~rp_weight:st.rp_weight ~length:req.Engine.Backend.s_initial_length
+      scalar st.occ ~length:req.Engine.Backend.s_initial_length
         ~peaks:
           (let p =
              Sched.Rp_tracker.naive_peaks st.graph
@@ -188,14 +66,13 @@ module Backend_impl = struct
            (p Ir.Reg.Vgpr, p Ir.Reg.Sgpr))
     in
     let lb_cost =
-      scalar st.occ ~rp_weight:st.rp_weight ~length:req.Engine.Backend.s_length_lb
+      scalar st.occ ~length:req.Engine.Backend.s_length_lb
         ~peaks:
           ( Ddg.Lower_bounds.register_pressure st.graph Ir.Reg.Vgpr,
             Ddg.Lower_bounds.register_pressure st.graph Ir.Reg.Sgpr )
     in
     let schedule, _, stats =
-      Colony.run_pass ~params:st.params ~rng:st.rng ~ants:st.ants ~pheromone:st.pheromone
-        ~policy:st.policy
+      Colony.run_pass st.colony
         ~mode:
           (Ant.Ilp_pass
              {
@@ -207,16 +84,45 @@ module Backend_impl = struct
           match Ant.schedule ant with
           | Some s -> s
           | None -> invalid_arg "Weighted_aco: finished ant produced invalid schedule")
-        ~allow_optional_stalls:false
-        ~budget_work:(work_of_budget req.Engine.Backend.s_budget)
-        ~metrics:st.metrics ~pass_label:req.Engine.Backend.s_label ~initial_cost
+        ~budget_work:(Colony.work_of_budget req.Engine.Backend.s_budget)
+        ~pass_label:req.Engine.Backend.s_label ~initial_cost
         ~initial_order:(Sched.Schedule.order req.Engine.Backend.s_initial)
-        ~initial_artifact:req.Engine.Backend.s_initial ~lb_cost ~termination:st.termination
+        ~initial_artifact:req.Engine.Backend.s_initial ~lb_cost
     in
     (schedule, stats)
 
-  let teardown st = Support.Arena.give st.arena
+  let teardown st = Colony.teardown st.colony
 end
 
 let backend : Engine.Backend.t = (module Backend_impl)
 let register () = Engine.Registry.register backend
+
+(* The standalone search starts from the AMD schedule itself, not from
+   the engine's pass-2 seed (the better of the AMD and Last-Use-Count
+   orders, latency-padded), so it runs the backend's schedule pass
+   directly instead of going through [Engine.Two_pass]. *)
+let run ?(params = Engine.Params.default) ?(seed = 1) occ graph =
+  let rc = Engine.Region_ctx.of_graph occ graph in
+  let setup = rc.Engine.Region_ctx.setup in
+  let amd = setup.Engine.Setup.amd_schedule in
+  let st = Backend_impl.prepare { Engine.Backend.null_ctx with Engine.Backend.params; seed } rc in
+  let schedule, stats =
+    Fun.protect ~finally:(fun () -> Backend_impl.teardown st) @@ fun () ->
+    Backend_impl.run_schedule_pass st
+      {
+        Engine.Backend.s_label = "";
+        s_budget = Engine.Types.Unlimited;
+        s_target_vgpr = Sched.Objective.no_target;
+        s_target_sgpr = Sched.Objective.no_target;
+        s_initial = amd;
+        s_initial_length = Sched.Schedule.length amd;
+        s_length_lb = setup.Engine.Setup.length_lb;
+      }
+  in
+  {
+    schedule;
+    cost = Sched.Cost.of_schedule occ schedule;
+    heuristic_cost = setup.Engine.Setup.amd_cost;
+    iterations = stats.Engine.Types.iterations;
+    work = stats.Engine.Types.work;
+  }

@@ -7,7 +7,8 @@
     {!Seq_aco}) uses. This module implements the weighted-sum
     single-pass search so the design choice can be measured rather than
     taken on faith — the bench harness compares the two on the suite's
-    ACO-eligible regions. *)
+    ACO-eligible regions. The search runs on the shared CPU colony of
+    {!Colony}; this module contributes only the weighted cost. *)
 
 type result = {
   schedule : Sched.Schedule.t;  (** latency-valid *)
@@ -17,19 +18,11 @@ type result = {
   work : int;
 }
 
-val run :
-  ?params:Params.t ->
-  ?seed:int ->
-  ?rp_weight:int ->
-  Machine.Occupancy.t ->
-  Ddg.Graph.t ->
-  result
-(** Minimize [length + rp_weight * rp_scalar] with unconstrained
-    latency-aware ants in a single pass. [rp_weight] defaults to 1 (the
-    RP scalar already dominates through its occupancy term). *)
-
-type Engine.Backend.ext += Rp_weight of int
-(** Context extension overriding the backend's RP weight (default 1). *)
+val run : ?params:Engine.Params.t -> ?seed:int -> Machine.Occupancy.t -> Ddg.Graph.t -> result
+(** Minimize [length + rp_scalar] with unconstrained latency-aware ants
+    in a single pass, starting from the AMD heuristic schedule: the
+    {!backend}'s schedule pass on a colony of its own. The RP scalar
+    already dominates through its occupancy term. *)
 
 val backend : Engine.Backend.t
 (** The ["weighted"] backend: no RP pass (the engine skips straight to

@@ -9,9 +9,9 @@
 type ext = ..
 (** Open extension point for backend-specific configuration carried by
     {!ctx}. Each backend declares its own constructors (the GPU-model
-    backend adds its launch geometry, fault injector and watchdog; the
-    weighted backend its RP weight) and scans [ctx.ext] in [prepare];
-    unknown constructors are ignored, so contexts compose. *)
+    backend adds its launch geometry, fault rates and watchdog) and
+    scans [ctx.ext] in [prepare]; unknown constructors are ignored, so
+    contexts compose. *)
 
 type ctx = {
   params : Params.t;

@@ -16,6 +16,14 @@ let fault_counts_add a b =
     mem_faults = a.mem_faults + b.mem_faults;
   }
 
+let fault_counts_sub a b =
+  {
+    lane_faults = a.lane_faults - b.lane_faults;
+    wavefront_hangs = a.wavefront_hangs - b.wavefront_hangs;
+    reduction_drops = a.reduction_drops - b.reduction_drops;
+    mem_faults = a.mem_faults - b.mem_faults;
+  }
+
 let fault_counts_total c =
   c.lane_faults + c.wavefront_hangs + c.reduction_drops + c.mem_faults
 

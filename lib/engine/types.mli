@@ -15,11 +15,15 @@ type fault_counts = {
   mem_faults : int;
 }
 (** Injected-fault tally of a pass (all zero for backends without fault
-    support). The injector itself lives in [Gpusim.Faults], which
-    re-exports this record as its [counts] type. *)
+    support). The injector itself lives in [Gpusim.Faults], whose
+    running tally is a value of this type. *)
 
 val fault_counts_zero : fault_counts
 val fault_counts_add : fault_counts -> fault_counts -> fault_counts
+
+val fault_counts_sub : fault_counts -> fault_counts -> fault_counts
+(** [fault_counts_sub after before]: the faults injected in between. *)
+
 val fault_counts_total : fault_counts -> int
 
 type pass_stats = {

@@ -34,13 +34,6 @@ let serialized_of_maxima maxima =
   done;
   !acc
 
-let distinct_paths_of_maxima maxima =
-  let acc = ref 0 in
-  for r = 0 to Array.length maxima - 1 do
-    if maxima.(r) > 0 then incr acc
-  done;
-  !acc
-
 let max_single_of_maxima maxima =
   let acc = ref 0 in
   for r = 0 to Array.length maxima - 1 do

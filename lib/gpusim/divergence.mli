@@ -41,7 +41,6 @@ val serialized_of_maxima : int array -> int
     [(step_charge events).serialized_ops] for the events the maxima
     summarize. *)
 
-val distinct_paths_of_maxima : int array -> int
 val max_single_of_maxima : int array -> int
 
 type charge = {

@@ -1,45 +1,15 @@
-(* The tally record lives in the engine layer (every backend's pass
-   stats carry one); the equality keeps field accesses and literals in
-   this library compiling unchanged. *)
-type counts = Engine.Types.fault_counts = {
-  lane_faults : int;
-  wavefront_hangs : int;
-  reduction_drops : int;
-  mem_faults : int;
-}
-
-let zero = Engine.Types.fault_counts_zero
-
-let add a b =
-  {
-    lane_faults = a.lane_faults + b.lane_faults;
-    wavefront_hangs = a.wavefront_hangs + b.wavefront_hangs;
-    reduction_drops = a.reduction_drops + b.reduction_drops;
-    mem_faults = a.mem_faults + b.mem_faults;
-  }
-
-let sub a b =
-  {
-    lane_faults = a.lane_faults - b.lane_faults;
-    wavefront_hangs = a.wavefront_hangs - b.wavefront_hangs;
-    reduction_drops = a.reduction_drops - b.reduction_drops;
-    mem_faults = a.mem_faults - b.mem_faults;
-  }
-
-let total c = c.lane_faults + c.wavefront_hangs + c.reduction_drops + c.mem_faults
-
-let counts_to_string c =
-  Printf.sprintf "lane:%d hang:%d drop:%d mem:%d" c.lane_faults c.wavefront_hangs
-    c.reduction_drops c.mem_faults
+let counts_to_string (c : Engine.Types.fault_counts) =
+  Printf.sprintf "lane:%d hang:%d drop:%d mem:%d" c.Engine.Types.lane_faults
+    c.Engine.Types.wavefront_hangs c.Engine.Types.reduction_drops c.Engine.Types.mem_faults
 
 type t = {
   rates : Config.fault_rates;
   rng : Support.Rng.t;
-  mutable injected : counts;
+  mutable injected : Engine.Types.fault_counts;
 }
 
 let create ?(seed = 0) (rates : Config.fault_rates) =
-  { rates; rng = Support.Rng.create seed; injected = zero }
+  { rates; rng = Support.Rng.create seed; injected = Engine.Types.fault_counts_zero }
 
 (* The disabled injector never draws and never counts, so sharing one
    global value is safe. *)
@@ -61,18 +31,20 @@ let fire t rate bump =
    true)
 
 let lane_fault t =
-  fire t t.rates.Config.lane_fault_rate (fun c -> { c with lane_faults = c.lane_faults + 1 })
+  fire t t.rates.Config.lane_fault_rate (fun c ->
+      { c with Engine.Types.lane_faults = c.Engine.Types.lane_faults + 1 })
 
 let wavefront_hang t =
   fire t t.rates.Config.wavefront_hang_rate (fun c ->
-      { c with wavefront_hangs = c.wavefront_hangs + 1 })
+      { c with Engine.Types.wavefront_hangs = c.Engine.Types.wavefront_hangs + 1 })
 
 let reduction_drop t =
   fire t t.rates.Config.reduction_drop_rate (fun c ->
-      { c with reduction_drops = c.reduction_drops + 1 })
+      { c with Engine.Types.reduction_drops = c.Engine.Types.reduction_drops + 1 })
 
 let mem_fault t =
-  fire t t.rates.Config.mem_fault_rate (fun c -> { c with mem_faults = c.mem_faults + 1 })
+  fire t t.rates.Config.mem_fault_rate (fun c ->
+      { c with Engine.Types.mem_faults = c.Engine.Types.mem_faults + 1 })
 
 let pick t bound = if bound <= 0 then 0 else Support.Rng.int t.rng bound
 

@@ -21,20 +21,10 @@
     configuration with {!Config.no_faults} is byte-identical to one
     without the fault model. *)
 
-type counts = Engine.Types.fault_counts = {
-  lane_faults : int;
-  wavefront_hangs : int;
-  reduction_drops : int;
-  mem_faults : int;
-}
-(** Equal to the engine's {!Engine.Types.fault_counts}, so every
-    backend's pass stats carry the same tally type. *)
-
-val zero : counts
-val add : counts -> counts -> counts
-val sub : counts -> counts -> counts
-val total : counts -> int
-val counts_to_string : counts -> string
+val counts_to_string : Engine.Types.fault_counts -> string
+(** ["lane:L hang:H drop:D mem:M"]. Tallies use the engine's
+    {!Engine.Types.fault_counts}, the record every backend's pass
+    statistics carry, with its arithmetic. *)
 
 type t
 (** Injector state: rates, private RNG, tallies of injected faults. *)
@@ -46,9 +36,9 @@ val disabled : t
 
 val enabled : t -> bool
 
-val counts : t -> counts
-(** Faults injected so far (monotone; snapshot-and-{!sub} for per-pass
-    tallies). *)
+val counts : t -> Engine.Types.fault_counts
+(** Faults injected so far (monotone; snapshot and
+    {!Engine.Types.fault_counts_sub} for per-pass tallies). *)
 
 val lane_fault : t -> bool
 (** One per-lane per-iteration trial; [true] means this lane takes a

@@ -1,42 +1,5 @@
-type pass_stats = Engine.Types.pass_stats = {
-  invoked : bool;
-  iterations : int;
-  ants_simulated : int;
-  work : int;
-  time_ns : float;
-  improved : bool;
-  hit_lower_bound : bool;
-  serialized_ops : int;
-  single_path_ops : int;
-  lockstep_steps : int;
-  ant_steps : int;
-  selections : int;
-  best_costs : int array;
-  minor_words : float;
-  retries : int;
-  aborted_budget : bool;
-  aborted_faults : bool;
-  scored_candidates : int;
-  pruned_candidates : int;
-  fault_counts : Faults.counts;
-}
-
-let no_pass = Engine.Types.no_pass
-
-type result = Engine.Types.result = {
-  schedule : Sched.Schedule.t;
-  cost : Sched.Cost.t;
-  heuristic_schedule : Sched.Schedule.t;
-  heuristic_cost : Sched.Cost.t;
-  rp_target : Sched.Cost.rp;
-  pass2_initial : Sched.Schedule.t;
-  pass1 : pass_stats;
-  pass2 : pass_stats;
-}
-
 type Engine.Backend.ext +=
   | Gpu_config of Config.t
-  | Fault_injector of Faults.t
   | Watchdog of { iteration_deadline_ns : float; max_retries : int }
 
 (* Wavefront role assignment (Section V-B): when per-wavefront heuristics
@@ -48,7 +11,7 @@ let heuristic_for (config : Config.t) params w =
     | 2 -> Sched.Heuristic.Last_use_count
     | 3 -> Sched.Heuristic.Source_order
     | _ -> Sched.Heuristic.Critical_path
-  else params.Aco.Params.heuristic
+  else params.Engine.Params.heuristic
 
 let allow_optional_for (config : Config.t) w =
   let frac = config.opts.Config.optional_stall_fraction in
@@ -63,8 +26,32 @@ let make_wavefronts ?shared config graph params =
         ~heuristic:(heuristic_for config params w)
         ~allow_optional_stalls:(allow_optional_for config w))
 
-(* One parallel ACO pass on the simulated GPU. Generic in the ant cost
-   and the winning artifact, like the sequential driver.
+type state = {
+  params : Engine.Params.t;
+  config : Config.t;
+  rng : Support.Rng.t;
+  wavefronts : Wavefront.t array;
+  pheromone : Aco.Pheromone.t;
+  policy : Aco.Pheromone_policy.t;
+  faults : Faults.t;
+  iteration_deadline_ns : float;
+  max_retries : int;
+  trace : Obs.Trace.t;
+  metrics : Obs.Metrics.t;
+  obs_cursor : float array;
+  simd_cursor : float array;
+  termination : int;
+  n : int;
+  ready_ub : int;
+  graph : Ddg.Graph.t;
+  rp_scalar_of_ant : Aco.Ant.t -> int;
+}
+
+(* One parallel ACO pass on the simulated GPU, over the backend state
+   plus the pass's own arguments. Generic in the ant cost and the
+   winning artifact, like the CPU colony's loop ([Aco.Colony.run_pass]),
+   but kept separate from it: ties go to the later equal-cost winner,
+   the budget is simulated time, and faulted iterations are retried.
 
    Robustness discipline around the plain search loop:
    - every reduction winner passes [validate_artifact] before it can
@@ -76,13 +63,16 @@ let make_wavefronts ?shared config graph params =
      its best-so-far artifact;
    - the pass aborts once its accumulated simulated time crosses
      [budget_ns], again keeping the best-so-far artifact. *)
-let run_pass (type a) ~params ~(config : Config.t) ~rng ~wavefronts ~pheromone ~policy
-    ~mode ~(cost_of_ant : Aco.Ant.t -> int) ~(artifact_of_ant : Aco.Ant.t -> a)
-    ~(validate_artifact : a -> bool) ~faults ~budget_ns ~iteration_deadline_ns ~max_retries
-    ~trace ~metrics ~pass_label ~obs_cursor ~simd_cursor
-    ~initial_cost ~(initial_order : int array) ~(initial_artifact : a) ~lb_cost ~termination
-    ~n ~ready_ub =
-  let open Aco.Params in
+let run_pass (type a) st ~mode ~(cost_of_ant : Aco.Ant.t -> int)
+    ~(artifact_of_ant : Aco.Ant.t -> a) ~(validate_artifact : a -> bool) ~budget_ns ~pass_label
+    ~initial_cost ~(initial_order : int array) ~(initial_artifact : a) ~lb_cost =
+  (* Bound before the minor-words snapshot: the per-iteration closures
+     below capture these locals, never the state record. *)
+  let { params; config; rng; wavefronts; pheromone; policy; faults; iteration_deadline_ns;
+        max_retries; trace; metrics; obs_cursor; simd_cursor; termination; n; ready_ub; _ } =
+    st
+  in
+  let open Engine.Params in
   policy.Aco.Pheromone_policy.init pheromone ~initial_order ~initial_cost;
   let lanes = config.target.Machine.Target.wavefront_size in
   let threads = Config.threads config in
@@ -326,7 +316,7 @@ let run_pass (type a) ~params ~(config : Config.t) ~rng ~wavefronts ~pheromone ~
      and the convergence series (textually before [minor_words]) must
      stay out of it: bind them explicitly in that order to keep the
      reported delta byte-identical with tracing off. *)
-  let fault_counts = Faults.sub (Faults.counts faults) faults_before in
+  let fault_counts = Engine.Types.fault_counts_sub (Faults.counts faults) faults_before in
   let minor_delta = Support.Perfcount.minor_words () -. minor_before in
   let scored_after, pruned_after = sum_meters () in
   let best_costs = Array.sub bc_buf 0 !bc_len in
@@ -346,7 +336,7 @@ let run_pass (type a) ~params ~(config : Config.t) ~rng ~wavefronts ~pheromone ~
   ( !best,
     !best_cost,
     {
-      invoked = true;
+      Engine.Types.invoked = true;
       iterations = !iterations;
       ants_simulated = !ants_total;
       work = !work;
@@ -367,27 +357,6 @@ let run_pass (type a) ~params ~(config : Config.t) ~rng ~wavefronts ~pheromone ~
       pruned_candidates = pruned_after - pruned_before;
       fault_counts;
     } )
-
-type state = {
-  params : Aco.Params.t;
-  config : Config.t;
-  rng : Support.Rng.t;
-  wavefronts : Wavefront.t array;
-  pheromone : Aco.Pheromone.t;
-  policy : Aco.Pheromone_policy.t;
-  faults : Faults.t;
-  iteration_deadline_ns : float;
-  max_retries : int;
-  trace : Obs.Trace.t;
-  metrics : Obs.Metrics.t;
-  obs_cursor : float array;
-  simd_cursor : float array;
-  termination : int;
-  n : int;
-  ready_ub : int;
-  graph : Ddg.Graph.t;
-  rp_scalar_of_ant : Aco.Ant.t -> int;
-}
 
 (* The GPU model meters simulated nanoseconds, so its budget currency is
    [Time_ns]; a [Work] budget indicates a pipeline wiring bug. *)
@@ -418,14 +387,15 @@ module Backend_impl = struct
 
   let prepare (ctx : Engine.Backend.ctx) (rc : Engine.Region_ctx.t) =
     let setup = rc.Engine.Region_ctx.setup in
-    let graph = setup.Aco.Setup.graph in
-    let occ = setup.Aco.Setup.occ in
+    let graph = setup.Engine.Setup.graph in
+    let occ = setup.Engine.Setup.occ in
     let n = graph.Ddg.Graph.n in
     let params = ctx.Engine.Backend.params in
     let trace = ctx.Engine.Backend.trace in
     let metrics = ctx.Engine.Backend.metrics in
-    (* Backend-specific context: launch geometry, fault injector and
-       watchdog arrive as extensions; unknown extensions are ignored. *)
+    (* Backend-specific context: launch geometry (with the fault rates)
+       and watchdog arrive as extensions; unknown extensions are
+       ignored. *)
     let config =
       List.fold_left
         (fun acc e -> match e with Gpu_config c -> c | _ -> acc)
@@ -440,23 +410,15 @@ module Backend_impl = struct
           | _ -> acc)
         (infinity, 2) ctx.Engine.Backend.ext
     in
-    let injector =
-      List.fold_left
-        (fun acc e -> match e with Fault_injector f -> Some f | _ -> acc)
-        None ctx.Engine.Backend.ext
-    in
     let seed = ctx.Engine.Backend.seed in
     let faults =
-      match injector with
-      | Some f -> f
-      | None ->
-          if Config.faults_enabled config.Config.faults then
-            (* Mix the region size and driver seed into the injector seed so
-               different regions see different — but replayable — fault
-               patterns. *)
-            Faults.create config.Config.faults
-              ~seed:(config.Config.fault_seed lxor (n * 0x9e3779b1) lxor (seed * 0x85ebca77))
-          else Faults.disabled
+      if Config.faults_enabled config.Config.faults then
+        (* Mix the region size and driver seed into the injector seed so
+           different regions see different — but replayable — fault
+           patterns. *)
+        Faults.create config.Config.faults
+          ~seed:(config.Config.fault_seed lxor (n * 0x9e3779b1) lxor (seed * 0x85ebca77))
+      else Faults.disabled
     in
     let rng = Support.Rng.create seed in
     (* The region context's analyses (critical path, register layout,
@@ -483,7 +445,7 @@ module Backend_impl = struct
             ~simd:(w mod simds))
         wavefronts
     end;
-    let pheromone = Aco.Pheromone.create ~n ~initial:params.Aco.Params.initial_pheromone in
+    let pheromone = Aco.Pheromone.create ~n ~initial:params.Engine.Params.initial_pheromone in
     let policy = Aco.Pheromone_policy.make Aco.Pheromone_policy.As ~params ~n ~metrics in
     let termination = Aco.Pheromone_policy.patience policy in
     let ready_ub = Aco.Ant.shared_ready_ub shared in
@@ -514,29 +476,22 @@ module Backend_impl = struct
 
   let run_order_pass st (req : Engine.Backend.order_request) =
     let order, _, stats =
-      run_pass ~params:st.params ~config:st.config ~rng:st.rng ~wavefronts:st.wavefronts
-        ~pheromone:st.pheromone ~policy:st.policy ~mode:Aco.Ant.Rp_pass
-        ~cost_of_ant:st.rp_scalar_of_ant
+      run_pass st ~mode:Aco.Ant.Rp_pass ~cost_of_ant:st.rp_scalar_of_ant
         ~artifact_of_ant:Aco.Ant.order
         ~validate_artifact:(fun order ->
           Result.is_ok (Sched.Schedule.of_order st.graph order))
-        ~faults:st.faults
         ~budget_ns:(ns_of_budget req.Engine.Backend.o_budget)
-        ~iteration_deadline_ns:st.iteration_deadline_ns ~max_retries:st.max_retries
-        ~trace:st.trace ~metrics:st.metrics ~pass_label:req.Engine.Backend.o_label
-        ~obs_cursor:st.obs_cursor ~simd_cursor:st.simd_cursor
+        ~pass_label:req.Engine.Backend.o_label
         ~initial_cost:req.Engine.Backend.o_initial_cost
         ~initial_order:req.Engine.Backend.o_initial_order
         ~initial_artifact:req.Engine.Backend.o_initial_order
-        ~lb_cost:req.Engine.Backend.o_lb_cost ~termination:st.termination ~n:st.n
-        ~ready_ub:st.ready_ub
+        ~lb_cost:req.Engine.Backend.o_lb_cost
     in
     (order, stats)
 
   let run_schedule_pass st (req : Engine.Backend.schedule_request) =
     let schedule, _, stats =
-      run_pass ~params:st.params ~config:st.config ~rng:st.rng ~wavefronts:st.wavefronts
-        ~pheromone:st.pheromone ~policy:st.policy
+      run_pass st
         ~mode:
           (Aco.Ant.Ilp_pass
              {
@@ -549,16 +504,12 @@ module Backend_impl = struct
           | Some s -> s
           | None -> invalid_arg "Par_aco: finished ant produced invalid schedule")
         ~validate_artifact:(fun s -> Sched.Schedule.is_valid s ~latency_aware:true)
-        ~faults:st.faults
         ~budget_ns:(ns_of_budget req.Engine.Backend.s_budget)
-        ~iteration_deadline_ns:st.iteration_deadline_ns ~max_retries:st.max_retries
-        ~trace:st.trace ~metrics:st.metrics ~pass_label:req.Engine.Backend.s_label
-        ~obs_cursor:st.obs_cursor ~simd_cursor:st.simd_cursor
+        ~pass_label:req.Engine.Backend.s_label
         ~initial_cost:req.Engine.Backend.s_initial_length
         ~initial_order:(Sched.Schedule.order req.Engine.Backend.s_initial)
         ~initial_artifact:req.Engine.Backend.s_initial
-        ~lb_cost:req.Engine.Backend.s_length_lb ~termination:st.termination ~n:st.n
-        ~ready_ub:st.ready_ub
+        ~lb_cost:req.Engine.Backend.s_length_lb
     in
     (schedule, stats)
 
@@ -568,15 +519,10 @@ end
 let backend : Engine.Backend.t = (module Backend_impl)
 let register () = Engine.Registry.register backend
 
-let run_from_setup ?(params = Aco.Params.default) ?(seed = 1) ?faults ?(budget_ns = infinity)
+let run_from_setup ?(params = Engine.Params.default) ?(seed = 1) ?(budget_ns = infinity)
     ?(iteration_deadline_ns = infinity) ?(max_retries = 2) ?(trace = Obs.Trace.null)
     ?(metrics = Obs.Metrics.null) ?(label = "") (config : Config.t)
-    (setup : Aco.Setup.t) =
-  let ext =
-    Gpu_config config
-    :: Watchdog { iteration_deadline_ns; max_retries }
-    :: (match faults with Some f -> [ Fault_injector f ] | None -> [])
-  in
+    (setup : Engine.Setup.t) =
   Engine.Two_pass.run backend
     {
       Engine.Backend.params;
@@ -587,19 +533,12 @@ let run_from_setup ?(params = Aco.Params.default) ?(seed = 1) ?faults ?(budget_n
       trace;
       metrics;
       label;
-      ext;
+      ext = [ Gpu_config config; Watchdog { iteration_deadline_ns; max_retries } ];
     }
     (Engine.Region_ctx.of_setup setup)
 
 let run ?params ?seed config occ graph =
-  run_from_setup ?params ?seed config (Aco.Setup.prepare occ graph)
+  run_from_setup ?params ?seed config (Engine.Setup.prepare occ graph)
 
-let total_time_ns r = r.pass1.time_ns +. r.pass2.time_ns
-
-let total_retries r = r.pass1.retries + r.pass2.retries
-
-let total_faults r = Faults.add r.pass1.fault_counts r.pass2.fault_counts
-
-let degraded r =
-  r.pass1.aborted_budget || r.pass2.aborted_budget || r.pass1.aborted_faults
-  || r.pass2.aborted_faults
+let total_time_ns (r : Engine.Types.result) =
+  r.Engine.Types.pass1.Engine.Types.time_ns +. r.Engine.Types.pass2.Engine.Types.time_ns

@@ -9,66 +9,11 @@
     {!Divergence} and {!Mem_model} under the configuration's
     optimization toggles. *)
 
-type pass_stats = Engine.Types.pass_stats = {
-  invoked : bool;
-  iterations : int;
-  ants_simulated : int;
-  work : int;  (** total abstract work units of all ants *)
-  time_ns : float;  (** simulated GPU wall time of the pass *)
-  improved : bool;
-  hit_lower_bound : bool;
-  serialized_ops : int;  (** divergence-serialized compute ops *)
-  single_path_ops : int;  (** the no-divergence floor for the same steps *)
-  lockstep_steps : int;  (** wavefront lockstep steps across all iterations *)
-  ant_steps : int;  (** individual ant construction steps *)
-  selections : int;  (** ant steps that selected an instruction *)
-  best_costs : int array;
-      (** convergence series: entry 0 is the initial cost, entry [k] the
-          best cost after the [k]th attempted iteration (retried
-          iterations included, their best unchanged) *)
-  minor_words : float;
-      (** host (OCaml) minor-heap words allocated during the pass — the
-          allocation-discipline counter the arena refactor drives toward
-          zero per ant step *)
-  retries : int;
-      (** faulted iterations re-run with a reseeded stream (each charged
-          an exponential backoff in simulated time) *)
-  aborted_budget : bool;
-      (** the pass ran out of compile budget and kept its best-so-far *)
-  aborted_faults : bool;
-      (** consecutive failures exhausted the retry allowance and the pass
-          degraded to its best-so-far *)
-  scored_candidates : int;
-      (** pass-2 candidates whose RP fit was evaluated across all
-          wavefronts (tracker-meter delta across the pass) *)
-  pruned_candidates : int;
-      (** candidates dismissed by the min-register lower bounds; nonzero
-          only under a pruning-capable configuration *)
-  fault_counts : Faults.counts;  (** faults injected during this pass *)
-}
-(** The engine's unified statistics record (see {!Engine.Types}); this
-    backend fills every field. *)
-
-val no_pass : pass_stats
-
-type result = Engine.Types.result = {
-  schedule : Sched.Schedule.t;
-  cost : Sched.Cost.t;
-  heuristic_schedule : Sched.Schedule.t;
-  heuristic_cost : Sched.Cost.t;
-  rp_target : Sched.Cost.rp;
-  pass2_initial : Sched.Schedule.t;
-      (** pass 2's input schedule (the latency-padded pass-1 winner) *)
-  pass1 : pass_stats;
-  pass2 : pass_stats;
-}
-
 type Engine.Backend.ext +=
   | Gpu_config of Config.t
-      (** launch geometry and optimization toggles (default {!Config.bench}) *)
-  | Fault_injector of Faults.t
-      (** explicit injector; when absent one is derived from the
-          configuration's fault rates and seed *)
+      (** launch geometry, optimization toggles and fault rates (default
+          {!Config.bench}); the fault injector is seeded from the
+          configuration's fault seed, the region size and [ctx.seed] *)
   | Watchdog of { iteration_deadline_ns : float; max_retries : int }
       (** per-iteration watchdog deadline and the consecutive-failure
           retry allowance (defaults: no deadline, 2 retries) *)
@@ -82,12 +27,16 @@ val register : unit -> unit
 (** Install {!backend} in {!Engine.Registry} (idempotent). *)
 
 val run :
-  ?params:Aco.Params.t -> ?seed:int -> Config.t -> Machine.Occupancy.t -> Ddg.Graph.t -> result
+  ?params:Engine.Params.t ->
+  ?seed:int ->
+  Config.t ->
+  Machine.Occupancy.t ->
+  Ddg.Graph.t ->
+  Engine.Types.result
 
 val run_from_setup :
-  ?params:Aco.Params.t ->
+  ?params:Engine.Params.t ->
   ?seed:int ->
-  ?faults:Faults.t ->
   ?budget_ns:float ->
   ?iteration_deadline_ns:float ->
   ?max_retries:int ->
@@ -95,9 +44,9 @@ val run_from_setup :
   ?metrics:Obs.Metrics.t ->
   ?label:string ->
   Config.t ->
-  Aco.Setup.t ->
-  result
-(** As {!run} but from a prepared {!Aco.Setup.t}, so the pipeline can
+  Engine.Setup.t ->
+  Engine.Types.result
+(** As {!run} but from a prepared {!Engine.Setup.t}, so the pipeline can
     race the sequential and parallel drivers from identical inputs.
 
     Observability: [trace] (default {!Obs.Trace.null}) attaches a flight
@@ -110,11 +59,10 @@ val run_from_setup :
     true no-ops: schedules, RNG streams and the reported [minor_words]
     stay byte-identical.
 
-    Robustness controls (all default to the fault-free, unbounded
-    behaviour, leaving existing callers byte-identical):
-    - [faults]: the fault injector. When omitted, one is built from
-      [config.faults]/[config.fault_seed] (or {!Faults.disabled} when
-      all rates are zero).
+    Robustness: fault injection follows [config.faults] and
+    [config.fault_seed] (with every rate zero the injector draws no
+    randomness, so the run is byte-identical to one without the fault
+    model). The optional controls default to unbounded behaviour:
     - [budget_ns]: per-region compile budget in simulated nanoseconds,
       shared across both passes; an over-budget pass aborts keeping its
       best-so-far artifact and reports [aborted_budget].
@@ -126,13 +74,5 @@ val run_from_setup :
       constructed winner must additionally pass schedule validation
       before it is trusted. *)
 
-val total_time_ns : result -> float
+val total_time_ns : Engine.Types.result -> float
 (** GPU time across both passes. *)
-
-val total_retries : result -> int
-
-val total_faults : result -> Faults.counts
-
-val degraded : result -> bool
-(** True when either pass aborted (budget or faults) and emitted its
-    best-so-far rather than running to its termination condition. *)

@@ -37,7 +37,3 @@ let min_reduce_into ~costs ~scratch_cost ~scratch_idx =
     active := half
   done;
   (scratch_cost.(0), scratch_idx.(0))
-
-let cost_ops ~threads =
-  let rec rounds n acc = if n <= 1 then acc else rounds ((n + 1) / 2) (acc + n) in
-  rounds threads 0 + 8

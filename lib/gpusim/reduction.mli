@@ -19,8 +19,3 @@ val min_reduce_into :
     iteration reduction allocates only the result pair. Identical tree
     shape and tie-breaking to [min_reduce (Array.mapi (fun i c -> (c, i))
     costs)]. *)
-
-val cost_ops : threads:int -> int
-(** Simulated per-launch cost: ceil(log2 threads) rounds, one comparison
-    per active lane, lanes halving each round — about [2 * threads]
-    comparisons plus a round constant. *)

@@ -1,7 +1,7 @@
 type t = {
   config : Config.t;
   ants : Aco.Ant.t array;
-  params : Aco.Params.t;
+  params : Engine.Params.t;
   heuristic : Sched.Heuristic.kind;
   allow_optional : bool;
   arena : Support.Arena.t;
@@ -189,7 +189,7 @@ let run_iteration ?(faults = Faults.disabled) t ~rng ~mode ~pheromone =
     let force_explore =
       if opts.Config.wavefront_level_explore then
         (* exploit on heads: [step] received [Some (not coin)] *)
-        if Support.Rng.bool rng t.params.Aco.Params.q0 then 0 else 1
+        if Support.Rng.bool rng t.params.Engine.Params.q0 then 0 else 1
       else -1
     in
     let ready_limit =

@@ -15,7 +15,7 @@ val create :
   ?shared:Aco.Ant.shared ->
   Config.t ->
   Ddg.Graph.t ->
-  Aco.Params.t ->
+  Engine.Params.t ->
   heuristic:Sched.Heuristic.kind ->
   allow_optional_stalls:bool ->
   t

@@ -16,10 +16,6 @@ let compare a b =
 
 let hash t = (cls_rank t.cls * 1000003) + t.id
 
-let all_classes = [ Vgpr; Sgpr ]
-
-let cls_to_string = function Vgpr -> "VGPR" | Sgpr -> "SGPR"
-
 let to_string t =
   match t.cls with Vgpr -> "v" ^ string_of_int t.id | Sgpr -> "s" ^ string_of_int t.id
 

@@ -19,10 +19,8 @@ val compare : t -> t -> int
 val hash : t -> int
 
 val cls_equal : cls -> cls -> bool
-val all_classes : cls list
 
 val to_string : t -> string
 (** ["v3"] or ["s7"]. *)
 
-val cls_to_string : cls -> string
 val pp : Format.formatter -> t -> unit

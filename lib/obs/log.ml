@@ -20,14 +20,6 @@ type level = Debug | Info | Warn | Error
 let severity = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 let level_label = function Debug -> "debug" | Info -> "info" | Warn -> "warn" | Error -> "error"
 
-let level_of_string s =
-  match String.lowercase_ascii s with
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" | "warning" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
 type field = Str of string | Int of int | Float of float | Bool of bool
 
 type entry = {

@@ -24,7 +24,6 @@ val severity : level -> int
 (** [Debug] 0 … [Error] 3. *)
 
 val level_label : level -> string
-val level_of_string : string -> level option
 
 type field = Str of string | Int of int | Float of float | Bool of bool
 

@@ -26,7 +26,7 @@ let compare_opts (config : Compile.config) report ~baseline ~optimized =
     (fun (region, (rr : Compile.region_report)) ->
       if rr.Compile.pass1_invoked || rr.Compile.pass2_invoked then begin
         let graph = Ddg.Graph.build region in
-        let setup = Aco.Setup.prepare config.Compile.occ graph in
+        let setup = Engine.Setup.prepare config.Compile.occ graph in
         let rb =
           Gpusim.Par_aco.run_from_setup ~params:config.Compile.params ~seed:config.Compile.par_seed
             gpu_base setup
@@ -39,15 +39,15 @@ let compare_opts (config : Compile.config) report ~baseline ~optimized =
         let s1, f1, m1, s2, f2, m2 = acc.(cat) in
         let s1, f1, m1 =
           if rr.Compile.pass1_invoked then
-            let slow = rb.Gpusim.Par_aco.pass1.Gpusim.Par_aco.time_ns in
-            let fast = ro.Gpusim.Par_aco.pass1.Gpusim.Par_aco.time_ns in
+            let slow = rb.Engine.Types.pass1.Engine.Types.time_ns in
+            let fast = ro.Engine.Types.pass1.Engine.Types.time_ns in
             (s1 +. slow, f1 +. fast, Float.max m1 (improvement_pct ~slow ~fast))
           else (s1, f1, m1)
         in
         let s2, f2, m2 =
           if rr.Compile.pass2_invoked then
-            let slow = rb.Gpusim.Par_aco.pass2.Gpusim.Par_aco.time_ns in
-            let fast = ro.Gpusim.Par_aco.pass2.Gpusim.Par_aco.time_ns in
+            let slow = rb.Engine.Types.pass2.Engine.Types.time_ns in
+            let fast = ro.Engine.Types.pass2.Engine.Types.time_ns in
             (s2 +. slow, f2 +. fast, Float.max m2 (improvement_pct ~slow ~fast))
           else (s2, f2, m2)
         in
@@ -86,13 +86,13 @@ let stall_fraction_sweep (config : Compile.config) report ~fractions ~min_region
     List.map
       (fun (region, (_ : Compile.region_report)) ->
         let graph = Ddg.Graph.build region in
-        let setup = Aco.Setup.prepare config.Compile.occ graph in
+        let setup = Engine.Setup.prepare config.Compile.occ graph in
         let r =
           Gpusim.Par_aco.run_from_setup ~params:config.Compile.params ~seed:config.Compile.par_seed
             gpu setup
         in
-        ( r.Gpusim.Par_aco.pass2.Gpusim.Par_aco.time_ns,
-          float_of_int r.Gpusim.Par_aco.cost.Sched.Cost.length ))
+        ( r.Engine.Types.pass2.Engine.Types.time_ns,
+          float_of_int r.Engine.Types.cost.Sched.Cost.length ))
       targets
   in
   let base = run 0.0 in
@@ -134,13 +134,13 @@ let ready_limit_experiment (config : Compile.config) report =
     List.fold_left
       (fun (time, len) (region, (_ : Compile.region_report)) ->
         let graph = Ddg.Graph.build region in
-        let setup = Aco.Setup.prepare config.Compile.occ graph in
+        let setup = Engine.Setup.prepare config.Compile.occ graph in
         let r =
           Gpusim.Par_aco.run_from_setup ~params:config.Compile.params ~seed:config.Compile.par_seed
             gpu setup
         in
         ( time +. Gpusim.Par_aco.total_time_ns r,
-          len +. float_of_int r.Gpusim.Par_aco.cost.Sched.Cost.length ))
+          len +. float_of_int r.Engine.Types.cost.Sched.Cost.length ))
       (0.0, 0.0) targets
   in
   let t0, l0 = run `Off in
@@ -180,7 +180,7 @@ let objective_comparison (config : Compile.config) report =
           Aco.Weighted_aco.run ~params:config.Compile.params ~seed:config.Compile.seq_seed
             config.Compile.occ graph
         in
-        (two.Aco.Seq_aco.cost, weighted.Aco.Weighted_aco.cost))
+        (two.Engine.Types.cost, weighted.Aco.Weighted_aco.cost))
       targets
   in
   let row name pick other =

@@ -1,7 +1,7 @@
 type config = {
   occ : Machine.Occupancy.t;
   gpu : Gpusim.Config.t;
-  params : Aco.Params.t;
+  params : Engine.Params.t;
   filters : Filters.config;
   robust : Robust.config;
   dispatch : Engine.Dispatch.policy;
@@ -29,8 +29,8 @@ let make_config ?(gpu = Gpusim.Config.bench) ?(filters = Filters.default)
     ?(dispatch = Engine.Dispatch.default) () =
   let params =
     {
-      Aco.Params.default with
-      Aco.Params.ants_per_iteration = Gpusim.Config.threads gpu;
+      Engine.Params.default with
+      Engine.Params.ants_per_iteration = Gpusim.Config.threads gpu;
       (* Run the ILP pass ungated; Report applies [filters.cycle_threshold]
          by synthesis. *)
       pass2_cycle_threshold = 1;
@@ -97,7 +97,7 @@ type region_report = {
   runs : backend_run list;
   degradation : Robust.degradation;
   retries : int;
-  fault_counts : Gpusim.Faults.counts;
+  fault_counts : Engine.Types.fault_counts;
 }
 
 type kernel_report = { kernel : Workload.Suite.kernel; regions : region_report list }
@@ -144,14 +144,14 @@ let par_pass2_time_ns r = run_time_ns ~pass:`Two r "par"
    result. This is what the driver ships when a backend itself trapped —
    the schedule is valid by construction, so compilation always
    completes. *)
-let heuristic_fallback (setup : Aco.Setup.t) : Engine.Types.result =
+let heuristic_fallback (setup : Engine.Setup.t) : Engine.Types.result =
   {
-    Engine.Types.schedule = setup.Aco.Setup.amd_schedule;
-    cost = setup.Aco.Setup.amd_cost;
-    heuristic_schedule = setup.Aco.Setup.amd_schedule;
-    heuristic_cost = setup.Aco.Setup.amd_cost;
-    rp_target = setup.Aco.Setup.amd_cost.Sched.Cost.rp;
-    pass2_initial = setup.Aco.Setup.amd_schedule;
+    Engine.Types.schedule = setup.Engine.Setup.amd_schedule;
+    cost = setup.Engine.Setup.amd_cost;
+    heuristic_schedule = setup.Engine.Setup.amd_schedule;
+    heuristic_cost = setup.Engine.Setup.amd_cost;
+    rp_target = setup.Engine.Setup.amd_cost.Sched.Cost.rp;
+    pass2_initial = setup.Engine.Setup.amd_schedule;
     pass1 = Engine.Types.no_pass;
     pass2 = Engine.Types.no_pass;
   }
@@ -176,12 +176,12 @@ let run_backend ?(trace = Obs.Trace.null) ?(metrics = Obs.Metrics.null) config ~
     {
       Engine.Backend.params = config.params;
       seed =
-        (* The CPU two-pass colonies (seq and the MMAS variants) share
-           the sequential seed so policy comparisons start from the same
+        (* Every CPU two-pass colony (seq, seq-prune, the MMAS variants
+           and wrappers that copy their capabilities) shares the
+           sequential seed, so policy comparisons start from the same
            stream; everything else keeps the parallel seed. *)
-        (match bname with
-        | "seq" | "mmas" | "mmas-spill" -> config.seq_seed
-        | _ -> config.par_seed);
+        (if caps.Engine.Types.rp_pass && not caps.Engine.Types.time_model then config.seq_seed
+         else config.par_seed);
       budget;
       trace = (if caps.Engine.Types.trace then trace else Obs.Trace.null);
       metrics;
@@ -206,11 +206,11 @@ let run_backend ?(trace = Obs.Trace.null) ?(metrics = Obs.Metrics.null) config ~
      run emits a schedule that validates. *)
   let guarded_schedule, guard_fired =
     Sched.Schedule.guard result.Engine.Types.schedule ~latency_aware:true
-      ~fallback:setup.Aco.Setup.amd_schedule
+      ~fallback:setup.Engine.Setup.amd_schedule
   in
   let result =
     if guard_fired then
-      { result with Engine.Types.schedule = guarded_schedule; cost = setup.Aco.Setup.amd_cost }
+      { result with Engine.Types.schedule = guarded_schedule; cost = setup.Engine.Setup.amd_cost }
     else result
   in
   let pass1 = result.Engine.Types.pass1 and pass2 = result.Engine.Types.pass2 in
@@ -267,7 +267,7 @@ let run_region ?(trace = Obs.Trace.null) ?(metrics = Obs.Metrics.null)
     | None -> Engine.Region_ctx.of_region config.occ region
   in
   let setup = rc.Engine.Region_ctx.setup in
-  let graph = setup.Aco.Setup.graph in
+  let graph = setup.Engine.Setup.graph in
   let n = graph.Ddg.Graph.n in
   let budget_ns =
     match budget_ns with Some b -> b | None -> Robust.budget_for config.robust ~n
@@ -309,7 +309,7 @@ let run_region ?(trace = Obs.Trace.null) ?(metrics = Obs.Metrics.null)
         ("backend", Obs.Log.Str product.backend);
         ("rung", Obs.Log.Str (Robust.degradation_label product.run_degradation));
         ("length", Obs.Log.Int product.result.Engine.Types.cost.Sched.Cost.length);
-        ("length_lb", Obs.Log.Int setup.Aco.Setup.length_lb);
+        ("length_lb", Obs.Log.Int setup.Engine.Setup.length_lb);
       ]
   end;
   Robust.observe ~log trace metrics ~region:name product.run_degradation;
@@ -325,7 +325,7 @@ let run_region ?(trace = Obs.Trace.null) ?(metrics = Obs.Metrics.null)
              lower bounds — or the Tables 3.a/3.b comparison is not
              apples-to-apples. The context hand-off makes this structural;
              the assert keeps it that way. *)
-          assert (run.result.Engine.Types.heuristic_cost = setup.Aco.Setup.amd_cost);
+          assert (run.result.Engine.Types.heuristic_cost = setup.Engine.Setup.amd_cost);
           runs @ [ run ]
       | _, true -> runs
       | exception _ -> runs
@@ -338,14 +338,14 @@ let run_region ?(trace = Obs.Trace.null) ?(metrics = Obs.Metrics.null)
   {
     region_name = name;
     n = Ir.Region.size region;
-    size_category = Aco.Params.size_category (Ir.Region.size region);
-    length_lb = setup.Aco.Setup.length_lb;
-    heuristic_cost = setup.Aco.Setup.amd_cost;
-    heuristic_order = Sched.Schedule.order setup.Aco.Setup.amd_schedule;
+    size_category = Engine.Params.size_category (Ir.Region.size region);
+    length_lb = setup.Engine.Setup.length_lb;
+    heuristic_cost = setup.Engine.Setup.amd_cost;
+    heuristic_order = Sched.Schedule.order setup.Engine.Setup.amd_schedule;
     cp_cost = rc.Engine.Region_ctx.cp_cost;
     pass1_invoked = presult.Engine.Types.pass1.Engine.Types.invoked;
     pass2_invoked = presult.Engine.Types.pass2.Engine.Types.invoked;
-    pass2_gap = setup.Aco.Setup.amd_cost.Sched.Cost.length - setup.Aco.Setup.length_lb;
+    pass2_gap = setup.Engine.Setup.amd_cost.Sched.Cost.length - setup.Engine.Setup.length_lb;
     aco_cost = presult.Engine.Types.cost;
     aco_order = Sched.Schedule.order presult.Engine.Types.schedule;
     pass1_only_cost = pass2_initial_cost;

@@ -20,12 +20,15 @@
 type config = {
   occ : Machine.Occupancy.t;
   gpu : Gpusim.Config.t;
-  params : Aco.Params.t;
+  params : Engine.Params.t;
   filters : Filters.config;
   robust : Robust.config;  (** budgets, watchdog deadline, retry allowance *)
   dispatch : Engine.Dispatch.policy;  (** which backend(s) compile each region *)
   seq_seed : int;
-  par_seed : int;  (** seed for every non-["seq"] backend *)
+      (** seed for every CPU two-pass colony: a backend with an RP pass
+          and no time model (["seq"], ["seq-prune"], ["mmas"],
+          ["mmas-spill"]) *)
+  par_seed : int;  (** seed for every other backend *)
   run_sequential : bool;
       (** also time the CPU baseline (skipped when the dispatch already
           runs ["seq"] as a product candidate) *)
@@ -98,7 +101,7 @@ type region_report = {
           baseline when [run_sequential] added one *)
   degradation : Robust.degradation;  (** the product run's ledger entry *)
   retries : int;  (** of the product run *)
-  fault_counts : Gpusim.Faults.counts;  (** of the product run *)
+  fault_counts : Engine.Types.fault_counts;  (** of the product run *)
 }
 
 type kernel_report = {
@@ -124,16 +127,16 @@ val find_run : region_report -> string -> backend_run option
 val product_run : region_report -> backend_run
 (** The run behind [product_backend] (always present). *)
 
-val seq_pass1 : region_report -> Aco.Seq_aco.pass_stats option
-val seq_pass2 : region_report -> Aco.Seq_aco.pass_stats option
-val par_pass1 : region_report -> Gpusim.Par_aco.pass_stats
-val par_pass2 : region_report -> Gpusim.Par_aco.pass_stats
+val seq_pass1 : region_report -> Engine.Types.pass_stats option
+val seq_pass2 : region_report -> Engine.Types.pass_stats option
+val par_pass1 : region_report -> Engine.Types.pass_stats
+val par_pass2 : region_report -> Engine.Types.pass_stats
 val seq_pass1_time_ns : region_report -> float
 val seq_pass2_time_ns : region_report -> float
 val par_pass1_time_ns : region_report -> float
 val par_pass2_time_ns : region_report -> float
 
-val heuristic_fallback : Aco.Setup.t -> Engine.Types.result
+val heuristic_fallback : Engine.Setup.t -> Engine.Types.result
 (** The AMD heuristic schedule dressed up as an ACO result — what a
     backend that trapped is replaced by. *)
 

@@ -135,16 +135,16 @@ let region_speedup ~pass (r : Compile.region_report) =
   | `One -> (
       match Compile.seq_pass1 r with
       | Some s
-        when s.Aco.Seq_aco.invoked && r.Compile.pass1_invoked
-             && s.Aco.Seq_aco.iterations = (Compile.par_pass1 r).Gpusim.Par_aco.iterations
+        when s.Engine.Types.invoked && r.Compile.pass1_invoked
+             && s.Engine.Types.iterations = (Compile.par_pass1 r).Engine.Types.iterations
              && Compile.par_pass1_time_ns r > 0.0 ->
           Some (Compile.seq_pass1_time_ns r /. Compile.par_pass1_time_ns r)
       | Some _ | None -> None)
   | `Two -> (
       match Compile.seq_pass2 r with
       | Some s
-        when s.Aco.Seq_aco.invoked && r.Compile.pass2_invoked
-             && s.Aco.Seq_aco.iterations = (Compile.par_pass2 r).Gpusim.Par_aco.iterations
+        when s.Engine.Types.invoked && r.Compile.pass2_invoked
+             && s.Engine.Types.iterations = (Compile.par_pass2 r).Engine.Types.iterations
              && Compile.par_pass2_time_ns r > 0.0 ->
           Some (Compile.seq_pass2_time_ns r /. Compile.par_pass2_time_ns r)
       | Some _ | None -> None)
@@ -268,7 +268,7 @@ type degradation_row = {
   d_backend : string;
   d_category : int;
   d_tally : Robust.tally;
-  d_faults : Gpusim.Faults.counts;
+  d_faults : Engine.Types.fault_counts;
 }
 
 (* The ledger is about the compile itself, so it aggregates over compiled
@@ -303,8 +303,8 @@ let degradation_row_of ~backend regions cat =
     d_faults =
       List.fold_left
         (fun acc (run : Compile.backend_run) ->
-          Gpusim.Faults.add acc run.Compile.run_fault_counts)
-        Gpusim.Faults.zero runs;
+          Engine.Types.fault_counts_add acc run.Compile.run_fault_counts)
+        Engine.Types.fault_counts_zero runs;
   }
 
 let degradation_table report =
@@ -356,19 +356,19 @@ let perf_row_of regions cat =
         acc +. f (Compile.par_pass1 r) +. f (Compile.par_pass2 r))
       0.0 regions
   in
-  let steps = add (fun (p : Gpusim.Par_aco.pass_stats) -> p.Gpusim.Par_aco.ant_steps) in
-  let words = addf (fun (p : Gpusim.Par_aco.pass_stats) -> p.Gpusim.Par_aco.minor_words) in
+  let steps = add (fun (p : Engine.Types.pass_stats) -> p.Engine.Types.ant_steps) in
+  let words = addf (fun (p : Engine.Types.pass_stats) -> p.Engine.Types.minor_words) in
   {
     p_category = cat;
     p_regions = List.length regions;
     p_lockstep_steps =
-      add (fun (p : Gpusim.Par_aco.pass_stats) -> p.Gpusim.Par_aco.lockstep_steps);
+      add (fun (p : Engine.Types.pass_stats) -> p.Engine.Types.lockstep_steps);
     p_ant_steps = steps;
-    p_selections = add (fun (p : Gpusim.Par_aco.pass_stats) -> p.Gpusim.Par_aco.selections);
+    p_selections = add (fun (p : Engine.Types.pass_stats) -> p.Engine.Types.selections);
     p_scored_candidates =
-      add (fun (p : Gpusim.Par_aco.pass_stats) -> p.Gpusim.Par_aco.scored_candidates);
+      add (fun (p : Engine.Types.pass_stats) -> p.Engine.Types.scored_candidates);
     p_pruned_candidates =
-      add (fun (p : Gpusim.Par_aco.pass_stats) -> p.Gpusim.Par_aco.pruned_candidates);
+      add (fun (p : Engine.Types.pass_stats) -> p.Engine.Types.pruned_candidates);
     p_minor_words = words;
     p_words_per_ant_step = (if steps = 0 then 0.0 else words /. float_of_int steps);
   }
@@ -490,16 +490,3 @@ let render_convergence rows =
            series_to_string r.c_series;
          ])
        rows)
-
-let convergence_csv rows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "region,backend,pass,iteration,best_cost\n";
-  List.iter
-    (fun r ->
-      Array.iteri
-        (fun k v ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s,%s,%s,%d,%d\n" r.c_region r.c_backend r.c_pass k v))
-        r.c_series)
-    rows;
-  Buffer.contents buf

@@ -80,9 +80,9 @@ val sensitive_benchmarks : Compile.suite_report -> Workload.Suite.benchmark list
 
 type degradation_row = {
   d_backend : string;  (** backend whose runs this row tallies *)
-  d_category : int;  (** {!Aco.Params.size_category}, or [-1] for the total row *)
+  d_category : int;  (** {!Engine.Params.size_category}, or [-1] for the total row *)
   d_tally : Robust.tally;
-  d_faults : Gpusim.Faults.counts;
+  d_faults : Engine.Types.fault_counts;
 }
 
 val degradation_backends : Compile.suite_report -> string list
@@ -101,7 +101,7 @@ val degradation_total : Compile.suite_report -> degradation_row list
 (** One all-categories total row ([d_category = -1]) per backend. *)
 
 type perf_row = {
-  p_category : int;  (** {!Aco.Params.size_category}, or [-1] for the total row *)
+  p_category : int;  (** {!Engine.Params.size_category}, or [-1] for the total row *)
   p_regions : int;
   p_lockstep_steps : int;  (** wavefront-level lockstep rounds, both passes *)
   p_ant_steps : int;  (** individual ant construction steps, both passes *)
@@ -156,7 +156,3 @@ val render_convergence : convergence_row list -> string
 (** ASCII table: one line per pass with the series compacted into
     plateaus (["33>31(x2)>30(x5)"] = improved at iteration 1, again at 3,
     then five unchanged iterations). *)
-
-val convergence_csv : convergence_row list -> string
-(** Long-format CSV ([region,backend,pass,iteration,best_cost]) for
-    external plotting. *)

@@ -18,7 +18,7 @@ let budgets_of_ms ms =
 let budget_for t ~n =
   let k = Array.length t.compile_budget_ns in
   if k = 0 then infinity
-  else t.compile_budget_ns.(min (Aco.Params.size_category n) (k - 1))
+  else t.compile_budget_ns.(min (Engine.Params.size_category n) (k - 1))
 
 let budget_work_of_ns (gpu : Gpusim.Config.t) ns =
   if ns = infinity then max_int

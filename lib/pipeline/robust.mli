@@ -12,7 +12,7 @@
 type config = {
   compile_budget_ns : float array;
       (** per-region compile budget in simulated nanoseconds, indexed by
-          {!Aco.Params.size_category} (out-of-range categories clamp to
+          {!Engine.Params.size_category} (out-of-range categories clamp to
           the last entry; an empty array means unbounded) *)
   iteration_deadline_ns : float;  (** watchdog deadline per ACO iteration *)
   max_retries : int;

@@ -80,7 +80,6 @@ let create ?latency_aware (graph : Ddg.Graph.t) =
 
 let reset = setup
 
-let current_cycle t = t.cycle
 let ready_count t = t.ready_n
 let ready t k = t.buf.(t.ready_base + k)
 
@@ -175,5 +174,4 @@ let stall t =
   t.cycle <- t.cycle + 1;
   promote t
 
-let scheduled_count t = t.scheduled_n
 let finished t = t.scheduled_n = t.graph.Ddg.Graph.n

@@ -24,8 +24,6 @@ val create_in : ?latency_aware:bool -> Support.Arena.t -> Ddg.Graph.t -> t
 
 val reset : t -> unit
 
-val current_cycle : t -> int
-
 val ready_count : t -> int
 
 val ready : t -> int -> int
@@ -59,5 +57,4 @@ val schedule : t -> int -> unit
 val stall : t -> unit
 (** Advance one cycle without issuing. *)
 
-val scheduled_count : t -> int
 val finished : t -> bool

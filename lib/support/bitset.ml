@@ -50,12 +50,6 @@ let union_into ~into s =
     into.words.(i) <- into.words.(i) lor s.words.(i)
   done
 
-let inter_into ~into s =
-  same_cap into s;
-  for i = 0 to Array.length into.words - 1 do
-    into.words.(i) <- into.words.(i) land s.words.(i)
-  done
-
 let diff_into ~into s =
   same_cap into s;
   for i = 0 to Array.length into.words - 1 do

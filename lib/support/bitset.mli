@@ -34,8 +34,6 @@ val clear : t -> unit
 val union_into : into:t -> t -> unit
 (** [union_into ~into s] sets [into := into U s]. Capacities must match. *)
 
-val inter_into : into:t -> t -> unit
-
 val diff_into : into:t -> t -> unit
 (** [diff_into ~into s] sets [into := into \ s]. *)
 

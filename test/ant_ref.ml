@@ -26,7 +26,7 @@ let rank_of_op = function
 
 type t = {
   graph : Ddg.Graph.t;
-  params : Aco.Params.t;
+  params : Engine.Params.t;
   rl_order : Sched.Ready_list.t;  (* pass 1: latencies ignored *)
   rl_cycle : Sched.Ready_list.t;  (* pass 2: latency-aware *)
   rp : Sched.Rp_tracker.t;
@@ -53,7 +53,7 @@ let create graph params =
     rp;
     ctx = Sched.Heuristic.make_ctx graph rp;
     rng = Support.Rng.create 0;
-    heuristic = params.Aco.Params.heuristic;
+    heuristic = params.Engine.Params.heuristic;
     allow_optional = true;
     mode = Aco.Ant.Rp_pass;
     status = Aco.Ant.Dead;
@@ -100,7 +100,7 @@ let select t ~pheromone ~explored candidates =
   let value j =
     let tau = Aco.Pheromone.get pheromone ~src:t.last ~dst:j in
     let eta = Sched.Heuristic.eta heuristic t.ctx j in
-    pow_fast tau t.params.Aco.Params.alpha *. pow_fast eta t.params.Aco.Params.beta
+    pow_fast tau t.params.Engine.Params.alpha *. pow_fast eta t.params.Engine.Params.beta
   in
   match candidates with
   | [] -> invalid_arg "Ant_ref.select: empty candidate list"
@@ -174,7 +174,7 @@ let step ?force_explore ?ready_limit t ~pheromone =
   let explored =
     match force_explore with
     | Some b -> b
-    | None -> not (Support.Rng.bool t.rng t.params.Aco.Params.q0)
+    | None -> not (Support.Rng.bool t.rng t.params.Engine.Params.q0)
   in
   let selected_event i =
     finish_event t
@@ -198,7 +198,7 @@ let step ?force_explore ?ready_limit t ~pheromone =
         let has_semi_ready = Sched.Ready_list.min_semi_ready_cycle rl <> None in
         match
           Aco.Stall_policy.classify ~rng:t.rng ~allow_optional:t.allow_optional
-            ~base_probability:t.params.Aco.Params.stall_base_probability ~rp:t.rp
+            ~base_probability:t.params.Engine.Params.stall_base_probability ~rp:t.rp
             ~target_vgpr ~target_sgpr ~ready ~has_semi_ready
             ~optional_stalls_so_far:t.n_optional
         with
@@ -263,7 +263,7 @@ let colony_run_pass (type a) ~params ~rng ~ants ~pheromone ~mode
     ~allow_optional_stalls ~budget_work ~metrics ~pass_label ~initial_cost
     ~(initial_order : int array) ~(initial_artifact : a) ~lb_cost ~termination :
     a * int * Engine.Types.pass_stats =
-  let open Aco.Params in
+  let open Engine.Params in
   Aco.Pheromone.reset pheromone ~initial:params.initial_pheromone;
   Aco.Pheromone.deposit_path_scaled pheromone initial_order ~deposit:params.deposit
     ~cost:initial_cost;

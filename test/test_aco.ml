@@ -26,12 +26,12 @@ let test_pheromone_bounds () =
     (fun () -> ignore (Aco.Pheromone.get p ~src:0 ~dst:3))
 
 let test_params_categories () =
-  Alcotest.(check int) "small" 0 (Aco.Params.size_category 49);
-  Alcotest.(check int) "medium" 1 (Aco.Params.size_category 50);
-  Alcotest.(check int) "large" 2 (Aco.Params.size_category 100);
-  Alcotest.(check int) "termination small" 1 (Aco.Params.termination_condition 10);
-  Alcotest.(check int) "termination medium" 2 (Aco.Params.termination_condition 70);
-  Alcotest.(check int) "termination large" 3 (Aco.Params.termination_condition 500)
+  Alcotest.(check int) "small" 0 (Engine.Params.size_category 49);
+  Alcotest.(check int) "medium" 1 (Engine.Params.size_category 50);
+  Alcotest.(check int) "large" 2 (Engine.Params.size_category 100);
+  Alcotest.(check int) "termination small" 1 (Engine.Params.termination_condition 10);
+  Alcotest.(check int) "termination medium" 2 (Engine.Params.termination_condition 70);
+  Alcotest.(check int) "termination large" 3 (Engine.Params.termination_condition 500)
 
 (* Stall-policy decision table on a crafted state: a region whose only
    ready instruction would blow the target while a semi-ready exists. *)
@@ -148,14 +148,14 @@ let prop_seq_aco_final_valid =
   QCheck.Test.make ~name:"sequential ACO emits valid schedules" ~count:25
     (Tu.arb_graph ~max_size:25 ()) (fun g ->
       let r = Aco.Seq_aco.run ~params:Tu.test_params ~seed:3 Tu.occ g in
-      Result.is_ok (Sched.Schedule.validate r.Aco.Seq_aco.schedule ~latency_aware:true))
+      Result.is_ok (Sched.Schedule.validate r.Engine.Types.schedule ~latency_aware:true))
 
 let prop_seq_aco_never_worse_rp =
   QCheck.Test.make ~name:"ACO RP never worse than the heuristic's" ~count:25
     (Tu.arb_graph ~max_size:25 ()) (fun g ->
       let r = Aco.Seq_aco.run ~params:Tu.test_params ~seed:4 Tu.occ g in
-      Sched.Cost.compare_rp r.Aco.Seq_aco.cost.Sched.Cost.rp
-        r.Aco.Seq_aco.heuristic_cost.Sched.Cost.rp
+      Sched.Cost.compare_rp r.Engine.Types.cost.Sched.Cost.rp
+        r.Engine.Types.heuristic_cost.Sched.Cost.rp
       <= 0)
 
 let prop_seq_aco_lb_respected =
@@ -163,52 +163,52 @@ let prop_seq_aco_lb_respected =
     (Tu.arb_graph ~max_size:25 ()) (fun g ->
       let lb = Ddg.Lower_bounds.schedule_length g in
       let r = Aco.Seq_aco.run ~params:Tu.test_params ~seed:5 Tu.occ g in
-      r.Aco.Seq_aco.cost.Sched.Cost.length >= lb
-      && ((not r.Aco.Seq_aco.pass2.Aco.Seq_aco.hit_lower_bound)
-         || r.Aco.Seq_aco.cost.Sched.Cost.length = lb))
+      r.Engine.Types.cost.Sched.Cost.length >= lb
+      && ((not r.Engine.Types.pass2.Engine.Types.hit_lower_bound)
+         || r.Engine.Types.cost.Sched.Cost.length = lb))
 
 let test_seq_aco_deterministic () =
   let g = Ddg.Graph.build (Tu.random_region 77) in
   let r1 = Aco.Seq_aco.run ~params:Tu.test_params ~seed:9 Tu.occ g in
   let r2 = Aco.Seq_aco.run ~params:Tu.test_params ~seed:9 Tu.occ g in
-  Alcotest.(check int) "same final length" r1.Aco.Seq_aco.cost.Sched.Cost.length
-    r2.Aco.Seq_aco.cost.Sched.Cost.length;
-  Alcotest.(check int) "same iterations" r1.Aco.Seq_aco.pass2.Aco.Seq_aco.iterations
-    r2.Aco.Seq_aco.pass2.Aco.Seq_aco.iterations
+  Alcotest.(check int) "same final length" r1.Engine.Types.cost.Sched.Cost.length
+    r2.Engine.Types.cost.Sched.Cost.length;
+  Alcotest.(check int) "same iterations" r1.Engine.Types.pass2.Engine.Types.iterations
+    r2.Engine.Types.pass2.Engine.Types.iterations
 
 let test_seq_aco_improves_sort () =
   (* A latency-rich region where greedy leaves stalls on the table. *)
   let rng = Support.Rng.create 5 in
   let g = Ddg.Graph.build (Workload.Shapes.sort_pass rng ~items:12) in
-  let params = { Tu.test_params with Aco.Params.ants_per_iteration = 64; max_iterations = 12 } in
+  let params = { Tu.test_params with Engine.Params.ants_per_iteration = 64; max_iterations = 12 } in
   let r = Aco.Seq_aco.run ~params ~seed:3 Tu.occ g in
   Alcotest.(check bool) "no worse than heuristic length at equal RP" true
-    (r.Aco.Seq_aco.cost.Sched.Cost.length
-     <= r.Aco.Seq_aco.heuristic_cost.Sched.Cost.length
-    || Sched.Cost.compare_rp r.Aco.Seq_aco.cost.Sched.Cost.rp
-         r.Aco.Seq_aco.heuristic_cost.Sched.Cost.rp
+    (r.Engine.Types.cost.Sched.Cost.length
+     <= r.Engine.Types.heuristic_cost.Sched.Cost.length
+    || Sched.Cost.compare_rp r.Engine.Types.cost.Sched.Cost.rp
+         r.Engine.Types.heuristic_cost.Sched.Cost.rp
        < 0)
 
 let test_setup_invariants () =
   let g = Ddg.Graph.build (Tu.random_region 123) in
-  let s = Aco.Setup.prepare Tu.occ g in
+  let s = Engine.Setup.prepare Tu.occ g in
   Alcotest.(check bool) "initial RP no worse than AMD's" true
-    (Sched.Cost.compare_rp s.Aco.Setup.pass1_initial_rp
-       s.Aco.Setup.amd_cost.Sched.Cost.rp
+    (Sched.Cost.compare_rp s.Engine.Setup.pass1_initial_rp
+       s.Engine.Setup.amd_cost.Sched.Cost.rp
     <= 0);
   Alcotest.(check bool) "LB below initial" true
-    (Sched.Cost.compare_rp s.Aco.Setup.rp_lb s.Aco.Setup.pass1_initial_rp <= 0);
-  let padded = Aco.Setup.pass2_initial s ~best_pass1_order:s.Aco.Setup.pass1_initial_order in
+    (Sched.Cost.compare_rp s.Engine.Setup.rp_lb s.Engine.Setup.pass1_initial_rp <= 0);
+  let padded = Engine.Setup.pass2_initial s ~best_pass1_order:s.Engine.Setup.pass1_initial_order in
   Alcotest.(check bool) "padded initial valid" true (Tu.check_valid ~latency_aware:true padded);
   Alcotest.(check bool) "length LB holds" true
-    (Sched.Schedule.length padded >= s.Aco.Setup.length_lb)
+    (Sched.Schedule.length padded >= s.Engine.Setup.length_lb)
 
 let prop_aco_within_exact_bounds =
   QCheck.Test.make ~name:"ACO length between exact optimum and the CP schedule" ~count:20
     (Tu.arb_graph ~max_size:10 ()) (fun g ->
       let opt = Sched.Brute_force.min_schedule_length g in
       let r = Aco.Seq_aco.run ~params:Tu.test_params ~seed:6 Tu.occ g in
-      r.Aco.Seq_aco.cost.Sched.Cost.length >= opt)
+      r.Engine.Types.cost.Sched.Cost.length >= opt)
 
 let test_aco_reaches_exact_optimum () =
   (* Deterministic small instances where the search provably lands on the
@@ -218,11 +218,11 @@ let test_aco_reaches_exact_optimum () =
       let g = Ddg.Graph.build (Tu.random_region ~max_size:11 seed) in
       if g.Ddg.Graph.n <= 12 then begin
         let opt = Sched.Brute_force.min_schedule_length g in
-        let params = { Tu.test_params with Aco.Params.ants_per_iteration = 32 } in
+        let params = { Tu.test_params with Engine.Params.ants_per_iteration = 32 } in
         let r = Aco.Seq_aco.run ~params ~seed Tu.occ g in
         Alcotest.(check int)
           (Printf.sprintf "seed %d reaches the optimum" seed)
-          opt r.Aco.Seq_aco.cost.Sched.Cost.length
+          opt r.Engine.Types.cost.Sched.Cost.length
       end)
     [ 1; 3; 4; 5; 8 ]
 
@@ -237,11 +237,11 @@ let test_weighted_vs_two_pass_on_pressure () =
   (* The design choice the paper made: on a register-hungry tile the
      two-pass search protects occupancy better than the weighted sum. *)
   let g = Ddg.Graph.build (Workload.Shapes.wide_accum (Support.Rng.create 5) ~accumulators:22 ~rounds:28) in
-  let params = { Tu.test_params with Aco.Params.ants_per_iteration = 64 } in
+  let params = { Tu.test_params with Engine.Params.ants_per_iteration = 64 } in
   let two = Aco.Seq_aco.run ~params ~seed:3 Tu.occ g in
   let weighted = Aco.Weighted_aco.run ~params ~seed:3 Tu.occ g in
   Alcotest.(check bool) "two-pass occupancy at least matches weighted-sum" true
-    (two.Aco.Seq_aco.cost.Sched.Cost.rp.Sched.Cost.occupancy
+    (two.Engine.Types.cost.Sched.Cost.rp.Sched.Cost.occupancy
     >= weighted.Aco.Weighted_aco.cost.Sched.Cost.rp.Sched.Cost.occupancy)
 
 

@@ -224,7 +224,7 @@ let ref_run_iteration config ~faults ~ants ~rng ~mode ~pheromone ~heuristic =
           ants;
       let force_explore =
         if opts.Gpusim.Config.wavefront_level_explore then
-          Some (not (Support.Rng.bool rng Tu.test_params.Aco.Params.q0))
+          Some (not (Support.Rng.bool rng Tu.test_params.Engine.Params.q0))
         else None
       in
       let ready_limit =

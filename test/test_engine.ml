@@ -216,7 +216,7 @@ let race_picks_best =
 let warmup =
   lazy
     (let graph = Ddg.Graph.build (Tu.diamond_region ()) in
-     let setup = Aco.Setup.prepare Tu.occ graph in
+     let setup = Engine.Setup.prepare Tu.occ graph in
      ignore (Ref.Seq_ref.run_from_setup ~params setup);
      ignore (Aco.Seq_aco.run_from_setup ~params setup);
      ignore (Ref.Par_ref.run_from_setup ~params gpu setup);
@@ -315,7 +315,7 @@ let seq_differential =
     (fun (region, seed) ->
       Lazy.force warmup;
       let graph = Ddg.Graph.build region in
-      let setup = Aco.Setup.prepare Tu.occ graph in
+      let setup = Engine.Setup.prepare Tu.occ graph in
       List.iter
         (fun budget_work ->
           let label = Printf.sprintf "seq seed=%d budget=%d" seed budget_work in
@@ -345,7 +345,7 @@ let par_differential =
     (fun (region, seed) ->
       Lazy.force warmup;
       let graph = Ddg.Graph.build region in
-      let setup = Aco.Setup.prepare Tu.occ graph in
+      let setup = Engine.Setup.prepare Tu.occ graph in
       List.iter
         (fun (fault_rate, budget_ns, iteration_deadline_ns, max_retries) ->
           let label =

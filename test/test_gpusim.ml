@@ -165,7 +165,7 @@ let test_wavefront_early_termination () =
 
 let par_run ?(config = Tu.test_gpu) seed g =
   let params =
-    { Tu.test_params with Aco.Params.ants_per_iteration = Gpusim.Config.threads config }
+    { Tu.test_params with Engine.Params.ants_per_iteration = Gpusim.Config.threads config }
   in
   Gpusim.Par_aco.run ~params ~seed config Tu.occ g
 
@@ -173,23 +173,23 @@ let prop_par_aco_valid =
   QCheck.Test.make ~name:"parallel ACO emits valid schedules" ~count:15
     (Tu.arb_graph ~max_size:20 ()) (fun g ->
       let r = par_run 7 g in
-      Result.is_ok (Sched.Schedule.validate r.Gpusim.Par_aco.schedule ~latency_aware:true))
+      Result.is_ok (Sched.Schedule.validate r.Engine.Types.schedule ~latency_aware:true))
 
 let prop_par_aco_never_worse_rp =
   QCheck.Test.make ~name:"parallel ACO RP never worse than heuristic" ~count:15
     (Tu.arb_graph ~max_size:20 ()) (fun g ->
       let r = par_run 8 g in
-      Sched.Cost.compare_rp r.Gpusim.Par_aco.cost.Sched.Cost.rp
-        r.Gpusim.Par_aco.heuristic_cost.Sched.Cost.rp
+      Sched.Cost.compare_rp r.Engine.Types.cost.Sched.Cost.rp
+        r.Engine.Types.heuristic_cost.Sched.Cost.rp
       <= 0)
 
 let test_par_aco_times_positive () =
   let g = Ddg.Graph.build (Workload.Shapes.transform (Support.Rng.create 2) ~unroll:8 ~chain:3) in
   let r = par_run 9 g in
-  if r.Gpusim.Par_aco.pass2.Gpusim.Par_aco.invoked then begin
+  if r.Engine.Types.pass2.Engine.Types.invoked then begin
     Alcotest.(check bool) "gpu time positive" true
-      (r.Gpusim.Par_aco.pass2.Gpusim.Par_aco.time_ns > 0.0);
-    Alcotest.(check bool) "work positive" true (r.Gpusim.Par_aco.pass2.Gpusim.Par_aco.work > 0)
+      (r.Engine.Types.pass2.Engine.Types.time_ns > 0.0);
+    Alcotest.(check bool) "work positive" true (r.Engine.Types.pass2.Engine.Types.work > 0)
   end;
   Alcotest.(check bool) "total time includes overhead when invoked" true
     (Gpusim.Par_aco.total_time_ns r >= 0.0)
@@ -197,8 +197,8 @@ let test_par_aco_times_positive () =
 let test_par_aco_deterministic () =
   let g = Ddg.Graph.build (Tu.random_region 31) in
   let r1 = par_run 11 g and r2 = par_run 11 g in
-  Alcotest.(check int) "same length" r1.Gpusim.Par_aco.cost.Sched.Cost.length
-    r2.Gpusim.Par_aco.cost.Sched.Cost.length;
+  Alcotest.(check int) "same length" r1.Engine.Types.cost.Sched.Cost.length
+    r2.Engine.Types.cost.Sched.Cost.length;
   Alcotest.(check (float 1e-6)) "same simulated time"
     (Gpusim.Par_aco.total_time_ns r1) (Gpusim.Par_aco.total_time_ns r2)
 

@@ -18,4 +18,5 @@ let () =
       ("serve", Test_serve.suite);
       ("quality", Test_quality.suite);
       ("obs", Test_obs.suite);
+      ("golden", Test_golden.suite);
     ]

@@ -390,7 +390,7 @@ let compile_cfg ?fault_rate ?fault_seed ?compile_budget_ms () =
     Pipeline.Compile.params =
       {
         Tu.test_params with
-        Aco.Params.ants_per_iteration = Gpusim.Config.threads Tu.test_gpu;
+        Engine.Params.ants_per_iteration = Gpusim.Config.threads Tu.test_gpu;
         pass2_cycle_threshold = 1;
       };
   }
@@ -398,21 +398,21 @@ let compile_cfg ?fault_rate ?fault_seed ?compile_budget_ms () =
 (* The observables that must not move when the recorders attach. Host
    minor_words legitimately differs (the recorders themselves allocate),
    so it is excluded; everything the simulation computes is included. *)
-let par_signature (p : Gpusim.Par_aco.pass_stats) =
-  ( ( p.Gpusim.Par_aco.invoked,
-      p.Gpusim.Par_aco.iterations,
-      p.Gpusim.Par_aco.ants_simulated,
-      p.Gpusim.Par_aco.work,
-      p.Gpusim.Par_aco.time_ns ),
-    ( p.Gpusim.Par_aco.serialized_ops,
-      p.Gpusim.Par_aco.lockstep_steps,
-      p.Gpusim.Par_aco.ant_steps,
-      p.Gpusim.Par_aco.selections,
-      p.Gpusim.Par_aco.retries ),
-    ( p.Gpusim.Par_aco.aborted_budget,
-      p.Gpusim.Par_aco.aborted_faults,
-      Gpusim.Faults.total p.Gpusim.Par_aco.fault_counts,
-      Array.to_list p.Gpusim.Par_aco.best_costs ) )
+let par_signature (p : Engine.Types.pass_stats) =
+  ( ( p.Engine.Types.invoked,
+      p.Engine.Types.iterations,
+      p.Engine.Types.ants_simulated,
+      p.Engine.Types.work,
+      p.Engine.Types.time_ns ),
+    ( p.Engine.Types.serialized_ops,
+      p.Engine.Types.lockstep_steps,
+      p.Engine.Types.ant_steps,
+      p.Engine.Types.selections,
+      p.Engine.Types.retries ),
+    ( p.Engine.Types.aborted_budget,
+      p.Engine.Types.aborted_faults,
+      Engine.Types.fault_counts_total p.Engine.Types.fault_counts,
+      Array.to_list p.Engine.Types.best_costs ) )
 
 let region_signature (r : Pipeline.Compile.region_report) =
   ( ( Array.to_list r.Pipeline.Compile.aco_order,
@@ -424,12 +424,12 @@ let region_signature (r : Pipeline.Compile.region_report) =
       par_signature (Pipeline.Compile.par_pass2 r),
       Pipeline.Compile.par_pass1_time_ns r,
       Pipeline.Compile.par_pass2_time_ns r,
-      Gpusim.Faults.total r.Pipeline.Compile.fault_counts ),
+      Engine.Types.fault_counts_total r.Pipeline.Compile.fault_counts ),
     ( Option.map
-        (fun (s : Aco.Seq_aco.pass_stats) -> Array.to_list s.Aco.Seq_aco.best_costs)
+        (fun (s : Engine.Types.pass_stats) -> Array.to_list s.Engine.Types.best_costs)
         (Pipeline.Compile.seq_pass1 r),
       Option.map
-        (fun (s : Aco.Seq_aco.pass_stats) -> Array.to_list s.Aco.Seq_aco.best_costs)
+        (fun (s : Engine.Types.pass_stats) -> Array.to_list s.Engine.Types.best_costs)
         (Pipeline.Compile.seq_pass2 r),
       Pipeline.Compile.seq_pass1_time_ns r,
       Pipeline.Compile.seq_pass2_time_ns r ) )
@@ -465,7 +465,7 @@ let tracing_is_inert =
           (match Obs.Metrics.get metrics "r.par.pass2.best_cost" with
           | Some m ->
               let pushed = Array.map int_of_float (Obs.Metrics.series m) in
-              let stats = (Pipeline.Compile.par_pass2 on).Gpusim.Par_aco.best_costs in
+              let stats = (Pipeline.Compile.par_pass2 on).Engine.Types.best_costs in
               (* the registry sees one push per attempted iteration:
                  the series drops the initial-cost entry 0 *)
               Alcotest.(check (array int)) "metrics series matches pass stats"

@@ -13,8 +13,8 @@
 
 let params = Tu.test_params
 
-let deposit = params.Aco.Params.deposit
-let decay = params.Aco.Params.decay
+let deposit = params.Engine.Params.deposit
+let decay = params.Engine.Params.decay
 let ident n = Array.init n (fun i -> i)
 
 (* A deterministic valid order (any permutation works for deposits). *)
@@ -27,13 +27,13 @@ let test_as_table_identity =
   QCheck.Test.make ~count:100 ~name:"As policy byte-identical to inline table ops"
     (QCheck.pair (QCheck.int_range 2 12) (QCheck.small_list (QCheck.int_bound 300)))
     (fun (n, costs) ->
-      let p_policy = Aco.Pheromone.create ~n ~initial:params.Aco.Params.initial_pheromone in
-      let p_inline = Aco.Pheromone.create ~n ~initial:params.Aco.Params.initial_pheromone in
+      let p_policy = Aco.Pheromone.create ~n ~initial:params.Engine.Params.initial_pheromone in
+      let p_inline = Aco.Pheromone.create ~n ~initial:params.Engine.Params.initial_pheromone in
       let policy =
         Aco.Pheromone_policy.make Aco.Pheromone_policy.As ~params ~n ~metrics:Obs.Metrics.null
       in
       policy.Aco.Pheromone_policy.init p_policy ~initial_order:(ident n) ~initial_cost:7;
-      Aco.Pheromone.reset p_inline ~initial:params.Aco.Params.initial_pheromone;
+      Aco.Pheromone.reset p_inline ~initial:params.Engine.Params.initial_pheromone;
       Aco.Pheromone.deposit_path p_inline (ident n) (deposit /. float_of_int (1 + 7));
       List.iter
         (fun c ->
@@ -80,36 +80,34 @@ type colony_driver = Policy_colony | Frozen_colony
 
 let run_colony driver graph ~seed ~mode ~cost_of_ant =
   let n = Ddg.Graph.size graph in
-  let ants =
-    Array.init params.Aco.Params.ants_per_iteration (fun _ -> Aco.Ant.create graph params)
+  let colony =
+    Aco.Colony.prepare ~policy:Aco.Pheromone_policy.As ~prune:false
+      ~allow_optional_stalls:true
+      { Engine.Backend.null_ctx with Engine.Backend.params; seed }
+      (Engine.Region_ctx.of_graph Tu.occ graph)
   in
-  let pheromone = Aco.Pheromone.create ~n ~initial:params.Aco.Params.initial_pheromone in
-  let rng = Support.Rng.create seed in
+  let rng = colony.Aco.Colony.rng in
   let artifact_of_ant ant = Array.copy (Aco.Ant.order ant) in
-  let termination = Aco.Params.termination_condition n in
+  let termination = Engine.Params.termination_condition n in
   let common ~run =
     let best, cost, stats =
       run ~initial_cost:999 ~initial_order:(ident n) ~initial_artifact:(ident n)
     in
+    Aco.Colony.teardown colony;
     (Array.to_list best, cost, stats_key stats, Support.Rng.int rng 1_000_000)
   in
   match driver with
   | Policy_colony ->
-      let policy =
-        Aco.Pheromone_policy.make Aco.Pheromone_policy.As ~params ~n
-          ~metrics:Obs.Metrics.null
-      in
       common ~run:(fun ~initial_cost ~initial_order ~initial_artifact ->
-          Aco.Colony.run_pass ~params ~rng ~ants ~pheromone ~policy ~mode ~cost_of_ant
-            ~artifact_of_ant ~allow_optional_stalls:true ~budget_work:max_int
-            ~metrics:Obs.Metrics.null ~pass_label:"p" ~initial_cost ~initial_order
-            ~initial_artifact ~lb_cost:0 ~termination)
+          Aco.Colony.run_pass colony ~mode ~cost_of_ant ~artifact_of_ant ~budget_work:max_int
+            ~pass_label:"p" ~initial_cost ~initial_order ~initial_artifact ~lb_cost:0)
   | Frozen_colony ->
       common ~run:(fun ~initial_cost ~initial_order ~initial_artifact ->
-          Ant_ref.colony_run_pass ~params ~rng ~ants ~pheromone ~mode ~cost_of_ant
-            ~artifact_of_ant ~allow_optional_stalls:true ~budget_work:max_int
-            ~metrics:Obs.Metrics.null ~pass_label:"p" ~initial_cost ~initial_order
-            ~initial_artifact ~lb_cost:0 ~termination)
+          Ant_ref.colony_run_pass ~params ~rng ~ants:colony.Aco.Colony.ants
+            ~pheromone:colony.Aco.Colony.pheromone ~mode ~cost_of_ant ~artifact_of_ant
+            ~allow_optional_stalls:true ~budget_work:max_int ~metrics:Obs.Metrics.null
+            ~pass_label:"p" ~initial_cost ~initial_order ~initial_artifact ~lb_cost:0
+            ~termination)
 
 (* First runs pay one-time module/lazy initialization inside the
    measured minor-words window; force both paths once so the qcheck
@@ -181,7 +179,7 @@ let test_mmas_bounds =
       let metrics = Obs.Metrics.create () in
       let policy = Aco.Pheromone_policy.make Aco.Pheromone_policy.Mmas ~params ~n ~metrics in
       let pheromone =
-        Aco.Pheromone.create ~n ~initial:params.Aco.Params.initial_pheromone
+        Aco.Pheromone.create ~n ~initial:params.Engine.Params.initial_pheromone
       in
       (* Mirror model — same float expressions as the policy. *)
       let rho =
@@ -257,7 +255,7 @@ let test_mmas_restart_walk () =
   let n = 4 in
   let metrics = Obs.Metrics.create () in
   let policy = Aco.Pheromone_policy.make Aco.Pheromone_policy.Mmas ~params ~n ~metrics in
-  let pheromone = Aco.Pheromone.create ~n ~initial:params.Aco.Params.initial_pheromone in
+  let pheromone = Aco.Pheromone.create ~n ~initial:params.Engine.Params.initial_pheromone in
   Alcotest.(check int)
     "patience covers every restart window"
     (Aco.Pheromone_policy.mmas_patience ~n)
@@ -292,22 +290,19 @@ let test_mmas_restart_walk () =
 let test_mmas_colony_runs () =
   let graph = Ddg.Graph.build (Tu.random_region ~max_size:30 11) in
   let n = Ddg.Graph.size graph in
-  let policy =
-    Aco.Pheromone_policy.make Aco.Pheromone_policy.Mmas ~params ~n ~metrics:Obs.Metrics.null
+  let colony =
+    Aco.Colony.prepare ~policy:Aco.Pheromone_policy.Mmas ~prune:false
+      ~allow_optional_stalls:true
+      { Engine.Backend.null_ctx with Engine.Backend.params; seed = 42 }
+      (Engine.Region_ctx.of_graph Tu.occ graph)
   in
-  let ants =
-    Array.init params.Aco.Params.ants_per_iteration (fun _ -> Aco.Ant.create graph params)
-  in
-  let pheromone = Aco.Pheromone.create ~n ~initial:params.Aco.Params.initial_pheromone in
   let best, cost, stats =
-    Aco.Colony.run_pass ~params ~rng:(Support.Rng.create 42) ~ants ~pheromone ~policy
-      ~mode:Aco.Ant.Rp_pass ~cost_of_ant:rp_cost
+    Aco.Colony.run_pass colony ~mode:Aco.Ant.Rp_pass ~cost_of_ant:rp_cost
       ~artifact_of_ant:(fun a -> Array.copy (Aco.Ant.order a))
-      ~allow_optional_stalls:true ~budget_work:max_int ~metrics:Obs.Metrics.null
-      ~pass_label:"p1" ~initial_cost:max_int ~initial_order:(ident n)
+      ~budget_work:max_int ~pass_label:"p1" ~initial_cost:max_int ~initial_order:(ident n)
       ~initial_artifact:(ident n) ~lb_cost:0
-      ~termination:(Aco.Pheromone_policy.patience policy)
   in
+  Aco.Colony.teardown colony;
   Alcotest.(check bool) "improved on the unreachable initial" true (cost < max_int);
   Alcotest.(check bool) "ran" true stats.Engine.Types.invoked;
   let seen = Array.make n false in

@@ -9,7 +9,7 @@ let compile_cfg () =
     Pipeline.Compile.params =
       {
         Tu.test_params with
-        Aco.Params.ants_per_iteration = Gpusim.Config.threads Tu.test_gpu;
+        Engine.Params.ants_per_iteration = Gpusim.Config.threads Tu.test_gpu;
         pass2_cycle_threshold = 1;
       };
   }

@@ -9,7 +9,7 @@ let compile_cfg ?robust ?fault_rate ?fault_seed ?compile_budget_ms ?max_retries 
     Pipeline.Compile.params =
       {
         Tu.test_params with
-        Aco.Params.ants_per_iteration = Gpusim.Config.threads Tu.test_gpu;
+        Engine.Params.ants_per_iteration = Gpusim.Config.threads Tu.test_gpu;
         pass2_cycle_threshold = 1;
       };
     run_sequential = false;
@@ -43,7 +43,7 @@ let test_faults_disabled_never_fire () =
     Alcotest.(check bool) "drop" false (Gpusim.Faults.reduction_drop f);
     Alcotest.(check bool) "mem" false (Gpusim.Faults.mem_fault f)
   done;
-  Alcotest.(check int) "nothing counted" 0 (Gpusim.Faults.total (Gpusim.Faults.counts f))
+  Alcotest.(check int) "nothing counted" 0 (Engine.Types.fault_counts_total (Gpusim.Faults.counts f))
 
 let test_zero_rates_draw_nothing () =
   (* A zero-rate class must not consume randomness: with every class at
@@ -180,26 +180,26 @@ let test_tally () =
 
 let test_seq_budget_abort () =
   let region = Workload.Shapes.transform (Support.Rng.create 3) ~unroll:10 ~chain:4 in
-  let setup = Aco.Setup.prepare Tu.occ (Ddg.Graph.build region) in
+  let setup = Engine.Setup.prepare Tu.occ (Ddg.Graph.build region) in
   let r = Aco.Seq_aco.run_from_setup ~params:Tu.test_params ~seed:5 ~budget_work:0 setup in
   Alcotest.(check bool) "pass1 aborted on budget" true
-    (r.Aco.Seq_aco.pass1.Aco.Seq_aco.aborted_budget
-    || not r.Aco.Seq_aco.pass1.Aco.Seq_aco.invoked);
+    (r.Engine.Types.pass1.Engine.Types.aborted_budget
+    || not r.Engine.Types.pass1.Engine.Types.invoked);
   Alcotest.(check int) "no search work spent" 0
-    (r.Aco.Seq_aco.pass1.Aco.Seq_aco.work + r.Aco.Seq_aco.pass2.Aco.Seq_aco.work);
-  ignore (Tu.check_valid r.Aco.Seq_aco.schedule)
+    (r.Engine.Types.pass1.Engine.Types.work + r.Engine.Types.pass2.Engine.Types.work);
+  ignore (Tu.check_valid r.Engine.Types.schedule)
 
 let test_seq_unbudgeted_unchanged () =
   let region = Workload.Shapes.transform (Support.Rng.create 9) ~unroll:8 ~chain:3 in
-  let setup = Aco.Setup.prepare Tu.occ (Ddg.Graph.build region) in
+  let setup = Engine.Setup.prepare Tu.occ (Ddg.Graph.build region) in
   let a = Aco.Seq_aco.run_from_setup ~params:Tu.test_params ~seed:5 setup in
   let b = Aco.Seq_aco.run_from_setup ~params:Tu.test_params ~seed:5 ~budget_work:max_int setup in
   Alcotest.(check (array int)) "explicit infinite budget is a no-op"
-    (Sched.Schedule.order a.Aco.Seq_aco.schedule)
-    (Sched.Schedule.order b.Aco.Seq_aco.schedule);
+    (Sched.Schedule.order a.Engine.Types.schedule)
+    (Sched.Schedule.order b.Engine.Types.schedule);
   Alcotest.(check bool) "not flagged" false
-    (b.Aco.Seq_aco.pass1.Aco.Seq_aco.aborted_budget
-    || b.Aco.Seq_aco.pass2.Aco.Seq_aco.aborted_budget)
+    (b.Engine.Types.pass1.Engine.Types.aborted_budget
+    || b.Engine.Types.pass2.Engine.Types.aborted_budget)
 
 (* --- properties ----------------------------------------------------------- *)
 
@@ -218,7 +218,7 @@ let prop_any_rate_valid_schedule =
          (* the compile driver itself never sheds — only the serve loop does *)
          | Pipeline.Robust.Shed_overload -> false)
       && (rate > 0.0
-         || Gpusim.Faults.total r.Pipeline.Compile.fault_counts = 0))
+         || Engine.Types.fault_counts_total r.Pipeline.Compile.fault_counts = 0))
 
 (* (b) After the revert filter the product is never worse than the
    heuristic fallback: occupancy never drops, and any length penalty

@@ -12,7 +12,7 @@ let compile_cfg ?fault_rate ?fault_seed ?compile_budget_ms () =
     Pipeline.Compile.params =
       {
         Tu.test_params with
-        Aco.Params.ants_per_iteration = Gpusim.Config.threads Tu.test_gpu;
+        Engine.Params.ants_per_iteration = Gpusim.Config.threads Tu.test_gpu;
         pass2_cycle_threshold = 1;
       };
     run_sequential = false;

@@ -85,6 +85,6 @@ let check_valid ?(latency_aware = true) schedule =
 let qtests cases = List.map QCheck_alcotest.to_alcotest cases
 
 (* Fast ACO parameters for tests. *)
-let test_params = { Aco.Params.default with Aco.Params.ants_per_iteration = 24; max_iterations = 8 }
+let test_params = { Engine.Params.default with Engine.Params.ants_per_iteration = 24; max_iterations = 8 }
 
 let test_gpu = { Gpusim.Config.bench with Gpusim.Config.num_wavefronts = 2 }

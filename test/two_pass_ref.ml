@@ -51,7 +51,7 @@ module Seq_ref = struct
   let run_pass (type a) ~params ~rng ~ants ~pheromone ~mode ~(cost_of_ant : Aco.Ant.t -> int)
       ~(artifact_of_ant : Aco.Ant.t -> a) ~budget_work ~metrics ~pass_label ~initial_cost
       ~(initial_order : int array) ~(initial_artifact : a) ~lb_cost ~termination =
-    let open Aco.Params in
+    let open Engine.Params in
     Aco.Pheromone.reset pheromone ~initial:params.initial_pheromone;
     (* The initial (heuristic) schedule is the global best at the start:
        bias the table toward it. *)
@@ -140,45 +140,45 @@ module Seq_ref = struct
         minor_words = minor_delta;
       } )
 
-  let run_from_setup ?(params = Aco.Params.default) ?(seed = 1) ?(budget_work = max_int)
-      ?(metrics = Obs.Metrics.null) ?(label = "") (setup : Aco.Setup.t) =
-    let graph = setup.Aco.Setup.graph in
-    let occ = setup.Aco.Setup.occ in
+  let run_from_setup ?(params = Engine.Params.default) ?(seed = 1) ?(budget_work = max_int)
+      ?(metrics = Obs.Metrics.null) ?(label = "") (setup : Engine.Setup.t) =
+    let graph = setup.Engine.Setup.graph in
+    let occ = setup.Engine.Setup.occ in
     let n = graph.Ddg.Graph.n in
     let rng = Support.Rng.create seed in
     (* One set of region analyses and one SoA arena back the whole colony. *)
     let shared = Aco.Ant.prepare_shared graph in
     let ints, floats = Aco.Ant.arena_demand shared in
-    let lanes = params.Aco.Params.ants_per_iteration in
+    let lanes = params.Engine.Params.ants_per_iteration in
     let arena = Support.Arena.create ~ints:(lanes * ints) ~floats:(lanes * floats) in
     let ants = Array.init lanes (fun _ -> Aco.Ant.create ~shared ~arena graph params) in
-    let pheromone = Aco.Pheromone.create ~n ~initial:params.Aco.Params.initial_pheromone in
-    let termination = Aco.Params.termination_condition n in
+    let pheromone = Aco.Pheromone.create ~n ~initial:params.Engine.Params.initial_pheromone in
+    let termination = Engine.Params.termination_condition n in
     let rp_scalar_of_ant ant =
       let v, s = Aco.Ant.rp_peaks ant in
       Sched.Cost.rp_scalar (Sched.Cost.rp_of_peaks occ ~vgpr:v ~sgpr:s)
     in
     (* Pass 1: minimize RP, latencies ignored. *)
     let best_order, _, pass1 =
-      if setup.Aco.Setup.pass1_needed then
+      if setup.Engine.Setup.pass1_needed then
         run_pass ~params ~rng ~ants ~pheromone ~mode:Aco.Ant.Rp_pass ~cost_of_ant:rp_scalar_of_ant
           ~artifact_of_ant:Aco.Ant.order ~budget_work ~metrics ~pass_label:(label ^ "pass1")
-          ~initial_cost:(Sched.Cost.rp_scalar setup.Aco.Setup.pass1_initial_rp)
-          ~initial_order:setup.Aco.Setup.pass1_initial_order ~initial_artifact:setup.Aco.Setup.pass1_initial_order
-          ~lb_cost:(Sched.Cost.rp_scalar setup.Aco.Setup.rp_lb) ~termination
-      else (setup.Aco.Setup.pass1_initial_order, Sched.Cost.rp_scalar setup.Aco.Setup.pass1_initial_rp, no_pass)
+          ~initial_cost:(Sched.Cost.rp_scalar setup.Engine.Setup.pass1_initial_rp)
+          ~initial_order:setup.Engine.Setup.pass1_initial_order ~initial_artifact:setup.Engine.Setup.pass1_initial_order
+          ~lb_cost:(Sched.Cost.rp_scalar setup.Engine.Setup.rp_lb) ~termination
+      else (setup.Engine.Setup.pass1_initial_order, Sched.Cost.rp_scalar setup.Engine.Setup.pass1_initial_rp, no_pass)
     in
-    let rp_target = Aco.Setup.rp_of_order occ graph best_order in
-    let target_vgpr, target_sgpr = Aco.Setup.targets_of_rp rp_target in
+    let rp_target = Engine.Setup.rp_of_order occ graph best_order in
+    let target_vgpr, target_sgpr = Engine.Setup.targets_of_rp rp_target in
     (* Pass 2: minimize length under the pass-1 RP target. *)
-    let initial_schedule = Aco.Setup.pass2_initial setup ~best_pass1_order:best_order in
+    let initial_schedule = Engine.Setup.pass2_initial setup ~best_pass1_order:best_order in
     let initial_length = Sched.Schedule.length initial_schedule in
     (* Pass 2 inherits whatever budget pass 1 left unspent. *)
     let budget2_work =
       if budget_work = max_int then max_int else max 0 (budget_work - pass1.work)
     in
     let schedule, _, pass2 =
-      if initial_length - setup.Aco.Setup.length_lb >= max 1 params.Aco.Params.pass2_cycle_threshold then
+      if initial_length - setup.Engine.Setup.length_lb >= max 1 params.Engine.Params.pass2_cycle_threshold then
         run_pass ~params ~rng ~ants ~pheromone
           ~mode:(Aco.Ant.Ilp_pass { target_vgpr; target_sgpr })
           ~cost_of_ant:Aco.Ant.length ~budget_work:budget2_work ~metrics
@@ -189,21 +189,21 @@ module Seq_ref = struct
             | None -> invalid_arg "Seq_aco: finished ant produced invalid schedule")
           ~initial_cost:initial_length
           ~initial_order:(Sched.Schedule.order initial_schedule)
-          ~initial_artifact:initial_schedule ~lb_cost:setup.Aco.Setup.length_lb ~termination
+          ~initial_artifact:initial_schedule ~lb_cost:setup.Engine.Setup.length_lb ~termination
       else (initial_schedule, initial_length, no_pass)
     in
     {
       schedule;
       cost = Sched.Cost.of_schedule occ schedule;
-      heuristic_schedule = setup.Aco.Setup.amd_schedule;
-      heuristic_cost = setup.Aco.Setup.amd_cost;
+      heuristic_schedule = setup.Engine.Setup.amd_schedule;
+      heuristic_cost = setup.Engine.Setup.amd_cost;
       rp_target;
       pass2_initial = initial_schedule;
       pass1;
       pass2;
     }
 
-  let run ?params ?seed occ graph = run_from_setup ?params ?seed (Aco.Setup.prepare occ graph)
+  let run ?params ?seed occ graph = run_from_setup ?params ?seed (Engine.Setup.prepare occ graph)
 end
 
 module Par_ref = struct
@@ -225,7 +225,7 @@ module Par_ref = struct
     retries : int;
     aborted_budget : bool;
     aborted_faults : bool;
-    fault_counts : Gpusim.Faults.counts;
+    fault_counts : Engine.Types.fault_counts;
   }
 
   let no_pass =
@@ -247,7 +247,7 @@ module Par_ref = struct
       retries = 0;
       aborted_budget = false;
       aborted_faults = false;
-      fault_counts = Gpusim.Faults.zero;
+      fault_counts = Engine.Types.fault_counts_zero;
     }
 
   type result = {
@@ -270,7 +270,7 @@ module Par_ref = struct
       | 2 -> Sched.Heuristic.Last_use_count
       | 3 -> Sched.Heuristic.Source_order
       | _ -> Sched.Heuristic.Critical_path
-    else params.Aco.Params.heuristic
+    else params.Engine.Params.heuristic
 
   let allow_optional_for (config : Gpusim.Config.t) w =
     let frac = config.Gpusim.Config.opts.Gpusim.Config.optional_stall_fraction in
@@ -304,7 +304,7 @@ module Par_ref = struct
       ~trace ~metrics ~pass_label ~obs_cursor ~simd_cursor
       ~initial_cost ~(initial_order : int array) ~(initial_artifact : a) ~lb_cost ~termination
       ~n ~ready_ub =
-    let open Aco.Params in
+    let open Engine.Params in
     Aco.Pheromone.reset pheromone ~initial:params.initial_pheromone;
     Aco.Pheromone.deposit_path_scaled pheromone initial_order ~deposit:params.deposit
       ~cost:initial_cost;
@@ -534,7 +534,7 @@ module Par_ref = struct
        and the convergence series (textually before [minor_words]) must
        stay out of it: bind them explicitly in that order to keep the
        reported delta byte-identical with tracing off. *)
-    let fault_counts = Gpusim.Faults.sub (Gpusim.Faults.counts faults) faults_before in
+    let fault_counts = Engine.Types.fault_counts_sub (Gpusim.Faults.counts faults) faults_before in
     let minor_delta = Support.Perfcount.minor_words () -. minor_before in
     let best_costs = Array.sub bc_buf 0 !bc_len in
     if tracing then begin
@@ -573,12 +573,12 @@ module Par_ref = struct
         fault_counts;
       } )
 
-  let run_from_setup ?(params = Aco.Params.default) ?(seed = 1) ?faults ?(budget_ns = infinity)
+  let run_from_setup ?(params = Engine.Params.default) ?(seed = 1) ?faults ?(budget_ns = infinity)
       ?(iteration_deadline_ns = infinity) ?(max_retries = 2) ?(trace = Obs.Trace.null)
       ?(metrics = Obs.Metrics.null) ?(label = "") (config : Gpusim.Config.t)
-      (setup : Aco.Setup.t) =
-    let graph = setup.Aco.Setup.graph in
-    let occ = setup.Aco.Setup.occ in
+      (setup : Engine.Setup.t) =
+    let graph = setup.Engine.Setup.graph in
+    let occ = setup.Engine.Setup.occ in
     let n = graph.Ddg.Graph.n in
     let faults =
       match faults with
@@ -617,33 +617,33 @@ module Par_ref = struct
             ~simd:(w mod simds))
         wavefronts
     end;
-    let pheromone = Aco.Pheromone.create ~n ~initial:params.Aco.Params.initial_pheromone in
-    let termination = Aco.Params.termination_condition n in
+    let pheromone = Aco.Pheromone.create ~n ~initial:params.Engine.Params.initial_pheromone in
+    let termination = Engine.Params.termination_condition n in
     let ready_ub = Aco.Ant.shared_ready_ub shared in
     let rp_scalar_of_ant ant =
       let v, s = Aco.Ant.rp_peaks ant in
       Sched.Cost.rp_scalar (Sched.Cost.rp_of_peaks occ ~vgpr:v ~sgpr:s)
     in
     let best_order, _, pass1 =
-      if setup.Aco.Setup.pass1_needed then
+      if setup.Engine.Setup.pass1_needed then
         run_pass ~params ~config ~rng ~wavefronts ~pheromone ~mode:Aco.Ant.Rp_pass
           ~cost_of_ant:rp_scalar_of_ant ~artifact_of_ant:Aco.Ant.order
           ~validate_artifact:(fun order -> Result.is_ok (Sched.Schedule.of_order graph order))
           ~faults ~budget_ns ~iteration_deadline_ns ~max_retries ~trace ~metrics
           ~pass_label:(label ^ "pass1") ~obs_cursor ~simd_cursor
-          ~initial_cost:(Sched.Cost.rp_scalar setup.Aco.Setup.pass1_initial_rp)
-          ~initial_order:setup.Aco.Setup.pass1_initial_order
-          ~initial_artifact:setup.Aco.Setup.pass1_initial_order
-          ~lb_cost:(Sched.Cost.rp_scalar setup.Aco.Setup.rp_lb)
+          ~initial_cost:(Sched.Cost.rp_scalar setup.Engine.Setup.pass1_initial_rp)
+          ~initial_order:setup.Engine.Setup.pass1_initial_order
+          ~initial_artifact:setup.Engine.Setup.pass1_initial_order
+          ~lb_cost:(Sched.Cost.rp_scalar setup.Engine.Setup.rp_lb)
           ~termination ~n ~ready_ub
       else
-        ( setup.Aco.Setup.pass1_initial_order,
-          Sched.Cost.rp_scalar setup.Aco.Setup.pass1_initial_rp,
+        ( setup.Engine.Setup.pass1_initial_order,
+          Sched.Cost.rp_scalar setup.Engine.Setup.pass1_initial_rp,
           no_pass )
     in
-    let rp_target = Aco.Setup.rp_of_order occ graph best_order in
-    let target_vgpr, target_sgpr = Aco.Setup.targets_of_rp rp_target in
-    let initial_schedule = Aco.Setup.pass2_initial setup ~best_pass1_order:best_order in
+    let rp_target = Engine.Setup.rp_of_order occ graph best_order in
+    let target_vgpr, target_sgpr = Engine.Setup.targets_of_rp rp_target in
+    let initial_schedule = Engine.Setup.pass2_initial setup ~best_pass1_order:best_order in
     let initial_length = Sched.Schedule.length initial_schedule in
     (* The region's compile budget spans both passes: pass 2 inherits
        whatever pass 1 left. *)
@@ -653,8 +653,8 @@ module Par_ref = struct
     in
     let schedule, _, pass2 =
       if
-        initial_length - setup.Aco.Setup.length_lb
-        >= max 1 params.Aco.Params.pass2_cycle_threshold
+        initial_length - setup.Engine.Setup.length_lb
+        >= max 1 params.Engine.Params.pass2_cycle_threshold
       then
         run_pass ~params ~config ~rng ~wavefronts ~pheromone
           ~mode:(Aco.Ant.Ilp_pass { target_vgpr; target_sgpr })
@@ -668,15 +668,15 @@ module Par_ref = struct
           ~pass_label:(label ^ "pass2") ~obs_cursor ~simd_cursor
           ~initial_cost:initial_length
           ~initial_order:(Sched.Schedule.order initial_schedule)
-          ~initial_artifact:initial_schedule ~lb_cost:setup.Aco.Setup.length_lb ~termination ~n
+          ~initial_artifact:initial_schedule ~lb_cost:setup.Engine.Setup.length_lb ~termination ~n
           ~ready_ub
       else (initial_schedule, initial_length, no_pass)
     in
     {
       schedule;
       cost = Sched.Cost.of_schedule occ schedule;
-      heuristic_schedule = setup.Aco.Setup.amd_schedule;
-      heuristic_cost = setup.Aco.Setup.amd_cost;
+      heuristic_schedule = setup.Engine.Setup.amd_schedule;
+      heuristic_cost = setup.Engine.Setup.amd_cost;
       rp_target;
       pass2_initial = initial_schedule;
       pass1;
@@ -684,13 +684,13 @@ module Par_ref = struct
     }
 
   let run ?params ?seed config occ graph =
-    run_from_setup ?params ?seed config (Aco.Setup.prepare occ graph)
+    run_from_setup ?params ?seed config (Engine.Setup.prepare occ graph)
 
   let total_time_ns r = r.pass1.time_ns +. r.pass2.time_ns
 
   let total_retries r = r.pass1.retries + r.pass2.retries
 
-  let total_faults r = Gpusim.Faults.add r.pass1.fault_counts r.pass2.fault_counts
+  let total_faults r = Engine.Types.fault_counts_add r.pass1.fault_counts r.pass2.fault_counts
 
   let degraded r =
     r.pass1.aborted_budget || r.pass2.aborted_budget || r.pass1.aborted_faults

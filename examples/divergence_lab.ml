@@ -4,9 +4,9 @@
 
    Run with: dune exec examples/divergence_lab.exe *)
 
-let run name opts setup params =
+let run name opts occ graph params =
   let config = Gpusim.Config.with_opts { Gpusim.Config.bench with num_wavefronts = 4 } opts in
-  let r = Gpusim.Par_aco.run_from_setup ~params ~seed:11 config setup in
+  let r = Gpusim.Par_aco.run ~params ~seed:11 config occ graph in
   let p2 = r.Engine.Types.pass2 in
   Printf.printf "  %-28s %8.2f ms total  (pass 2: %d iterations, divergence overhead %+.0f%%)\n"
     name
@@ -22,17 +22,16 @@ let () =
   let region = Workload.Shapes.transform (Support.Rng.create 8) ~unroll:16 ~chain:4 in
   Printf.printf "region: %d instructions (unrolled transform)\n" (Ir.Region.size region);
   let graph = Ddg.Graph.build region in
-  let setup = Engine.Setup.prepare occ graph in
   let params =
     { Engine.Params.default with Engine.Params.ants_per_iteration = 4 * 64 }
   in
   print_endline "configurations:";
-  run "all optimizations (paper)" Gpusim.Config.opts_paper setup params;
-  run "no memory optimizations" Gpusim.Config.opts_no_memory setup params;
-  run "no divergence optimizations" Gpusim.Config.opts_no_divergence setup params;
+  run "all optimizations (paper)" Gpusim.Config.opts_paper occ graph params;
+  run "no memory optimizations" Gpusim.Config.opts_no_memory occ graph params;
+  run "no divergence optimizations" Gpusim.Config.opts_no_divergence occ graph params;
   run "only 75% stall wavefronts"
     { Gpusim.Config.opts_paper with Gpusim.Config.optional_stall_fraction = 0.75 }
-    setup params;
+    occ graph params;
   print_newline ();
   print_endline
     "The memory layout dominates (Table 4.a of the paper); the divergence";

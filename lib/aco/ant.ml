@@ -42,7 +42,7 @@ let prepare_shared ?cp ?layout ?ready_ub graph =
 let shared_of_region_ctx (rc : Engine.Region_ctx.t) =
   prepare_shared ~cp:rc.Engine.Region_ctx.critpath ~layout:rc.Engine.Region_ctx.rp_layout
     ~ready_ub:rc.Engine.Region_ctx.ready_ub
-    (Engine.Region_ctx.graph rc)
+    rc.Engine.Region_ctx.graph
 
 let shared_ready_ub shared = shared.s_ready_ub
 

@@ -27,7 +27,7 @@ type t = {
 
 let prepare ~policy:policy_spec ~prune ~allow_optional_stalls (ctx : Engine.Backend.ctx)
     (rc : Engine.Region_ctx.t) =
-  let graph = Engine.Region_ctx.graph rc in
+  let graph = rc.Engine.Region_ctx.graph in
   let n = graph.Ddg.Graph.n in
   let params = ctx.Engine.Backend.params in
   let rng = Support.Rng.create ctx.Engine.Backend.seed in
@@ -187,12 +187,15 @@ let run_pass (type a) colony ~mode ~(cost_of_ant : Ant.t -> int)
     {
       Engine.Types.no_pass with
       Engine.Types.invoked = true;
+      stop =
+        Engine.Types.stop_of ~faults:false
+          ~budget:(budget_work < max_int && !work >= budget_work)
+          ~lower_bound:(!best_cost <= lb_cost)
+          ~capped:(!iterations >= params.max_iterations);
       iterations = !iterations;
       ants_simulated = !ants_total;
       work = !work;
       improved = !improved;
-      hit_lower_bound = !best_cost <= lb_cost;
-      aborted_budget = budget_work < max_int && !work >= budget_work;
       best_costs;
       minor_words = minor_delta;
       scored_candidates = scored_after - scored_before;

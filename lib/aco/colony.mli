@@ -70,6 +70,8 @@ val run_pass :
     GPU-only fields stay at {!Engine.Types.no_pass}'s zeros.
     [budget_work] is a compile budget in abstract work units; a pass
     that exhausts it stops after the current iteration, keeps its
-    best-so-far, and reports [aborted_budget]. With metering on, the
-    pass records ["<pass_label>.best_cost"] and
+    best-so-far, and stops with [Budget]. The reported stop is the
+    highest-precedence condition holding at loop exit
+    ([Engine.Types.pass_stats.stop]). With metering on, the pass
+    records ["<pass_label>.best_cost"] and
     ["<pass_label>.pheromone_entropy"] series per iteration. *)

@@ -11,8 +11,8 @@ type state = {
 
 let prepare ~policy ~(objective : Sched.Objective.t option) ~prune ctx
     (rc : Engine.Region_ctx.t) =
-  let graph = Engine.Region_ctx.graph rc in
-  let occ = Engine.Region_ctx.occ rc in
+  let graph = rc.Engine.Region_ctx.graph in
+  let occ = rc.Engine.Region_ctx.occ in
   let colony = Colony.prepare ~policy ~prune ~allow_optional_stalls:true ctx rc in
   let obj = match objective with Some o -> o | None -> Sched.Objective.Cliff in
   let rp_scalar_of_ant ant =
@@ -112,20 +112,7 @@ let mmas_spill_backend spill_model : Engine.Backend.t =
 
 let register () = Engine.Registry.register backend
 
-let run_from_setup ?(params = Engine.Params.default) ?(seed = 1) ?(budget_work = max_int)
-    ?(metrics = Obs.Metrics.null) ?(label = "") (setup : Engine.Setup.t) =
+let run ?(params = Engine.Params.default) ?(seed = 1) occ graph =
   Engine.Two_pass.run backend
-    {
-      Engine.Backend.params;
-      seed;
-      budget =
-        (if budget_work = max_int then Engine.Types.Unlimited
-         else Engine.Types.Work budget_work);
-      trace = Obs.Trace.null;
-      metrics;
-      label;
-      ext = [];
-    }
-    (Engine.Region_ctx.of_setup setup)
-
-let run ?params ?seed occ graph = run_from_setup ?params ?seed (Engine.Setup.prepare occ graph)
+    { Engine.Backend.null_ctx with Engine.Backend.params; seed }
+    (Engine.Region_ctx.of_graph occ graph)

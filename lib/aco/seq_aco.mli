@@ -55,27 +55,7 @@ val register : unit -> unit
 
 val run :
   ?params:Engine.Params.t -> ?seed:int -> Machine.Occupancy.t -> Ddg.Graph.t -> Engine.Types.result
-(** Schedule a region. Deterministic for a fixed seed. *)
-
-val run_from_setup :
-  ?params:Engine.Params.t ->
-  ?seed:int ->
-  ?budget_work:int ->
-  ?metrics:Obs.Metrics.t ->
-  ?label:string ->
-  Engine.Setup.t ->
-  Engine.Types.result
-(** Same, reusing an already-prepared {!Engine.Setup.t} (the pipeline prepares
-    one setup and feeds it to every backend so they race from identical
-    starting points).
-
-    [budget_work] (default unlimited) is a compile budget in abstract
-    work units shared across both passes: a pass that exhausts it stops
-    after the current iteration, keeps its best-so-far, and reports
-    [aborted_budget]. The pipeline converts its nanosecond budget to
-    work units through its CPU cost model.
-
-    [metrics] (default {!Obs.Metrics.null}) records per-iteration
-    best-cost and pheromone-entropy series named ["<label>passN.*"]; a
-    disabled registry is a true no-op — schedules, RNG streams and the
-    reported [minor_words] stay byte-identical. *)
+(** Analyse a region and schedule it with {!backend}: unlimited budget,
+    disabled recorders. Deterministic for a fixed seed. A budget,
+    metrics or a shared context go through [Engine.Two_pass.run backend
+    ctx rc], the path the compile pipeline takes. *)

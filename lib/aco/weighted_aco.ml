@@ -42,8 +42,8 @@ module Backend_impl = struct
       colony =
         Colony.prepare ~policy:Pheromone_policy.As ~prune:false ~allow_optional_stalls:false
           ctx rc;
-      occ = Engine.Region_ctx.occ rc;
-      graph = Engine.Region_ctx.graph rc;
+      occ = rc.Engine.Region_ctx.occ;
+      graph = rc.Engine.Region_ctx.graph;
     }
 
   let run_order_pass _ (_ : Engine.Backend.order_request) =
@@ -103,8 +103,7 @@ let register () = Engine.Registry.register backend
    directly instead of going through [Engine.Two_pass]. *)
 let run ?(params = Engine.Params.default) ?(seed = 1) occ graph =
   let rc = Engine.Region_ctx.of_graph occ graph in
-  let setup = rc.Engine.Region_ctx.setup in
-  let amd = setup.Engine.Setup.amd_schedule in
+  let amd = rc.Engine.Region_ctx.amd_schedule in
   let st = Backend_impl.prepare { Engine.Backend.null_ctx with Engine.Backend.params; seed } rc in
   let schedule, stats =
     Fun.protect ~finally:(fun () -> Backend_impl.teardown st) @@ fun () ->
@@ -116,13 +115,13 @@ let run ?(params = Engine.Params.default) ?(seed = 1) occ graph =
         s_target_sgpr = Sched.Objective.no_target;
         s_initial = amd;
         s_initial_length = Sched.Schedule.length amd;
-        s_length_lb = setup.Engine.Setup.length_lb;
+        s_length_lb = rc.Engine.Region_ctx.length_lb;
       }
   in
   {
     schedule;
     cost = Sched.Cost.of_schedule occ schedule;
-    heuristic_cost = setup.Engine.Setup.amd_cost;
+    heuristic_cost = rc.Engine.Region_ctx.amd_cost;
     iterations = stats.Engine.Types.iterations;
     work = stats.Engine.Types.work;
   }

@@ -6,7 +6,15 @@
    value can be shared freely across domains and cached by content. *)
 
 type t = {
-  setup : Setup.t;
+  graph : Ddg.Graph.t;
+  occ : Machine.Occupancy.t;
+  amd_schedule : Sched.Schedule.t;
+  amd_cost : Sched.Cost.t;
+  pass1_initial_order : int array;
+  pass1_initial_rp : Sched.Cost.rp;
+  rp_lb : Sched.Cost.rp;
+  length_lb : int;
+  pass1_needed : bool;
   closure : Ddg.Closure.t;
   critpath : Ddg.Critpath.t;
   ready_ub : int;
@@ -16,9 +24,10 @@ type t = {
   fingerprint : string;
 }
 
-let graph t = t.setup.Setup.graph
-let occ t = t.setup.Setup.occ
-let size t = (graph t).Ddg.Graph.n
+let rp_of_order occ graph order =
+  let tracker = Sched.Rp_tracker.create graph in
+  Array.iter (fun i -> Sched.Rp_tracker.schedule tracker i) order;
+  Sched.Cost.rp_of_tracker occ tracker
 
 (* --- content addressing --------------------------------------------------- *)
 
@@ -60,12 +69,32 @@ let fingerprint_of_region (region : Ir.Region.t) =
 
 (* --- construction --------------------------------------------------------- *)
 
-let of_setup ?fingerprint (setup : Setup.t) =
-  let graph = setup.Setup.graph in
+let of_graph ?fingerprint occ graph =
+  let amd_schedule = Sched.Amd_scheduler.run occ graph in
+  let amd_order = Sched.Schedule.order amd_schedule in
+  let luc_order = Sched.List_scheduler.run_order graph Sched.Heuristic.Last_use_count in
+  let amd_rp = rp_of_order occ graph amd_order in
+  let luc_rp = rp_of_order occ graph luc_order in
+  let pass1_initial_order, pass1_initial_rp =
+    if Sched.Cost.compare_rp luc_rp amd_rp < 0 then (luc_order, luc_rp) else (amd_order, amd_rp)
+  in
+  let rp_lb =
+    Sched.Cost.rp_of_peaks occ
+      ~vgpr:(Ddg.Lower_bounds.register_pressure graph Ir.Reg.Vgpr)
+      ~sgpr:(Ddg.Lower_bounds.register_pressure graph Ir.Reg.Sgpr)
+  in
   let closure = Ddg.Closure.compute graph in
   let cp_schedule = Sched.List_scheduler.run graph Sched.Heuristic.Critical_path in
   {
-    setup;
+    graph;
+    occ;
+    amd_schedule;
+    amd_cost = Sched.Cost.of_schedule occ amd_schedule;
+    pass1_initial_order;
+    pass1_initial_rp;
+    rp_lb;
+    length_lb = Ddg.Lower_bounds.schedule_length graph;
+    pass1_needed = Sched.Cost.compare_rp pass1_initial_rp rp_lb > 0;
     closure;
     critpath = Ddg.Critpath.compute graph;
     ready_ub = Ddg.Closure.ready_list_upper_bound closure;
@@ -74,13 +103,25 @@ let of_setup ?fingerprint (setup : Setup.t) =
        real; without it the tables are zero and pruning is a no-op. *)
     rp_layout = Sched.Rp_tracker.layout_of_graph ~closure graph;
     cp_schedule;
-    cp_cost = Sched.Cost.of_schedule setup.Setup.occ cp_schedule;
+    cp_cost = Sched.Cost.of_schedule occ cp_schedule;
     fingerprint =
       (match fingerprint with
       | Some f -> f
       | None -> fingerprint_of_region graph.Ddg.Graph.region);
   }
 
-let of_graph ?fingerprint occ graph = of_setup ?fingerprint (Setup.prepare occ graph)
-
 let of_region ?fingerprint occ region = of_graph ?fingerprint occ (Ddg.Graph.build region)
+
+(* Pass 2's input: stalls added to the best-RP order of pass 1
+   (Section IV-C), improved upon when the RP-constrained greedy scheduler
+   finds a shorter schedule that meets the same target. Both candidates
+   respect the pass-1 RP outcome, so either is a sound fallback when
+   pass 2 is filtered out or finds no improvement. *)
+let pass2_initial t ~best_pass1_order ~(rp_target : Sched.Cost.rp) =
+  let padded = Sched.Schedule.latency_pad t.graph best_pass1_order in
+  match
+    Sched.Constrained_scheduler.run t.graph ~target_vgpr:rp_target.aprp_vgpr
+      ~target_sgpr:rp_target.aprp_sgpr
+  with
+  | Some greedy when Sched.Schedule.length greedy < Sched.Schedule.length padded -> greedy
+  | Some _ | None -> padded

@@ -2,11 +2,12 @@
 
     Everything the compile service derives from a scheduling region
     alone — the DDG with its transitive closure, critical path, lower
-    bounds and ready-list bound, the AMD-heuristic baseline, the
+    bounds and ready-list bound, the AMD-heuristic baseline with the
+    pass-1 starting order and gating decision of Section VI-A, the
     register-pressure layout and the Critical-Path reference schedule —
-    bundled into one immutable value that is computed once per distinct
-    region and consumed by the orchestrator, by every backend of a
-    dispatch race, and by the report layer.
+    bundled into one flat immutable value that is computed once per
+    distinct region and consumed by the orchestrator, by every backend
+    of a dispatch race, and by the report layer.
 
     The bundle is content-addressed: {!fingerprint_of_region} hashes the
     region's instruction/latency/register structure (names excluded), so
@@ -15,9 +16,16 @@
     across domains. *)
 
 type t = {
-  setup : Setup.t;
-      (** heuristic baseline, pass-1 starting points, RP/length lower
-          bounds and the pass-1 gating decision *)
+  graph : Ddg.Graph.t;
+  occ : Machine.Occupancy.t;
+  amd_schedule : Sched.Schedule.t;  (** the AMD-heuristic baseline *)
+  amd_cost : Sched.Cost.t;
+  pass1_initial_order : int array;
+      (** better (by RP) of the AMD order and the Last-Use-Count order *)
+  pass1_initial_rp : Sched.Cost.rp;
+  rp_lb : Sched.Cost.rp;  (** lower bound on any schedule's RP cost *)
+  length_lb : int;  (** lower bound on any schedule's length *)
+  pass1_needed : bool;  (** the initial RP is above the bound *)
   closure : Ddg.Closure.t;  (** transitive closure of the DDG *)
   critpath : Ddg.Critpath.t;  (** latency-weighted critical paths *)
   ready_ub : int;
@@ -31,19 +39,24 @@ type t = {
   fingerprint : string;  (** content address (hex digest) *)
 }
 
-val graph : t -> Ddg.Graph.t
-val occ : t -> Machine.Occupancy.t
-val size : t -> int
-
 val fingerprint_of_region : Ir.Region.t -> string
 (** Hash of the region's structure: instruction kinds, latencies, def/use
     register lists and live-out set, in order. Instruction and region
     names are excluded — label-only variants address the same context. *)
 
-val of_setup : ?fingerprint:string -> Setup.t -> t
-(** Derive the remaining analyses from an already-prepared setup.
-    [fingerprint] avoids re-hashing when the caller (the analysis cache)
-    already computed the content address. *)
-
 val of_graph : ?fingerprint:string -> Machine.Occupancy.t -> Ddg.Graph.t -> t
+(** Run every analysis of the region. [fingerprint] avoids re-hashing
+    when the caller (the analysis cache) already computed the content
+    address. *)
+
 val of_region : ?fingerprint:string -> Machine.Occupancy.t -> Ir.Region.t -> t
+
+val rp_of_order : Machine.Occupancy.t -> Ddg.Graph.t -> int array -> Sched.Cost.rp
+(** RP cost of an instruction order (stalls never change liveness, so an
+    order determines the RP cost of every schedule with that order). *)
+
+val pass2_initial : t -> best_pass1_order:int array -> rp_target:Sched.Cost.rp -> Sched.Schedule.t
+(** Pass 2's input schedule: the latency-padded pass-1 winner, or the
+    RP-constrained greedy schedule under [rp_target]'s APRP ceilings
+    when that one is shorter. [rp_target] is [rp_of_order] of
+    [best_pass1_order], which the orchestrator has already computed. *)

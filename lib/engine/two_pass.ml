@@ -10,9 +10,6 @@
 
 let run (backend : Backend.t) (ctx : Backend.ctx) (rc : Region_ctx.t) : Types.result =
   let module B = (val backend : Backend.S) in
-  let setup = rc.Region_ctx.setup in
-  let occ = setup.Setup.occ in
-  let graph = setup.Setup.graph in
   let state = B.prepare ctx rc in
   Fun.protect ~finally:(fun () -> B.teardown state) @@ fun () ->
   (* The RP term of the objective is the backend's choice; the default
@@ -25,27 +22,27 @@ let run (backend : Backend.t) (ctx : Backend.ctx) (rc : Region_ctx.t) : Types.re
      order already meets the RP bound, or when the backend has no RP
      pass (single-pass cost formulations go straight to pass 2). *)
   let best_order, pass1 =
-    if setup.Setup.pass1_needed && B.caps.Types.rp_pass then
+    if rc.Region_ctx.pass1_needed && B.caps.Types.rp_pass then
       B.run_order_pass state
         {
           Backend.o_label = ctx.Backend.label ^ "pass1";
           o_budget = ctx.Backend.budget;
-          o_initial_cost = Sched.Objective.rp_scalar objective setup.Setup.pass1_initial_rp;
-          o_initial_order = setup.Setup.pass1_initial_order;
-          o_lb_cost = Sched.Objective.rp_scalar objective setup.Setup.rp_lb;
+          o_initial_cost = Sched.Objective.rp_scalar objective rc.Region_ctx.pass1_initial_rp;
+          o_initial_order = rc.Region_ctx.pass1_initial_order;
+          o_lb_cost = Sched.Objective.rp_scalar objective rc.Region_ctx.rp_lb;
         }
-    else (setup.Setup.pass1_initial_order, Types.no_pass)
+    else (rc.Region_ctx.pass1_initial_order, Types.no_pass)
   in
-  let rp_target = Setup.rp_of_order occ graph best_order in
+  let rp_target = Region_ctx.rp_of_order rc.Region_ctx.occ rc.Region_ctx.graph best_order in
   let target_vgpr, target_sgpr = Sched.Objective.breach_targets objective rp_target in
   (* Pass 2: minimize length under the pass-1 RP target, from the padded
      pass-1 winner, on whatever budget pass 1 left unspent. *)
-  let initial_schedule = Setup.pass2_initial setup ~best_pass1_order:best_order in
+  let initial_schedule = Region_ctx.pass2_initial rc ~best_pass1_order:best_order ~rp_target in
   let initial_length = Sched.Schedule.length initial_schedule in
   let budget2 = Types.budget_minus ctx.Backend.budget pass1 in
   let schedule, pass2 =
     if
-      initial_length - setup.Setup.length_lb
+      initial_length - rc.Region_ctx.length_lb
       >= max 1 ctx.Backend.params.Params.pass2_cycle_threshold
     then
       B.run_schedule_pass state
@@ -56,15 +53,15 @@ let run (backend : Backend.t) (ctx : Backend.ctx) (rc : Region_ctx.t) : Types.re
           s_target_sgpr = target_sgpr;
           s_initial = initial_schedule;
           s_initial_length = initial_length;
-          s_length_lb = setup.Setup.length_lb;
+          s_length_lb = rc.Region_ctx.length_lb;
         }
     else (initial_schedule, Types.no_pass)
   in
   {
     Types.schedule;
-    cost = Sched.Cost.of_schedule occ schedule;
-    heuristic_schedule = setup.Setup.amd_schedule;
-    heuristic_cost = setup.Setup.amd_cost;
+    cost = Sched.Cost.of_schedule rc.Region_ctx.occ schedule;
+    heuristic_schedule = rc.Region_ctx.amd_schedule;
+    heuristic_cost = rc.Region_ctx.amd_cost;
     rp_target;
     pass2_initial = initial_schedule;
     pass1;

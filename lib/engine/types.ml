@@ -27,14 +27,24 @@ let fault_counts_sub a b =
 let fault_counts_total c =
   c.lane_faults + c.wavefront_hangs + c.reduction_drops + c.mem_faults
 
+type stop_reason = Skipped | Patience | Max_iterations | Lower_bound | Budget | Faults
+
+(* Highest precedence first: the declaration order above. *)
+let stop_of ~faults ~budget ~lower_bound ~capped =
+  if faults then Faults
+  else if budget then Budget
+  else if lower_bound then Lower_bound
+  else if capped then Max_iterations
+  else Patience
+
 type pass_stats = {
   invoked : bool;
+  stop : stop_reason;
   iterations : int;
   ants_simulated : int;
   work : int;
   time_ns : float;
   improved : bool;
-  hit_lower_bound : bool;
   serialized_ops : int;
   single_path_ops : int;
   lockstep_steps : int;
@@ -43,8 +53,6 @@ type pass_stats = {
   best_costs : int array;
   minor_words : float;
   retries : int;
-  aborted_budget : bool;
-  aborted_faults : bool;
   scored_candidates : int;
   pruned_candidates : int;
   fault_counts : fault_counts;
@@ -53,12 +61,12 @@ type pass_stats = {
 let no_pass =
   {
     invoked = false;
+    stop = Skipped;
     iterations = 0;
     ants_simulated = 0;
     work = 0;
     time_ns = 0.0;
     improved = false;
-    hit_lower_bound = false;
     serialized_ops = 0;
     single_path_ops = 0;
     lockstep_steps = 0;
@@ -67,8 +75,6 @@ let no_pass =
     best_costs = [||];
     minor_words = 0.0;
     retries = 0;
-    aborted_budget = false;
-    aborted_faults = false;
     scored_candidates = 0;
     pruned_candidates = 0;
     fault_counts = fault_counts_zero;

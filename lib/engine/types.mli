@@ -26,14 +26,38 @@ val fault_counts_sub : fault_counts -> fault_counts -> fault_counts
 
 val fault_counts_total : fault_counts -> int
 
+type stop_reason =
+  | Skipped  (** the orchestrator gated the pass off; it never ran *)
+  | Patience  (** the policy's improvement-free iterations ran out *)
+  | Max_iterations  (** the [max_iterations] safety cap *)
+  | Lower_bound  (** the best cost met the pass's lower bound *)
+  | Budget  (** the compile budget ran out; the best-so-far ships *)
+  | Faults
+      (** consecutive faulted iterations exhausted the retry allowance;
+          the pass degraded to its best-so-far *)
+(** Why a pass stopped, in ascending precedence (see {!pass_stats.stop}). *)
+
+val stop_of : faults:bool -> budget:bool -> lower_bound:bool -> capped:bool -> stop_reason
+(** The stop of a pass whose loop just exited: the highest-precedence
+    condition that holds — retries exhausted, budget spent, best cost at
+    the lower bound, iteration cap reached — and [Patience] when none
+    does, since the loop exits on nothing else. *)
+
 type pass_stats = {
-  invoked : bool;  (** false when the initial schedule was already at the bound *)
+  invoked : bool;  (** [stop <> Skipped] *)
+  stop : stop_reason;
+      (** The highest-precedence condition that held when the pass loop
+          exited. Several can hold at once — a pass can meet its bound in
+          the iteration that spends its budget — and declaration order is
+          precedence, so that pass reports [Budget], and [max] over a
+          run's passes is its most severe stop, the one the degradation
+          ledger classifies. [invoked] stays beside it because external
+          harnesses read that field directly. *)
   iterations : int;
   ants_simulated : int;
   work : int;  (** abstract work units (see [Aco.Ant.work]) plus table upkeep *)
   time_ns : float;  (** simulated wall time; 0 for backends without a time model *)
   improved : bool;  (** beat the pass's initial schedule *)
-  hit_lower_bound : bool;
   serialized_ops : int;  (** divergence-serialized compute ops (GPU model only) *)
   single_path_ops : int;  (** the no-divergence floor for the same steps *)
   lockstep_steps : int;  (** wavefront lockstep steps across all iterations *)
@@ -48,11 +72,6 @@ type pass_stats = {
           coincide. *)
   minor_words : float;  (** host minor-heap words allocated during the pass *)
   retries : int;  (** faulted iterations re-run with a reseeded stream *)
-  aborted_budget : bool;
-      (** the pass exhausted its compile budget and kept its best-so-far *)
-  aborted_faults : bool;
-      (** consecutive failures exhausted the retry allowance and the pass
-          degraded to its best-so-far *)
   scored_candidates : int;
       (** pass-2 candidates whose RP fit was actually evaluated
           ({!Sched.Rp_tracker.scored_candidates} delta across the pass);

@@ -149,12 +149,10 @@ let run_pass (type a) st ~mode ~(cost_of_ant : Aco.Ant.t -> int)
   let elapsed = ref 0.0 in
   let retries = ref 0 in
   let consecutive_failures = ref 0 in
-  let aborted_budget = ref false in
-  let aborted_faults = ref false in
-  let stop = ref false in
+  let fault_abort = ref false in
   let within_budget () = !elapsed < budget_ns in
   while
-    (not !stop) && within_budget () && !best_cost > lb_cost && !no_improve < termination
+    (not !fault_abort) && within_budget () && !best_cost > lb_cost && !no_improve < termination
     && !iterations < params.max_iterations
   do
     incr iterations;
@@ -282,8 +280,7 @@ let run_pass (type a) st ~mode ~(cost_of_ant : Aco.Ant.t -> int)
         if metering then Obs.Metrics.incr metrics "robust.retries"
       end
       else begin
-        aborted_faults := true;
-        stop := true;
+        fault_abort := true;
         if tracing then
           Obs.Trace.instant trace ~track:0 ~name:"fault_abort" ~ts:obs_cursor.(0);
         if metering then Obs.Metrics.incr metrics "robust.fault_aborts"
@@ -307,7 +304,7 @@ let run_pass (type a) st ~mode ~(cost_of_ant : Aco.Ant.t -> int)
       Obs.Metrics.push metrics m_entropy (Aco.Pheromone.row_entropy pheromone)
     end
   done;
-  if budget_ns < infinity && not (within_budget ()) then aborted_budget := true;
+  let budget_abort = budget_ns < infinity && not (within_budget ()) in
   let time_ns =
     Kernel_sim.pass_time_ns_buf config ~n ~ready_ub ~times:!iter_times ~count:!iter_count
   in
@@ -328,21 +325,24 @@ let run_pass (type a) st ~mode ~(cost_of_ant : Aco.Ant.t -> int)
     Obs.Trace.span_arg trace ~track:0 ~name:pass_label ~ts:pass_t0 ~dur:time_ns
       ~key:"best_cost"
       ~value:(float_of_int !best_cost);
-    if !aborted_budget then
+    if budget_abort then
       Obs.Trace.instant trace ~track:0 ~name:"budget_abort" ~ts:obs_cursor.(0);
     Obs.Trace.set_now trace (pass_t0 +. time_ns)
   end;
-  if metering && !aborted_budget then Obs.Metrics.incr metrics "robust.budget_aborts";
+  if metering && budget_abort then Obs.Metrics.incr metrics "robust.budget_aborts";
   ( !best,
     !best_cost,
     {
       Engine.Types.invoked = true;
+      stop =
+        Engine.Types.stop_of ~faults:!fault_abort ~budget:budget_abort
+          ~lower_bound:(!best_cost <= lb_cost)
+          ~capped:(!iterations >= params.max_iterations);
       iterations = !iterations;
       ants_simulated = !ants_total;
       work = !work;
       time_ns;
       improved = !improved;
-      hit_lower_bound = !best_cost <= lb_cost;
       serialized_ops = !serialized;
       single_path_ops = !single;
       lockstep_steps = !lockstep_steps;
@@ -351,8 +351,6 @@ let run_pass (type a) st ~mode ~(cost_of_ant : Aco.Ant.t -> int)
       best_costs;
       minor_words = minor_delta;
       retries = !retries;
-      aborted_budget = !aborted_budget;
-      aborted_faults = !aborted_faults;
       scored_candidates = scored_after - scored_before;
       pruned_candidates = pruned_after - pruned_before;
       fault_counts;
@@ -386,9 +384,8 @@ module Backend_impl = struct
   type nonrec state = state
 
   let prepare (ctx : Engine.Backend.ctx) (rc : Engine.Region_ctx.t) =
-    let setup = rc.Engine.Region_ctx.setup in
-    let graph = setup.Engine.Setup.graph in
-    let occ = setup.Engine.Setup.occ in
+    let graph = rc.Engine.Region_ctx.graph in
+    let occ = rc.Engine.Region_ctx.occ in
     let n = graph.Ddg.Graph.n in
     let params = ctx.Engine.Backend.params in
     let trace = ctx.Engine.Backend.trace in
@@ -519,26 +516,10 @@ end
 let backend : Engine.Backend.t = (module Backend_impl)
 let register () = Engine.Registry.register backend
 
-let run_from_setup ?(params = Engine.Params.default) ?(seed = 1) ?(budget_ns = infinity)
-    ?(iteration_deadline_ns = infinity) ?(max_retries = 2) ?(trace = Obs.Trace.null)
-    ?(metrics = Obs.Metrics.null) ?(label = "") (config : Config.t)
-    (setup : Engine.Setup.t) =
+let run ?(params = Engine.Params.default) ?(seed = 1) config occ graph =
   Engine.Two_pass.run backend
-    {
-      Engine.Backend.params;
-      seed;
-      budget =
-        (if budget_ns = infinity then Engine.Types.Unlimited
-         else Engine.Types.Time_ns budget_ns);
-      trace;
-      metrics;
-      label;
-      ext = [ Gpu_config config; Watchdog { iteration_deadline_ns; max_retries } ];
-    }
-    (Engine.Region_ctx.of_setup setup)
-
-let run ?params ?seed config occ graph =
-  run_from_setup ?params ?seed config (Engine.Setup.prepare occ graph)
+    { Engine.Backend.null_ctx with Engine.Backend.params; seed; ext = [ Gpu_config config ] }
+    (Engine.Region_ctx.of_graph occ graph)
 
 let total_time_ns (r : Engine.Types.result) =
   r.Engine.Types.pass1.Engine.Types.time_ns +. r.Engine.Types.pass2.Engine.Types.time_ns

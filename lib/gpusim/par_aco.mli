@@ -21,7 +21,30 @@ type Engine.Backend.ext +=
 
 val backend : Engine.Backend.t
 (** The ["par"] backend: RP pass, fault injection, flight-recorder
-    tracing and a simulated-time model ([Time_ns] budgets). *)
+    tracing and a simulated-time model ([Time_ns] budgets).
+
+    Observability: [ctx.trace] attaches a flight recorder — track 0
+    carries driver-level iteration/pass spans and fault instants, track
+    1 the kernel-stage budget, tracks 2.. one per wavefront —
+    timestamped in simulated nanoseconds. [ctx.metrics] records
+    per-iteration best-cost and pheromone-entropy series named
+    ["<label>passN.*"] plus fault and robustness counters. Disabled
+    recorders are true no-ops: schedules, RNG streams and the reported
+    [minor_words] stay byte-identical.
+
+    Robustness: fault injection follows the [Gpu_config]'s [faults] and
+    [fault_seed] (with every rate zero the injector draws no randomness,
+    so the run is byte-identical to one without the fault model). Every
+    constructed winner must pass schedule validation before it is
+    trusted, and:
+    - a [Time_ns] budget is shared across both passes; an over-budget
+      pass aborts keeping its best-so-far artifact and stops with
+      [Budget];
+    - the [Watchdog] deadline bounds a single iteration
+      ({!Kernel_sim.watchdog_clamp}); a fired watchdog discards the
+      iteration's winner and charges exactly the deadline;
+    - after [max_retries] consecutive faulted iterations the pass
+      degrades to its best-so-far and stops with [Faults]. *)
 
 val register : unit -> unit
 (** Install {!backend} in {!Engine.Registry} (idempotent). *)
@@ -33,46 +56,11 @@ val run :
   Machine.Occupancy.t ->
   Ddg.Graph.t ->
   Engine.Types.result
-
-val run_from_setup :
-  ?params:Engine.Params.t ->
-  ?seed:int ->
-  ?budget_ns:float ->
-  ?iteration_deadline_ns:float ->
-  ?max_retries:int ->
-  ?trace:Obs.Trace.t ->
-  ?metrics:Obs.Metrics.t ->
-  ?label:string ->
-  Config.t ->
-  Engine.Setup.t ->
-  Engine.Types.result
-(** As {!run} but from a prepared {!Engine.Setup.t}, so the pipeline can
-    race the sequential and parallel drivers from identical inputs.
-
-    Observability: [trace] (default {!Obs.Trace.null}) attaches a flight
-    recorder — track 0 carries driver-level iteration/pass spans and
-    fault instants, track 1 the kernel-stage budget, tracks 2.. one per
-    wavefront — timestamped in simulated nanoseconds. [metrics] (default
-    {!Obs.Metrics.null}) records per-iteration best-cost and
-    pheromone-entropy series named ["<label>passN.*"] plus fault and
-    robustness counters. Both default to disabled recorders, which are
-    true no-ops: schedules, RNG streams and the reported [minor_words]
-    stay byte-identical.
-
-    Robustness: fault injection follows [config.faults] and
-    [config.fault_seed] (with every rate zero the injector draws no
-    randomness, so the run is byte-identical to one without the fault
-    model). The optional controls default to unbounded behaviour:
-    - [budget_ns]: per-region compile budget in simulated nanoseconds,
-      shared across both passes; an over-budget pass aborts keeping its
-      best-so-far artifact and reports [aborted_budget].
-    - [iteration_deadline_ns]: watchdog deadline for a single iteration
-      ({!Kernel_sim.watchdog_clamp}); a fired watchdog discards the
-      iteration's winner and charges exactly the deadline.
-    - [max_retries]: consecutive faulted iterations tolerated before the
-      pass degrades to its best-so-far ([aborted_faults]). Every
-      constructed winner must additionally pass schedule validation
-      before it is trusted. *)
+(** Analyse a region and schedule it with {!backend} on the given GPU
+    configuration: unlimited budget, no watchdog, 2 retries, disabled
+    recorders. Deterministic for a fixed seed. A budget, a watchdog,
+    recorders or a shared context go through [Engine.Two_pass.run
+    backend ctx rc], the path the compile pipeline takes. *)
 
 val total_time_ns : Engine.Types.result -> float
 (** GPU time across both passes. *)

@@ -26,15 +26,12 @@ let compare_opts (config : Compile.config) report ~baseline ~optimized =
     (fun (region, (rr : Compile.region_report)) ->
       if rr.Compile.pass1_invoked || rr.Compile.pass2_invoked then begin
         let graph = Ddg.Graph.build region in
-        let setup = Engine.Setup.prepare config.Compile.occ graph in
-        let rb =
-          Gpusim.Par_aco.run_from_setup ~params:config.Compile.params ~seed:config.Compile.par_seed
-            gpu_base setup
+        let run gpu =
+          Gpusim.Par_aco.run ~params:config.Compile.params ~seed:config.Compile.par_seed gpu
+            config.Compile.occ graph
         in
-        let ro =
-          Gpusim.Par_aco.run_from_setup ~params:config.Compile.params ~seed:config.Compile.par_seed
-            gpu_opt setup
-        in
+        let rb = run gpu_base in
+        let ro = run gpu_opt in
         let cat = rr.Compile.size_category in
         let s1, f1, m1, s2, f2, m2 = acc.(cat) in
         let s1, f1, m1 =
@@ -85,11 +82,9 @@ let stall_fraction_sweep (config : Compile.config) report ~fractions ~min_region
     let gpu = Gpusim.Config.with_opts config.Compile.gpu opts in
     List.map
       (fun (region, (_ : Compile.region_report)) ->
-        let graph = Ddg.Graph.build region in
-        let setup = Engine.Setup.prepare config.Compile.occ graph in
         let r =
-          Gpusim.Par_aco.run_from_setup ~params:config.Compile.params ~seed:config.Compile.par_seed
-            gpu setup
+          Gpusim.Par_aco.run ~params:config.Compile.params ~seed:config.Compile.par_seed gpu
+            config.Compile.occ (Ddg.Graph.build region)
         in
         ( r.Engine.Types.pass2.Engine.Types.time_ns,
           float_of_int r.Engine.Types.cost.Sched.Cost.length ))
@@ -133,11 +128,9 @@ let ready_limit_experiment (config : Compile.config) report =
     let gpu = Gpusim.Config.with_opts config.Compile.gpu opts in
     List.fold_left
       (fun (time, len) (region, (_ : Compile.region_report)) ->
-        let graph = Ddg.Graph.build region in
-        let setup = Engine.Setup.prepare config.Compile.occ graph in
         let r =
-          Gpusim.Par_aco.run_from_setup ~params:config.Compile.params ~seed:config.Compile.par_seed
-            gpu setup
+          Gpusim.Par_aco.run ~params:config.Compile.params ~seed:config.Compile.par_seed gpu
+            config.Compile.occ (Ddg.Graph.build region)
         in
         ( time +. Gpusim.Par_aco.total_time_ns r,
           len +. float_of_int r.Engine.Types.cost.Sched.Cost.length ))

@@ -144,14 +144,14 @@ let par_pass2_time_ns r = run_time_ns ~pass:`Two r "par"
    result. This is what the driver ships when a backend itself trapped —
    the schedule is valid by construction, so compilation always
    completes. *)
-let heuristic_fallback (setup : Engine.Setup.t) : Engine.Types.result =
+let heuristic_fallback (rc : Engine.Region_ctx.t) : Engine.Types.result =
   {
-    Engine.Types.schedule = setup.Engine.Setup.amd_schedule;
-    cost = setup.Engine.Setup.amd_cost;
-    heuristic_schedule = setup.Engine.Setup.amd_schedule;
-    heuristic_cost = setup.Engine.Setup.amd_cost;
-    rp_target = setup.Engine.Setup.amd_cost.Sched.Cost.rp;
-    pass2_initial = setup.Engine.Setup.amd_schedule;
+    Engine.Types.schedule = rc.Engine.Region_ctx.amd_schedule;
+    cost = rc.Engine.Region_ctx.amd_cost;
+    heuristic_schedule = rc.Engine.Region_ctx.amd_schedule;
+    heuristic_cost = rc.Engine.Region_ctx.amd_cost;
+    rp_target = rc.Engine.Region_ctx.amd_cost.Sched.Cost.rp;
+    pass2_initial = rc.Engine.Region_ctx.amd_schedule;
     pass1 = Engine.Types.no_pass;
     pass2 = Engine.Types.no_pass;
   }
@@ -162,7 +162,6 @@ let heuristic_fallback (setup : Engine.Setup.t) : Engine.Types.result =
    entry. Returns the run and whether the backend trapped. *)
 let run_backend ?(trace = Obs.Trace.null) ?(metrics = Obs.Metrics.null) config ~name
     ~budget_ns (rc : Engine.Region_ctx.t) bname =
-  let setup = rc.Engine.Region_ctx.setup in
   let backend = Engine.Registry.find_exn bname in
   let caps = Engine.Backend.caps backend in
   let budget =
@@ -200,17 +199,17 @@ let run_backend ?(trace = Obs.Trace.null) ?(metrics = Obs.Metrics.null) config ~
   let result, trapped =
     match Engine.Two_pass.run backend ctx rc with
     | r -> (r, false)
-    | exception _ -> (heuristic_fallback setup, true)
+    | exception _ -> (heuristic_fallback rc, true)
   in
   (* Last line of defence: whatever the backend went through above, the
      run emits a schedule that validates. *)
   let guarded_schedule, guard_fired =
     Sched.Schedule.guard result.Engine.Types.schedule ~latency_aware:true
-      ~fallback:setup.Engine.Setup.amd_schedule
+      ~fallback:rc.Engine.Region_ctx.amd_schedule
   in
   let result =
     if guard_fired then
-      { result with Engine.Types.schedule = guarded_schedule; cost = setup.Engine.Setup.amd_cost }
+      { result with Engine.Types.schedule = guarded_schedule; cost = rc.Engine.Region_ctx.amd_cost }
     else result
   in
   let pass1 = result.Engine.Types.pass1 and pass2 = result.Engine.Types.pass2 in
@@ -218,8 +217,7 @@ let run_backend ?(trace = Obs.Trace.null) ?(metrics = Obs.Metrics.null) config ~
   let degradation =
     Robust.classify
       ~fell_back:(trapped || guard_fired)
-      ~aborted_faults:(pass1.Engine.Types.aborted_faults || pass2.Engine.Types.aborted_faults)
-      ~aborted_budget:(pass1.Engine.Types.aborted_budget || pass2.Engine.Types.aborted_budget)
+      ~stop:(max pass1.Engine.Types.stop pass2.Engine.Types.stop)
       ~retries
   in
   let time_of (stats : Engine.Types.pass_stats) =
@@ -266,8 +264,7 @@ let run_region ?(trace = Obs.Trace.null) ?(metrics = Obs.Metrics.null)
     | Some rc -> rc
     | None -> Engine.Region_ctx.of_region config.occ region
   in
-  let setup = rc.Engine.Region_ctx.setup in
-  let graph = setup.Engine.Setup.graph in
+  let graph = rc.Engine.Region_ctx.graph in
   let n = graph.Ddg.Graph.n in
   let budget_ns =
     match budget_ns with Some b -> b | None -> Robust.budget_for config.robust ~n
@@ -309,7 +306,7 @@ let run_region ?(trace = Obs.Trace.null) ?(metrics = Obs.Metrics.null)
         ("backend", Obs.Log.Str product.backend);
         ("rung", Obs.Log.Str (Robust.degradation_label product.run_degradation));
         ("length", Obs.Log.Int product.result.Engine.Types.cost.Sched.Cost.length);
-        ("length_lb", Obs.Log.Int setup.Engine.Setup.length_lb);
+        ("length_lb", Obs.Log.Int rc.Engine.Region_ctx.length_lb);
       ]
   end;
   Robust.observe ~log trace metrics ~region:name product.run_degradation;
@@ -325,7 +322,7 @@ let run_region ?(trace = Obs.Trace.null) ?(metrics = Obs.Metrics.null)
              lower bounds — or the Tables 3.a/3.b comparison is not
              apples-to-apples. The context hand-off makes this structural;
              the assert keeps it that way. *)
-          assert (run.result.Engine.Types.heuristic_cost = setup.Engine.Setup.amd_cost);
+          assert (run.result.Engine.Types.heuristic_cost = rc.Engine.Region_ctx.amd_cost);
           runs @ [ run ]
       | _, true -> runs
       | exception _ -> runs
@@ -339,13 +336,13 @@ let run_region ?(trace = Obs.Trace.null) ?(metrics = Obs.Metrics.null)
     region_name = name;
     n = Ir.Region.size region;
     size_category = Engine.Params.size_category (Ir.Region.size region);
-    length_lb = setup.Engine.Setup.length_lb;
-    heuristic_cost = setup.Engine.Setup.amd_cost;
-    heuristic_order = Sched.Schedule.order setup.Engine.Setup.amd_schedule;
+    length_lb = rc.Engine.Region_ctx.length_lb;
+    heuristic_cost = rc.Engine.Region_ctx.amd_cost;
+    heuristic_order = Sched.Schedule.order rc.Engine.Region_ctx.amd_schedule;
     cp_cost = rc.Engine.Region_ctx.cp_cost;
     pass1_invoked = presult.Engine.Types.pass1.Engine.Types.invoked;
     pass2_invoked = presult.Engine.Types.pass2.Engine.Types.invoked;
-    pass2_gap = setup.Engine.Setup.amd_cost.Sched.Cost.length - setup.Engine.Setup.length_lb;
+    pass2_gap = rc.Engine.Region_ctx.amd_cost.Sched.Cost.length - rc.Engine.Region_ctx.length_lb;
     aco_cost = presult.Engine.Types.cost;
     aco_order = Sched.Schedule.order presult.Engine.Types.schedule;
     pass1_only_cost = pass2_initial_cost;

@@ -136,10 +136,6 @@ val seq_pass2_time_ns : region_report -> float
 val par_pass1_time_ns : region_report -> float
 val par_pass2_time_ns : region_report -> float
 
-val heuristic_fallback : Engine.Setup.t -> Engine.Types.result
-(** The AMD heuristic schedule dressed up as an ACO result — what a
-    backend that trapped is replaced by. *)
-
 val run_region :
   ?trace:Obs.Trace.t ->
   ?metrics:Obs.Metrics.t ->

@@ -70,6 +70,11 @@ let faults b (f : Engine.Types.fault_counts) =
   sep b;
   int b f.Engine.Types.mem_faults
 
+(* [stop] is spelled as the three flags it replaced — lower bound, budget,
+   faults — each at the old flag's position, so every digest taken before
+   the flags were folded (the goldens, persisted serve memos) still
+   matches. Patience vs Max_iterations needs no character: the digested
+   iteration count against the configured cap tells them apart. *)
 let pass b (p : Engine.Types.pass_stats) =
   bool b p.Engine.Types.invoked;
   int b p.Engine.Types.iterations;
@@ -77,7 +82,7 @@ let pass b (p : Engine.Types.pass_stats) =
   int b p.Engine.Types.work;
   fl b p.Engine.Types.time_ns;
   bool b p.Engine.Types.improved;
-  bool b p.Engine.Types.hit_lower_bound;
+  bool b (p.Engine.Types.stop = Engine.Types.Lower_bound);
   int b p.Engine.Types.serialized_ops;
   int b p.Engine.Types.single_path_ops;
   int b p.Engine.Types.lockstep_steps;
@@ -86,8 +91,8 @@ let pass b (p : Engine.Types.pass_stats) =
   ints b p.Engine.Types.best_costs;
   fl b p.Engine.Types.minor_words;
   int b p.Engine.Types.retries;
-  bool b p.Engine.Types.aborted_budget;
-  bool b p.Engine.Types.aborted_faults;
+  bool b (p.Engine.Types.stop = Engine.Types.Budget);
+  bool b (p.Engine.Types.stop = Engine.Types.Faults);
   int b p.Engine.Types.scored_candidates;
   int b p.Engine.Types.pruned_candidates;
   faults b p.Engine.Types.fault_counts

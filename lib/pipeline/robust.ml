@@ -48,10 +48,12 @@ let severity = function
 (* Classification priority (most severe wins): the driver replaced the
    ACO product with the heuristic schedule, or a pass exhausted its
    retries > a pass ran out of compile budget > faulted iterations were
-   retried but the region recovered > nothing happened. *)
-let classify ~fell_back ~aborted_faults ~aborted_budget ~retries =
-  if fell_back || aborted_faults then Faulted_fallback
-  else if aborted_budget then Budget_exceeded
+   retried but the region recovered > nothing happened. A pass that met
+   its bound as its budget ran out stopped with [Budget] (stop reasons
+   rank by precedence), so it lands on the budget rung. *)
+let classify ~fell_back ~stop ~retries =
+  if fell_back || stop = Engine.Types.Faults then Faulted_fallback
+  else if stop = Engine.Types.Budget then Budget_exceeded
   else if retries > 0 then Retried retries
   else Clean
 

@@ -62,9 +62,13 @@ val severity : degradation -> int
     4 (shedding skips ACO entirely, the deepest planned degradation). *)
 
 val classify :
-  fell_back:bool -> aborted_faults:bool -> aborted_budget:bool -> retries:int -> degradation
-(** Fold a region's raw robustness signals into its ledger entry, most
-    severe signal first. *)
+  fell_back:bool -> stop:Engine.Types.stop_reason -> retries:int -> degradation
+(** Fold a run's robustness signals into its ledger entry, most severe
+    first: [fell_back] (the driver trapped or the guard fired) and a
+    [Faults] stop are [Faulted_fallback], a [Budget] stop is
+    [Budget_exceeded], and otherwise [retries > 0] is [Retried]. [stop]
+    is the most severe stop of the run's passes — [max] of their
+    reasons, which are declared in ascending precedence. *)
 
 val observe :
   ?log:Obs.Log.t -> Obs.Trace.t -> Obs.Metrics.t -> region:string -> degradation -> unit

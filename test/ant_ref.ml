@@ -333,12 +333,15 @@ let colony_run_pass (type a) ~params ~rng ~ants ~pheromone ~mode
     {
       Engine.Types.no_pass with
       Engine.Types.invoked = true;
+      stop =
+        (if budget_work < max_int && !work >= budget_work then Engine.Types.Budget
+         else if !best_cost <= lb_cost then Engine.Types.Lower_bound
+         else if !iterations >= params.max_iterations then Engine.Types.Max_iterations
+         else Engine.Types.Patience);
       iterations = !iterations;
       ants_simulated = !ants_total;
       work = !work;
       improved = !improved;
-      hit_lower_bound = !best_cost <= lb_cost;
-      aborted_budget = budget_work < max_int && !work >= budget_work;
       best_costs;
       minor_words = minor_delta;
     } )

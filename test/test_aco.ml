@@ -159,12 +159,12 @@ let prop_seq_aco_never_worse_rp =
       <= 0)
 
 let prop_seq_aco_lb_respected =
-  QCheck.Test.make ~name:"final length >= LB; hit_lower_bound consistent" ~count:25
+  QCheck.Test.make ~name:"final length >= LB; bound stop exact" ~count:25
     (Tu.arb_graph ~max_size:25 ()) (fun g ->
       let lb = Ddg.Lower_bounds.schedule_length g in
       let r = Aco.Seq_aco.run ~params:Tu.test_params ~seed:5 Tu.occ g in
       r.Engine.Types.cost.Sched.Cost.length >= lb
-      && ((not r.Engine.Types.pass2.Engine.Types.hit_lower_bound)
+      && (r.Engine.Types.pass2.Engine.Types.stop <> Engine.Types.Lower_bound
          || r.Engine.Types.cost.Sched.Cost.length = lb))
 
 let test_seq_aco_deterministic () =
@@ -191,17 +191,20 @@ let test_seq_aco_improves_sort () =
 
 let test_setup_invariants () =
   let g = Ddg.Graph.build (Tu.random_region 123) in
-  let s = Engine.Setup.prepare Tu.occ g in
+  let s = Engine.Region_ctx.of_graph Tu.occ g in
   Alcotest.(check bool) "initial RP no worse than AMD's" true
-    (Sched.Cost.compare_rp s.Engine.Setup.pass1_initial_rp
-       s.Engine.Setup.amd_cost.Sched.Cost.rp
+    (Sched.Cost.compare_rp s.Engine.Region_ctx.pass1_initial_rp
+       s.Engine.Region_ctx.amd_cost.Sched.Cost.rp
     <= 0);
   Alcotest.(check bool) "LB below initial" true
-    (Sched.Cost.compare_rp s.Engine.Setup.rp_lb s.Engine.Setup.pass1_initial_rp <= 0);
-  let padded = Engine.Setup.pass2_initial s ~best_pass1_order:s.Engine.Setup.pass1_initial_order in
+    (Sched.Cost.compare_rp s.Engine.Region_ctx.rp_lb s.Engine.Region_ctx.pass1_initial_rp <= 0);
+  let padded =
+    Engine.Region_ctx.pass2_initial s ~best_pass1_order:s.Engine.Region_ctx.pass1_initial_order
+      ~rp_target:s.Engine.Region_ctx.pass1_initial_rp
+  in
   Alcotest.(check bool) "padded initial valid" true (Tu.check_valid ~latency_aware:true padded);
   Alcotest.(check bool) "length LB holds" true
-    (Sched.Schedule.length padded >= s.Engine.Setup.length_lb)
+    (Sched.Schedule.length padded >= s.Engine.Region_ctx.length_lb)
 
 let prop_aco_within_exact_bounds =
   QCheck.Test.make ~name:"ACO length between exact optimum and the CP schedule" ~count:20

@@ -103,7 +103,8 @@ module Counting_backend = struct
     invalid_arg "counting backend has no RP pass"
 
   let run_schedule_pass () (req : Engine.Backend.schedule_request) =
-    (req.Engine.Backend.s_initial, { Engine.Types.no_pass with Engine.Types.invoked = true })
+    ( req.Engine.Backend.s_initial,
+      { Engine.Types.no_pass with Engine.Types.invoked = true; stop = Engine.Types.Patience } )
 
   let teardown () = ()
 end
@@ -208,6 +209,102 @@ let race_picks_best =
         r.Pipeline.Compile.runs;
       true)
 
+(* --- engine runs --------------------------------------------------------- *)
+
+(* Every budget, watchdog and fault setting reaches a backend the way the
+   pipeline hands it one: a context for [Engine.Two_pass.run]. The CPU
+   colony ignores [ext]; the GPU model reads its configuration there and
+   defaults to no watchdog and 2 retries. *)
+let ctx ext ~seed budget = { Engine.Backend.null_ctx with Engine.Backend.params; seed; budget; ext }
+
+let on_gpu = [ Gpusim.Par_aco.Gpu_config gpu ]
+
+let watched ~iteration_deadline_ns ~max_retries config =
+  [
+    Gpusim.Par_aco.Gpu_config config;
+    Gpusim.Par_aco.Watchdog { iteration_deadline_ns; max_retries };
+  ]
+
+let work_budget w = if w = max_int then Engine.Types.Unlimited else Engine.Types.Work w
+let ns_budget ns = if ns = infinity then Engine.Types.Unlimited else Engine.Types.Time_ns ns
+
+let stop_label = function
+  | Engine.Types.Skipped -> "skipped"
+  | Engine.Types.Patience -> "patience"
+  | Engine.Types.Max_iterations -> "max-iterations"
+  | Engine.Types.Lower_bound -> "lower-bound"
+  | Engine.Types.Budget -> "budget"
+  | Engine.Types.Faults -> "faults"
+
+let stop = Alcotest.testable (fun ppf s -> Format.pp_print_string ppf (stop_label s)) ( = )
+
+(* --- stop reasons ---------------------------------------------------------- *)
+
+(* Every reason a pass loop reports, reached on purpose by seq and par
+   through the engine, with the ledger rung it yields. The golden
+   compiles only ever stop passes as skipped, on patience or on budget.
+   Every case also holds [invoked = (stop <> Skipped)] on both passes. *)
+let stop_cases () =
+  let bound = Engine.Region_ctx.of_region Tu.occ (Tu.bound_region ()) in
+  (* 64 instructions: patience is 2, so a 1-iteration cap binds first *)
+  let large =
+    Engine.Region_ctx.of_region Tu.occ
+      (Workload.Shapes.transform (Support.Rng.create 3) ~unroll:10 ~chain:4)
+  in
+  (* both passes gated off: the initial schedule sits on both bounds *)
+  let gated = Engine.Region_ctx.of_region Tu.occ (Tu.random_region ~max_size:12 0) in
+  let capped ext =
+    {
+      (ctx ext ~seed:1 Engine.Types.Unlimited) with
+      Engine.Backend.params = { params with Engine.Params.max_iterations = 1 };
+    }
+  in
+  (* Most lanes die at this rate, and a dropped reduction or a lost
+     winner fails the iteration; under fault seed 3 the first pass-2
+     iteration fails, and no retry is allowed. *)
+  let no_retry =
+    watched ~iteration_deadline_ns:infinity ~max_retries:0
+      (Gpusim.Config.with_faults ~seed:3 gpu (Gpusim.Config.uniform_faults 0.9))
+  in
+  let seq = Aco.Seq_aco.backend and par = Gpusim.Par_aco.backend in
+  let open Engine.Types in
+  let u = Unlimited and clean = Pipeline.Robust.Clean in
+  let over = Pipeline.Robust.Budget_exceeded and fallback = Pipeline.Robust.Faulted_fallback in
+  [
+    ("seq bound", seq, ctx [] ~seed:1 u, bound, Lower_bound, clean);
+    ("par bound", par, ctx on_gpu ~seed:12 u, bound, Lower_bound, clean);
+    ("seq patience", seq, ctx [] ~seed:2 u, bound, Patience, clean);
+    ("par patience", par, ctx on_gpu ~seed:1 u, bound, Patience, clean);
+    ("seq cap", seq, capped [], large, Max_iterations, clean);
+    ("par cap", par, capped on_gpu, large, Max_iterations, clean);
+    ("seq budget", seq, ctx [] ~seed:1 (Work 0), large, Budget, over);
+    ("par budget", par, ctx on_gpu ~seed:1 (Time_ns 1.0), large, Budget, over);
+    ("par faults", par, ctx no_retry ~seed:1 u, large, Faults, fallback);
+    (* the failed iteration also overran the budget: faults outrank it *)
+    ("par faults over budget", par, ctx no_retry ~seed:1 (Time_ns 1.0), large, Faults, fallback);
+    ("seq skipped", seq, ctx [] ~seed:1 u, gated, Skipped, clean);
+    ("par skipped", par, ctx on_gpu ~seed:1 u, gated, Skipped, clean);
+  ]
+
+let test_stop_reasons () =
+  List.iter
+    (fun (name, backend, ctx, rc, expected, expected_rung) ->
+      let r = Engine.Two_pass.run backend ctx rc in
+      let p1 = r.Engine.Types.pass1 and p2 = r.Engine.Types.pass2 in
+      List.iter
+        (fun (p : Engine.Types.pass_stats) ->
+          Alcotest.(check bool)
+            (name ^ ": invoked iff not skipped")
+            (p.Engine.Types.stop <> Engine.Types.Skipped)
+            p.Engine.Types.invoked)
+        [ p1; p2 ];
+      let decisive = max p1.Engine.Types.stop p2.Engine.Types.stop in
+      Alcotest.check stop (name ^ ": stop reason") expected decisive;
+      Alcotest.check Tu.rung (name ^ ": ledger rung") expected_rung
+        (Pipeline.Robust.classify ~fell_back:false ~stop:decisive
+           ~retries:(p1.Engine.Types.retries + p2.Engine.Types.retries)))
+    (stop_cases ())
+
 (* --- byte-identity differentials ----------------------------------------- *)
 
 (* Warm up both code paths once so one-time lazy allocations (library
@@ -215,55 +312,43 @@ let race_picks_best =
    measured minor-words window. *)
 let warmup =
   lazy
-    (let graph = Ddg.Graph.build (Tu.diamond_region ()) in
-     let setup = Engine.Setup.prepare Tu.occ graph in
-     ignore (Ref.Seq_ref.run_from_setup ~params setup);
-     ignore (Aco.Seq_aco.run_from_setup ~params setup);
-     ignore (Ref.Par_ref.run_from_setup ~params gpu setup);
-     ignore (Gpusim.Par_aco.run_from_setup ~params gpu setup))
+    (let rc = Engine.Region_ctx.of_region Tu.occ (Tu.diamond_region ()) in
+     ignore (Ref.Seq_ref.run_from_setup ~params rc);
+     ignore (Engine.Two_pass.run Aco.Seq_aco.backend (ctx [] ~seed:1 Engine.Types.Unlimited) rc);
+     ignore (Ref.Par_ref.run_from_setup ~params gpu rc);
+     ignore
+       (Engine.Two_pass.run Gpusim.Par_aco.backend (ctx on_gpu ~seed:1 Engine.Types.Unlimited) rc))
 
-let check_seq_stats label (g : Ref.Seq_ref.pass_stats) (e : Engine.Types.pass_stats) =
-  let gt =
-    ( ( g.Ref.Seq_ref.invoked,
-        g.Ref.Seq_ref.iterations,
-        g.Ref.Seq_ref.ants_simulated,
-        g.Ref.Seq_ref.work,
-        g.Ref.Seq_ref.improved ),
-      ( g.Ref.Seq_ref.hit_lower_bound,
-        g.Ref.Seq_ref.aborted_budget,
-        Array.to_list g.Ref.Seq_ref.best_costs,
-        g.Ref.Seq_ref.minor_words ) )
+let check_seq_stats label (g : Engine.Types.pass_stats) (e : Engine.Types.pass_stats) =
+  let key (s : Engine.Types.pass_stats) =
+    ( (s.invoked, s.iterations, s.ants_simulated, s.work, s.improved),
+      (s.stop, Array.to_list s.best_costs, s.minor_words) )
   in
-  let et =
-    ( ( e.Engine.Types.invoked,
-        e.Engine.Types.iterations,
-        e.Engine.Types.ants_simulated,
-        e.Engine.Types.work,
-        e.Engine.Types.improved ),
-      ( e.Engine.Types.hit_lower_bound,
-        e.Engine.Types.aborted_budget,
-        Array.to_list e.Engine.Types.best_costs,
-        e.Engine.Types.minor_words ) )
+  let show (s : Engine.Types.pass_stats) =
+    Printf.sprintf "it=%d ants=%d work=%d imp=%b stop=%s mw=%.0f bc=%d" s.iterations
+      s.ants_simulated s.work s.improved (stop_label s.stop) s.minor_words
+      (Array.length s.best_costs)
   in
-  if gt <> et then
-    Alcotest.failf
-      "%s: pass stats diverged from the frozen driver (golden: it=%d ants=%d work=%d imp=%b \
-       hit=%b ab=%b mw=%.0f bc=%d | engine: it=%d ants=%d work=%d imp=%b hit=%b ab=%b mw=%.0f \
-       bc=%d)"
-      label g.Ref.Seq_ref.iterations g.Ref.Seq_ref.ants_simulated g.Ref.Seq_ref.work
-      g.Ref.Seq_ref.improved g.Ref.Seq_ref.hit_lower_bound g.Ref.Seq_ref.aborted_budget
-      g.Ref.Seq_ref.minor_words
-      (Array.length g.Ref.Seq_ref.best_costs)
-      e.Engine.Types.iterations e.Engine.Types.ants_simulated e.Engine.Types.work
-      e.Engine.Types.improved e.Engine.Types.hit_lower_bound e.Engine.Types.aborted_budget
-      e.Engine.Types.minor_words
-      (Array.length e.Engine.Types.best_costs);
+  if key g <> key e then
+    Alcotest.failf "%s: pass stats diverged from the frozen driver (golden: %s | engine: %s)"
+      label (show g) (show e);
   (* fields the sequential colony never touches stay at their defaults *)
   if
     e.Engine.Types.time_ns <> 0.0 || e.Engine.Types.retries <> 0
-    || e.Engine.Types.aborted_faults
     || e.Engine.Types.fault_counts <> Engine.Types.fault_counts_zero
   then Alcotest.failf "%s: sequential pass carries parallel-only stats" label
+
+(* The frozen GPU-model driver still reports the three flags the engine
+   folded into one stop reason: rank them by the same precedence. Its
+   iteration count, compared alongside, tells patience from the cap. *)
+let stop_of_ref_flags (g : Ref.Par_ref.pass_stats) =
+  if not g.Ref.Par_ref.invoked then Engine.Types.Skipped
+  else if g.Ref.Par_ref.aborted_faults then Engine.Types.Faults
+  else if g.Ref.Par_ref.aborted_budget then Engine.Types.Budget
+  else if g.Ref.Par_ref.hit_lower_bound then Engine.Types.Lower_bound
+  else if g.Ref.Par_ref.iterations >= params.Engine.Params.max_iterations then
+    Engine.Types.Max_iterations
+  else Engine.Types.Patience
 
 let check_par_stats label (g : Ref.Par_ref.pass_stats) (e : Engine.Types.pass_stats) =
   let gt =
@@ -273,7 +358,7 @@ let check_par_stats label (g : Ref.Par_ref.pass_stats) (e : Engine.Types.pass_st
         g.Ref.Par_ref.work,
         g.Ref.Par_ref.time_ns,
         g.Ref.Par_ref.improved ),
-      ( g.Ref.Par_ref.hit_lower_bound,
+      ( stop_of_ref_flags g,
         g.Ref.Par_ref.serialized_ops,
         g.Ref.Par_ref.single_path_ops,
         g.Ref.Par_ref.lockstep_steps,
@@ -282,8 +367,6 @@ let check_par_stats label (g : Ref.Par_ref.pass_stats) (e : Engine.Types.pass_st
       ( Array.to_list g.Ref.Par_ref.best_costs,
         g.Ref.Par_ref.minor_words,
         g.Ref.Par_ref.retries,
-        g.Ref.Par_ref.aborted_budget,
-        g.Ref.Par_ref.aborted_faults,
         g.Ref.Par_ref.fault_counts ) )
   in
   let et =
@@ -293,7 +376,7 @@ let check_par_stats label (g : Ref.Par_ref.pass_stats) (e : Engine.Types.pass_st
         e.Engine.Types.work,
         e.Engine.Types.time_ns,
         e.Engine.Types.improved ),
-      ( e.Engine.Types.hit_lower_bound,
+      ( e.Engine.Types.stop,
         e.Engine.Types.serialized_ops,
         e.Engine.Types.single_path_ops,
         e.Engine.Types.lockstep_steps,
@@ -302,8 +385,6 @@ let check_par_stats label (g : Ref.Par_ref.pass_stats) (e : Engine.Types.pass_st
       ( Array.to_list e.Engine.Types.best_costs,
         e.Engine.Types.minor_words,
         e.Engine.Types.retries,
-        e.Engine.Types.aborted_budget,
-        e.Engine.Types.aborted_faults,
         e.Engine.Types.fault_counts ) )
   in
   if gt <> et then Alcotest.failf "%s: pass stats diverged from the frozen driver" label
@@ -314,27 +395,28 @@ let seq_differential =
     (QCheck.pair (Tu.arb_region ~max_size:40 ()) QCheck.small_int)
     (fun (region, seed) ->
       Lazy.force warmup;
-      let graph = Ddg.Graph.build region in
-      let setup = Engine.Setup.prepare Tu.occ graph in
+      let rc = Engine.Region_ctx.of_region Tu.occ region in
       List.iter
         (fun budget_work ->
           let label = Printf.sprintf "seq seed=%d budget=%d" seed budget_work in
-          let g = Ref.Seq_ref.run_from_setup ~params ~seed ~budget_work setup in
-          let e = Aco.Seq_aco.run_from_setup ~params ~seed ~budget_work setup in
+          let g = Ref.Seq_ref.run_from_setup ~params ~seed ~budget_work rc in
+          let e =
+            Engine.Two_pass.run Aco.Seq_aco.backend (ctx [] ~seed (work_budget budget_work)) rc
+          in
           if
-            Sched.Schedule.order g.Ref.Seq_ref.schedule
+            Sched.Schedule.order g.Engine.Types.schedule
             <> Sched.Schedule.order e.Engine.Types.schedule
           then Alcotest.failf "%s: schedules diverged" label;
-          if g.Ref.Seq_ref.cost <> e.Engine.Types.cost then
+          if g.Engine.Types.cost <> e.Engine.Types.cost then
             Alcotest.failf "%s: costs diverged" label;
-          if g.Ref.Seq_ref.rp_target <> e.Engine.Types.rp_target then
+          if g.Engine.Types.rp_target <> e.Engine.Types.rp_target then
             Alcotest.failf "%s: RP targets diverged" label;
           if
-            Sched.Schedule.order g.Ref.Seq_ref.pass2_initial
+            Sched.Schedule.order g.Engine.Types.pass2_initial
             <> Sched.Schedule.order e.Engine.Types.pass2_initial
           then Alcotest.failf "%s: pass-2 seeds diverged" label;
-          check_seq_stats (label ^ " pass1") g.Ref.Seq_ref.pass1 e.Engine.Types.pass1;
-          check_seq_stats (label ^ " pass2") g.Ref.Seq_ref.pass2 e.Engine.Types.pass2)
+          check_seq_stats (label ^ " pass1") g.Engine.Types.pass1 e.Engine.Types.pass1;
+          check_seq_stats (label ^ " pass2") g.Engine.Types.pass2 e.Engine.Types.pass2)
         [ max_int; 40_000; 500 ];
       true)
 
@@ -344,8 +426,7 @@ let par_differential =
     (QCheck.pair (Tu.arb_region ~max_size:40 ()) QCheck.small_int)
     (fun (region, seed) ->
       Lazy.force warmup;
-      let graph = Ddg.Graph.build region in
-      let setup = Engine.Setup.prepare Tu.occ graph in
+      let rc = Engine.Region_ctx.of_region Tu.occ region in
       List.iter
         (fun (fault_rate, budget_ns, iteration_deadline_ns, max_retries) ->
           let label =
@@ -359,11 +440,14 @@ let par_differential =
           in
           let g =
             Ref.Par_ref.run_from_setup ~params ~seed ~budget_ns ~iteration_deadline_ns
-              ~max_retries config setup
+              ~max_retries config rc
           in
           let e =
-            Gpusim.Par_aco.run_from_setup ~params ~seed ~budget_ns ~iteration_deadline_ns
-              ~max_retries config setup
+            Engine.Two_pass.run Gpusim.Par_aco.backend
+              (ctx
+                 (watched ~iteration_deadline_ns ~max_retries config)
+                 ~seed (ns_budget budget_ns))
+              rc
           in
           if
             Sched.Schedule.order g.Ref.Par_ref.schedule
@@ -396,5 +480,6 @@ let suite =
     ("run_suite prepares each backend once per region", `Quick, test_prepare_once);
     ("weighted backend ships a valid product", `Quick, test_weighted_product);
     ("auto dispatch follows the size threshold", `Quick, test_auto_dispatch);
+    ("every stop reason and its ledger rung", `Quick, test_stop_reasons);
   ]
   @ Tu.qtests [ race_picks_best; seq_differential; par_differential ]

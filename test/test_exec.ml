@@ -148,9 +148,9 @@ let test_ride_along_shares_context () =
       Alcotest.(check bool) "baseline heuristic cost comes from the shared context"
         true
         (run.Pipeline.Compile.result.Engine.Types.heuristic_cost
-        = rc.Engine.Region_ctx.setup.Engine.Setup.amd_cost));
+        = rc.Engine.Region_ctx.amd_cost));
   Alcotest.(check bool) "report heuristic cost comes from the shared context" true
-    (r.Pipeline.Compile.heuristic_cost = rc.Engine.Region_ctx.setup.Engine.Setup.amd_cost);
+    (r.Pipeline.Compile.heuristic_cost = rc.Engine.Region_ctx.amd_cost);
   Alcotest.(check bool) "CP sensitivity cost comes from the shared context" true
     (r.Pipeline.Compile.cp_cost = rc.Engine.Region_ctx.cp_cost)
 

@@ -64,8 +64,30 @@ let scrub (report : Pipeline.Compile.suite_report) =
 
 let digest report = Pipeline.Report_digest.digest (scrub report)
 
+(* [invoked] is kept beside [stop] for external readers; the two must
+   never disagree. *)
+let check_invoked name (report : Pipeline.Compile.suite_report) =
+  List.iter
+    (fun (k : Pipeline.Compile.kernel_report) ->
+      List.iter
+        (fun (r : Pipeline.Compile.region_report) ->
+          List.iter
+            (fun (run : Pipeline.Compile.backend_run) ->
+              let res = run.Pipeline.Compile.result in
+              List.iter
+                (fun (p : Engine.Types.pass_stats) ->
+                  if p.Engine.Types.invoked <> (p.Engine.Types.stop <> Engine.Types.Skipped) then
+                    Alcotest.failf "%s: %s/%s: invoked disagrees with the stop reason" name
+                      r.Pipeline.Compile.region_name run.Pipeline.Compile.backend)
+                [ res.Engine.Types.pass1; res.Engine.Types.pass2 ])
+            r.Pipeline.Compile.runs)
+        k.Pipeline.Compile.regions)
+    report.Pipeline.Compile.kernels
+
 let golden name expected report () =
-  Alcotest.(check string) (name ^ " behavioural digest") expected (digest (report ()))
+  let report = report () in
+  check_invoked name report;
+  Alcotest.(check string) (name ^ " behavioural digest") expected (digest report)
 
 let goldens =
   [

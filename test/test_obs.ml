@@ -409,8 +409,7 @@ let par_signature (p : Engine.Types.pass_stats) =
       p.Engine.Types.ant_steps,
       p.Engine.Types.selections,
       p.Engine.Types.retries ),
-    ( p.Engine.Types.aborted_budget,
-      p.Engine.Types.aborted_faults,
+    ( p.Engine.Types.stop,
       Engine.Types.fault_counts_total p.Engine.Types.fault_counts,
       Array.to_list p.Engine.Types.best_costs ) )
 

@@ -71,8 +71,7 @@ let stats_key (s : Engine.Types.pass_stats) =
     s.ants_simulated,
     s.work,
     s.improved,
-    s.hit_lower_bound,
-    s.aborted_budget,
+    s.stop,
     Array.to_list s.best_costs,
     s.minor_words )
 

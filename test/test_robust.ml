@@ -142,21 +142,61 @@ let test_iteration_deadline_degrades () =
 
 let test_classify_priority () =
   let c = Pipeline.Robust.classify in
-  Alcotest.(check bool) "clean" true
-    (c ~fell_back:false ~aborted_faults:false ~aborted_budget:false ~retries:0
-    = Pipeline.Robust.Clean);
-  Alcotest.(check bool) "retried" true
-    (c ~fell_back:false ~aborted_faults:false ~aborted_budget:false ~retries:2
-    = Pipeline.Robust.Retried 2);
-  Alcotest.(check bool) "budget beats retried" true
-    (c ~fell_back:false ~aborted_faults:false ~aborted_budget:true ~retries:2
-    = Pipeline.Robust.Budget_exceeded);
-  Alcotest.(check bool) "fallback beats budget" true
-    (c ~fell_back:true ~aborted_faults:false ~aborted_budget:true ~retries:2
-    = Pipeline.Robust.Faulted_fallback);
-  Alcotest.(check bool) "retry exhaustion is fallback" true
-    (c ~fell_back:false ~aborted_faults:true ~aborted_budget:false ~retries:2
-    = Pipeline.Robust.Faulted_fallback)
+  (* Stops that keep the ACO product: the rung follows the retries. *)
+  List.iter
+    (fun stop ->
+      Alcotest.check Tu.rung "clean" Pipeline.Robust.Clean (c ~fell_back:false ~stop ~retries:0);
+      Alcotest.check Tu.rung "retried" (Pipeline.Robust.Retried 2)
+        (c ~fell_back:false ~stop ~retries:2))
+    Engine.Types.[ Skipped; Patience; Max_iterations; Lower_bound ];
+  Alcotest.check Tu.rung "budget beats retried" Pipeline.Robust.Budget_exceeded
+    (c ~fell_back:false ~stop:Engine.Types.Budget ~retries:2);
+  Alcotest.check Tu.rung "fallback beats budget" Pipeline.Robust.Faulted_fallback
+    (c ~fell_back:true ~stop:Engine.Types.Budget ~retries:2);
+  Alcotest.check Tu.rung "retry exhaustion is fallback" Pipeline.Robust.Faulted_fallback
+    (c ~fell_back:false ~stop:Engine.Types.Faults ~retries:2);
+  (* A run's stop is the max of its passes', by declared precedence. *)
+  Alcotest.check Tu.rung "a budget stop in either pass beats a bound"
+    Pipeline.Robust.Budget_exceeded
+    (c ~fell_back:false ~stop:(max Engine.Types.Lower_bound Engine.Types.Budget) ~retries:0);
+  Alcotest.check Tu.rung "a faults stop beats a budget stop" Pipeline.Robust.Faulted_fallback
+    (c ~fell_back:false ~stop:(max Engine.Types.Faults Engine.Types.Budget) ~retries:0);
+  (* A pass that meets its bound in the iteration that spends its budget
+     stops with [Budget] and ranks as budget: one pass-2 iteration on
+     [Tu.bound_region] reaches the length bound and costs far more than
+     the budget. *)
+  let rc = Engine.Region_ctx.of_region Tu.occ (Tu.bound_region ()) in
+  List.iter
+    (fun (name, backend, seed, budget, ext) ->
+      let r =
+        Engine.Two_pass.run backend
+          {
+            Engine.Backend.null_ctx with
+            Engine.Backend.params = Tu.test_params;
+            seed;
+            budget;
+            ext;
+          }
+          rc
+      in
+      let pass2 = r.Engine.Types.pass2 in
+      Alcotest.(check int) (name ^ ": one iteration") 1 pass2.Engine.Types.iterations;
+      Alcotest.(check int)
+        (name ^ ": met its bound")
+        rc.Engine.Region_ctx.length_lb r.Engine.Types.cost.Sched.Cost.length;
+      Alcotest.(check bool)
+        (name ^ ": stops on its budget") true
+        (pass2.Engine.Types.stop = Engine.Types.Budget);
+      Alcotest.check Tu.rung (name ^ ": ranks as budget") Pipeline.Robust.Budget_exceeded
+        (c ~fell_back:false ~stop:pass2.Engine.Types.stop ~retries:0))
+    [
+      ("seq", Aco.Seq_aco.backend, 1, Engine.Types.Work 1, []);
+      ( "par",
+        Gpusim.Par_aco.backend,
+        12,
+        Engine.Types.Time_ns 1.0,
+        [ Gpusim.Par_aco.Gpu_config Tu.test_gpu ] );
+    ]
 
 let test_tally () =
   let t =
@@ -178,12 +218,16 @@ let test_tally () =
 
 (* --- sequential budget ---------------------------------------------------- *)
 
+let seq_run ~budget region =
+  Engine.Two_pass.run Aco.Seq_aco.backend
+    { Engine.Backend.null_ctx with Engine.Backend.params = Tu.test_params; seed = 5; budget }
+    (Engine.Region_ctx.of_region Tu.occ region)
+
 let test_seq_budget_abort () =
   let region = Workload.Shapes.transform (Support.Rng.create 3) ~unroll:10 ~chain:4 in
-  let setup = Engine.Setup.prepare Tu.occ (Ddg.Graph.build region) in
-  let r = Aco.Seq_aco.run_from_setup ~params:Tu.test_params ~seed:5 ~budget_work:0 setup in
+  let r = seq_run ~budget:(Engine.Types.Work 0) region in
   Alcotest.(check bool) "pass1 aborted on budget" true
-    (r.Engine.Types.pass1.Engine.Types.aborted_budget
+    (r.Engine.Types.pass1.Engine.Types.stop = Engine.Types.Budget
     || not r.Engine.Types.pass1.Engine.Types.invoked);
   Alcotest.(check int) "no search work spent" 0
     (r.Engine.Types.pass1.Engine.Types.work + r.Engine.Types.pass2.Engine.Types.work);
@@ -191,15 +235,14 @@ let test_seq_budget_abort () =
 
 let test_seq_unbudgeted_unchanged () =
   let region = Workload.Shapes.transform (Support.Rng.create 9) ~unroll:8 ~chain:3 in
-  let setup = Engine.Setup.prepare Tu.occ (Ddg.Graph.build region) in
-  let a = Aco.Seq_aco.run_from_setup ~params:Tu.test_params ~seed:5 setup in
-  let b = Aco.Seq_aco.run_from_setup ~params:Tu.test_params ~seed:5 ~budget_work:max_int setup in
+  let a = seq_run ~budget:Engine.Types.Unlimited region in
+  let b = seq_run ~budget:(Engine.Types.Work max_int) region in
   Alcotest.(check (array int)) "explicit infinite budget is a no-op"
     (Sched.Schedule.order a.Engine.Types.schedule)
     (Sched.Schedule.order b.Engine.Types.schedule);
   Alcotest.(check bool) "not flagged" false
-    (b.Engine.Types.pass1.Engine.Types.aborted_budget
-    || b.Engine.Types.pass2.Engine.Types.aborted_budget)
+    (b.Engine.Types.pass1.Engine.Types.stop = Engine.Types.Budget
+    || b.Engine.Types.pass2.Engine.Types.stop = Engine.Types.Budget)
 
 (* --- properties ----------------------------------------------------------- *)
 

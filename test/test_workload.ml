@@ -58,11 +58,14 @@ let test_gather_has_pass2_gap () =
      between their input schedule and the length lower bound. *)
   let region = Workload.Shapes.gather_compute (Support.Rng.create 9) ~lanes:10 ~chain:2 in
   let g = Ddg.Graph.build region in
-  let setup = Engine.Setup.prepare Tu.occ g in
-  let init = Engine.Setup.pass2_initial setup ~best_pass1_order:setup.Engine.Setup.pass1_initial_order in
+  let rc = Engine.Region_ctx.of_graph Tu.occ g in
+  let init =
+    Engine.Region_ctx.pass2_initial rc ~best_pass1_order:rc.Engine.Region_ctx.pass1_initial_order
+      ~rp_target:rc.Engine.Region_ctx.pass1_initial_rp
+  in
   Alcotest.(check bool) "region is small" true (Ir.Region.size region < 50);
   Alcotest.(check bool) "gap exceeds the tuned threshold" true
-    (Sched.Schedule.length init - setup.Engine.Setup.length_lb
+    (Sched.Schedule.length init - rc.Engine.Region_ctx.length_lb
     >= Pipeline.Filters.default.Pipeline.Filters.cycle_threshold)
 
 let test_stencil_is_pressure_trap () =

@@ -67,6 +67,12 @@ let random_region ?(max_size = 40) seed =
   (match !vpool with v :: _ -> Ir.Builder.mark_live_out b v | [] -> ());
   Ir.Builder.finish b
 
+(* 23 instructions whose pass 2 can meet its length lower bound in one
+   iteration: under [test_params] the seq colony does so from seed 1 and
+   the GPU model on [test_gpu] from seed 12; other seeds stop one cycle
+   short on patience. *)
+let bound_region () = random_region ~max_size:40 47
+
 let arb_region ?max_size () =
   QCheck.make
     ~print:(fun r -> Ir.Region.to_string r)
@@ -83,6 +89,12 @@ let check_valid ?(latency_aware = true) schedule =
   | Error v -> Alcotest.failf "invalid schedule: %s" (Sched.Schedule.violation_to_string v)
 
 let qtests cases = List.map QCheck_alcotest.to_alcotest cases
+
+(* Degradation-ledger rungs, printed by their label. *)
+let rung =
+  Alcotest.testable
+    (fun ppf d -> Format.pp_print_string ppf (Pipeline.Robust.degradation_label d))
+    ( = )
 
 (* Fast ACO parameters for tests. *)
 let test_params = { Engine.Params.default with Engine.Params.ants_per_iteration = 24; max_iterations = 8 }

@@ -1,149 +1,22 @@
-(* Frozen pre-engine reference drivers, copied verbatim from the last
-   revision in which Seq_aco and Par_aco carried their own two-pass
-   orchestration (only module paths are qualified for the test tree).
-   The engine differentials in Test_engine compare the refactored
-   backends against these goldens field by field -- schedules, RNG
-   streams, convergence series, fault tallies, minor-heap words -- so a
-   byte-level behaviour change in the engine shows up as a test failure,
-   not a silent drift. Do not modernize this file. *)
+(* Frozen pre-engine reference drivers (only module and field paths are
+   qualified for the test tree). The engine differentials in Test_engine
+   compare the refactored backends against these goldens field by field
+   -- schedules, RNG streams, convergence series, fault tallies,
+   minor-heap words -- so a byte-level behaviour change in the engine
+   shows up as a test failure, not a silent drift.
+
+   [Seq_ref] is the pre-engine two-pass orchestration over the frozen
+   CPU colony loop [Ant_ref.colony_run_pass]; [Par_ref] is the last
+   revision of the GPU-model driver that carried its own two-pass
+   orchestration, verbatim, and still reports the three stop flags the
+   engine folded into [Engine.Types.stop_reason]. Do not modernize this
+   file. *)
 
 module Seq_ref = struct
-  type pass_stats = {
-    invoked : bool;
-    iterations : int;
-    ants_simulated : int;
-    work : int;
-    improved : bool;
-    hit_lower_bound : bool;
-    aborted_budget : bool;
-    best_costs : int array;
-    minor_words : float;
-  }
-
-  let no_pass =
-    {
-      invoked = false;
-      iterations = 0;
-      ants_simulated = 0;
-      work = 0;
-      improved = false;
-      hit_lower_bound = false;
-      aborted_budget = false;
-      best_costs = [||];
-      minor_words = 0.0;
-    }
-
-  type result = {
-    schedule : Sched.Schedule.t;
-    cost : Sched.Cost.t;
-    heuristic_schedule : Sched.Schedule.t;
-    heuristic_cost : Sched.Cost.t;
-    rp_target : Sched.Cost.rp;
-    pass2_initial : Sched.Schedule.t;
-    pass1 : pass_stats;
-    pass2 : pass_stats;
-  }
-
-  (* One ACO pass: iterate ants until the lower bound is reached or
-     [termination] improvement-free iterations pass. Generic in the cost
-     (RP scalar in pass 1, length in pass 2) and in the artifact kept for
-     the best solution (order in pass 1, schedule in pass 2). *)
-  let run_pass (type a) ~params ~rng ~ants ~pheromone ~mode ~(cost_of_ant : Aco.Ant.t -> int)
-      ~(artifact_of_ant : Aco.Ant.t -> a) ~budget_work ~metrics ~pass_label ~initial_cost
-      ~(initial_order : int array) ~(initial_artifact : a) ~lb_cost ~termination =
-    let open Engine.Params in
-    Aco.Pheromone.reset pheromone ~initial:params.initial_pheromone;
-    (* The initial (heuristic) schedule is the global best at the start:
-       bias the table toward it. *)
-    Aco.Pheromone.deposit_path_scaled pheromone initial_order ~deposit:params.deposit ~cost:initial_cost;
-    (* Telemetry scratch sits before the minor-words snapshot so the
-       reported allocation stays byte-identical with metering off. *)
-    let metering = Obs.Metrics.enabled metrics in
-    let m_best = if metering then pass_label ^ ".best_cost" else "" in
-    let m_entropy = if metering then pass_label ^ ".pheromone_entropy" else "" in
-    (* Convergence series: entry 0 is the initial cost, entry [k] the best
-       cost after the [k]th iteration. *)
-    let bc_buf = Array.make (1 + params.max_iterations) initial_cost in
-    let bc_len = ref 1 in
-    let minor_before = Support.Perfcount.minor_words () in
-    let best_cost = ref initial_cost in
-    let best = ref initial_artifact in
-    let improved = ref false in
-    let iterations = ref 0 in
-    let no_improve = ref 0 in
-    let work = ref 0 in
-    let ants_total = ref 0 in
-    let n = Aco.Pheromone.size pheromone in
-    (* The compile budget is expressed in abstract work units — the same
-       currency {!Aco.Ant.work} charges — so the sequential driver stays free
-       of any wall-clock notion; the pipeline converts nanoseconds to work
-       via its CPU cost model. *)
-    while
-      !best_cost > lb_cost && !no_improve < termination && !iterations < params.max_iterations
-      && !work < budget_work
-    do
-      incr iterations;
-      let iter_best_cost = ref max_int in
-      let iter_best = ref None in
-      Array.iter
-        (fun ant ->
-          Aco.Ant.start ant ~rng:(Support.Rng.split rng) ~heuristic:params.heuristic
-            ~allow_optional_stalls:true mode;
-          Aco.Ant.run_to_completion ant ~pheromone;
-          ants_total := !ants_total + 1;
-          work := !work + Aco.Ant.work ant;
-          if Aco.Ant.status ant = Aco.Ant.Finished then begin
-            let c = cost_of_ant ant in
-            if c < !iter_best_cost then begin
-              iter_best_cost := c;
-              iter_best := Some (Aco.Ant.order ant, artifact_of_ant ant)
-            end
-          end)
-        ants;
-      (* Table upkeep: full decay plus the winner deposit. *)
-      work := !work + (((n + 1) * n) / 8) + n;
-      Aco.Pheromone.decay pheromone params.decay;
-      (match !iter_best with
-      | Some (order, art) ->
-          Aco.Pheromone.deposit_path_scaled pheromone order ~deposit:params.deposit
-            ~cost:!iter_best_cost;
-          if !iter_best_cost < !best_cost then begin
-            best_cost := !iter_best_cost;
-            best := art;
-            improved := true;
-            no_improve := 0
-          end
-          else incr no_improve
-      | None -> incr no_improve);
-      bc_buf.(!bc_len) <- !best_cost;
-      incr bc_len;
-      if metering then begin
-        Obs.Metrics.push metrics m_best (float_of_int !best_cost);
-        Obs.Metrics.push metrics m_entropy (Aco.Pheromone.row_entropy pheromone)
-      end
-    done;
-    (* [minor_delta] first: the series copy must stay outside the measured
-       window so the stat is byte-identical with metering off. *)
-    let minor_delta = Support.Perfcount.minor_words () -. minor_before in
-    let best_costs = Array.sub bc_buf 0 !bc_len in
-    ( !best,
-      !best_cost,
-      {
-        invoked = true;
-        iterations = !iterations;
-        ants_simulated = !ants_total;
-        work = !work;
-        improved = !improved;
-        hit_lower_bound = !best_cost <= lb_cost;
-        aborted_budget = budget_work < max_int && !work >= budget_work;
-        best_costs;
-        minor_words = minor_delta;
-      } )
-
   let run_from_setup ?(params = Engine.Params.default) ?(seed = 1) ?(budget_work = max_int)
-      ?(metrics = Obs.Metrics.null) ?(label = "") (setup : Engine.Setup.t) =
-    let graph = setup.Engine.Setup.graph in
-    let occ = setup.Engine.Setup.occ in
+      ?(metrics = Obs.Metrics.null) ?(label = "") (setup : Engine.Region_ctx.t) =
+    let graph = setup.Engine.Region_ctx.graph in
+    let occ = setup.Engine.Region_ctx.occ in
     let n = graph.Ddg.Graph.n in
     let rng = Support.Rng.create seed in
     (* One set of region analyses and one SoA arena back the whole colony. *)
@@ -160,50 +33,61 @@ module Seq_ref = struct
     in
     (* Pass 1: minimize RP, latencies ignored. *)
     let best_order, _, pass1 =
-      if setup.Engine.Setup.pass1_needed then
-        run_pass ~params ~rng ~ants ~pheromone ~mode:Aco.Ant.Rp_pass ~cost_of_ant:rp_scalar_of_ant
-          ~artifact_of_ant:Aco.Ant.order ~budget_work ~metrics ~pass_label:(label ^ "pass1")
-          ~initial_cost:(Sched.Cost.rp_scalar setup.Engine.Setup.pass1_initial_rp)
-          ~initial_order:setup.Engine.Setup.pass1_initial_order ~initial_artifact:setup.Engine.Setup.pass1_initial_order
-          ~lb_cost:(Sched.Cost.rp_scalar setup.Engine.Setup.rp_lb) ~termination
-      else (setup.Engine.Setup.pass1_initial_order, Sched.Cost.rp_scalar setup.Engine.Setup.pass1_initial_rp, no_pass)
+      if setup.Engine.Region_ctx.pass1_needed then
+        Ant_ref.colony_run_pass ~params ~rng ~ants ~pheromone ~mode:Aco.Ant.Rp_pass
+          ~cost_of_ant:rp_scalar_of_ant ~artifact_of_ant:Aco.Ant.order
+          ~allow_optional_stalls:true ~budget_work ~metrics ~pass_label:(label ^ "pass1")
+          ~initial_cost:(Sched.Cost.rp_scalar setup.Engine.Region_ctx.pass1_initial_rp)
+          ~initial_order:setup.Engine.Region_ctx.pass1_initial_order
+          ~initial_artifact:setup.Engine.Region_ctx.pass1_initial_order
+          ~lb_cost:(Sched.Cost.rp_scalar setup.Engine.Region_ctx.rp_lb) ~termination
+      else
+        ( setup.Engine.Region_ctx.pass1_initial_order,
+          Sched.Cost.rp_scalar setup.Engine.Region_ctx.pass1_initial_rp,
+          Engine.Types.no_pass )
     in
-    let rp_target = Engine.Setup.rp_of_order occ graph best_order in
-    let target_vgpr, target_sgpr = Engine.Setup.targets_of_rp rp_target in
+    let rp_target = Engine.Region_ctx.rp_of_order occ graph best_order in
+    let target_vgpr, target_sgpr =
+      (rp_target.Sched.Cost.aprp_vgpr, rp_target.Sched.Cost.aprp_sgpr)
+    in
     (* Pass 2: minimize length under the pass-1 RP target. *)
-    let initial_schedule = Engine.Setup.pass2_initial setup ~best_pass1_order:best_order in
+    let initial_schedule =
+      Engine.Region_ctx.pass2_initial setup ~best_pass1_order:best_order ~rp_target
+    in
     let initial_length = Sched.Schedule.length initial_schedule in
     (* Pass 2 inherits whatever budget pass 1 left unspent. *)
     let budget2_work =
-      if budget_work = max_int then max_int else max 0 (budget_work - pass1.work)
+      if budget_work = max_int then max_int else max 0 (budget_work - pass1.Engine.Types.work)
     in
     let schedule, _, pass2 =
-      if initial_length - setup.Engine.Setup.length_lb >= max 1 params.Engine.Params.pass2_cycle_threshold then
-        run_pass ~params ~rng ~ants ~pheromone
+      if
+        initial_length - setup.Engine.Region_ctx.length_lb
+        >= max 1 params.Engine.Params.pass2_cycle_threshold
+      then
+        Ant_ref.colony_run_pass ~params ~rng ~ants ~pheromone
           ~mode:(Aco.Ant.Ilp_pass { target_vgpr; target_sgpr })
-          ~cost_of_ant:Aco.Ant.length ~budget_work:budget2_work ~metrics
-          ~pass_label:(label ^ "pass2")
+          ~cost_of_ant:Aco.Ant.length ~allow_optional_stalls:true ~budget_work:budget2_work
+          ~metrics ~pass_label:(label ^ "pass2")
           ~artifact_of_ant:(fun ant ->
             match Aco.Ant.schedule ant with
             | Some s -> s
             | None -> invalid_arg "Seq_aco: finished ant produced invalid schedule")
           ~initial_cost:initial_length
           ~initial_order:(Sched.Schedule.order initial_schedule)
-          ~initial_artifact:initial_schedule ~lb_cost:setup.Engine.Setup.length_lb ~termination
-      else (initial_schedule, initial_length, no_pass)
+          ~initial_artifact:initial_schedule ~lb_cost:setup.Engine.Region_ctx.length_lb
+          ~termination
+      else (initial_schedule, initial_length, Engine.Types.no_pass)
     in
     {
-      schedule;
+      Engine.Types.schedule;
       cost = Sched.Cost.of_schedule occ schedule;
-      heuristic_schedule = setup.Engine.Setup.amd_schedule;
-      heuristic_cost = setup.Engine.Setup.amd_cost;
+      heuristic_schedule = setup.Engine.Region_ctx.amd_schedule;
+      heuristic_cost = setup.Engine.Region_ctx.amd_cost;
       rp_target;
       pass2_initial = initial_schedule;
       pass1;
       pass2;
     }
-
-  let run ?params ?seed occ graph = run_from_setup ?params ?seed (Engine.Setup.prepare occ graph)
 end
 
 module Par_ref = struct
@@ -576,9 +460,9 @@ module Par_ref = struct
   let run_from_setup ?(params = Engine.Params.default) ?(seed = 1) ?faults ?(budget_ns = infinity)
       ?(iteration_deadline_ns = infinity) ?(max_retries = 2) ?(trace = Obs.Trace.null)
       ?(metrics = Obs.Metrics.null) ?(label = "") (config : Gpusim.Config.t)
-      (setup : Engine.Setup.t) =
-    let graph = setup.Engine.Setup.graph in
-    let occ = setup.Engine.Setup.occ in
+      (setup : Engine.Region_ctx.t) =
+    let graph = setup.Engine.Region_ctx.graph in
+    let occ = setup.Engine.Region_ctx.occ in
     let n = graph.Ddg.Graph.n in
     let faults =
       match faults with
@@ -625,25 +509,25 @@ module Par_ref = struct
       Sched.Cost.rp_scalar (Sched.Cost.rp_of_peaks occ ~vgpr:v ~sgpr:s)
     in
     let best_order, _, pass1 =
-      if setup.Engine.Setup.pass1_needed then
+      if setup.Engine.Region_ctx.pass1_needed then
         run_pass ~params ~config ~rng ~wavefronts ~pheromone ~mode:Aco.Ant.Rp_pass
           ~cost_of_ant:rp_scalar_of_ant ~artifact_of_ant:Aco.Ant.order
           ~validate_artifact:(fun order -> Result.is_ok (Sched.Schedule.of_order graph order))
           ~faults ~budget_ns ~iteration_deadline_ns ~max_retries ~trace ~metrics
           ~pass_label:(label ^ "pass1") ~obs_cursor ~simd_cursor
-          ~initial_cost:(Sched.Cost.rp_scalar setup.Engine.Setup.pass1_initial_rp)
-          ~initial_order:setup.Engine.Setup.pass1_initial_order
-          ~initial_artifact:setup.Engine.Setup.pass1_initial_order
-          ~lb_cost:(Sched.Cost.rp_scalar setup.Engine.Setup.rp_lb)
+          ~initial_cost:(Sched.Cost.rp_scalar setup.Engine.Region_ctx.pass1_initial_rp)
+          ~initial_order:setup.Engine.Region_ctx.pass1_initial_order
+          ~initial_artifact:setup.Engine.Region_ctx.pass1_initial_order
+          ~lb_cost:(Sched.Cost.rp_scalar setup.Engine.Region_ctx.rp_lb)
           ~termination ~n ~ready_ub
       else
-        ( setup.Engine.Setup.pass1_initial_order,
-          Sched.Cost.rp_scalar setup.Engine.Setup.pass1_initial_rp,
+        ( setup.Engine.Region_ctx.pass1_initial_order,
+          Sched.Cost.rp_scalar setup.Engine.Region_ctx.pass1_initial_rp,
           no_pass )
     in
-    let rp_target = Engine.Setup.rp_of_order occ graph best_order in
-    let target_vgpr, target_sgpr = Engine.Setup.targets_of_rp rp_target in
-    let initial_schedule = Engine.Setup.pass2_initial setup ~best_pass1_order:best_order in
+    let rp_target = Engine.Region_ctx.rp_of_order occ graph best_order in
+    let target_vgpr, target_sgpr = (rp_target.Sched.Cost.aprp_vgpr, rp_target.Sched.Cost.aprp_sgpr) in
+    let initial_schedule = Engine.Region_ctx.pass2_initial setup ~best_pass1_order:best_order ~rp_target in
     let initial_length = Sched.Schedule.length initial_schedule in
     (* The region's compile budget spans both passes: pass 2 inherits
        whatever pass 1 left. *)
@@ -653,7 +537,7 @@ module Par_ref = struct
     in
     let schedule, _, pass2 =
       if
-        initial_length - setup.Engine.Setup.length_lb
+        initial_length - setup.Engine.Region_ctx.length_lb
         >= max 1 params.Engine.Params.pass2_cycle_threshold
       then
         run_pass ~params ~config ~rng ~wavefronts ~pheromone
@@ -668,15 +552,15 @@ module Par_ref = struct
           ~pass_label:(label ^ "pass2") ~obs_cursor ~simd_cursor
           ~initial_cost:initial_length
           ~initial_order:(Sched.Schedule.order initial_schedule)
-          ~initial_artifact:initial_schedule ~lb_cost:setup.Engine.Setup.length_lb ~termination ~n
+          ~initial_artifact:initial_schedule ~lb_cost:setup.Engine.Region_ctx.length_lb ~termination ~n
           ~ready_ub
       else (initial_schedule, initial_length, no_pass)
     in
     {
       schedule;
       cost = Sched.Cost.of_schedule occ schedule;
-      heuristic_schedule = setup.Engine.Setup.amd_schedule;
-      heuristic_cost = setup.Engine.Setup.amd_cost;
+      heuristic_schedule = setup.Engine.Region_ctx.amd_schedule;
+      heuristic_cost = setup.Engine.Region_ctx.amd_cost;
       rp_target;
       pass2_initial = initial_schedule;
       pass1;
@@ -684,7 +568,7 @@ module Par_ref = struct
     }
 
   let run ?params ?seed config occ graph =
-    run_from_setup ?params ?seed config (Engine.Setup.prepare occ graph)
+    run_from_setup ?params ?seed config (Engine.Region_ctx.of_graph occ graph)
 
   let total_time_ns r = r.pass1.time_ns +. r.pass2.time_ns
 

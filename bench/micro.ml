@@ -99,38 +99,75 @@ let measure () =
       })
     (List.sort compare names)
 
-(* Allocation budget of the construct-schedule inner loop. With the
-   unboxed data plane (scores, eta^beta tables and roulette state all
-   living in pooled [Support.Fmat] rows, accessed through the concrete
-   bigarray type so no float boxes even under [-opaque]) the loop
+(* Allocation budget of the construct-schedule inner loop, per pass and
+   per wavefront heuristic role (Section V-B: critical path,
+   Last-Use-Count, source order). With the unboxed data plane (scores
+   and roulette state in pooled [Support.Fmat] rows, eta^beta rows
+   shared by the colony, RP effects scanned by counted loops) the loop
    allocates only per-iteration bookkeeping — outcome record, finished
-   list, RNG splits — amortized over every ant step of the iteration:
-   ~1 minor word per step measured. The ceiling keeps generous headroom
-   over that so it trips on a real regression (a boxed float sneaking
-   back into the selection loop costs 3-4 words per step on its own),
-   not on noise. *)
+   list, the 5-word RNG split per lane — amortized over every ant step
+   of the iteration: under 1 minor word per step. Pass 2 runs at the targets
+   [Engine.Two_pass] would hand over from the pass-1 initial order, so
+   its candidates leave the fits fast path and LUC scores run the
+   effects scan. The ceiling applies to the worst row and keeps
+   generous headroom so it trips on a real regression (a boxed float or
+   a closure sneaking back into the selection loop costs several words
+   per step on its own), not on noise. *)
 let alloc_ceiling = 16.0
 
-let alloc_gate () =
+type alloc_row = {
+  ag_pass : int;  (** 1 (RP, latencies ignored) or 2 (ILP under the RP target) *)
+  ag_heuristic : Sched.Heuristic.kind;
+  ag_per_step : float;  (** minor words per ant step *)
+  ag_steps : int;
+  ag_words : float;
+}
+
+let alloc_row ~pass ~mode heuristic =
   let g = Lazy.force graph in
   let config = { Gpusim.Config.bench with Gpusim.Config.num_wavefronts = 1 } in
   let w =
-    Gpusim.Wavefront.create config g Engine.Params.default
-      ~heuristic:Sched.Heuristic.Critical_path ~allow_optional_stalls:true
+    Gpusim.Wavefront.create config g Engine.Params.default ~heuristic
+      ~allow_optional_stalls:true
   in
   let pheromone = Aco.Pheromone.create ~n:g.Ddg.Graph.n ~initial:1.0 in
   let rng = Support.Rng.create 4 in
   (* Warm-up iteration so one-time setup is not charged to the loop. *)
-  ignore (Gpusim.Wavefront.run_iteration w ~rng ~mode:Aco.Ant.Rp_pass ~pheromone);
+  ignore (Gpusim.Wavefront.run_iteration w ~rng ~mode ~pheromone);
   let steps = ref 0 in
   let before = Support.Perfcount.minor_words () in
   for _ = 1 to 20 do
-    let o = Gpusim.Wavefront.run_iteration w ~rng ~mode:Aco.Ant.Rp_pass ~pheromone in
+    let o = Gpusim.Wavefront.run_iteration w ~rng ~mode ~pheromone in
     steps := !steps + o.Gpusim.Wavefront.ant_steps
   done;
   let words = Support.Perfcount.minor_words () -. before in
   let per_step = if !steps = 0 then 0.0 else words /. float_of_int !steps in
-  (per_step, !steps, words)
+  {
+    ag_pass = pass;
+    ag_heuristic = heuristic;
+    ag_per_step = per_step;
+    ag_steps = !steps;
+    ag_words = words;
+  }
+
+(* Rows in pass order, heuristics in [Sched.Heuristic.all] order; the
+   first (pass 1, critical path) is the historical headline figure. *)
+let alloc_gate () =
+  let rc = Engine.Region_ctx.of_graph Machine.Occupancy.default (Lazy.force graph) in
+  let rp_target =
+    Engine.Region_ctx.rp_of_order rc.Engine.Region_ctx.occ rc.Engine.Region_ctx.graph
+      rc.Engine.Region_ctx.pass1_initial_order
+  in
+  let target_vgpr, target_sgpr = Sched.Objective.breach_targets Sched.Objective.Cliff rp_target in
+  List.concat_map
+    (fun (pass, mode) ->
+      List.map (fun h -> alloc_row ~pass ~mode h) Sched.Heuristic.all)
+    [ (1, Aco.Ant.Rp_pass); (2, Aco.Ant.Ilp_pass { target_vgpr; target_sgpr }) ]
+
+let alloc_worst rows =
+  List.fold_left
+    (fun acc r -> if r.ag_per_step > acc.ag_per_step then r else acc)
+    (List.hd rows) rows
 
 (* Cycles per scheduled instruction of the wavefront hot loop: the
    run_iteration batch timed on the monotonic clock and normalized per
@@ -268,7 +305,8 @@ let tight_row name graph seed ~mode =
      closure-less layout whose [min_lb] tables are zero. *)
   let closure = Ddg.Closure.compute graph in
   let shared =
-    Aco.Ant.prepare_shared ~layout:(Sched.Rp_tracker.layout_of_graph ~closure graph) graph
+    Aco.Ant.prepare_shared ~layout:(Sched.Rp_tracker.layout_of_graph ~closure graph)
+      ~beta:params.Engine.Params.beta graph
   in
   let runs = 64 in
   let run ~prune =

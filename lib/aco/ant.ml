@@ -12,37 +12,66 @@ type op =
 
 type event = { op : op; ready_scanned : int; succs_updated : int }
 
-(* Region-wide analyses shared by every ant of a colony: the critical
-   path, the interned register layout, and the transitive-closure bound
-   on the ready-list size (Section V-A: per-thread arrays are sized by
-   this bound, not by n). Computing these once per colony instead of
-   once per lane removes the dominant cost of wavefront construction. *)
+(* Region-wide state shared by every ant of a colony: the critical
+   path, the interned register layout, the transitive-closure bound on
+   the ready-list size (Section V-A: per-thread arrays are sized by this
+   bound, not by n), and eta^beta per instruction for the
+   construction-state-independent heuristics (critical path and source
+   order depend only on the region). Computing these once per colony
+   instead of once per lane removes the dominant cost of wavefront
+   construction; the eta^beta rows are plain float arrays, so the
+   selection loop reads them as raw unboxed loads. *)
 type shared = {
   s_graph : Ddg.Graph.t;
   s_cp : Ddg.Critpath.t;
   s_layout : Sched.Rp_tracker.layout;
   s_ready_ub : int;
+  s_beta : float;  (* the exponent the eta rows are raised to *)
+  s_eta_cp : float array;
+  s_eta_so : float array;
 }
 
-let prepare_shared ?cp ?layout ?ready_ub graph =
+let[@inline] pow_fast x e =
+  (* The defaults (alpha = 1, beta = 2) are on the hot path; [Float.pow]
+     costs more than the rest of the selection arithmetic combined.
+     Inlined so the result never crosses a call boundary — a non-inlined
+     float return is a minor-heap box per candidate in closure mode. *)
+  if e = 1.0 then x
+  else if e = 2.0 then x *. x
+  else if e = 0.0 then 1.0
+  else x ** e
+
+(* eta^beta of every instruction, computed once per colony; bit-identical
+   to raising each [Sched.Heuristic.eta] value at selection time. *)
+let eta_pow_row kind ~cp ~beta graph =
+  let row = Sched.Heuristic.static_eta kind ~cp graph in
+  for i = 0 to Array.length row - 1 do
+    Array.unsafe_set row i (pow_fast (Array.unsafe_get row i) beta)
+  done;
+  row
+
+let prepare_shared ?cp ?layout ?ready_ub ~beta graph =
+  let cp = match cp with Some c -> c | None -> Ddg.Critpath.compute graph in
   {
     s_graph = graph;
-    s_cp = (match cp with Some c -> c | None -> Ddg.Critpath.compute graph);
+    s_cp = cp;
     s_layout =
       (match layout with Some l -> l | None -> Sched.Rp_tracker.layout_of_graph graph);
     s_ready_ub =
       (match ready_ub with
       | Some ub -> ub
       | None -> Ddg.Closure.ready_list_upper_bound (Ddg.Closure.compute graph));
+    s_beta = beta;
+    s_eta_cp = eta_pow_row Sched.Heuristic.Critical_path ~cp ~beta graph;
+    s_eta_so = eta_pow_row Sched.Heuristic.Source_order ~cp ~beta graph;
   }
 
 (* The engine hands backends a [Region_ctx] whose analyses are exactly
    the ones a colony shares; reusing them keeps a dispatch race at one
    analysis pass per region instead of one per backend. *)
-let shared_of_region_ctx (rc : Engine.Region_ctx.t) =
+let shared_of_region_ctx ~beta (rc : Engine.Region_ctx.t) =
   prepare_shared ~cp:rc.Engine.Region_ctx.critpath ~layout:rc.Engine.Region_ctx.rp_layout
-    ~ready_ub:rc.Engine.Region_ctx.ready_ub
-    rc.Engine.Region_ctx.graph
+    ~ready_ub:rc.Engine.Region_ctx.ready_ub ~beta rc.Engine.Region_ctx.graph
 
 let shared_ready_ub shared = shared.s_ready_ub
 
@@ -54,16 +83,14 @@ type t = {
   rp : Sched.Rp_tracker.t;
   ctx : Sched.Heuristic.ctx;
   cand : int array;  (* scratch: candidate slice, ready order *)
-  (* The unboxed data plane: one [Support.Fmat] per ant (or four rows of
+  (* The unboxed data plane: one [Support.Fmat] per ant (or two rows of
      a pooled colony matrix), addressed by flat row bases. Row 0 is the
      selection scratch — tau^a * eta^b per candidate in columns
      [0..ub-1], the roulette total in column [ub] and the wheel
      accumulator in column [ub+1] (Fmat cells keep float sums unboxed,
-     where a local [ref] may not be). Rows 1 and 2 hold eta^beta per
-     instruction for the construction-state-independent heuristics
-     (critical path and source order depend only on the region),
-     precomputed at [create] so the selection loop is a raw table load;
-     row 3 is scratch for the dynamic LUC heuristic's eta. *)
+     where a local [ref] may not be); row 1 is scratch for the dynamic
+     LUC heuristic's eta. The static heuristics' eta^beta rows are the
+     colony's ([shared]), read in place. *)
   fm : Support.Fmat.t;
   fd : Support.Fmat.mat;
       (* [fm]'s raw backing store: the selection loops read and write
@@ -71,9 +98,9 @@ type t = {
          unboxed float64 loads/stores even without cross-module
          inlining ([-opaque] dev builds) *)
   score_base : int;
-  eta_cp_base : int;
-  eta_so_base : int;
   luc_base : int;
+  eta_cp : float array;  (* the colony's eta^beta rows *)
+  eta_so : float array;
   mutable rng : Support.Rng.t;
   mutable heuristic : Sched.Heuristic.kind;
   mutable allow_optional : bool;
@@ -101,39 +128,30 @@ let arena_demand shared =
   in
   (ints, 0 (* float state moved wholesale to the Fmat data plane *))
 
-(* Rows/columns of one ant's slice of the score matrix: the four rows
-   documented on [t], wide enough for both the n-entry eta tables and
-   the ub+2-entry selection scratch. *)
-let fmat_rows = 4
+(* Rows/columns of one ant's slice of the score matrix: the two rows
+   documented on [t], each wide enough for the ub+2-entry selection
+   scratch. *)
+let fmat_rows = 2
 
-let fmat_demand shared =
-  (fmat_rows, max shared.s_graph.Ddg.Graph.n (max 1 shared.s_ready_ub + 2))
+let fmat_demand shared = (fmat_rows, max 1 shared.s_ready_ub + 2)
 
-let[@inline] pow_fast x e =
-  (* The defaults (alpha = 1, beta = 2) are on the hot path; [Float.pow]
-     costs more than the rest of the selection arithmetic combined.
-     Inlined so the result never crosses a call boundary — a non-inlined
-     float return is a minor-heap box per candidate in closure mode. *)
-  if e = 1.0 then x
-  else if e = 2.0 then x *. x
-  else if e = 0.0 then 1.0
-  else x ** e
+(* The stream of an ant that has not started yet; [start] installs the
+   real one. Shared by every ant: an ant that is not active never
+   draws. *)
+let unstarted = Support.Rng.create 0
 
 let create ?shared ?arena ?fmat graph params =
   let shared =
     match shared with
     | Some s ->
         if s.s_graph != graph then invalid_arg "Ant.create: shared state is for another graph";
+        if not (Float.equal s.s_beta params.Engine.Params.beta) then
+          invalid_arg "Ant.create: shared eta^beta rows are for another beta";
         s
     | None ->
         (* Stand-alone ants skip the closure: [n] is always a valid
            ready-list bound. *)
-        {
-          s_graph = graph;
-          s_cp = Ddg.Critpath.compute graph;
-          s_layout = Sched.Rp_tracker.layout_of_graph graph;
-          s_ready_ub = graph.Ddg.Graph.n;
-        }
+        prepare_shared ~ready_ub:graph.Ddg.Graph.n ~beta:params.Engine.Params.beta graph
   in
   let arena =
     match arena with
@@ -157,33 +175,21 @@ let create ?shared ?arena ?fmat graph params =
     | None -> (Support.Fmat.create ~rows ~cols, 0)
   in
   let rp = Sched.Rp_tracker.create_in arena shared.s_layout in
-  let ctx = Sched.Heuristic.make_ctx ~cp:shared.s_cp graph rp in
-  let beta = params.Engine.Params.beta in
-  let eta_cp_base = Support.Fmat.row_base fm (row0 + 1) in
-  let eta_so_base = Support.Fmat.row_base fm (row0 + 2) in
-  let fd = fm.Support.Fmat.data in
-  let fill_eta_pow base kind =
-    for i = 0 to n - 1 do
-      A1.unsafe_set fd (base + i) (pow_fast (Sched.Heuristic.eta kind ctx i) beta)
-    done
-  in
-  fill_eta_pow eta_cp_base Sched.Heuristic.Critical_path;
-  fill_eta_pow eta_so_base Sched.Heuristic.Source_order;
   {
     graph;
     params;
     rl_order = Sched.Ready_list.create_in ~latency_aware:false arena graph;
     rl_cycle = Sched.Ready_list.create_in ~latency_aware:true arena graph;
     rp;
-    ctx;
+    ctx = Sched.Heuristic.make_ctx ~cp:shared.s_cp graph rp;
     cand = Array.make ub 0;
     fm;
-    fd;
+    fd = fm.Support.Fmat.data;
     score_base = Support.Fmat.row_base fm row0;
-    eta_cp_base;
-    eta_so_base;
-    luc_base = Support.Fmat.row_base fm (row0 + 3);
-    rng = Support.Rng.create 0;
+    luc_base = Support.Fmat.row_base fm (row0 + 1);
+    eta_cp = shared.s_eta_cp;
+    eta_so = shared.s_eta_so;
+    rng = unstarted;
     heuristic = params.Engine.Params.heuristic;
     allow_optional = true;
     mode = Rp_pass;
@@ -251,28 +257,21 @@ let select_slice t ~pheromone ~explored m =
     let fd = t.fd in
     let sb = t.score_base in
     (* tau^alpha * eta^beta per candidate. For the static heuristics
-       eta^beta comes from the [create]-time table rows (bit-identical
-       to recomputing: eta depends only on the instruction); LUC's eta
+       eta^beta is a load from the colony's rows (bit-identical to
+       recomputing: eta depends only on the instruction); LUC's eta
        depends on the live set and is recomputed each step into the
        scratch row. *)
     (match heuristic with
-    | Sched.Heuristic.Critical_path ->
-        let tb = t.eta_cp_base in
+    | Sched.Heuristic.Critical_path | Sched.Heuristic.Source_order ->
+        let eta = if heuristic = Sched.Heuristic.Critical_path then t.eta_cp else t.eta_so in
         for k = 0 to m - 1 do
           let i = Array.unsafe_get t.cand k in
           let tau = A1.unsafe_get ph (base + i) in
-          A1.unsafe_set fd (sb + k) (pow_fast tau alpha *. A1.unsafe_get fd (tb + i))
-        done
-    | Sched.Heuristic.Source_order ->
-        let tb = t.eta_so_base in
-        for k = 0 to m - 1 do
-          let i = Array.unsafe_get t.cand k in
-          let tau = A1.unsafe_get ph (base + i) in
-          A1.unsafe_set fd (sb + k) (pow_fast tau alpha *. A1.unsafe_get fd (tb + i))
+          A1.unsafe_set fd (sb + k) (pow_fast tau alpha *. Array.unsafe_get eta i)
         done
     | Sched.Heuristic.Last_use_count ->
         let beta = t.params.Engine.Params.beta in
-        Sched.Heuristic.fill_eta_mat heuristic t.ctx ~cand:t.cand ~n:m ~mat:t.fm
+        Sched.Heuristic.fill_luc_eta_mat t.ctx ~cand:t.cand ~n:m ~mat:t.fm
           ~base:t.luc_base;
         for k = 0 to m - 1 do
           let tau = A1.unsafe_get ph (base + Array.unsafe_get t.cand k) in

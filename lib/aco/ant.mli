@@ -34,20 +34,27 @@ type event = {
 }
 
 type shared
-(** Region-wide analyses shared by every ant of a colony: critical path,
-    register layout, transitive-closure ready-list bound. *)
+(** Region-wide state shared by every ant of a colony: critical path,
+    register layout, transitive-closure ready-list bound, and the
+    eta^beta rows of the construction-state-independent heuristics
+    (critical path, source order). *)
 
 val prepare_shared :
   ?cp:Ddg.Critpath.t ->
   ?layout:Sched.Rp_tracker.layout ->
   ?ready_ub:int ->
+  beta:float ->
   Ddg.Graph.t ->
   shared
 (** Omitted analyses are computed from the graph; passing them reuses
     work already done elsewhere (notably a shared
-    {!Engine.Region_ctx.t}). *)
+    {!Engine.Region_ctx.t}). The critical-path and source-order
+    eta^beta rows are built here, once per colony, raised to [beta]:
+    every ant of the colony reads them in place instead of holding its
+    own copy, so only ants whose params carry this [beta] may use the
+    result ({!create} checks). *)
 
-val shared_of_region_ctx : Engine.Region_ctx.t -> shared
+val shared_of_region_ctx : beta:float -> Engine.Region_ctx.t -> shared
 (** [prepare_shared] fed entirely from the region context's precomputed
     analyses — no graph traversal, no closure recomputation. *)
 
@@ -63,10 +70,12 @@ val arena_demand : shared -> int * int
 
 val fmat_demand : shared -> int * int
 (** [(rows, cols)] of one ant's slice of the unboxed score matrix
-    ({!Support.Fmat}): the selection scratch row (scores, roulette
-    total, wheel accumulator), two precomputed eta^beta table rows and
-    the LUC eta scratch row. A colony matrix is sized as
-    [lanes * rows] by [cols] and carved per ant via [?fmat]. *)
+    ({!Support.Fmat}): two rows of [ub + 2] columns, [ub] being the
+    ready-list bound — the selection scratch row (scores, roulette
+    total, wheel accumulator) and the LUC eta scratch row. The
+    eta^beta rows are colony-wide ({!prepare_shared}), not per ant. A
+    colony matrix is sized as [lanes * rows] by [cols] and carved per
+    ant via [?fmat]. *)
 
 type t
 
@@ -77,13 +86,14 @@ val create :
   Ddg.Graph.t ->
   Engine.Params.t ->
   t
-(** Without [shared], the region analyses are computed privately (and
-    the scratch bound falls back to [n]). Without [arena], a private
-    exactly-sized arena backs this ant alone. [?fmat] is [(matrix,
-    first_row)]: the ant's {!fmat_demand} rows of a pooled colony score
-    matrix; without it a private matrix is created. Raises
-    [Invalid_argument] when [shared] belongs to a different graph, the
-    arena is too small, or the matrix slice is out of range. *)
+(** Without [shared], the region analyses and eta^beta rows are
+    computed privately (and the scratch bound falls back to [n]).
+    Without [arena], a private exactly-sized arena backs this ant alone.
+    [?fmat] is [(matrix, first_row)]: the ant's {!fmat_demand} rows of a
+    pooled colony score matrix; without it a private matrix is created.
+    Raises [Invalid_argument] when [shared] belongs to a different graph
+    or was built for a different [beta] than the params', the arena is
+    too small, or the matrix slice is out of range. *)
 
 val start :
   t ->

@@ -33,7 +33,7 @@ let prepare ~policy:policy_spec ~prune ~allow_optional_stalls (ctx : Engine.Back
   let rng = Support.Rng.create ctx.Engine.Backend.seed in
   (* The region context's analyses and one SoA arena back the whole
      colony; nothing region-derived is recomputed here. *)
-  let shared = Ant.shared_of_region_ctx rc in
+  let shared = Ant.shared_of_region_ctx ~beta:params.Engine.Params.beta rc in
   let ints, floats = Ant.arena_demand shared in
   let fmat_rows, fmat_cols = Ant.fmat_demand shared in
   let lanes = params.Engine.Params.ants_per_iteration in

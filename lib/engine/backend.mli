@@ -3,8 +3,9 @@
     A backend owns {e how} a colony searches — on the host CPU, on the
     simulated GPU, with which cost formulation — while {!Two_pass} owns
     {e what} is searched: pass sequencing, lower-bound gating, the RP
-    target handoff and budget threading. A backend is prepared once per
-    region, asked to run up to two passes, then torn down. *)
+    target handoff and budget threading. A backend is prepared at most
+    once per region — only when at least one pass will run — asked to
+    run up to two passes, then torn down. *)
 
 type ext = ..
 (** Open extension point for backend-specific configuration carried by
@@ -75,7 +76,7 @@ module type S = sig
   val run_schedule_pass : state -> schedule_request -> Sched.Schedule.t * Types.pass_stats
 
   val teardown : state -> unit
-  (** Called exactly once, also when a pass raised. *)
+  (** Called exactly once per [prepare], also when a pass raised. *)
 end
 
 type t = (module S)

@@ -10,8 +10,15 @@
 
 let run (backend : Backend.t) (ctx : Backend.ctx) (rc : Region_ctx.t) : Types.result =
   let module B = (val backend : Backend.S) in
-  let state = B.prepare ctx rc in
-  Fun.protect ~finally:(fun () -> B.teardown state) @@ fun () ->
+  (* Lazy prepare: the backend's working set is built on the first pass
+     that runs, so a region both gates skip (the initial order already
+     at the RP bound, the padded schedule within the length threshold)
+     never pays for a colony it would not use. Nothing before the first
+     pass draws randomness, so deferring [prepare] leaves every RNG
+     stream where it was. *)
+  let state = lazy (B.prepare ctx rc) in
+  Fun.protect ~finally:(fun () -> if Lazy.is_val state then B.teardown (Lazy.force state))
+  @@ fun () ->
   (* The RP term of the objective is the backend's choice; the default
      ([None]) is the paper's occupancy cliff, under which every formula
      below is byte-identical to the historical drivers. *)
@@ -23,7 +30,7 @@ let run (backend : Backend.t) (ctx : Backend.ctx) (rc : Region_ctx.t) : Types.re
      pass (single-pass cost formulations go straight to pass 2). *)
   let best_order, pass1 =
     if rc.Region_ctx.pass1_needed && B.caps.Types.rp_pass then
-      B.run_order_pass state
+      B.run_order_pass (Lazy.force state)
         {
           Backend.o_label = ctx.Backend.label ^ "pass1";
           o_budget = ctx.Backend.budget;
@@ -45,7 +52,7 @@ let run (backend : Backend.t) (ctx : Backend.ctx) (rc : Region_ctx.t) : Types.re
       initial_length - rc.Region_ctx.length_lb
       >= max 1 ctx.Backend.params.Params.pass2_cycle_threshold
     then
-      B.run_schedule_pass state
+      B.run_schedule_pass (Lazy.force state)
         {
           Backend.s_label = ctx.Backend.label ^ "pass2";
           s_budget = budget2;

@@ -6,6 +6,8 @@
     latency-feasible schedule on whatever budget pass 1 left. *)
 
 val run : Backend.t -> Backend.ctx -> Region_ctx.t -> Types.result
-(** Prepare the backend from the shared region-analysis context, run the
-    gated passes, tear it down (also on exceptions). Deterministic for a
-    fixed context. *)
+(** Run the gated passes over the shared region-analysis context. The
+    backend is prepared lazily, just before the first pass that runs,
+    and torn down afterwards (also on exceptions); a region whose passes
+    are both skipped never prepares it. Deterministic for a fixed
+    context. *)

@@ -420,7 +420,7 @@ module Backend_impl = struct
     let rng = Support.Rng.create seed in
     (* The region context's analyses (critical path, register layout,
        closure ready-list bound) feed every wavefront of the colony. *)
-    let shared = Aco.Ant.shared_of_region_ctx rc in
+    let shared = Aco.Ant.shared_of_region_ctx ~beta:params.Engine.Params.beta rc in
     let wavefronts = make_wavefronts ~shared config graph params in
     (* Track layout: 0 = driver, 1 = kernel stages, 2.. = one per
        wavefront. Hooks are attached here, outside any measured window, so

@@ -30,7 +30,11 @@ type t = {
 
 let create ?shared config graph params ~heuristic ~allow_optional_stalls =
   let lanes = config.Config.target.Machine.Target.wavefront_size in
-  let shared = match shared with Some s -> s | None -> Aco.Ant.prepare_shared graph in
+  let shared =
+    match shared with
+    | Some s -> s
+    | None -> Aco.Ant.prepare_shared ~beta:params.Engine.Params.beta graph
+  in
   let ints, floats = Aco.Ant.arena_demand shared in
   let fmat_rows, fmat_cols = Aco.Ant.fmat_demand shared in
   let arena = Support.Arena.take ~ints:(lanes * ints) ~floats:(lanes * floats) in

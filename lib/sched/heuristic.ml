@@ -32,74 +32,53 @@ let score kind ctx i =
    cross-module inlining. *)
 let[@inline] pos v = if v > 0.0 then v else 0.0
 
-let eta kind ctx i =
-  (* Scores can be negative (LUC); shift into a strictly positive range
-     with a floor so no candidate gets probability zero. *)
-  let s = score kind ctx i in
-  1.0 +. (pos (s +. 4096.0) /. 512.0)
+(* The attractiveness transform. Scores can be negative (LUC); shift
+   into a strictly positive range with a floor so no candidate gets
+   probability zero. Inlined at every use below, so each is the same
+   float expression and the filled values are bit-identical to [eta]
+   (the ACO selection is byte-reproducible across the list-backed
+   reference ant and the production one). *)
+let[@inline] eta_of_score s = 1.0 +. (pos (s +. 4096.0) /. 512.0)
 
-(* Same transform, applied to a whole candidate slice into a caller
-   scratch buffer. The kind dispatch happens once outside the loop; each
-   branch repeats [eta]'s exact float expression so the filled values are
-   bit-identical to per-candidate [eta] calls (the ACO selection is
-   byte-reproducible across the list- and array-backed ants). *)
-let fill_eta kind ctx ~cand ~n ~out =
-  match kind with
-  | Critical_path ->
-      for k = 0 to n - 1 do
-        let s = float_of_int (Ddg.Critpath.backward ctx.cp cand.(k)) in
-        out.(k) <- 1.0 +. (pos (s +. 4096.0) /. 512.0)
-      done
-  | Last_use_count ->
-      for k = 0 to n - 1 do
-        let i = cand.(k) in
-        let net = Rp_tracker.closes_minus_opens ctx.rp i in
-        let s =
-          (float_of_int net *. 1024.0) +. float_of_int (Ddg.Critpath.backward ctx.cp i)
-        in
-        out.(k) <- 1.0 +. (pos (s +. 4096.0) /. 512.0)
-      done
-  | Source_order ->
-      let n_instrs = ctx.graph.Ddg.Graph.n in
-      for k = 0 to n - 1 do
-        let s = float_of_int (n_instrs - cand.(k)) in
-        out.(k) <- 1.0 +. (pos (s +. 4096.0) /. 512.0)
-      done
+let eta kind ctx i = eta_of_score (score kind ctx i)
 
-(* [fill_eta] for the unboxed data plane: identical expressions, stores
-   into a [Support.Fmat] row slice (raw float64 stores, no boxing) at
-   flat offset [base]. The LUC row of the ant's score matrix is filled
-   through this. *)
-let fill_eta_mat kind ctx ~cand ~n ~mat ~base =
-  (* Raw float64 stores through the matrix's concrete bigarray: the
-     primitive specializes on the static type at this call site, so the
-     stores stay unboxed even when cross-module inlining is off
-     ([-opaque] dev builds). *)
+(* LUC's [eta] over a candidate slice, for the unboxed data plane: the
+   ant's per-step LUC row is filled through this (the static heuristics
+   read the colony's [static_eta] rows instead). Stores into a
+   [Support.Fmat] row slice at flat offset [base] with raw float64
+   stores through the matrix's concrete bigarray — the primitive
+   specializes on the static type at this call site, so the stores stay
+   unboxed even when cross-module inlining is off ([-opaque] dev
+   builds). *)
+let fill_luc_eta_mat ctx ~cand ~n ~mat ~base =
   let d = mat.Support.Fmat.data in
-  match kind with
+  for k = 0 to n - 1 do
+    let i = cand.(k) in
+    let net = Rp_tracker.closes_minus_opens ctx.rp i in
+    let s =
+      (float_of_int net *. 1024.0) +. float_of_int (Ddg.Critpath.backward ctx.cp i)
+    in
+    Bigarray.Array1.unsafe_set d (base + k) (eta_of_score s)
+  done
+
+(* The construction-state-independent heuristics need no tracker: their
+   eta depends only on the region, so a colony computes one row per
+   kind and every ant reads it. *)
+let static_eta kind ~cp (graph : Ddg.Graph.t) =
+  let n = graph.Ddg.Graph.n in
+  let out = Array.create_float n in
+  (match kind with
   | Critical_path ->
-      for k = 0 to n - 1 do
-        let s = float_of_int (Ddg.Critpath.backward ctx.cp cand.(k)) in
-        Bigarray.Array1.unsafe_set d (base + k)
-          (1.0 +. (pos (s +. 4096.0) /. 512.0))
-      done
-  | Last_use_count ->
-      for k = 0 to n - 1 do
-        let i = cand.(k) in
-        let net = Rp_tracker.closes_minus_opens ctx.rp i in
-        let s =
-          (float_of_int net *. 1024.0) +. float_of_int (Ddg.Critpath.backward ctx.cp i)
-        in
-        Bigarray.Array1.unsafe_set d (base + k)
-          (1.0 +. (pos (s +. 4096.0) /. 512.0))
+      for i = 0 to n - 1 do
+        out.(i) <- eta_of_score (float_of_int (Ddg.Critpath.backward cp i))
       done
   | Source_order ->
-      let n_instrs = ctx.graph.Ddg.Graph.n in
-      for k = 0 to n - 1 do
-        let s = float_of_int (n_instrs - cand.(k)) in
-        Bigarray.Array1.unsafe_set d (base + k)
-          (1.0 +. (pos (s +. 4096.0) /. 512.0))
+      for i = 0 to n - 1 do
+        out.(i) <- eta_of_score (float_of_int (n - i))
       done
+  | Last_use_count ->
+      invalid_arg "Heuristic.static_eta: Last_use_count depends on the construction state");
+  out
 
 let best kind ctx = function
   | [] -> invalid_arg "Heuristic.best: empty candidate list"

@@ -30,17 +30,20 @@ val eta : kind -> ctx -> int -> float
 (** Strictly positive attractiveness value for ACO's selection formula,
     a monotone transform of [score]. *)
 
-val fill_eta : kind -> ctx -> cand:int array -> n:int -> out:float array -> unit
-(** [fill_eta kind ctx ~cand ~n ~out] stores [eta kind ctx cand.(k)] in
-    [out.(k)] for [0 <= k < n], bit-identical to per-candidate {!eta}
-    calls but with the kind dispatch hoisted out of the loop and no
-    allocation — the ACO selection hot path over a candidate slice. *)
+val fill_luc_eta_mat :
+  ctx -> cand:int array -> n:int -> mat:Support.Fmat.t -> base:int -> unit
+(** [fill_luc_eta_mat ctx ~cand ~n ~mat ~base] stores
+    [eta Last_use_count ctx cand.(k)] at flat index [base + k] of the
+    {!Support.Fmat} for [0 <= k < n], bit-identical to per-candidate
+    {!eta} calls but with raw unboxed float64 stores and no allocation —
+    the ACO selection hot path over a candidate slice under the one
+    heuristic whose [eta] depends on the construction state. *)
 
-val fill_eta_mat :
-  kind -> ctx -> cand:int array -> n:int -> mat:Support.Fmat.t -> base:int -> unit
-(** {!fill_eta} into a {!Support.Fmat} slice: stores
-    [eta kind ctx cand.(k)] at flat index [base + k] with raw unboxed
-    float64 stores. Bit-identical values to {!fill_eta}. *)
+val static_eta : kind -> cp:Ddg.Critpath.t -> Ddg.Graph.t -> float array
+(** [eta] of every instruction [0 .. n-1] under a heuristic whose score
+    does not depend on the construction state ([Critical_path],
+    [Source_order]), bit-identical to {!eta}; no tracker needed. Raises
+    [Invalid_argument] for [Last_use_count]. *)
 
 val best : kind -> ctx -> int list -> int
 (** Highest-scoring instruction of a non-empty candidate list (ties to

@@ -262,7 +262,10 @@ let peak_excess t ~target_vgpr ~target_sgpr =
    the same instruction are counted by multiplicity with a quadratic scan
    (Def/Use sets are tiny). Results land in the tracker's own arena slice
    at [eff_base] (closed_v; opened_v; closed_s; opened_s) — per-tracker,
-   not module-global, so colonies on different domains never share it. *)
+   not module-global, so colonies on different domains never share it.
+   Counted loops only, as in [schedule]: this runs once per candidate in
+   the fit filter's slow path and in the Last-Use-Count heuristic, so an
+   iterated closure here would be a minor-heap block per candidate. *)
 
 let compute_effects t i =
   let l = t.layout in
@@ -290,14 +293,14 @@ let compute_effects t i =
         buf.(e + (2 * c)) <- buf.(e + (2 * c)) + 1
     end
   done;
-  Array.iter
-    (fun di ->
-      if buf.(t.live_base + di) = 0 then begin
-        (* already-opened within this instruction? defs are unique *)
-        let c = rank l.cls.(di) in
-        buf.(e + (2 * c) + 1) <- buf.(e + (2 * c) + 1) + 1
-      end)
-    defs
+  for k = 0 to Array.length defs - 1 do
+    let di = Array.unsafe_get defs k in
+    if buf.(t.live_base + di) = 0 then begin
+      (* already-opened within this instruction? defs are unique *)
+      let c = rank l.cls.(di) in
+      buf.(e + (2 * c) + 1) <- buf.(e + (2 * c) + 1) + 1
+    end
+  done
 
 let delta_if_scheduled t i cls =
   compute_effects t i;

@@ -3,9 +3,9 @@
    line (8 doubles = 64 bytes) so rows never share a line and a row base
    is a single shift-free multiply. Reads and writes through [get]/[set]
    compile to raw float loads/stores — no boxing at the OCaml/float
-   boundary — which is the whole point: pheromone rows, eta^beta tables
-   and per-ant score slices all live here and are consumed by tight
-   loops that must not allocate.
+   boundary — which is the whole point: pheromone rows and per-ant
+   score slices live here and are consumed by tight loops that must not
+   allocate.
 
    Padding cells (columns [cols..stride-1]) are guaranteed to hold 0.0
    at all times; every bulk operation below preserves that, so summation

@@ -9,27 +9,29 @@
 type t = float array
 
 (* splitmix64: expands a 64-bit seed into well-distributed words; the
-   recommended way to seed xoshiro. *)
-let splitmix64 state =
+   recommended way to seed xoshiro. The four outputs are let-bound and
+   [of_seed_word] is inlined, so the words stay unboxed and a seeding
+   (every [split], once per ant start) allocates only the 5-word state
+   array; a mutable [Int64] ref would box every intermediate. *)
+let[@inline] mix z =
   let open Int64 in
-  state := add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let of_seed_word w =
-  let st = ref w in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  [|
-    Int64.float_of_bits s0;
-    Int64.float_of_bits s1;
-    Int64.float_of_bits s2;
-    Int64.float_of_bits s3;
-  |]
+let golden_gamma = 0x9E3779B97F4A7C15L
+
+let[@inline] of_seed_word w =
+  let w0 = Int64.add w golden_gamma in
+  let w1 = Int64.add w0 golden_gamma in
+  let w2 = Int64.add w1 golden_gamma in
+  let w3 = Int64.add w2 golden_gamma in
+  let t = Array.create_float 4 in
+  Array.unsafe_set t 0 (Int64.float_of_bits (mix w0));
+  Array.unsafe_set t 1 (Int64.float_of_bits (mix w1));
+  Array.unsafe_set t 2 (Int64.float_of_bits (mix w2));
+  Array.unsafe_set t 3 (Int64.float_of_bits (mix w3));
+  t
 
 let create seed = of_seed_word (Int64.of_int seed)
 

@@ -59,7 +59,7 @@ let rank_name = function
    degenerate roulette. *)
 let lockstep_compare ?(initial = 1.0) ?kill_at ~force_explore ~ready_limit ~mode ~heuristic
     graph params seed =
-  let shared = Aco.Ant.prepare_shared graph in
+  let shared = Aco.Ant.prepare_shared ~beta:params.Engine.Params.beta graph in
   let ints, floats = Aco.Ant.arena_demand shared in
   let arena = Support.Arena.create ~ints ~floats in
   let ant = Aco.Ant.create ~shared ~arena graph params in
@@ -150,6 +150,102 @@ let ant_differential =
       lockstep_compare ~initial:0.0 ~force_explore:(Some true) ~ready_limit:None
         ~mode:Aco.Ant.Rp_pass ~heuristic:Sched.Heuristic.Critical_path graph params seed;
       true)
+
+(* --- colony-wide eta^beta rows ------------------------------------------- *)
+
+(* Ants carved from one colony — one [shared], one arena, one score
+   matrix — each on its own heuristic, stepped round-robin against
+   reference ants with twin RNGs. The standalone differential above
+   gives every ant a private table; here the lanes read one set of
+   eta^beta rows, so a lane writing through them, or a row read for the
+   wrong heuristic, shows up as a diverging step. *)
+let shared_colony_lockstep ~mode graph params seed =
+  let heuristics =
+    [| Sched.Heuristic.Critical_path; Sched.Heuristic.Last_use_count;
+       Sched.Heuristic.Source_order; Sched.Heuristic.Critical_path |]
+  in
+  let lanes = Array.length heuristics in
+  let shared = Aco.Ant.prepare_shared ~beta:params.Engine.Params.beta graph in
+  let ints, floats = Aco.Ant.arena_demand shared in
+  let rows, cols = Aco.Ant.fmat_demand shared in
+  let arena = Support.Arena.create ~ints:(lanes * ints) ~floats:(lanes * floats) in
+  let fmat = Support.Fmat.create ~rows:(lanes * rows) ~cols in
+  let ants =
+    Array.init lanes (fun lane ->
+        Aco.Ant.create ~shared ~arena ~fmat:(fmat, lane * rows) graph params)
+  in
+  let refs = Array.init lanes (fun _ -> Ant_ref.create graph params) in
+  let pheromone = Aco.Pheromone.create ~n:graph.Ddg.Graph.n ~initial:1.0 in
+  Aco.Pheromone.deposit_path pheromone (Ddg.Topo.order graph) 0.75;
+  let rngs = Array.init lanes (fun lane -> Support.Rng.create (seed + lane)) in
+  let ref_rngs = Array.init lanes (fun lane -> Support.Rng.create (seed + lane)) in
+  Array.iteri
+    (fun lane heuristic ->
+      Aco.Ant.start ants.(lane) ~rng:rngs.(lane) ~heuristic ~allow_optional_stalls:true mode;
+      Ant_ref.start refs.(lane) ~rng:ref_rngs.(lane) ~heuristic ~allow_optional_stalls:true
+        mode)
+    heuristics;
+  while Array.exists (fun a -> Aco.Ant.status a = Aco.Ant.Active) ants do
+    Array.iteri
+      (fun lane ant ->
+        if Aco.Ant.status ant = Aco.Ant.Active then begin
+          Aco.Ant.step_hot ant ~pheromone ~force_explore:(-1) ~ready_limit:0;
+          let ev = Ant_ref.step refs.(lane) ~pheromone in
+          Alcotest.(check string)
+            (Printf.sprintf "lane %d step" lane)
+            (rank_name (Ant_ref.rank_of_op ev.Ant_ref.op))
+            (rank_name (Aco.Ant.last_rank ant));
+          Alcotest.(check int) "ready_scanned" ev.Ant_ref.ready_scanned
+            (Aco.Ant.last_scanned ant)
+        end)
+      ants
+  done;
+  Array.iteri
+    (fun lane ant ->
+      let r = refs.(lane) in
+      Alcotest.(check bool) "final status agrees" true
+        (Aco.Ant.status ant = Ant_ref.status r);
+      Alcotest.(check (array int)) "order" (Ant_ref.order r) (Aco.Ant.order ant);
+      Alcotest.(check int) "length" (Ant_ref.length r) (Aco.Ant.length ant);
+      Alcotest.(check int) "work" (Ant_ref.work r) (Aco.Ant.work ant);
+      Alcotest.(check (pair int int)) "rp peaks" (Ant_ref.rp_peaks r) (Aco.Ant.rp_peaks ant);
+      Alcotest.(check int64) "rng stream position" (Support.Rng.int64 ref_rngs.(lane))
+        (Support.Rng.int64 rngs.(lane)))
+    ants
+
+let shared_eta_differential =
+  QCheck.Test.make ~count:20 ~name:"colony-shared eta^beta rows byte-identical to reference"
+    (QCheck.pair (Tu.arb_graph ~max_size:30 ()) QCheck.small_int)
+    (fun (graph, seed) ->
+      List.iter
+        (fun mode -> shared_colony_lockstep ~mode graph Tu.test_params seed)
+        [
+          Aco.Ant.Rp_pass;
+          Aco.Ant.Ilp_pass { target_vgpr = 256; target_sgpr = 800 };
+          tight_targets graph;
+        ];
+      true)
+
+(* The rows are raised to the colony's beta once, so an ant whose params
+   carry another beta must not read them — just as it must not read
+   another graph's. *)
+let shared_mismatch () =
+  let graph = Ddg.Graph.build (Tu.random_region 5) in
+  let params = Tu.test_params in
+  let rejects what shared =
+    match Aco.Ant.create ~shared graph params with
+    | _ -> Alcotest.failf "Ant.create accepted a shared state for %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "another beta"
+    (Aco.Ant.prepare_shared ~beta:(params.Engine.Params.beta +. 1.0) graph);
+  rejects "another graph"
+    (Aco.Ant.prepare_shared ~beta:params.Engine.Params.beta
+       (Ddg.Graph.build (Tu.random_region 6)));
+  ignore
+    (Aco.Ant.create
+       ~shared:(Aco.Ant.prepare_shared ~beta:params.Engine.Params.beta graph)
+       graph params)
 
 (* --- wavefront-level differential --------------------------------------- *)
 
@@ -442,7 +538,7 @@ let fmat_pool () =
 let prune_lockstep ~mode ~heuristic graph params seed =
   let closure = Ddg.Closure.compute graph in
   let layout = Sched.Rp_tracker.layout_of_graph ~closure graph in
-  let shared = Aco.Ant.prepare_shared ~layout graph in
+  let shared = Aco.Ant.prepare_shared ~layout ~beta:params.Engine.Params.beta graph in
   let ant_off = Aco.Ant.create ~shared graph params in
   let ant_on = Aco.Ant.create ~shared graph params in
   Aco.Ant.set_prune ant_on true;
@@ -616,10 +712,12 @@ let suite =
     ("arena exhaustion", `Quick, arena_exhaustion);
     ("fmat layout", `Quick, fmat_layout);
     ("fmat pool", `Quick, fmat_pool);
+    ("shared state rejects another beta or graph", `Quick, shared_mismatch);
   ]
   @ Tu.qtests
       [
         ant_differential;
+        shared_eta_differential;
         wavefront_differential;
         wavefront_determinism;
         prune_differential;

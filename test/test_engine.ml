@@ -1,5 +1,5 @@
 (* The engine layer: registry/dispatch/budget unit tests, the
-   prepare-once contract of the pipeline, and the byte-identity
+   lazy-prepare contract of the pipeline, and the byte-identity
    differentials pinning the refactored backends to the frozen
    pre-engine drivers in Two_pass_ref. *)
 
@@ -75,13 +75,16 @@ let test_budget_minus () =
     (Engine.Types.budget_minus (Engine.Types.Time_ns 10.0) (spent 0 40.0)
     = Engine.Types.Time_ns 0.0)
 
-(* --- prepare-once contract ----------------------------------------------- *)
+(* --- lazy-prepare contract ------------------------------------------------ *)
 
-(* A stub backend that counts [prepare] calls and ships the initial
-   schedule untouched: run_suite must prepare each backend exactly once
-   per compiled region — shared kernels are compiled once, not once per
-   benchmark. *)
-let prepare_count = ref 0
+(* A stub backend that records the fingerprint of every region it is
+   prepared for and torn down on, and ships the initial schedule
+   untouched. [Two_pass] prepares lazily: exactly the regions that run a
+   pass pay for a backend — once each, shared kernels compiled once, not
+   once per benchmark — and a region both gates skip never prepares
+   it. *)
+let prepared = ref []
+let torn_down = ref []
 
 module Counting_backend = struct
   let name = "counting"
@@ -95,28 +98,26 @@ module Counting_backend = struct
     }
   let objective = None
 
-  type state = unit
+  type state = string
 
-  let prepare _ctx (_ : Engine.Region_ctx.t) = incr prepare_count
+  let prepare _ctx (rc : Engine.Region_ctx.t) =
+    let fp = rc.Engine.Region_ctx.fingerprint in
+    prepared := fp :: !prepared;
+    fp
 
-  let run_order_pass () (_ : Engine.Backend.order_request) =
+  let run_order_pass _ (_ : Engine.Backend.order_request) =
     invalid_arg "counting backend has no RP pass"
 
-  let run_schedule_pass () (req : Engine.Backend.schedule_request) =
+  let run_schedule_pass _ (req : Engine.Backend.schedule_request) =
     ( req.Engine.Backend.s_initial,
       { Engine.Types.no_pass with Engine.Types.invoked = true; stop = Engine.Types.Patience } )
 
-  let teardown () = ()
+  let teardown fp = torn_down := fp :: !torn_down
 end
 
-let test_prepare_once () =
+let test_prepare_lazy () =
   Engine.Registry.register (module Counting_backend : Engine.Backend.S);
   let suite = Workload.Suite.generate Workload.Suite.test_scale in
-  let total_regions =
-    List.fold_left
-      (fun acc (k : Workload.Suite.kernel) -> acc + List.length k.Workload.Suite.regions)
-      0 suite.Workload.Suite.kernels
-  in
   let instances =
     List.length suite.Workload.Suite.benchmarks
   in
@@ -130,18 +131,36 @@ let test_prepare_once () =
       run_sequential = false;
     }
   in
-  prepare_count := 0;
+  prepared := [];
+  torn_down := [];
   let report = Pipeline.Compile.run_suite config suite in
-  Alcotest.(check int) "one prepare per compiled region" total_regions !prepare_count;
-  (* and the reports indeed carry the counting backend's runs *)
+  (* Every compiled region, keyed by fingerprint, split by whether its
+     product run invoked a pass. *)
+  let searched, skipped =
+    List.concat_map
+      (fun (kr : Pipeline.Compile.kernel_report) ->
+        List.combine kr.Pipeline.Compile.kernel.Workload.Suite.regions
+          kr.Pipeline.Compile.regions)
+      report.Pipeline.Compile.kernels
+    |> List.partition_map (fun (region, (r : Pipeline.Compile.region_report)) ->
+           Alcotest.(check string) "product backend" "counting"
+             r.Pipeline.Compile.product_backend;
+           let fp = Engine.Region_ctx.fingerprint_of_region region in
+           if r.Pipeline.Compile.pass1_invoked || r.Pipeline.Compile.pass2_invoked then Left fp
+           else Right fp)
+  in
+  Alcotest.(check bool) "some regions run a pass" true (searched <> []);
+  Alcotest.(check bool) "some regions run no pass" true (skipped <> []);
+  let sorted = List.sort compare in
+  Alcotest.(check (list string)) "one prepare per region that runs a pass" (sorted searched)
+    (sorted !prepared);
+  Alcotest.(check (list string)) "one teardown per prepare" (sorted searched)
+    (sorted !torn_down);
   List.iter
-    (fun (kr : Pipeline.Compile.kernel_report) ->
-      List.iter
-        (fun (r : Pipeline.Compile.region_report) ->
-          Alcotest.(check string) "product backend" "counting"
-            r.Pipeline.Compile.product_backend)
-        kr.Pipeline.Compile.regions)
-    report.Pipeline.Compile.kernels
+    (fun fp ->
+      if List.mem fp !prepared then
+        Alcotest.failf "region %s runs no pass but prepared the backend" fp)
+    skipped
 
 (* --- dispatch policies through the pipeline ------------------------------ *)
 
@@ -477,7 +496,7 @@ let suite =
     ("backend registry", `Quick, test_registry);
     ("dispatch policies", `Quick, test_dispatch);
     ("budget arithmetic", `Quick, test_budget_minus);
-    ("run_suite prepares each backend once per region", `Quick, test_prepare_once);
+    ("run_suite prepares each backend once per searched region", `Quick, test_prepare_lazy);
     ("weighted backend ships a valid product", `Quick, test_weighted_product);
     ("auto dispatch follows the size threshold", `Quick, test_auto_dispatch);
     ("every stop reason and its ledger rung", `Quick, test_stop_reasons);

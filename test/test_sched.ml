@@ -179,6 +179,54 @@ let prop_eta_positive =
           !ok)
         Sched.Heuristic.all)
 
+(* The tracker queries on the ant hot path allocate nothing: each is
+   measured over 10k calls, net of the measuring loop. Nothing is
+   scheduled, so the live-in pressure is also the peak, and targets at
+   that pressure send every candidate with a def past the scan-free
+   defs-bound fast path into the full effects scan — the slow path a
+   closure in [compute_effects] would make allocate. *)
+let test_rp_queries_allocation_free () =
+  let g =
+    Ddg.Graph.build (Workload.Shapes.transform (Support.Rng.create 3) ~unroll:10 ~chain:4)
+  in
+  let t = Sched.Rp_tracker.create g in
+  let n = g.Ddg.Graph.n in
+  let target_vgpr = Sched.Rp_tracker.current t Ir.Reg.Vgpr in
+  let target_sgpr = Sched.Rp_tracker.current t Ir.Reg.Sgpr in
+  let all = Array.init n Fun.id in
+  let cand = Array.copy all in
+  let fitting = Sched.Rp_tracker.filter_fits_prefix t ~cand ~n_cand:n ~target_vgpr ~target_sgpr in
+  (* a rejected candidate can only come out of the effects scan *)
+  Alcotest.(check bool) "targets reach the slow path" true (fitting < n);
+  (* [fits_within] answers [false] only from the effects scan *)
+  let i =
+    List.find
+      (fun i -> not (Sched.Rp_tracker.fits_within t i ~target_vgpr ~target_sgpr))
+      (List.init n Fun.id)
+  in
+  let ctx = Sched.Heuristic.make_ctx g t in
+  let mat = Support.Fmat.create ~rows:1 ~cols:n in
+  let sink = ref 0 in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check (float 0.0)) (name ^ ": minor words per call") 0.0
+        (Tu.minor_words_per_call ~calls:10_000 f))
+    [
+      ( "filter_fits_prefix",
+        fun () ->
+          Array.blit all 0 cand 0 n;
+          sink :=
+            Sched.Rp_tracker.filter_fits_prefix t ~cand ~n_cand:n ~target_vgpr ~target_sgpr );
+      ( "fits_within",
+        fun () ->
+          if Sched.Rp_tracker.fits_within t i ~target_vgpr ~target_sgpr then incr sink );
+      ("closes_minus_opens", fun () -> sink := Sched.Rp_tracker.closes_minus_opens t i);
+      ( "delta_if_scheduled",
+        fun () -> sink := Sched.Rp_tracker.delta_if_scheduled t i Ir.Reg.Vgpr );
+      ( "fill_luc_eta_mat",
+        fun () -> Sched.Heuristic.fill_luc_eta_mat ctx ~cand:all ~n ~mat ~base:0 );
+    ]
+
 let test_cost_ordering () =
   let a = Sched.Cost.rp_of_peaks Tu.occ ~vgpr:24 ~sgpr:10 in
   let b = Sched.Cost.rp_of_peaks Tu.occ ~vgpr:28 ~sgpr:10 in
@@ -288,6 +336,8 @@ let suite =
     Alcotest.test_case "ready list promotion" `Quick test_ready_list_latency_promotion;
     Alcotest.test_case "ready list rejects unready" `Quick test_ready_list_rejects_unready;
     Alcotest.test_case "heuristic best" `Quick test_heuristic_best_deterministic;
+    Alcotest.test_case "rp tracker queries allocation-free" `Quick
+      test_rp_queries_allocation_free;
     Alcotest.test_case "cost ordering" `Quick test_cost_ordering;
     Alcotest.test_case "amd vs pressure trap" `Quick test_amd_beats_pressure_trap;
     Alcotest.test_case "constrained scheduler infeasible" `Quick test_constrained_scheduler_infeasible;

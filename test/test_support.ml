@@ -30,6 +30,31 @@ let test_rng_split_independent () =
   Alcotest.(check bool) "children differ" false
     (Int64.equal (Support.Rng.int64 c1) (Support.Rng.int64 c2))
 
+(* [split] seeds every ant's stream, once per ant start: its output must
+   stay bit-identical to the boxed splitmix64 seeding it replaced (the
+   first words below were recorded from that formulation), and it must
+   allocate nothing but the 4-float state (5 words with its header). *)
+let test_rng_split_pinned () =
+  List.iter
+    (fun (seed, words) ->
+      let r = Support.Rng.split (Support.Rng.create seed) in
+      List.iter
+        (fun w -> Alcotest.(check int64) (Printf.sprintf "seed %d" seed) w (Support.Rng.int64 r))
+        words)
+    [
+      (0, [ -1925114433886751451L; -3506192500380777438L; 7330353808519802590L ]);
+      (1, [ 2736766839171971727L; 1646259440506682318L; -2296052418629018881L ]);
+      (42, [ 5745406364259058299L; -3749950290529424113L; -1760308716576054147L ]);
+      (-7, [ 5609948333999071977L; -5002771602006526832L; -3194260492309359831L ]);
+      (1 lsl 40, [ 1498030436881719218L; 4797739087649933972L; 6120452013769425776L ]);
+    ];
+  let parent = Support.Rng.create 3 in
+  let per_call =
+    Tu.minor_words_per_call ~calls:10_000 (fun () ->
+        ignore (Sys.opaque_identity (Support.Rng.split parent)))
+  in
+  if per_call > 5.0 then Alcotest.failf "Rng.split allocates %.2f words per call (max 5)" per_call
+
 let test_rng_copy () =
   let a = Support.Rng.create 9 in
   ignore (Support.Rng.int64 a);
@@ -257,6 +282,7 @@ let suite =
     Alcotest.test_case "rng seeds differ" `Quick test_rng_seeds_differ;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
+    Alcotest.test_case "rng split pinned and 5 words" `Quick test_rng_split_pinned;
     Alcotest.test_case "rng copy" `Quick test_rng_copy;
     Alcotest.test_case "rng shuffle" `Quick test_rng_shuffle_permutation;
     Alcotest.test_case "bitset basic" `Quick test_bitset_basic;

@@ -90,6 +90,20 @@ let check_valid ?(latency_aware = true) schedule =
 
 let qtests cases = List.map QCheck_alcotest.to_alcotest cases
 
+(* Minor-heap words per call of [f] over [calls] calls, net of the
+   measuring loop itself (the same loop around a no-op), so an
+   allocation-free [f] reads exactly 0. *)
+let minor_words_per_call ~calls f =
+  let measure g =
+    let before = Support.Perfcount.minor_words () in
+    for _ = 1 to calls do
+      g ()
+    done;
+    Support.Perfcount.minor_words () -. before
+  in
+  let harness = measure ignore in
+  (measure f -. harness) /. float_of_int calls
+
 (* Degradation-ledger rungs, printed by their label. *)
 let rung =
   Alcotest.testable

@@ -20,7 +20,7 @@ module Seq_ref = struct
     let n = graph.Ddg.Graph.n in
     let rng = Support.Rng.create seed in
     (* One set of region analyses and one SoA arena back the whole colony. *)
-    let shared = Aco.Ant.prepare_shared graph in
+    let shared = Aco.Ant.prepare_shared ~beta:params.Engine.Params.beta graph in
     let ints, floats = Aco.Ant.arena_demand shared in
     let lanes = params.Engine.Params.ants_per_iteration in
     let arena = Support.Arena.create ~ints:(lanes * ints) ~floats:(lanes * floats) in
@@ -479,7 +479,7 @@ module Par_ref = struct
     let rng = Support.Rng.create seed in
     (* One set of region analyses (critical path, register layout, closure
        ready-list bound) feeds every wavefront of the colony. *)
-    let shared = Aco.Ant.prepare_shared graph in
+    let shared = Aco.Ant.prepare_shared ~beta:params.Engine.Params.beta graph in
     let wavefronts = make_wavefronts ~shared config graph params in
     (* Track layout: 0 = driver, 1 = kernel stages, 2.. = one per
        wavefront. Hooks are attached here, outside any measured window, so

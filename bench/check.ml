@@ -161,9 +161,9 @@ let run () =
         [ "rows"; "scaling" ]);
 
   (* BENCH_backends.json: the MMAS-vs-AS convergence fixture. The
-     committed file is always test-scale (see Tables.mmas_check_rows),
-     so re-measuring it here is cheap and — fixed seeds, sequential
-     colonies — deterministic; the series still get the deterministic
+     committed file covers eight small fixed regions (see
+     Tables.mmas_check_regions), so re-measuring it here is cheap and —
+     fixed seeds, sequential colonies — deterministic; the series still get the deterministic
      tolerance rather than exact equality so an intentional retune is a
      one-file refresh, not a flag day. *)
   (match parse_file "BENCH_backends.json" with

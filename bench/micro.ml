@@ -358,7 +358,9 @@ let producer_burst ~items =
 let prune_gate () =
   let shapes =
     [
-      ("transform", Workload.Shapes.transform (Support.Rng.create 9) ~unroll:16 ~chain:4);
+      (* Most transform regions start at the length bound and never
+         search; this one starts a cycle above it. *)
+      ("transform", Workload.Shapes.transform (Support.Rng.create 3) ~unroll:3 ~chain:6);
       ( "wide_accum",
         Workload.Shapes.wide_accum (Support.Rng.create 11) ~accumulators:24 ~rounds:6 );
       ("matmul_tile", Workload.Shapes.matmul_tile (Support.Rng.create 7) ~m:6 ~k:8);

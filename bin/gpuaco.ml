@@ -50,8 +50,10 @@ let verbose_arg =
 let run_schedule shape size seed scheduler verbose =
   let region = build_shape shape ~size ~seed in
   let graph = Ddg.Graph.build region in
-  Printf.printf "region %s: %d instructions, length LB %d\n" shape (Ir.Region.size region)
-    (Ddg.Lower_bounds.schedule_length graph);
+  Printf.printf "region %s: %d instructions, length LB %d (dependence height %d)\n" shape
+    (Ir.Region.size region)
+    (Ddg.Lower_bounds.schedule_length graph)
+    (Ddg.Lower_bounds.dependence_height graph);
   let finish name (schedule : Sched.Schedule.t) =
     let cost = Sched.Cost.of_schedule occ schedule in
     Printf.printf "%s: %s\n" name (Sched.Cost.to_string cost);

@@ -25,7 +25,9 @@ let () =
   (* 2. Build the data dependence graph and look at its bounds. *)
   let graph = Ddg.Graph.build region in
   let closure = Ddg.Closure.compute graph in
-  Printf.printf "length lower bound: %d cycles\n" (Ddg.Lower_bounds.schedule_length graph);
+  Printf.printf "length lower bound: %d cycles (dependence height %d)\n"
+    (Ddg.Lower_bounds.schedule_length graph)
+    (Ddg.Lower_bounds.dependence_height graph);
   Printf.printf "ready-list upper bound (Section V-A): %d\n\n"
     (Ddg.Closure.ready_list_upper_bound closure);
 

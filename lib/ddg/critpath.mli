@@ -2,8 +2,10 @@
 
     The backward critical path ("distance to the farthest leaf") is the
     classic Critical-Path guiding heuristic (Section IV-A); forward plus
-    backward distances give the schedule-length lower bound used for the
-    termination test and the paper's filters. *)
+    backward distances give the dependence height
+    ({!Lower_bounds.dependence_height}), which the cycle-threshold
+    filter's gap is measured against. The termination test uses the
+    tighter {!Lower_bounds.schedule_length}. *)
 
 type t
 

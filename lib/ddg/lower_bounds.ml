@@ -1,6 +1,138 @@
-let schedule_length g =
+(* --- schedule length ---------------------------------------------------- *)
+
+let dependence_height g =
   let cp = Critpath.compute g in
   max (Critpath.critical_path_length cp + 1) (Graph.size g)
+
+(* Every dependence costs at least one cycle: [Sched.Schedule.check]
+   rejects a destination issued in its source's cycle even at latency 0
+   (anti edges). *)
+let weight lat = max lat 1
+
+(* Jackson's rule for unit jobs fed in nondecreasing release order: the
+   machine always issues, among the released jobs, the one with the
+   largest delivery (a max-heap of deliveries; the job's identity never
+   matters). For unit jobs and integer releases this list schedule is
+   optimal, so [finish] returns the exact minimum over single-issue
+   schedules of max (issue cycle + 1 + delivery). *)
+type machine = { ready : int Support.Pqueue.t; mutable now : int; mutable makespan : int }
+
+let machine () = { ready = Support.Pqueue.create ~cmp:Int.compare; now = 0; makespan = 0 }
+
+let reset m =
+  Support.Pqueue.clear m.ready;
+  m.now <- 0;
+  m.makespan <- 0
+
+(* Issue the released job with the largest delivery at [now]. *)
+let issue m =
+  match Support.Pqueue.pop m.ready with
+  | Some del ->
+      m.makespan <- max m.makespan (m.now + 1 + del);
+      m.now <- m.now + 1
+  | None -> ()
+
+let admit m ~rel ~del =
+  while (not (Support.Pqueue.is_empty m.ready)) && m.now < rel do
+    issue m
+  done;
+  if m.now < rel then m.now <- rel;
+  Support.Pqueue.push m.ready del
+
+let finish m =
+  while not (Support.Pqueue.is_empty m.ready) do
+    issue m
+  done;
+  m.makespan
+
+(* Heads and tails: [rel.(i)], the longest weighted path from a root to
+   [i], is the earliest cycle [i] can issue; [del.(i)], the longest
+   weighted path from [i] to a leaf, is how many cycles must follow it.
+   Node ids are a topological order (every DDG edge points forward in
+   program order), so one sweep each way suffices. *)
+let heads_tails (g : Graph.t) =
+  let n = g.n in
+  let rel = Array.make n 0 and del = Array.make n 0 in
+  for i = 0 to n - 1 do
+    Array.iter (fun (p, lat) -> rel.(i) <- max rel.(i) (rel.(p) + weight lat)) g.preds.(i)
+  done;
+  for i = n - 1 downto 0 do
+    Array.iter (fun (s, lat) -> del.(i) <- max del.(i) (del.(s) + weight lat)) g.succs.(i)
+  done;
+  (rel, del)
+
+(* The relaxation over every node, fed in release order. *)
+let relaxed m ~rel ~del =
+  let by_rel = Array.init (Array.length rel) Fun.id in
+  Array.stable_sort (fun a b -> Int.compare rel.(a) rel.(b)) by_rel;
+  reset m;
+  Array.iter (fun i -> admit m ~rel:rel.(i) ~del:del.(i)) by_rel;
+  finish m
+
+let single_issue g =
+  let rel, del = heads_tails g in
+  relaxed (machine ()) ~rel ~del
+
+(* One recursive strengthening (Langevin & Cerny) of [heads], visiting
+   nodes in [order] (every node's [edges]-neighbours before it). A
+   node's ancestors along [edges] are a single-issue instance of their
+   own: ancestor [a] issues no earlier than [heads.(a)] and leaves
+   [dist (a, v)] cycles before [v] can issue, so [v]'s head is at least
+   Jackson's makespan over them with delivery [dist - 1]. Their heads
+   are final by the time [v] is visited, and the visited nodes are kept
+   sorted by head ([sorted]), so each node costs one longest-path sweep
+   back over its ancestors and one Jackson run, with no sort and no
+   n x n distance matrix.
+
+   The same function strengthens tails: reversing time turns a node's
+   descendants (release [dist - 1], delivery their tail) into jobs
+   released at their tail and delivered at [dist - 1], which Jackson's
+   rule schedules to the same makespan. *)
+let strengthen m ~order ~(edges : (int * int) array array) heads =
+  let n = Array.length heads in
+  let dist = Array.make n (-1) in
+  let sorted = Array.make n 0 in
+  Array.iteri
+    (fun k v ->
+      dist.(v) <- 0;
+      for j = k downto 0 do
+        let u = order.(j) in
+        if dist.(u) >= 0 then
+          for e = 0 to Array.length edges.(u) - 1 do
+            let a, lat = edges.(u).(e) in
+            dist.(a) <- max dist.(a) (dist.(u) + weight lat)
+          done
+      done;
+      reset m;
+      for j = 0 to k - 1 do
+        let a = sorted.(j) in
+        if dist.(a) > 0 then admit m ~rel:heads.(a) ~del:(dist.(a) - 1)
+      done;
+      heads.(v) <- max heads.(v) (finish m);
+      for j = 0 to k do
+        dist.(order.(j)) <- -1
+      done;
+      (* insert [v] into the head-sorted prefix *)
+      let j = ref k in
+      while !j > 0 && heads.(sorted.(!j - 1)) > heads.(v) do
+        sorted.(!j) <- sorted.(!j - 1);
+        decr j
+      done;
+      sorted.(!j) <- v)
+    order
+
+let schedule_length ?(upper = max_int) (g : Graph.t) =
+  let rel, del = heads_tails g in
+  let m = machine () in
+  let plain = relaxed m ~rel ~del in
+  if plain >= upper then plain
+  else begin
+    strengthen m ~order:(Array.init g.n Fun.id) ~edges:g.preds rel;
+    strengthen m ~order:(Array.init g.n (fun i -> g.n - 1 - i)) ~edges:g.succs del;
+    relaxed m ~rel ~del
+  end
+
+(* --- register pressure ---------------------------------------------------- *)
 
 let count_cls cls regs =
   List.length (List.filter (fun (r : Ir.Reg.t) -> Ir.Reg.cls_equal r.cls cls) regs)

@@ -1,23 +1,43 @@
 (** Lower bounds on schedule length and register pressure.
 
-    ACO terminates early when the global best schedule reaches the
-    pre-computed lower bound, and the compile pipeline skips ACO entirely
-    when the heuristic schedule is already at the bound (Section VI-A).
-    Sound but not necessarily tight bounds are fine: a loose bound only
-    makes the search run longer. *)
+    ACO terminates a pass as soon as its best schedule reaches the
+    pre-computed lower bound, and the compile pipeline skips a pass
+    entirely when its input schedule is already at the bound
+    (Section VI-A). Every bound here is sound; the tighter the length
+    bound, the more searches it proves unnecessary. *)
 
-val schedule_length : Graph.t -> int
-(** [max (critical path length + 1) n] for the paper's single-issue
-    machine model. *)
+val dependence_height : Graph.t -> int
+(** [max (critical path length + 1) n]: the longest latency-weighted
+    dependence chain, or one cycle per instruction on the single-issue
+    machine. The loosest bound here; the cycle-threshold filter's gap is
+    measured against it (see [Pipeline.Filters]). *)
+
+val single_issue : Graph.t -> int
+(** The single-issue relaxation (the Rim & Jain bound): each instruction
+    is a unit job released at its longest path from the roots and
+    delivered at its longest path to the leaves, every edge weighted
+    [max latency 1] because a dependence can never issue in its source's
+    cycle. Jackson's rule (always issue the released job with the
+    largest delivery) solves the relaxation exactly in O(n log n).
+    Dominates {!dependence_height}. *)
+
+val schedule_length : ?upper:int -> Graph.t -> int
+(** {!single_issue} with releases and deliveries strengthened once,
+    recursively, in the style of Langevin & Cerny: a node's release is
+    at least the relaxation's makespan over its ancestors, each delivered
+    at its distance to the node minus one, and a node's delivery likewise
+    over its descendants. One longest-path sweep and one Jackson run per
+    node, [O(n (n + m) + n^2 log n)] without an n x n matrix. When
+    [upper] (the length of a known schedule) is given and the plain
+    relaxation already reaches it, the strengthening is skipped: the
+    plain bound is then the optimum. *)
 
 val register_pressure : Graph.t -> Ir.Reg.cls -> int
 (** A sound lower bound on the peak register pressure of any schedule for
-    the given class: the maximum of (a) the live-in count (all live-in
-    registers are simultaneously live at entry), (b) the live-out count
-    (simultaneously live at exit), and (c) the largest single-instruction
-    Def set combined with the registers that must be live across that
-    instruction because it is their only producer path... reduced to the
-    simple sound form [max |defs_i|]. *)
+    the given class: the maximum of the live-in count (all live-in
+    registers are live together at entry), the live-out count (all live
+    together at exit) and the largest def set of a single instruction
+    (its defs are all live at its issue). *)
 
 val min_reg_lb : Closure.t -> Graph.t -> Ir.Reg.cls -> int array
 (** Per-instruction min-register lower bound (Chen et al., arXiv

@@ -9,7 +9,6 @@ type t = {
   max_iterations : int;
   heuristic : Sched.Heuristic.kind;
   stall_base_probability : float;
-  pass2_cycle_threshold : int;
 }
 
 let default =
@@ -24,7 +23,6 @@ let default =
     max_iterations = 32;
     heuristic = Sched.Heuristic.Critical_path;
     stall_base_probability = 0.5;
-    pass2_cycle_threshold = 1;
   }
 
 let size_category n = if n < 50 then 0 else if n < 100 then 1 else 2

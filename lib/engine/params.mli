@@ -20,11 +20,6 @@ type t = {
   stall_base_probability : float;
       (** optional-stall insertion probability before damping
           (Section IV-C's heuristic) *)
-  pass2_cycle_threshold : int;
-      (** invoke the ILP pass only when the input schedule is at least
-          this many cycles above the length lower bound — the
-          compile-time/regression filter of Section VI-D (the paper tunes
-          it to 21 in Table 7; 1 disables the filter) *)
 }
 
 val default : t

@@ -14,6 +14,7 @@ type t = {
   pass1_initial_rp : Sched.Cost.rp;
   rp_lb : Sched.Cost.rp;
   length_lb : int;
+  height_lb : int;
   pass1_needed : bool;
   closure : Ddg.Closure.t;
   critpath : Ddg.Critpath.t;
@@ -93,7 +94,12 @@ let of_graph ?fingerprint occ graph =
     pass1_initial_order;
     pass1_initial_rp;
     rp_lb;
-    length_lb = Ddg.Lower_bounds.schedule_length graph;
+    (* The recursive strengthening only runs where the AMD schedule
+       sits above the plain relaxation; elsewhere that schedule is
+       already optimal. *)
+    length_lb =
+      Ddg.Lower_bounds.schedule_length ~upper:(Sched.Schedule.length amd_schedule) graph;
+    height_lb = Ddg.Lower_bounds.dependence_height graph;
     pass1_needed = Sched.Cost.compare_rp pass1_initial_rp rp_lb > 0;
     closure;
     critpath = Ddg.Critpath.compute graph;

@@ -24,7 +24,14 @@ type t = {
       (** better (by RP) of the AMD order and the Last-Use-Count order *)
   pass1_initial_rp : Sched.Cost.rp;
   rp_lb : Sched.Cost.rp;  (** lower bound on any schedule's RP cost *)
-  length_lb : int;  (** lower bound on any schedule's length *)
+  length_lb : int;
+      (** {!Ddg.Lower_bounds.schedule_length}: the tight bound on any
+          schedule's length. Pass 2 is skipped when its input schedule
+          meets it, and every schedule (pass-2) search stops when it
+          reaches it. *)
+  height_lb : int;
+      (** {!Ddg.Lower_bounds.dependence_height}: the loose bound the
+          cycle-threshold filter's gap is measured against *)
   pass1_needed : bool;  (** the initial RP is above the bound *)
   closure : Ddg.Closure.t;  (** transitive closure of the DDG *)
   critpath : Ddg.Critpath.t;  (** latency-weighted critical paths *)

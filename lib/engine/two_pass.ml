@@ -12,7 +12,7 @@ let run (backend : Backend.t) (ctx : Backend.ctx) (rc : Region_ctx.t) : Types.re
   let module B = (val backend : Backend.S) in
   (* Lazy prepare: the backend's working set is built on the first pass
      that runs, so a region both gates skip (the initial order already
-     at the RP bound, the padded schedule within the length threshold)
+     at the RP bound, the padded schedule at the length bound)
      never pays for a colony it would not use. Nothing before the first
      pass draws randomness, so deferring [prepare] leaves every RNG
      stream where it was. *)
@@ -43,15 +43,13 @@ let run (backend : Backend.t) (ctx : Backend.ctx) (rc : Region_ctx.t) : Types.re
   let rp_target = Region_ctx.rp_of_order rc.Region_ctx.occ rc.Region_ctx.graph best_order in
   let target_vgpr, target_sgpr = Sched.Objective.breach_targets objective rp_target in
   (* Pass 2: minimize length under the pass-1 RP target, from the padded
-     pass-1 winner, on whatever budget pass 1 left unspent. *)
+     pass-1 winner, on whatever budget pass 1 left unspent. Skipped when
+     that schedule already meets the length bound: it is optimal. *)
   let initial_schedule = Region_ctx.pass2_initial rc ~best_pass1_order:best_order ~rp_target in
   let initial_length = Sched.Schedule.length initial_schedule in
   let budget2 = Types.budget_minus ctx.Backend.budget pass1 in
   let schedule, pass2 =
-    if
-      initial_length - rc.Region_ctx.length_lb
-      >= max 1 ctx.Backend.params.Params.pass2_cycle_threshold
-    then
+    if initial_length > rc.Region_ctx.length_lb then
       B.run_schedule_pass (Lazy.force state)
         {
           Backend.s_label = ctx.Backend.label ^ "pass2";

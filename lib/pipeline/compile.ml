@@ -31,9 +31,6 @@ let make_config ?(gpu = Gpusim.Config.bench) ?(filters = Filters.default)
     {
       Engine.Params.default with
       Engine.Params.ants_per_iteration = Gpusim.Config.threads gpu;
-      (* Run the ILP pass ungated; Report applies [filters.cycle_threshold]
-         by synthesis. *)
-      pass2_cycle_threshold = 1;
     }
   in
   let gpu =
@@ -342,7 +339,7 @@ let run_region ?(trace = Obs.Trace.null) ?(metrics = Obs.Metrics.null)
     cp_cost = rc.Engine.Region_ctx.cp_cost;
     pass1_invoked = presult.Engine.Types.pass1.Engine.Types.invoked;
     pass2_invoked = presult.Engine.Types.pass2.Engine.Types.invoked;
-    pass2_gap = rc.Engine.Region_ctx.amd_cost.Sched.Cost.length - rc.Engine.Region_ctx.length_lb;
+    pass2_gap = rc.Engine.Region_ctx.amd_cost.Sched.Cost.length - rc.Engine.Region_ctx.height_lb;
     aco_cost = presult.Engine.Types.cost;
     aco_order = Sched.Schedule.order presult.Engine.Types.schedule;
     pass1_only_cost = pass2_initial_cost;

@@ -9,13 +9,15 @@
     sequential backend along from the same starting points (the timing
     baseline of Tables 3.a/3.b and 5).
 
-    ACO is run *ungated* here while each region's gap — heuristic
-    schedule length minus the length lower bound — is recorded.
-    {!Report} then synthesizes the compiler's output for any
-    cycle-threshold setting (the tuned default, and Table 7's sweep)
-    without recompiling: a region whose gap is below the threshold is
-    treated as never having invoked ACO at all (Section VI-F calls this
-    "filtering out unpromising scheduling regions"). *)
+    ACO runs here without the cycle-threshold filter, gated only by the
+    lower bounds (a pass whose input already meets its bound is
+    skipped), while each region's gap — heuristic schedule length minus
+    the dependence height — is recorded. {!Report} then synthesizes the
+    compiler's output for any cycle-threshold setting (the tuned
+    default, and Table 7's sweep) without recompiling: a region whose
+    gap is below the threshold is treated as never having invoked ACO
+    at all, pass 1 included (Section VI-F calls this "filtering out
+    unpromising scheduling regions"). *)
 
 type config = {
   occ : Machine.Occupancy.t;
@@ -51,8 +53,7 @@ val make_config :
   unit ->
   config
 (** Consistent defaults: the sequential ant count equals the parallel
-    thread count (the paper compares equal colonies), the ILP pass is
-    ungated for later synthesis, and [dispatch] is
+    thread count (the paper compares equal colonies), and [dispatch] is
     {!Engine.Dispatch.default} (the parallel backend everywhere).
 
     Robustness knobs layer on top of [robust] (default {!Robust.default},
@@ -80,15 +81,19 @@ type region_report = {
   n : int;
   size_category : int;
   length_lb : int;
+      (** the tight length lower bound, {!Engine.Region_ctx.t}'s
+          [length_lb] *)
   heuristic_cost : Sched.Cost.t;
   heuristic_order : int array;
   cp_cost : Sched.Cost.t;  (** Critical-Path schedule (sensitivity check) *)
   pass1_invoked : bool;  (** of the product run *)
   pass2_invoked : bool;  (** of the product run *)
   pass2_gap : int;
-      (** heuristic schedule length minus the length lower bound — the
-          quantity the cycle-threshold filter gates ACO on (known before
-          any ACO work is spent on the region) *)
+      (** heuristic schedule length minus the dependence height
+          ({!Engine.Region_ctx.t}'s [height_lb], not [length_lb]: the
+          threshold was tuned against the looser bound) — the quantity
+          the cycle-threshold filter gates the region's ACO result on
+          (known before any ACO work is spent on the region) *)
   aco_cost : Sched.Cost.t;  (** the product backend's result, before filtering *)
   aco_order : int array;
   pass1_only_cost : Sched.Cost.t;  (** product if pass 2 were skipped *)

@@ -1,10 +1,15 @@
 (** The compile-time and regression filters of Section VI-D.
 
     Two filters bound ACO's cost and its execution-time risk:
-    - the *cycle-threshold filter* skips the ILP pass when the input
-      schedule is within [cycle_threshold] cycles of the length lower
-      bound (a small schedule-length win rarely survives un-modeled
-      factors; Table 7 tunes the threshold to 21);
+    - the *cycle-threshold filter* is a region gate: when the heuristic
+      schedule is fewer than [cycle_threshold] cycles above the
+      region's dependence height ([Compile.region_report.pass2_gap]),
+      the region ships its heuristic schedule and its whole ACO result
+      is dropped, pass 1 included, as if ACO had never run (a small
+      schedule-length win rarely survives un-modeled factors; Table 7
+      tunes the threshold to 21). [Report], [Perf_model] and [Timing]
+      apply it after the compile, so one compile serves every
+      threshold;
     - the *post-scheduling filter* compares the final ACO schedule with
       the heuristic schedule and reverts when ACO bought a small
       occupancy gain with a disproportionate length penalty
@@ -12,7 +17,7 @@
 
 type config = {
   cycle_threshold : int;
-      (** pass-2 gate. The paper tunes this to 21 on real-hardware
+      (** region gate on [pass2_gap]. The paper tunes this to 21 on real-hardware
           latencies; our latency scale is compressed (Ir.Opcode), which
           shifts the tuned value to 10 — the bench harness sweeps the
           paper's full range in Table 7 *)

@@ -6,8 +6,8 @@
    corpus after the fact.
 
    The record is derived from the region report alone (no recompute):
-   the gap is the product schedule's length over the region's
-   dependence-height lower bound, the occupancy columns compare the
+   the gap is the product schedule's length over the region's tight
+   length lower bound, the occupancy columns compare the
    achieved APRP-derived occupancy against the target the backend was
    aiming for, and iterations-to-best is the index where the product
    backend's best_costs convergence series first reached its final

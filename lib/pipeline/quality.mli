@@ -1,5 +1,5 @@
 (** Schedule-quality telemetry: one ledger record per compiled region —
-    schedule length against the dependence-height lower bound, achieved
+    schedule length against the tight length lower bound, achieved
     occupancy against the backend's register-pressure target, and
     convergence shape (iterations-to-best out of iterations run) —
     appended as JSONL and summarized over a corpus by [gpuaco report].
@@ -16,7 +16,7 @@ type record = {
   q_backend : string;  (** the product backend *)
   q_rung : string;  (** {!Robust.degradation_label} of the product run *)
   q_length : int;  (** product schedule length, cycles *)
-  q_length_lb : int;  (** dependence-height lower bound *)
+  q_length_lb : int;  (** the tight length lower bound ([Compile.region_report.length_lb]) *)
   q_gap : int;  (** [length - length_lb] *)
   q_occupancy : int;
   q_occ_target : int;  (** what the backend aimed for *)

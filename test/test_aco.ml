@@ -161,16 +161,17 @@ let prop_seq_aco_never_worse_rp =
 let prop_seq_aco_lb_respected =
   QCheck.Test.make ~name:"final length >= LB; bound stop exact" ~count:25
     (Tu.arb_graph ~max_size:25 ()) (fun g ->
-      let lb = Ddg.Lower_bounds.schedule_length g in
+      let lb = (Engine.Region_ctx.of_graph Tu.occ g).Engine.Region_ctx.length_lb in
       let r = Aco.Seq_aco.run ~params:Tu.test_params ~seed:5 Tu.occ g in
       r.Engine.Types.cost.Sched.Cost.length >= lb
       && (r.Engine.Types.pass2.Engine.Types.stop <> Engine.Types.Lower_bound
          || r.Engine.Types.cost.Sched.Cost.length = lb))
 
 let test_seq_aco_deterministic () =
-  let g = Ddg.Graph.build (Tu.random_region 77) in
+  let g = Ddg.Graph.build (Tu.random_region 154) in
   let r1 = Aco.Seq_aco.run ~params:Tu.test_params ~seed:9 Tu.occ g in
   let r2 = Aco.Seq_aco.run ~params:Tu.test_params ~seed:9 Tu.occ g in
+  Alcotest.(check bool) "pass 2 searched" true r1.Engine.Types.pass2.Engine.Types.invoked;
   Alcotest.(check int) "same final length" r1.Engine.Types.cost.Sched.Cost.length
     r2.Engine.Types.cost.Sched.Cost.length;
   Alcotest.(check int) "same iterations" r1.Engine.Types.pass2.Engine.Types.iterations
@@ -179,9 +180,10 @@ let test_seq_aco_deterministic () =
 let test_seq_aco_improves_sort () =
   (* A latency-rich region where greedy leaves stalls on the table. *)
   let rng = Support.Rng.create 5 in
-  let g = Ddg.Graph.build (Workload.Shapes.sort_pass rng ~items:12) in
+  let g = Ddg.Graph.build (Workload.Shapes.sort_pass rng ~items:8) in
   let params = { Tu.test_params with Engine.Params.ants_per_iteration = 64; max_iterations = 12 } in
   let r = Aco.Seq_aco.run ~params ~seed:3 Tu.occ g in
+  Alcotest.(check bool) "pass 2 searched" true r.Engine.Types.pass2.Engine.Types.invoked;
   Alcotest.(check bool) "no worse than heuristic length at equal RP" true
     (r.Engine.Types.cost.Sched.Cost.length
      <= r.Engine.Types.heuristic_cost.Sched.Cost.length
@@ -223,11 +225,14 @@ let test_aco_reaches_exact_optimum () =
         let opt = Sched.Brute_force.min_schedule_length g in
         let params = { Tu.test_params with Engine.Params.ants_per_iteration = 32 } in
         let r = Aco.Seq_aco.run ~params ~seed Tu.occ g in
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d searches" seed)
+          true r.Engine.Types.pass2.Engine.Types.invoked;
         Alcotest.(check int)
           (Printf.sprintf "seed %d reaches the optimum" seed)
           opt r.Engine.Types.cost.Sched.Cost.length
       end)
-    [ 1; 3; 4; 5; 8 ]
+    [ 266; 274; 287 ]
 
 
 let prop_weighted_aco_valid =

@@ -173,12 +173,13 @@ let small_compile_config dispatch =
   }
 
 let test_weighted_product () =
-  let region = Tu.random_region ~max_size:30 7 in
+  let region = Tu.random_region ~max_size:30 36 in
   let r =
     Pipeline.Compile.run_region
       (small_compile_config (Engine.Dispatch.Fixed "weighted"))
       ~name:"w" region
   in
+  Alcotest.(check bool) "weighted searched" true r.Pipeline.Compile.pass2_invoked;
   Alcotest.(check string) "weighted wins its own dispatch" "weighted"
     r.Pipeline.Compile.product_backend;
   Alcotest.(check bool) "weighted skips the RP pass" false r.Pipeline.Compile.pass1_invoked;
@@ -265,10 +266,11 @@ let stop = Alcotest.testable (fun ppf s -> Format.pp_print_string ppf (stop_labe
    Every case also holds [invoked = (stop <> Skipped)] on both passes. *)
 let stop_cases () =
   let bound = Engine.Region_ctx.of_region Tu.occ (Tu.bound_region ()) in
-  (* 64 instructions: patience is 2, so a 1-iteration cap binds first *)
+  (* 51 instructions: patience is 2, so a 1-iteration cap binds first;
+     pass 2 starts 19 cycles above the length bound *)
   let large =
     Engine.Region_ctx.of_region Tu.occ
-      (Workload.Shapes.transform (Support.Rng.create 3) ~unroll:10 ~chain:4)
+      (Workload.Shapes.reduction (Support.Rng.create 1) ~items:24)
   in
   (* both passes gated off: the initial schedule sits on both bounds *)
   let gated = Engine.Region_ctx.of_region Tu.occ (Tu.random_region ~max_size:12 0) in

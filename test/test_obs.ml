@@ -391,7 +391,6 @@ let compile_cfg ?fault_rate ?fault_seed ?compile_budget_ms () =
       {
         Tu.test_params with
         Engine.Params.ants_per_iteration = Gpusim.Config.threads Tu.test_gpu;
-        pass2_cycle_threshold = 1;
       };
   }
 

@@ -10,7 +10,6 @@ let compile_cfg () =
       {
         Tu.test_params with
         Engine.Params.ants_per_iteration = Gpusim.Config.threads Tu.test_gpu;
-        pass2_cycle_threshold = 1;
       };
   }
 
@@ -42,7 +41,9 @@ let test_iters_to_best () =
     (Pipeline.Quality.iters_to_best [| 8; 3; 6; 3 |])
 
 let test_of_region () =
-  let region = Tu.random_region ~max_size:25 17 in
+  (* 24 instructions whose pass 2 starts above the length bound, so the
+     product's search runs *)
+  let region = Tu.random_region ~max_size:25 41 in
   let report = Pipeline.Compile.run_region (compile_cfg ()) ~name:"q/r" region in
   let r = Pipeline.Quality.of_region report in
   Alcotest.(check string) "region name" "q/r" r.Pipeline.Quality.q_region;

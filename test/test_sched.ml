@@ -300,8 +300,12 @@ let prop_brute_force_brackets =
     (Tu.arb_graph ~max_size:10 ()) (fun g ->
       let opt_peak = Sched.Brute_force.min_peak_pressure g Ir.Reg.Vgpr in
       let opt_len = Sched.Brute_force.min_schedule_length g in
+      let plain = Ddg.Lower_bounds.single_issue g in
+      let tight = Ddg.Lower_bounds.schedule_length g in
       Ddg.Lower_bounds.register_pressure g Ir.Reg.Vgpr <= opt_peak
-      && Ddg.Lower_bounds.schedule_length g <= opt_len
+      && Ddg.Lower_bounds.dependence_height g <= plain
+      && plain <= tight
+      && tight <= opt_len
       && List.for_all
            (fun h ->
              let s = Sched.List_scheduler.run g h in
@@ -317,6 +321,41 @@ let test_brute_force_diamond () =
   let sl = Ir.Opcode.default_latency Ir.Opcode.Smem_load in
   let vl = Ir.Opcode.default_latency Ir.Opcode.Vmem_load in
   Alcotest.(check int) "exact min length" (sl + vl + 4) (Sched.Brute_force.min_schedule_length g)
+
+(* Each length bound on fixed random regions: [(max_size, seed, n,
+   height, plain, recursive, exact optimum)], the optimum where the brute
+   force reaches. Seed 54 is closed only by the recursive step; 71 only
+   by its delivery half and 3377 only by its release half; 1197's plain
+   relaxation is exact only because its latency-0 anti dependence still
+   costs a cycle (weighted 0 it reads 44). The diamond's plain relaxation
+   is exact too: its two middle instructions cannot share a cycle, which
+   the height misses. *)
+let test_length_bounds_pinned () =
+  let check name g ~height ~plain ~tight ~opt =
+    Alcotest.(check int) (name ^ " dependence height") height (Ddg.Lower_bounds.dependence_height g);
+    Alcotest.(check int) (name ^ " single-issue relaxation") plain (Ddg.Lower_bounds.single_issue g);
+    Alcotest.(check int) (name ^ " recursive bound") tight (Ddg.Lower_bounds.schedule_length g);
+    Option.iter
+      (fun opt ->
+        Alcotest.(check int) (name ^ " exact optimum") opt (Sched.Brute_force.min_schedule_length g))
+      opt
+  in
+  List.iter
+    (fun (max_size, seed, n, height, plain, tight, opt) ->
+      let g = Ddg.Graph.build (Tu.random_region ~max_size seed) in
+      let name = Printf.sprintf "random %d" seed in
+      Alcotest.(check int) (name ^ " size") n g.Ddg.Graph.n;
+      check name g ~height ~plain ~tight ~opt)
+    [
+      (12, 54, 10, 13, 16, 17, Some 17);
+      (12, 71, 11, 13, 14, 15, Some 15);
+      (16, 3377, 15, 18, 18, 19, None);
+      (12, 1197, 8, 43, 45, 45, Some 45);
+    ];
+  let sl = Ir.Opcode.default_latency Ir.Opcode.Smem_load in
+  let vl = Ir.Opcode.default_latency Ir.Opcode.Vmem_load in
+  check "diamond" (diamond_graph ()) ~height:(sl + vl + 3) ~plain:(sl + vl + 4)
+    ~tight:(sl + vl + 4) ~opt:(Some (sl + vl + 4))
 
 let test_brute_force_rejects_large () =
   let g = Ddg.Graph.build (Workload.Shapes.reduction (Support.Rng.create 1) ~items:32) in
@@ -343,6 +382,7 @@ let suite =
     Alcotest.test_case "constrained scheduler infeasible" `Quick test_constrained_scheduler_infeasible;
     Alcotest.test_case "constrained beats padding" `Quick test_constrained_not_longer_than_padded;
     Alcotest.test_case "brute force diamond" `Quick test_brute_force_diamond;
+    Alcotest.test_case "length bounds pinned" `Quick test_length_bounds_pinned;
     Alcotest.test_case "brute force size guards" `Quick test_brute_force_rejects_large;
   ]
   @ Tu.qtests

@@ -13,7 +13,6 @@ let compile_cfg ?fault_rate ?fault_seed ?compile_budget_ms () =
       {
         Tu.test_params with
         Engine.Params.ants_per_iteration = Gpusim.Config.threads Tu.test_gpu;
-        pass2_cycle_threshold = 1;
       };
     run_sequential = false;
   }
@@ -270,10 +269,12 @@ let test_retry_zero_ships_first_attempt () =
   let srv, replies =
     mk ~metrics (serve_cfg ~retries:0 (compile_cfg ~fault_rate:0.9 ~fault_seed:5 ()))
   in
-  Pipeline.Serve.handle srv (spec_req "stencil" 20 7);
+  Pipeline.Serve.handle srv (spec_req "reduction" 16 3);
   ignore (Pipeline.Serve.process srv);
   match compiled (replies ()) with
   | [ r ] ->
+      Alcotest.(check bool) "the attempt was degraded" true
+        (Pipeline.Robust.severity r.Pipeline.Serve.rep_outcome > 0);
       Alcotest.(check int) "exactly one attempt" 1 r.Pipeline.Serve.rep_attempts;
       Alcotest.(check int) "no serve retries counted" 0 (counter metrics "serve.retries")
   | rs -> Alcotest.failf "expected 1 reply, got %d" (List.length rs)
@@ -289,7 +290,7 @@ let test_deadline_expires_mid_retry () =
       (serve_cfg ~retries:5 ~slack:1.0
          (compile_cfg ~fault_rate:1.0 ~fault_seed:3 ~compile_budget_ms:0.01 ()))
   in
-  Pipeline.Serve.handle srv (spec_req "scan" 20 2);
+  Pipeline.Serve.handle srv (spec_req "reduction" 20 1);
   ignore (Pipeline.Serve.process srv);
   match compiled (replies ()) with
   | [ r ] ->
@@ -301,9 +302,9 @@ let test_deadline_expires_mid_retry () =
       | 0 -> Alcotest.fail "a fault-storm compile cannot be clean"
       | _ -> ());
       let region =
-        match Workload.Shapes.of_spec ~name:"scan" ~size:20 ~seed:2 with
+        match Workload.Shapes.of_spec ~name:"reduction" ~size:20 ~seed:1 with
         | Some r -> r
-        | None -> Alcotest.fail "scan shape missing"
+        | None -> Alcotest.fail "reduction shape missing"
       in
       (match
          Sched.Schedule.of_order (Ddg.Graph.build region) r.Pipeline.Serve.rep_order
@@ -460,7 +461,7 @@ let contains hay needle =
 let test_metrics_and_watch_verbs () =
   let metrics = Obs.Metrics.create () in
   let srv, replies = mk ~metrics (serve_cfg (compile_cfg ())) in
-  Pipeline.Serve.handle srv (spec_req ~id:"c1" "transform" 20 5);
+  Pipeline.Serve.handle srv (spec_req ~id:"c1" "matmul" 24 1);
   ignore (Pipeline.Serve.process srv);
   Pipeline.Serve.handle srv "op=metrics id=m1";
   Pipeline.Serve.handle srv "op=watch id=w1";
@@ -523,11 +524,11 @@ let test_quality_ledger_appends () =
   in
   let metrics = Obs.Metrics.create () in
   let srv, replies = mk ~metrics cfg in
-  Pipeline.Serve.handle srv (spec_req ~id:"a" "transform" 20 5);
-  Pipeline.Serve.handle srv (spec_req ~id:"b" "scan" 16 2);
+  Pipeline.Serve.handle srv (spec_req ~id:"a" "matmul" 24 1);
+  Pipeline.Serve.handle srv (spec_req ~id:"b" "reduction" 20 1);
   (* a memo duplicate replays the reply without recomputing — it must
      not append a second ledger record for the same compile *)
-  Pipeline.Serve.handle srv (spec_req ~id:"c" "transform" 20 5);
+  Pipeline.Serve.handle srv (spec_req ~id:"c" "matmul" 24 1);
   ignore (Pipeline.Serve.process srv);
   Alcotest.(check int) "three compile replies" 3 (List.length (compiled (replies ())));
   let records = Pipeline.Quality.load ~file in

@@ -55,7 +55,9 @@ let test_wide_accum_pressure_floor () =
 
 let test_gather_has_pass2_gap () =
   (* The shape exists to create small regions with a meaningful gap
-     between their input schedule and the length lower bound. *)
+     between their input schedule and the dependence height, the bound
+     the cycle-threshold filter measures. The tight length bound proves
+     the same schedule optimal, so pass 2 never searches it. *)
   let region = Workload.Shapes.gather_compute (Support.Rng.create 9) ~lanes:10 ~chain:2 in
   let g = Ddg.Graph.build region in
   let rc = Engine.Region_ctx.of_graph Tu.occ g in
@@ -65,8 +67,10 @@ let test_gather_has_pass2_gap () =
   in
   Alcotest.(check bool) "region is small" true (Ir.Region.size region < 50);
   Alcotest.(check bool) "gap exceeds the tuned threshold" true
-    (Sched.Schedule.length init - rc.Engine.Region_ctx.length_lb
-    >= Pipeline.Filters.default.Pipeline.Filters.cycle_threshold)
+    (Sched.Schedule.length init - rc.Engine.Region_ctx.height_lb
+    >= Pipeline.Filters.default.Pipeline.Filters.cycle_threshold);
+  Alcotest.(check int) "the tight bound closes it" rc.Engine.Region_ctx.length_lb
+    (Sched.Schedule.length init)
 
 let test_stencil_is_pressure_trap () =
   (* The property the generator exists for: the CP schedule has markedly

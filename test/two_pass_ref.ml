@@ -60,10 +60,7 @@ module Seq_ref = struct
       if budget_work = max_int then max_int else max 0 (budget_work - pass1.Engine.Types.work)
     in
     let schedule, _, pass2 =
-      if
-        initial_length - setup.Engine.Region_ctx.length_lb
-        >= max 1 params.Engine.Params.pass2_cycle_threshold
-      then
+      if initial_length > setup.Engine.Region_ctx.length_lb then
         Ant_ref.colony_run_pass ~params ~rng ~ants ~pheromone
           ~mode:(Aco.Ant.Ilp_pass { target_vgpr; target_sgpr })
           ~cost_of_ant:Aco.Ant.length ~allow_optional_stalls:true ~budget_work:budget2_work
@@ -536,10 +533,7 @@ module Par_ref = struct
       else Float.max 0.0 (budget_ns -. pass1.time_ns)
     in
     let schedule, _, pass2 =
-      if
-        initial_length - setup.Engine.Region_ctx.length_lb
-        >= max 1 params.Engine.Params.pass2_cycle_threshold
-      then
+      if initial_length > setup.Engine.Region_ctx.length_lb then
         run_pass ~params ~config ~rng ~wavefronts ~pheromone
           ~mode:(Aco.Ant.Ilp_pass { target_vgpr; target_sgpr })
           ~cost_of_ant:Aco.Ant.length

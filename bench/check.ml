@@ -193,7 +193,15 @@ let run () =
           (ratio
              (float_of_int s.Tables.ms_mmas_total_length)
              (float_of_int s.Tables.ms_seq_total_length))
-        ~tolerance:det_tolerance);
+        ~tolerance:det_tolerance;
+      (* Both colonies' ant work: the cut-off that stops ants which can
+         no longer win their iteration keeps these a quarter or more
+         below what running every ant to the end costs, so losing it
+         trips the deterministic tolerance. *)
+      check_series "backends/seq_total_work" ~committed:(committed "seq_total_work")
+        ~fresh:(float_of_int s.Tables.ms_seq_total_work) ~tolerance:det_tolerance;
+      check_series "backends/mmas_total_work" ~committed:(committed "mmas_total_work")
+        ~fresh:(float_of_int s.Tables.ms_mmas_total_work) ~tolerance:det_tolerance);
 
   (* The series table, committed vs fresh. *)
   print_endline "bench check: committed history vs fresh run";

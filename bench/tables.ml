@@ -328,6 +328,8 @@ type mmas_row = {
   mv_mmas_occ : int;
   mv_seq_len : int;
   mv_mmas_len : int;
+  mv_seq_work : int;  (* ant work of both passes *)
+  mv_mmas_work : int;
   mv_restarts : int;
   mv_escaped : bool;
   mv_seq_p1 : int array;
@@ -371,6 +373,10 @@ let mmas_rows config regions =
           in
           let p1 (res : Engine.Types.result) = res.Engine.Types.pass1 in
           let p2 (res : Engine.Types.result) = res.Engine.Types.pass2 in
+          let work (run : Pipeline.Compile.backend_run) =
+            let res = run.Pipeline.Compile.result in
+            (p1 res).Engine.Types.work + (p2 res).Engine.Types.work
+          in
           let restarts =
             match Obs.Metrics.get metrics "aco.mmas.restarts" with
             | Some m -> int_of_float (Obs.Metrics.value m)
@@ -388,6 +394,8 @@ let mmas_rows config regions =
               mv_mmas_occ = (cost mmas).Sched.Cost.rp.Sched.Cost.occupancy;
               mv_seq_len = (cost seq).Sched.Cost.length;
               mv_mmas_len = (cost mmas).Sched.Cost.length;
+              mv_seq_work = work seq;
+              mv_mmas_work = work mmas;
               mv_restarts = restarts;
               mv_escaped =
                 restarts > 0
@@ -408,6 +416,8 @@ type mmas_summary = {
   ms_escapes : int;
   ms_seq_total_length : int;
   ms_mmas_total_length : int;
+  ms_seq_total_work : int;
+  ms_mmas_total_work : int;
 }
 
 let summarize_mmas rows =
@@ -426,6 +436,8 @@ let summarize_mmas rows =
     ms_escapes = sum (fun r -> if r.mv_escaped then 1 else 0);
     ms_seq_total_length = sum (fun r -> r.mv_seq_len);
     ms_mmas_total_length = sum (fun r -> r.mv_mmas_len);
+    ms_seq_total_work = sum (fun r -> r.mv_seq_work);
+    ms_mmas_total_work = sum (fun r -> r.mv_mmas_work);
   }
 
 (* The deterministic fixture `bench check` diffs against the committed
@@ -489,7 +501,9 @@ let write_backends_json rows =
   Buffer.add_string buf
     (Printf.sprintf "    \"seq_total_length\": %d,\n" s.ms_seq_total_length);
   Buffer.add_string buf
-    (Printf.sprintf "    \"mmas_total_length\": %d\n" s.ms_mmas_total_length);
+    (Printf.sprintf "    \"mmas_total_length\": %d,\n" s.ms_mmas_total_length);
+  Buffer.add_string buf (Printf.sprintf "    \"seq_total_work\": %d,\n" s.ms_seq_total_work);
+  Buffer.add_string buf (Printf.sprintf "    \"mmas_total_work\": %d\n" s.ms_mmas_total_work);
   Buffer.add_string buf "  }\n}\n";
   output_string oc (Buffer.contents buf);
   close_out oc;

@@ -26,6 +26,7 @@ type shared = {
   s_cp : Ddg.Critpath.t;
   s_layout : Sched.Rp_tracker.layout;
   s_ready_ub : int;
+  s_tails : int array;  (* cycles that must follow each issue: the length bound's tails *)
   s_beta : float;  (* the exponent the eta rows are raised to *)
   s_eta_cp : float array;
   s_eta_so : float array;
@@ -50,7 +51,7 @@ let eta_pow_row kind ~cp ~beta graph =
   done;
   row
 
-let prepare_shared ?cp ?layout ?ready_ub ~beta graph =
+let prepare_shared ?cp ?layout ?ready_ub ?tails ~beta graph =
   let cp = match cp with Some c -> c | None -> Ddg.Critpath.compute graph in
   {
     s_graph = graph;
@@ -61,6 +62,7 @@ let prepare_shared ?cp ?layout ?ready_ub ~beta graph =
       (match ready_ub with
       | Some ub -> ub
       | None -> Ddg.Closure.ready_list_upper_bound (Ddg.Closure.compute graph));
+    s_tails = (match tails with Some d -> d | None -> Ddg.Lower_bounds.tails graph);
     s_beta = beta;
     s_eta_cp = eta_pow_row Sched.Heuristic.Critical_path ~cp ~beta graph;
     s_eta_so = eta_pow_row Sched.Heuristic.Source_order ~cp ~beta graph;
@@ -71,7 +73,8 @@ let prepare_shared ?cp ?layout ?ready_ub ~beta graph =
    analysis pass per region instead of one per backend. *)
 let shared_of_region_ctx ~beta (rc : Engine.Region_ctx.t) =
   prepare_shared ~cp:rc.Engine.Region_ctx.critpath ~layout:rc.Engine.Region_ctx.rp_layout
-    ~ready_ub:rc.Engine.Region_ctx.ready_ub ~beta rc.Engine.Region_ctx.graph
+    ~ready_ub:rc.Engine.Region_ctx.ready_ub ~tails:rc.Engine.Region_ctx.tails ~beta
+    rc.Engine.Region_ctx.graph
 
 let shared_ready_ub shared = shared.s_ready_ub
 
@@ -101,14 +104,16 @@ type t = {
   luc_base : int;
   eta_cp : float array;  (* the colony's eta^beta rows *)
   eta_so : float array;
+  tails : int array;  (* the colony's length-bound tails *)
   mutable rng : Support.Rng.t;
   mutable heuristic : Sched.Heuristic.kind;
   mutable allow_optional : bool;
   mutable mode : mode;
   mutable status : status;
   mutable last : int;  (* previously selected instruction, -1 at start *)
-  mutable slots : int array;  (* issue order; -1 marks a stall *)
-  mutable n_slots : int;
+  mutable cycles : int;
+      (* slots emitted so far, stalls included; each issue's cycle is
+         the ready list's, so the ant keeps no slot buffer *)
   mutable n_optional : int;
   mutable work : int;
   (* last-step report, overwritten by each step (the divergence and
@@ -160,7 +165,6 @@ let create ?shared ?arena ?fmat graph params =
         let ints, floats = arena_demand shared in
         Support.Arena.create ~ints ~floats
   in
-  let n = graph.Ddg.Graph.n in
   let ub = max 1 shared.s_ready_ub in
   let rows, cols = fmat_demand shared in
   let fm, row0 =
@@ -189,14 +193,14 @@ let create ?shared ?arena ?fmat graph params =
     luc_base = Support.Fmat.row_base fm (row0 + 1);
     eta_cp = shared.s_eta_cp;
     eta_so = shared.s_eta_so;
+    tails = shared.s_tails;
     rng = unstarted;
     heuristic = params.Engine.Params.heuristic;
     allow_optional = true;
     mode = Rp_pass;
     status = Dead;
     last = -1;
-    slots = Array.make (max 8 ((2 * n) + 8)) (-1);
-    n_slots = 0;
+    cycles = 0;
     n_optional = 0;
     work = 0;
     last_rank = 4;
@@ -215,7 +219,7 @@ let start t ~rng ~heuristic ~allow_optional_stalls mode =
   t.mode <- mode;
   t.status <- Active;
   t.last <- -1;
-  t.n_slots <- 0;
+  t.cycles <- 0;
   t.n_optional <- 0;
   t.work <- 0;
   Sched.Rp_tracker.reset t.rp;
@@ -235,6 +239,12 @@ let effective_heuristic t =
       let headroom_s = target_sgpr - Sched.Rp_tracker.current t.rp Ir.Reg.Sgpr in
       if headroom_v <= 2 || headroom_s <= 8 then Sched.Heuristic.Last_use_count
       else t.heuristic
+
+(* [Support.Rng.float], bit for bit, without the boxed float a call
+   across the module boundary returns: the roulette draw and the
+   optional-stall coin stay allocation-free, so an ant step allocates
+   nothing at all. *)
+let[@inline] unit_float rng = float_of_int (Support.Rng.float_bits rng) *. 0x1p-53
 
 (* ACS-style biased selection: with probability q0 exploit (argmax of
    tau^alpha * eta^beta), otherwise explore (roulette wheel over the same
@@ -289,7 +299,7 @@ let select_slice t ~pheromone ~explored m =
         A1.unsafe_set fd tot (A1.unsafe_get fd tot +. A1.unsafe_get fd (sb + k))
       done;
       let total = A1.unsafe_get fd tot in
-      let u = Support.Rng.float t.rng in
+      let u = unit_float t.rng in
       if total > 0.0 then begin
         (* Roulette wheel with early exit; like the seed's fold, the last
            candidate wins by default without a comparison (guarding
@@ -321,27 +331,16 @@ let select_slice t ~pheromone ~explored m =
     end
   end
 
-let ensure_slot t =
-  if t.n_slots >= Array.length t.slots then begin
-    let bigger = Array.make (2 * Array.length t.slots) (-1) in
-    Array.blit t.slots 0 bigger 0 t.n_slots;
-    t.slots <- bigger
-  end
-
 let emit_instr t rl i =
   Sched.Ready_list.schedule rl i;
   Sched.Rp_tracker.schedule t.rp i;
-  ensure_slot t;
-  t.slots.(t.n_slots) <- i;
-  t.n_slots <- t.n_slots + 1;
+  t.cycles <- t.cycles + 1;
   t.last <- i;
   if Sched.Ready_list.finished rl then t.status <- Finished
 
 let emit_stall t rl =
   Sched.Ready_list.stall rl;
-  ensure_slot t;
-  t.slots.(t.n_slots) <- -1;
-  t.n_slots <- t.n_slots + 1
+  t.cycles <- t.cycles + 1
 
 let finish_step t ~rank ~instr ~explored ~scanned ~succs =
   t.last_rank <- rank;
@@ -415,9 +414,8 @@ let step_hot t ~pheromone ~force_explore ~ready_limit =
           end
         else if
           t.allow_optional && has_semi_ready && fitting < m
-          && Support.Rng.bool t.rng
-               (t.params.Engine.Params.stall_base_probability
-               *. (0.5 ** float_of_int t.n_optional))
+          && unit_float t.rng
+             < t.params.Engine.Params.stall_base_probability *. (0.5 ** float_of_int t.n_optional)
         then begin
           emit_stall t rl;
           t.n_optional <- t.n_optional + 1;
@@ -462,31 +460,34 @@ let run_to_completion ?force_explore t ~pheromone =
     step_hot t ~pheromone ~force_explore:fe ~ready_limit:0
   done
 
+(* Instruction issued at each cycle, -1 for a stall: one issue per
+   cycle, at the cycle the ready list recorded. *)
+let by_cycle t =
+  let rl = ready_list t in
+  let slots = Array.make t.cycles (-1) in
+  for i = 0 to t.graph.Ddg.Graph.n - 1 do
+    let c = Sched.Ready_list.issue_cycle rl i in
+    if c >= 0 then slots.(c) <- i
+  done;
+  slots
+
 let slots t =
-  let rec loop k acc =
-    if k < 0 then acc
-    else
-      let s =
-        if t.slots.(k) < 0 then Sched.Schedule.Stall else Sched.Schedule.Instr t.slots.(k)
-      in
-      loop (k - 1) (s :: acc)
-  in
-  loop (t.n_slots - 1) []
+  Array.fold_right
+    (fun i acc -> (if i < 0 then Sched.Schedule.Stall else Sched.Schedule.Instr i) :: acc)
+    (by_cycle t) []
 
 let order t =
-  let count = ref 0 in
-  for k = 0 to t.n_slots - 1 do
-    if t.slots.(k) >= 0 then incr count
-  done;
-  let arr = Array.make !count 0 in
-  let p = ref 0 in
-  for k = 0 to t.n_slots - 1 do
-    if t.slots.(k) >= 0 then begin
-      arr.(!p) <- t.slots.(k);
-      incr p
-    end
-  done;
-  arr
+  let slots = by_cycle t in
+  let issued = Array.make (Array.fold_left (fun k i -> if i >= 0 then k + 1 else k) 0 slots) 0 in
+  let k = ref 0 in
+  Array.iter
+    (fun i ->
+      if i >= 0 then begin
+        issued.(!k) <- i;
+        incr k
+      end)
+    slots;
+  issued
 
 let schedule t =
   if t.status <> Finished then None
@@ -496,10 +497,10 @@ let schedule t =
     | Ok s -> Some s
     | Error _ -> None
 
-let rp_peaks t =
-  (Sched.Rp_tracker.peak t.rp Ir.Reg.Vgpr, Sched.Rp_tracker.peak t.rp Ir.Reg.Sgpr)
-
-let length t = t.n_slots
+let peak t cls = Sched.Rp_tracker.peak t.rp cls
+let rp_peaks t = (peak t Ir.Reg.Vgpr, peak t Ir.Reg.Sgpr)
+let length t = t.cycles
+let length_lb t = Sched.Ready_list.length_lb (ready_list t) ~tails:t.tails
 let optional_stalls t = t.n_optional
 let work t = t.work
 

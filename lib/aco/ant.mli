@@ -8,8 +8,8 @@
     ant performed and how much work it scanned, which is exactly what the
     divergence and memory models of the GPU simulator charge for.
 
-    All per-ant state (ready list arrays, RP tracker, slot buffer,
-    candidate scratch) is allocated once at [create] — batched into a
+    All per-ant state (ready list arrays, RP tracker, candidate
+    scratch) is allocated once at [create] — batched into a
     caller-supplied {!Support.Arena} when ants form a colony — and reused
     across iterations, mirroring the paper's
     no-dynamic-allocation-on-the-GPU rule (Section V-A). The stepping
@@ -35,14 +35,16 @@ type event = {
 
 type shared
 (** Region-wide state shared by every ant of a colony: critical path,
-    register layout, transitive-closure ready-list bound, and the
-    eta^beta rows of the construction-state-independent heuristics
-    (critical path, source order). *)
+    register layout, transitive-closure ready-list bound, the tails of
+    {!length_lb}, and the eta^beta rows of the
+    construction-state-independent heuristics (critical path, source
+    order). *)
 
 val prepare_shared :
   ?cp:Ddg.Critpath.t ->
   ?layout:Sched.Rp_tracker.layout ->
   ?ready_ub:int ->
+  ?tails:int array ->
   beta:float ->
   Ddg.Graph.t ->
   shared
@@ -139,7 +141,9 @@ val ready_count : t -> int
     wavefront driver uses it to compute a common [ready_limit]. *)
 
 val kill : t -> unit
-(** Early wavefront termination (Section V-B): mark the ant [Dead]. *)
+(** Mark the ant [Dead], keeping its {!work}: early wavefront termination
+    (Section V-B), and the CPU colony's stop for an ant that can no
+    longer win its iteration. *)
 
 val run_to_completion : ?force_explore:bool -> t -> pheromone:Pheromone.t -> unit
 (** Step until no longer active (sequential driver). *)
@@ -154,8 +158,22 @@ val schedule : t -> Sched.Schedule.t option
 val rp_peaks : t -> int * int
 (** (VGPR, SGPR) peak pressures of the construction so far. *)
 
+val peak : t -> Ir.Reg.cls -> int
+(** One class's entry of {!rp_peaks}, allocation-free. Peaks only grow
+    while the ant runs. *)
+
 val length : t -> int
 (** Cycles used so far (slots emitted). *)
+
+val length_lb : t -> int
+(** A lower bound on the length of every schedule this ant can still
+    complete ({!Sched.Ready_list.length_lb} over the shared tails): the
+    larger of the slots so far plus the unscheduled instructions and,
+    in the schedule pass, the maximum over ready and latency-pending
+    instructions of max (current cycle, ready cycle) + tail + 1. Equals
+    {!length} once the ant has [Finished]. The CPU colony stops an ant
+    once its cost at this length and its running peaks reaches the best
+    cost its iteration already has. *)
 
 val optional_stalls : t -> int
 

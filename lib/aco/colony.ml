@@ -4,13 +4,22 @@
    or [termination] improvement-free iterations pass, generic in the cost
    and in the artifact kept for the best solution.
 
+   Within an iteration the loop stops an ant once a lower bound on its
+   final cost reaches the best cost an earlier ant of the same iteration
+   finished with: such an ant can no longer win the iteration (a winner
+   must be strictly cheaper), and the policy only ever sees the winner.
+   Each ant draws only from its own [Rng.split] stream, so the cut
+   changes no draw of any other ant.
+
    The loop body is the byte-identity anchor of the engine: RNG draws,
-   work accounting and the measured minor-words window must match the
-   frozen reference loops the test differentials compare against (the
-   [As] policy reproduces their pheromone calls). The colony's fields
-   are therefore bound to locals on entry, before the minor-words
-   snapshot, so the per-iteration closure captures locals, never the
-   colony record. *)
+   winners and the measured minor-words window must match the frozen
+   reference loop the test differentials compare against (the [As]
+   policy reproduces its pheromone calls), which runs every ant to the
+   end; only [work] and the candidate meters may fall. The colony's
+   fields are therefore bound to locals on entry, before the
+   minor-words snapshot, so the per-iteration closure captures locals,
+   never the colony record, and captures as many of them as the frozen
+   loop's does. *)
 
 type t = {
   params : Engine.Params.t;
@@ -77,7 +86,7 @@ let work_of_budget = function
   | Engine.Types.Time_ns _ ->
       invalid_arg "Colony: nanosecond budgets require a time-model backend"
 
-let run_pass (type a) colony ~mode ~(cost_of_ant : Ant.t -> int)
+let run_pass (type a) colony ~mode ~(cost : length:int -> vgpr:int -> sgpr:int -> int)
     ~(artifact_of_ant : Ant.t -> a) ~budget_work ~pass_label ~initial_cost
     ~(initial_order : int array) ~(initial_artifact : a) ~lb_cost :
     a * int * Engine.Types.pass_stats =
@@ -104,6 +113,34 @@ let run_pass (type a) colony ~mode ~(cost_of_ant : Ant.t -> int)
      so an extra captured word would show up in [minor_words]. *)
   let start_ant ant ~rng mode =
     Ant.start ant ~rng ~heuristic:params.heuristic ~allow_optional_stalls mode
+  in
+  let cost_of_ant ant =
+    cost ~length:(Ant.length ant) ~vgpr:(Ant.peak ant Ir.Reg.Vgpr)
+      ~sgpr:(Ant.peak ant Ir.Reg.Sgpr)
+  in
+  (* Run one ant, stopping it once [cost] at its length bound and its
+     running peaks (both only lower bounds on the final values, and
+     [cost] is nondecreasing in each) reaches [cutoff], the best cost
+     already finished in this iteration. The first ant of an iteration
+     has no cutoff. A pass-1 cost reads only the peaks, so it is checked
+     only when a peak rises. *)
+  let schedule_pass = match mode with Ant.Rp_pass -> false | Ant.Ilp_pass _ -> true in
+  let run_ant ant cutoff =
+    if cutoff = max_int then Ant.run_to_completion ant ~pheromone
+    else begin
+      let vgpr = ref (-1) and sgpr = ref (-1) in
+      while Ant.status ant = Ant.Active do
+        Ant.step_hot ant ~pheromone ~force_explore:(-1) ~ready_limit:0;
+        if Ant.status ant = Ant.Active then begin
+          let v = Ant.peak ant Ir.Reg.Vgpr and s = Ant.peak ant Ir.Reg.Sgpr in
+          if schedule_pass || v > !vgpr || s > !sgpr then begin
+            vgpr := v;
+            sgpr := s;
+            if cost ~length:(Ant.length_lb ant) ~vgpr:v ~sgpr:s >= cutoff then Ant.kill ant
+          end
+        end
+      done
+    end
   in
   (* Candidate meters are cumulative on each ant's tracker; the pass
      reports deltas. Both sums sit outside the minor-words window. *)
@@ -140,7 +177,7 @@ let run_pass (type a) colony ~mode ~(cost_of_ant : Ant.t -> int)
     Array.iter
       (fun ant ->
         start_ant ant ~rng:(Support.Rng.split rng) mode;
-        Ant.run_to_completion ant ~pheromone;
+        run_ant ant !iter_best_cost;
         ants_total := !ants_total + 1;
         work := !work + Ant.work ant;
         if Ant.status ant = Ant.Finished then begin

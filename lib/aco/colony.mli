@@ -49,7 +49,7 @@ val work_of_budget : Engine.Types.budget -> int
 val run_pass :
   t ->
   mode:Ant.mode ->
-  cost_of_ant:(Ant.t -> int) ->
+  cost:(length:int -> vgpr:int -> sgpr:int -> int) ->
   artifact_of_ant:(Ant.t -> 'a) ->
   budget_work:int ->
   pass_label:string ->
@@ -63,6 +63,19 @@ val run_pass :
     passes. Generic in the cost (RP scalar in pass 1, length in pass 2,
     the weighted sum in the single-pass backend) and in the artifact
     kept for the best solution (order in pass 1, schedule in pass 2).
+
+    A finished ant costs [cost ~length ~vgpr ~sgpr] at its length and
+    peak pressures. [cost] must be allocation-free and nondecreasing in
+    each argument: evaluated at an unfinished ant's {!Ant.length_lb}
+    and running peaks it is a lower bound on that ant's final cost, and
+    the pass stops the ant (keeping the work it did) once that bound
+    reaches the best cost an earlier ant of the same iteration finished
+    with — it can no longer win the iteration. Without a budget this
+    changes no search decision: winners, RNG positions, pheromone
+    tables, best-cost series and iteration counts are those of running
+    every ant to the end; only [work] and the candidate meters fall.
+    Under a finite budget a pass spends less work per iteration, so it
+    may run more iterations before the budget stops it.
 
     Returns (best artifact, its cost, stats). The stats fill only the
     fields a CPU colony can measure — work units, iteration counts, the

@@ -1,9 +1,11 @@
+type cost = length:int -> vgpr:int -> sgpr:int -> int
+
 type state = {
   colony : Colony.t;
-  rp_scalar_of_ant : Ant.t -> int;
-  pass2_cost_of_ant : Ant.t -> int;
-      (* schedule length, plus the priced spill traffic of the ant's
-         peaks under a spill objective *)
+  rp_cost : cost;  (* the objective's RP scalar of the peaks *)
+  pass2_cost : cost;
+      (* schedule length, plus the priced spill traffic of the peaks
+         under a spill objective *)
   pass2_extra_of_initial : Sched.Schedule.t -> int;
       (* same spill term for the pass-2 initial schedule, so initial and
          ant costs stay comparable (always 0 under the cliff) *)
@@ -15,17 +17,12 @@ let prepare ~policy ~(objective : Sched.Objective.t option) ~prune ctx
   let occ = rc.Engine.Region_ctx.occ in
   let colony = Colony.prepare ~policy ~prune ~allow_optional_stalls:true ctx rc in
   let obj = match objective with Some o -> o | None -> Sched.Objective.Cliff in
-  let rp_scalar_of_ant ant =
-    let v, s = Ant.rp_peaks ant in
-    Sched.Objective.rp_scalar obj (Sched.Cost.rp_of_peaks occ ~vgpr:v ~sgpr:s)
-  in
-  let pass2_cost_of_ant, pass2_extra_of_initial =
+  let rp_cost ~length:_ ~vgpr ~sgpr = Sched.Objective.rp_scalar_of_peaks obj occ ~vgpr ~sgpr in
+  let pass2_cost, pass2_extra_of_initial =
     match obj with
-    | Sched.Objective.Cliff -> (Ant.length, fun _ -> 0)
+    | Sched.Objective.Cliff -> ((fun ~length ~vgpr:_ ~sgpr:_ -> length), fun _ -> 0)
     | Sched.Objective.Spill m ->
-        ( (fun ant ->
-            let v, s = Ant.rp_peaks ant in
-            Ant.length ant + Sched.Objective.spill_cycles obj ~vgpr:v ~sgpr:s),
+        ( (fun ~length ~vgpr ~sgpr -> length + Sched.Objective.spill_cycles obj ~vgpr ~sgpr),
           fun schedule ->
             let tracker = Sched.Rp_tracker.create graph in
             Array.iter
@@ -38,11 +35,11 @@ let prepare ~policy ~(objective : Sched.Objective.t option) ~prune ctx
             (ev * m.Sched.Objective.vgpr_spill_cycles)
             + (es * m.Sched.Objective.sgpr_spill_cycles) )
   in
-  { colony; rp_scalar_of_ant; pass2_cost_of_ant; pass2_extra_of_initial }
+  { colony; rp_cost; pass2_cost; pass2_extra_of_initial }
 
 let run_order_pass st (req : Engine.Backend.order_request) =
   let order, _, stats =
-    Colony.run_pass st.colony ~mode:Ant.Rp_pass ~cost_of_ant:st.rp_scalar_of_ant
+    Colony.run_pass st.colony ~mode:Ant.Rp_pass ~cost:st.rp_cost
       ~artifact_of_ant:Ant.order
       ~budget_work:(Colony.work_of_budget req.Engine.Backend.o_budget)
       ~pass_label:req.Engine.Backend.o_label
@@ -62,7 +59,7 @@ let run_schedule_pass st (req : Engine.Backend.schedule_request) =
              target_vgpr = req.Engine.Backend.s_target_vgpr;
              target_sgpr = req.Engine.Backend.s_target_sgpr;
            })
-      ~cost_of_ant:st.pass2_cost_of_ant
+      ~cost:st.pass2_cost
       ~artifact_of_ant:(fun ant ->
         match Ant.schedule ant with
         | Some s -> s

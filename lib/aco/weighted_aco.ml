@@ -8,8 +8,7 @@ type result = {
 
 (* The single objective: schedule length plus the RP scalar of the
    peaks (whose occupancy term already dominates). *)
-let scalar occ ~length ~peaks:(v, s) =
-  length + Sched.Cost.rp_scalar (Sched.Cost.rp_of_peaks occ ~vgpr:v ~sgpr:s)
+let scalar occ ~length ~vgpr ~sgpr = length + Sched.Cost.rp_scalar_of_peaks occ ~vgpr ~sgpr
 
 type state = { colony : Colony.t; occ : Machine.Occupancy.t; graph : Ddg.Graph.t }
 
@@ -55,21 +54,17 @@ module Backend_impl = struct
      choice the paper measured and rejected (Section II-A). The reported
      [best_costs] series therefore carries weighted costs, not lengths. *)
   let run_schedule_pass st (req : Engine.Backend.schedule_request) =
-    let cost_of_ant ant = scalar st.occ ~length:(Ant.length ant) ~peaks:(Ant.rp_peaks ant) in
     let initial_cost =
-      scalar st.occ ~length:req.Engine.Backend.s_initial_length
-        ~peaks:
-          (let p =
-             Sched.Rp_tracker.naive_peaks st.graph
-               (Sched.Schedule.order req.Engine.Backend.s_initial)
-           in
-           (p Ir.Reg.Vgpr, p Ir.Reg.Sgpr))
+      let p =
+        Sched.Rp_tracker.naive_peaks st.graph (Sched.Schedule.order req.Engine.Backend.s_initial)
+      in
+      scalar st.occ ~length:req.Engine.Backend.s_initial_length ~vgpr:(p Ir.Reg.Vgpr)
+        ~sgpr:(p Ir.Reg.Sgpr)
     in
     let lb_cost =
       scalar st.occ ~length:req.Engine.Backend.s_length_lb
-        ~peaks:
-          ( Ddg.Lower_bounds.register_pressure st.graph Ir.Reg.Vgpr,
-            Ddg.Lower_bounds.register_pressure st.graph Ir.Reg.Sgpr )
+        ~vgpr:(Ddg.Lower_bounds.register_pressure st.graph Ir.Reg.Vgpr)
+        ~sgpr:(Ddg.Lower_bounds.register_pressure st.graph Ir.Reg.Sgpr)
     in
     let schedule, _, stats =
       Colony.run_pass st.colony
@@ -79,7 +74,7 @@ module Backend_impl = struct
                target_vgpr = Sched.Objective.no_target;
                target_sgpr = Sched.Objective.no_target;
              })
-        ~cost_of_ant
+        ~cost:(fun ~length ~vgpr ~sgpr -> scalar st.occ ~length ~vgpr ~sgpr)
         ~artifact_of_ant:(fun ant ->
           match Ant.schedule ant with
           | Some s -> s

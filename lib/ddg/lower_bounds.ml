@@ -121,16 +121,20 @@ let strengthen m ~order ~(edges : (int * int) array array) heads =
       sorted.(!j) <- v)
     order
 
-let schedule_length ?(upper = max_int) (g : Graph.t) =
+let tails g = snd (heads_tails g)
+
+let schedule_length_tails ?(upper = max_int) (g : Graph.t) =
   let rel, del = heads_tails g in
   let m = machine () in
   let plain = relaxed m ~rel ~del in
-  if plain >= upper then plain
+  if plain >= upper then (plain, del)
   else begin
     strengthen m ~order:(Array.init g.n Fun.id) ~edges:g.preds rel;
     strengthen m ~order:(Array.init g.n (fun i -> g.n - 1 - i)) ~edges:g.succs del;
-    relaxed m ~rel ~del
+    (relaxed m ~rel ~del, del)
   end
+
+let schedule_length ?upper g = fst (schedule_length_tails ?upper g)
 
 (* --- register pressure ---------------------------------------------------- *)
 

@@ -32,6 +32,17 @@ val schedule_length : ?upper:int -> Graph.t -> int
     relaxation already reaches it, the strengthening is skipped: the
     plain bound is then the optimum. *)
 
+val tails : Graph.t -> int array
+(** Entry [i] is [i]'s plain tail: the longest path from [i] to a leaf,
+    every edge weighted [max latency 1] — how many cycles must follow
+    [i]'s issue in any schedule, so a schedule issuing [i] at cycle [c]
+    is at least [c + tails.(i) + 1] cycles long. *)
+
+val schedule_length_tails : ?upper:int -> Graph.t -> int * int array
+(** {!schedule_length} together with the tails its last relaxation ran
+    on: the strengthened tails when the strengthening ran, the plain
+    {!tails} otherwise. Both are sound in the sense of {!tails}. *)
+
 val register_pressure : Graph.t -> Ir.Reg.cls -> int
 (** A sound lower bound on the peak register pressure of any schedule for
     the given class: the maximum of the live-in count (all live-in

@@ -14,6 +14,7 @@ type t = {
   pass1_initial_rp : Sched.Cost.rp;
   rp_lb : Sched.Cost.rp;
   length_lb : int;
+  tails : int array;
   height_lb : int;
   pass1_needed : bool;
   closure : Ddg.Closure.t;
@@ -85,6 +86,12 @@ let of_graph ?fingerprint occ graph =
       ~sgpr:(Ddg.Lower_bounds.register_pressure graph Ir.Reg.Sgpr)
   in
   let closure = Ddg.Closure.compute graph in
+  (* The recursive strengthening only runs where the AMD schedule sits
+     above the plain relaxation; elsewhere that schedule is already
+     optimal. *)
+  let length_lb, tails =
+    Ddg.Lower_bounds.schedule_length_tails ~upper:(Sched.Schedule.length amd_schedule) graph
+  in
   let cp_schedule = Sched.List_scheduler.run graph Sched.Heuristic.Critical_path in
   {
     graph;
@@ -94,11 +101,8 @@ let of_graph ?fingerprint occ graph =
     pass1_initial_order;
     pass1_initial_rp;
     rp_lb;
-    (* The recursive strengthening only runs where the AMD schedule
-       sits above the plain relaxation; elsewhere that schedule is
-       already optimal. *)
-    length_lb =
-      Ddg.Lower_bounds.schedule_length ~upper:(Sched.Schedule.length amd_schedule) graph;
+    length_lb;
+    tails;
     height_lb = Ddg.Lower_bounds.dependence_height graph;
     pass1_needed = Sched.Cost.compare_rp pass1_initial_rp rp_lb > 0;
     closure;

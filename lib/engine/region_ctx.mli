@@ -29,6 +29,12 @@ type t = {
           schedule's length. Pass 2 is skipped when its input schedule
           meets it, and every schedule (pass-2) search stops when it
           reaches it. *)
+  tails : int array;
+      (** the per-instruction tails {!length_lb} was computed from
+          ({!Ddg.Lower_bounds.schedule_length_tails}): entry [i] is how
+          many cycles must follow [i]'s issue in any schedule. CPU-colony
+          ants bound their final length with them, to stop ants that can
+          no longer win their iteration. *)
   height_lb : int;
       (** {!Ddg.Lower_bounds.dependence_height}: the loose bound the
           cycle-threshold filter's gap is measured against *)

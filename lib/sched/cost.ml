@@ -19,7 +19,16 @@ let compare_rp a b =
 
 (* The scalar must order identically to [compare_rp]: occupancy dominates
    and APRP sums are bounded by the register-file sizes (256 + 800). *)
-let rp_scalar r = ((10 - r.occupancy) * 4096) + r.aprp_vgpr + r.aprp_sgpr
+let scalar ~occupancy ~aprp_vgpr ~aprp_sgpr = ((10 - occupancy) * 4096) + aprp_vgpr + aprp_sgpr
+let rp_scalar r = scalar ~occupancy:r.occupancy ~aprp_vgpr:r.aprp_vgpr ~aprp_sgpr:r.aprp_sgpr
+
+(* [rp_scalar (rp_of_peaks ...)] without the record: ants are costed
+   inside the colony's measured allocation window. *)
+let rp_scalar_of_peaks occ ~vgpr ~sgpr =
+  scalar
+    ~occupancy:(Machine.Occupancy.of_pressures occ ~vgpr ~sgpr)
+    ~aprp_vgpr:(Machine.Occupancy.aprp occ Ir.Reg.Vgpr vgpr)
+    ~aprp_sgpr:(Machine.Occupancy.aprp occ Ir.Reg.Sgpr sgpr)
 
 type t = { rp : rp; length : int }
 

@@ -22,6 +22,10 @@ val rp_scalar : rp -> int
     used where a single number is needed (pheromone deposit formula,
     statistics). *)
 
+val rp_scalar_of_peaks : Machine.Occupancy.t -> vgpr:int -> sgpr:int -> int
+(** [rp_scalar (rp_of_peaks occ ~vgpr ~sgpr)], allocation-free.
+    Nondecreasing in each peak. *)
+
 type t = { rp : rp; length : int }
 
 val of_schedule : Machine.Occupancy.t -> Schedule.t -> t

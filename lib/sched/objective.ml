@@ -27,15 +27,23 @@ let to_string = function Cliff -> "cliff" | Spill _ -> "spill"
    size, same sentinel the weighted backend uses for its single pass. *)
 let no_target = 100000
 
+let spill_scalar m ~aprp_vgpr ~aprp_sgpr =
+  (max 0 (aprp_vgpr - m.allow_vgpr) * m.vgpr_spill_cycles)
+  + (max 0 (aprp_sgpr - m.allow_sgpr) * m.sgpr_spill_cycles)
+  + aprp_vgpr + aprp_sgpr
+
 let rp_scalar t (r : Cost.rp) =
   match t with
   | Cliff -> Cost.rp_scalar r
+  | Spill m -> spill_scalar m ~aprp_vgpr:r.Cost.aprp_vgpr ~aprp_sgpr:r.Cost.aprp_sgpr
+
+let rp_scalar_of_peaks t occ ~vgpr ~sgpr =
+  match t with
+  | Cliff -> Cost.rp_scalar_of_peaks occ ~vgpr ~sgpr
   | Spill m ->
-      let excess_v = max 0 (r.Cost.aprp_vgpr - m.allow_vgpr) in
-      let excess_s = max 0 (r.Cost.aprp_sgpr - m.allow_sgpr) in
-      (excess_v * m.vgpr_spill_cycles)
-      + (excess_s * m.sgpr_spill_cycles)
-      + r.Cost.aprp_vgpr + r.Cost.aprp_sgpr
+      spill_scalar m
+        ~aprp_vgpr:(Machine.Occupancy.aprp occ Ir.Reg.Vgpr vgpr)
+        ~aprp_sgpr:(Machine.Occupancy.aprp occ Ir.Reg.Sgpr sgpr)
 
 let breach_targets t (r : Cost.rp) =
   match t with

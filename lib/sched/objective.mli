@@ -39,6 +39,11 @@ val rp_scalar : t -> Cost.rp -> int
     traffic of the per-class excess over the allowances. Smaller is
     better for both. *)
 
+val rp_scalar_of_peaks : t -> Machine.Occupancy.t -> vgpr:int -> sgpr:int -> int
+(** [rp_scalar t (Cost.rp_of_peaks occ ~vgpr ~sgpr)], allocation-free
+    and nondecreasing in each peak: the pass-1 cost of an ant's running
+    peaks is a lower bound on its final cost. *)
+
 val breach_targets : t -> Cost.rp -> int * int
 (** [(target_vgpr, target_sgpr)] pass 2 must respect, given the best
     pass-1 RP. {!Cliff} hands down the APRP peaks; {!Spill} returns

@@ -175,3 +175,32 @@ let stall t =
   promote t
 
 let finished t = t.scheduled_n = t.graph.Ddg.Graph.n
+let issue_cycle t i = t.buf.(t.sched_cycle + i)
+
+(* Every unscheduled instruction still needs a slot of its own, and an
+   instruction that is ready or waiting on latency issues no earlier
+   than max (cycle, its ready cycle) and is followed by at least its
+   tail. Every other unscheduled instruction descends from one of
+   those, so their tails cover it. Counted loops: this runs after every
+   ant step that the colony's cut-off checks. *)
+let length_lb t ~tails =
+  let buf = t.buf in
+  let lb = ref (t.cycle + t.graph.Ddg.Graph.n - t.scheduled_n) in
+  if t.latency_aware then begin
+    let tail = ref (-1) in
+    for k = t.ready_base to t.ready_base + t.ready_n - 1 do
+      let d = Array.unsafe_get tails (Array.unsafe_get buf k) in
+      if d > !tail then tail := d
+    done;
+    if t.cycle + !tail + 1 > !lb then lb := t.cycle + !tail + 1;
+    (* pending ready cycles all lie past the current cycle *)
+    for p = t.pend_head to t.pend_tail - 1 do
+      let finish =
+        Array.unsafe_get buf (t.pend_cycle + p)
+        + Array.unsafe_get tails (Array.unsafe_get buf (t.pend_instr + p))
+        + 1
+      in
+      if finish > !lb then lb := finish
+    done
+  end;
+  !lb

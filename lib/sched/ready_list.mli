@@ -58,3 +58,17 @@ val stall : t -> unit
 (** Advance one cycle without issuing. *)
 
 val finished : t -> bool
+
+val issue_cycle : t -> int -> int
+(** The cycle the given instruction was issued at, or [-1] while it is
+    unscheduled. *)
+
+val length_lb : t -> tails:int array -> int
+(** A lower bound on the length, in cycles, of every schedule that
+    completes the current partial one: the larger of the cycles used so
+    far plus one per unscheduled instruction, and the maximum over
+    ready and latency-pending instructions of max (current cycle, ready
+    cycle) + [tails.(i)] + 1. [tails] must be sound tails
+    ({!Ddg.Lower_bounds.tails}). A latency-free list (pass 1) keeps
+    only the first term. Equals the schedule's length once
+    {!finished}. *)

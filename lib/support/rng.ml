@@ -72,6 +72,8 @@ let[@inline] float t =
   let v = Int64.shift_right_logical (int64 t) 11 in
   Int64.to_float v *. (1.0 /. 9007199254740992.0)
 
+let float_bits t = Int64.to_int (Int64.shift_right_logical (int64 t) 11)
+
 let[@inline] bool t p = float t < p
 
 let shuffle t a =

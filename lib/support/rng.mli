@@ -30,6 +30,12 @@ val int : t -> int -> int
 val float : t -> float
 (** [float rng] is uniform in [\[0, 1)]. *)
 
+val float_bits : t -> int
+(** The 53 random bits {!float} scales into [\[0, 1)]: [float rng] and
+    [float_of_int (float_bits rng) *. 0x1p-53] draw the same value.
+    An [int] result crosses a call the compiler does not inline
+    unboxed, where a [float] result is boxed. *)
+
 val bool : t -> float -> bool
 (** [bool rng p] is [true] with probability [p]. *)
 

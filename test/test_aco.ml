@@ -122,6 +122,79 @@ let prop_ant_dead_or_within_target =
       | Aco.Ant.Finished -> fst (Aco.Ant.rp_peaks ant) <= target
       | Aco.Ant.Active -> false)
 
+(* The colony's cut-off stops an ant once its cost, evaluated at
+   [Ant.length_lb] and the running peaks, reaches a finished ant's cost;
+   that is exact only while both are lower bounds on the final values.
+   Pass 2 under random RP targets: at every step of an ant that
+   finishes, the length bound is at most the final length, and equal to
+   it at the end. Pass 1: the RP cost of the running peaks never
+   decreases, under the cliff and the spill objective. Ants share the
+   region context's tails, as a colony's do. *)
+let finished_pass2_ants = ref 0
+
+let prop_ant_bounds_sound =
+  QCheck.Test.make ~name:"ant length bound and running RP cost are lower bounds" ~count:40
+    QCheck.(pair (Tu.arb_region ()) (triple small_int (int_bound 8) (int_bound 16)))
+    (fun (region, (seed, slack_v, slack_s)) ->
+      let rc = Engine.Region_ctx.of_region Tu.occ region in
+      let g = rc.Engine.Region_ctx.graph in
+      let params = Tu.test_params in
+      let ant =
+        Aco.Ant.create
+          ~shared:(Aco.Ant.shared_of_region_ctx ~beta:params.Engine.Params.beta rc)
+          g params
+      in
+      let pheromone = Aco.Pheromone.create ~n:g.Ddg.Graph.n ~initial:1.0 in
+      let rng = Support.Rng.create seed in
+      let start mode =
+        Aco.Ant.start ant ~rng:(Support.Rng.split rng) ~heuristic:params.Engine.Params.heuristic
+          ~allow_optional_stalls:true mode
+      in
+      let step () = Aco.Ant.step_hot ant ~pheromone ~force_explore:(-1) ~ready_limit:0 in
+      let pass2 =
+        Aco.Ant.Ilp_pass
+          {
+            target_vgpr = Ddg.Lower_bounds.register_pressure g Ir.Reg.Vgpr + slack_v;
+            target_sgpr = Ddg.Lower_bounds.register_pressure g Ir.Reg.Sgpr + slack_s;
+          }
+      in
+      let spill = Sched.Objective.Spill (Gpusim.Mem_model.spill_model Gpusim.Config.bench) in
+      for _ = 1 to 4 do
+        start pass2;
+        let bounds = ref [ Aco.Ant.length_lb ant ] in
+        while Aco.Ant.status ant = Aco.Ant.Active do
+          step ();
+          bounds := Aco.Ant.length_lb ant :: !bounds
+        done;
+        if Aco.Ant.status ant = Aco.Ant.Finished then begin
+          incr finished_pass2_ants;
+          let len = Aco.Ant.length ant in
+          if List.hd !bounds <> len then
+            QCheck.Test.fail_reportf "finished at length %d with length bound %d" len
+              (List.hd !bounds);
+          List.iter
+            (fun lb ->
+              if lb > len then
+                QCheck.Test.fail_reportf "length bound %d above the final length %d" lb len)
+            !bounds
+        end;
+        start Aco.Ant.Rp_pass;
+        let cost obj =
+          Sched.Objective.rp_scalar_of_peaks obj Tu.occ ~vgpr:(Aco.Ant.peak ant Ir.Reg.Vgpr)
+            ~sgpr:(Aco.Ant.peak ant Ir.Reg.Sgpr)
+        in
+        let cliff = ref (cost Sched.Objective.Cliff) and spilled = ref (cost spill) in
+        while Aco.Ant.status ant = Aco.Ant.Active do
+          step ();
+          let c = cost Sched.Objective.Cliff and sp = cost spill in
+          if c < !cliff || sp < !spilled then
+            QCheck.Test.fail_report "the RP cost of the running peaks decreased";
+          cliff := c;
+          spilled := sp
+        done
+      done;
+      true)
+
 let test_ant_work_accumulates () =
   let g = Ddg.Graph.build (Tu.diamond_region ()) in
   let ant = run_ant Aco.Ant.Rp_pass g in
@@ -281,3 +354,7 @@ let suite =
         prop_aco_within_exact_bounds;
         prop_weighted_aco_valid;
       ]
+  @ [
+      Tu.qtest_witnessed ~witness:finished_pass2_ants ~what:"a finished pass-2 ant"
+        prop_ant_bounds_sound;
+    ]

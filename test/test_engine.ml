@@ -340,9 +340,11 @@ let warmup =
      ignore
        (Engine.Two_pass.run Gpusim.Par_aco.backend (ctx on_gpu ~seed:1 Engine.Types.Unlimited) rc))
 
+(* Every field but [work], which the colony's cut-off may only lower:
+   it stops ants the frozen loop runs to the end. *)
 let check_seq_stats label (g : Engine.Types.pass_stats) (e : Engine.Types.pass_stats) =
   let key (s : Engine.Types.pass_stats) =
-    ( (s.invoked, s.iterations, s.ants_simulated, s.work, s.improved),
+    ( (s.invoked, s.iterations, s.ants_simulated, s.improved),
       (s.stop, Array.to_list s.best_costs, s.minor_words) )
   in
   let show (s : Engine.Types.pass_stats) =
@@ -350,7 +352,7 @@ let check_seq_stats label (g : Engine.Types.pass_stats) (e : Engine.Types.pass_s
       s.ants_simulated s.work s.improved (stop_label s.stop) s.minor_words
       (Array.length s.best_costs)
   in
-  if key g <> key e then
+  if key g <> key e || e.Engine.Types.work > g.Engine.Types.work then
     Alcotest.failf "%s: pass stats diverged from the frozen driver (golden: %s | engine: %s)"
       label (show g) (show e);
   (* fields the sequential colony never touches stay at their defaults *)
@@ -410,10 +412,42 @@ let check_par_stats label (g : Ref.Par_ref.pass_stats) (e : Engine.Types.pass_st
   in
   if gt <> et then Alcotest.failf "%s: pass stats diverged from the frozen driver" label
 
+(* Cases on which the engine spent strictly less work than the frozen
+   driver: the differential must see at least one. *)
+let cut_cases = ref 0
+
+let is_prefix a b =
+  Array.length a <= Array.length b && Array.for_all2 ( = ) a (Array.sub b 0 (Array.length a))
+
+(* Under a finite budget the cut changes the search: a pass spends no
+   more work per iteration than the frozen driver's, so it runs at least
+   its iterations, the same ones first. *)
+let check_budgeted label (g : Engine.Types.result) (e : Engine.Types.result) =
+  let series (r : Engine.Types.result) pass = (pass r).Engine.Types.best_costs in
+  let p1 (r : Engine.Types.result) = r.Engine.Types.pass1 in
+  let p2 (r : Engine.Types.result) = r.Engine.Types.pass2 in
+  if not (is_prefix (series g p1) (series e p1)) then
+    Alcotest.failf "%s: the frozen pass-1 series is not a prefix of the engine's" label;
+  if
+    Sched.Schedule.order g.Engine.Types.pass2_initial
+    = Sched.Schedule.order e.Engine.Types.pass2_initial
+  then begin
+    if not (is_prefix (series g p2) (series e p2)) then
+      Alcotest.failf "%s: the frozen pass-2 series is not a prefix of the engine's" label;
+    if Sched.Cost.better_rp_then_length g.Engine.Types.cost e.Engine.Types.cost then
+      Alcotest.failf "%s: the engine shipped a worse schedule than the frozen driver" label
+  end
+  else begin
+    (* pass 1 ran further and found a strictly better order *)
+    let last a = a.(Array.length a - 1) in
+    if last (series e p1) >= last (series g p1) then
+      Alcotest.failf "%s: pass-2 seeds diverged without a better pass-1 order" label
+  end
+
 let seq_differential =
   QCheck.Test.make ~count:10
     ~name:"seq backend through the engine replays the frozen driver byte for byte"
-    (QCheck.pair (Tu.arb_region ~max_size:40 ()) QCheck.small_int)
+    (QCheck.pair (Tu.arb_searched_region ~max_size:40 ()) QCheck.small_int)
     (fun (region, seed) ->
       Lazy.force warmup;
       let rc = Engine.Region_ctx.of_region Tu.occ region in
@@ -424,20 +458,27 @@ let seq_differential =
           let e =
             Engine.Two_pass.run Aco.Seq_aco.backend (ctx [] ~seed (work_budget budget_work)) rc
           in
-          if
-            Sched.Schedule.order g.Engine.Types.schedule
-            <> Sched.Schedule.order e.Engine.Types.schedule
-          then Alcotest.failf "%s: schedules diverged" label;
-          if g.Engine.Types.cost <> e.Engine.Types.cost then
-            Alcotest.failf "%s: costs diverged" label;
-          if g.Engine.Types.rp_target <> e.Engine.Types.rp_target then
-            Alcotest.failf "%s: RP targets diverged" label;
-          if
-            Sched.Schedule.order g.Engine.Types.pass2_initial
-            <> Sched.Schedule.order e.Engine.Types.pass2_initial
-          then Alcotest.failf "%s: pass-2 seeds diverged" label;
-          check_seq_stats (label ^ " pass1") g.Engine.Types.pass1 e.Engine.Types.pass1;
-          check_seq_stats (label ^ " pass2") g.Engine.Types.pass2 e.Engine.Types.pass2)
+          if budget_work < max_int then check_budgeted label g e
+          else begin
+            if
+              Sched.Schedule.order g.Engine.Types.schedule
+              <> Sched.Schedule.order e.Engine.Types.schedule
+            then Alcotest.failf "%s: schedules diverged" label;
+            if g.Engine.Types.cost <> e.Engine.Types.cost then
+              Alcotest.failf "%s: costs diverged" label;
+            if g.Engine.Types.rp_target <> e.Engine.Types.rp_target then
+              Alcotest.failf "%s: RP targets diverged" label;
+            if
+              Sched.Schedule.order g.Engine.Types.pass2_initial
+              <> Sched.Schedule.order e.Engine.Types.pass2_initial
+            then Alcotest.failf "%s: pass-2 seeds diverged" label;
+            check_seq_stats (label ^ " pass1") g.Engine.Types.pass1 e.Engine.Types.pass1;
+            check_seq_stats (label ^ " pass2") g.Engine.Types.pass2 e.Engine.Types.pass2;
+            let work (r : Engine.Types.result) =
+              r.Engine.Types.pass1.Engine.Types.work + r.Engine.Types.pass2.Engine.Types.work
+            in
+            if work e < work g then incr cut_cases
+          end)
         [ max_int; 40_000; 500 ];
       true)
 
@@ -503,4 +544,6 @@ let suite =
     ("auto dispatch follows the size threshold", `Quick, test_auto_dispatch);
     ("every stop reason and its ledger rung", `Quick, test_stop_reasons);
   ]
-  @ Tu.qtests [ race_picks_best; seq_differential; par_differential ]
+  @ Tu.qtests [ race_picks_best ]
+  @ [ Tu.qtest_witnessed ~witness:cut_cases ~what:"a cut ant" seq_differential ]
+  @ Tu.qtests [ par_differential ]

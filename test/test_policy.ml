@@ -61,15 +61,18 @@ let test_as_table_identity =
 (* As byte-identity, driver level: [Colony.run_pass] with the As policy
    vs the frozen pre-refactor loop in [Ant_ref.colony_run_pass]. *)
 
-let rp_cost ant =
-  let vgpr, sgpr = Aco.Ant.rp_peaks ant in
-  Sched.Cost.rp_scalar (Sched.Cost.rp_of_peaks Tu.occ ~vgpr ~sgpr)
+(* Allocation-free costs, so the measured window holds the loops'
+   allocation alone: the frozen loop costs every ant, the colony only
+   the ants it does not cut. *)
+let rp_cost ~length:_ ~vgpr ~sgpr = Sched.Cost.rp_scalar_of_peaks Tu.occ ~vgpr ~sgpr
+let length_cost ~length ~vgpr:_ ~sgpr:_ = length
 
+(* Every stats field but [work]: the colony cuts ants the frozen loop
+   runs to the end, so its work may only be lower. *)
 let stats_key (s : Engine.Types.pass_stats) =
   ( s.Engine.Types.invoked,
     s.iterations,
     s.ants_simulated,
-    s.work,
     s.improved,
     s.stop,
     Array.to_list s.best_costs,
@@ -77,7 +80,7 @@ let stats_key (s : Engine.Types.pass_stats) =
 
 type colony_driver = Policy_colony | Frozen_colony
 
-let run_colony driver graph ~seed ~mode ~cost_of_ant =
+let run_colony driver graph ~seed ~mode ~cost =
   let n = Ddg.Graph.size graph in
   let colony =
     Aco.Colony.prepare ~policy:Aco.Pheromone_policy.As ~prune:false
@@ -93,14 +96,19 @@ let run_colony driver graph ~seed ~mode ~cost_of_ant =
       run ~initial_cost:999 ~initial_order:(ident n) ~initial_artifact:(ident n)
     in
     Aco.Colony.teardown colony;
-    (Array.to_list best, cost, stats_key stats, Support.Rng.int rng 1_000_000)
+    ( (Array.to_list best, cost, stats_key stats, Support.Rng.int rng 1_000_000),
+      stats.Engine.Types.work )
   in
   match driver with
   | Policy_colony ->
       common ~run:(fun ~initial_cost ~initial_order ~initial_artifact ->
-          Aco.Colony.run_pass colony ~mode ~cost_of_ant ~artifact_of_ant ~budget_work:max_int
+          Aco.Colony.run_pass colony ~mode ~cost ~artifact_of_ant ~budget_work:max_int
             ~pass_label:"p" ~initial_cost ~initial_order ~initial_artifact ~lb_cost:0)
   | Frozen_colony ->
+      let cost_of_ant ant =
+        cost ~length:(Aco.Ant.length ant) ~vgpr:(Aco.Ant.peak ant Ir.Reg.Vgpr)
+          ~sgpr:(Aco.Ant.peak ant Ir.Reg.Sgpr)
+      in
       common ~run:(fun ~initial_cost ~initial_order ~initial_artifact ->
           Ant_ref.colony_run_pass ~params ~rng ~ants:colony.Aco.Colony.ants
             ~pheromone:colony.Aco.Colony.pheromone ~mode ~cost_of_ant ~artifact_of_ant
@@ -114,17 +122,32 @@ let run_colony driver graph ~seed ~mode ~cost_of_ant =
 let warmup =
   lazy
     (let graph = Ddg.Graph.build (Tu.diamond_region ()) in
-     ignore (run_colony Policy_colony graph ~seed:3 ~mode:Aco.Ant.Rp_pass ~cost_of_ant:rp_cost);
-     ignore (run_colony Frozen_colony graph ~seed:3 ~mode:Aco.Ant.Rp_pass ~cost_of_ant:rp_cost))
+     ignore (run_colony Policy_colony graph ~seed:3 ~mode:Aco.Ant.Rp_pass ~cost:rp_cost);
+     ignore (run_colony Frozen_colony graph ~seed:3 ~mode:Aco.Ant.Rp_pass ~cost:rp_cost))
 
-let check_colony_identity region seed mode cost_of_ant =
+(* Generated cases on which the colony spent strictly less work than the
+   frozen loop: each identity property must see at least one. *)
+let cut_cases = ref 0
+
+let check_colony_identity region seed mode cost =
   Lazy.force warmup;
   let graph = Ddg.Graph.build region in
-  let a = run_colony Policy_colony graph ~seed ~mode ~cost_of_ant in
-  let b = run_colony Frozen_colony graph ~seed ~mode ~cost_of_ant in
-  if a <> b then
-    QCheck.Test.fail_report
-      "Colony.run_pass with the As policy diverged from the frozen pre-refactor loop";
+  let a, work_a = run_colony Policy_colony graph ~seed ~mode ~cost in
+  let b, work_b = run_colony Frozen_colony graph ~seed ~mode ~cost in
+  if a <> b then begin
+    let show (order, cost, (_, it, ants, _, _, bc, mw), rng) =
+      Printf.sprintf "cost=%d it=%d ants=%d bc=%d mw=%.0f rng=%d order=%d" cost it ants
+        (List.length bc) mw rng (List.length order)
+    in
+    QCheck.Test.fail_reportf
+      "Colony.run_pass with the As policy diverged from the frozen pre-refactor loop (colony: \
+       %s | frozen: %s)"
+      (show a) (show b)
+  end;
+  if work_a > work_b then
+    QCheck.Test.fail_reportf "the cut spent more work (%d) than the frozen loop (%d)" work_a
+      work_b;
+  if work_a < work_b then incr cut_cases;
   true
 
 let test_colony_identity_rp =
@@ -137,7 +160,7 @@ let test_colony_identity_ilp =
     (QCheck.pair (Tu.arb_region ~max_size:40 ()) QCheck.small_int)
     (fun (region, seed) ->
       let mode = Aco.Ant.Ilp_pass { target_vgpr = 1000; target_sgpr = 1000 } in
-      check_colony_identity region seed mode Aco.Ant.length)
+      check_colony_identity region seed mode length_cost)
 
 (* ------------------------------------------------------------------ *)
 (* MMAS invariants: mirror the policy's bookkeeping (best-so-far cost,
@@ -296,7 +319,7 @@ let test_mmas_colony_runs () =
       (Engine.Region_ctx.of_graph Tu.occ graph)
   in
   let best, cost, stats =
-    Aco.Colony.run_pass colony ~mode:Aco.Ant.Rp_pass ~cost_of_ant:rp_cost
+    Aco.Colony.run_pass colony ~mode:Aco.Ant.Rp_pass ~cost:rp_cost
       ~artifact_of_ant:(fun a -> Array.copy (Aco.Ant.order a))
       ~budget_work:max_int ~pass_label:"p1" ~initial_cost:max_int ~initial_order:(ident n)
       ~initial_artifact:(ident n) ~lb_cost:0
@@ -378,10 +401,7 @@ let suite =
     Alcotest.test_case "rp_tracker peak_excess" `Quick test_peak_excess;
     Alcotest.test_case "mem_model spill model" `Quick test_mem_model_spill;
   ]
-  @ Tu.qtests
-      [
-        test_as_table_identity;
-        test_colony_identity_rp;
-        test_colony_identity_ilp;
-        test_mmas_bounds;
-      ]
+  @ Tu.qtests [ test_as_table_identity ]
+  @ List.map (Tu.qtest_witnessed ~witness:cut_cases ~what:"a cut ant")
+      [ test_colony_identity_rp; test_colony_identity_ilp ]
+  @ Tu.qtests [ test_mmas_bounds ]

@@ -78,6 +78,28 @@ let arb_region ?max_size () =
     ~print:(fun r -> Ir.Region.to_string r)
     (QCheck.Gen.map (fun seed -> random_region ?max_size (abs seed)) QCheck.Gen.int)
 
+(* Whether the seq two-pass would search [region]: pass 1 is needed, or
+   pass 2's seed schedule sits above the length bound. *)
+let searches region =
+  let rc = Engine.Region_ctx.of_region occ region in
+  rc.Engine.Region_ctx.pass1_needed
+  || Sched.Schedule.length
+       (Engine.Region_ctx.pass2_initial rc
+          ~best_pass1_order:rc.Engine.Region_ctx.pass1_initial_order
+          ~rp_target:rc.Engine.Region_ctx.pass1_initial_rp)
+     > rc.Engine.Region_ctx.length_lb
+
+(* Random regions the bounds leave open: the first searched region at or
+   after the drawn seed. About one random region in twenty qualifies. *)
+let arb_searched_region ?max_size () =
+  let rec first seed =
+    let r = random_region ?max_size seed in
+    if searches r then r else first (seed + 1)
+  in
+  QCheck.make
+    ~print:(fun r -> Ir.Region.to_string r)
+    (QCheck.Gen.map (fun seed -> first (abs seed mod 1_000_000_000)) QCheck.Gen.int)
+
 let arb_graph ?max_size () =
   QCheck.make
     ~print:(fun g -> Ir.Region.to_string g.Ddg.Graph.region)
@@ -89,6 +111,18 @@ let check_valid ?(latency_aware = true) schedule =
   | Error v -> Alcotest.failf "invalid schedule: %s" (Sched.Schedule.violation_to_string v)
 
 let qtests cases = List.map QCheck_alcotest.to_alcotest cases
+
+(* [prop] as an alcotest case that also fails unless at least one of its
+   generated cases bumped [witness] — for properties whose point is an
+   effect that need not show on every case. *)
+let qtest_witnessed ~witness ~what prop =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop in
+  ( name,
+    speed,
+    fun () ->
+      witness := 0;
+      run ();
+      if !witness = 0 then Alcotest.failf "%s: no generated case showed %s" name what )
 
 (* Minor-heap words per call of [f] over [calls] calls, net of the
    measuring loop itself (the same loop around a no-op), so an

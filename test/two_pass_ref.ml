@@ -28,8 +28,8 @@ module Seq_ref = struct
     let pheromone = Aco.Pheromone.create ~n ~initial:params.Engine.Params.initial_pheromone in
     let termination = Engine.Params.termination_condition n in
     let rp_scalar_of_ant ant =
-      let v, s = Aco.Ant.rp_peaks ant in
-      Sched.Cost.rp_scalar (Sched.Cost.rp_of_peaks occ ~vgpr:v ~sgpr:s)
+      Sched.Cost.rp_scalar_of_peaks occ ~vgpr:(Aco.Ant.peak ant Ir.Reg.Vgpr)
+        ~sgpr:(Aco.Ant.peak ant Ir.Reg.Sgpr)
     in
     (* Pass 1: minimize RP, latencies ignored. *)
     let best_order, _, pass1 =

@@ -5,8 +5,9 @@
 
    Two tolerance classes, because the series are not equally noisy:
 
-   - deterministic series (allocation per ant step — a count, not a
-     time) must stay within DET_TOLERANCE of the committed value;
+   - deterministic series (allocation per ant step or per analysed
+     region — a count, not a time) must stay within DET_TOLERANCE of the
+     committed value;
    - wall-clock series (ns per iteration, cycles per scheduled
      instruction, traced overhead) get WALL_TOLERANCE, generous enough
      that a cold CI container does not cry wolf but tight enough that a
@@ -17,7 +18,8 @@
    are re-asserted against the fresh run too: the committed file is the
    contract, the fresh run the evidence. BENCH_compile.json is checked
    structurally — every row of a digest-stamped experiment must carry
-   the same digest, or determinism broke. *)
+   the same digest, or determinism broke — and its analysis allocation
+   per region is a deterministic series. *)
 
 let det_tolerance = 1.25
 let wall_tolerance = 4.0
@@ -134,7 +136,8 @@ let run () =
         ~tolerance:1.0 verdict);
 
   (* BENCH_compile.json: structural determinism — all rows of one
-     digest-stamped experiment must agree on the digest. *)
+     digest-stamped experiment must agree on the digest — and the
+     analysis allocation per region, a deterministic count. *)
   (match parse_file "BENCH_compile.json" with
   | exception Sys_error m ->
       Printf.eprintf "bench check: BENCH_compile.json unreadable: %s\n" m;
@@ -158,7 +161,13 @@ let run () =
             (if ok then "OK" else "FAIL")
             (List.length ds) (List.length distinct);
           if not ok then incr failures)
-        [ "rows"; "scaling" ]);
+        [ "rows"; "scaling" ];
+      check_series "analysis/minor_words_per_region"
+        ~committed:
+          (Option.bind (obj_field compile "analysis") (fun a ->
+               num_field a "minor_words_per_region"))
+        ~fresh:(Compile_bench.analysis_words_per_region ())
+        ~tolerance:det_tolerance);
 
   (* BENCH_backends.json: the MMAS-vs-AS convergence fixture. The
      committed file covers eight small fixed regions (see

@@ -7,9 +7,10 @@
    [cache_gate] asserts the two service invariants on a duplicate-heavy
    suite: the analysis-cache hit rate stays above one half, and (under a
    race dispatch plus the ride-along baseline, i.e. several consumers
-   per region) the closure analysis runs exactly once per distinct
-   region. [scaling_gate] asserts the multi-domain executor actually
-   wins on multicore hosts (and at least does no harm on small ones). *)
+   per region) the closure, the register layout and the critical path
+   are each built exactly once per distinct region. [scaling_gate]
+   asserts the multi-domain executor actually wins on multicore hosts
+   (and at least does no harm on small ones). *)
 
 type row = {
   label : string;
@@ -44,11 +45,30 @@ let compile_row ~label ~jobs ~cache config suite =
     digest = Pipeline.Report_digest.digest report;
   }
 
+(* Minor words [Engine.Region_ctx.of_region] allocates per region over
+   the 39 regions of the test-scale suite (DDG build included): the
+   deterministic analysis series [bench check] holds. *)
+let analysis_words_per_region () =
+  let regions =
+    List.concat_map
+      (fun (k : Workload.Suite.kernel) -> k.Workload.Suite.regions)
+      (Workload.Suite.generate Workload.Suite.test_scale).Workload.Suite.kernels
+  in
+  let before = Support.Perfcount.minor_words () in
+  List.iter
+    (fun region ->
+      ignore (Sys.opaque_identity (Engine.Region_ctx.of_region Machine.Occupancy.default region)))
+    regions;
+  (Support.Perfcount.minor_words () -. before) /. float_of_int (List.length regions)
+
 let write_json ~file ~jobs rows ~scaling =
   let oc = open_out file in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n  \"jobs\": ";
   Buffer.add_string buf (string_of_int jobs);
+  Buffer.add_string buf
+    (Printf.sprintf ",\n  \"analysis\": {\"minor_words_per_region\": %.1f}"
+       (analysis_words_per_region ()));
   Buffer.add_string buf ",\n  \"rows\": [\n";
   let cold = (List.hd rows).wall_s in
   List.iteri
@@ -256,19 +276,23 @@ let cache_gate () =
   in
   let cache = Pipeline.Analysis.create () in
   let c0 = Ddg.Closure.compute_count () in
+  let l0 = Sched.Rp_tracker.layout_count () in
+  let p0 = Ddg.Critpath.compute_count () in
   let report = Pipeline.Executor.run_suite ~jobs:1 ~cache config suite in
   let closures = Ddg.Closure.compute_count () - c0 in
+  let layouts = Sched.Rp_tracker.layout_count () - l0 in
+  let critpaths = Ddg.Critpath.compute_count () - p0 in
   let s = Pipeline.Analysis.stats cache in
   let hit_rate = Pipeline.Analysis.hit_rate s in
   Printf.printf
     "cache-gate: %d regions (%d distinct), %d hits / %d misses (%.0f%% hit rate), %d \
-     closure analyses\n"
+     closure analyses, %d register layouts, %d critical paths\n"
     (List.length
        (List.concat_map
           (fun (kr : Pipeline.Compile.kernel_report) -> kr.Pipeline.Compile.regions)
           report.Pipeline.Compile.kernels))
     distinct s.Pipeline.Analysis.hits s.Pipeline.Analysis.misses (100.0 *. hit_rate)
-    closures;
+    closures layouts critpaths;
   let fail msg =
     Printf.eprintf "cache-gate: FAIL — %s\n" msg;
     exit 1
@@ -280,9 +304,13 @@ let cache_gate () =
     fail
       (Printf.sprintf "%d analyses for %d distinct regions" s.Pipeline.Analysis.computed
          distinct);
-  if closures <> distinct then
-    fail
-      (Printf.sprintf
-         "%d closure computations for %d distinct regions under race dispatch" closures
-         distinct);
+  let once what count =
+    if count <> distinct then
+      fail
+        (Printf.sprintf "%d %s for %d distinct regions under race dispatch" count what
+           distinct)
+  in
+  once "closure computations" closures;
+  once "register layouts" layouts;
+  once "critical paths" critpaths;
   print_endline "cache-gate: OK"

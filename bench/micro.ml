@@ -301,13 +301,14 @@ type prune_row = {
    run, and the prune-on ant must actually dismiss candidates. *)
 let tight_row name graph seed ~mode =
   let params = Engine.Params.default in
-  (* Arm the static Chen bounds too: stand-alone ants default to a
-     closure-less layout whose [min_lb] tables are zero. *)
-  let closure = Ddg.Closure.compute graph in
-  let shared =
-    Aco.Ant.prepare_shared ~layout:(Sched.Rp_tracker.layout_of_graph ~closure graph)
-      ~beta:params.Engine.Params.beta graph
+  (* Stand-alone ants default to a plain layout, which cannot prune:
+     attach the pruning tables. *)
+  let layout =
+    Sched.Rp_tracker.with_pruning_tables
+      (Sched.Rp_tracker.layout_of_graph graph)
+      (Ddg.Closure.compute graph)
   in
+  let shared = Aco.Ant.prepare_shared ~layout ~beta:params.Engine.Params.beta graph in
   let runs = 64 in
   let run ~prune =
     let ant = Aco.Ant.create ~shared graph params in

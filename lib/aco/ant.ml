@@ -71,8 +71,9 @@ let prepare_shared ?cp ?layout ?ready_ub ?tails ~beta graph =
 (* The engine hands backends a [Region_ctx] whose analyses are exactly
    the ones a colony shares; reusing them keeps a dispatch race at one
    analysis pass per region instead of one per backend. *)
-let shared_of_region_ctx ~beta (rc : Engine.Region_ctx.t) =
-  prepare_shared ~cp:rc.Engine.Region_ctx.critpath ~layout:rc.Engine.Region_ctx.rp_layout
+let shared_of_region_ctx ?layout ~beta (rc : Engine.Region_ctx.t) =
+  let layout = match layout with Some l -> l | None -> rc.Engine.Region_ctx.rp_layout in
+  prepare_shared ~cp:rc.Engine.Region_ctx.critpath ~layout
     ~ready_ub:rc.Engine.Region_ctx.ready_ub ~tails:rc.Engine.Region_ctx.tails ~beta
     rc.Engine.Region_ctx.graph
 

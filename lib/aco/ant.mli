@@ -56,9 +56,12 @@ val prepare_shared :
     own copy, so only ants whose params carry this [beta] may use the
     result ({!create} checks). *)
 
-val shared_of_region_ctx : beta:float -> Engine.Region_ctx.t -> shared
+val shared_of_region_ctx :
+  ?layout:Sched.Rp_tracker.layout -> beta:float -> Engine.Region_ctx.t -> shared
 (** [prepare_shared] fed entirely from the region context's precomputed
-    analyses — no graph traversal, no closure recomputation. *)
+    analyses — no graph traversal, no closure recomputation. [layout]
+    replaces the context's plain [rp_layout] with one derived from it
+    (the pruning colony's, {!Sched.Rp_tracker.with_pruning_tables}). *)
 
 val shared_ready_ub : shared -> int
 (** The transitive-closure ready-list bound, for drivers that also size

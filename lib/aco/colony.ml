@@ -41,8 +41,16 @@ let prepare ~policy:policy_spec ~prune ~allow_optional_stalls (ctx : Engine.Back
   let params = ctx.Engine.Backend.params in
   let rng = Support.Rng.create ctx.Engine.Backend.seed in
   (* The region context's analyses and one SoA arena back the whole
-     colony; nothing region-derived is recomputed here. *)
-  let shared = Ant.shared_of_region_ctx ~beta:params.Engine.Params.beta rc in
+     colony; nothing region-derived is recomputed here. Only a pruning
+     colony reads the min-register tables, so only it builds them, on
+     the context's layout. *)
+  let layout =
+    if prune then
+      Sched.Rp_tracker.with_pruning_tables rc.Engine.Region_ctx.rp_layout
+        rc.Engine.Region_ctx.closure
+    else rc.Engine.Region_ctx.rp_layout
+  in
+  let shared = Ant.shared_of_region_ctx ~layout ~beta:params.Engine.Params.beta rc in
   let ints, floats = Ant.arena_demand shared in
   let fmat_rows, fmat_cols = Ant.fmat_demand shared in
   let lanes = params.Engine.Params.ants_per_iteration in

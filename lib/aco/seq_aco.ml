@@ -24,7 +24,9 @@ let prepare ~policy ~(objective : Sched.Objective.t option) ~prune ctx
     | Sched.Objective.Spill m ->
         ( (fun ~length ~vgpr ~sgpr -> length + Sched.Objective.spill_cycles obj ~vgpr ~sgpr),
           fun schedule ->
-            let tracker = Sched.Rp_tracker.create graph in
+            let tracker =
+              Sched.Rp_tracker.create ~layout:rc.Engine.Region_ctx.rp_layout graph
+            in
             Array.iter
               (fun i -> Sched.Rp_tracker.schedule tracker i)
               (Sched.Schedule.order schedule);

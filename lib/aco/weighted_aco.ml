@@ -115,7 +115,7 @@ let run ?(params = Engine.Params.default) ?(seed = 1) occ graph =
   in
   {
     schedule;
-    cost = Sched.Cost.of_schedule occ schedule;
+    cost = Sched.Cost.of_schedule ~layout:rc.Engine.Region_ctx.rp_layout occ schedule;
     heuristic_cost = rc.Engine.Region_ctx.amd_cost;
     iterations = stats.Engine.Types.iterations;
     work = stats.Engine.Types.work;

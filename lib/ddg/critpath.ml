@@ -1,6 +1,13 @@
 type t = { fwd : int array; bwd : int array }
 
+(* Counted like [Closure.compute]: the compile service's analysis gate
+   asserts one critical path per distinct region. *)
+let computations = Atomic.make 0
+
+let compute_count () = Atomic.get computations
+
 let compute (g : Graph.t) =
+  Atomic.incr computations;
   let n = g.n in
   let fwd = Array.make n 0 and bwd = Array.make n 0 in
   let order = Topo.order g in

@@ -11,6 +11,12 @@ type t
 
 val compute : Graph.t -> t
 
+val compute_count : unit -> int
+(** Process-wide number of {!compute} invocations (domain-safe,
+    monotonic), counted like {!Closure.compute_count}: the compile
+    service computes one critical path per distinct region and hands it
+    to every scheduler of that region. *)
+
 val forward : t -> int -> int
 (** [forward c i]: longest latency-weighted path from any root to [i]
     (0 at roots). Equals the earliest cycle at which [i] can issue. *)

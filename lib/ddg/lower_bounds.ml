@@ -1,7 +1,7 @@
 (* --- schedule length ---------------------------------------------------- *)
 
-let dependence_height g =
-  let cp = Critpath.compute g in
+let dependence_height ?cp g =
+  let cp = match cp with Some cp -> cp | None -> Critpath.compute g in
   max (Critpath.critical_path_length cp + 1) (Graph.size g)
 
 (* Every dependence costs at least one cycle: [Sched.Schedule.check]

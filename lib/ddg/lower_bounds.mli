@@ -6,11 +6,12 @@
     (Section VI-A). Every bound here is sound; the tighter the length
     bound, the more searches it proves unnecessary. *)
 
-val dependence_height : Graph.t -> int
+val dependence_height : ?cp:Critpath.t -> Graph.t -> int
 (** [max (critical path length + 1) n]: the longest latency-weighted
     dependence chain, or one cycle per instruction on the single-issue
     machine. The loosest bound here; the cycle-threshold filter's gap is
-    measured against it (see [Pipeline.Filters]). *)
+    measured against it (see [Pipeline.Filters]). [cp] (computed when
+    omitted) reads it off the region's critical path. *)
 
 val single_issue : Graph.t -> int
 (** The single-issue relaxation (the Rim & Jain bound): each instruction

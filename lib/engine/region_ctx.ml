@@ -26,8 +26,8 @@ type t = {
   fingerprint : string;
 }
 
-let rp_of_order occ graph order =
-  let tracker = Sched.Rp_tracker.create graph in
+let rp_of_order ?layout occ graph order =
+  let tracker = Sched.Rp_tracker.create ?layout graph in
   Array.iter (fun i -> Sched.Rp_tracker.schedule tracker i) order;
   Sched.Cost.rp_of_tracker occ tracker
 
@@ -72,18 +72,28 @@ let fingerprint_of_region (region : Ir.Region.t) =
 (* --- construction --------------------------------------------------------- *)
 
 let of_graph ?fingerprint occ graph =
-  let amd_schedule = Sched.Amd_scheduler.run occ graph in
+  (* One critical path and one register layout serve every analysis
+     below, and every consumer of the context after it. *)
+  let cp = Ddg.Critpath.compute graph in
+  let layout = Sched.Rp_tracker.layout_of_graph graph in
+  let amd_schedule = Sched.Amd_scheduler.run ~cp ~layout occ graph in
   let amd_order = Sched.Schedule.order amd_schedule in
-  let luc_order = Sched.List_scheduler.run_order graph Sched.Heuristic.Last_use_count in
-  let amd_rp = rp_of_order occ graph amd_order in
-  let luc_rp = rp_of_order occ graph luc_order in
-  let pass1_initial_order, pass1_initial_rp =
-    if Sched.Cost.compare_rp luc_rp amd_rp < 0 then (luc_order, luc_rp) else (amd_order, amd_rp)
-  in
+  let amd_rp = rp_of_order ~layout occ graph amd_order in
   let rp_lb =
     Sched.Cost.rp_of_peaks occ
       ~vgpr:(Ddg.Lower_bounds.register_pressure graph Ir.Reg.Vgpr)
       ~sgpr:(Ddg.Lower_bounds.register_pressure graph Ir.Reg.Sgpr)
+  in
+  (* [rp_lb] bounds every order's RP, so once the AMD order meets it the
+     Last-Use-Count order cannot be strictly better and is not built. *)
+  let pass1_initial_order, pass1_initial_rp =
+    if Sched.Cost.compare_rp amd_rp rp_lb <= 0 then (amd_order, amd_rp)
+    else
+      let luc_order =
+        Sched.List_scheduler.run_order ~cp ~layout graph Sched.Heuristic.Last_use_count
+      in
+      let luc_rp = rp_of_order ~layout occ graph luc_order in
+      if Sched.Cost.compare_rp luc_rp amd_rp < 0 then (luc_order, luc_rp) else (amd_order, amd_rp)
   in
   let closure = Ddg.Closure.compute graph in
   (* The recursive strengthening only runs where the AMD schedule sits
@@ -92,28 +102,25 @@ let of_graph ?fingerprint occ graph =
   let length_lb, tails =
     Ddg.Lower_bounds.schedule_length_tails ~upper:(Sched.Schedule.length amd_schedule) graph
   in
-  let cp_schedule = Sched.List_scheduler.run graph Sched.Heuristic.Critical_path in
+  let cp_schedule = Sched.List_scheduler.run ~cp ~layout graph Sched.Heuristic.Critical_path in
   {
     graph;
     occ;
     amd_schedule;
-    amd_cost = Sched.Cost.of_schedule occ amd_schedule;
+    amd_cost = { Sched.Cost.rp = amd_rp; length = Sched.Schedule.length amd_schedule };
     pass1_initial_order;
     pass1_initial_rp;
     rp_lb;
     length_lb;
     tails;
-    height_lb = Ddg.Lower_bounds.dependence_height graph;
+    height_lb = Ddg.Lower_bounds.dependence_height ~cp graph;
     pass1_needed = Sched.Cost.compare_rp pass1_initial_rp rp_lb > 0;
     closure;
-    critpath = Ddg.Critpath.compute graph;
+    critpath = cp;
     ready_ub = Ddg.Closure.ready_list_upper_bound closure;
-    (* [~closure] arms the layout's min-register lower-bound tables, so
-       any pruning-capable backend fed from this context prunes for
-       real; without it the tables are zero and pruning is a no-op. *)
-    rp_layout = Sched.Rp_tracker.layout_of_graph ~closure graph;
+    rp_layout = layout;
     cp_schedule;
-    cp_cost = Sched.Cost.of_schedule occ cp_schedule;
+    cp_cost = Sched.Cost.of_schedule ~layout occ cp_schedule;
     fingerprint =
       (match fingerprint with
       | Some f -> f
@@ -126,12 +133,16 @@ let of_region ?fingerprint occ region = of_graph ?fingerprint occ (Ddg.Graph.bui
    (Section IV-C), improved upon when the RP-constrained greedy scheduler
    finds a shorter schedule that meets the same target. Both candidates
    respect the pass-1 RP outcome, so either is a sound fallback when
-   pass 2 is filtered out or finds no improvement. *)
+   pass 2 is filtered out or finds no improvement. A padded schedule
+   already at [length_lb] has no strictly shorter rival, so the greedy
+   one is not built. *)
 let pass2_initial t ~best_pass1_order ~(rp_target : Sched.Cost.rp) =
   let padded = Sched.Schedule.latency_pad t.graph best_pass1_order in
-  match
-    Sched.Constrained_scheduler.run t.graph ~target_vgpr:rp_target.aprp_vgpr
-      ~target_sgpr:rp_target.aprp_sgpr
-  with
-  | Some greedy when Sched.Schedule.length greedy < Sched.Schedule.length padded -> greedy
-  | Some _ | None -> padded
+  if Sched.Schedule.length padded <= t.length_lb then padded
+  else
+    match
+      Sched.Constrained_scheduler.run ~cp:t.critpath ~layout:t.rp_layout t.graph
+        ~target_vgpr:rp_target.aprp_vgpr ~target_sgpr:rp_target.aprp_sgpr
+    with
+    | Some greedy when Sched.Schedule.length greedy < Sched.Schedule.length padded -> greedy
+    | Some _ | None -> padded

@@ -21,7 +21,10 @@ type t = {
   amd_schedule : Sched.Schedule.t;  (** the AMD-heuristic baseline *)
   amd_cost : Sched.Cost.t;
   pass1_initial_order : int array;
-      (** better (by RP) of the AMD order and the Last-Use-Count order *)
+      (** better (by RP) of the AMD order and the Last-Use-Count order;
+          the AMD order on a tie. The Last-Use-Count order is not built
+          when the AMD order's RP already meets {!rp_lb}: no order can
+          then be strictly better. *)
   pass1_initial_rp : Sched.Cost.rp;
   rp_lb : Sched.Cost.rp;  (** lower bound on any schedule's RP cost *)
   length_lb : int;
@@ -36,16 +39,23 @@ type t = {
           ants bound their final length with them, to stop ants that can
           no longer win their iteration. *)
   height_lb : int;
-      (** {!Ddg.Lower_bounds.dependence_height}: the loose bound the
-          cycle-threshold filter's gap is measured against *)
+      (** {!Ddg.Lower_bounds.dependence_height}, read off {!critpath}:
+          the loose bound the cycle-threshold filter's gap is measured
+          against *)
   pass1_needed : bool;  (** the initial RP is above the bound *)
   closure : Ddg.Closure.t;  (** transitive closure of the DDG *)
-  critpath : Ddg.Critpath.t;  (** latency-weighted critical paths *)
+  critpath : Ddg.Critpath.t;
+      (** latency-weighted critical paths; the one every scheduler and
+          colony of the region prioritizes by *)
   ready_ub : int;
       (** {!Ddg.Closure.ready_list_upper_bound} — sizes every per-ant
           scratch array and the simulated memory model *)
   rp_layout : Sched.Rp_tracker.layout;
-      (** interned register layout backing every colony's RP trackers *)
+      (** the plain interned register layout backing every RP tracker of
+          the region: its schedulers, cost evaluations and colonies. It
+          carries no candidate-pruning (Chen) tables; the pruning colony
+          attaches them in its prepare
+          ({!Sched.Rp_tracker.with_pruning_tables}). *)
   cp_schedule : Sched.Schedule.t;
       (** Critical-Path list schedule (the report's sensitivity check) *)
   cp_cost : Sched.Cost.t;
@@ -58,18 +68,24 @@ val fingerprint_of_region : Ir.Region.t -> string
     names are excluded — label-only variants address the same context. *)
 
 val of_graph : ?fingerprint:string -> Machine.Occupancy.t -> Ddg.Graph.t -> t
-(** Run every analysis of the region. [fingerprint] avoids re-hashing
-    when the caller (the analysis cache) already computed the content
-    address. *)
+(** Run every analysis of the region, building one critical path and
+    one register layout and handing them to every scheduler and cost
+    evaluation here. [fingerprint] avoids re-hashing when the caller
+    (the analysis cache) already computed the content address. *)
 
 val of_region : ?fingerprint:string -> Machine.Occupancy.t -> Ir.Region.t -> t
 
-val rp_of_order : Machine.Occupancy.t -> Ddg.Graph.t -> int array -> Sched.Cost.rp
+val rp_of_order :
+  ?layout:Sched.Rp_tracker.layout -> Machine.Occupancy.t -> Ddg.Graph.t -> int array ->
+  Sched.Cost.rp
 (** RP cost of an instruction order (stalls never change liveness, so an
-    order determines the RP cost of every schedule with that order). *)
+    order determines the RP cost of every schedule with that order).
+    [layout] (built when omitted) is the region's {!rp_layout}. *)
 
 val pass2_initial : t -> best_pass1_order:int array -> rp_target:Sched.Cost.rp -> Sched.Schedule.t
 (** Pass 2's input schedule: the latency-padded pass-1 winner, or the
     RP-constrained greedy schedule under [rp_target]'s APRP ceilings
-    when that one is shorter. [rp_target] is [rp_of_order] of
-    [best_pass1_order], which the orchestrator has already computed. *)
+    when that one is strictly shorter. The greedy schedule is not built
+    when the padded one already meets {!length_lb}. [rp_target] is
+    [rp_of_order] of [best_pass1_order], which the orchestrator has
+    already computed. *)

@@ -27,20 +27,27 @@ let run (backend : Backend.t) (ctx : Backend.ctx) (rc : Region_ctx.t) : Types.re
   in
   (* Pass 1: minimize RP, latencies ignored. Skipped when the initial
      order already meets the RP bound, or when the backend has no RP
-     pass (single-pass cost formulations go straight to pass 2). *)
-  let best_order, pass1 =
+     pass (single-pass cost formulations go straight to pass 2). The RP
+     target is the winning order's RP; when pass 1 did not run that is
+     the initial order's, which the context already holds. *)
+  let best_order, pass1, rp_target =
     if rc.Region_ctx.pass1_needed && B.caps.Types.rp_pass then
-      B.run_order_pass (Lazy.force state)
-        {
-          Backend.o_label = ctx.Backend.label ^ "pass1";
-          o_budget = ctx.Backend.budget;
-          o_initial_cost = Sched.Objective.rp_scalar objective rc.Region_ctx.pass1_initial_rp;
-          o_initial_order = rc.Region_ctx.pass1_initial_order;
-          o_lb_cost = Sched.Objective.rp_scalar objective rc.Region_ctx.rp_lb;
-        }
-    else (rc.Region_ctx.pass1_initial_order, Types.no_pass)
+      let order, stats =
+        B.run_order_pass (Lazy.force state)
+          {
+            Backend.o_label = ctx.Backend.label ^ "pass1";
+            o_budget = ctx.Backend.budget;
+            o_initial_cost = Sched.Objective.rp_scalar objective rc.Region_ctx.pass1_initial_rp;
+            o_initial_order = rc.Region_ctx.pass1_initial_order;
+            o_lb_cost = Sched.Objective.rp_scalar objective rc.Region_ctx.rp_lb;
+          }
+      in
+      ( order,
+        stats,
+        Region_ctx.rp_of_order ~layout:rc.Region_ctx.rp_layout rc.Region_ctx.occ
+          rc.Region_ctx.graph order )
+    else (rc.Region_ctx.pass1_initial_order, Types.no_pass, rc.Region_ctx.pass1_initial_rp)
   in
-  let rp_target = Region_ctx.rp_of_order rc.Region_ctx.occ rc.Region_ctx.graph best_order in
   let target_vgpr, target_sgpr = Sched.Objective.breach_targets objective rp_target in
   (* Pass 2: minimize length under the pass-1 RP target, from the padded
      pass-1 winner, on whatever budget pass 1 left unspent. Skipped when
@@ -64,7 +71,7 @@ let run (backend : Backend.t) (ctx : Backend.ctx) (rc : Region_ctx.t) : Types.re
   in
   {
     Types.schedule;
-    cost = Sched.Cost.of_schedule rc.Region_ctx.occ schedule;
+    cost = Sched.Cost.of_schedule ~layout:rc.Region_ctx.rp_layout rc.Region_ctx.occ schedule;
     heuristic_schedule = rc.Region_ctx.amd_schedule;
     heuristic_cost = rc.Region_ctx.amd_cost;
     rp_target;

@@ -327,7 +327,8 @@ let run_region ?(trace = Obs.Trace.null) ?(metrics = Obs.Metrics.null)
   in
   let presult = product.result in
   let pass2_initial_cost =
-    Sched.Cost.of_schedule config.occ presult.Engine.Types.pass2_initial
+    Sched.Cost.of_schedule ~layout:rc.Engine.Region_ctx.rp_layout config.occ
+      presult.Engine.Types.pass2_initial
   in
   {
     region_name = name;

@@ -1,18 +1,22 @@
-let run occ graph =
+let run ?cp ?layout occ graph =
   let rl = Ready_list.create ~latency_aware:true graph in
-  let rp = Rp_tracker.create graph in
-  let ctx = Heuristic.make_ctx graph rp in
+  let rp = Rp_tracker.create ?layout graph in
+  let ctx = Heuristic.make_ctx ?cp graph rp in
   let rev_slots = ref [] in
-  let predicted_occupancy i =
-    let v = Rp_tracker.peak_if_scheduled rp i Ir.Reg.Vgpr in
-    let s = Rp_tracker.peak_if_scheduled rp i Ir.Reg.Sgpr in
-    Machine.Occupancy.of_pressures occ ~vgpr:v ~sgpr:s
+  let of_peaks = Machine.Occupancy.of_pressures occ in
+  (* Each step predicts every candidate's occupancy once, from one
+     effects scan, and the filter below reads it back by instruction. *)
+  let predicted = Array.make graph.Ddg.Graph.n 0 in
+  let predict acc i =
+    let o = Rp_tracker.peaks_if_scheduled rp i of_peaks in
+    predicted.(i) <- o;
+    max acc o
   in
   while not (Ready_list.finished rl) do
     if Ready_list.ready_count rl > 0 then begin
       let candidates = Ready_list.ready_list rl in
-      let best_occ = List.fold_left (fun acc i -> max acc (predicted_occupancy i)) 1 candidates in
-      let keep = List.filter (fun i -> predicted_occupancy i = best_occ) candidates in
+      let best_occ = List.fold_left predict 1 candidates in
+      let keep = List.filter (fun i -> predicted.(i) = best_occ) candidates in
       (* Like GCNMaxOccupancySchedStrategy, the baseline turns
          register-conservative well before the bucket boundary: once the
          live count passes 3/4 of the pressure that the current

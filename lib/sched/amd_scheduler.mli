@@ -9,7 +9,11 @@
     compares against ("base LLVM" / "AMD scheduler" in Tables 2, 5 and
     Figure 4). *)
 
-val run : Machine.Occupancy.t -> Ddg.Graph.t -> Schedule.t
-(** Schedule the region. The result always validates with latencies. *)
+val run :
+  ?cp:Ddg.Critpath.t -> ?layout:Rp_tracker.layout -> Machine.Occupancy.t -> Ddg.Graph.t ->
+  Schedule.t
+(** Schedule the region. The result always validates with latencies.
+    [cp] and [layout] (computed when omitted) are the region's critical
+    path and register layout, shared with its other consumers. *)
 
 val run_with_cost : Machine.Occupancy.t -> Ddg.Graph.t -> Schedule.t * Cost.t

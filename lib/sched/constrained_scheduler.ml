@@ -1,9 +1,9 @@
 exception Cornered
 
-let run graph ~target_vgpr ~target_sgpr =
+let run ?cp ?layout graph ~target_vgpr ~target_sgpr =
   let rl = Ready_list.create ~latency_aware:true graph in
-  let rp = Rp_tracker.create graph in
-  let ctx = Heuristic.make_ctx graph rp in
+  let rp = Rp_tracker.create ?layout graph in
+  let ctx = Heuristic.make_ctx ?cp graph rp in
   let rev_slots = ref [] in
   try
     while not (Ready_list.finished rl) do

@@ -10,8 +10,14 @@
     when it corners itself — the padded order then remains the input. *)
 
 val run :
-  Ddg.Graph.t -> target_vgpr:int -> target_sgpr:int -> Schedule.t option
+  ?cp:Ddg.Critpath.t ->
+  ?layout:Rp_tracker.layout ->
+  Ddg.Graph.t ->
+  target_vgpr:int ->
+  target_sgpr:int ->
+  Schedule.t option
 (** [run g ~target_vgpr ~target_sgpr] is a latency-valid schedule whose
     VGPR/SGPR peaks do not exceed the targets, or [None] when the greedy
     search reaches a state with no fitting ready instruction and nothing
-    semi-ready to wait for. *)
+    semi-ready to wait for. [cp] and [layout] (computed when omitted)
+    are the region's critical path and register layout. *)

@@ -32,8 +32,8 @@ let rp_scalar_of_peaks occ ~vgpr ~sgpr =
 
 type t = { rp : rp; length : int }
 
-let of_schedule occ schedule =
-  let tracker = Rp_tracker.create (schedule : Schedule.t).graph in
+let of_schedule ?layout occ schedule =
+  let tracker = Rp_tracker.create ?layout (schedule : Schedule.t).graph in
   Array.iter (fun i -> Rp_tracker.schedule tracker i) (Schedule.order schedule);
   { rp = rp_of_tracker occ tracker; length = Schedule.length schedule }
 

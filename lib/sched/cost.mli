@@ -28,9 +28,10 @@ val rp_scalar_of_peaks : Machine.Occupancy.t -> vgpr:int -> sgpr:int -> int
 
 type t = { rp : rp; length : int }
 
-val of_schedule : Machine.Occupancy.t -> Schedule.t -> t
+val of_schedule : ?layout:Rp_tracker.layout -> Machine.Occupancy.t -> Schedule.t -> t
 (** Measure a schedule: RP via {!Rp_tracker} over its issue order, length
-    in cycles. *)
+    in cycles. [layout] (built when omitted) is the region's register
+    layout. *)
 
 val better_rp_then_length : t -> t -> bool
 (** [better_rp_then_length a b]: is [a] strictly better under the

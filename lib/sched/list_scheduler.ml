@@ -1,7 +1,7 @@
-let run ?(latency_aware = true) graph kind =
+let run ?(latency_aware = true) ?cp ?layout graph kind =
   let rl = Ready_list.create ~latency_aware graph in
-  let rp = Rp_tracker.create graph in
-  let ctx = Heuristic.make_ctx graph rp in
+  let rp = Rp_tracker.create ?layout graph in
+  let ctx = Heuristic.make_ctx ?cp graph rp in
   let rev_slots = ref [] in
   while not (Ready_list.finished rl) do
     if Ready_list.ready_count rl > 0 then begin
@@ -19,4 +19,5 @@ let run ?(latency_aware = true) graph kind =
   | Ok s -> s
   | Error v -> failwith ("List_scheduler.run: invalid schedule: " ^ Schedule.violation_to_string v)
 
-let run_order graph kind = Schedule.order (run ~latency_aware:false graph kind)
+let run_order ?cp ?layout graph kind =
+  Schedule.order (run ~latency_aware:false ?cp ?layout graph kind)

@@ -19,12 +19,13 @@ type layout = {
   defs_v : int array;
   defs_s : int array;
   (* candidate-pruning tables (sound lower bounds; see
-     [filter_fits_prefix]): [min_delta_*.(i)] bounds from below the
-     current-pressure change of scheduling [i] at any point
+     [filter_fits_prefix]), attached by [with_pruning_tables] and empty
+     otherwise; only read when [prunable]: [min_delta_*.(i)] bounds from
+     below the current-pressure change of scheduling [i] at any point
      (single-definer non-live-in opens minus distinct non-live-out-use
      closes); [min_lb_*.(i)] is the static Chen-style bound from
-     [Ddg.Lower_bounds.min_reg_lb] — zero when the layout was built
-     without a closure, which only weakens pruning, never unsounds it. *)
+     [Ddg.Lower_bounds.min_reg_lb]. *)
+  prunable : bool;
   min_delta_v : int array;
   min_delta_s : int array;
   min_lb_v : int array;
@@ -54,7 +55,15 @@ type t = {
 
 let rank = function Ir.Reg.Vgpr -> 0 | Ir.Reg.Sgpr -> 1
 
-let layout_of_graph ?closure (graph : Ddg.Graph.t) =
+(* Layout construction is the per-region interning pass; the compile
+   service's "one layout per distinct region" gate counts invocations
+   here, as [Ddg.Closure.compute_count] does for closures. *)
+let layouts = Atomic.make 0
+
+let layout_count () = Atomic.get layouts
+
+let layout_of_graph (graph : Ddg.Graph.t) =
+  Atomic.incr layouts;
   let region = graph.region in
   let instrs = (region : Ir.Region.t).instrs in
   let index = Hashtbl.create 64 in
@@ -95,54 +104,6 @@ let layout_of_graph ?closure (graph : Ddg.Graph.t) =
         | Ir.Reg.Sgpr -> defs_s.(i) <- defs_s.(i) + 1)
       def_ids.(i)
   done;
-  (* Pruning tables. [min_delta]: a def that is not live-in and has a
-     single definer can never be live before its definer issues, so it
-     opens unconditionally; a use can close at most once, and only if it
-     is not live-out. Hence (certain opens - potential closes) lower
-     bounds the current-pressure delta of [compute_effects] in any
-     tracker state, and [cur + min_delta > target] implies the candidate
-     cannot pass [fits_within]. *)
-  let def_count = Array.make nregs 0 in
-  Array.iter (Array.iter (fun di -> def_count.(di) <- def_count.(di) + 1)) def_ids;
-  let min_delta_v = Array.make n 0 and min_delta_s = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let opens_v = ref 0 and opens_s = ref 0 in
-    Array.iter
-      (fun di ->
-        if (not live_in.(di)) && def_count.(di) = 1 then
-          match cls.(di) with
-          | Ir.Reg.Vgpr -> incr opens_v
-          | Ir.Reg.Sgpr -> incr opens_s)
-      def_ids.(i);
-    let closes_v = ref 0 and closes_s = ref 0 in
-    let uses = use_ids.(i) in
-    for k = 0 to Array.length uses - 1 do
-      let ui = uses.(k) in
-      (* distinct uses only: count the first occurrence *)
-      let first = ref true in
-      for j = 0 to k - 1 do
-        if uses.(j) = ui then first := false
-      done;
-      if !first && not live_out.(ui) then
-        match cls.(ui) with
-        | Ir.Reg.Vgpr -> incr closes_v
-        | Ir.Reg.Sgpr -> incr closes_s
-    done;
-    min_delta_v.(i) <- !opens_v - !closes_v;
-    min_delta_s.(i) <- !opens_s - !closes_s
-  done;
-  let min_lb_v, min_lb_s =
-    (* The static Chen-style bound needs the transitive closure; when
-       the caller has none (stand-alone trackers), all-zero tables keep
-       the prune test trivially true-negative. Never computed here: the
-       engine's "one closure per region" accounting must not see extra
-       [Ddg.Closure.compute] calls. *)
-    match closure with
-    | Some c ->
-        ( Ddg.Lower_bounds.min_reg_lb c graph Ir.Reg.Vgpr,
-          Ddg.Lower_bounds.min_reg_lb c graph Ir.Reg.Sgpr )
-    | None -> (Array.make n 0, Array.make n 0)
-  in
   {
     graph;
     cls;
@@ -150,15 +111,67 @@ let layout_of_graph ?closure (graph : Ddg.Graph.t) =
     def_ids;
     defs_v;
     defs_s;
-    min_delta_v;
-    min_delta_s;
-    min_lb_v;
-    min_lb_s;
+    prunable = false;
+    min_delta_v = [||];
+    min_delta_s = [||];
+    min_lb_v = [||];
+    min_lb_s = [||];
     total_uses;
     live_out;
     live_in;
     nregs;
   }
+
+let with_pruning_tables l closure =
+  let n = Array.length l.def_ids in
+  (* [min_delta]: a def that is not live-in and has a single definer can
+     never be live before its definer issues, so it opens
+     unconditionally; a use can close at most once, and only if it is
+     not live-out. Hence (certain opens - potential closes) lower bounds
+     the current-pressure delta of [compute_effects] in any tracker
+     state, and [cur + min_delta > target] implies the candidate cannot
+     pass [fits_within]. *)
+  let def_count = Array.make l.nregs 0 in
+  Array.iter (Array.iter (fun di -> def_count.(di) <- def_count.(di) + 1)) l.def_ids;
+  let min_delta_v = Array.make n 0 and min_delta_s = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let opens_v = ref 0 and opens_s = ref 0 in
+    Array.iter
+      (fun di ->
+        if (not l.live_in.(di)) && def_count.(di) = 1 then
+          match l.cls.(di) with
+          | Ir.Reg.Vgpr -> incr opens_v
+          | Ir.Reg.Sgpr -> incr opens_s)
+      l.def_ids.(i);
+    let closes_v = ref 0 and closes_s = ref 0 in
+    let uses = l.use_ids.(i) in
+    for k = 0 to Array.length uses - 1 do
+      let ui = uses.(k) in
+      (* distinct uses only: count the first occurrence *)
+      let first = ref true in
+      for j = 0 to k - 1 do
+        if uses.(j) = ui then first := false
+      done;
+      if !first && not l.live_out.(ui) then
+        match l.cls.(ui) with
+        | Ir.Reg.Vgpr -> incr closes_v
+        | Ir.Reg.Sgpr -> incr closes_s
+    done;
+    min_delta_v.(i) <- !opens_v - !closes_v;
+    min_delta_s.(i) <- !opens_s - !closes_s
+  done;
+  {
+    l with
+    prunable = true;
+    min_delta_v;
+    min_delta_s;
+    min_lb_v = Ddg.Lower_bounds.min_reg_lb closure l.graph Ir.Reg.Vgpr;
+    min_lb_s = Ddg.Lower_bounds.min_reg_lb closure l.graph Ir.Reg.Sgpr;
+  }
+
+let min_reg_lb l cls =
+  if not l.prunable then None
+  else Some (Array.copy (match cls with Ir.Reg.Vgpr -> l.min_lb_v | Ir.Reg.Sgpr -> l.min_lb_s))
 
 let int_demand layout = (2 * layout.nregs) + 8
 
@@ -198,8 +211,14 @@ let create_in arena layout =
   reset t;
   t
 
-let create graph =
-  let layout = layout_of_graph graph in
+let create ?layout graph =
+  let layout =
+    match layout with
+    | Some l ->
+        if l.graph != graph then invalid_arg "Rp_tracker.create: layout is for another graph";
+        l
+    | None -> layout_of_graph graph
+  in
   let arena = Support.Arena.create ~ints:(int_demand layout) ~floats:0 in
   create_in arena layout
 
@@ -307,13 +326,21 @@ let delta_if_scheduled t i cls =
   let c = rank cls in
   t.buf.(t.eff_base + (2 * c) + 1) - t.buf.(t.eff_base + (2 * c))
 
-let peak_if_scheduled t i cls =
-  compute_effects t i;
-  let c = rank cls in
+(* The class-rank [c] peak right after the instruction whose effects
+   [compute_effects] last left in the scratch. *)
+let peak_after t c =
   max t.buf.(t.peak_base + c)
     (t.buf.(t.cur_base + c)
     - t.buf.(t.eff_base + (2 * c))
     + t.buf.(t.eff_base + (2 * c) + 1))
+
+let peak_if_scheduled t i cls =
+  compute_effects t i;
+  peak_after t (rank cls)
+
+let peaks_if_scheduled t i f =
+  compute_effects t i;
+  f ~vgpr:(peak_after t 0) ~sgpr:(peak_after t 1)
 
 let fits_within t i ~target_vgpr ~target_sgpr =
   let l = t.layout in
@@ -411,7 +438,10 @@ let filter_fits_prefix t ~cand ~n_cand ~target_vgpr ~target_sgpr =
     !m
   end
 
-let set_prune t flag = t.prune <- flag
+let set_prune t flag =
+  if flag && not t.layout.prunable then
+    invalid_arg "Rp_tracker.set_prune: layout carries no pruning tables";
+  t.prune <- flag
 let prune_enabled t = t.prune
 let scored_candidates t = t.scored
 let pruned_candidates t = t.pruned

@@ -13,18 +13,34 @@ type t
 type layout
 (** The immutable, region-wide part of a tracker: interned register ids,
     per-instruction Def/Use id arrays, total use counts and boundary
-    liveness. Shared by every ant scheduling the same region, so the
-    interning hash pass runs once per colony instead of once per lane. *)
+    liveness. Built once per region ([Engine.Region_ctx.rp_layout]) and
+    shared by every scheduler, cost evaluation and ant of that region,
+    so the interning hash pass runs once per region instead of once per
+    consumer. *)
 
-val layout_of_graph : ?closure:Ddg.Closure.t -> Ddg.Graph.t -> layout
-(** Build the layout, including the sound candidate-pruning tables: the
-    min-delta bounds (certain opens minus potential closes per
-    instruction and class) are always computed from the region alone;
-    the static Chen-style per-instruction minimum-pressure bounds
-    ({!Ddg.Lower_bounds.min_reg_lb}) additionally need the transitive
-    closure and are all-zero — trivially sound, never pruning — when
-    [closure] is absent. A closure is never computed here, so the
-    engine's analysis-count accounting is unaffected. *)
+val layout_of_graph : Ddg.Graph.t -> layout
+(** Build the plain layout of the region: no candidate-pruning tables
+    ({!with_pruning_tables} attaches them). *)
+
+val layout_count : unit -> int
+(** Process-wide number of {!layout_of_graph} invocations (domain-safe,
+    monotonic), counted like [Ddg.Closure.compute_count]: the compile
+    service's analysis gate asserts one layout per distinct region. *)
+
+val with_pruning_tables : layout -> Ddg.Closure.t -> layout
+(** The same layout (its interned ids and arrays are reused, not
+    rebuilt) carrying the sound candidate-pruning tables: the min-delta
+    bounds (certain opens minus potential closes per instruction and
+    class) and the static Chen-style per-instruction minimum-pressure
+    bounds ({!Ddg.Lower_bounds.min_reg_lb}) over the given closure. Only
+    a tracker on such a layout can arm pruning ({!set_prune}); the
+    pruning colony builds it in its prepare, the one place the tables
+    are read. Does not count as a layout ({!layout_count}) and never
+    computes a closure. *)
+
+val min_reg_lb : layout -> Ir.Reg.cls -> int array option
+(** A copy of the Chen table the layout carries for the class, [None]
+    on a plain layout. *)
 
 val int_demand : layout -> int
 (** Arena ints one tracker's mutable state needs (for exact
@@ -36,9 +52,12 @@ val create_in : Support.Arena.t -> layout -> t
     Raises [Invalid_argument] when the arena lacks [int_demand layout]
     ints. *)
 
-val create : Ddg.Graph.t -> t
+val create : ?layout:layout -> Ddg.Graph.t -> t
 (** Fresh stand-alone tracker for the region of the graph (private
-    layout and backing); live-in registers are already counted. *)
+    backing); live-in registers are already counted. [layout] (built
+    when omitted) lets every consumer of a region share the region's
+    one layout.
+    @raise Invalid_argument when [layout] was built for another graph. *)
 
 val reset : t -> unit
 (** Return to the initial state (ants reuse trackers across iterations to
@@ -64,6 +83,11 @@ val peak_if_scheduled : t -> int -> Ir.Reg.cls -> int
     instruction, without mutating the tracker (used by greedy tie-breaks
     and the optional-stall heuristic). *)
 
+val peaks_if_scheduled : t -> int -> (vgpr:int -> sgpr:int -> 'a) -> 'a
+(** [peaks_if_scheduled t i f] applies [f] to both class peaks
+    {!peak_if_scheduled} would report for [i], from one effects scan
+    instead of two (the AMD baseline's occupancy prediction). *)
+
 val delta_if_scheduled : t -> int -> Ir.Reg.cls -> int
 (** Net change to the *current* pressure: defs opening live ranges minus
     uses closing them. *)
@@ -83,13 +107,15 @@ val filter_fits_prefix :
     candidates whose layout lower bounds already prove they cannot fit
     skip the per-register effects scan; the returned prefix and count
     are identical either way — pruning only removes provably-dead
-    work. *)
+    work. The pruning tables are read only with pruning armed. *)
 
 val set_prune : t -> bool -> unit
 (** Arm or disarm lower-bound candidate pruning in
     {!filter_fits_prefix}. Off by default; prefix contents and counts
     are unaffected either way (soundness), only the evaluation work and
-    the {!scored_candidates}/{!pruned_candidates} meters change. *)
+    the {!scored_candidates}/{!pruned_candidates} meters change.
+    @raise Invalid_argument when arming a tracker whose layout carries
+    no pruning tables ({!with_pruning_tables}). *)
 
 val prune_enabled : t -> bool
 

@@ -536,8 +536,11 @@ let fmat_pool () =
    statuses, peaks, stalls, work and — the strictest check — the same
    number of RNG draws. *)
 let prune_lockstep ~mode ~heuristic graph params seed =
-  let closure = Ddg.Closure.compute graph in
-  let layout = Sched.Rp_tracker.layout_of_graph ~closure graph in
+  let layout =
+    Sched.Rp_tracker.with_pruning_tables
+      (Sched.Rp_tracker.layout_of_graph graph)
+      (Ddg.Closure.compute graph)
+  in
   let shared = Aco.Ant.prepare_shared ~layout ~beta:params.Engine.Params.beta graph in
   let ant_off = Aco.Ant.create ~shared graph params in
   let ant_on = Aco.Ant.create ~shared graph params in
@@ -663,8 +666,11 @@ let prune_filter_sound =
     (QCheck.pair (Tu.arb_graph ~max_size:20 ()) QCheck.small_int)
     (fun (graph, seed) ->
       let n = graph.Ddg.Graph.n in
-      let closure = Ddg.Closure.compute graph in
-      let layout = Sched.Rp_tracker.layout_of_graph ~closure graph in
+      let layout =
+        Sched.Rp_tracker.with_pruning_tables
+          (Sched.Rp_tracker.layout_of_graph graph)
+          (Ddg.Closure.compute graph)
+      in
       let make () =
         let arena =
           Support.Arena.create ~ints:(Sched.Rp_tracker.int_demand layout) ~floats:0

@@ -534,6 +534,149 @@ let par_differential =
         ];
       true)
 
+(* --- the region context against its definitions ------------------------- *)
+
+(* Each field is checked against its documented definition, computed
+   here with the public schedulers on the bare graph, so neither the
+   shared layout and critical path nor the work the gates skip can
+   change what the context holds. The witnesses make every branch of
+   the shortcuts show at least once; below about 80 instructions random
+   regions almost never take the LUC or greedy branch, hence the larger
+   regions. *)
+
+let rp_lb_of graph =
+  Sched.Cost.rp_of_peaks Tu.occ
+    ~vgpr:(Ddg.Lower_bounds.register_pressure graph Ir.Reg.Vgpr)
+    ~sgpr:(Ddg.Lower_bounds.register_pressure graph Ir.Reg.Sgpr)
+
+let luc_wins = ref 0
+let luc_skipped = ref 0
+
+let pass1_initial_spec =
+  QCheck.Test.make ~count:60 ~name:"pass-1 initial order is the better of AMD and LUC"
+    (Tu.arb_region ~max_size:150 ())
+    (fun region ->
+      let graph = Ddg.Graph.build region in
+      let rc = Engine.Region_ctx.of_graph Tu.occ graph in
+      let rp order = Engine.Region_ctx.rp_of_order Tu.occ graph order in
+      let amd = Sched.Schedule.order (Sched.Amd_scheduler.run Tu.occ graph) in
+      let luc = Sched.List_scheduler.run_order graph Sched.Heuristic.Last_use_count in
+      let expected =
+        if Sched.Cost.compare_rp (rp luc) (rp amd) < 0 then begin
+          incr luc_wins;
+          luc
+        end
+        else amd
+      in
+      if Sched.Cost.compare_rp (rp amd) (rp_lb_of graph) <= 0 then incr luc_skipped;
+      rc.Engine.Region_ctx.pass1_initial_order = expected
+      && rc.Engine.Region_ctx.pass1_initial_rp = rp expected)
+
+let analyses_spec =
+  QCheck.Test.make ~count:100 ~name:"region context costs and height match their definitions"
+    (Tu.arb_region ())
+    (fun region ->
+      let graph = Ddg.Graph.build region in
+      let rc = Engine.Region_ctx.of_graph Tu.occ graph in
+      let amd = rc.Engine.Region_ctx.amd_schedule and cp = rc.Engine.Region_ctx.cp_schedule in
+      Sched.Schedule.order amd = Sched.Schedule.order (Sched.Amd_scheduler.run Tu.occ graph)
+      && Sched.Schedule.order cp
+         = Sched.Schedule.order (Sched.List_scheduler.run graph Sched.Heuristic.Critical_path)
+      && rc.Engine.Region_ctx.amd_cost = Sched.Cost.of_schedule Tu.occ amd
+      && rc.Engine.Region_ctx.cp_cost = Sched.Cost.of_schedule Tu.occ cp
+      && rc.Engine.Region_ctx.height_lb = Ddg.Lower_bounds.dependence_height graph
+      && Sched.Rp_tracker.min_reg_lb rc.Engine.Region_ctx.rp_layout Ir.Reg.Vgpr = None)
+
+let greedy_wins = ref 0
+let greedy_skipped = ref 0
+
+(* A schedule as its issue cycles, instruction by instruction. *)
+let cycles s = Array.init (Array.length (Sched.Schedule.order s)) (Sched.Schedule.cycle s)
+
+let pass2_initial_spec =
+  QCheck.Test.make ~count:60
+    ~name:"pass-2 input is the padded schedule or a strictly shorter greedy one"
+    QCheck.(triple (Tu.arb_region ~max_size:150 ()) (int_bound 12) (int_bound 12))
+    (fun (region, dv, ds) ->
+      let graph = Ddg.Graph.build region in
+      let rc = Engine.Region_ctx.of_graph Tu.occ graph in
+      let order = rc.Engine.Region_ctx.pass1_initial_order in
+      (* targets from the pressure bound up, so that the greedy
+         scheduler both corners itself and succeeds *)
+      let rp_target =
+        Sched.Cost.rp_of_peaks Tu.occ
+          ~vgpr:(Ddg.Lower_bounds.register_pressure graph Ir.Reg.Vgpr + dv)
+          ~sgpr:(Ddg.Lower_bounds.register_pressure graph Ir.Reg.Sgpr + ds)
+      in
+      let padded = Sched.Schedule.latency_pad graph order in
+      let expected =
+        match
+          Sched.Constrained_scheduler.run graph ~target_vgpr:rp_target.Sched.Cost.aprp_vgpr
+            ~target_sgpr:rp_target.Sched.Cost.aprp_sgpr
+        with
+        | Some greedy when Sched.Schedule.length greedy < Sched.Schedule.length padded ->
+            incr greedy_wins;
+            greedy
+        | Some _ | None -> padded
+      in
+      if Sched.Schedule.length padded <= Ddg.Lower_bounds.schedule_length graph then
+        incr greedy_skipped;
+      let got = Engine.Region_ctx.pass2_initial rc ~best_pass1_order:order ~rp_target in
+      cycles got = cycles expected && Sched.Schedule.length got = Sched.Schedule.length expected)
+
+(* A backend whose pass 1 returns the source order (a valid order whose
+   RP usually differs from the initial one) and whose pass 2 keeps its
+   input: the orchestrator's RP target must be the RP of whatever order
+   pass 1 returned, and the initial order's when pass 1 did not run. *)
+module Source_order_pass = struct
+  let name = "source-order-pass"
+
+  let caps =
+    {
+      Engine.Types.rp_pass = true;
+      faults = false;
+      trace = false;
+      time_model = false;
+      prune = false;
+    }
+
+  let objective = None
+
+  type state = int
+
+  let prepare _ctx (rc : Engine.Region_ctx.t) = rc.Engine.Region_ctx.graph.Ddg.Graph.n
+
+  let run_order_pass n (_ : Engine.Backend.order_request) =
+    (Array.init n Fun.id, { Engine.Types.no_pass with Engine.Types.invoked = true })
+
+  let run_schedule_pass _ (req : Engine.Backend.schedule_request) =
+    (req.Engine.Backend.s_initial, { Engine.Types.no_pass with Engine.Types.invoked = true })
+
+  let teardown _ = ()
+end
+
+let target_after_pass1 = ref 0
+let target_without_pass1 = ref 0
+
+let rp_target_spec =
+  QCheck.Test.make ~count:40 ~name:"the RP target is the RP of the order pass 1 returns"
+    (Tu.arb_region ~max_size:150 ())
+    (fun region ->
+      let graph = Ddg.Graph.build region in
+      let rc = Engine.Region_ctx.of_graph Tu.occ graph in
+      let r =
+        Engine.Two_pass.run (module Source_order_pass) Engine.Backend.null_ctx rc
+      in
+      let initial = rc.Engine.Region_ctx.pass1_initial_rp in
+      let expected =
+        if r.Engine.Types.pass1.Engine.Types.invoked then
+          Engine.Region_ctx.rp_of_order Tu.occ graph (Array.init graph.Ddg.Graph.n Fun.id)
+        else initial
+      in
+      if expected <> initial then incr target_after_pass1;
+      if not r.Engine.Types.pass1.Engine.Types.invoked then incr target_without_pass1;
+      r.Engine.Types.rp_target = expected)
+
 let suite =
   [
     ("backend registry", `Quick, test_registry);
@@ -546,4 +689,21 @@ let suite =
   ]
   @ Tu.qtests [ race_picks_best ]
   @ [ Tu.qtest_witnessed ~witness:cut_cases ~what:"a cut ant" seq_differential ]
-  @ Tu.qtests [ par_differential ]
+  @ Tu.qtests [ par_differential; analyses_spec ]
+  @ [
+      Tu.qtest_witnessed_all
+        [ (luc_wins, "the LUC order winning"); (luc_skipped, "the LUC order skipped") ]
+        pass1_initial_spec;
+      Tu.qtest_witnessed_all
+        [
+          (greedy_wins, "the greedy schedule winning");
+          (greedy_skipped, "the greedy schedule skipped");
+        ]
+        pass2_initial_spec;
+      Tu.qtest_witnessed_all
+        [
+          (target_after_pass1, "pass 1 moving the RP target");
+          (target_without_pass1, "pass 1 skipped");
+        ]
+        rp_target_spec;
+    ]

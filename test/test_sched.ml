@@ -75,6 +75,9 @@ let prop_tracker_predictions =
         let ps = Sched.Rp_tracker.peak_if_scheduled t i Ir.Reg.Sgpr in
         let dv = Sched.Rp_tracker.delta_if_scheduled t i Ir.Reg.Vgpr in
         let cur_v = Sched.Rp_tracker.current t Ir.Reg.Vgpr in
+        (* the one-scan pair agrees with the per-class predictions *)
+        if Sched.Rp_tracker.peaks_if_scheduled t i (fun ~vgpr ~sgpr -> (vgpr, sgpr)) <> (pv, ps)
+        then ok := false;
         Sched.Rp_tracker.schedule t i;
         Sched.Ready_list.schedule rl i;
         if Sched.Rp_tracker.peak t Ir.Reg.Vgpr <> pv then ok := false;
@@ -83,6 +86,39 @@ let prop_tracker_predictions =
         if Sched.Rp_tracker.current t Ir.Reg.Vgpr > cur_v + dv then ok := false
       done;
       !ok)
+
+(* A plain layout carries no pruning tables; [with_pruning_tables]
+   attaches exactly the Chen tables of the closure. *)
+let prop_pruning_tables =
+  QCheck.Test.make ~name:"with_pruning_tables yields exactly the Chen tables" ~count:60
+    (Tu.arb_graph ~max_size:30 ()) (fun g ->
+      let closure = Ddg.Closure.compute g in
+      let plain = Sched.Rp_tracker.layout_of_graph g in
+      let pruning = Sched.Rp_tracker.with_pruning_tables plain closure in
+      List.for_all
+        (fun cls ->
+          Sched.Rp_tracker.min_reg_lb plain cls = None
+          && Sched.Rp_tracker.min_reg_lb pruning cls
+             = Some (Ddg.Lower_bounds.min_reg_lb closure g cls))
+        [ Ir.Reg.Vgpr; Ir.Reg.Sgpr ])
+
+(* A layout serves only the graph it was built for, and only a layout
+   with pruning tables can arm pruning. *)
+let test_layout_guards () =
+  let g = Ddg.Graph.build (Tu.diamond_region ()) in
+  let other = Ddg.Graph.build (Tu.diamond_region ()) in
+  let plain = Sched.Rp_tracker.layout_of_graph g in
+  Alcotest.check_raises "layout of another graph"
+    (Invalid_argument "Rp_tracker.create: layout is for another graph") (fun () ->
+      ignore (Sched.Rp_tracker.create ~layout:plain other));
+  let t = Sched.Rp_tracker.create ~layout:plain g in
+  Alcotest.check_raises "plain layout cannot prune"
+    (Invalid_argument "Rp_tracker.set_prune: layout carries no pruning tables") (fun () ->
+      Sched.Rp_tracker.set_prune t true);
+  let pruning = Sched.Rp_tracker.with_pruning_tables plain (Ddg.Closure.compute g) in
+  let t = Sched.Rp_tracker.create ~layout:pruning g in
+  Sched.Rp_tracker.set_prune t true;
+  Alcotest.(check bool) "pruning layout arms" true (Sched.Rp_tracker.prune_enabled t)
 
 let prop_tracker_reset =
   QCheck.Test.make ~name:"reset restores the initial state" ~count:50 (Tu.arb_graph ())
@@ -377,6 +413,7 @@ let suite =
     Alcotest.test_case "heuristic best" `Quick test_heuristic_best_deterministic;
     Alcotest.test_case "rp tracker queries allocation-free" `Quick
       test_rp_queries_allocation_free;
+    Alcotest.test_case "layout guards" `Quick test_layout_guards;
     Alcotest.test_case "cost ordering" `Quick test_cost_ordering;
     Alcotest.test_case "amd vs pressure trap" `Quick test_amd_beats_pressure_trap;
     Alcotest.test_case "constrained scheduler infeasible" `Quick test_constrained_scheduler_infeasible;
@@ -390,6 +427,7 @@ let suite =
         prop_latency_pad_valid;
         prop_tracker_matches_naive;
         prop_tracker_predictions;
+        prop_pruning_tables;
         prop_tracker_reset;
         prop_fits_within_consistent;
         prop_list_scheduler_valid;

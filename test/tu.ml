@@ -112,17 +112,23 @@ let check_valid ?(latency_aware = true) schedule =
 
 let qtests cases = List.map QCheck_alcotest.to_alcotest cases
 
-(* [prop] as an alcotest case that also fails unless at least one of its
-   generated cases bumped [witness] — for properties whose point is an
-   effect that need not show on every case. *)
-let qtest_witnessed ~witness ~what prop =
+(* [prop] as an alcotest case that also fails unless, for every
+   [(witness, what)], at least one of its generated cases bumped
+   [witness] — for properties whose point is an effect (or a branch)
+   that need not show on every case. [qtest_witnessed] watches one. *)
+let qtest_witnessed_all witnesses prop =
   let name, speed, run = QCheck_alcotest.to_alcotest prop in
   ( name,
     speed,
     fun () ->
-      witness := 0;
+      List.iter (fun (witness, _) -> witness := 0) witnesses;
       run ();
-      if !witness = 0 then Alcotest.failf "%s: no generated case showed %s" name what )
+      List.iter
+        (fun (witness, what) ->
+          if !witness = 0 then Alcotest.failf "%s: no generated case showed %s" name what)
+        witnesses )
+
+let qtest_witnessed ~witness ~what prop = qtest_witnessed_all [ (witness, what) ] prop
 
 (* Minor-heap words per call of [f] over [calls] calls, net of the
    measuring loop itself (the same loop around a no-op), so an

@@ -158,8 +158,9 @@ let run ~small () =
     rows;
   Printf.printf "  reports: canonically identical across all %d configurations\n\n"
     (List.length rows);
-  (* Jobs sweep on the skewed suite — the workload work stealing exists
-     for. Fresh cache per row so every row pays the same analysis bill. *)
+  (* Jobs sweep on the skewed suite — the workload the executor's
+     largest-first claim order exists for. Fresh cache per row so every
+     row pays the same analysis bill. *)
   let skew =
     if small then Workload.Suite.skewed ~giants:2 ~tiny:16 ()
     else Workload.Suite.skewed ()
@@ -195,8 +196,8 @@ let run ~small () =
 (* CI gate: the parallel executor must pay for itself. On a >= 4-core
    host, jobs-4 must beat jobs-1 by 1.5x on the skewed suite; on 2-3
    cores it must at least break even; on a single core it may cost at
-   most 10% (pool + deal + merge overhead, with every worker index
-   multiplexed onto one domain). Trials interleave jobs-1 and jobs-4
+   most 10% (the parallel branch's shard and merge overhead, with
+   every job on the calling domain). Trials interleave jobs-1 and jobs-4
    (three each, best per side) so wall-clock drift on a shared runner
    hits both sides alike; digests must match in every trial. *)
 let scaling_gate () =

@@ -177,10 +177,11 @@ let auto_threshold_arg =
 let jobs_arg =
   let doc =
     "Number of workers compiling suite regions in parallel (with $(b,--suite)), on a \
-     persistent domain pool with work stealing. The report is identical for every \
-     value; a single region always compiles on one domain. $(b,--trace) works at any \
-     jobs count: each worker records into a private ring and the rings merge on the \
-     simulated timeline at join."
+     persistent domain pool; workers claim regions largest first from one shared \
+     queue. The report is identical for every value; a single region always \
+     compiles on one domain. $(b,--trace) works at any jobs count: each worker \
+     records into a private ring and the rings merge on the simulated timeline at \
+     join."
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
@@ -993,8 +994,7 @@ let render_watch kv =
     (v "memo-entries") (v "analysis-hit-rate");
   line "  latency        p50 %s ns   p99 %s ns   deadline-exceeded %s"
     (v "latency-p50-ns") (v "latency-p99-ns") (v "deadline-exceeded");
-  line "  pool           busy %s   idle %s   steals %s" (v "pool-busy")
-    (v "pool-idle") (v "steals");
+  line "  pool           busy %s   idle %s" (v "pool-busy") (v "pool-idle");
   Buffer.contents buf
 
 let run_stats_daemon path ~once ~interval =

@@ -52,8 +52,8 @@ val advance : t -> float -> unit
 
     Tracks numbered at or above {!wall_track_base} carry {e monotonic
     wall-clock} nanoseconds instead of simulated nanoseconds: real
-    worker utilization, steal stalls and merge cost, which the
-    simulated timeline cannot show. The two clock families never share
+    worker utilization, idle time and merge cost, which the simulated
+    timeline cannot show. The two clock families never share
     a track, and export places wall tracks under their own process id
     so per-track lint invariants (monotone, balanced) hold within each
     clock. *)

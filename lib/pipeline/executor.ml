@@ -1,22 +1,21 @@
 (* The execute layer of the compile service: a suite becomes a flat list
    of independent region jobs, the jobs fan out over a persistent domain
-   pool with work stealing, and the reports are merged back by index.
+   pool, and the reports are merged back by index.
 
    Determinism comes from the split of responsibilities, not from luck:
    everything a job's outcome may depend on — its name, its source
-   region, its budget, its backend seeds, its (optional) precomputed
-   analysis context — is fixed on the job record before any domain
-   starts, and [Compile.run_region] is a pure function of those inputs.
-   Which domain runs a job, and in which order jobs are claimed, can
-   then only change scheduling, never results; the merge step reassembles
+   region, its budget, the config's seeds, its (optional) precomputed
+   analysis context — is fixed before any domain starts, and
+   [Compile.run_region] is a pure function of those inputs. Which
+   domain runs a job, and in which order jobs are claimed, can then
+   only change scheduling, never results; the merge step reassembles
    kernel reports in suite order, so the suite report is canonically
    identical to a sequential compile (see [Report_digest]).
 
-   Scheduling is dynamic LPT: job indices are dealt round-robin into
-   per-worker deques in descending size order, each owner pops its own
-   biggest job first, and an idle worker steals the *smallest* job from
-   a victim's other end — big jobs stay with their owner (locality of
-   the analysis-cache line they warmed), small jobs level the tail.
+   Scheduling is largest-first over one shared cursor
+   ([Domain_pool.parallel_for]): workers claim job indices in descending
+   region size, so the giants start first and the small jobs level the
+   tail.
 
    The shared mutable state of a sequential compile — the metrics
    registry, the flight-recorder ring, the allocation arenas — is
@@ -28,36 +27,22 @@
    with a per-slice shift — exactly the timeline a sequential compile
    would have laid down, modulo float rounding of the shifts. *)
 
-type job = {
-  j_index : int;
-  j_kernel : int;
-  j_name : string;
-  j_region : Ir.Region.t;
-  j_budget_ns : float;
-  j_seq_seed : int;
-  j_par_seed : int;
-}
+type job = { j_name : string; j_region : Ir.Region.t; j_budget_ns : float }
 
 let jobs_of_suite (config : Compile.config) (suite : Workload.Suite.t) =
   let jobs = ref [] in
-  let index = ref 0 in
-  List.iteri
-    (fun ki (k : Workload.Suite.kernel) ->
+  List.iter
+    (fun (k : Workload.Suite.kernel) ->
       List.iteri
         (fun ri region ->
           let n = Ir.Region.size region in
           jobs :=
             {
-              j_index = !index;
-              j_kernel = ki;
               j_name = Printf.sprintf "%s/r%d" k.Workload.Suite.kernel_name ri;
               j_region = region;
               j_budget_ns = Robust.budget_for config.Compile.robust ~n;
-              j_seq_seed = config.Compile.seq_seed;
-              j_par_seed = config.Compile.par_seed;
             }
-            :: !jobs;
-          incr index)
+            :: !jobs)
         k.Workload.Suite.regions)
     suite.Workload.Suite.kernels;
   Array.of_list (List.rev !jobs)
@@ -67,29 +52,8 @@ let run_job ?trace ?(metrics = Obs.Metrics.null) ?(log = Obs.Log.null) ?cache
   let ctx =
     Option.map (fun cache -> Analysis.get cache config.Compile.occ job.j_region) cache
   in
-  let config =
-    { config with Compile.seq_seed = job.j_seq_seed; par_seed = job.j_par_seed }
-  in
   Compile.run_region ?trace ~metrics ~log ?ctx ~budget_ns:job.j_budget_ns config
     ~name:job.j_name job.j_region
-
-(* Deal job indices into [k] deques, round-robin in descending size
-   order (ties broken by index so the deal is deterministic). Each deque
-   is built by *prepending*, so its array ends up ascending by size:
-   the owner pops from the high end (its biggest remaining job), thieves
-   steal from the low end (the victim's smallest). *)
-let deal_deques work k =
-  let njobs = Array.length work in
-  let order = Array.init njobs (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      let sa = Ir.Region.size work.(a).j_region
-      and sb = Ir.Region.size work.(b).j_region in
-      if sa <> sb then compare sb sa else compare a b)
-    order;
-  let lists = Array.make k [] in
-  Array.iteri (fun pos i -> lists.(pos mod k) <- i :: lists.(pos mod k)) order;
-  Array.map (fun l -> Support.Ws_deque.create (Array.of_list l)) lists
 
 let run_suite ?(jobs = 1) ?pool ?(progress = fun _ -> ()) ?(trace = Obs.Trace.null)
     ?(metrics = Obs.Metrics.null) ?(log = Obs.Log.null) ?cache
@@ -111,7 +75,6 @@ let run_suite ?(jobs = 1) ?pool ?(progress = fun _ -> ()) ?(trace = Obs.Trace.nu
       match pool with Some p -> p | None -> Support.Domain_pool.global ()
     in
     let k = min k (Support.Domain_pool.size pool + 1) in
-    let deques = deal_deques work k in
     let tracing = Obs.Trace.enabled trace in
     let metering = Obs.Metrics.enabled metrics in
     (* Worker rings share the parent's wall-clock origin so their
@@ -142,8 +105,6 @@ let run_suite ?(jobs = 1) ?pool ?(progress = fun _ -> ()) ?(trace = Obs.Trace.nu
     let seg_c1 = Array.make njobs 0 in
     let seg_t0 = Array.make njobs 0.0 in
     let seg_t1 = Array.make njobs 0.0 in
-    let steals = Array.make k 0 in
-    let empty_polls = Array.make k 0 in
     let run_one w i =
       let ring = rings.(w) in
       let wt0 = Obs.Trace.wall_now ring in
@@ -163,65 +124,23 @@ let run_suite ?(jobs = 1) ?pool ?(progress = fun _ -> ()) ?(trace = Obs.Trace.nu
           ~dur:(Obs.Trace.wall_now ring -. wt0)
           ~key:"job" ~value:(float_of_int i)
     in
-    let worker w =
-      let own = deques.(w) in
-      let rec drain () =
-        match Support.Ws_deque.take own with
-        | Some i ->
-            run_one w i;
-            drain ()
-        | None -> ()
-      in
-      drain ();
-      (* Steal sweep: visit the other deques round-robin from our right
-         neighbour; a [Lost] race retries the sweep (someone still has
-         work), a sweep of nothing but [Empty] means the suite is done.
-         The whole sweep becomes one wall span — stolen jobs nest
-         inside it, so the gap between them is visible steal stall. *)
-      let sw0 = Obs.Trace.wall_now rings.(w) in
-      let rec sweep d saw_work =
-        if d >= k then begin if saw_work then sweep 1 false end
-        else
-          match Support.Ws_deque.steal deques.((w + d) mod k) with
-          | Support.Ws_deque.Stolen i ->
-              steals.(w) <- steals.(w) + 1;
-              if tracing then
-                Obs.Trace.instant_arg rings.(w)
-                  ~track:(Obs.Trace.wall_track_base + w)
-                  ~name:"steal"
-                  ~ts:(Obs.Trace.wall_now rings.(w))
-                  ~key:"job" ~value:(float_of_int i);
-              if Obs.Log.enabled logs.(w) then
-                Obs.Log.debug logs.(w) "exec.steal"
-                  [ ("job", Obs.Log.Int i); ("victim", Obs.Log.Int ((w + d) mod k)) ];
-              run_one w i;
-              drain ();
-              sweep d true
-          | Support.Ws_deque.Lost -> sweep d true
-          | Support.Ws_deque.Empty ->
-              empty_polls.(w) <- empty_polls.(w) + 1;
-              sweep (d + 1) saw_work
-      in
-      sweep 1 false;
-      if tracing then
-        Obs.Trace.span rings.(w)
-          ~track:(Obs.Trace.wall_track_base + w)
-          ~name:"steal sweep" ~ts:sw0
-          ~dur:(Obs.Trace.wall_now rings.(w) -. sw0)
-    in
+    (* Largest first, ties by index: the giants start before the tail
+       that levels the workers' finishing times. *)
+    let order = Array.init njobs Fun.id in
+    Array.stable_sort
+      (fun a b ->
+        compare (Ir.Region.size work.(b).j_region) (Ir.Region.size work.(a).j_region))
+      order;
     let pw0 = Obs.Trace.wall_now trace in
-    Support.Domain_pool.run pool ~workers:k worker;
+    Support.Domain_pool.parallel_for pool ~workers:k njobs (fun w p ->
+        run_one w order.(p));
     let pw1 = Obs.Trace.wall_now trace in
     (* Merge, all on the caller. Metrics shards fold in worker order;
        note that *registration order* of names in the merged registry
        follows first-touch across shards, so exports may list the same
        values in a different order than a sequential run. *)
     for w = 0 to k - 1 do
-      Obs.Metrics.merge_into shards.(w) ~into:metrics;
-      if metering then begin
-        Obs.Metrics.add metrics "compile.steal.count" steals.(w);
-        Obs.Metrics.add metrics "compile.steal.empty_polls" empty_polls.(w)
-      end
+      Obs.Metrics.merge_into shards.(w) ~into:metrics
     done;
     (* Trace slices replay in job-index order: job [i]'s events shift by
        (merged clock so far - the clock its ring showed when it started),

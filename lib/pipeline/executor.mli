@@ -1,16 +1,16 @@
 (** The execute layer: fan a suite's regions over a persistent domain
-    pool with work stealing.
+    pool.
 
     Scheduling regions are independent compilation problems, so the
-    suite flattens into indexed jobs, each carrying everything its
-    outcome depends on — name, source region, size-class budget, backend
-    seeds, and (through the shared {!Analysis} cache) its analysis
-    context. Job indices are dealt into per-worker deques in descending
-    size order; each worker pops its own biggest job first and, when its
-    deque runs dry, steals the smallest job from a neighbour — dynamic
-    LPT without a central queue. The reports merge back by index, which
-    makes the suite report canonically identical ({!Report_digest}) to a
-    sequential {!Compile.run_suite} for every jobs count.
+    suite flattens into jobs, each carrying what its outcome depends on
+    beyond the config — name, source region, size-class budget — plus,
+    through the shared {!Analysis} cache, its analysis context. Workers
+    claim job indices from one shared cursor
+    ({!Support.Domain_pool.parallel_for}) in descending region size, so
+    the giants start first and the small jobs level the tail. The
+    reports merge back by index, which makes the suite report
+    canonically identical ({!Report_digest}) to a sequential
+    {!Compile.run_suite} for every jobs count.
 
     Observability is sharded: each worker records into a private metrics
     registry and a private flight-recorder ring, both merged on the
@@ -23,17 +23,14 @@
     run. *)
 
 type job = {
-  j_index : int;  (** merge key: position in suite order *)
-  j_kernel : int;  (** index into [suite.kernels] *)
   j_name : string;  (** ["<kernel>/r<i>"], as in sequential compiles *)
   j_region : Ir.Region.t;
   j_budget_ns : float;  (** {!Robust.budget_for} of the region's size class *)
-  j_seq_seed : int;
-  j_par_seed : int;
 }
 
 val jobs_of_suite : Compile.config -> Workload.Suite.t -> job array
-(** The suite flattened in suite order ([j_index] = array index). *)
+(** The suite flattened in suite order: kernels in order, each kernel's
+    regions in order. *)
 
 val run_job :
   ?trace:Obs.Trace.t ->
@@ -43,9 +40,9 @@ val run_job :
   Compile.config ->
   job ->
   Compile.region_report
-(** Compile one job — {!Compile.run_region} on the job's own name,
-    budget and seeds, with the analysis context drawn from [cache] when
-    one is shared. *)
+(** Compile one job — {!Compile.run_region} on the job's own name and
+    budget, seeded by [config], with the analysis context drawn from
+    [cache] when one is shared. *)
 
 val run_suite :
   ?jobs:int ->
@@ -63,19 +60,18 @@ val run_suite :
     recording straight into [trace] and [metrics]; [jobs > 1] runs on
     [pool] (default {!Support.Domain_pool.global}, spawned once per
     process and reused across calls), clamped to the pool's size plus
-    the calling domain. [progress] fires once per kernel at merge time,
-    in suite order. The report is canonically identical to
+    the calling domain, with workers claiming jobs largest first (ties
+    in suite order). [progress] fires once per kernel at merge time, in
+    suite order. The report is canonically identical to
     [Compile.run_suite] with the same configuration, for any [jobs],
-    [pool] and [cache] setting. When [metrics] is enabled, a parallel
-    run also reports [compile.steal.count] and
-    [compile.steal.empty_polls].
+    [pool] and [cache] setting.
 
     [log] (default disabled) is shared across workers — the ring is
     mutex-protected — with each worker's entries stamped with its
     index. A traced parallel run additionally lays down {e wall-clock}
     tracks (one per worker plus one for the caller, ids from
     {!Obs.Trace.wall_track_base}): a span per job with real duration,
-    steal instants, the steal sweep (its idle gaps are stall time), and
-    the caller's [pool.run] / [merge] phases. Wall events merge
-    unshifted via {!Obs.Trace.append_wall}; the simulated timeline is
-    untouched. *)
+    and the caller's [pool.run] / [merge] phases — a worker was idle
+    for whatever part of [pool.run] its job spans leave uncovered. Wall
+    events merge unshifted via {!Obs.Trace.append_wall}; the simulated
+    timeline is untouched. *)

@@ -813,7 +813,7 @@ let stats_body t =
 
 (* The [op=watch] body: everything [stats] says plus the operational
    signals a live dashboard wants — in-flight work, pool occupancy,
-   steal traffic, hit rates and latency quantiles. Quantiles come from
+   deadline hits, hit rates and latency quantiles. Quantiles come from
    the [serve.latency_ns] histogram's bucket ladder, so they cost a
    16-entry scan, not a recorded-sample sort; with a disabled metrics
    registry the metric-derived fields read 0 and the body still
@@ -842,7 +842,6 @@ let watch_body t =
       ("in-flight", string_of_int t.in_flight);
       ("pool-busy", Printf.sprintf "%.0f" (lastv "serve.pool.busy"));
       ("pool-idle", Printf.sprintf "%.0f" (lastv "serve.pool.idle"));
-      ("steals", Printf.sprintf "%.0f" (valv "compile.steal.count"));
       ("deadline-exceeded", Printf.sprintf "%.0f" (valv "serve.deadline_exceeded"));
       ("memo-hit-rate", rate t.memo_hits t.memo_misses);
       ("analysis-hit-rate", rate astats.Analysis.hits astats.Analysis.misses);
@@ -928,16 +927,8 @@ let process_batch t pool ~limit =
       let workers = min lanes (Array.length todo) in
       Obs.Metrics.set t.metrics "serve.pool.busy" (float_of_int workers);
       Obs.Metrics.set t.metrics "serve.pool.idle" (float_of_int (lanes - workers));
-      let claim = Atomic.make 0 in
-      Support.Domain_pool.run pool ~workers (fun _ ->
-          let rec loop () =
-            let j = Atomic.fetch_and_add claim 1 in
-            if j < Array.length todo then begin
-              compute todo.(j);
-              loop ()
-            end
-          in
-          loop ());
+      Support.Domain_pool.parallel_for pool ~workers (Array.length todo) (fun _ j ->
+          compute todo.(j));
       Obs.Metrics.set t.metrics "serve.pool.busy" 0.0;
       Obs.Metrics.set t.metrics "serve.pool.idle" (float_of_int lanes)
   | _ -> Array.iter compute todo);

@@ -274,7 +274,7 @@ val stats_body : t -> (string * string) list
 
 val watch_body : t -> (string * string) list
 (** The [op=watch] reply body: {!stats_body} plus in-flight, pool
-    busy/idle, steal count, deadline hits, memo/analysis hit rates and
-    p50/p99 simulated latency from the [serve.latency_ns] histogram's
-    bucket ladder. Metric-derived fields read 0 (and rates ["-"]) when
-    the registry is disabled. *)
+    busy/idle, deadline hits, memo/analysis hit rates and p50/p99
+    simulated latency from the [serve.latency_ns] histogram's bucket
+    ladder. Metric-derived fields read 0 (and rates ["-"]) when the
+    registry is disabled. *)

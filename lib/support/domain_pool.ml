@@ -1,6 +1,6 @@
 (* Persistent pool of worker domains.
 
-   Domain.spawn costs hundreds of microseconds — paid per [run] it
+   Domain.spawn costs hundreds of microseconds — paid per fan-out it
    erased the multi-domain executor's whole win on suite-sized compiles
    (BENCH_compile.json showed --jobs 2 at 0.61x sequential). The pool
    spawns each helper domain once, lazily, and parks it on a condition
@@ -9,13 +9,18 @@
 
    Protocol (per helper): the submitting domain stores a closure in
    [task] and signals; the helper runs it, clears [task] and signals
-   back. [task = None] means idle. The caller of [run] is itself worker
-   0, so a pool of size [s] yields up to [s + 1] ways of parallelism.
+   back. [task = None] means idle. The caller of [parallel_for] is
+   itself worker 0, so a pool of size [s] yields up to [s + 1] ways of
+   parallelism.
 
-   [run] is not reentrant: a task must not call [run] on the pool that
-   is running it. Nested or concurrent [run] calls detect the busy pool
-   and degrade to running every worker function on the caller — safe,
-   just sequential. *)
+   The one fan-out, [parallel_for], hands out indices from a single
+   atomic cursor: each worker claims the next index until none is left.
+   At the pool's traffic — a few workers, tens to hundreds of jobs of
+   0.1 ms and up — one fetch-and-add per job costs nothing measurable,
+   and a caller that wants big jobs first orders its indices that way.
+   A call that finds the pool busy (nested in a running [f], or
+   concurrent from another domain) claims every index on its caller —
+   safe, just sequential. *)
 
 type helper = {
   m : Mutex.t;
@@ -126,26 +131,31 @@ let await h =
   Mutex.unlock h.m;
   failure
 
-let run t ~workers f =
-  let workers = max 1 workers in
+let parallel_for t ~workers n f =
+  let next = Atomic.make 0 in
+  let rec claim w =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      f w i;
+      claim w
+    end
+  in
+  let k = max 1 (min (min workers n) (t.size + 1)) in
   let acquired =
-    workers > 1 && t.size > 0
+    k > 1
     && Mutex.protect t.lock (fun () ->
            if t.busy then false
            else begin
              t.busy <- true;
-             ensure_spawned t (workers - 1);
+             ensure_spawned t (k - 1);
              true
            end)
   in
   if not acquired then
-    (* size-0 pool, single worker, or a nested run: everything on the
-       caller, in worker order — same results, no parallelism *)
-    for w = 0 to workers - 1 do
-      f w
-    done
+    (* one worker, a size-0 pool, or a busy pool: the caller claims
+       every index — same results, no parallelism *)
+    claim 0
   else begin
-    let k = min workers (t.size + 1) in
     notify (Acquired k);
     Fun.protect
       ~finally:(fun () ->
@@ -153,19 +163,9 @@ let run t ~workers f =
         notify (Released k))
       (fun () ->
         for w = 1 to k - 1 do
-          submit t.helpers.(w - 1) (fun () -> f w)
+          submit t.helpers.(w - 1) (fun () -> claim w)
         done;
-        let failure = ref None in
-        let on_caller w =
-          if !failure = None then
-            match f w with () -> () | exception e -> failure := Some e
-        in
-        on_caller 0;
-        (* the clamp [k <= size + 1] can strand worker indices past the
-           pool; run them on the caller so every index executes *)
-        for w = k to workers - 1 do
-          on_caller w
-        done;
+        let failure = ref (match claim 0 with () -> None | exception e -> Some e) in
         for w = 1 to k - 1 do
           match await t.helpers.(w - 1) with
           | Some e when !failure = None -> failure := Some e

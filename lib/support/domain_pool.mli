@@ -2,20 +2,20 @@
 
     [Domain.spawn] costs hundreds of microseconds; paid per suite
     compile it erased the multi-domain executor's win. The pool spawns
-    each helper domain once — lazily, on the first {!run} that needs
-    it — and parks it on a condition variable between jobs, so fanning
-    out costs two mutex handoffs per helper in steady state.
+    each helper domain once — lazily, on the first {!parallel_for} that
+    needs it — and parks it on a condition variable between jobs, so
+    fanning out costs two mutex handoffs per helper in steady state.
 
-    The caller of {!run} acts as worker 0, so a pool of [size] helpers
-    provides up to [size + 1] ways of parallelism. {!global} is the
-    process-wide pool shared by suite compiles and the serve loop; it is
-    shut down via [at_exit]. *)
+    The caller of {!parallel_for} acts as worker 0, so a pool of [size]
+    helpers provides up to [size + 1] ways of parallelism. {!global} is
+    the process-wide pool shared by suite compiles and the serve loop;
+    it is shut down via [at_exit]. *)
 
 type t
 
 (** Pool lifecycle events for the process-global observer: a helper
-    domain was spawned (by index), or a {!run} acquired / released the
-    pool with [k] total workers. *)
+    domain was spawned (by index), or a {!parallel_for} acquired /
+    released the pool with [k] total workers. *)
 type event = Spawned of int | Acquired of int | Released of int
 
 val set_observer : (event -> unit) option -> unit
@@ -31,8 +31,8 @@ val create : ?size:int -> unit -> t
     [Domain.recommended_domain_count () - 1]: helpers plus the calling
     domain saturate the cores, and never oversubscribe them — OCaml's
     stop-the-world minor collections make domains beyond cores a steep
-    loss). Nothing is spawned until a {!run} needs it; [size = 0] makes
-    every {!run} sequential. *)
+    loss). Nothing is spawned until a {!parallel_for} needs it;
+    [size = 0] makes every {!parallel_for} sequential. *)
 
 val size : t -> int
 (** Maximum helper count (the creation bound, not what is spawned). *)
@@ -41,16 +41,20 @@ val spawned : t -> int
 (** Helper domains spawned so far — monotone over the pool's life; the
     observable for "domains are spawned once, not per compile". *)
 
-val run : t -> workers:int -> (int -> unit) -> unit
-(** [run t ~workers f] executes [f 0 .. f (workers - 1)], [f 0] on the
-    calling domain and the rest on pool helpers, and returns when all
-    have finished. If [workers] exceeds [size + 1], the overflow indices
-    run on the caller after [f 0]. If any [f w] raises, the first
-    failure is re-raised after every worker has stopped.
+val parallel_for : t -> workers:int -> int -> (int -> int -> unit) -> unit
+(** [parallel_for t ~workers n f] calls [f w i] exactly once for every
+    index [0 <= i < n], and returns when all calls have finished. Up to
+    [min workers (size + 1)] workers — the calling domain as worker 0,
+    pool helpers as the rest — each take the next index from one shared
+    atomic cursor until the cursor passes [n], so indices are claimed in
+    increasing order and [f] learns which worker [w] runs it (to pick a
+    per-worker shard). If any [f w i] raises, that worker stops
+    claiming, the others run on, and the first failure is re-raised
+    once every worker has stopped.
 
-    Not reentrant: a worker function must not call [run] on its own
-    pool. A nested or concurrent [run] detects the busy pool and runs
-    every index on the caller — correct, just sequential. *)
+    A call made while the pool is busy — from inside [f], or
+    concurrently from another domain — runs every index on its calling
+    domain, as worker 0: correct, just sequential. *)
 
 val shutdown : t -> unit
 (** Stop and join every spawned helper. The pool may be used again

@@ -152,8 +152,9 @@ let generate scale =
 (* A deliberately unbalanced compile workload: a handful of giant
    matmul-tile regions next to a long tail of tiny ones. A static
    round-robin of such a suite strands whoever drew the giants; it is
-   the adversarial input for the executor's work stealing (the stolen
-   jobs are the tail) and the shape the scaling benchmark sweeps. *)
+   the adversarial input for the executor's load balancing (workers
+   claim the giants first and level the finish with the tail) and the
+   shape the scaling benchmark sweeps. *)
 let skewed ?(seed = 4242) ?(giants = 3) ?(tiny = 48) () =
   let rng = Support.Rng.create seed in
   let giant_kernels =

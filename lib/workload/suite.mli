@@ -49,7 +49,7 @@ val skewed : ?seed:int -> ?giants:int -> ?tiny:int -> unit -> t
 (** A deliberately unbalanced compile workload: [giants] (default 3)
     growing matmul-tile regions next to [tiny] (default 48) small ones,
     one region per kernel, no benchmarks. The adversarial input for the
-    executor's work stealing — a static deal strands whoever drew the
+    executor's load balancing — a static deal strands whoever drew the
     giants — and the shape the scaling benchmark sweeps. Deterministic
     in [seed] (default 4242). *)
 

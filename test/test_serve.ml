@@ -492,7 +492,7 @@ let test_metrics_and_watch_verbs () =
             Alcotest.failf "watch body lacks %s" key)
         [
           "state"; "in-flight"; "memo-hit-rate"; "analysis-hit-rate";
-          "latency-p50-ns"; "latency-p99-ns"; "deadline-exceeded"; "steals";
+          "latency-p50-ns"; "latency-p99-ns"; "deadline-exceeded";
         ];
       Alcotest.(check string) "in-flight is 0 between batches" "0"
         (List.assoc "in-flight" body);

@@ -227,7 +227,7 @@ let test_perfcount_stop_without_start () =
 
 let test_pool_observer () =
   (* the process-global observer sees the pool's lifecycle: lazy spawns
-     first, then one acquire/release pair per run, with the worker
+     first, then one acquire/release pair per fan-out, with the worker
      count. The callback runs on whichever domain fires the event, so
      collection is mutex-guarded. *)
   let events = ref [] in
@@ -244,8 +244,8 @@ let test_pool_observer () =
       Support.Domain_pool.set_observer None;
       Support.Domain_pool.shutdown pool)
     (fun () ->
-      Support.Domain_pool.run pool ~workers:3 (fun _ -> ());
-      Support.Domain_pool.run pool ~workers:3 (fun _ -> ());
+      Support.Domain_pool.parallel_for pool ~workers:3 3 (fun _ _ -> ());
+      Support.Domain_pool.parallel_for pool ~workers:3 3 (fun _ _ -> ());
       let seen = List.rev !events in
       let count p = List.length (List.filter p seen) in
       Alcotest.(check int) "helpers spawned once, lazily" 2
@@ -262,9 +262,110 @@ let test_pool_observer () =
       (* a cleared observer costs nothing and sees nothing *)
       Support.Domain_pool.set_observer None;
       let before = List.length !events in
-      Support.Domain_pool.run pool ~workers:3 (fun _ -> ());
+      Support.Domain_pool.parallel_for pool ~workers:3 3 (fun _ _ -> ());
       Alcotest.(check int) "cleared observer sees nothing" before
         (List.length !events))
+
+(* The [parallel_for] cases run on three helpers, more than most hosts
+   have spare cores, so the workers race on any runner. *)
+let with_pool f =
+  let pool = Support.Domain_pool.create ~size:3 () in
+  Fun.protect ~finally:(fun () -> Support.Domain_pool.shutdown pool) (fun () -> f pool)
+
+let test_parallel_for_exactly_once () =
+  with_pool (fun pool ->
+      let lanes = Support.Domain_pool.size pool + 1 in
+      List.iter
+        (fun workers ->
+          List.iter
+            (fun n ->
+              let hits = Array.init n (fun _ -> Atomic.make 0) in
+              let worker_ok = Atomic.make true in
+              Support.Domain_pool.parallel_for pool ~workers n (fun w i ->
+                  if w < 0 || w >= min workers lanes then Atomic.set worker_ok false;
+                  Atomic.incr hits.(i));
+              let case = Printf.sprintf "workers=%d n=%d" workers n in
+              Alcotest.(check (array int))
+                (case ^ ": every index runs once")
+                (Array.make n 1) (Array.map Atomic.get hits);
+              Alcotest.(check bool)
+                (case ^ ": worker indices below min workers (size + 1)")
+                true (Atomic.get worker_ok))
+            [ 0; 1; 3; 1000 ])
+        [ 1; 4; 8 ])
+
+exception Boom
+
+let test_parallel_for_failure () =
+  with_pool (fun pool ->
+      let n = 1000 and workers = 4 in
+      (* One index raises, on the caller or on a helper, once every worker
+         is inside an index, and the others hold theirs until it has
+         raised: the failure always lands while the other workers are
+         mid-index. The waits give up after five seconds of CPU time, so
+         a pool that never goes parallel fails instead of hanging. *)
+      List.iter
+        (fun (on, raises) ->
+          let deadline = Sys.time () +. 5.0 in
+          let wait_for cond =
+            while (not (cond ())) && Sys.time () < deadline do
+              Domain.cpu_relax ()
+            done
+          in
+          let running = Atomic.make 0 in
+          let chosen = Atomic.make false and failed = Atomic.make false in
+          match
+            Support.Domain_pool.parallel_for pool ~workers n (fun w _ ->
+                Atomic.incr running;
+                Fun.protect
+                  ~finally:(fun () -> Atomic.decr running)
+                  (fun () ->
+                    if raises w && Atomic.compare_and_set chosen false true then begin
+                      wait_for (fun () -> Atomic.get running = workers);
+                      Atomic.set failed true;
+                      raise Boom
+                    end;
+                    wait_for (fun () -> Atomic.get failed);
+                    for _ = 1 to 200 do
+                      Domain.cpu_relax ()
+                    done))
+          with
+          | () -> Alcotest.failf "failure on the %s did not propagate" on
+          | exception Boom ->
+              Alcotest.(check int)
+                (Printf.sprintf "failure on the %s: no index still running" on)
+                0 (Atomic.get running))
+        [ ("caller", fun w -> w = 0); ("helper", fun w -> w > 0) ];
+      (* the pool was released: a further call acquires it and runs in full *)
+      let acquired = Atomic.make 0 in
+      Support.Domain_pool.set_observer
+        (Some (function Support.Domain_pool.Acquired _ -> Atomic.incr acquired | _ -> ()));
+      let hits = Array.init n (fun _ -> Atomic.make 0) in
+      Fun.protect
+        ~finally:(fun () -> Support.Domain_pool.set_observer None)
+        (fun () ->
+          Support.Domain_pool.parallel_for pool ~workers n (fun _ i ->
+              Atomic.incr hits.(i)));
+      Alcotest.(check int) "the next call acquires the pool" 1 (Atomic.get acquired);
+      Alcotest.(check (array int)) "the next call runs every index once"
+        (Array.make n 1) (Array.map Atomic.get hits))
+
+let test_parallel_for_nested () =
+  (* a call from inside a running [f] finds the pool busy: every inner
+     index runs on the domain that made the call, as its worker 0 *)
+  with_pool (fun pool ->
+      let outer = 8 and inner = 50 in
+      let hits = Array.init (outer * inner) (fun _ -> Atomic.make 0) in
+      let elsewhere = Atomic.make 0 in
+      Support.Domain_pool.parallel_for pool ~workers:4 outer (fun _ o ->
+          let caller = Domain.self () in
+          Support.Domain_pool.parallel_for pool ~workers:4 inner (fun w i ->
+              if w <> 0 || Domain.self () <> caller then Atomic.incr elsewhere;
+              Atomic.incr hits.((o * inner) + i)));
+      Alcotest.(check (array int)) "every inner index runs once"
+        (Array.make (outer * inner) 1) (Array.map Atomic.get hits);
+      Alcotest.(check int) "inner indices run on the calling domain" 0
+        (Atomic.get elsewhere))
 
 let test_tablefmt () =
   let s =
@@ -298,6 +399,12 @@ let suite =
       test_perfcount_span_exception_safe;
     Alcotest.test_case "perfcount stop is total" `Quick test_perfcount_stop_without_start;
     Alcotest.test_case "domain pool lifecycle observer" `Quick test_pool_observer;
+    Alcotest.test_case "parallel_for runs every index once" `Quick
+      test_parallel_for_exactly_once;
+    Alcotest.test_case "parallel_for propagates a failure after the join" `Quick
+      test_parallel_for_failure;
+    Alcotest.test_case "nested parallel_for runs on its caller" `Quick
+      test_parallel_for_nested;
     Alcotest.test_case "tablefmt" `Quick test_tablefmt;
   ]
   @ Tu.qtests

@@ -9,7 +9,6 @@
      dune exec bench/main.exe -- micro        # micro-benchmarks only
      dune exec bench/main.exe -- alloc-gate   # assert the per-step allocation budget
      dune exec bench/main.exe -- obs-gate     # assert the trace-on overhead budget
-     dune exec bench/main.exe -- prune-gate   # assert lower-bound pruning is sound and live
      dune exec bench/main.exe -- compile      # time cold/warm cache and multi-domain compiles
      dune exec bench/main.exe -- cache-gate   # assert analysis-cache hit rate + once-per-region analysis
      dune exec bench/main.exe -- scaling-gate # assert the jobs-4 executor speedup floor (nproc-aware)
@@ -99,35 +98,6 @@ let write_obs_json ~untraced_ns ~traced_ns ~overhead_pct =
     \  }\n\
      }\n"
     untraced_ns traced_ns overhead_pct Micro.obs_ceiling_pct;
-  close_out oc;
-  Printf.eprintf "# wrote %s\n%!" file
-
-let write_prune_json rows ~scored_off ~scored_on ~pruned ~identical =
-  let file = "BENCH_prune.json" in
-  let oc = open_out file in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"regions\": [\n";
-  List.iteri
-    (fun i (r : Micro.prune_row) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"identical\": %b, \"scored_without_pruning\": %d, \
-            \"scored_with_pruning\": %d, \"pruned\": %d}%s\n"
-           r.Micro.pg_name r.Micro.pg_identical r.Micro.pg_scored_off r.Micro.pg_scored_on
-           r.Micro.pg_pruned
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n  \"totals\": {\n";
-  Buffer.add_string buf (Printf.sprintf "    \"scored_without_pruning\": %d,\n" scored_off);
-  Buffer.add_string buf (Printf.sprintf "    \"scored_with_pruning\": %d,\n" scored_on);
-  Buffer.add_string buf (Printf.sprintf "    \"pruned\": %d,\n" pruned);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"reduction_pct\": %.2f,\n"
-       (if scored_off > 0 then 100.0 *. float_of_int pruned /. float_of_int scored_off
-        else 0.0));
-  Buffer.add_string buf (Printf.sprintf "    \"identical_schedules\": %b\n" identical);
-  Buffer.add_string buf "  }\n}\n";
-  output_string oc (Buffer.contents buf);
   close_out oc;
   Printf.eprintf "# wrote %s\n%!" file
 
@@ -233,45 +203,6 @@ let () =
       exit 1
     end
     else print_endline "alloc-gate: OK"
-  end;
-  if List.mem "prune-gate" wanted then begin
-    let rows = Micro.prune_gate () in
-    let scored_off = List.fold_left (fun a r -> a + r.Micro.pg_scored_off) 0 rows in
-    let scored_on = List.fold_left (fun a r -> a + r.Micro.pg_scored_on) 0 rows in
-    let pruned = List.fold_left (fun a r -> a + r.Micro.pg_pruned) 0 rows in
-    let identical = List.for_all (fun r -> r.Micro.pg_identical) rows in
-    List.iter
-      (fun (r : Micro.prune_row) ->
-        Printf.printf
-          "prune-gate: %-12s %8d scored off, %8d scored on, %8d pruned, schedules %s\n"
-          r.Micro.pg_name r.Micro.pg_scored_off r.Micro.pg_scored_on r.Micro.pg_pruned
-          (if r.Micro.pg_identical then "identical" else "DIVERGED"))
-      rows;
-    Printf.printf
-      "prune-gate: total %d scored off, %d scored on, %d pruned (%.1f%% of fit \
-       evaluations skipped)\n"
-      scored_off scored_on pruned
-      (if scored_off > 0 then 100.0 *. float_of_int pruned /. float_of_int scored_off
-       else 0.0);
-    write_prune_json rows ~scored_off ~scored_on ~pruned ~identical;
-    let conserved = scored_off = scored_on + pruned in
-    if not identical then begin
-      Printf.eprintf
-        "prune-gate: FAIL — pruning changed a schedule or cost (must be sound-only)\n";
-      exit 1
-    end;
-    if not conserved then begin
-      Printf.eprintf
-        "prune-gate: FAIL — meter conservation violated: %d scored off <> %d scored on + \
-         %d pruned\n"
-        scored_off scored_on pruned;
-      exit 1
-    end;
-    if pruned <= 0 then begin
-      Printf.eprintf "prune-gate: FAIL — lower-bound pruning never fired on the suite\n";
-      exit 1
-    end;
-    print_endline "prune-gate: OK"
   end;
   if List.mem "compile" wanted then Compile_bench.run ~small ();
   if List.mem "cache-gate" wanted then Compile_bench.cache_gate ();

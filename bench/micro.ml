@@ -270,147 +270,6 @@ let obs_overhead () =
   in
   (!untraced_ns, !traced_ns, overhead_pct)
 
-(* Prune gate: the "seq-prune" backend must be observationally identical
-   to "seq" — same schedules, same costs — while demonstrably skipping
-   fit evaluations via the min-register lower bounds. Each row runs the
-   full two-pass engine over one region shape with both backends on
-   identical contexts (same params, seed, budget) and checks three
-   contracts:
-   - byte-identical final schedules and costs (soundness: the bounds
-     only dismiss candidates whose fit evaluation would have failed, so
-     the constructed schedules and the RNG streams never diverge);
-   - meter conservation: every pass-2 candidate is either fit-evaluated
-     or pruned, so scored(off) = scored(on) + pruned(on);
-   - the pruner actually fires across the suite (pruned > 0 in
-     aggregate), i.e. the capability is not silently a no-op. *)
-type prune_row = {
-  pg_name : string;
-  pg_identical : bool;
-  pg_scored_off : int;
-  pg_scored_on : int;
-  pg_pruned : int;
-}
-
-(* Tight-target phase. The engine derives pass-2 targets from its own
-   pass-1 winner, whose APRP rounding leaves slack, so the bounds rarely
-   bind inside a two-pass run. To prove the pruner is {e live} (not a
-   silently disarmed no-op), drive single ants under externally tight
-   ILP targets — one VGPR below the critical-path list schedule's peak —
-   where the fit filter engages on most steps. Twin RNG streams, prune
-   off vs on: the constructed orders and statuses must match run for
-   run, and the prune-on ant must actually dismiss candidates. *)
-let tight_row name graph seed ~mode =
-  let params = Engine.Params.default in
-  (* Stand-alone ants default to a plain layout, which cannot prune:
-     attach the pruning tables. *)
-  let layout =
-    Sched.Rp_tracker.with_pruning_tables
-      (Sched.Rp_tracker.layout_of_graph graph)
-      (Ddg.Closure.compute graph)
-  in
-  let shared = Aco.Ant.prepare_shared ~layout ~beta:params.Engine.Params.beta graph in
-  let runs = 64 in
-  let run ~prune =
-    let ant = Aco.Ant.create ~shared graph params in
-    Aco.Ant.set_prune ant prune;
-    let pheromone = Aco.Pheromone.create ~n:graph.Ddg.Graph.n ~initial:1.0 in
-    let rng = Support.Rng.create seed in
-    let outcomes = ref [] in
-    for _ = 1 to runs do
-      Aco.Ant.start ant ~rng:(Support.Rng.split rng)
-        ~heuristic:Sched.Heuristic.Critical_path ~allow_optional_stalls:true mode;
-      Aco.Ant.run_to_completion ant ~pheromone;
-      outcomes := (Aco.Ant.status ant, Array.copy (Aco.Ant.order ant)) :: !outcomes
-    done;
-    (!outcomes, Aco.Ant.scored_candidates ant, Aco.Ant.pruned_candidates ant)
-  in
-  let outcomes_off, scored_off, pruned_off = run ~prune:false in
-  let outcomes_on, scored_on, pruned_on = run ~prune:true in
-  {
-    pg_name = name;
-    pg_identical = outcomes_off = outcomes_on && pruned_off = 0;
-    pg_scored_off = scored_off;
-    pg_scored_on = scored_on;
-    pg_pruned = pruned_on;
-  }
-
-(* A producer-heavy region where the bounds genuinely bind: [items]
-   loads addressed off the scalar base alone — each certainly opens a
-   VGPR and can close nothing, so its [min_delta] is +1 — feeding a fold
-   chain whose every step closes two values. Under a VGPR target a few
-   registers wide, an ant must interleave loads with folds; whenever
-   pressure sits at the target, every still-ready load fails the defs
-   fast path and the dynamic bound dismisses it before any
-   [compute_effects] scan. Real workload shapes close registers almost
-   everywhere (their loads consume a VGPR lane address), which is
-   exactly why the pruner needs this shape to prove it is live. *)
-let producer_burst ~items =
-  let b = Ir.Builder.create ~name:"producer_burst" in
-  let base = Ir.Builder.sload b ~name:"s_load_args" ~addr:[] () in
-  let loads = List.init items (fun _ -> Ir.Builder.vload b ~addr:[ base ] ()) in
-  let acc =
-    List.fold_left
-      (fun acc x -> Ir.Builder.valu b [ acc; x ])
-      (List.hd loads) (List.tl loads)
-  in
-  Ir.Builder.vstore b ~data:[ acc ] ~addr:[ base ] ();
-  Ir.Builder.finish b
-
-let prune_gate () =
-  let shapes =
-    [
-      (* Most transform regions start at the length bound and never
-         search; this one starts a cycle above it. *)
-      ("transform", Workload.Shapes.transform (Support.Rng.create 3) ~unroll:3 ~chain:6);
-      ( "wide_accum",
-        Workload.Shapes.wide_accum (Support.Rng.create 11) ~accumulators:24 ~rounds:6 );
-      ("matmul_tile", Workload.Shapes.matmul_tile (Support.Rng.create 7) ~m:6 ~k:8);
-    ]
-  in
-  (* Smaller colony than the compile default: the gate exercises the
-     same code paths at a fraction of the wall time. *)
-  let params = { Engine.Params.default with ants_per_iteration = 32; max_iterations = 8 } in
-  let ctx = { Engine.Backend.null_ctx with Engine.Backend.params; seed = 5 } in
-  let tight_rows =
-    List.map
-      (fun (name, items, tv) ->
-        tight_row name (Ddg.Graph.build (producer_burst ~items)) 17
-          ~mode:(Aco.Ant.Ilp_pass { target_vgpr = tv; target_sgpr = 4 }))
-      [ ("burst16+tight", 16, 4); ("burst32+tight", 32, 6) ]
-  in
-  tight_rows
-  @ List.map
-    (fun (name, region) ->
-      let rc = Engine.Region_ctx.of_region Machine.Occupancy.default region in
-      let off = Engine.Two_pass.run Aco.Seq_aco.backend ctx rc in
-      let on = Engine.Two_pass.run Aco.Seq_aco.prune_backend ctx rc in
-      let same_schedule (a : Sched.Schedule.t) (b : Sched.Schedule.t) =
-        a.Sched.Schedule.slots = b.Sched.Schedule.slots
-        && a.Sched.Schedule.cycle_of = b.Sched.Schedule.cycle_of
-      in
-      let identical =
-        same_schedule off.Engine.Types.schedule on.Engine.Types.schedule
-        && off.Engine.Types.cost = on.Engine.Types.cost
-        && off.Engine.Types.rp_target = on.Engine.Types.rp_target
-        && same_schedule off.Engine.Types.pass2_initial on.Engine.Types.pass2_initial
-        && off.Engine.Types.pass1.Engine.Types.best_costs
-           = on.Engine.Types.pass1.Engine.Types.best_costs
-        && off.Engine.Types.pass2.Engine.Types.best_costs
-           = on.Engine.Types.pass2.Engine.Types.best_costs
-      in
-      let scored p = p.Engine.Types.scored_candidates in
-      {
-        pg_name = name;
-        pg_identical = identical;
-        pg_scored_off =
-          scored off.Engine.Types.pass1 + scored off.Engine.Types.pass2;
-        pg_scored_on = scored on.Engine.Types.pass1 + scored on.Engine.Types.pass2;
-        pg_pruned =
-          on.Engine.Types.pass1.Engine.Types.pruned_candidates
-          + on.Engine.Types.pass2.Engine.Types.pruned_candidates;
-      })
-    shapes
-
 let run () =
   print_endline "Micro-benchmarks (bechamel; monotonic clock, minor words):";
   let rows = measure () in

@@ -293,7 +293,6 @@ let perf ctx =
          "Ant steps" :: col (fun r -> T.int r.Pipeline.Report.p_ant_steps);
          "Selection steps" :: col (fun r -> T.int r.Pipeline.Report.p_selections);
          "Candidates scored" :: col (fun r -> T.int r.Pipeline.Report.p_scored_candidates);
-         "Candidates pruned" :: col (fun r -> T.int r.Pipeline.Report.p_pruned_candidates);
          "Minor words allocated" :: col (fun r -> Printf.sprintf "%.0f" r.Pipeline.Report.p_minor_words);
          "Minor words / ant step" :: col (fun r -> T.f2 r.Pipeline.Report.p_words_per_ant_step);
        ]);

@@ -337,17 +337,37 @@ let run_compile_suite config ~seed ~jobs ~cache_mode metrics metrics_out trace_o
   in
   degradation_exit worst
 
+(* The [--backend] spec as a dispatch policy whose every name is
+   registered, or the one-line usage error naming what is wrong. *)
+let dispatch_of_spec ~auto_threshold spec =
+  Pipeline.Compile.ensure_backends ();
+  let unusable what =
+    Error
+      (Printf.sprintf "%s (registered: %s)" what
+         (String.concat ", " (Engine.Registry.names ())))
+  in
+  match Engine.Dispatch.of_string ~auto_threshold spec with
+  | exception Engine.Dispatch.Duplicate_backend b ->
+      Error
+        (Printf.sprintf
+           "backend %S appears twice in the race list %S — racing a deterministic \
+            backend against itself only reproduces its own schedule"
+           b spec)
+  | exception Invalid_argument _ -> unusable (Printf.sprintf "no backend named in %S" spec)
+  | dispatch -> (
+      let names = Engine.Dispatch.backend_names dispatch in
+      match List.find_opt (fun b -> not (Engine.Registry.mem b)) names with
+      | Some b -> unusable (Printf.sprintf "unknown backend %S" b)
+      | None -> Ok dispatch)
+
 let run_compile shape size seed fault_rate fault_seed budget_ms max_retries backend
     auto_threshold jobs cache_mode suite trace_out metrics_out log_out quality_ledger
     convergence =
-  match Engine.Dispatch.of_string ~auto_threshold backend with
-  | exception Engine.Dispatch.Duplicate_backend b ->
-      Printf.eprintf
-        "gpuaco compile: backend %S appears twice in the race list %S — racing a \
-         deterministic backend against itself only reproduces its own schedule\n"
-        b backend;
+  match dispatch_of_spec ~auto_threshold backend with
+  | Error m ->
+      Printf.eprintf "gpuaco compile: %s\n" m;
       2
-  | dispatch ->
+  | Ok dispatch ->
   let config =
     Pipeline.Compile.make_config
       ~fault_rate:(Float.max 0.0 (Float.min 1.0 fault_rate))
@@ -403,12 +423,8 @@ let run_compile shape size seed fault_rate fault_seed budget_ms max_retries back
     (p1.Engine.Types.selections + p2.Engine.Types.selections);
   Printf.printf "perf: %.0f minor words allocated (%.1f per ant step)\n" words
     (if steps = 0 then 0.0 else words /. float_of_int steps);
-  let scored = p1.Engine.Types.scored_candidates + p2.Engine.Types.scored_candidates
-  and pruned = p1.Engine.Types.pruned_candidates + p2.Engine.Types.pruned_candidates in
-  Printf.printf "perf: %d candidates scored, %d pruned by lower bounds (%.1f%%)\n" scored
-    pruned
-    (if scored + pruned = 0 then 0.0
-     else 100.0 *. float_of_int pruned /. float_of_int (scored + pruned));
+  Printf.printf "perf: %d candidates scored\n"
+    (p1.Engine.Types.scored_candidates + p2.Engine.Types.scored_candidates);
   if convergence then
     print_string
       (Pipeline.Report.render_convergence (Pipeline.Report.convergence_rows_of_region r));

@@ -71,9 +71,8 @@ let prepare_shared ?cp ?layout ?ready_ub ?tails ~beta graph =
 (* The engine hands backends a [Region_ctx] whose analyses are exactly
    the ones a colony shares; reusing them keeps a dispatch race at one
    analysis pass per region instead of one per backend. *)
-let shared_of_region_ctx ?layout ~beta (rc : Engine.Region_ctx.t) =
-  let layout = match layout with Some l -> l | None -> rc.Engine.Region_ctx.rp_layout in
-  prepare_shared ~cp:rc.Engine.Region_ctx.critpath ~layout
+let shared_of_region_ctx ~beta (rc : Engine.Region_ctx.t) =
+  prepare_shared ~cp:rc.Engine.Region_ctx.critpath ~layout:rc.Engine.Region_ctx.rp_layout
     ~ready_ub:rc.Engine.Region_ctx.ready_ub ~tails:rc.Engine.Region_ctx.tails ~beta
     rc.Engine.Region_ctx.graph
 
@@ -505,10 +504,6 @@ let length_lb t = Sched.Ready_list.length_lb (ready_list t) ~tails:t.tails
 let optional_stalls t = t.n_optional
 let work t = t.work
 
-(* Candidate pruning is a property of the ant's RP tracker; the ant only
-   forwards the switch and the meters so drivers never reach into the
-   tracker directly. *)
-let set_prune t flag = Sched.Rp_tracker.set_prune t.rp flag
-let prune_enabled t = Sched.Rp_tracker.prune_enabled t.rp
+(* The meter lives in the ant's RP tracker; the ant forwards it so
+   drivers never reach into the tracker directly. *)
 let scored_candidates t = Sched.Rp_tracker.scored_candidates t.rp
-let pruned_candidates t = Sched.Rp_tracker.pruned_candidates t.rp

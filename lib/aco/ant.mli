@@ -56,12 +56,9 @@ val prepare_shared :
     own copy, so only ants whose params carry this [beta] may use the
     result ({!create} checks). *)
 
-val shared_of_region_ctx :
-  ?layout:Sched.Rp_tracker.layout -> beta:float -> Engine.Region_ctx.t -> shared
+val shared_of_region_ctx : beta:float -> Engine.Region_ctx.t -> shared
 (** [prepare_shared] fed entirely from the region context's precomputed
-    analyses — no graph traversal, no closure recomputation. [layout]
-    replaces the context's plain [rp_layout] with one derived from it
-    (the pruning colony's, {!Sched.Rp_tracker.with_pruning_tables}). *)
+    analyses — no graph traversal, no closure recomputation. *)
 
 val shared_ready_ub : shared -> int
 (** The transitive-closure ready-list bound, for drivers that also size
@@ -185,20 +182,7 @@ val work : t -> int
     successor updates + per-step constant) — the currency of the CPU and
     GPU time models. *)
 
-val set_prune : t -> bool -> unit
-(** Arm lower-bound candidate pruning in the ant's RP tracker
-    ({!Sched.Rp_tracker.set_prune}): pass-2 candidates that provably
-    cannot fit the RP target skip the per-register fit scan. Sound-only
-    — schedules and RNG streams are unchanged; only work and the meters
-    below move. Off by default. *)
-
-val prune_enabled : t -> bool
-
 val scored_candidates : t -> int
 (** Cumulative fit-evaluated candidate count
     ({!Sched.Rp_tracker.scored_candidates}); not reset by {!start} —
     drivers snapshot it around a pass. *)
-
-val pruned_candidates : t -> int
-(** Cumulative pruned candidate count
-    ({!Sched.Rp_tracker.pruned_candidates}). *)

@@ -34,23 +34,15 @@ type t = {
   metrics : Obs.Metrics.t;
 }
 
-let prepare ~policy:policy_spec ~prune ~allow_optional_stalls (ctx : Engine.Backend.ctx)
+let prepare ~policy:policy_spec ~allow_optional_stalls (ctx : Engine.Backend.ctx)
     (rc : Engine.Region_ctx.t) =
   let graph = rc.Engine.Region_ctx.graph in
   let n = graph.Ddg.Graph.n in
   let params = ctx.Engine.Backend.params in
   let rng = Support.Rng.create ctx.Engine.Backend.seed in
   (* The region context's analyses and one SoA arena back the whole
-     colony; nothing region-derived is recomputed here. Only a pruning
-     colony reads the min-register tables, so only it builds them, on
-     the context's layout. *)
-  let layout =
-    if prune then
-      Sched.Rp_tracker.with_pruning_tables rc.Engine.Region_ctx.rp_layout
-        rc.Engine.Region_ctx.closure
-    else rc.Engine.Region_ctx.rp_layout
-  in
-  let shared = Ant.shared_of_region_ctx ~layout ~beta:params.Engine.Params.beta rc in
+     colony; nothing region-derived is recomputed here. *)
+  let shared = Ant.shared_of_region_ctx ~beta:params.Engine.Params.beta rc in
   let ints, floats = Ant.arena_demand shared in
   let fmat_rows, fmat_cols = Ant.fmat_demand shared in
   let lanes = params.Engine.Params.ants_per_iteration in
@@ -58,9 +50,7 @@ let prepare ~policy:policy_spec ~prune ~allow_optional_stalls (ctx : Engine.Back
   let fmat = Support.Fmat.take ~rows:(lanes * fmat_rows) ~cols:fmat_cols in
   let ants =
     Array.init lanes (fun lane ->
-        let ant = Ant.create ~shared ~arena ~fmat:(fmat, lane * fmat_rows) graph params in
-        if prune then Ant.set_prune ant true;
-        ant)
+        Ant.create ~shared ~arena ~fmat:(fmat, lane * fmat_rows) graph params)
   in
   let pheromone = Pheromone.create ~n ~initial:params.Engine.Params.initial_pheromone in
   let policy =
@@ -150,18 +140,16 @@ let run_pass (type a) colony ~mode ~(cost : length:int -> vgpr:int -> sgpr:int -
       done
     end
   in
-  (* Candidate meters are cumulative on each ant's tracker; the pass
-     reports deltas. Both sums sit outside the minor-words window. *)
-  let sum_meters () =
-    let scored = ref 0 and pruned = ref 0 in
+  (* The candidate meter is cumulative on each ant's tracker; the pass
+     reports the delta. Both sums sit outside the minor-words window. *)
+  let sum_scored () =
+    let scored = ref 0 in
     for k = 0 to Array.length ants - 1 do
-      let ant = Array.unsafe_get ants k in
-      scored := !scored + Ant.scored_candidates ant;
-      pruned := !pruned + Ant.pruned_candidates ant
+      scored := !scored + Ant.scored_candidates (Array.unsafe_get ants k)
     done;
-    (!scored, !pruned)
+    !scored
   in
-  let scored_before, pruned_before = sum_meters () in
+  let scored_before = sum_scored () in
   let minor_before = Support.Perfcount.minor_words () in
   let best_cost = ref initial_cost in
   let best = ref initial_artifact in
@@ -225,7 +213,7 @@ let run_pass (type a) colony ~mode ~(cost : length:int -> vgpr:int -> sgpr:int -
   (* [minor_delta] first: the series copy must stay outside the measured
      window so the stat is byte-identical with metering off. *)
   let minor_delta = Support.Perfcount.minor_words () -. minor_before in
-  let scored_after, pruned_after = sum_meters () in
+  let scored_after = sum_scored () in
   let best_costs = Array.sub bc_buf 0 !bc_len in
   ( !best,
     !best_cost,
@@ -244,5 +232,4 @@ let run_pass (type a) colony ~mode ~(cost : length:int -> vgpr:int -> sgpr:int -
       best_costs;
       minor_words = minor_delta;
       scored_candidates = scored_after - scored_before;
-      pruned_candidates = pruned_after - pruned_before;
     } )

@@ -1,6 +1,6 @@
 (** The CPU ant colony: one constructor and one sequential pass loop,
     shared by every CPU backend — the two-pass colonies of {!Seq_aco}
-    (["seq"], ["seq-prune"], ["mmas"], ["mmas-spill"]) and the
+    (["seq"], ["mmas"], ["mmas-spill"]) and the
     weighted-sum colony of {!Weighted_aco}. The GPU-model backend keeps
     its own lockstep loop in [Gpusim.Par_aco]: it breaks ties, meters its
     budget and retries faulted iterations differently. *)
@@ -20,7 +20,6 @@ type t = {
 
 val prepare :
   policy:Pheromone_policy.spec ->
-  prune:bool ->
   allow_optional_stalls:bool ->
   Engine.Backend.ctx ->
   Engine.Region_ctx.t ->
@@ -30,9 +29,8 @@ val prepare :
     pooled score matrix, with its RNG seeded from [ctx.seed] and the
     pheromone [policy] recording into [ctx.metrics]. The termination
     allowance is the policy's patience, so the loop matches the policy's
-    restart schedule. [prune] arms min-register candidate pruning on
-    every ant ({!Ant.set_prune}); [allow_optional_stalls] lets ants
-    insert the optional stalls of Section IV-C. The colony serves both
+    restart schedule. [allow_optional_stalls] lets ants insert the
+    optional stalls of Section IV-C. The colony serves both
     passes of a region: RNG and pheromone table carry over. *)
 
 val teardown : t -> unit

@@ -11,11 +11,10 @@ type state = {
          ant costs stay comparable (always 0 under the cliff) *)
 }
 
-let prepare ~policy ~(objective : Sched.Objective.t option) ~prune ctx
-    (rc : Engine.Region_ctx.t) =
+let prepare ~policy ~(objective : Sched.Objective.t option) ctx (rc : Engine.Region_ctx.t) =
   let graph = rc.Engine.Region_ctx.graph in
   let occ = rc.Engine.Region_ctx.occ in
-  let colony = Colony.prepare ~policy ~prune ~allow_optional_stalls:true ctx rc in
+  let colony = Colony.prepare ~policy ~allow_optional_stalls:true ctx rc in
   let obj = match objective with Some o -> o | None -> Sched.Objective.Cliff in
   let rp_cost ~length:_ ~vgpr ~sgpr = Sched.Objective.rp_scalar_of_peaks obj occ ~vgpr ~sgpr in
   let pass2_cost, pass2_extra_of_initial =
@@ -77,32 +76,22 @@ let run_schedule_pass st (req : Engine.Backend.schedule_request) =
   in
   (schedule, stats)
 
-let make_backend ~name:backend_name ~policy ?objective ?(prune = false) () :
-    Engine.Backend.t =
+let make_backend ~name:backend_name ~policy ?objective () : Engine.Backend.t =
   (module struct
     let name = backend_name
-
-    let caps =
-      { Engine.Types.rp_pass = true; faults = false; trace = false; time_model = false; prune }
+    let caps = { Engine.Types.rp_pass = true; time_model = false }
 
     let objective = objective
 
     type nonrec state = state
 
-    let prepare ctx rc = prepare ~policy ~objective ~prune ctx rc
+    let prepare ctx rc = prepare ~policy ~objective ctx rc
     let run_order_pass = run_order_pass
     let run_schedule_pass = run_schedule_pass
     let teardown st = Colony.teardown st.colony
   end : Engine.Backend.S)
 
 let backend : Engine.Backend.t = make_backend ~name:"seq" ~policy:Pheromone_policy.As ()
-
-(* Same colony, pruning armed: min-register lower bounds skip candidates
-   that provably cannot fit the pass-2 RP target. Sound-only — identical
-   schedules and RNG streams to "seq"; only work and the candidate
-   meters differ (asserted by the prune-gate bench). *)
-let prune_backend : Engine.Backend.t =
-  make_backend ~name:"seq-prune" ~policy:Pheromone_policy.As ~prune:true ()
 let mmas_backend : Engine.Backend.t = make_backend ~name:"mmas" ~policy:Pheromone_policy.Mmas ()
 
 let mmas_spill_backend spill_model : Engine.Backend.t =

@@ -17,12 +17,10 @@ val make_backend :
   name:string ->
   policy:Pheromone_policy.spec ->
   ?objective:Sched.Objective.t ->
-  ?prune:bool ->
   unit ->
   Engine.Backend.t
-(** A CPU-colony backend with the given registry name, pheromone policy,
-    (optional) RP objective and (optional, default off) lower-bound
-    candidate pruning. {!backend}, {!prune_backend}, {!mmas_backend} and
+(** A CPU-colony backend with the given registry name, pheromone policy
+    and (optional) RP objective. {!backend}, {!mmas_backend} and
     {!mmas_spill_backend} are the instantiations the product registers;
     the constructor is exposed so tests and experiments can build
     others. Under a spill objective, pass 2 runs unconstrained (the
@@ -30,16 +28,10 @@ val make_backend :
     length plus the priced spill traffic of each ant's peaks. *)
 
 val backend : Engine.Backend.t
-(** The ["seq"] backend: RP pass, no faults, no trace, no time model,
-    vanilla Ant System pheromone, cliff objective. Its budget currency
+(** The ["seq"] backend: RP pass, no time model, vanilla Ant System
+    pheromone, cliff objective. Its budget currency
     is [Work]; handing it a [Time_ns] budget raises
     [Invalid_argument]. *)
-
-val prune_backend : Engine.Backend.t
-(** ["seq-prune"]: {!backend} with min-register candidate pruning armed
-    ({!Ant.set_prune}). Sound-only, so its schedules and RNG streams are
-    byte-identical to ["seq"]'s; it reports nonzero [pruned_candidates]
-    and fewer [scored_candidates]. *)
 
 val mmas_backend : Engine.Backend.t
 (** ["mmas"]: the same colony under the MAX-MIN Ant System policy

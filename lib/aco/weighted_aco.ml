@@ -17,14 +17,7 @@ module Backend_impl = struct
 
   (* No RP pass: the weighted formulation folds RP into the single
      objective, so the engine goes straight to the schedule pass. *)
-  let caps =
-    {
-      Engine.Types.rp_pass = false;
-      faults = false;
-      trace = false;
-      time_model = false;
-      prune = false;
-    }
+  let caps = { Engine.Types.rp_pass = false; time_model = false }
 
   (* Weighted-sum cost is an alternative cost formulation, not an RP
      objective the two-pass engine can thread: the engine never runs an
@@ -39,8 +32,7 @@ module Backend_impl = struct
   let prepare ctx rc =
     {
       colony =
-        Colony.prepare ~policy:Pheromone_policy.As ~prune:false ~allow_optional_stalls:false
-          ctx rc;
+        Colony.prepare ~policy:Pheromone_policy.As ~allow_optional_stalls:false ctx rc;
       occ = rc.Engine.Region_ctx.occ;
       graph = rc.Engine.Region_ctx.graph;
     }

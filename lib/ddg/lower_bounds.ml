@@ -167,8 +167,7 @@ let register_pressure (g : Graph.t) cls =
 
    Both conditions are schedule-independent, so the bound is a pure
    region analysis; it is exactly a lower bound on the quantity
-   [Sched.Rp_tracker.fits_within] compares against the RP target, which
-   is what makes candidate pruning on it sound. *)
+   [Sched.Rp_tracker.fits_within] compares against the RP target. *)
 let min_reg_lb closure (g : Graph.t) cls =
   let region = g.region in
   let instrs = (region : Ir.Region.t).instrs in

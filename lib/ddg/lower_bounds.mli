@@ -59,7 +59,7 @@ val min_reg_lb : Closure.t -> Graph.t -> Ir.Reg.cls -> int array
     by then (live-in, or a definer among [i]'s DDG ancestors or [i]
     itself) and certainly not yet dead (live-out, defined by [i], or
     used by a strict descendant of [i]). If the bound already exceeds
-    the RP target, scheduling [i] breaches the target in any schedule —
-    the soundness contract behind candidate pruning
-    ({!Sched.Rp_tracker}). Takes a precomputed {!Closure.t}; never
-    computes one itself. *)
+    the RP target, scheduling [i] breaches the target in any schedule,
+    which makes it a register-pressure bound for an exact minimum-RP
+    search. Takes a precomputed {!Closure.t}; never computes one
+    itself. *)

@@ -18,7 +18,7 @@ type ctx = {
   params : Params.t;
   seed : int;  (** root of the backend's deterministic RNG stream *)
   budget : Types.budget;  (** whole-region budget, both passes *)
-  trace : Obs.Trace.t;  (** null unless the backend has {!Types.caps.trace} *)
+  trace : Obs.Trace.t;  (** flight recorder; only the GPU model records into it *)
   metrics : Obs.Metrics.t;
   label : string;  (** recorder prefix, ["<region>.<backend>."] *)
   ext : ext list;  (** backend-specific extras, see {!ext} *)

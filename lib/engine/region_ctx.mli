@@ -51,11 +51,8 @@ type t = {
       (** {!Ddg.Closure.ready_list_upper_bound} — sizes every per-ant
           scratch array and the simulated memory model *)
   rp_layout : Sched.Rp_tracker.layout;
-      (** the plain interned register layout backing every RP tracker of
-          the region: its schedulers, cost evaluations and colonies. It
-          carries no candidate-pruning (Chen) tables; the pruning colony
-          attaches them in its prepare
-          ({!Sched.Rp_tracker.with_pruning_tables}). *)
+      (** the interned register layout backing every RP tracker of the
+          region: its schedulers, cost evaluations and colonies *)
   cp_schedule : Sched.Schedule.t;
       (** Critical-Path list schedule (the report's sensitivity check) *)
   cp_cost : Sched.Cost.t;

@@ -103,4 +103,4 @@ let budget_minus budget (stats : pass_stats) =
   | Work w -> Work (max 0 (w - stats.work))
   | Time_ns t -> Time_ns (Float.max 0.0 (t -. stats.time_ns))
 
-type caps = { rp_pass : bool; faults : bool; trace : bool; time_model : bool; prune : bool }
+type caps = { rp_pass : bool; time_model : bool }

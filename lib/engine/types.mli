@@ -77,8 +77,8 @@ type pass_stats = {
           ({!Sched.Rp_tracker.scored_candidates} delta across the pass);
           0 for backends/passes that never filter *)
   pruned_candidates : int;
-      (** candidates dismissed by the min-register lower bounds before
-          any fit evaluation; nonzero only under {!caps.prune} *)
+      (** always 0 (no backend prunes candidates); kept for the
+          benchmark ledger, which reports it *)
   fault_counts : fault_counts;  (** faults injected during this pass *)
 }
 
@@ -111,10 +111,7 @@ val budget_minus : budget -> pass_stats -> budget
 type caps = {
   rp_pass : bool;  (** runs a pass-1 RP search (a [false] backend goes
                        straight to pass 2 from the heuristic order) *)
-  faults : bool;  (** models fault injection and retries *)
-  trace : bool;  (** emits flight-recorder spans *)
   time_model : bool;  (** meters simulated time; budgets are [Time_ns] *)
-  prune : bool;  (** arms sound lower-bound candidate pruning in pass 2 *)
 }
-(** Capability flags the pipeline uses to pick budget currencies,
-    recorder hookup and reporting columns per backend. *)
+(** Capability flags the engine and pipeline read per backend: whether
+    pass 1 runs, and which budget currency and seed the backend takes. *)

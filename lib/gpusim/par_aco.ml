@@ -99,18 +99,16 @@ let run_pass (type a) st ~mode ~(cost_of_ant : Aco.Ant.t -> int)
       ~dur:setup_ns;
     obs_cursor.(0) <- pass_t0 +. config.launch_overhead_ns +. setup_ns
   end;
-  (* Candidate meters are cumulative on the ants' trackers; the pass
-     reports deltas, summed outside the minor-words window. *)
-  let sum_meters () =
-    let scored = ref 0 and pruned = ref 0 in
+  (* The candidate meter is cumulative on the ants' trackers; the pass
+     reports the delta, summed outside the minor-words window. *)
+  let sum_scored () =
+    let scored = ref 0 in
     for w = 0 to Array.length wavefronts - 1 do
-      let wf = Array.unsafe_get wavefronts w in
-      scored := !scored + Wavefront.scored_candidates wf;
-      pruned := !pruned + Wavefront.pruned_candidates wf
+      scored := !scored + Wavefront.scored_candidates (Array.unsafe_get wavefronts w)
     done;
-    (!scored, !pruned)
+    !scored
   in
-  let scored_before, pruned_before = sum_meters () in
+  let scored_before = sum_scored () in
   let minor_before = Support.Perfcount.minor_words () in
   let best_cost = ref initial_cost in
   let best = ref initial_artifact in
@@ -315,7 +313,7 @@ let run_pass (type a) st ~mode ~(cost_of_ant : Aco.Ant.t -> int)
      reported delta byte-identical with tracing off. *)
   let fault_counts = Engine.Types.fault_counts_sub (Faults.counts faults) faults_before in
   let minor_delta = Support.Perfcount.minor_words () -. minor_before in
-  let scored_after, pruned_after = sum_meters () in
+  let scored_after = sum_scored () in
   let best_costs = Array.sub bc_buf 0 !bc_len in
   if tracing then begin
     let teardown = Mem_model.teardown_time_ns config ~n in
@@ -352,7 +350,7 @@ let run_pass (type a) st ~mode ~(cost_of_ant : Aco.Ant.t -> int)
       minor_words = minor_delta;
       retries = !retries;
       scored_candidates = scored_after - scored_before;
-      pruned_candidates = pruned_after - pruned_before;
+      pruned_candidates = 0;
       fault_counts;
     } )
 
@@ -367,14 +365,7 @@ let ns_of_budget = function
 module Backend_impl = struct
   let name = "par"
 
-  let caps =
-    {
-      Engine.Types.rp_pass = true;
-      faults = true;
-      trace = true;
-      time_model = true;
-      prune = false;
-    }
+  let caps = { Engine.Types.rp_pass = true; time_model = true }
 
   (* The GPU model races under the paper's own rules: vanilla Ant System
      pheromone (threaded as the [As] policy below) and the cliff

@@ -73,14 +73,11 @@ let retire t =
   Support.Arena.give t.arena;
   Support.Fmat.give t.fmat
 
-(* Candidate meters, summed over the lanes. Cumulative (the trackers are
-   never reset); drivers snapshot deltas around a pass, outside their
+(* The candidate meter, summed over the lanes. Cumulative (the trackers
+   are never reset); drivers snapshot deltas around a pass, outside their
    minor-words windows. *)
 let scored_candidates t =
   Array.fold_left (fun acc a -> acc + Aco.Ant.scored_candidates a) 0 t.ants
-
-let pruned_candidates t =
-  Array.fold_left (fun acc a -> acc + Aco.Ant.pruned_candidates a) 0 t.ants
 
 let set_obs t ~trace ~metrics ~track ~obs_cursor ~simd_cursor ~simd =
   t.trace <- trace;

@@ -41,9 +41,6 @@ val scored_candidates : t -> int
     ({!Aco.Ant.scored_candidates}); drivers snapshot deltas around a
     pass. *)
 
-val pruned_candidates : t -> int
-(** Cumulative lower-bound-pruned candidates, summed over the lanes. *)
-
 val set_obs :
   t ->
   trace:Obs.Trace.t ->

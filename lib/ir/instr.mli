@@ -24,8 +24,8 @@ val make :
   t
 (** [make ~id ~kind ~defs ~uses ()] builds an instruction; [latency]
     defaults to [Opcode.default_latency kind], [name] to the opcode
-    mnemonic. Raises [Invalid_argument] on negative latency or duplicate
-    registers within the Def set. *)
+    mnemonic. Raises [Invalid_argument] on a latency outside 0..1024
+    cycles or duplicate registers within the Def set. *)
 
 val with_id : t -> int -> t
 (** Same instruction renumbered (used when regions are sliced). *)

@@ -19,7 +19,6 @@ let ensure_backends () =
   Aco.Seq_aco.register ();
   Gpusim.Par_aco.register ();
   Aco.Weighted_aco.register ();
-  Engine.Registry.register Aco.Seq_aco.prune_backend;
   Engine.Registry.register Aco.Seq_aco.mmas_backend;
   Engine.Registry.register
     (Aco.Seq_aco.mmas_spill_backend (Gpusim.Mem_model.spill_model Gpusim.Config.bench))
@@ -172,14 +171,14 @@ let run_backend ?(trace = Obs.Trace.null) ?(metrics = Obs.Metrics.null) config ~
     {
       Engine.Backend.params = config.params;
       seed =
-        (* Every CPU two-pass colony (seq, seq-prune, the MMAS variants
-           and wrappers that copy their capabilities) shares the
+        (* Every CPU two-pass colony (seq, the MMAS variants and
+           wrappers that copy their capabilities) shares the
            sequential seed, so policy comparisons start from the same
            stream; everything else keeps the parallel seed. *)
         (if caps.Engine.Types.rp_pass && not caps.Engine.Types.time_model then config.seq_seed
          else config.par_seed);
       budget;
-      trace = (if caps.Engine.Types.trace then trace else Obs.Trace.null);
+      trace;
       metrics;
       label = name ^ "." ^ bname ^ ".";
       ext =

@@ -28,8 +28,7 @@ type config = {
   dispatch : Engine.Dispatch.policy;  (** which backend(s) compile each region *)
   seq_seed : int;
       (** seed for every CPU two-pass colony: a backend with an RP pass
-          and no time model (["seq"], ["seq-prune"], ["mmas"],
-          ["mmas-spill"]) *)
+          and no time model (["seq"], ["mmas"], ["mmas-spill"]) *)
   par_seed : int;  (** seed for every other backend *)
   run_sequential : bool;
       (** also time the CPU baseline (skipped when the dispatch already
@@ -37,7 +36,8 @@ type config = {
 }
 
 val ensure_backends : unit -> unit
-(** Register the product backends (["seq"], ["par"], ["weighted"]) in
+(** Register the product backends (["seq"], ["par"], ["weighted"],
+    ["mmas"], ["mmas-spill"]) in
     {!Engine.Registry}. Idempotent; {!run_region} calls it, so callers
     only need it to enumerate backends before compiling. *)
 

@@ -334,7 +334,6 @@ type perf_row = {
   p_ant_steps : int;
   p_selections : int;
   p_scored_candidates : int;
-  p_pruned_candidates : int;
   p_minor_words : float;
   p_words_per_ant_step : float;
 }
@@ -367,8 +366,6 @@ let perf_row_of regions cat =
     p_selections = add (fun (p : Engine.Types.pass_stats) -> p.Engine.Types.selections);
     p_scored_candidates =
       add (fun (p : Engine.Types.pass_stats) -> p.Engine.Types.scored_candidates);
-    p_pruned_candidates =
-      add (fun (p : Engine.Types.pass_stats) -> p.Engine.Types.pruned_candidates);
     p_minor_words = words;
     p_words_per_ant_step = (if steps = 0 then 0.0 else words /. float_of_int steps);
   }

@@ -109,10 +109,6 @@ type perf_row = {
   p_scored_candidates : int;
       (** pass-2 candidates whose RP fit was evaluated, both passes
           summed (pass 1 contributes 0) *)
-  p_pruned_candidates : int;
-      (** candidates dismissed by the min-register lower bounds without
-          a fit evaluation; nonzero only under a pruning-capable
-          backend *)
   p_minor_words : float;  (** OCaml minor-heap words allocated by the passes *)
   p_words_per_ant_step : float;  (** [p_minor_words / p_ant_steps]; 0 when no steps *)
 }

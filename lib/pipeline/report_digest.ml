@@ -99,13 +99,18 @@ let pass b (p : Engine.Types.pass_stats) =
 
 let degradation b (d : Robust.degradation) = str b (Robust.degradation_label d)
 
+(* The capabilities keep the five characters of the five flags they
+   once were, as [stop] does: the retired fault and trace flags always
+   equalled [time_model] on every backend, and no backend prunes any
+   more, so digests taken before they went still match. *)
 let run b (r : Compile.backend_run) =
+  let time_model = r.Compile.caps.Engine.Types.time_model in
   str b r.Compile.backend;
   bool b r.Compile.caps.Engine.Types.rp_pass;
-  bool b r.Compile.caps.Engine.Types.faults;
-  bool b r.Compile.caps.Engine.Types.trace;
-  bool b r.Compile.caps.Engine.Types.time_model;
-  bool b r.Compile.caps.Engine.Types.prune;
+  bool b time_model;
+  bool b time_model;
+  bool b time_model;
+  bool b false;
   let res = r.Compile.result in
   slots b res.Engine.Types.schedule;
   cost b res.Engine.Types.cost;

@@ -215,8 +215,10 @@ let parse_request payload =
           | None -> None
           | Some spec ->
               let policy =
-                try Engine.Dispatch.of_string spec
-                with Invalid_argument m -> bad "backend: %s" m
+                try Engine.Dispatch.of_string spec with
+                | Invalid_argument m -> bad "backend: %s" m
+                | Engine.Dispatch.Duplicate_backend b ->
+                    bad "backend: %S appears twice in %S" b spec
               in
               Compile.ensure_backends ();
               List.iter

@@ -18,18 +18,6 @@ type layout = {
      fits check a sound fast path that skips the per-register scan *)
   defs_v : int array;
   defs_s : int array;
-  (* candidate-pruning tables (sound lower bounds; see
-     [filter_fits_prefix]), attached by [with_pruning_tables] and empty
-     otherwise; only read when [prunable]: [min_delta_*.(i)] bounds from
-     below the current-pressure change of scheduling [i] at any point
-     (single-definer non-live-in opens minus distinct non-live-out-use
-     closes); [min_lb_*.(i)] is the static Chen-style bound from
-     [Ddg.Lower_bounds.min_reg_lb]. *)
-  prunable : bool;
-  min_delta_v : int array;
-  min_delta_s : int array;
-  min_lb_v : int array;
-  min_lb_s : int array;
   total_uses : int array;
   live_out : bool array;
   live_in : bool array;
@@ -44,13 +32,9 @@ type t = {
   cur_base : int;  (* current pressure, 2 entries (class rank) *)
   peak_base : int;  (* peak pressure, 2 entries *)
   eff_base : int;  (* effects scratch, 4 entries (see [compute_effects]) *)
-  (* Candidate pruning: off by default so the tracker is byte-identical
-     to the historical one; a backend flips it on as a declared
-     capability. The counters are cumulative across [reset]s (they meter
-     work, not schedule state); drivers snapshot them around a pass. *)
-  mutable prune : bool;
+  (* Cumulative across [reset]s (it meters work, not schedule state);
+     drivers snapshot it around a pass. *)
   mutable scored : int;
-  mutable pruned : int;
 }
 
 let rank = function Ir.Reg.Vgpr -> 0 | Ir.Reg.Sgpr -> 1
@@ -111,67 +95,11 @@ let layout_of_graph (graph : Ddg.Graph.t) =
     def_ids;
     defs_v;
     defs_s;
-    prunable = false;
-    min_delta_v = [||];
-    min_delta_s = [||];
-    min_lb_v = [||];
-    min_lb_s = [||];
     total_uses;
     live_out;
     live_in;
     nregs;
   }
-
-let with_pruning_tables l closure =
-  let n = Array.length l.def_ids in
-  (* [min_delta]: a def that is not live-in and has a single definer can
-     never be live before its definer issues, so it opens
-     unconditionally; a use can close at most once, and only if it is
-     not live-out. Hence (certain opens - potential closes) lower bounds
-     the current-pressure delta of [compute_effects] in any tracker
-     state, and [cur + min_delta > target] implies the candidate cannot
-     pass [fits_within]. *)
-  let def_count = Array.make l.nregs 0 in
-  Array.iter (Array.iter (fun di -> def_count.(di) <- def_count.(di) + 1)) l.def_ids;
-  let min_delta_v = Array.make n 0 and min_delta_s = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let opens_v = ref 0 and opens_s = ref 0 in
-    Array.iter
-      (fun di ->
-        if (not l.live_in.(di)) && def_count.(di) = 1 then
-          match l.cls.(di) with
-          | Ir.Reg.Vgpr -> incr opens_v
-          | Ir.Reg.Sgpr -> incr opens_s)
-      l.def_ids.(i);
-    let closes_v = ref 0 and closes_s = ref 0 in
-    let uses = l.use_ids.(i) in
-    for k = 0 to Array.length uses - 1 do
-      let ui = uses.(k) in
-      (* distinct uses only: count the first occurrence *)
-      let first = ref true in
-      for j = 0 to k - 1 do
-        if uses.(j) = ui then first := false
-      done;
-      if !first && not l.live_out.(ui) then
-        match l.cls.(ui) with
-        | Ir.Reg.Vgpr -> incr closes_v
-        | Ir.Reg.Sgpr -> incr closes_s
-    done;
-    min_delta_v.(i) <- !opens_v - !closes_v;
-    min_delta_s.(i) <- !opens_s - !closes_s
-  done;
-  {
-    l with
-    prunable = true;
-    min_delta_v;
-    min_delta_s;
-    min_lb_v = Ddg.Lower_bounds.min_reg_lb closure l.graph Ir.Reg.Vgpr;
-    min_lb_s = Ddg.Lower_bounds.min_reg_lb closure l.graph Ir.Reg.Sgpr;
-  }
-
-let min_reg_lb l cls =
-  if not l.prunable then None
-  else Some (Array.copy (match cls with Ir.Reg.Vgpr -> l.min_lb_v | Ir.Reg.Sgpr -> l.min_lb_s))
 
 let int_demand layout = (2 * layout.nregs) + 8
 
@@ -203,9 +131,7 @@ let create_in arena layout =
       cur_base = base + (2 * layout.nregs);
       peak_base = base + (2 * layout.nregs) + 2;
       eff_base = base + (2 * layout.nregs) + 4;
-      prune = false;
       scored = 0;
-      pruned = 0;
     }
   in
   reset t;
@@ -377,15 +303,7 @@ let fits_within t i ~target_vgpr ~target_sgpr =
    - The in-range tests fold into sign bits: [a <= b] for the small
      pressure integers here is the sign of [b - a], and two tests OR
      into one word whose sign is extracted with [asr 62] (any negative
-     63-bit int has that bit set).
-   - Pruning, when armed: a candidate that misses the defs-bound fast
-     path is first tested against the layout's sound lower bounds
-     ([min_lb]: static Chen bound on unavoidable pressure at its issue
-     point; [cur + min_delta]: certain opens minus potential closes).
-     Either bound exceeding a target proves [fits_within] false, so the
-     quadratic [compute_effects] scan is skipped and the candidate is
-     dropped — same prefix, same count, strictly less work. [scored]
-     and [pruned] meter exactly that. *)
+     63-bit int has that bit set). *)
 let filter_fits_prefix t ~cand ~n_cand ~target_vgpr ~target_sgpr =
   let l = t.layout in
   let buf = t.buf in
@@ -396,9 +314,6 @@ let filter_fits_prefix t ~cand ~n_cand ~target_vgpr ~target_sgpr =
     (* the peak already exceeds a target: nothing can fit *)
   else begin
     let m = ref 0 in
-    let scored = ref 0 in
-    let pruned = ref 0 in
-    let prune = t.prune in
     for k = 0 to n_cand - 1 do
       let i = Array.unsafe_get cand k in
       let fast =
@@ -406,22 +321,8 @@ let filter_fits_prefix t ~cand ~n_cand ~target_vgpr ~target_sgpr =
         lor (target_sgpr - cs - Array.unsafe_get l.defs_s i)
       in
       let bit =
-        if fast >= 0 then begin
-          incr scored;
-          1
-        end
-        else if
-          prune
-          && (Array.unsafe_get l.min_lb_v i > target_vgpr
-             || Array.unsafe_get l.min_lb_s i > target_sgpr
-             || cv + Array.unsafe_get l.min_delta_v i > target_vgpr
-             || cs + Array.unsafe_get l.min_delta_s i > target_sgpr)
-        then begin
-          incr pruned;
-          0
-        end
+        if fast >= 0 then 1
         else begin
-          incr scored;
           compute_effects t i;
           let d =
             (target_vgpr - cv + buf.(e) - buf.(e + 1))
@@ -433,18 +334,11 @@ let filter_fits_prefix t ~cand ~n_cand ~target_vgpr ~target_sgpr =
       Array.unsafe_set cand !m i;
       m := !m + bit
     done;
-    t.scored <- t.scored + !scored;
-    t.pruned <- t.pruned + !pruned;
+    t.scored <- t.scored + n_cand;
     !m
   end
 
-let set_prune t flag =
-  if flag && not t.layout.prunable then
-    invalid_arg "Rp_tracker.set_prune: layout carries no pruning tables";
-  t.prune <- flag
-let prune_enabled t = t.prune
 let scored_candidates t = t.scored
-let pruned_candidates t = t.pruned
 
 let closes_count t i =
   compute_effects t i;

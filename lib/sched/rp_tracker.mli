@@ -19,28 +19,12 @@ type layout
     consumer. *)
 
 val layout_of_graph : Ddg.Graph.t -> layout
-(** Build the plain layout of the region: no candidate-pruning tables
-    ({!with_pruning_tables} attaches them). *)
+(** Build the layout of the region. *)
 
 val layout_count : unit -> int
 (** Process-wide number of {!layout_of_graph} invocations (domain-safe,
     monotonic), counted like [Ddg.Closure.compute_count]: the compile
     service's analysis gate asserts one layout per distinct region. *)
-
-val with_pruning_tables : layout -> Ddg.Closure.t -> layout
-(** The same layout (its interned ids and arrays are reused, not
-    rebuilt) carrying the sound candidate-pruning tables: the min-delta
-    bounds (certain opens minus potential closes per instruction and
-    class) and the static Chen-style per-instruction minimum-pressure
-    bounds ({!Ddg.Lower_bounds.min_reg_lb}) over the given closure. Only
-    a tracker on such a layout can arm pruning ({!set_prune}); the
-    pruning colony builds it in its prepare, the one place the tables
-    are read. Does not count as a layout ({!layout_count}) and never
-    computes a closure. *)
-
-val min_reg_lb : layout -> Ir.Reg.cls -> int array option
-(** A copy of the Chen table the layout carries for the class, [None]
-    on a plain layout. *)
 
 val int_demand : layout -> int
 (** Arena ints one tracker's mutable state needs (for exact
@@ -103,32 +87,14 @@ val filter_fits_prefix :
 (** Stable in-place filter of [cand.(0..n_cand-1)]: compacts the
     candidates for which {!fits_within} holds into the prefix (ready
     order preserved) and returns their count. Branchless mask-and-select
-    compaction on the hot path. With pruning armed ({!set_prune}),
-    candidates whose layout lower bounds already prove they cannot fit
-    skip the per-register effects scan; the returned prefix and count
-    are identical either way — pruning only removes provably-dead
-    work. The pruning tables are read only with pruning armed. *)
-
-val set_prune : t -> bool -> unit
-(** Arm or disarm lower-bound candidate pruning in
-    {!filter_fits_prefix}. Off by default; prefix contents and counts
-    are unaffected either way (soundness), only the evaluation work and
-    the {!scored_candidates}/{!pruned_candidates} meters change.
-    @raise Invalid_argument when arming a tracker whose layout carries
-    no pruning tables ({!with_pruning_tables}). *)
-
-val prune_enabled : t -> bool
+    compaction on the hot path. *)
 
 val scored_candidates : t -> int
-(** Cumulative count of candidates whose fit decision was actually
-    evaluated (fast defs-bound or full effects scan) in
-    {!filter_fits_prefix} since the tracker was created. Not cleared by
-    {!reset}: it meters work, not schedule state — drivers snapshot it
-    around a pass. *)
-
-val pruned_candidates : t -> int
-(** Cumulative count of candidates dismissed by the lower-bound prune
-    before any fit evaluation. Zero unless {!set_prune} armed it. *)
+(** Cumulative count of candidates whose fit decision
+    {!filter_fits_prefix} evaluated since the tracker was created (every
+    candidate, unless a class peak already breaches its target). Not
+    cleared by {!reset}: it meters work, not schedule state — drivers
+    snapshot it around a pass. *)
 
 val closes_count : t -> int -> int
 (** Number of live ranges (any class) the instruction would close — the

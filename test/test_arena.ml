@@ -528,77 +528,7 @@ let fmat_pool () =
     (Array.for_all (Array.for_all (fun v -> v = 0.0)) (Support.Fmat.to_array m2));
   Support.Fmat.give m2
 
-(* --- candidate pruning: byte-identity and soundness --------------------- *)
-
-(* Run a prune-off and a prune-on ant through whole constructions with
-   twin RNGs and evolving (but identical) trails. Pruning must be
-   invisible to everything except the candidate meters: same orders,
-   statuses, peaks, stalls, work and — the strictest check — the same
-   number of RNG draws. *)
-let prune_lockstep ~mode ~heuristic graph params seed =
-  let layout =
-    Sched.Rp_tracker.with_pruning_tables
-      (Sched.Rp_tracker.layout_of_graph graph)
-      (Ddg.Closure.compute graph)
-  in
-  let shared = Aco.Ant.prepare_shared ~layout ~beta:params.Engine.Params.beta graph in
-  let ant_off = Aco.Ant.create ~shared graph params in
-  let ant_on = Aco.Ant.create ~shared graph params in
-  Aco.Ant.set_prune ant_on true;
-  Alcotest.(check bool) "prune armed" true (Aco.Ant.prune_enabled ant_on);
-  let n = graph.Ddg.Graph.n in
-  let ph_off = Aco.Pheromone.create ~n ~initial:1.0 in
-  let ph_on = Aco.Pheromone.create ~n ~initial:1.0 in
-  let rng_off = Support.Rng.create seed and rng_on = Support.Rng.create seed in
-  for _ = 1 to 4 do
-    Aco.Ant.start ant_off ~rng:rng_off ~heuristic ~allow_optional_stalls:true mode;
-    Aco.Ant.run_to_completion ant_off ~pheromone:ph_off;
-    Aco.Ant.start ant_on ~rng:rng_on ~heuristic ~allow_optional_stalls:true mode;
-    Aco.Ant.run_to_completion ant_on ~pheromone:ph_on;
-    Alcotest.(check bool) "status agrees" true
-      (Aco.Ant.status ant_off = Aco.Ant.status ant_on);
-    Alcotest.(check (array int)) "order" (Aco.Ant.order ant_off) (Aco.Ant.order ant_on);
-    Alcotest.(check int) "length" (Aco.Ant.length ant_off) (Aco.Ant.length ant_on);
-    Alcotest.(check int) "work" (Aco.Ant.work ant_off) (Aco.Ant.work ant_on);
-    Alcotest.(check int) "optional stalls" (Aco.Ant.optional_stalls ant_off)
-      (Aco.Ant.optional_stalls ant_on);
-    let pv, ps = Aco.Ant.rp_peaks ant_off and qv, qs = Aco.Ant.rp_peaks ant_on in
-    Alcotest.(check (pair int int)) "rp peaks" (pv, ps) (qv, qs);
-    (* evolve both trails identically so later constructions walk a
-       structured wheel, not the uniform initial one *)
-    if Aco.Ant.status ant_off = Aco.Ant.Finished then begin
-      Aco.Pheromone.deposit_path ph_off (Aco.Ant.order ant_off) 0.4;
-      Aco.Pheromone.deposit_path ph_on (Aco.Ant.order ant_on) 0.4
-    end
-  done;
-  Alcotest.(check int64) "rng stream position" (Support.Rng.int64 rng_on)
-    (Support.Rng.int64 rng_off);
-  Alcotest.(check int) "disarmed ant never prunes" 0 (Aco.Ant.pruned_candidates ant_off);
-  (* every candidate is either fit-evaluated or pruned, never both,
-     never dropped: scored(off) = scored(on) + pruned(on) *)
-  Alcotest.(check int) "meter conservation"
-    (Aco.Ant.scored_candidates ant_off)
-    (Aco.Ant.scored_candidates ant_on + Aco.Ant.pruned_candidates ant_on)
-
-let prune_differential =
-  QCheck.Test.make ~count:25 ~name:"lower-bound pruning is schedule- and RNG-invariant"
-    (QCheck.pair (Tu.arb_graph ~max_size:30 ()) QCheck.small_int)
-    (fun (graph, seed) ->
-      let params = Tu.test_params in
-      let modes =
-        [
-          Aco.Ant.Rp_pass;
-          Aco.Ant.Ilp_pass { target_vgpr = 256; target_sgpr = 800 };
-          tight_targets graph;
-        ]
-      in
-      List.iter
-        (fun mode ->
-          List.iter
-            (fun heuristic -> prune_lockstep ~mode ~heuristic graph params seed)
-            [ Sched.Heuristic.Critical_path; Sched.Heuristic.Last_use_count ])
-        modes;
-      true)
+(* --- the Chen bound ---------------------------------------------------- *)
 
 (* The Chen per-instruction bound must hold at the issue point of every
    instruction in *any* valid schedule. The issue-point pressure is the
@@ -606,7 +536,7 @@ let prune_differential =
    closes, *before* dead-on-arrival defs are dropped — which is exactly
    [current + delta_if_scheduled] read before scheduling, and exactly
    the quantity [fits_within]/[filter_fits_prefix] compare against a
-   target (so this is the soundness statement the pruner relies on).
+   target.
    Replay random topological orders and check every issue against the
    table. On tiny graphs, cross-check against exhaustive search: the
    best achievable peak can never undercut the largest per-instruction
@@ -657,61 +587,6 @@ let min_lb_soundness =
       end;
       true)
 
-(* The tracker-level statement of soundness, independent of any ant:
-   [filter_fits_prefix] with pruning armed must keep exactly the same
-   candidate prefix as the unpruned scan, for any tracker state and any
-   target — the bounds may only skip work, never change the answer. *)
-let prune_filter_sound =
-  QCheck.Test.make ~count:40 ~name:"pruned fit filter keeps the exact unpruned prefix"
-    (QCheck.pair (Tu.arb_graph ~max_size:20 ()) QCheck.small_int)
-    (fun (graph, seed) ->
-      let n = graph.Ddg.Graph.n in
-      let layout =
-        Sched.Rp_tracker.with_pruning_tables
-          (Sched.Rp_tracker.layout_of_graph graph)
-          (Ddg.Closure.compute graph)
-      in
-      let make () =
-        let arena =
-          Support.Arena.create ~ints:(Sched.Rp_tracker.int_demand layout) ~floats:0
-        in
-        Sched.Rp_tracker.create_in arena layout
-      in
-      let t_off = make () and t_on = make () in
-      Sched.Rp_tracker.set_prune t_on true;
-      let rng = Support.Rng.create seed in
-      let ready = Sched.Ready_list.create ~latency_aware:false graph in
-      let cand_off = Array.make n 0 and cand_on = Array.make n 0 in
-      (* a mix of loose and punishing targets, revisited every step *)
-      let targets = [| (256, 800); (4, 4); (1, 1); (7, 2) |] in
-      for _ = 1 to n do
-        let m = Sched.Ready_list.ready_count ready in
-        Sched.Ready_list.blit_ready ready cand_off m;
-        Array.blit cand_off 0 cand_on 0 m;
-        let tv, ts = targets.(Support.Rng.int rng (Array.length targets)) in
-        let m_off =
-          Sched.Rp_tracker.filter_fits_prefix t_off ~cand:cand_off ~n_cand:m
-            ~target_vgpr:tv ~target_sgpr:ts
-        in
-        let m_on =
-          Sched.Rp_tracker.filter_fits_prefix t_on ~cand:cand_on ~n_cand:m ~target_vgpr:tv
-            ~target_sgpr:ts
-        in
-        Alcotest.(check int) "kept count" m_off m_on;
-        Alcotest.(check (array int)) "kept prefix"
-          (Array.sub cand_off 0 m_off) (Array.sub cand_on 0 m_on);
-        (* advance both trackers along the same random topological order *)
-        let i = Sched.Ready_list.ready ready (Support.Rng.int rng m) in
-        Sched.Ready_list.schedule ready i;
-        Sched.Rp_tracker.schedule t_off i;
-        Sched.Rp_tracker.schedule t_on i
-      done;
-      Alcotest.(check int) "meter conservation"
-        (Sched.Rp_tracker.scored_candidates t_off)
-        (Sched.Rp_tracker.scored_candidates t_on
-        + Sched.Rp_tracker.pruned_candidates t_on);
-      true)
-
 let suite =
   [
     ("arena offsets", `Quick, arena_offsets);
@@ -726,7 +601,5 @@ let suite =
         shared_eta_differential;
         wavefront_differential;
         wavefront_determinism;
-        prune_differential;
         min_lb_soundness;
-        prune_filter_sound;
       ]

@@ -88,14 +88,7 @@ let torn_down = ref []
 
 module Counting_backend = struct
   let name = "counting"
-  let caps =
-    {
-      Engine.Types.rp_pass = false;
-      faults = false;
-      trace = false;
-      time_model = false;
-      prune = false;
-    }
+  let caps = { Engine.Types.rp_pass = false; time_model = false }
   let objective = None
 
   type state = string
@@ -584,8 +577,7 @@ let analyses_spec =
          = Sched.Schedule.order (Sched.List_scheduler.run graph Sched.Heuristic.Critical_path)
       && rc.Engine.Region_ctx.amd_cost = Sched.Cost.of_schedule Tu.occ amd
       && rc.Engine.Region_ctx.cp_cost = Sched.Cost.of_schedule Tu.occ cp
-      && rc.Engine.Region_ctx.height_lb = Ddg.Lower_bounds.dependence_height graph
-      && Sched.Rp_tracker.min_reg_lb rc.Engine.Region_ctx.rp_layout Ir.Reg.Vgpr = None)
+      && rc.Engine.Region_ctx.height_lb = Ddg.Lower_bounds.dependence_height graph)
 
 let greedy_wins = ref 0
 let greedy_skipped = ref 0
@@ -631,14 +623,7 @@ let pass2_initial_spec =
 module Source_order_pass = struct
   let name = "source-order-pass"
 
-  let caps =
-    {
-      Engine.Types.rp_pass = true;
-      faults = false;
-      trace = false;
-      time_model = false;
-      prune = false;
-    }
+  let caps = { Engine.Types.rp_pass = true; time_model = false }
 
   let objective = None
 

@@ -34,17 +34,6 @@ let compile ?(fault_rate = 0.0) ?compile_budget_ms backend =
     { config with Pipeline.Compile.run_sequential = false }
     (Lazy.force workload)
 
-(* Default-setting reports are shared with the seq-prune check below. *)
-let reports = Hashtbl.create 8
-
-let default_report backend =
-  match Hashtbl.find_opt reports backend with
-  | Some r -> r
-  | None ->
-      let r = compile backend in
-      Hashtbl.replace reports backend r;
-      r
-
 let scrub_pass (p : Engine.Types.pass_stats) = { p with Engine.Types.minor_words = 0.0 }
 
 let scrub_region (r : Pipeline.Compile.region_report) =
@@ -99,11 +88,11 @@ let golden name expected report () =
 
 let goldens =
   [
-    ("seq", "d14c460ef16cb20f8c2c9610280c5d7d", fun () -> default_report "seq");
-    ("par", "5e52dd15eaf36f39924ad217553392a2", fun () -> default_report "par");
-    ("weighted", "f955ce3f13c789452f0ed262e01d1b05", fun () -> default_report "weighted");
-    ("mmas", "f4df0a0cb910f2c2e03f87c69324f5d5", fun () -> default_report "mmas");
-    ("mmas-spill", "30893df693cce3d5ee7a002e62cfd69a", fun () -> default_report "mmas-spill");
+    ("seq", "d14c460ef16cb20f8c2c9610280c5d7d", fun () -> compile "seq");
+    ("par", "5e52dd15eaf36f39924ad217553392a2", fun () -> compile "par");
+    ("weighted", "f955ce3f13c789452f0ed262e01d1b05", fun () -> compile "weighted");
+    ("mmas", "f4df0a0cb910f2c2e03f87c69324f5d5", fun () -> compile "mmas");
+    ("mmas-spill", "30893df693cce3d5ee7a002e62cfd69a", fun () -> compile "mmas-spill");
     ( "seq at fault rate 0.2",
       "d14c460ef16cb20f8c2c9610280c5d7d",
       fun () -> compile ~fault_rate:0.2 "seq" );
@@ -175,23 +164,6 @@ let open_goldens =
     ("mmas-spill", 8, "6760966abe637ca93a3b9dd63b396ac9");
     ("weighted", 7, "a1246cb881e12b055caf258b33615445");
   ]
-
-(* Min-register pruning is sound-only, so the pruning colony must search
-   exactly like the plain one when the pipeline hands both the same
-   seed. *)
-let test_prune_matches_seq () =
-  let regions backend = regions_of (default_report backend) in
-  List.iter2
-    (fun (a : Pipeline.Compile.region_report) (b : Pipeline.Compile.region_report) ->
-      let name = a.Pipeline.Compile.region_name in
-      Alcotest.(check (array int))
-        (name ^ " order") a.Pipeline.Compile.aco_order b.Pipeline.Compile.aco_order;
-      let best_costs r =
-        (Pipeline.Compile.product_run r).Pipeline.Compile.result.Engine.Types.pass2
-          .Engine.Types.best_costs
-      in
-      Alcotest.(check (array int)) (name ^ " pass-2 best costs") (best_costs a) (best_costs b))
-    (regions "seq") (regions "seq-prune")
 
 (* [Weighted_aco.run] on fixed regions whose AMD schedule sits above a
    bound, so the search iterates: the hot region of one suite kernel and
@@ -270,6 +242,5 @@ let suite =
           (open_golden backend ~searched expected))
       open_goldens
   @ [
-      Alcotest.test_case "seq-prune searches like seq" `Quick test_prune_matches_seq;
       Alcotest.test_case "weighted standalone run pinned" `Quick test_weighted_run;
     ]

@@ -37,6 +37,9 @@ let test_instr_rejects_bad () =
   Alcotest.check_raises "negative latency" (Invalid_argument "Instr.make: negative latency")
     (fun () ->
       ignore (Ir.Instr.make ~id:0 ~latency:(-1) ~kind:Ir.Opcode.Valu ~defs:[] ~uses:[] ()));
+  Alcotest.check_raises "latency above the bound"
+    (Invalid_argument "Instr.make: latency above 1024 cycles") (fun () ->
+      ignore (Ir.Instr.make ~id:0 ~latency:1025 ~kind:Ir.Opcode.Valu ~defs:[] ~uses:[] ()));
   Alcotest.check_raises "duplicate defs"
     (Invalid_argument "Instr.make: duplicate register in defs") (fun () ->
       ignore

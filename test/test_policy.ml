@@ -83,8 +83,7 @@ type colony_driver = Policy_colony | Frozen_colony
 let run_colony driver graph ~seed ~mode ~cost =
   let n = Ddg.Graph.size graph in
   let colony =
-    Aco.Colony.prepare ~policy:Aco.Pheromone_policy.As ~prune:false
-      ~allow_optional_stalls:true
+    Aco.Colony.prepare ~policy:Aco.Pheromone_policy.As ~allow_optional_stalls:true
       { Engine.Backend.null_ctx with Engine.Backend.params; seed }
       (Engine.Region_ctx.of_graph Tu.occ graph)
   in
@@ -313,8 +312,7 @@ let test_mmas_colony_runs () =
   let graph = Ddg.Graph.build (Tu.random_region ~max_size:30 11) in
   let n = Ddg.Graph.size graph in
   let colony =
-    Aco.Colony.prepare ~policy:Aco.Pheromone_policy.Mmas ~prune:false
-      ~allow_optional_stalls:true
+    Aco.Colony.prepare ~policy:Aco.Pheromone_policy.Mmas ~allow_optional_stalls:true
       { Engine.Backend.null_ctx with Engine.Backend.params; seed = 42 }
       (Engine.Region_ctx.of_graph Tu.occ graph)
   in

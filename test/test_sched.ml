@@ -87,38 +87,54 @@ let prop_tracker_predictions =
       done;
       !ok)
 
-(* A plain layout carries no pruning tables; [with_pruning_tables]
-   attaches exactly the Chen tables of the closure. *)
-let prop_pruning_tables =
-  QCheck.Test.make ~name:"with_pruning_tables yields exactly the Chen tables" ~count:60
-    (Tu.arb_graph ~max_size:30 ()) (fun g ->
-      let closure = Ddg.Closure.compute g in
-      let plain = Sched.Rp_tracker.layout_of_graph g in
-      let pruning = Sched.Rp_tracker.with_pruning_tables plain closure in
-      List.for_all
-        (fun cls ->
-          Sched.Rp_tracker.min_reg_lb plain cls = None
-          && Sched.Rp_tracker.min_reg_lb pruning cls
-             = Some (Ddg.Lower_bounds.min_reg_lb closure g cls))
-        [ Ir.Reg.Vgpr; Ir.Reg.Sgpr ])
+(* [filter_fits_prefix] against its definition: walking a random
+   topological order under loose and punishing targets, the kept prefix
+   is exactly the ready candidates [fits_within] accepts, in ready order,
+   and the meter counts every candidate unless a peak already breaches a
+   target (then nothing is evaluated and nothing kept). *)
+let prop_fit_filter =
+  QCheck.Test.make ~name:"fit filter keeps exactly the candidates that fit" ~count:60
+    (QCheck.pair (Tu.arb_graph ~max_size:20 ()) QCheck.small_int)
+    (fun (g, seed) ->
+      let t = Sched.Rp_tracker.create g in
+      let rng = Support.Rng.create seed in
+      let ready = Sched.Ready_list.create ~latency_aware:false g in
+      let cand = Array.make g.Ddg.Graph.n 0 in
+      let targets = [| (256, 800); (4, 4); (1, 1); (7, 2) |] in
+      while not (Sched.Ready_list.finished ready) do
+        let m = Sched.Ready_list.ready_count ready in
+        Sched.Ready_list.blit_ready ready cand m;
+        let tv, ts = targets.(Support.Rng.int rng (Array.length targets)) in
+        let fitting =
+          List.filter
+            (fun i -> Sched.Rp_tracker.fits_within t i ~target_vgpr:tv ~target_sgpr:ts)
+            (Array.to_list (Array.sub cand 0 m))
+        in
+        let breached =
+          Sched.Rp_tracker.peak t Ir.Reg.Vgpr > tv || Sched.Rp_tracker.peak t Ir.Reg.Sgpr > ts
+        in
+        let scored_before = Sched.Rp_tracker.scored_candidates t in
+        let kept =
+          Sched.Rp_tracker.filter_fits_prefix t ~cand ~n_cand:m ~target_vgpr:tv ~target_sgpr:ts
+        in
+        Alcotest.(check (list int)) "kept prefix" fitting (Array.to_list (Array.sub cand 0 kept));
+        Alcotest.(check int) "scored candidates"
+          (if breached then 0 else m)
+          (Sched.Rp_tracker.scored_candidates t - scored_before);
+        let i = Sched.Ready_list.ready ready (Support.Rng.int rng m) in
+        Sched.Ready_list.schedule ready i;
+        Sched.Rp_tracker.schedule t i
+      done;
+      true)
 
-(* A layout serves only the graph it was built for, and only a layout
-   with pruning tables can arm pruning. *)
+(* A layout serves only the graph it was built for. *)
 let test_layout_guards () =
   let g = Ddg.Graph.build (Tu.diamond_region ()) in
   let other = Ddg.Graph.build (Tu.diamond_region ()) in
-  let plain = Sched.Rp_tracker.layout_of_graph g in
+  let layout = Sched.Rp_tracker.layout_of_graph g in
   Alcotest.check_raises "layout of another graph"
     (Invalid_argument "Rp_tracker.create: layout is for another graph") (fun () ->
-      ignore (Sched.Rp_tracker.create ~layout:plain other));
-  let t = Sched.Rp_tracker.create ~layout:plain g in
-  Alcotest.check_raises "plain layout cannot prune"
-    (Invalid_argument "Rp_tracker.set_prune: layout carries no pruning tables") (fun () ->
-      Sched.Rp_tracker.set_prune t true);
-  let pruning = Sched.Rp_tracker.with_pruning_tables plain (Ddg.Closure.compute g) in
-  let t = Sched.Rp_tracker.create ~layout:pruning g in
-  Sched.Rp_tracker.set_prune t true;
-  Alcotest.(check bool) "pruning layout arms" true (Sched.Rp_tracker.prune_enabled t)
+      ignore (Sched.Rp_tracker.create ~layout other))
 
 let prop_tracker_reset =
   QCheck.Test.make ~name:"reset restores the initial state" ~count:50 (Tu.arb_graph ())
@@ -427,7 +443,7 @@ let suite =
         prop_latency_pad_valid;
         prop_tracker_matches_naive;
         prop_tracker_predictions;
-        prop_pruning_tables;
+        prop_fit_filter;
         prop_tracker_reset;
         prop_fits_within_consistent;
         prop_list_scheduler_valid;

@@ -196,8 +196,21 @@ let test_parse_typed_errors () =
     (code "op=compile id=x shape=scan size=banana seed=1");
   Alcotest.(check string) "unknown backend" "unknown-backend"
     (code "op=compile id=x shape=scan size=8 seed=1 backend=nonesuch");
+  Alcotest.(check string) "duplicate race backend" "bad-request"
+    (code "op=compile id=x shape=scan size=8 seed=1 backend=seq,seq");
+  Alcotest.(check string) "retired backend" "unknown-backend"
+    (code "op=compile id=x shape=scan size=8 seed=1 backend=seq-prune");
   Alcotest.(check string) "inline region parse error" "bad-region"
     (code "op=compile id=x\nregion broken (1 instrs)\n  %0: not_an_opcode v0 <-");
+  let inline latency =
+    Printf.sprintf
+      "op=compile id=x\nregion slow (2 instrs)\n  %%0: v_alu@%d v0 <-\n  %%1: v_alu v1 <- v0\n"
+      latency
+  in
+  Alcotest.(check string) "latency above the bound" "bad-region" (code (inline 1025));
+  (match Pipeline.Serve.parse_request (inline 1024) with
+  | Ok (Pipeline.Serve.Compile _) -> ()
+  | _ -> Alcotest.fail "latency at the bound must parse");
   (* the error reply still carries the id that could be salvaged *)
   match Pipeline.Serve.parse_request "op=compile id=salvaged blorp=1" with
   | Error (id, _) -> Alcotest.(check string) "salvaged id" "salvaged" id

@@ -15,10 +15,18 @@ let occ = Machine.Occupancy.default
 
 let shape_names = Workload.Shapes.spec_names
 
-let build_shape name ~size ~seed =
+(* Run [k] on the shape's region. An unknown family, or a [--size]
+   whose region the region checks reject (the latency-sum cap), is a
+   one-line usage error and exits 2, like an unusable [--backend]. *)
+let with_shape cmd name ~size ~seed k =
+  let usage m =
+    Printf.eprintf "gpuaco %s: %s\n" cmd m;
+    2
+  in
   match Workload.Shapes.of_spec ~name ~size ~seed with
-  | Some region -> region
-  | None -> invalid_arg ("unknown shape: " ^ name)
+  | Some region -> k region
+  | None -> usage (Printf.sprintf "unknown shape %S (known: %s)" name (String.concat ", " shape_names))
+  | exception Invalid_argument m -> usage (Printf.sprintf "shape %s at --size %d: %s" name size m)
 
 let shape_arg =
   let doc =
@@ -48,7 +56,7 @@ let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
 let run_schedule shape size seed scheduler verbose =
-  let region = build_shape shape ~size ~seed in
+  with_shape "schedule" shape ~size ~seed @@ fun region ->
   let graph = Ddg.Graph.build region in
   Printf.printf "region %s: %d instructions, length LB %d (dependence height %d)\n" shape
     (Ir.Region.size region)
@@ -61,7 +69,7 @@ let run_schedule shape size seed scheduler verbose =
   in
   match scheduler with
   | "amd" ->
-      finish "amd" (Sched.Amd_scheduler.run occ graph);
+      finish "amd" (Sched.List_scheduler.amd occ graph);
       0
   | "cp" ->
       finish "cp" (Sched.List_scheduler.run graph Sched.Heuristic.Critical_path);
@@ -381,8 +389,7 @@ let run_compile shape size seed fault_rate fault_seed budget_ms max_retries back
   if suite then
     run_compile_suite config ~seed ~jobs ~cache_mode metrics metrics_out trace_out log
       log_out quality_ledger
-  else begin
-  let region = build_shape shape ~size ~seed in
+  else with_shape "compile" shape ~size ~seed @@ fun region ->
   let trace =
     match trace_out with Some _ -> Obs.Trace.create () | None -> Obs.Trace.null
   in
@@ -448,7 +455,6 @@ let run_compile shape size seed fault_rate fault_seed budget_ms max_retries back
       Printf.printf "quality: 1 record appended to %s\n" file
   | None -> ());
   degradation_exit r.Pipeline.Compile.degradation
-  end
 
 let compile_cmd =
   let info =
@@ -893,7 +899,7 @@ let run_trace shape size seed fault_rate fault_seed budget_ms max_retries out me
       print_string (Obs.Trace_check.report_to_string rep);
       if Obs.Trace_check.ok rep then 0 else 1
   | None ->
-      let region = build_shape shape ~size ~seed in
+      with_shape "trace" shape ~size ~seed @@ fun region ->
       let config =
         Pipeline.Compile.make_config
           ~fault_rate:(Float.max 0.0 (Float.min 1.0 fault_rate))
@@ -959,7 +965,7 @@ let trace_cmd =
 (* --- dot ----------------------------------------------------------------- *)
 
 let run_dot shape size seed =
-  let region = build_shape shape ~size ~seed in
+  with_shape "dot" shape ~size ~seed @@ fun region ->
   print_string (Ddg.Graph.to_dot (Ddg.Graph.build region));
   0
 

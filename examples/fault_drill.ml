@@ -30,13 +30,7 @@ let () =
       let r = Pipeline.Compile.run_region config ~name:"drill" region in
       let schedule_ok =
         (* Reconstruct the emitted order and re-validate it end to end. *)
-        match
-          Sched.Schedule.of_slots
-            (Ddg.Graph.build region)
-            ~latency_aware:false
-            (Array.to_list
-               (Array.map (fun i -> Sched.Schedule.Instr i) r.Pipeline.Compile.aco_order))
-        with
+        match Sched.Schedule.of_order (Ddg.Graph.build region) r.Pipeline.Compile.aco_order with
         | Ok _ -> "yes"
         | Error _ -> "NO"
       in

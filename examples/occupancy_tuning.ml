@@ -17,7 +17,7 @@ let () =
     (fun (name, region) ->
       let graph = Ddg.Graph.build region in
       Printf.printf "%s (%d instructions)\n" name (Ir.Region.size region);
-      let _, amd_cost = Sched.Amd_scheduler.run_with_cost occ graph in
+      let amd_cost = Sched.Cost.of_schedule occ (Sched.List_scheduler.amd occ graph) in
       describe "AMD baseline" amd_cost;
       let r = Aco.Seq_aco.run ~seed:7 occ graph in
       describe "two-pass ACO" r.Engine.Types.cost;

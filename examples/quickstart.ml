@@ -33,7 +33,8 @@ let () =
 
   (* 3. Schedule with the AMD production-scheduler stand-in. *)
   let occ = Machine.Occupancy.default in
-  let amd, amd_cost = Sched.Amd_scheduler.run_with_cost occ graph in
+  let amd = Sched.List_scheduler.amd occ graph in
+  let amd_cost = Sched.Cost.of_schedule occ amd in
   Printf.printf "AMD baseline: %s\n%s\n" (Sched.Cost.to_string amd_cost)
     (Sched.Schedule.to_string amd);
 

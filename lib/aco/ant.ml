@@ -112,8 +112,8 @@ type t = {
   mutable status : status;
   mutable last : int;  (* previously selected instruction, -1 at start *)
   mutable cycles : int;
-      (* slots emitted so far, stalls included; each issue's cycle is
-         the ready list's, so the ant keeps no slot buffer *)
+      (* cycles used so far, stalls included; each issue's cycle is
+         the ready list's, so the ant keeps no per-cycle buffer *)
   mutable n_optional : int;
   mutable work : int;
   (* last-step report, overwritten by each step (the divergence and
@@ -391,12 +391,12 @@ let step_hot t ~pheromone ~force_explore ~ready_limit =
         finish_step t ~rank:2 ~instr:(-1) ~explored ~scanned:0 ~succs:0
       end
       else begin
-        (* [Stall_policy.classify_slice]'s decision ladder, inlined as
-           straight-line integer code: the variant result it returned
-           was the hot loop's last per-step allocation. Filter, coin
-           and ordering are identical — the single optional-stall coin
-           is drawn under exactly the same conditions, so the RNG
-           stream position matches the historical ladder bit for bit. *)
+        (* [Stall_policy.classify]'s decision ladder over the candidate
+           slice, inlined as straight-line integer code (a variant
+           result would be a per-step allocation). Filter, coin and
+           ordering are identical — the single optional-stall coin is
+           drawn under exactly the same conditions, so the RNG stream
+           position matches the list-level reference bit for bit. *)
         let has_semi_ready = Sched.Ready_list.has_semi_ready rl in
         let fitting =
           Sched.Rp_tracker.filter_fits_prefix t.rp ~cand:t.cand ~n_cand:m ~target_vgpr
@@ -460,42 +460,25 @@ let run_to_completion ?force_explore t ~pheromone =
     step_hot t ~pheromone ~force_explore:fe ~ready_limit:0
   done
 
-(* Instruction issued at each cycle, -1 for a stall: one issue per
-   cycle, at the cycle the ready list recorded. *)
-let by_cycle t =
-  let rl = ready_list t in
-  let slots = Array.make t.cycles (-1) in
-  for i = 0 to t.graph.Ddg.Graph.n - 1 do
-    let c = Sched.Ready_list.issue_cycle rl i in
-    if c >= 0 then slots.(c) <- i
-  done;
-  slots
-
-let slots t =
-  Array.fold_right
-    (fun i acc -> (if i < 0 then Sched.Schedule.Stall else Sched.Schedule.Instr i) :: acc)
-    (by_cycle t) []
-
+(* The read-out sorts instructions by the cycle the ready list recorded
+   for each (-1 for the unissued, which sort first and are dropped):
+   arrays sized by the instructions, never by the cycles. *)
 let order t =
-  let slots = by_cycle t in
-  let issued = Array.make (Array.fold_left (fun k i -> if i >= 0 then k + 1 else k) 0 slots) 0 in
-  let k = ref 0 in
-  Array.iter
-    (fun i ->
-      if i >= 0 then begin
-        issued.(!k) <- i;
-        incr k
-      end)
-    slots;
-  issued
+  let cycle = Sched.Ready_list.issue_cycle (ready_list t) in
+  let n = t.graph.Ddg.Graph.n in
+  let ids = Array.init n Fun.id in
+  Array.sort (fun a b -> Int.compare (cycle a) (cycle b)) ids;
+  match Array.find_index (fun i -> cycle i >= 0) ids with
+  | Some 0 -> ids
+  | Some first -> Array.sub ids first (n - first)
+  | None -> [||]
 
 let schedule t =
   if t.status <> Finished then None
   else
     let latency_aware = match t.mode with Rp_pass -> false | Ilp_pass _ -> true in
-    match Sched.Schedule.of_slots t.graph ~latency_aware (slots t) with
-    | Ok s -> Some s
-    | Error _ -> None
+    let cycles = Array.init t.graph.Ddg.Graph.n (Sched.Ready_list.issue_cycle (ready_list t)) in
+    Result.to_option (Sched.Schedule.of_cycles t.graph ~latency_aware cycles)
 
 let peak t cls = Sched.Rp_tracker.peak t.rp cls
 let rp_peaks t = (peak t Ir.Reg.Vgpr, peak t Ir.Reg.Sgpr)

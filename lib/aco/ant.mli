@@ -149,10 +149,13 @@ val run_to_completion : ?force_explore:bool -> t -> pheromone:Pheromone.t -> uni
 (** Step until no longer active (sequential driver). *)
 
 val order : t -> int array
-(** Issue order of the constructed schedule (valid once [Finished]). *)
+(** Issue order of the constructed schedule (complete once [Finished]):
+    the instructions issued so far, sorted by the issue cycle the ready
+    list recorded for each. *)
 
 val schedule : t -> Sched.Schedule.t option
-(** The validated schedule, or [None] unless [Finished]. Pass-1
+(** The validated schedule built from the recorded issue cycles
+    ({!Sched.Schedule.of_cycles}), or [None] unless [Finished]. Pass-1
     schedules validate without latencies, pass-2 schedules with. *)
 
 val rp_peaks : t -> int * int
@@ -163,12 +166,12 @@ val peak : t -> Ir.Reg.cls -> int
     while the ant runs. *)
 
 val length : t -> int
-(** Cycles used so far (slots emitted). *)
+(** Cycles used so far, stalls included. *)
 
 val length_lb : t -> int
 (** A lower bound on the length of every schedule this ant can still
     complete ({!Sched.Ready_list.length_lb} over the shared tails): the
-    larger of the slots so far plus the unscheduled instructions and,
+    larger of the cycles so far plus the unscheduled instructions and,
     in the schedule pass, the maximum over ready and latency-pending
     instructions of max (current cycle, ready cycle) + tail + 1. Equals
     {!length} once the ant has [Finished]. The CPU colony stops an ant

@@ -26,21 +26,3 @@ let classify ~rng ~allow_optional ~base_probability ~rp ~target_vgpr ~target_sgp
              (base_probability *. (0.5 ** float_of_int optional_stalls_so_far))
       then Optional_stall
       else Schedule_from fitting
-
-(* Array-slice variant of [classify] for the zero-allocation hot loop:
-   the fitting candidates are compacted into the prefix of [cand] by a
-   stable in-place filter (preserving ready order, hence the selection's
-   byte-identity with the list version) and only their count is
-   returned. Fit tests and the single optional-stall coin consume the
-   RNG exactly as [classify] does. *)
-type slice_decision = Fits of int | Stall | Breach
-
-let classify_slice ~rng ~allow_optional ~base_probability ~rp ~target_vgpr ~target_sgpr ~cand
-    ~n_cand ~has_semi_ready ~optional_stalls_so_far =
-  let m = Sched.Rp_tracker.filter_fits_prefix rp ~cand ~n_cand ~target_vgpr ~target_sgpr in
-  if m = 0 then if allow_optional && has_semi_ready then Stall else Breach
-  else if
-    allow_optional && has_semi_ready && m < n_cand
-    && Support.Rng.bool rng (base_probability *. (0.5 ** float_of_int optional_stalls_so_far))
-  then Stall
-  else Fits m

@@ -33,26 +33,3 @@ val classify :
     false the ant never stalls voluntarily (the divergence optimization
     that restricts optional stalls to a fraction of wavefronts,
     Section V-B). *)
-
-type slice_decision =
-  | Fits of int
-      (** the first [m] entries of [cand] (compacted in place, ready
-          order preserved) fit the target; schedule one of them *)
-  | Stall
-  | Breach
-
-val classify_slice :
-  rng:Support.Rng.t ->
-  allow_optional:bool ->
-  base_probability:float ->
-  rp:Sched.Rp_tracker.t ->
-  target_vgpr:int ->
-  target_sgpr:int ->
-  cand:int array ->
-  n_cand:int ->
-  has_semi_ready:bool ->
-  optional_stalls_so_far:int ->
-  slice_decision
-(** Allocation-free {!classify} over the candidate slice
-    [cand.(0..n_cand-1)], which it filters in place. Identical decision
-    and RNG consumption to {!classify} on the same candidates. *)

@@ -76,7 +76,7 @@ let of_graph ?fingerprint occ graph =
      below, and every consumer of the context after it. *)
   let cp = Ddg.Critpath.compute graph in
   let layout = Sched.Rp_tracker.layout_of_graph graph in
-  let amd_schedule = Sched.Amd_scheduler.run ~cp ~layout occ graph in
+  let amd_schedule = Sched.List_scheduler.amd ~cp ~layout occ graph in
   let amd_order = Sched.Schedule.order amd_schedule in
   let amd_rp = rp_of_order ~layout occ graph amd_order in
   let rp_lb =
@@ -141,7 +141,7 @@ let pass2_initial t ~best_pass1_order ~(rp_target : Sched.Cost.rp) =
   if Sched.Schedule.length padded <= t.length_lb then padded
   else
     match
-      Sched.Constrained_scheduler.run ~cp:t.critpath ~layout:t.rp_layout t.graph
+      Sched.List_scheduler.constrained ~cp:t.critpath ~layout:t.rp_layout t.graph
         ~target_vgpr:rp_target.aprp_vgpr ~target_sgpr:rp_target.aprp_sgpr
     with
     | Some greedy when Sched.Schedule.length greedy < Sched.Schedule.length padded -> greedy

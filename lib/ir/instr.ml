@@ -12,8 +12,9 @@ let rec has_dup = function
   | r :: rest -> List.exists (Reg.equal r) rest || has_dup rest
 
 (* 25x the longest modelled latency (the 40-cycle vector load). Region
-   text is both the serve wire format and the persistence format, and a
-   schedule's slot array grows with its latencies. *)
+   text is both the serve wire format and the persistence format; the
+   per-instruction cap keeps one line from claiming an arbitrary stall,
+   and [Region.max_latency_sum] bounds a whole region's. *)
 let max_latency = 1024
 
 let make ~id ?name ?latency ~kind ~defs ~uses () =

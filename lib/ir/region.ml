@@ -1,14 +1,19 @@
 type t = { name : string; instrs : Instr.t array; live_out : Reg.t list }
 
+let max_latency_sum = 1 lsl 18
+
 type error =
   | Empty_region
   | Bad_id of { expected : int; got : int }
+  | Latency_sum_above_cap of int
   | Use_after_exit of Reg.t
 
 let error_to_string = function
   | Empty_region -> "region has no instructions"
   | Bad_id { expected; got } ->
       Printf.sprintf "instruction id %d where %d was expected" got expected
+  | Latency_sum_above_cap sum ->
+      Printf.sprintf "latencies sum to %d cycles, above the %d-cycle cap" sum max_latency_sum
   | Use_after_exit r ->
       Printf.sprintf "live-out register %s is neither defined nor live-in" (Reg.to_string r)
 
@@ -40,8 +45,10 @@ let create ~name ?(live_out = []) instrs =
         (fun i (ins : Instr.t) ->
           if !bad = None && ins.id <> i then bad := Some (Bad_id { expected = i; got = ins.id }))
         arr;
+      let latency_sum = Array.fold_left (fun acc (i : Instr.t) -> acc + i.latency) 0 arr in
       (match !bad with
       | Some e -> Error e
+      | None when latency_sum > max_latency_sum -> Error (Latency_sum_above_cap latency_sum)
       | None ->
           let live_in = compute_live_in arr in
           let defined r =

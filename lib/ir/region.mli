@@ -11,9 +11,19 @@ type t = private {
   live_out : Reg.t list;
 }
 
+val max_latency_sum : int
+(** 262,144 cycles (2{^18}: 256 instructions at {!Instr.make}'s
+    1,024-cycle cap). A stall only waits out some issued instruction's
+    latency, so a schedule spans at most the region's size plus this
+    many cycles — what a list scheduler or an ant steps through and a
+    rendered schedule writes per cycle. *)
+
 type error =
   | Empty_region
   | Bad_id of { expected : int; got : int }
+  | Latency_sum_above_cap of int
+      (** the instruction latencies sum to this many cycles, more than
+          {!max_latency_sum} *)
   | Use_after_exit of Reg.t
       (** a [live_out] register is never defined in the region and never
           live-in (it could not be live at exit) — indicates a generator bug *)
@@ -21,8 +31,9 @@ type error =
 val error_to_string : error -> string
 
 val create : name:string -> ?live_out:Reg.t list -> Instr.t list -> (t, error) result
-(** Validates ids are consecutive from 0 and that [live_out] registers are
-    either defined in the region or live-in through it. *)
+(** Validates ids are consecutive from 0, that the latencies sum to at
+    most {!max_latency_sum}, and that [live_out] registers are either
+    defined in the region or live-in through it. *)
 
 val create_exn : name:string -> ?live_out:Reg.t list -> Instr.t list -> t
 (** [create] or raises [Invalid_argument] with the rendered error. *)

@@ -37,15 +37,13 @@ let ints b a =
     a;
   Buffer.add_char b ']'
 
+(* One entry per cycle, '.' for a stall: the slot text every digest
+   was taken over. *)
 let slots b (s : Sched.Schedule.t) =
   Buffer.add_char b '<';
-  Array.iter
-    (fun slot ->
-      (match slot with
-      | Sched.Schedule.Stall -> Buffer.add_char b '.'
-      | Sched.Schedule.Instr i -> int b i);
-      Buffer.add_char b ',')
-    s.Sched.Schedule.slots;
+  Sched.Schedule.iter_cycles s (fun _ issued ->
+      (match issued with None -> Buffer.add_char b '.' | Some i -> int b i);
+      Buffer.add_char b ',');
   Buffer.add_char b '>';
   ints b s.Sched.Schedule.cycle_of
 

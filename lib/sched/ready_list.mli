@@ -61,7 +61,9 @@ val finished : t -> bool
 
 val issue_cycle : t -> int -> int
 (** The cycle the given instruction was issued at, or [-1] while it is
-    unscheduled. *)
+    unscheduled. A construction keeps no per-cycle record of its own:
+    the list scheduler and the ants read their schedules off these
+    cycles ({!Schedule.of_cycles}). *)
 
 val length_lb : t -> tails:int array -> int
 (** A lower bound on the length, in cycles, of every schedule that

@@ -1,120 +1,128 @@
-type slot = Stall | Instr of int
-
-type t = { graph : Ddg.Graph.t; slots : slot array; cycle_of : int array }
+type t = { graph : Ddg.Graph.t; order : int array; cycle_of : int array }
 
 type violation =
   | Missing of int
   | Duplicated of int
   | Unknown_instr of int
+  | Same_cycle of { first : int; second : int; cycle : int }
   | Order_violation of { src : int; dst : int }
   | Latency_violation of { src : int; dst : int; need : int; got : int }
 
 let violation_to_string = function
   | Missing i -> Printf.sprintf "instruction %%%d never scheduled" i
   | Duplicated i -> Printf.sprintf "instruction %%%d scheduled twice" i
-  | Unknown_instr i -> Printf.sprintf "slot references unknown instruction %%%d" i
+  | Unknown_instr i -> Printf.sprintf "order references unknown instruction %%%d" i
+  | Same_cycle { first; second; cycle } ->
+      Printf.sprintf "instructions %%%d and %%%d both issue at cycle %d" first second cycle
   | Order_violation { src; dst } ->
       Printf.sprintf "dependence %%%d -> %%%d not respected" src dst
   | Latency_violation { src; dst; need; got } ->
       Printf.sprintf "latency of %%%d -> %%%d needs %d cycles, got %d" src dst need got
 
-let check (g : Ddg.Graph.t) ~latency_aware slots cycle_of =
-  let n = g.n in
-  let seen = Array.make n false in
-  let err = ref None in
-  let set e = if !err = None then err := Some e in
-  Array.iter
-    (function
-      | Stall -> ()
-      | Instr i ->
-          if i < 0 || i >= n then set (Unknown_instr i)
-          else if seen.(i) then set (Duplicated i)
-          else seen.(i) <- true)
-    slots;
-  (match !err with
-  | Some _ -> ()
-  | None ->
-      (match Array.find_index (fun s -> not s) seen with
-      | Some i -> set (Missing i)
-      | None -> ());
-      if !err = None then
-        Array.iter
-          (fun (e : Ddg.Graph.edge) ->
-            let cs = cycle_of.(e.src) and cd = cycle_of.(e.dst) in
-            if cd <= cs then set (Order_violation { src = e.src; dst = e.dst })
-            else if latency_aware && cd - cs < e.latency then
-              set (Latency_violation { src = e.src; dst = e.dst; need = e.latency; got = cd - cs }))
-          g.edges);
-  match !err with Some e -> Error e | None -> Ok ()
+(* The first violation, checked in this order: an instruction never
+   issued, two issued at one cycle (neighbours in the by-cycle [order]),
+   then each dependence edge in edge order. *)
+let validate t ~latency_aware =
+  let edge (e : Ddg.Graph.edge) =
+    let got = t.cycle_of.(e.dst) - t.cycle_of.(e.src) in
+    if got <= 0 then Some (Order_violation { src = e.src; dst = e.dst })
+    else if latency_aware && got < e.latency then
+      Some (Latency_violation { src = e.src; dst = e.dst; need = e.latency; got })
+    else None
+  in
+  let rec shared_cycle k =
+    if k >= Array.length t.order then Array.find_map edge t.graph.Ddg.Graph.edges
+    else
+      let first = t.order.(k - 1) and second = t.order.(k) in
+      if t.cycle_of.(first) = t.cycle_of.(second) then
+        Some (Same_cycle { first; second; cycle = t.cycle_of.(second) })
+      else shared_cycle (k + 1)
+  in
+  let found =
+    match Array.find_index (fun c -> c < 0) t.cycle_of with
+    | Some i -> Some (Missing i)
+    | None -> shared_cycle 1
+  in
+  match found with Some v -> Error v | None -> Ok ()
 
-let of_slots g ~latency_aware slots =
-  let slots = Array.of_list slots in
-  let cycle_of = Array.make g.Ddg.Graph.n (-1) in
-  Array.iteri
-    (fun c s -> match s with Instr i when i >= 0 && i < g.Ddg.Graph.n -> cycle_of.(i) <- c | Instr _ | Stall -> ())
-    slots;
-  match check g ~latency_aware slots cycle_of with
-  | Ok () -> Ok { graph = g; slots; cycle_of }
-  | Error e -> Error e
+let validated t ~latency_aware = Result.map (fun () -> t) (validate t ~latency_aware)
 
-let of_order g order =
-  of_slots g ~latency_aware:false (Array.to_list (Array.map (fun i -> Instr i) order))
+let of_cycles (g : Ddg.Graph.t) ~latency_aware cycle_of =
+  if Array.length cycle_of <> g.n then invalid_arg "Schedule.of_cycles: one cycle per instruction";
+  let cycle_of = Array.copy cycle_of in
+  let order = Array.init g.n Fun.id in
+  Array.stable_sort (fun a b -> Int.compare cycle_of.(a) cycle_of.(b)) order;
+  validated { graph = g; order; cycle_of } ~latency_aware
 
-let validate t ~latency_aware = check t.graph ~latency_aware t.slots t.cycle_of
+let of_order (g : Ddg.Graph.t) order =
+  let cycle_of = Array.make g.n (-1) in
+  let bad =
+    Array.find_mapi
+      (fun c i ->
+        if i < 0 || i >= g.n then Some (Unknown_instr i)
+        else if cycle_of.(i) >= 0 then Some (Duplicated i)
+        else begin
+          cycle_of.(i) <- c;
+          None
+        end)
+      order
+  in
+  match bad with
+  | Some v -> Error v
+  | None -> validated { graph = g; order = Array.copy order; cycle_of } ~latency_aware:false
 
 let is_valid t ~latency_aware = Result.is_ok (validate t ~latency_aware)
 
 let guard t ~latency_aware ~fallback =
   if is_valid t ~latency_aware then (t, false) else (fallback, true)
 
-let length t = Array.length t.slots
+let length t =
+  let n = Array.length t.order in
+  if n = 0 then 0 else t.cycle_of.(t.order.(n - 1)) + 1
 
-let num_stalls t =
-  Array.fold_left (fun acc s -> match s with Stall -> acc + 1 | Instr _ -> acc) 0 t.slots
+let num_stalls t = length t - Array.length t.order
 
-let order t =
-  let acc = ref [] in
-  for c = Array.length t.slots - 1 downto 0 do
-    match t.slots.(c) with Instr i -> acc := i :: !acc | Stall -> ()
-  done;
-  Array.of_list !acc
+let order t = Array.copy t.order
 
 let cycle t i = t.cycle_of.(i)
 
+let iter_cycles t f =
+  let next = ref 0 in
+  Array.iter
+    (fun i ->
+      let c = t.cycle_of.(i) in
+      while !next < c do
+        f !next None;
+        incr next
+      done;
+      f c (Some i);
+      next := c + 1)
+    t.order
+
 let latency_pad (g : Ddg.Graph.t) order =
-  let n = g.n in
-  let cycle_of = Array.make n (-1) in
-  let rev_slots = ref [] in
-  let cycle = ref 0 in
+  let cycle_of = Array.make g.n (-1) in
+  let next = ref 0 in
   Array.iter
     (fun i ->
       (* Earliest cycle satisfying all predecessor latencies. *)
-      let earliest = ref !cycle in
+      let c = ref !next in
       Array.iter
         (fun (p, lat) ->
           if cycle_of.(p) < 0 then invalid_arg "Schedule.latency_pad: order violates dependences";
-          earliest := max !earliest (cycle_of.(p) + max lat 1))
+          c := max !c (cycle_of.(p) + max lat 1))
         g.preds.(i);
-      while !cycle < !earliest do
-        rev_slots := Stall :: !rev_slots;
-        incr cycle
-      done;
-      rev_slots := Instr i :: !rev_slots;
-      cycle_of.(i) <- !cycle;
-      incr cycle)
+      cycle_of.(i) <- !c;
+      next := !c + 1)
     order;
-  { graph = g; slots = Array.of_list (List.rev !rev_slots); cycle_of }
+  { graph = g; order = Array.copy order; cycle_of }
 
 let to_string t =
   let buf = Buffer.create 128 in
-  Array.iteri
-    (fun c s ->
-      match s with
-      | Stall -> Buffer.add_string buf (Printf.sprintf "%4d: (stall)\n" c)
-      | Instr i ->
-          Buffer.add_string buf
-            (Printf.sprintf "%4d: %s\n" c (Ir.Instr.to_string (Ddg.Graph.instr t.graph i))))
-    t.slots;
+  iter_cycles t (fun c -> function
+    | None -> Buffer.add_string buf (Printf.sprintf "%4d: (stall)\n" c)
+    | Some i ->
+        Buffer.add_string buf
+          (Printf.sprintf "%4d: %s\n" c (Ir.Instr.to_string (Ddg.Graph.instr t.graph i))));
   Buffer.contents buf
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -16,6 +16,10 @@ type op =
 
 type event = { op : op; ready_scanned : int; succs_updated : int }
 
+(* The reference's own per-cycle record of its construction, one entry
+   per cycle, independent of the product's schedule representation. *)
+type slot = Stall | Instr of int
+
 (* [Divergence.path_rank] encoding, as reported by [Aco.Ant.last_rank]. *)
 let rank_of_op = function
   | Selected { explored = false; _ } -> 0
@@ -37,7 +41,7 @@ type t = {
   mutable mode : Aco.Ant.mode;
   mutable status : Aco.Ant.status;
   mutable last : int;  (* previously selected instruction, -1 at start *)
-  mutable rev_slots : Sched.Schedule.slot list;
+  mutable rev_slots : slot list;
   mutable n_slots : int;
   mutable n_optional : int;
   mutable work : int;
@@ -140,14 +144,14 @@ let select t ~pheromone ~explored candidates =
 let emit_instr t rl i =
   Sched.Ready_list.schedule rl i;
   Sched.Rp_tracker.schedule t.rp i;
-  t.rev_slots <- Sched.Schedule.Instr i :: t.rev_slots;
+  t.rev_slots <- Instr i :: t.rev_slots;
   t.n_slots <- t.n_slots + 1;
   t.last <- i;
   if Sched.Ready_list.finished rl then t.status <- Aco.Ant.Finished
 
 let emit_stall t rl =
   Sched.Ready_list.stall rl;
-  t.rev_slots <- Sched.Schedule.Stall :: t.rev_slots;
+  t.rev_slots <- Stall :: t.rev_slots;
   t.n_slots <- t.n_slots + 1
 
 let finish_event t ev =
@@ -228,7 +232,7 @@ let order t =
   let acc = ref [] in
   List.iter
     (fun s ->
-      match s with Sched.Schedule.Instr i -> acc := i :: !acc | Sched.Schedule.Stall -> ())
+      match s with Instr i -> acc := i :: !acc | Stall -> ())
     t.rev_slots;
   Array.of_list !acc
 
@@ -238,7 +242,9 @@ let schedule t =
     let latency_aware =
       match t.mode with Aco.Ant.Rp_pass -> false | Aco.Ant.Ilp_pass _ -> true
     in
-    match Sched.Schedule.of_slots t.graph ~latency_aware (slots t) with
+    let cycle_of = Array.make t.graph.Ddg.Graph.n (-1) in
+    List.iteri (fun c -> function Instr i -> cycle_of.(i) <- c | Stall -> ()) (slots t);
+    match Sched.Schedule.of_cycles t.graph ~latency_aware cycle_of with
     | Ok s -> Some s
     | Error _ -> None
 

@@ -552,7 +552,7 @@ let pass1_initial_spec =
       let graph = Ddg.Graph.build region in
       let rc = Engine.Region_ctx.of_graph Tu.occ graph in
       let rp order = Engine.Region_ctx.rp_of_order Tu.occ graph order in
-      let amd = Sched.Schedule.order (Sched.Amd_scheduler.run Tu.occ graph) in
+      let amd = Sched.Schedule.order (Sched.List_scheduler.amd Tu.occ graph) in
       let luc = Sched.List_scheduler.run_order graph Sched.Heuristic.Last_use_count in
       let expected =
         if Sched.Cost.compare_rp (rp luc) (rp amd) < 0 then begin
@@ -572,7 +572,7 @@ let analyses_spec =
       let graph = Ddg.Graph.build region in
       let rc = Engine.Region_ctx.of_graph Tu.occ graph in
       let amd = rc.Engine.Region_ctx.amd_schedule and cp = rc.Engine.Region_ctx.cp_schedule in
-      Sched.Schedule.order amd = Sched.Schedule.order (Sched.Amd_scheduler.run Tu.occ graph)
+      Sched.Schedule.order amd = Sched.Schedule.order (Sched.List_scheduler.amd Tu.occ graph)
       && Sched.Schedule.order cp
          = Sched.Schedule.order (Sched.List_scheduler.run graph Sched.Heuristic.Critical_path)
       && rc.Engine.Region_ctx.amd_cost = Sched.Cost.of_schedule Tu.occ amd
@@ -603,7 +603,7 @@ let pass2_initial_spec =
       let padded = Sched.Schedule.latency_pad graph order in
       let expected =
         match
-          Sched.Constrained_scheduler.run graph ~target_vgpr:rp_target.Sched.Cost.aprp_vgpr
+          Sched.List_scheduler.constrained graph ~target_vgpr:rp_target.Sched.Cost.aprp_vgpr
             ~target_sgpr:rp_target.Sched.Cost.aprp_sgpr
         with
         | Some greedy when Sched.Schedule.length greedy < Sched.Schedule.length padded ->
@@ -662,6 +662,30 @@ let rp_target_spec =
       if not r.Engine.Types.pass1.Engine.Types.invoked then incr target_without_pass1;
       r.Engine.Types.rp_target = expected)
 
+(* A region's analyses allocate by its instructions, not by the cycles
+   its schedules span: a 256-link chain at the per-instruction latency
+   cap, whose schedules stall for 1,023 cycles per link, allocates at
+   most twice the words of the same chain at latency 1. Counted are the
+   minor words plus the words allocated directly in the major heap. *)
+let test_region_ctx_allocation_by_instructions () =
+  let chain latency =
+    Ir.Region.create_exn ~name:"chain"
+      (List.init 256 (fun id ->
+           Ir.Instr.make ~id ~latency ~kind:Ir.Opcode.Valu ~defs:[ Ir.Reg.vgpr id ]
+             ~uses:(if id = 0 then [] else [ Ir.Reg.vgpr (id - 1) ])
+             ()))
+  in
+  let words latency =
+    let region = chain latency in
+    let minor0, promoted0, major0 = Gc.counters () in
+    ignore (Sys.opaque_identity (Engine.Region_ctx.of_region Tu.occ region));
+    let minor1, promoted1, major1 = Gc.counters () in
+    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+  in
+  let slow = words 1024 and fast = words 1 in
+  if slow > 2.0 *. fast then
+    Alcotest.failf "of_region: %.0f words at latency 1024, %.0f at latency 1" slow fast
+
 let suite =
   [
     ("backend registry", `Quick, test_registry);
@@ -691,4 +715,7 @@ let suite =
           (target_without_pass1, "pass 1 skipped");
         ]
         rp_target_spec;
+      ( "region analyses allocate by instructions, not cycles",
+        `Quick,
+        test_region_ctx_allocation_by_instructions );
     ]

@@ -56,10 +56,24 @@ let test_region_validation () =
   (match Ir.Region.create ~name:"x" [] with
   | Error Ir.Region.Empty_region -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected Empty_region");
-  match Ir.Region.create ~name:"x" ~live_out:[ Ir.Reg.vgpr 9 ] [ i0 ] with
+  (match Ir.Region.create ~name:"x" ~live_out:[ Ir.Reg.vgpr 9 ] [ i0 ] with
   | Error (Ir.Region.Use_after_exit r) ->
       Alcotest.(check string) "dangling live-out" "v9" (Ir.Reg.to_string r)
-  | Ok _ | Error _ -> Alcotest.fail "expected Use_after_exit"
+  | Ok _ | Error _ -> Alcotest.fail "expected Use_after_exit");
+  (* A chain at the per-instruction latency cap: 256 links sum to the
+     region cap exactly, 257 pass it. *)
+  let chain n =
+    List.init n (fun id ->
+        Ir.Instr.make ~id ~latency:1024 ~kind:Ir.Opcode.Valu ~defs:[ Ir.Reg.vgpr id ]
+          ~uses:(if id = 0 then [] else [ Ir.Reg.vgpr (id - 1) ])
+          ())
+  in
+  Alcotest.(check bool) "256 x @1024 accepted" true
+    (Result.is_ok (Ir.Region.create ~name:"x" (chain 256)));
+  match Ir.Region.create ~name:"x" (chain 257) with
+  | Error (Ir.Region.Latency_sum_above_cap sum) ->
+      Alcotest.(check int) "latency sum" (257 * 1024) sum
+  | Ok _ | Error _ -> Alcotest.fail "expected Latency_sum_above_cap"
 
 let test_region_live_in () =
   let b = Ir.Builder.create ~name:"li" in

@@ -9,30 +9,37 @@ let test_schedule_of_order () =
       Alcotest.(check int) "cycle of 3" 3 (Sched.Schedule.cycle s 3)
   | Error v -> Alcotest.failf "unexpected: %s" (Sched.Schedule.violation_to_string v)
 
-let expect_violation name slots pred =
-  let g = diamond_graph () in
-  match Sched.Schedule.of_slots g ~latency_aware:true slots with
+let expect_violation name built pred =
+  match built with
   | Ok _ -> Alcotest.failf "%s: expected violation" name
   | Error v ->
       Alcotest.(check bool) (name ^ ": right violation kind") true (pred v)
 
+(* Issue cycles per instruction for the completeness, one-per-cycle,
+   order and latency checks; orders for the ids only an order can
+   repeat or invent. *)
 let test_schedule_violations () =
-  let i k = Sched.Schedule.Instr k in
+  let g = diamond_graph () in
+  let cycles c = Sched.Schedule.of_cycles g ~latency_aware:true c in
   expect_violation "missing"
-    [ i 0; i 1; i 2; i 3; i 4 ]
+    (cycles [| 0; 1; 2; 3; 4; -1 |])
     (function Sched.Schedule.Missing 5 -> true | _ -> false);
+  expect_violation "same cycle"
+    (cycles [| 0; 1; 2; 3; 4; 4 |])
+    (function
+      | Sched.Schedule.Same_cycle { first = 4; second = 5; cycle = 4 } -> true | _ -> false);
   expect_violation "duplicate"
-    [ i 0; i 1; i 2; i 3; i 4; i 5; i 5 ]
+    (Sched.Schedule.of_order g [| 0; 1; 2; 3; 4; 5; 5 |])
     (function Sched.Schedule.Duplicated 5 -> true | _ -> false);
   expect_violation "unknown"
-    [ i 0; i 1; i 2; i 3; i 4; i 5; i 17 ]
+    (Sched.Schedule.of_order g [| 0; 1; 2; 3; 4; 5; 17 |])
     (function Sched.Schedule.Unknown_instr 17 -> true | _ -> false);
   expect_violation "order violation"
-    [ i 1; i 0; i 2; i 3; i 4; i 5 ]
+    (cycles [| 1; 0; 2; 3; 4; 5 |])
     (function Sched.Schedule.Order_violation _ -> true | _ -> false);
   (* dependences in order but latencies ignored -> latency violation *)
   expect_violation "latency violation"
-    [ i 0; i 1; i 2; i 3; i 4; i 5 ]
+    (cycles [| 0; 1; 2; 3; 4; 5 |])
     (function Sched.Schedule.Latency_violation _ -> true | _ -> false)
 
 let test_latency_pad_minimal () =
@@ -204,7 +211,7 @@ let prop_list_scheduler_valid =
 let prop_amd_scheduler_valid =
   QCheck.Test.make ~name:"AMD baseline output validates" ~count:60 (Tu.arb_graph ())
     (fun g ->
-      let s = Sched.Amd_scheduler.run Tu.occ g in
+      let s = Sched.List_scheduler.amd Tu.occ g in
       Result.is_ok (Sched.Schedule.validate s ~latency_aware:true))
 
 let test_heuristic_best_deterministic () =
@@ -303,7 +310,7 @@ let test_amd_beats_pressure_trap () =
      greedy should do no worse on occupancy than the pure CP schedule. *)
   let rng = Support.Rng.create 11 in
   let g = Ddg.Graph.build (Workload.Shapes.stencil rng ~outputs:16 ~radius:4) in
-  let amd = Sched.Cost.of_schedule Tu.occ (Sched.Amd_scheduler.run Tu.occ g) in
+  let amd = Sched.Cost.of_schedule Tu.occ (Sched.List_scheduler.amd Tu.occ g) in
   let cp =
     Sched.Cost.of_schedule Tu.occ (Sched.List_scheduler.run g Sched.Heuristic.Critical_path)
   in
@@ -317,7 +324,7 @@ let prop_constrained_scheduler_sound =
       let luc = Sched.List_scheduler.run_order g Sched.Heuristic.Last_use_count in
       let peaks = Sched.Rp_tracker.naive_peaks g luc in
       let tv = peaks Ir.Reg.Vgpr and ts = peaks Ir.Reg.Sgpr in
-      match Sched.Constrained_scheduler.run g ~target_vgpr:tv ~target_sgpr:ts with
+      match Sched.List_scheduler.constrained g ~target_vgpr:tv ~target_sgpr:ts with
       | None -> true (* greedy may corner itself; padding is the fallback *)
       | Some s ->
           let p = Sched.Rp_tracker.naive_peaks g (Sched.Schedule.order s) in
@@ -330,7 +337,7 @@ let test_constrained_scheduler_infeasible () =
   (* A zero-VGPR budget is unsatisfiable: the scheduler must give up, not
      loop or emit a violating schedule. *)
   Alcotest.(check bool) "returns None" true
-    (Sched.Constrained_scheduler.run g ~target_vgpr:0 ~target_sgpr:0 = None)
+    (Sched.List_scheduler.constrained g ~target_vgpr:0 ~target_sgpr:0 = None)
 
 let test_constrained_not_longer_than_padded () =
   let rng = Support.Rng.create 3 in
@@ -339,7 +346,7 @@ let test_constrained_not_longer_than_padded () =
   let peaks = Sched.Rp_tracker.naive_peaks g luc in
   let padded = Sched.Schedule.latency_pad g luc in
   match
-    Sched.Constrained_scheduler.run g ~target_vgpr:(peaks Ir.Reg.Vgpr)
+    Sched.List_scheduler.constrained g ~target_vgpr:(peaks Ir.Reg.Vgpr)
       ~target_sgpr:(peaks Ir.Reg.Sgpr)
   with
   | Some s ->
@@ -418,6 +425,108 @@ let test_brute_force_rejects_large () =
     (Invalid_argument "Brute_force.min_schedule_length: region too large") (fun () ->
       ignore (Sched.Brute_force.min_schedule_length g))
 
+(* A random topological order of [g] and issue cycles for it: random
+   stall gaps of 0-3 cycles, and in half the cases each instruction also
+   waits out its sources' latencies. *)
+let timed_order (g : Ddg.Graph.t) rng =
+  let rl = Sched.Ready_list.create ~latency_aware:false g in
+  let order =
+    Array.init g.n (fun _ ->
+        let i = Sched.Ready_list.ready rl (Support.Rng.int rng (Sched.Ready_list.ready_count rl)) in
+        Sched.Ready_list.schedule rl i;
+        i)
+  in
+  let wait = Support.Rng.bool rng 0.5 in
+  let cycles = Array.make g.n (-1) in
+  let next = ref 0 in
+  Array.iter
+    (fun i ->
+      let c = ref (!next + Support.Rng.int rng 4) in
+      if wait then Array.iter (fun (p, lat) -> c := max !c (cycles.(p) + lat)) g.preds.(i);
+      cycles.(i) <- !c;
+      next := !c + 1)
+    order;
+  (order, cycles)
+
+let feasible_cases = ref 0
+let infeasible_cases = ref 0
+
+let prop_schedule_of_cycles =
+  QCheck.Test.make ~name:"of_cycles follows the cycles it is given" ~count:120
+    QCheck.(pair (Tu.arb_graph ()) small_nat)
+    (fun ((g : Ddg.Graph.t), seed) ->
+      let rng = Support.Rng.create seed in
+      let order, cycles = timed_order g rng in
+      let n = g.n in
+      let build ?(latency_aware = false) c = Sched.Schedule.of_cycles g ~latency_aware c in
+      let s =
+        match build cycles with
+        | Ok s -> s
+        | Error v -> QCheck.Test.fail_reportf "rejected: %s" (Sched.Schedule.violation_to_string v)
+      in
+      let last = cycles.(order.(n - 1)) in
+      let agrees =
+        Sched.Schedule.order s = order
+        && List.for_all (fun i -> Sched.Schedule.cycle s i = cycles.(i)) (List.init n Fun.id)
+        && Sched.Schedule.length s = last + 1
+        && Sched.Schedule.num_stalls s = last + 1 - n
+      in
+      (* latency-aware acceptance, decided here from the edges alone *)
+      let feasible =
+        Array.for_all
+          (fun (e : Ddg.Graph.edge) -> cycles.(e.dst) - cycles.(e.src) >= e.latency)
+          g.edges
+      in
+      incr (if feasible then feasible_cases else infeasible_cases);
+      let latency_checked = Result.is_ok (build ~latency_aware:true cycles) = feasible in
+      let mutated f =
+        let c = Array.copy cycles in
+        f c;
+        build c
+      in
+      let i = Support.Rng.int rng n in
+      let j = (i + 1 + Support.Rng.int rng (n - 1)) mod n in
+      let same_cycle =
+        match mutated (fun c -> c.(j) <- c.(i)) with
+        | Error (Sched.Schedule.Same_cycle _) -> true
+        | Ok _ | Error _ -> false
+      in
+      let missing =
+        match mutated (fun c -> c.(i) <- -1) with
+        | Error (Sched.Schedule.Missing k) -> k = i
+        | Ok _ | Error _ -> false
+      in
+      let swapped =
+        Array.length g.edges = 0
+        ||
+        let e = g.edges.(Support.Rng.int rng (Array.length g.edges)) in
+        match
+          mutated (fun c ->
+              c.(e.src) <- cycles.(e.dst);
+              c.(e.dst) <- cycles.(e.src))
+        with
+        | Error (Sched.Schedule.Order_violation _) -> true
+        | Ok _ | Error _ -> false
+      in
+      (* ASAP: each instruction one cycle after the previous one, and
+         after every source plus its latency (at least one cycle) *)
+      let asap = Array.make n 0 in
+      let prev = ref (-1) in
+      Array.iter
+        (fun i ->
+          asap.(i) <-
+            Array.fold_left
+              (fun c (e : Ddg.Graph.edge) ->
+                if e.dst = i then max c (asap.(e.src) + max e.latency 1) else c)
+              (!prev + 1) g.edges;
+          prev := asap.(i))
+        order;
+      let padded = Sched.Schedule.latency_pad g order in
+      let pad_asap =
+        List.for_all (fun i -> Sched.Schedule.cycle padded i = asap.(i)) (List.init n Fun.id)
+        && Sched.Schedule.order padded = order
+      in
+      agrees && latency_checked && same_cycle && missing && swapped && pad_asap)
 
 let suite =
   [
@@ -453,3 +562,11 @@ let suite =
         prop_eta_positive;
         prop_cost_scalar_consistent;
       ]
+  @ [
+      Tu.qtest_witnessed_all
+        [
+          (feasible_cases, "cycles that wait out every latency");
+          (infeasible_cases, "cycles that break a latency");
+        ]
+        prop_schedule_of_cycles;
+    ]

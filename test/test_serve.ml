@@ -211,6 +211,15 @@ let test_parse_typed_errors () =
   (match Pipeline.Serve.parse_request (inline 1024) with
   | Ok (Pipeline.Serve.Compile _) -> ()
   | _ -> Alcotest.fail "latency at the bound must parse");
+  (* every latency at the bound, but 2,000 of them sum past the region cap *)
+  let chain =
+    String.concat ""
+      (List.init 2000 (fun i ->
+           if i = 0 then "  %0: v_alu@1024 v0 <-\n"
+           else Printf.sprintf "  %%%d: v_alu@1024 v%d <- v%d\n" i i (i - 1)))
+  in
+  Alcotest.(check string) "latency sum above the cap" "bad-region"
+    (code ("op=compile id=x\nregion chain (2000 instrs)\n" ^ chain));
   (* the error reply still carries the id that could be salvaged *)
   match Pipeline.Serve.parse_request "op=compile id=salvaged blorp=1" with
   | Error (id, _) -> Alcotest.(check string) "salvaged id" "salvaged" id

@@ -103,13 +103,13 @@ let measure () =
    per wavefront heuristic role (Section V-B: critical path,
    Last-Use-Count, source order). With the unboxed data plane (scores
    and roulette state in pooled [Support.Fmat] rows, eta^beta rows
-   shared by the colony, RP effects scanned by counted loops) the loop
+   shared by the colony, RP effects read from the tracker) the loop
    allocates only per-iteration bookkeeping — outcome record, finished
    list, the 5-word RNG split per lane — amortized over every ant step
    of the iteration: under 1 minor word per step. Pass 2 runs at the targets
    [Engine.Two_pass] would hand over from the pass-1 initial order, so
-   its candidates leave the fits fast path and LUC scores run the
-   effects scan. The ceiling applies to the worst row and keeps
+   its fit filter rejects candidates and LUC scores take over near the
+   target. The ceiling applies to the worst row and keeps
    generous headroom so it trips on a real regression (a boxed float or
    a closure sneaking back into the selection loop costs several words
    per step on its own), not on noise. *)

@@ -81,8 +81,7 @@ let shared_ready_ub shared = shared.s_ready_ub
 type t = {
   graph : Ddg.Graph.t;
   params : Engine.Params.t;
-  rl_order : Sched.Ready_list.t;  (* pass 1: latencies ignored *)
-  rl_cycle : Sched.Ready_list.t;  (* pass 2: latency-aware *)
+  rl : Sched.Ready_list.t;  (* latency-aware in pass 2 only; set at [start] *)
   rp : Sched.Rp_tracker.t;
   ctx : Sched.Heuristic.ctx;
   cand : int array;  (* scratch: candidate slice, ready order *)
@@ -128,8 +127,7 @@ type t = {
 
 let arena_demand shared =
   let ints =
-    (2 * Sched.Ready_list.int_demand shared.s_graph)
-    + Sched.Rp_tracker.int_demand shared.s_layout
+    Sched.Ready_list.int_demand shared.s_graph + Sched.Rp_tracker.int_demand shared.s_layout
   in
   (ints, 0 (* float state moved wholesale to the Fmat data plane *))
 
@@ -182,8 +180,7 @@ let create ?shared ?arena ?fmat graph params =
   {
     graph;
     params;
-    rl_order = Sched.Ready_list.create_in ~latency_aware:false arena graph;
-    rl_cycle = Sched.Ready_list.create_in ~latency_aware:true arena graph;
+    rl = Sched.Ready_list.create_in arena graph;
     rp;
     ctx = Sched.Heuristic.make_ctx ~cp:shared.s_cp graph rp;
     cand = Array.make ub 0;
@@ -210,8 +207,6 @@ let create ?shared ?arena ?fmat graph params =
     last_succs = 0;
   }
 
-let ready_list t = match t.mode with Rp_pass -> t.rl_order | Ilp_pass _ -> t.rl_cycle
-
 let start t ~rng ~heuristic ~allow_optional_stalls mode =
   t.rng <- rng;
   t.heuristic <- heuristic;
@@ -223,7 +218,10 @@ let start t ~rng ~heuristic ~allow_optional_stalls mode =
   t.n_optional <- 0;
   t.work <- 0;
   Sched.Rp_tracker.reset t.rp;
-  Sched.Ready_list.reset (ready_list t)
+  (* a labelled bool, not an optional argument: a [Some] boxed per start
+     would land in the measured minor-words window *)
+  Sched.Ready_list.restart t.rl
+    ~latency_aware:(match mode with Rp_pass -> false | Ilp_pass _ -> true)
 
 let status t = t.status
 
@@ -351,14 +349,14 @@ let finish_step t ~rank ~instr ~explored ~scanned ~succs =
   t.work <- t.work + scanned + succs + 3
 
 let ready_count t =
-  if t.status <> Active then 0 else Sched.Ready_list.ready_count (ready_list t)
+  if t.status <> Active then 0 else Sched.Ready_list.ready_count t.rl
 
 (* The allocation-free step. [force_explore] is -1 (ant draws its own
    coin), 0 (exploit) or 1 (explore); [ready_limit] is 0 for unlimited.
    The step's kind/cost lands in the [last_*] fields. *)
 let step_hot t ~pheromone ~force_explore ~ready_limit =
   if t.status <> Active then invalid_arg "Ant.step: ant is not active";
-  let rl = ready_list t in
+  let rl = t.rl in
   let rn = Sched.Ready_list.ready_count rl in
   (* Limiting applies to the RP pass only: in the ILP pass a truncated
      view could hide the only candidate that fits the RP target and
@@ -464,7 +462,7 @@ let run_to_completion ?force_explore t ~pheromone =
    for each (-1 for the unissued, which sort first and are dropped):
    arrays sized by the instructions, never by the cycles. *)
 let order t =
-  let cycle = Sched.Ready_list.issue_cycle (ready_list t) in
+  let cycle = Sched.Ready_list.issue_cycle t.rl in
   let n = t.graph.Ddg.Graph.n in
   let ids = Array.init n Fun.id in
   Array.sort (fun a b -> Int.compare (cycle a) (cycle b)) ids;
@@ -477,13 +475,13 @@ let schedule t =
   if t.status <> Finished then None
   else
     let latency_aware = match t.mode with Rp_pass -> false | Ilp_pass _ -> true in
-    let cycles = Array.init t.graph.Ddg.Graph.n (Sched.Ready_list.issue_cycle (ready_list t)) in
+    let cycles = Array.init t.graph.Ddg.Graph.n (Sched.Ready_list.issue_cycle t.rl) in
     Result.to_option (Sched.Schedule.of_cycles t.graph ~latency_aware cycles)
 
 let peak t cls = Sched.Rp_tracker.peak t.rp cls
 let rp_peaks t = (peak t Ir.Reg.Vgpr, peak t Ir.Reg.Sgpr)
 let length t = t.cycles
-let length_lb t = Sched.Ready_list.length_lb (ready_list t) ~tails:t.tails
+let length_lb t = Sched.Ready_list.length_lb t.rl ~tails:t.tails
 let optional_stalls t = t.n_optional
 let work t = t.work
 

@@ -8,11 +8,13 @@
     ant performed and how much work it scanned, which is exactly what the
     divergence and memory models of the GPU simulator charge for.
 
-    All per-ant state (ready list arrays, RP tracker, candidate
+    All per-ant state (one ready list, the RP tracker, candidate
     scratch) is allocated once at [create] — batched into a
     caller-supplied {!Support.Arena} when ants form a colony — and reused
     across iterations, mirroring the paper's
-    no-dynamic-allocation-on-the-GPU rule (Section V-A). The stepping
+    no-dynamic-allocation-on-the-GPU rule (Section V-A). The ready list
+    serves both passes: {!start} sets its latency mode (ignored in the
+    RP pass, honoured in the ILP pass). The stepping
     fast path ({!step_hot}) allocates nothing: candidates are scored over
     an array slice with reusable scratch buffers sized by the
     transitive-closure ready-list bound. *)
@@ -66,7 +68,11 @@ val shared_ready_ub : shared -> int
 
 val arena_demand : shared -> int * int
 (** [(ints, floats)] one ant's arena state needs; a colony arena is
-    sized as lanes times this (exact pre-sizing, no growth). All float
+    sized as lanes times this (exact pre-sizing, no growth). The ints
+    are one ready list ({!Sched.Ready_list.int_demand}, [7n]) and one
+    RP tracker ({!Sched.Rp_tracker.int_demand}, [2n + 3 * nregs + 4]);
+    the per-ant fit and Last-Use-Count queries read the tracker in
+    O(1) per candidate. All float
     state lives in the score matrix ({!fmat_demand}) since the unboxed
     data-plane refactor, so the float demand is 0. *)
 
@@ -104,7 +110,9 @@ val start :
   allow_optional_stalls:bool ->
   mode ->
   unit
-(** Reset all reusable state and begin constructing a new schedule. *)
+(** Reset all reusable state and begin constructing a new schedule;
+    the ready list restarts latency-aware exactly when [mode] is the
+    ILP pass. Allocates nothing. *)
 
 val status : t -> status
 

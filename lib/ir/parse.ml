@@ -93,35 +93,38 @@ let parse_instr ~line ~expected_id toks =
                 | exception Invalid_argument m -> err line "%s" m)))
   | _ -> err line "short instruction line"
 
+(* One pass, linear in the text: [count] is the length of [instrs], and
+   instructions and live-out registers accumulate reversed, so no line
+   costs more than its own tokens. *)
 let region_of_string text =
   let lines = String.split_on_char '\n' text in
-  let rec go lineno instrs live_out name = function
+  let rec go lineno count instrs rev_live_out name = function
     | [] -> (
         match
-          Region.create ~name:(Option.value name ~default:"wire") ~live_out
-            (List.rev instrs)
+          Region.create ~name:(Option.value name ~default:"wire")
+            ~live_out:(List.rev rev_live_out) (List.rev instrs)
         with
         | Ok r -> Ok r
         | Error e -> err lineno "%s" (Region.error_to_string e))
     | line :: rest -> (
         let lineno = lineno + 1 in
         match tokens line with
-        | [] -> go lineno instrs live_out name rest
+        | [] -> go lineno count instrs rev_live_out name rest
         | hash :: _ when String.length hash > 0 && hash.[0] = '#' ->
-            go lineno instrs live_out name rest
+            go lineno count instrs rev_live_out name rest
         | "region" :: rname :: _ ->
-            if instrs <> [] then err lineno "header after instructions"
-            else go lineno instrs live_out (Some rname) rest
+            if count > 0 then err lineno "header after instructions"
+            else go lineno count instrs rev_live_out (Some rname) rest
         | "live-out:" :: regs -> (
             match parse_regs ~line:lineno regs with
-            | Ok rs -> go lineno instrs (live_out @ rs) name rest
+            | Ok rs -> go lineno count instrs (List.rev_append rs rev_live_out) name rest
             | Error e -> Error e)
         | toks -> (
-            match parse_instr ~line:lineno ~expected_id:(List.length instrs) toks with
-            | Ok i -> go lineno (i :: instrs) live_out name rest
+            match parse_instr ~line:lineno ~expected_id:count toks with
+            | Ok i -> go lineno (count + 1) (i :: instrs) rev_live_out name rest
             | Error e -> Error e))
   in
-  go 0 [] [] None lines
+  go 0 0 [] [] None lines
 
 let region_to_wire (r : Region.t) =
   let buf = Buffer.create 512 in

@@ -18,8 +18,16 @@ val max_latency_sum : int
     many cycles — what a list scheduler or an ant steps through and a
     rendered schedule writes per cycle. *)
 
+val max_instrs : int
+(** 8,192 instructions: every region the shape generators build at the
+    sizes the compile service accepts fits (the largest, [scan] at size
+    2,048, has 5,632), and a region past it is refused before any
+    analysis sizes tables by it. *)
+
 type error =
   | Empty_region
+  | Too_many_instrs of int
+      (** the region has this many instructions, more than {!max_instrs} *)
   | Bad_id of { expected : int; got : int }
   | Latency_sum_above_cap of int
       (** the instruction latencies sum to this many cycles, more than
@@ -31,9 +39,10 @@ type error =
 val error_to_string : error -> string
 
 val create : name:string -> ?live_out:Reg.t list -> Instr.t list -> (t, error) result
-(** Validates ids are consecutive from 0, that the latencies sum to at
-    most {!max_latency_sum}, and that [live_out] registers are either
-    defined in the region or live-in through it. *)
+(** Validates that there are at most {!max_instrs} instructions, ids are
+    consecutive from 0, the latencies sum to at most {!max_latency_sum},
+    and [live_out] registers are either defined in the region or live-in
+    through it. Linear in the instructions and the live-out list. *)
 
 val create_exn : name:string -> ?live_out:Reg.t list -> Instr.t list -> t
 (** [create] or raises [Invalid_argument] with the rendered error. *)

@@ -35,8 +35,9 @@ let run_order ?cp ?layout graph kind =
 
 let amd ?cp ?layout occ graph =
   let of_peaks = Machine.Occupancy.of_pressures occ in
-  (* Each step predicts every candidate's occupancy once, from one
-     effects scan, and the filter below reads it back by instruction. *)
+  (* Each step predicts every candidate's occupancy once, from its
+     tracked effects, and the filter below reads it back by
+     instruction. *)
   let predicted = Array.make graph.Ddg.Graph.n 0 in
   let pick (ctx : Heuristic.ctx) candidates =
     let rp = ctx.Heuristic.rp in

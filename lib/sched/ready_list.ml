@@ -9,7 +9,7 @@
 
 type t = {
   graph : Ddg.Graph.t;
-  latency_aware : bool;
+  mutable latency_aware : bool;  (* set at creation, changed only by [restart] *)
   buf : int array;
   unsched_preds : int;  (* base offsets into [buf], n entries each *)
   earliest : int;  (* valid once unsched_preds reaches 0 *)
@@ -80,13 +80,26 @@ let create ?latency_aware (graph : Ddg.Graph.t) =
 
 let reset = setup
 
+let restart t ~latency_aware =
+  t.latency_aware <- latency_aware;
+  setup t
+
 let ready_count t = t.ready_n
 let ready t k = t.buf.(t.ready_base + k)
 
-(* Candidate-list view for the ant hot loop: one [Array.blit] of the
-   compact ready prefix instead of a per-candidate [ready] call. The
-   caller bounds [m] by [ready_count] (or its ready-limit truncation). *)
-let blit_ready t cand m = Array.blit t.buf t.ready_base cand 0 m
+(* Candidate-list view for the ant hot loop: the compact ready prefix
+   copied instead of a per-candidate [ready] call. The caller bounds [m]
+   by [ready_count] (or its ready-limit truncation). A counted loop, not
+   [Array.blit]: the candidate array lives in the major heap, where
+   OCaml 5 blits an int array through the write barrier ([caml_modify])
+   element by element; the typed loop stores plain ints. *)
+let blit_ready t cand m =
+  if m < 0 || m > t.ready_n || m > Array.length cand then
+    invalid_arg "Ready_list.blit_ready";
+  let buf = t.buf and base = t.ready_base in
+  for k = 0 to m - 1 do
+    Array.unsafe_set cand k (Array.unsafe_get buf (base + k))
+  done
 
 let ready_list t =
   let rec loop k acc = if k < 0 then acc else loop (k - 1) (t.buf.(t.ready_base + k) :: acc) in
@@ -160,7 +173,8 @@ let schedule t i =
   for k = 0 to Array.length succs - 1 do
     let j, lat = Array.unsafe_get succs k in
     buf.(t.unsched_preds + j) <- buf.(t.unsched_preds + j) - 1;
-    let lat = if t.latency_aware then max lat 1 else 1 in
+    (* int comparison: the polymorphic [max] is a C call per edge *)
+    let lat = if t.latency_aware && lat > 1 then lat else 1 in
     if t.cycle + lat > buf.(t.earliest + j) then buf.(t.earliest + j) <- t.cycle + lat;
     if buf.(t.unsched_preds + j) = 0 then
       (* Queue with its ready cycle; [promote] moves it across once the

@@ -6,7 +6,8 @@
     elapsed (Section IV-C — semi-ready instructions drive the
     optional-stall heuristic). With [latency_aware:false] (pass 1)
     latencies are ignored and instructions become ready as soon as their
-    predecessors are scheduled. *)
+    predecessors are scheduled. The mode is set at creation and can be
+    changed only by {!restart}, so one list serves both passes. *)
 
 type t
 
@@ -23,6 +24,11 @@ val create_in : ?latency_aware:bool -> Support.Arena.t -> Ddg.Graph.t -> t
     batched SoA colony allocation of Section V-A. *)
 
 val reset : t -> unit
+(** Return to the initial state, keeping the latency mode. *)
+
+val restart : t -> latency_aware:bool -> unit
+(** {!reset} under the given latency mode: an ant keeps one list and
+    sets the mode of the pass it starts. Allocates nothing. *)
 
 val ready_count : t -> int
 
@@ -32,10 +38,9 @@ val ready : t -> int -> int
 
 val blit_ready : t -> int array -> int -> unit
 (** [blit_ready t cand m] copies the first [m] ready instructions — in
-    {!ready} order — into [cand.(0..m-1)] with a single blit: the
-    candidate-list view the ant hot loop scores from. [m] must be at
-    most [ready_count t] and [cand] at least [m] long (unchecked beyond
-    the blit's own bounds). *)
+    {!ready} order — into [cand.(0..m-1)]: the candidate-list view the
+    ant hot loop scores from. Raises [Invalid_argument] unless [0 <= m
+    <= ready_count t] and [cand] is at least [m] long. *)
 
 val ready_list : t -> int list
 

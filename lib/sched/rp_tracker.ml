@@ -1,37 +1,55 @@
 (* The tracker is split into a shared immutable [layout] — the interned
-   register universe and per-instruction Def/Use id arrays, identical for
-   every ant scheduling the same region — and a small per-ant mutable
-   state carved out of a caller-supplied arena (or a private backing
-   array). A colony of 64 lanes therefore interns registers once and
-   packs all 64 trackers' state into one allocation (Section V-A's
-   batched SoA layout). *)
+   register universe, per-instruction Def/Use id arrays, each register's
+   definers and the whole initial state — identical for every ant
+   scheduling the same region, and a small per-ant mutable state carved
+   out of a caller-supplied arena (or a private backing array). A colony
+   of 64 lanes therefore interns registers once and packs all 64
+   trackers' state into one allocation (Section V-A's batched SoA
+   layout).
+
+   Besides liveness and pressure, the state holds, per instruction and
+   class, the net effect (live ranges opened minus closed) issuing that
+   instruction now would have, so every query is an array read. A
+   register [r] of class c contributes to those effects in two ways:
+   - while [r] is dead, every definer of [r] opens it (+1);
+   - while [r] is live, not live-out and has exactly one unscheduled
+     user, that user closes it (-1). Per register the state keeps the
+     number of unscheduled distinct users and the XOR of their ids, so
+     when the count drops to one the XOR names the user.
+   [schedule] moves these contributions whenever a register's liveness
+   or its user count changes: O(uses + defs) per issue, plus one pass
+   over a register's definers when its liveness flips (one definer in
+   SSA code). A scheduled instruction's effects go stale; no query may
+   read them. *)
 
 type layout = {
   graph : Ddg.Graph.t;
-  cls : Ir.Reg.cls array;  (* dense id -> class *)
+  rank : int array;  (* dense id -> class rank (0 VGPR, 1 SGPR) *)
   (* per-instruction dense register ids, precomputed so the hot path never
-     hashes *)
+     hashes; a register used twice by one instruction appears once *)
   use_ids : int array array;
   def_ids : int array array;
-  (* per-instruction def counts by class: scheduling [i] can raise a
-     class's pressure by at most this many opens, which gives the hot
-     fits check a sound fast path that skips the per-register scan *)
-  defs_v : int array;
-  defs_s : int array;
-  total_uses : int array;
   live_out : bool array;
-  live_in : bool array;
+  (* definers of register r: def_list.(def_start.(r) .. def_start.(r + 1) - 1) *)
+  def_start : int array;
+  def_list : int array;
+  (* the state [reset] restores, laid out exactly like a tracker's
+     segment (see [t]) *)
+  init : int array;
   nregs : int;
 }
 
+(* A tracker's segment of [buf], in this order: users (nregs), uxor
+   (nregs), live (nregs), net (2n), cur (2), peak (2). *)
 type t = {
   layout : layout;
   buf : int array;
-  rem_base : int;  (* remaining use counts, nregs entries *)
-  live_base : int;  (* 0/1 liveness flags, nregs entries *)
+  users_base : int;  (* unscheduled distinct users per register *)
+  uxor_base : int;  (* XOR of those users' ids *)
+  live_base : int;  (* 0/1 liveness flags *)
+  net_base : int;  (* opens - closes of instruction i, class c at 2i + c *)
   cur_base : int;  (* current pressure, 2 entries (class rank) *)
   peak_base : int;  (* peak pressure, 2 entries *)
-  eff_base : int;  (* effects scratch, 4 entries (see [compute_effects]) *)
   (* Cumulative across [reset]s (it meters work, not schedule state);
      drivers snapshot it around a pass. *)
   mutable scored : int;
@@ -46,10 +64,44 @@ let layouts = Atomic.make 0
 
 let layout_count () = Atomic.get layouts
 
+(* Whether [ids.(k)] repeats an earlier entry. *)
+let repeats ids k =
+  let found = ref false in
+  for j = 0 to k - 1 do
+    if ids.(j) = ids.(k) then found := true
+  done;
+  !found
+
+(* [ids] without repeats, first occurrences kept in order. Use sets are
+   tiny and rarely repeat a register, so the common case returns [ids]
+   itself. *)
+let distinct ids =
+  let m = Array.length ids in
+  let dups = ref 0 in
+  for k = 1 to m - 1 do
+    if repeats ids k then incr dups
+  done;
+  if !dups = 0 then ids
+  else begin
+    let out = Array.make (m - !dups) 0 in
+    let w = ref 0 in
+    for k = 0 to m - 1 do
+      if not (repeats ids k) then begin
+        out.(!w) <- ids.(k);
+        incr w
+      end
+    done;
+    out
+  end
+
+(* Counted loops below, not [Array.iter]: the layout is built once per
+   region inside the analysis, and a closure per instruction would
+   outweigh the tables it fills. *)
 let layout_of_graph (graph : Ddg.Graph.t) =
   Atomic.incr layouts;
   let region = graph.region in
   let instrs = (region : Ir.Region.t).instrs in
+  let n = Array.length instrs in
   let index = Hashtbl.create 64 in
   let next = ref 0 in
   let intern r =
@@ -62,81 +114,119 @@ let layout_of_graph (graph : Ddg.Graph.t) =
         i
   in
   let use_ids =
-    Array.map (fun (ins : Ir.Instr.t) -> Array.of_list (List.map intern ins.uses)) instrs
+    Array.map
+      (fun (ins : Ir.Instr.t) -> distinct (Array.of_list (List.map intern ins.uses)))
+      instrs
   in
   let def_ids =
     Array.map (fun (ins : Ir.Instr.t) -> Array.of_list (List.map intern ins.defs)) instrs
   in
   List.iter (fun r -> ignore (intern r)) (region : Ir.Region.t).live_out;
-  List.iter (fun r -> ignore (intern r)) (Ir.Region.live_in region);
+  let live_in = Ir.Region.live_in region in
+  List.iter (fun r -> ignore (intern r)) live_in;
   let nregs = max !next 1 in
-  let cls = Array.make nregs Ir.Reg.Vgpr in
-  Hashtbl.iter (fun (r : Ir.Reg.t) i -> cls.(i) <- r.cls) index;
-  let total_uses = Array.make nregs 0 in
-  Array.iter (Array.iter (fun i -> total_uses.(i) <- total_uses.(i) + 1)) use_ids;
+  let rank_of = Array.make nregs 0 in
+  Hashtbl.iter (fun (r : Ir.Reg.t) i -> rank_of.(i) <- rank r.cls) index;
   let live_out = Array.make nregs false in
   List.iter (fun r -> live_out.(Hashtbl.find index r) <- true) (region : Ir.Region.t).live_out;
-  let live_in = Array.make nregs false in
-  List.iter (fun r -> live_in.(Hashtbl.find index r) <- true) (Ir.Region.live_in region);
-  let n = Array.length def_ids in
-  let defs_v = Array.make n 0 and defs_s = Array.make n 0 in
+  (* definer lists, CSR: count per register, running sums (entry r is
+     then the end of r's list), and a back-to-front fill that moves each
+     entry down to its list's start, so every list ascends *)
+  let def_start = Array.make (nregs + 1) 0 in
   for i = 0 to n - 1 do
-    Array.iter
-      (fun di ->
-        match cls.(di) with
-        | Ir.Reg.Vgpr -> defs_v.(i) <- defs_v.(i) + 1
-        | Ir.Reg.Sgpr -> defs_s.(i) <- defs_s.(i) + 1)
-      def_ids.(i)
+    let defs = def_ids.(i) in
+    for k = 0 to Array.length defs - 1 do
+      def_start.(defs.(k)) <- def_start.(defs.(k)) + 1
+    done
   done;
-  {
-    graph;
-    cls;
-    use_ids;
-    def_ids;
-    defs_v;
-    defs_s;
-    total_uses;
-    live_out;
+  for r = 1 to nregs - 1 do
+    def_start.(r) <- def_start.(r) + def_start.(r - 1)
+  done;
+  def_start.(nregs) <- def_start.(nregs - 1);
+  let def_list = Array.make def_start.(nregs) 0 in
+  for i = n - 1 downto 0 do
+    let defs = def_ids.(i) in
+    for k = 0 to Array.length defs - 1 do
+      let d = defs.(k) in
+      def_start.(d) <- def_start.(d) - 1;
+      def_list.(def_start.(d)) <- i
+    done
+  done;
+  (* the initial state: every instruction unscheduled, live-ins live *)
+  let users = 0 and uxor = nregs and live = 2 * nregs and net = 3 * nregs in
+  let cur = net + (2 * n) in
+  let init = Array.make (cur + 4) 0 in
+  for i = 0 to n - 1 do
+    let uses = use_ids.(i) in
+    for k = 0 to Array.length uses - 1 do
+      let u = uses.(k) in
+      init.(users + u) <- init.(users + u) + 1;
+      init.(uxor + u) <- init.(uxor + u) lxor i
+    done
+  done;
+  List.iter
+    (fun r ->
+      let id = Hashtbl.find index r in
+      init.(live + id) <- 1;
+      init.(cur + rank_of.(id)) <- init.(cur + rank_of.(id)) + 1)
     live_in;
-    nregs;
+  init.(cur + 2) <- init.(cur);
+  init.(cur + 3) <- init.(cur + 1);
+  (* each effect straight from its definition (the invariant [schedule]
+     maintains): a def of a dead register opens it; a use closes a live,
+     not-live-out register it is the only user of *)
+  for i = 0 to n - 1 do
+    let defs = def_ids.(i) and uses = use_ids.(i) in
+    for k = 0 to Array.length defs - 1 do
+      let d = defs.(k) in
+      if init.(live + d) = 0 then
+        init.(net + (2 * i) + rank_of.(d)) <- init.(net + (2 * i) + rank_of.(d)) + 1
+    done;
+    for k = 0 to Array.length uses - 1 do
+      let u = uses.(k) in
+      if init.(users + u) = 1 && init.(live + u) = 1 && not live_out.(u) then
+        init.(net + (2 * i) + rank_of.(u)) <- init.(net + (2 * i) + rank_of.(u)) - 1
+    done
+  done;
+  { graph; rank = rank_of; use_ids; def_ids; live_out; def_start; def_list; init; nregs }
+
+let int_demand layout = Array.length layout.init
+
+(* Counted loop, not [Array.blit]: the arena's backing array lives in
+   the major heap, where OCaml 5 blits an int array element by element
+   through the write barrier ([caml_modify]); this runs at every ant
+   start. *)
+let reset t =
+  let init = t.layout.init and buf = t.buf and base = t.users_base in
+  for k = 0 to Array.length init - 1 do
+    Array.unsafe_set buf (base + k) (Array.unsafe_get init k)
+  done
+
+(* A tracker whose segment starts at [base] of [buf]. *)
+let at layout buf base =
+  let nregs = layout.nregs in
+  let net_base = base + (3 * nregs) in
+  let cur_base = net_base + (2 * layout.graph.Ddg.Graph.n) in
+  {
+    layout;
+    buf;
+    users_base = base;
+    uxor_base = base + nregs;
+    live_base = base + (2 * nregs);
+    net_base;
+    cur_base;
+    peak_base = cur_base + 2;
+    scored = 0;
   }
 
-let int_demand layout = (2 * layout.nregs) + 8
-
-let reset t =
-  let l = t.layout in
-  let buf = t.buf in
-  Array.blit l.total_uses 0 buf t.rem_base l.nregs;
-  buf.(t.cur_base) <- 0;
-  buf.(t.cur_base + 1) <- 0;
-  for i = 0 to l.nregs - 1 do
-    if l.live_in.(i) then begin
-      buf.(t.live_base + i) <- 1;
-      let c = rank l.cls.(i) in
-      buf.(t.cur_base + c) <- buf.(t.cur_base + c) + 1
-    end
-    else buf.(t.live_base + i) <- 0
-  done;
-  buf.(t.peak_base) <- buf.(t.cur_base);
-  buf.(t.peak_base + 1) <- buf.(t.cur_base + 1)
-
 let create_in arena layout =
-  let base = Support.Arena.alloc_ints arena (int_demand layout) in
-  let t =
-    {
-      layout;
-      buf = Support.Arena.ints arena;
-      rem_base = base;
-      live_base = base + layout.nregs;
-      cur_base = base + (2 * layout.nregs);
-      peak_base = base + (2 * layout.nregs) + 2;
-      eff_base = base + (2 * layout.nregs) + 4;
-      scored = 0;
-    }
-  in
+  let t = at layout (Support.Arena.ints arena) (Support.Arena.alloc_ints arena (int_demand layout)) in
   reset t;
   t
 
+(* A stand-alone tracker's backing is a copy of the initial state: the
+   schedulers and cost evaluations of a region's analysis create several
+   per region. *)
 let create ?layout graph =
   let layout =
     match layout with
@@ -145,194 +235,134 @@ let create ?layout graph =
         l
     | None -> layout_of_graph graph
   in
-  let arena = Support.Arena.create ~ints:(int_demand layout) ~floats:0 in
-  create_in arena layout
+  at layout (Array.copy layout.init) 0
 
-let copy t =
-  let buf = Array.copy t.buf in
-  (* A private copy keeps the source's offsets but its own backing, so
-     the two trackers evolve independently even when the source lives in
-     a shared arena. *)
-  { t with buf }
+(* The hot updates below index [buf] without bounds checks: every index
+   is a register id or instruction id of the layout plus the base of a
+   segment [create_in]/[create] sized for it. *)
+let[@inline] get (a : int array) k = Array.unsafe_get a k
+let[@inline] set (a : int array) k (v : int) = Array.unsafe_set a k v
+
+(* [r] dies: every definer of [r] opens it again. A register only dies
+   once it has no unscheduled user, so no close moves. *)
+let kill t r =
+  let l = t.layout and buf = t.buf in
+  let c = get l.rank r in
+  set buf (t.live_base + r) 0;
+  set buf (t.cur_base + c) (get buf (t.cur_base + c) - 1);
+  for k = get l.def_start r to get l.def_start (r + 1) - 1 do
+    let e = t.net_base + (2 * get l.def_list k) + c in
+    set buf e (get buf e + 1)
+  done
+
+(* [r] opens: no definer opens it any more, and a last user already
+   known now closes it. *)
+let open_reg t r =
+  let l = t.layout and buf = t.buf in
+  let c = get l.rank r in
+  set buf (t.live_base + r) 1;
+  set buf (t.cur_base + c) (get buf (t.cur_base + c) + 1);
+  for k = get l.def_start r to get l.def_start (r + 1) - 1 do
+    let e = t.net_base + (2 * get l.def_list k) + c in
+    set buf e (get buf e - 1)
+  done;
+  if get buf (t.users_base + r) = 1 && not (Array.unsafe_get l.live_out r) then begin
+    let e = t.net_base + (2 * get buf (t.uxor_base + r)) + c in
+    set buf e (get buf e - 1)
+  end
 
 (* Plain counted loops, not [Array.iter]: an iterated closure capturing
    [t] is a fresh minor-heap block per call, and [schedule] runs once per
-   emitted instruction in the ant hot loop. The loop bodies are verbatim
-   the old closure bodies. *)
+   emitted instruction in the ant hot loop. Liveness follows the scan it
+   replaces: uses close first, then defs open, the peak is taken, and
+   only then does a def nothing reads any more die. *)
 let schedule t i =
   let l = t.layout in
   let buf = t.buf in
   let uses = l.use_ids.(i) and defs = l.def_ids.(i) in
   for k = 0 to Array.length uses - 1 do
-    let ui = Array.unsafe_get uses k in
-    buf.(t.rem_base + ui) <- buf.(t.rem_base + ui) - 1;
-    if buf.(t.rem_base + ui) = 0 && (not l.live_out.(ui)) && buf.(t.live_base + ui) = 1
-    then begin
-      buf.(t.live_base + ui) <- 0;
-      let c = rank l.cls.(ui) in
-      buf.(t.cur_base + c) <- buf.(t.cur_base + c) - 1
-    end
+    let u = get uses k in
+    let left = get buf (t.users_base + u) - 1 in
+    set buf (t.users_base + u) left;
+    set buf (t.uxor_base + u) (get buf (t.uxor_base + u) lxor i);
+    if get buf (t.live_base + u) = 1 && not (Array.unsafe_get l.live_out u) then
+      if left = 0 then kill t u
+      else if left = 1 then begin
+        (* the one user left closes [u] *)
+        let e = t.net_base + (2 * get buf (t.uxor_base + u)) + get l.rank u in
+        set buf e (get buf e - 1)
+      end
   done;
   for k = 0 to Array.length defs - 1 do
-    let di = Array.unsafe_get defs k in
-    if buf.(t.live_base + di) = 0 then begin
-      buf.(t.live_base + di) <- 1;
-      let c = rank l.cls.(di) in
-      buf.(t.cur_base + c) <- buf.(t.cur_base + c) + 1
-    end
+    let d = get defs k in
+    if get buf (t.live_base + d) = 0 then open_reg t d
   done;
-  if buf.(t.cur_base) > buf.(t.peak_base) then buf.(t.peak_base) <- buf.(t.cur_base);
-  if buf.(t.cur_base + 1) > buf.(t.peak_base + 1) then
-    buf.(t.peak_base + 1) <- buf.(t.cur_base + 1);
+  let cb = t.cur_base and pb = t.peak_base in
+  if get buf cb > get buf pb then set buf pb (get buf cb);
+  if get buf (cb + 1) > get buf (pb + 1) then set buf (pb + 1) (get buf (cb + 1));
   (* A def with no remaining uses and not live-out dies immediately after
      being counted at this instruction's point. *)
   for k = 0 to Array.length defs - 1 do
-    let di = Array.unsafe_get defs k in
-    if buf.(t.rem_base + di) = 0 && (not l.live_out.(di)) && buf.(t.live_base + di) = 1
-    then begin
-      buf.(t.live_base + di) <- 0;
-      let c = rank l.cls.(di) in
-      buf.(t.cur_base + c) <- buf.(t.cur_base + c) - 1
-    end
+    let d = get defs k in
+    if
+      get buf (t.users_base + d) = 0
+      && (not (Array.unsafe_get l.live_out d))
+      && get buf (t.live_base + d) = 1
+    then kill t d
   done
 
 let current t cls = t.buf.(t.cur_base + rank cls)
 let peak t cls = t.buf.(t.peak_base + rank cls)
 
+let[@inline] clamp0 x = if x > 0 then x else 0
+
 let peak_excess t ~target_vgpr ~target_sgpr =
-  (max 0 (t.buf.(t.peak_base) - target_vgpr), max 0 (t.buf.(t.peak_base + 1) - target_sgpr))
+  (clamp0 (t.buf.(t.peak_base) - target_vgpr), clamp0 (t.buf.(t.peak_base + 1) - target_sgpr))
 
-(* One-pass, allocation-free analysis of scheduling [i]: per class, the
-   live ranges it would close and open. Duplicate uses of one register in
-   the same instruction are counted by multiplicity with a quadratic scan
-   (Def/Use sets are tiny). Results land in the tracker's own arena slice
-   at [eff_base] (closed_v; opened_v; closed_s; opened_s) — per-tracker,
-   not module-global, so colonies on different domains never share it.
-   Counted loops only, as in [schedule]: this runs once per candidate in
-   the fit filter's slow path and in the Last-Use-Count heuristic, so an
-   iterated closure here would be a minor-heap block per candidate. *)
+let delta_if_scheduled t i cls = t.buf.(t.net_base + (2 * i) + rank cls)
 
-let compute_effects t i =
-  let l = t.layout in
+(* The class-rank [c] peak right after issuing [i]; int comparisons, not
+   the polymorphic [max]. *)
+let[@inline] peak_after t i c =
   let buf = t.buf in
-  let e = t.eff_base in
-  Array.fill buf e 4 0;
-  let uses = l.use_ids.(i) and defs = l.def_ids.(i) in
-  let n_uses = Array.length uses in
-  for k = 0 to n_uses - 1 do
-    let ui = uses.(k) in
-    (* multiplicity of ui among uses.(0..k) *)
-    let mult = ref 0 in
-    for j = 0 to k do
-      if uses.(j) = ui then incr mult
-    done;
-    if buf.(t.rem_base + ui) = !mult && (not l.live_out.(ui)) && buf.(t.live_base + ui) = 1
-    then begin
-      (* this occurrence is the last outstanding use *)
-      let last_occurrence = ref true in
-      for j = k + 1 to n_uses - 1 do
-        if uses.(j) = ui then last_occurrence := false
-      done;
-      if !last_occurrence then
-        let c = rank l.cls.(ui) in
-        buf.(e + (2 * c)) <- buf.(e + (2 * c)) + 1
-    end
-  done;
-  for k = 0 to Array.length defs - 1 do
-    let di = Array.unsafe_get defs k in
-    if buf.(t.live_base + di) = 0 then begin
-      (* already-opened within this instruction? defs are unique *)
-      let c = rank l.cls.(di) in
-      buf.(e + (2 * c) + 1) <- buf.(e + (2 * c) + 1) + 1
-    end
-  done
+  let p = buf.(t.peak_base + c) and q = buf.(t.cur_base + c) + buf.(t.net_base + (2 * i) + c) in
+  if q > p then q else p
 
-let delta_if_scheduled t i cls =
-  compute_effects t i;
-  let c = rank cls in
-  t.buf.(t.eff_base + (2 * c) + 1) - t.buf.(t.eff_base + (2 * c))
-
-(* The class-rank [c] peak right after the instruction whose effects
-   [compute_effects] last left in the scratch. *)
-let peak_after t c =
-  max t.buf.(t.peak_base + c)
-    (t.buf.(t.cur_base + c)
-    - t.buf.(t.eff_base + (2 * c))
-    + t.buf.(t.eff_base + (2 * c) + 1))
-
-let peak_if_scheduled t i cls =
-  compute_effects t i;
-  peak_after t (rank cls)
-
-let peaks_if_scheduled t i f =
-  compute_effects t i;
-  f ~vgpr:(peak_after t 0) ~sgpr:(peak_after t 1)
+let peak_if_scheduled t i cls = peak_after t i (rank cls)
+let peaks_if_scheduled t i f = f ~vgpr:(peak_after t i 0) ~sgpr:(peak_after t i 1)
 
 let fits_within t i ~target_vgpr ~target_sgpr =
-  let l = t.layout in
-  let buf = t.buf in
-  (* Fast path: the post-schedule pressure is at most cur + defs of the
-     class (every open is a def; closes only lower it), so when even
-     that bound fits there is no need to scan the registers. With the
-     generous targets of early ILP iterations this covers almost every
-     candidate. *)
-  if
-    max buf.(t.peak_base) (buf.(t.cur_base) + l.defs_v.(i)) <= target_vgpr
-    && max buf.(t.peak_base + 1) (buf.(t.cur_base + 1) + l.defs_s.(i)) <= target_sgpr
-  then true
-  else begin
-    compute_effects t i;
-    let e = t.eff_base in
-    let v = max buf.(t.peak_base) (buf.(t.cur_base) - buf.(e) + buf.(e + 1)) in
-    let s = max buf.(t.peak_base + 1) (buf.(t.cur_base + 1) - buf.(e + 2) + buf.(e + 3)) in
-    v <= target_vgpr && s <= target_sgpr
-  end
+  peak_after t i 0 <= target_vgpr && peak_after t i 1 <= target_sgpr
 
 (* Stable in-place filter: compact the candidates of [cand.(0..n_cand-1)]
    that fit the targets into the prefix, preserving order, and return
    their count. Equivalent to testing [fits_within] on each candidate,
-   with the pressure loads hoisted out of the loop.
+   with the peak test and the headroom loads hoisted out of the loop.
 
    Shape notes for the hot loop:
    - Mask-and-select compaction: the candidate is stored at the write
      cursor unconditionally and the cursor advances by a computed 0/1
      bit. Positions below the cursor are already-kept candidates and the
      cursor never passes the read index, so the blind store can only
-     touch consumed or duplicate cells — no taken/not-taken branch on
-     the common path.
+     touch consumed or duplicate cells — no taken/not-taken branch.
    - The in-range tests fold into sign bits: [a <= b] for the small
      pressure integers here is the sign of [b - a], and two tests OR
      into one word whose sign is extracted with [asr 62] (any negative
      63-bit int has that bit set). *)
 let filter_fits_prefix t ~cand ~n_cand ~target_vgpr ~target_sgpr =
-  let l = t.layout in
   let buf = t.buf in
-  let e = t.eff_base in
-  let pv = buf.(t.peak_base) and ps = buf.(t.peak_base + 1) in
-  let cv = buf.(t.cur_base) and cs = buf.(t.cur_base + 1) in
-  if pv > target_vgpr || ps > target_sgpr then 0
+  if buf.(t.peak_base) > target_vgpr || buf.(t.peak_base + 1) > target_sgpr then 0
     (* the peak already exceeds a target: nothing can fit *)
   else begin
+    let room_v = target_vgpr - buf.(t.cur_base) and room_s = target_sgpr - buf.(t.cur_base + 1) in
+    let net = t.net_base in
     let m = ref 0 in
     for k = 0 to n_cand - 1 do
       let i = Array.unsafe_get cand k in
-      let fast =
-        (target_vgpr - cv - Array.unsafe_get l.defs_v i)
-        lor (target_sgpr - cs - Array.unsafe_get l.defs_s i)
-      in
-      let bit =
-        if fast >= 0 then 1
-        else begin
-          compute_effects t i;
-          let d =
-            (target_vgpr - cv + buf.(e) - buf.(e + 1))
-            lor (target_sgpr - cs + buf.(e + 2) - buf.(e + 3))
-          in
-          1 + (d asr 62)
-        end
-      in
+      let e = net + (2 * i) in
+      let d = (room_v - Array.unsafe_get buf e) lor (room_s - Array.unsafe_get buf (e + 1)) in
       Array.unsafe_set cand !m i;
-      m := !m + bit
+      m := !m + 1 + (d asr 62)
     done;
     t.scored <- t.scored + n_cand;
     !m
@@ -340,22 +370,9 @@ let filter_fits_prefix t ~cand ~n_cand ~target_vgpr ~target_sgpr =
 
 let scored_candidates t = t.scored
 
-let closes_count t i =
-  compute_effects t i;
-  let e = t.eff_base in
-  t.buf.(e) + t.buf.(e + 2)
-
-let opens_count t i =
-  compute_effects t i;
-  let e = t.eff_base in
-  t.buf.(e + 1) + t.buf.(e + 3)
-
 let closes_minus_opens t i =
-  (* One effects pass instead of two; same integer as
-     [closes_count t i - opens_count t i]. *)
-  compute_effects t i;
-  let e = t.eff_base in
-  t.buf.(e) + t.buf.(e + 2) - t.buf.(e + 1) - t.buf.(e + 3)
+  let e = t.net_base + (2 * i) in
+  -(t.buf.(e) + t.buf.(e + 1))
 
 (* Independent reference implementation over live-range intervals; assumes
    single-definition registers (all generated workloads are SSA-like).

@@ -4,16 +4,39 @@
     defining instruction is scheduled and dies when its last use is
     scheduled, except that region live-in registers are live from cycle 0
     and live-out registers never die inside the region. The tracker
-    maintains the current and peak pressure per register class in O(defs
-    + uses) per scheduled instruction; the test suite cross-checks it
-    against a naive whole-profile recomputation. *)
+    maintains the current and peak pressure per register class; the test
+    suite cross-checks it against a naive whole-profile recomputation.
+
+    {2 Effects of the unscheduled instructions}
+
+    Besides the pressure, the tracker keeps the effect issuing each
+    unscheduled instruction would have now, so the per-candidate queries
+    below ({!delta_if_scheduled}, {!peak_if_scheduled},
+    {!peaks_if_scheduled}, {!fits_within}, {!filter_fits_prefix},
+    {!closes_minus_opens}) are O(1) array reads. For an unscheduled
+    instruction [i] and a register class [c], with [rem r] the use
+    occurrences of [r] still unscheduled and [live r] its liveness:
+
+    - [closes_c i] counts the distinct class-[c] registers [u] that [i]
+      uses where [rem u] equals the occurrences of [u] in [i]'s uses (no
+      other unscheduled instruction reads [u]), [live u] holds, and [u]
+      is not live-out;
+    - [opens_c i] counts [i]'s class-[c] defs [d] that are not live.
+
+    The values hold for any region, SSA or not: duplicate uses, an
+    instruction that uses and defines one register, redefinitions and
+    redefined live-ins. {!schedule} maintains them in O(uses + defs) of
+    the issued instruction, plus, per register whose liveness flips, its
+    definers (one in SSA code). On an instruction already scheduled
+    since the last {!reset} every query's answer is unspecified. *)
 
 type t
 
 type layout
 (** The immutable, region-wide part of a tracker: interned register ids,
-    per-instruction Def/Use id arrays, total use counts and boundary
-    liveness. Built once per region ([Engine.Region_ctx.rp_layout]) and
+    per-instruction Def/Use id arrays, each register's definers, boundary
+    liveness and the initial state (effects included) every {!reset}
+    restores. Built once per region ([Engine.Region_ctx.rp_layout]) and
     shared by every scheduler, cost evaluation and ant of that region,
     so the interning hash pass runs once per region instead of once per
     consumer. *)
@@ -28,7 +51,8 @@ val layout_count : unit -> int
 
 val int_demand : layout -> int
 (** Arena ints one tracker's mutable state needs (for exact
-    pre-sizing). *)
+    pre-sizing): [3 * nregs + 2 * n + 4] for [nregs] registers and [n]
+    instructions. *)
 
 val create_in : Support.Arena.t -> layout -> t
 (** Tracker whose mutable state lives in the given arena (the batched
@@ -45,14 +69,13 @@ val create : ?layout:layout -> Ddg.Graph.t -> t
 
 val reset : t -> unit
 (** Return to the initial state (ants reuse trackers across iterations to
-    mirror the paper's no-dynamic-allocation rule). *)
-
-val copy : t -> t
+    mirror the paper's no-dynamic-allocation rule). Allocates nothing. *)
 
 val schedule : t -> int -> unit
-(** Account for issuing the given instruction. Each instruction must be
-    scheduled at most once per [reset] (unchecked; the schedulers
-    guarantee it). *)
+(** Account for issuing the given instruction and update the effects of
+    the unscheduled ones. Each instruction must be scheduled at most once
+    per [reset] (unchecked; the schedulers guarantee it). Allocates
+    nothing. *)
 
 val current : t -> Ir.Reg.cls -> int
 val peak : t -> Ir.Reg.cls -> int
@@ -64,30 +87,33 @@ val peak_excess : t -> target_vgpr:int -> target_sgpr:int -> int * int
 
 val peak_if_scheduled : t -> int -> Ir.Reg.cls -> int
 (** Peak pressure the class would have right after scheduling the
-    instruction, without mutating the tracker (used by greedy tie-breaks
-    and the optional-stall heuristic). *)
+    unscheduled instruction — the larger of the peak and [current +
+    opens_c - closes_c] — without mutating the tracker (used by greedy
+    tie-breaks and the optional-stall heuristic). Unspecified on a
+    scheduled instruction. *)
 
 val peaks_if_scheduled : t -> int -> (vgpr:int -> sgpr:int -> 'a) -> 'a
 (** [peaks_if_scheduled t i f] applies [f] to both class peaks
-    {!peak_if_scheduled} would report for [i], from one effects scan
-    instead of two (the AMD baseline's occupancy prediction). *)
+    {!peak_if_scheduled} would report for the unscheduled [i] (the AMD
+    baseline's occupancy prediction). Unspecified on a scheduled
+    instruction. *)
 
 val delta_if_scheduled : t -> int -> Ir.Reg.cls -> int
-(** Net change to the *current* pressure: defs opening live ranges minus
-    uses closing them. *)
+(** Net change to the *current* pressure the unscheduled instruction
+    would make: [opens_c - closes_c]. Unspecified on a scheduled
+    instruction. *)
 
 val fits_within : t -> int -> target_vgpr:int -> target_sgpr:int -> bool
-(** Would scheduling the instruction keep both class peaks within the
-    given targets? Single pass over its Def/Use sets (the pass-2 hot
-    path), with a scan-free fast path when even the def-count upper
-    bound fits. *)
+(** Would scheduling the unscheduled instruction keep both class peaks
+    within the given targets? Two reads (the pass-2 hot path).
+    Unspecified on a scheduled instruction. *)
 
 val filter_fits_prefix :
   t -> cand:int array -> n_cand:int -> target_vgpr:int -> target_sgpr:int -> int
-(** Stable in-place filter of [cand.(0..n_cand-1)]: compacts the
-    candidates for which {!fits_within} holds into the prefix (ready
-    order preserved) and returns their count. Branchless mask-and-select
-    compaction on the hot path. *)
+(** Stable in-place filter of [cand.(0..n_cand-1)], all unscheduled:
+    compacts the candidates for which {!fits_within} holds into the
+    prefix (ready order preserved) and returns their count. Branchless
+    mask-and-select compaction over O(1) reads per candidate. *)
 
 val scored_candidates : t -> int
 (** Cumulative count of candidates whose fit decision
@@ -96,16 +122,11 @@ val scored_candidates : t -> int
     cleared by {!reset}: it meters work, not schedule state — drivers
     snapshot it around a pass. *)
 
-val closes_count : t -> int -> int
-(** Number of live ranges (any class) the instruction would close — the
-    Last-Use-Count heuristic's key (Section IV-A / reference [61]). *)
-
-val opens_count : t -> int -> int
-(** Live ranges (any class) the instruction would open. *)
-
 val closes_minus_opens : t -> int -> int
-(** [closes_count t i - opens_count t i] in a single effects pass — the
-    Last-Use-Count heuristic's key on the selection hot path. *)
+(** Live ranges (any class) the unscheduled instruction would close
+    minus those it would open — the Last-Use-Count heuristic's key
+    (Section IV-A / reference [61]). Unspecified on a scheduled
+    instruction. *)
 
 val naive_peaks : Ddg.Graph.t -> int array -> (Ir.Reg.cls -> int)
 (** Reference implementation: peak pressures of a complete instruction

@@ -70,10 +70,24 @@ let test_region_validation () =
   in
   Alcotest.(check bool) "256 x @1024 accepted" true
     (Result.is_ok (Ir.Region.create ~name:"x" (chain 256)));
-  match Ir.Region.create ~name:"x" (chain 257) with
+  (match Ir.Region.create ~name:"x" (chain 257) with
   | Error (Ir.Region.Latency_sum_above_cap sum) ->
       Alcotest.(check int) "latency sum" (257 * 1024) sum
-  | Ok _ | Error _ -> Alcotest.fail "expected Latency_sum_above_cap"
+  | Ok _ | Error _ -> Alcotest.fail "expected Latency_sum_above_cap");
+  (* The instruction cap: 8,192 single-cycle links are accepted, 8,193
+     refused. *)
+  let short_chain n =
+    List.init n (fun id ->
+        Ir.Instr.make ~id ~latency:1 ~kind:Ir.Opcode.Valu ~defs:[ Ir.Reg.vgpr id ]
+          ~uses:(if id = 0 then [] else [ Ir.Reg.vgpr (id - 1) ])
+          ())
+  in
+  Alcotest.(check int) "the cap" 8192 Ir.Region.max_instrs;
+  Alcotest.(check bool) "8,192 instructions accepted" true
+    (Result.is_ok (Ir.Region.create ~name:"x" (short_chain 8192)));
+  match Ir.Region.create ~name:"x" (short_chain 8193) with
+  | Error (Ir.Region.Too_many_instrs n) -> Alcotest.(check int) "instructions" 8193 n
+  | Ok _ | Error _ -> Alcotest.fail "expected Too_many_instrs"
 
 let test_region_live_in () =
   let b = Ir.Builder.create ~name:"li" in
@@ -113,6 +127,37 @@ let test_region_to_string () =
   let s = Ir.Region.to_string r in
   Alcotest.(check bool) "mentions name" true (contains ~needle:"diamond" s)
 
+(* The wire form round-trips every generated region: SSA random
+   regions, non-SSA ones and the kernel shapes. The parse renders the
+   same wire text again (names, ids, kinds, latencies, Def/Use order,
+   live-outs) and has the original's fingerprint. *)
+let arb_generated_region =
+  let shapes = Array.of_list Workload.Shapes.spec_names in
+  QCheck.make
+    ~print:(fun r -> Ir.Region.to_string r)
+    QCheck.Gen.(
+      map
+        (fun (kind, seed) ->
+          let seed = abs seed in
+          match kind with
+          | 0 -> Tu.random_region seed
+          | 1 -> Tu.random_nonssa_region seed
+          | _ ->
+              let name = shapes.(seed mod Array.length shapes) in
+              Option.get (Workload.Shapes.of_spec ~name ~size:(2 + (seed mod 120)) ~seed))
+        (pair (int_bound 2) int))
+
+let prop_wire_round_trip =
+  QCheck.Test.make ~name:"region_to_wire round-trips through region_of_string" ~count:150
+    arb_generated_region (fun r ->
+      let wire = Ir.Parse.region_to_wire r in
+      match Ir.Parse.region_of_string wire with
+      | Error e -> QCheck.Test.fail_reportf "%s" (Ir.Parse.error_to_string e)
+      | Ok parsed ->
+          Ir.Parse.region_to_wire parsed = wire
+          && Engine.Region_ctx.fingerprint_of_region parsed
+             = Engine.Region_ctx.fingerprint_of_region r)
+
 let suite =
   [
     Alcotest.test_case "reg basics" `Quick test_reg_basics;
@@ -125,4 +170,4 @@ let suite =
     Alcotest.test_case "builder ids" `Quick test_builder_ids_consecutive;
     Alcotest.test_case "region to_string" `Quick test_region_to_string;
   ]
-  @ Tu.qtests [ prop_random_regions_valid ]
+  @ Tu.qtests [ prop_random_regions_valid; prop_wire_round_trip ]

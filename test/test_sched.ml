@@ -134,6 +134,148 @@ let prop_fit_filter =
       done;
       true)
 
+(* The tracker's effects against their definitions on non-SSA regions,
+   which the SSA generators never reach: redefinitions (a liveness flip
+   moves the opens of every definer), an instruction that uses and
+   defines one register, duplicate uses and redefined live-ins. The
+   reference replays the liveness rules of Section II-A over the
+   scheduled prefix with per-register use counts, then counts each
+   effect from its definition; it shares no code with the tracker. *)
+let nonssa_redef = ref 0
+let nonssa_use_def = ref 0
+let nonssa_dup_use = ref 0
+let nonssa_live_in_redef = ref 0
+
+let reference_effects (region : Ir.Region.t) prefix =
+  let instrs = region.Ir.Region.instrs in
+  let regs =
+    List.sort_uniq Ir.Reg.compare
+      (Array.fold_left
+         (fun acc (ins : Ir.Instr.t) -> ins.Ir.Instr.defs @ ins.Ir.Instr.uses @ acc)
+         [] instrs)
+  in
+  let count p l = List.length (List.filter p l) in
+  let rem = Hashtbl.create 16 and live = Hashtbl.create 16 in
+  List.iter
+    (fun r ->
+      Hashtbl.replace rem r
+        (Array.fold_left
+           (fun acc (ins : Ir.Instr.t) -> acc + count (Ir.Reg.equal r) ins.Ir.Instr.uses)
+           0 instrs);
+      (* live-in: read before the first definition in program order *)
+      let first p =
+        Array.find_index (fun (ins : Ir.Instr.t) -> List.exists (Ir.Reg.equal r) (p ins)) instrs
+      in
+      Hashtbl.replace live r
+        (match (first (fun ins -> ins.Ir.Instr.uses), first (fun ins -> ins.Ir.Instr.defs)) with
+        | Some u, Some d -> u <= d
+        | Some _, None -> true
+        | None, _ -> false))
+    regs;
+  let live_out r = List.exists (Ir.Reg.equal r) region.Ir.Region.live_out in
+  let dies r = Hashtbl.find rem r = 0 && (not (live_out r)) && Hashtbl.find live r in
+  List.iter
+    (fun i ->
+      let ins = instrs.(i) in
+      List.iter
+        (fun u ->
+          Hashtbl.replace rem u (Hashtbl.find rem u - 1);
+          if dies u then Hashtbl.replace live u false)
+        ins.Ir.Instr.uses;
+      List.iter (fun d -> Hashtbl.replace live d true) ins.Ir.Instr.defs;
+      List.iter (fun d -> if dies d then Hashtbl.replace live d false) ins.Ir.Instr.defs)
+    prefix;
+  let current cls =
+    count (fun (r : Ir.Reg.t) -> Ir.Reg.cls_equal r.Ir.Reg.cls cls && Hashtbl.find live r) regs
+  in
+  let delta i cls =
+    let ins = instrs.(i) in
+    let of_cls (r : Ir.Reg.t) = Ir.Reg.cls_equal r.Ir.Reg.cls cls in
+    let closes =
+      count
+        (fun u ->
+          of_cls u
+          && Hashtbl.find rem u = count (Ir.Reg.equal u) ins.Ir.Instr.uses
+          && Hashtbl.find live u && not (live_out u))
+        (List.sort_uniq Ir.Reg.compare ins.Ir.Instr.uses)
+    in
+    let opens = count (fun d -> of_cls d && not (Hashtbl.find live d)) ins.Ir.Instr.defs in
+    opens - closes
+  in
+  (current, delta)
+
+let witness_nonssa (region : Ir.Region.t) =
+  let instrs = Array.to_list region.Ir.Region.instrs in
+  let defs = List.concat_map (fun (ins : Ir.Instr.t) -> ins.Ir.Instr.defs) instrs in
+  let bump w c = if c then incr w in
+  bump nonssa_redef
+    (List.length (List.sort_uniq Ir.Reg.compare defs) < List.length defs);
+  bump nonssa_use_def
+    (List.exists
+       (fun (ins : Ir.Instr.t) ->
+         List.exists (fun d -> List.exists (Ir.Reg.equal d) ins.Ir.Instr.uses) ins.Ir.Instr.defs)
+       instrs);
+  bump nonssa_dup_use
+    (List.exists
+       (fun (ins : Ir.Instr.t) ->
+         let u = ins.Ir.Instr.uses in
+         List.length (List.sort_uniq Ir.Reg.compare u) < List.length u)
+       instrs);
+  bump nonssa_live_in_redef
+    (List.exists (fun r -> List.exists (Ir.Reg.equal r) defs) (Ir.Region.live_in region))
+
+let prop_tracker_nonssa =
+  QCheck.Test.make ~name:"tracker effects match their definitions on non-SSA regions"
+    ~count:300
+    (QCheck.pair Tu.arb_nonssa_region QCheck.small_int)
+    (fun (region, seed) ->
+      witness_nonssa region;
+      let g = Ddg.Graph.build region in
+      let n = g.Ddg.Graph.n in
+      let t = Sched.Rp_tracker.create g in
+      let rl = Sched.Ready_list.create ~latency_aware:false g in
+      let rng = Support.Rng.create seed in
+      let cand = Array.make n 0 in
+      let prefix = ref [] in
+      let classes = [ Ir.Reg.Vgpr; Ir.Reg.Sgpr ] in
+      let check_step () =
+        let current, delta = reference_effects region (List.rev !prefix) in
+        List.iter
+          (fun cls ->
+            Alcotest.(check int) "current" (current cls) (Sched.Rp_tracker.current t cls);
+            for i = 0 to n - 1 do
+              if Sched.Ready_list.issue_cycle rl i < 0 then
+                Alcotest.(check int)
+                  (Printf.sprintf "delta of %d after [%s]" i
+                     (String.concat " " (List.rev_map string_of_int !prefix)))
+                  (delta i cls)
+                  (Sched.Rp_tracker.delta_if_scheduled t i cls)
+            done)
+          classes
+      in
+      while not (Sched.Ready_list.finished rl) do
+        check_step ();
+        let m = Sched.Ready_list.ready_count rl in
+        Sched.Ready_list.blit_ready rl cand m;
+        let target cls = Sched.Rp_tracker.current t cls + Support.Rng.int rng 3 - 1 in
+        let tv = target Ir.Reg.Vgpr and ts = target Ir.Reg.Sgpr in
+        let fitting =
+          List.filter
+            (fun i -> Sched.Rp_tracker.fits_within t i ~target_vgpr:tv ~target_sgpr:ts)
+            (Array.to_list (Array.sub cand 0 m))
+        in
+        let kept =
+          Sched.Rp_tracker.filter_fits_prefix t ~cand ~n_cand:m ~target_vgpr:tv ~target_sgpr:ts
+        in
+        Alcotest.(check (list int)) "kept prefix" fitting (Array.to_list (Array.sub cand 0 kept));
+        let i = Sched.Ready_list.ready rl (Support.Rng.int rng m) in
+        Sched.Ready_list.schedule rl i;
+        Sched.Rp_tracker.schedule t i;
+        prefix := i :: !prefix
+      done;
+      check_step ();
+      true)
+
 (* A layout serves only the graph it was built for. *)
 let test_layout_guards () =
   let g = Ddg.Graph.build (Tu.diamond_region ()) in
@@ -241,9 +383,9 @@ let prop_eta_positive =
 (* The tracker queries on the ant hot path allocate nothing: each is
    measured over 10k calls, net of the measuring loop. Nothing is
    scheduled, so the live-in pressure is also the peak, and targets at
-   that pressure send every candidate with a def past the scan-free
-   defs-bound fast path into the full effects scan — the slow path a
-   closure in [compute_effects] would make allocate. *)
+   that pressure make the fit filter and [fits_within] reject every
+   candidate that would open a live range, so both outcomes of the fit
+   decision are measured. *)
 let test_rp_queries_allocation_free () =
   let g =
     Ddg.Graph.build (Workload.Shapes.transform (Support.Rng.create 3) ~unroll:10 ~chain:4)
@@ -255,9 +397,8 @@ let test_rp_queries_allocation_free () =
   let all = Array.init n Fun.id in
   let cand = Array.copy all in
   let fitting = Sched.Rp_tracker.filter_fits_prefix t ~cand ~n_cand:n ~target_vgpr ~target_sgpr in
-  (* a rejected candidate can only come out of the effects scan *)
-  Alcotest.(check bool) "targets reach the slow path" true (fitting < n);
-  (* [fits_within] answers [false] only from the effects scan *)
+  Alcotest.(check bool) "targets reject a candidate" true (fitting < n);
+  (* a candidate [fits_within] rejects *)
   let i =
     List.find
       (fun i -> not (Sched.Rp_tracker.fits_within t i ~target_vgpr ~target_sgpr))
@@ -563,6 +704,14 @@ let suite =
         prop_cost_scalar_consistent;
       ]
   @ [
+      Tu.qtest_witnessed_all
+        [
+          (nonssa_redef, "a redefined register");
+          (nonssa_use_def, "an instruction using and defining one register");
+          (nonssa_dup_use, "a register used twice by one instruction");
+          (nonssa_live_in_redef, "a redefined live-in");
+        ]
+        prop_tracker_nonssa;
       Tu.qtest_witnessed_all
         [
           (feasible_cases, "cycles that wait out every latency");

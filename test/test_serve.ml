@@ -220,6 +220,16 @@ let test_parse_typed_errors () =
   in
   Alcotest.(check string) "latency sum above the cap" "bad-region"
     (code ("op=compile id=x\nregion chain (2000 instrs)\n" ^ chain));
+  (* 20,000 single-cycle links: under the latency cap, past the
+     instruction cap *)
+  let long_chain =
+    String.concat ""
+      (List.init 20_000 (fun i ->
+           if i = 0 then "  %0: v_alu@1 v0 <-\n"
+           else Printf.sprintf "  %%%d: v_alu@1 v%d <- v%d\n" i i (i - 1)))
+  in
+  Alcotest.(check string) "instructions above the cap" "bad-region"
+    (code ("op=compile id=x\nregion chain (20000 instrs)\n" ^ long_chain));
   (* the error reply still carries the id that could be salvaged *)
   match Pipeline.Serve.parse_request "op=compile id=salvaged blorp=1" with
   | Error (id, _) -> Alcotest.(check string) "salvaged id" "salvaged" id

@@ -67,6 +67,38 @@ let random_region ?(max_size = 40) seed =
   (match !vpool with v :: _ -> Ir.Builder.mark_live_out b v | [] -> ());
   Ir.Builder.finish b
 
+(* Deterministic random region that is not SSA, over a handful of
+   register names: registers are redefined, an instruction may use and
+   define one register or read one register twice, a register read
+   before its first definition is a redefined live-in, and some
+   registers are live-out. *)
+let random_nonssa_region seed =
+  let rng = Support.Rng.create seed in
+  let b = Ir.Builder.create ~name:(Printf.sprintf "nonssa%d" seed) in
+  let names =
+    [| Ir.Reg.vgpr 0; Ir.Reg.vgpr 1; Ir.Reg.vgpr 2; Ir.Reg.vgpr 3; Ir.Reg.sgpr 0; Ir.Reg.sgpr 1 |]
+  in
+  let seen = ref [] in
+  for _ = 1 to 1 + Support.Rng.int rng 24 do
+    let draw k = List.init (Support.Rng.int rng k) (fun _ -> Support.Rng.choose rng names) in
+    let uses = draw 4 in
+    let defs = List.sort_uniq Ir.Reg.compare (draw 3) in
+    Ir.Builder.emit b Ir.Opcode.Valu ~defs ~uses;
+    seen := defs @ uses @ !seen
+  done;
+  (* a register that appears is defined or live-in, so it may be live-out *)
+  Array.iter
+    (fun r ->
+      if List.exists (Ir.Reg.equal r) !seen && Support.Rng.int rng 3 = 0 then
+        Ir.Builder.mark_live_out b r)
+    names;
+  Ir.Builder.finish b
+
+let arb_nonssa_region =
+  QCheck.make
+    ~print:(fun r -> Ir.Region.to_string r)
+    (QCheck.Gen.map (fun seed -> random_nonssa_region (abs seed)) QCheck.Gen.int)
+
 (* 23 instructions whose pass 2 can meet its length lower bound in one
    iteration: under [test_params] the seq colony does so from seed 1 and
    the GPU model on [test_gpu] from seed 12; other seeds stop one cycle

@@ -91,13 +91,14 @@ let write_obs_json ~untraced_ns ~traced_ns ~overhead_pct =
   Printf.fprintf oc
     "{\n\
     \  \"wavefront_iteration\": {\n\
+    \    \"pairs\": %d,\n\
     \    \"untraced_ns_per_run\": %.0f,\n\
     \    \"traced_ns_per_run\": %.0f,\n\
     \    \"overhead_pct\": %.2f,\n\
     \    \"ceiling_pct\": %.0f\n\
     \  }\n\
      }\n"
-    untraced_ns traced_ns overhead_pct Micro.obs_ceiling_pct;
+    Micro.obs_pairs untraced_ns traced_ns overhead_pct Micro.obs_ceiling_pct;
   close_out oc;
   Printf.eprintf "# wrote %s\n%!" file
 
@@ -215,9 +216,9 @@ let () =
   if List.mem "obs-gate" wanted then begin
     let untraced_ns, traced_ns, overhead_pct = Micro.obs_overhead () in
     Printf.printf
-      "obs-gate: wavefront_iteration %.0f ns untraced, %.0f ns traced (overhead %.2f%%, \
-       ceiling %.0f%%)\n"
-      untraced_ns traced_ns overhead_pct Micro.obs_ceiling_pct;
+      "obs-gate: wavefront_iteration %.0f ns untraced, %.0f ns traced (median of %d pairs; \
+       overhead %.2f%%, ceiling %.0f%%)\n"
+      untraced_ns traced_ns Micro.obs_pairs overhead_pct Micro.obs_ceiling_pct;
     write_obs_json ~untraced_ns ~traced_ns ~overhead_pct;
     if overhead_pct > Micro.obs_ceiling_pct then begin
       Printf.eprintf

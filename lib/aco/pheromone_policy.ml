@@ -1,20 +1,18 @@
-(* Pluggable pheromone-update rules. The colony drivers ([Colony],
-   [Gpusim.Par_aco], the weighted standalone loop) call exactly three
-   hooks per pass — [init] once before the iteration loop, [update] once
-   per completed iteration, [evaporate] for iterations whose winner was
-   lost to a fault — and otherwise never touch the table. That boundary
-   is what lets MAX-MIN Ant System slot in without the drivers changing.
+(* Pluggable pheromone-update rules. The iteration loop
+   ([Colony.run_pass]) calls exactly three hooks per pass — [init] once
+   before the first iteration, [update] once per completed iteration,
+   [evaporate] for failed iterations — and otherwise never touches the
+   table. That boundary is what lets MAX-MIN Ant System slot in without
+   the loop changing.
 
    Byte-identity discipline: [As] must reproduce the historical inline
    code exactly — same [Pheromone] calls in the same order, same float
-   expressions, and the same allocation count inside the drivers'
-   measured minor-words windows. The policy record and everything it
-   captures are allocated in [make] (backend [prepare] time, outside any
-   window); per-iteration [update] passes only immediates (an int cost,
-   an existing array), so the only allocation either policy shares with
-   the historical code is the boxed deposit amount. The qcheck
-   differentials in [test/test_engine.ml] and the policy suite enforce
-   this. *)
+   expressions. The policy record and everything it captures are
+   allocated in [make] (backend [prepare] time); per-iteration [update]
+   passes only immediates (an int cost, an existing array), so the only
+   allocation either policy makes per iteration is the boxed deposit
+   amount. The qcheck differentials in [test/test_engine.ml] and the
+   policy suite enforce this. *)
 
 type spec = As | Mmas
 
@@ -29,7 +27,7 @@ type t = {
          stagnation. [winner_cost = max_int] (with [no_order]) encodes a
          winner-less iteration. *)
   evaporate : Pheromone.t -> unit;
-      (* a faulted iteration: simulated time passed, so the table still
+      (* a failed iteration: its time passed, so the table still
          evaporates, but no deposit and no stagnation bookkeeping *)
   patience : int;
       (* improvement-free iterations the driver should tolerate before
@@ -39,7 +37,7 @@ type t = {
 
 (* Shared winner-less sentinel order: never read (a [max_int] cost is
    never a strict improvement and never deposited), so one empty array
-   serves every driver without allocating in the loop. *)
+   serves every pass without allocating in the loop. *)
 let no_order : int array = [||]
 
 let patience t = t.patience

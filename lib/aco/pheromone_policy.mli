@@ -3,18 +3,18 @@
     A policy owns every write to the {!Pheromone} table a colony makes:
     the initial bias ([init]), the per-iteration evaporate / deposit /
     clamp / stagnation step ([update]), and the evaporation-only path
-    for faulted iterations ([evaporate]). The drivers — {!Colony},
-    [Gpusim.Par_aco], the weighted standalone loop — are generic in the
-    policy, which is what makes new update rules (MAX-MIN Ant System
-    here, others later) a [make] call instead of a driver fork.
+    for failed iterations ([evaporate]). The one iteration loop,
+    {!Colony.run_pass}, is generic in the policy, which is what makes
+    new update rules (MAX-MIN Ant System here, others later) a [make]
+    call instead of a loop fork.
 
     Two implementations:
 
     - {!As} — the paper's vanilla Ant System: full evaporation each
       iteration, the iteration winner deposits [deposit / (1 + cost)].
-      Byte-identical to the historical inline code: same RNG stream,
-      same schedules, same minor-words (qcheck-proved against the
-      frozen references in [test/]).
+      Byte-identical to the historical inline code: same table, same
+      RNG stream, same schedules (qcheck-proved against the frozen
+      references in [test/]).
     - {!Mmas} — MAX-MIN Ant System (Skinderowicz, arXiv 2003.11902):
       only the best-so-far solution deposits, the trail is clamped into
       [[tau_min, tau_max]] with [tau_max = deposit / ((1 + best) * rho)]
@@ -30,17 +30,16 @@ type t = {
   spec : spec;
   init : Pheromone.t -> initial_order:int array -> initial_cost:int -> unit;
       (** Reset the table and bias it toward the initial (heuristic)
-          solution. Called once per pass, before the driver's measured
-          window opens. *)
+          solution. Called once per pass, before the first iteration. *)
   update : Pheromone.t -> winner_order:int array -> winner_cost:int -> unit;
       (** One completed iteration: evaporate, deposit, clamp, detect
           stagnation. A winner-less iteration passes {!no_order} and
           [winner_cost = max_int]. Allocates at most the boxed deposit
-          amount (the historical count) under {!As}. *)
+          amount under {!As}. *)
   evaporate : Pheromone.t -> unit;
-      (** A faulted iteration (GPU model): simulated time passed, so
-          the trail still evaporates, but nothing deposits and the
-          stagnation counter is untouched. *)
+      (** A failed iteration: its time passed, so the trail still
+          evaporates, but nothing deposits and the stagnation counter is
+          untouched. *)
   patience : int;
       (** Improvement-free iterations a driver should tolerate before
           ending the pass: the historical
@@ -55,8 +54,8 @@ val no_order : int array
 
 val make : spec -> params:Engine.Params.t -> n:int -> metrics:Obs.Metrics.t -> t
 (** Build a policy for a region of [n] instructions. All policy state
-    is allocated here — callers run it from backend [prepare], outside
-    any measured minor-words window. *)
+    is allocated here, at backend [prepare] time, so the per-iteration
+    hooks allocate at most the boxed deposit amount. *)
 
 val patience : t -> int
 val spec : t -> spec

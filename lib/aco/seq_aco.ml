@@ -40,9 +40,12 @@ let prepare ~policy ~(objective : Sched.Objective.t option) ctx (rc : Engine.Reg
 
 let run_order_pass st (req : Engine.Backend.order_request) =
   let order, _, stats =
-    Colony.run_pass st.colony ~mode:Ant.Rp_pass ~cost:st.rp_cost
-      ~artifact_of_ant:Ant.order
-      ~budget_work:(Colony.work_of_budget req.Engine.Backend.o_budget)
+    Colony.run_pass st.colony.Colony.search
+      ~iteration:
+        (Colony.sequential st.colony ~mode:Ant.Rp_pass ~cost:st.rp_cost
+           ~budget:req.Engine.Backend.o_budget)
+      ~ties:Colony.Keep
+      ~artifact_of_ant:(fun ant -> Some (Ant.order ant))
       ~pass_label:req.Engine.Backend.o_label
       ~initial_cost:req.Engine.Backend.o_initial_cost
       ~initial_order:req.Engine.Backend.o_initial_order
@@ -53,19 +56,17 @@ let run_order_pass st (req : Engine.Backend.order_request) =
 
 let run_schedule_pass st (req : Engine.Backend.schedule_request) =
   let schedule, _, stats =
-    Colony.run_pass st.colony
-      ~mode:
-        (Ant.Ilp_pass
-           {
-             target_vgpr = req.Engine.Backend.s_target_vgpr;
-             target_sgpr = req.Engine.Backend.s_target_sgpr;
-           })
-      ~cost:st.pass2_cost
-      ~artifact_of_ant:(fun ant ->
-        match Ant.schedule ant with
-        | Some s -> s
-        | None -> invalid_arg "Seq_aco: finished ant produced invalid schedule")
-      ~budget_work:(Colony.work_of_budget req.Engine.Backend.s_budget)
+    Colony.run_pass st.colony.Colony.search
+      ~iteration:
+        (Colony.sequential st.colony
+           ~mode:
+             (Ant.Ilp_pass
+                {
+                  target_vgpr = req.Engine.Backend.s_target_vgpr;
+                  target_sgpr = req.Engine.Backend.s_target_sgpr;
+                })
+           ~cost:st.pass2_cost ~budget:req.Engine.Backend.s_budget)
+      ~ties:Colony.Keep ~artifact_of_ant:Ant.schedule
       ~pass_label:req.Engine.Backend.s_label
       ~initial_cost:
         (req.Engine.Backend.s_initial_length

@@ -59,19 +59,18 @@ module Backend_impl = struct
         ~sgpr:(Ddg.Lower_bounds.register_pressure st.graph Ir.Reg.Sgpr)
     in
     let schedule, _, stats =
-      Colony.run_pass st.colony
-        ~mode:
-          (Ant.Ilp_pass
-             {
-               target_vgpr = Sched.Objective.no_target;
-               target_sgpr = Sched.Objective.no_target;
-             })
-        ~cost:(fun ~length ~vgpr ~sgpr -> scalar st.occ ~length ~vgpr ~sgpr)
-        ~artifact_of_ant:(fun ant ->
-          match Ant.schedule ant with
-          | Some s -> s
-          | None -> invalid_arg "Weighted_aco: finished ant produced invalid schedule")
-        ~budget_work:(Colony.work_of_budget req.Engine.Backend.s_budget)
+      Colony.run_pass st.colony.Colony.search
+        ~iteration:
+          (Colony.sequential st.colony
+             ~mode:
+               (Ant.Ilp_pass
+                  {
+                    target_vgpr = Sched.Objective.no_target;
+                    target_sgpr = Sched.Objective.no_target;
+                  })
+             ~cost:(fun ~length ~vgpr ~sgpr -> scalar st.occ ~length ~vgpr ~sgpr)
+             ~budget:req.Engine.Backend.s_budget)
+        ~ties:Colony.Keep ~artifact_of_ant:Ant.schedule
         ~pass_label:req.Engine.Backend.s_label ~initial_cost
         ~initial_order:(Sched.Schedule.order req.Engine.Backend.s_initial)
         ~initial_artifact:req.Engine.Backend.s_initial ~lb_cost

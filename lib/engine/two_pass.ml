@@ -2,11 +2,10 @@
    pass-1/pass-2 sequencing, lower-bound gating, the RP-target handoff
    and budget threading, now written once against the backend interface.
 
-   Byte-identity note: everything here runs outside any backend's
-   measured window (the minor-words snapshots live inside the backends'
-   pass loops), and no randomness is drawn, so routing a driver through
-   this module leaves its schedules, RNG streams and reported stats
-   exactly as before. *)
+   Byte-identity note: everything here runs outside the iteration
+   loop's measured minor-words window, and no randomness is drawn, so
+   routing a driver through this module leaves its schedules, RNG
+   streams and reported stats exactly as before. *)
 
 let run (backend : Backend.t) (ctx : Backend.ctx) (rc : Region_ctx.t) : Types.result =
   let module B = (val backend : Backend.S) in

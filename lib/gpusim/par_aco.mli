@@ -4,10 +4,12 @@
     One ant per thread, one wavefront per block; per iteration all
     wavefronts construct schedules in lockstep, a tree reduction selects
     the iteration winner, and the pheromone table is updated in parallel.
-    The algorithm itself is exact — it produces real schedules that must
-    validate — while its wall time is charged by {!Kernel_sim},
-    {!Divergence} and {!Mem_model} under the configuration's
-    optimization toggles. *)
+    The iteration loop is the CPU colony's ([Aco.Colony.run_pass]); this
+    backend supplies the lockstep iteration and ships an equal-cost
+    winner ([Aco.Colony.Replace]). The algorithm itself is exact — it
+    produces real schedules that must validate — while its wall time is
+    charged by {!Kernel_sim}, {!Divergence} and {!Mem_model} under the
+    configuration's optimization toggles. *)
 
 type Engine.Backend.ext +=
   | Gpu_config of Config.t
@@ -29,22 +31,27 @@ val backend : Engine.Backend.t
     timestamped in simulated nanoseconds. [ctx.metrics] records
     per-iteration best-cost and pheromone-entropy series named
     ["<label>passN.*"] plus fault and robustness counters. Disabled
-    recorders are true no-ops: schedules, RNG streams and the reported
-    [minor_words] stay byte-identical.
+    recorders are true no-ops: schedules, RNG streams and simulated
+    times stay byte-identical, and they allocate nothing inside a
+    pass.
 
     Robustness: fault injection follows the [Gpu_config]'s [faults] and
     [fault_seed] (with every rate zero the injector draws no randomness,
-    so the run is byte-identical to one without the fault model). Every
-    constructed winner must pass schedule validation before it is
-    trusted, and:
+    so the run is byte-identical to one without the fault model). An
+    iteration winner whose artifact does not build — an order that is
+    not a valid schedule, a schedule that does not validate — fails the
+    iteration like an injected fault, and:
     - a [Time_ns] budget is shared across both passes; an over-budget
       pass aborts keeping its best-so-far artifact and stops with
       [Budget];
     - the [Watchdog] deadline bounds a single iteration
       ({!Kernel_sim.watchdog_clamp}); a fired watchdog discards the
       iteration's winner and charges exactly the deadline;
-    - after [max_retries] consecutive faulted iterations the pass
-      degrades to its best-so-far and stops with [Faults]. *)
+    - a failed iteration evaporates the table without a deposit and is
+      retried from a reseeded stream after an exponential backoff
+      charged to simulated time; after [max_retries] consecutive failed
+      iterations the pass degrades to its best-so-far and stops with
+      [Faults]. *)
 
 val register : unit -> unit
 (** Install {!backend} in {!Engine.Registry} (idempotent). *)

@@ -10,9 +10,9 @@ type t = {
   fault_at : int array;  (* per-lane injected fault step, -1 = none *)
   maxima : int array;  (* per-path-rank max op cost of one lockstep step *)
   (* Observability hooks. Mutable fields (not optional arguments) so the
-     per-iteration call adds no [Some] wrapping inside the measured
-     minor-words window; scratch arrays are preallocated here so the
-     traced path needs no fresh refs in the hot loop either. *)
+     per-iteration call adds no [Some] wrapping inside a pass; scratch
+     arrays are preallocated here so the traced path needs no fresh refs
+     in the hot loop either. *)
   mutable trace : Obs.Trace.t;
   mutable metrics : Obs.Metrics.t;
   mutable track : int;
@@ -74,8 +74,7 @@ let retire t =
   Support.Fmat.give t.fmat
 
 (* The candidate meter, summed over the lanes. Cumulative (the trackers
-   are never reset); drivers snapshot deltas around a pass, outside their
-   minor-words windows. *)
+   are never reset); the iteration loop reports its delta over a pass. *)
 let scored_candidates t =
   Array.fold_left (fun acc a -> acc + Aco.Ant.scored_candidates a) 0 t.ants
 

@@ -38,8 +38,8 @@ val retire : t -> unit
 
 val scored_candidates : t -> int
 (** Cumulative fit-evaluated pass-2 candidates, summed over the lanes
-    ({!Aco.Ant.scored_candidates}); drivers snapshot deltas around a
-    pass. *)
+    ({!Aco.Ant.scored_candidates}); the iteration loop reports its
+    delta over a pass. *)
 
 val set_obs :
   t ->
@@ -58,8 +58,8 @@ val set_obs :
     to that slot as it finishes. Mutable fields rather than per-call
     optional arguments — and driver-shared scratch arrays rather than
     values threaded through closures — so the untraced hot path (defaults
-    [Obs.Trace.null] / [Obs.Metrics.null]) stays allocation-free inside
-    the drivers' minor-words measurement windows. With tracing on, each
+    [Obs.Trace.null] / [Obs.Metrics.null]) stays allocation-free. With
+    tracing on, each
     lockstep round becomes a span on [track], and lane quarantines,
     memory replays and wavefront hangs become instant events; metrics
     record ready-list occupancy, optional stalls and the divergence

@@ -8,12 +8,13 @@
    differ from the requester's. Names never reach the compiler's output.
    So the contract is enforced over this canonical encoding, which spells
    out every semantically meaningful field — slots, cycles, costs, every
-   pass-stats field including the allocation counters and per-iteration
-   convergence series, degradation ledger entries, retry and fault
-   tallies — and deliberately omits the identity of the graph object
-   behind a schedule. Two reports with equal encodings direct the
-   assembler to emit the same instruction streams and report the same
-   telemetry. *)
+   pass-stats field with its per-iteration convergence series,
+   degradation ledger entries, retry and fault tallies — and
+   deliberately omits the identity of the graph object behind a
+   schedule, and the host allocation a pass measured ([minor_words]: a
+   host metric, bounded by the alloc gate, not behaviour). Two reports
+   with equal encodings direct the assembler to emit the same
+   instruction streams and report the same telemetry. *)
 
 let fl b v = Buffer.add_string b (Printf.sprintf "%h" v)
 
@@ -72,7 +73,9 @@ let faults b (f : Engine.Types.fault_counts) =
    faults — each at the old flag's position, so every digest taken before
    the flags were folded (the goldens, persisted serve memos) still
    matches. Patience vs Max_iterations needs no character: the digested
-   iteration count against the configured cap tells them apart. *)
+   iteration count against the configured cap tells them apart.
+   [minor_words] keeps its position as 0.0, the value the goldens always
+   hashed there. *)
 let pass b (p : Engine.Types.pass_stats) =
   bool b p.Engine.Types.invoked;
   int b p.Engine.Types.iterations;
@@ -87,7 +90,7 @@ let pass b (p : Engine.Types.pass_stats) =
   int b p.Engine.Types.ant_steps;
   int b p.Engine.Types.selections;
   ints b p.Engine.Types.best_costs;
-  fl b p.Engine.Types.minor_words;
+  fl b 0.0;
   int b p.Engine.Types.retries;
   bool b (p.Engine.Types.stop = Engine.Types.Budget);
   bool b (p.Engine.Types.stop = Engine.Types.Faults);

@@ -7,9 +7,10 @@
     the first structurally-equal region seen (names may differ, output
     never does), so the promise is stated over this canonical encoding:
     every semantically meaningful field — schedule slots and cycles,
-    costs, the full pass statistics including allocation counters and
-    convergence series, degradation ledger entries, retry and fault
-    tallies — spelled out positionally, graph identities omitted.
+    costs, the pass statistics with their convergence series,
+    degradation ledger entries, retry and fault tallies — spelled out
+    positionally, graph identities omitted. A pass's [minor_words] is
+    host allocation, not behaviour: its position always reads 0.0.
 
     The qcheck differentials and the CI cache gate compare {!digest}
     values. *)

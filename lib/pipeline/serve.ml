@@ -370,7 +370,10 @@ let shed_point t =
 
 (* ---- persistence ------------------------------------------------- *)
 
-let persist_version = 1
+(* Bumped whenever what a blob holds changes meaning, the memoized
+   report digests included: a warm restart must not replay digests an
+   older encoding computed. 2: digests hash [minor_words] as 0.0. *)
+let persist_version = 2
 let regions_path dir = Filename.concat dir "analysis.blob"
 let memo_path dir = Filename.concat dir "memo.blob"
 

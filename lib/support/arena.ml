@@ -52,8 +52,8 @@ let words t =
    zero-fills the used prefixes, so a pooled arena is indistinguishable
    from a fresh zero-filled one (consumers may rely on zero
    initialization). Allocation happens outside every measured
-   minor-words window (the perf counters snapshot inside the pass
-   loops), so pooling perturbs no digested statistic. *)
+   minor-words window (the perf counters snapshot inside the iteration
+   loop), so pooling perturbs no reported statistic. *)
 
 let reset t =
   Array.fill t.ints 0 t.int_used 0;

@@ -326,6 +326,164 @@ let test_weighted_vs_two_pass_on_pressure () =
     >= weighted.Aco.Weighted_aco.cost.Sched.Cost.rp.Sched.Cost.occupancy)
 
 
+(* The iteration loop's contract on its own: [Colony.run_pass] driven by
+   a scripted iteration on an As table, against a plain model of the
+   loop. Each scripted step is one iteration's outcome; a refused winner
+   is one whose artifact does not build. Past the script every
+   iteration is clean and winner-less. The artifact is the index of the
+   step whose winner the pass emitted (-1: the initial artifact). *)
+type step = Win of int | Refused of int * bool | Empty | Fault of bool
+
+let arb_loop_script =
+  let open QCheck in
+  let step =
+    Gen.frequency
+      [
+        (5, Gen.map (fun c -> Win c) (Gen.int_range 0 12));
+        (1, Gen.map2 (fun c abort -> Refused (c, abort)) (Gen.int_range 0 12) Gen.bool);
+        (2, Gen.return Empty);
+        (2, Gen.map (fun abort -> Fault abort) (Gen.oneofl [ false; false; false; true ]));
+      ]
+  in
+  let show = function
+    | Win c -> Printf.sprintf "W%d" c
+    | Refused (c, a) -> Printf.sprintf "R%d%s" c (if a then "!" else "")
+    | Empty -> "E"
+    | Fault a -> if a then "A" else "F"
+  in
+  make
+    ~print:(fun (n, cap, initial, lb, budget, replace, steps) ->
+      Printf.sprintf "n=%d cap=%d initial=%d lb=%d budget=%d replace=%b [%s]" n cap initial lb
+        budget replace
+        (String.concat ";" (List.map show steps)))
+    Gen.(
+      tup7 (oneofl [ 8; 60; 120 ]) (int_range 1 14) (int_range 4 12) (int_range 0 4)
+        (int_range 0 16) bool
+        (list_size (int_range 0 16) step))
+
+(* One finished ant: the loop reads its order for the deposit, so every
+   scripted winner reuses it. *)
+let finished_ant =
+  lazy
+    (let g = Ddg.Graph.build (Tu.diamond_region ()) in
+     let ant = Aco.Ant.create g Tu.test_params in
+     Aco.Ant.start ant ~rng:(Support.Rng.create 1) ~heuristic:Sched.Heuristic.Critical_path
+       ~allow_optional_stalls:false Aco.Ant.Rp_pass;
+     Aco.Ant.run_to_completion ant ~pheromone:(Aco.Pheromone.create ~n:(Ddg.Graph.size g) ~initial:1.0);
+     ant)
+
+(* Witnesses: every stop reason, an equal-cost winner replacing the
+   artifact, and a refused winner. *)
+let stops_seen =
+  List.map
+    (fun (stop, what) -> (stop, (ref 0, "a stop on " ^ what)))
+    Engine.Types.
+      [
+        (Faults, "faults");
+        (Budget, "budget");
+        (Lower_bound, "the bound");
+        (Max_iterations, "the cap");
+        (Patience, "patience");
+      ]
+
+let ties_replaced = ref 0
+let refusals = ref 0
+
+let prop_loop_contract =
+  QCheck.Test.make ~count:400 ~name:"one iteration loop follows its contract" arb_loop_script
+    (fun (n, max_iterations, initial_cost, lb_cost, budget, replace, steps) ->
+      let ant = Lazy.force finished_ant in
+      let params = { Tu.test_params with Engine.Params.max_iterations } in
+      let search =
+        Aco.Colony.search Aco.Pheromone_policy.As ~params ~n ~metrics:Obs.Metrics.null
+      in
+      let patience = Aco.Pheromone_policy.patience search.Aco.Colony.policy in
+      let script = Array.of_list steps in
+      let step k = if k < Array.length script then script.(k) else Empty in
+      (* the scripted iteration; [budget] iterations exhaust the budget *)
+      let ran = ref 0 in
+      let settled = ref [] in
+      let iteration =
+        {
+          Aco.Colony.run =
+            (fun () ->
+              incr ran;
+              match step (!ran - 1) with
+              | Win c | Refused (c, _) -> Aco.Colony.Winner (ant, c)
+              | Empty -> Aco.Colony.No_winner
+              | Fault _ -> Aco.Colony.Failed);
+          settle =
+            (fun outcome ~best_cost ->
+              let kind =
+                match outcome with
+                | Aco.Colony.Winner _ -> "winner"
+                | Aco.Colony.No_winner -> "empty"
+                | Aco.Colony.Failed -> "failed"
+              in
+              settled := (kind, best_cost) :: !settled;
+              match step (!ran - 1) with Refused (_, abort) | Fault abort -> not abort | _ -> true);
+          exhausted = (fun () -> !ran >= budget);
+          scored = (fun () -> 0);
+          finish = (fun ~best_cost:_ stats -> stats);
+        }
+      in
+      let artifact, cost, stats =
+        Aco.Colony.run_pass search ~iteration
+          ~ties:(if replace then Aco.Colony.Replace else Aco.Colony.Keep)
+          ~artifact_of_ant:(fun _ ->
+            match step (!ran - 1) with
+            | Refused _ ->
+                incr refusals;
+                None
+            | _ -> Some (!ran - 1))
+          ~pass_label:"p" ~initial_cost ~initial_order:(Aco.Ant.order ant) ~initial_artifact:(-1)
+          ~lb_cost
+      in
+      (* the model *)
+      let best = ref initial_cost and art = ref (-1) and improved = ref false in
+      let iterations = ref 0 and no_improve = ref 0 and aborted = ref false in
+      let series = ref [ initial_cost ] and expect_settled = ref [] in
+      while
+        (not !aborted) && !iterations < budget && !best > lb_cost && !no_improve < patience
+        && !iterations < max_iterations
+      do
+        let k = !iterations in
+        incr iterations;
+        let kind =
+          match step k with
+          | Win c ->
+              if replace && c = !best then incr ties_replaced;
+              if c < !best || (replace && c = !best) then art := k;
+              if c < !best then begin
+                best := c;
+                improved := true;
+                no_improve := 0
+              end
+              else incr no_improve;
+              "winner"
+          | Empty ->
+              incr no_improve;
+              "empty"
+          | Refused (_, abort) | Fault abort ->
+              if abort then aborted := true;
+              "failed"
+        in
+        expect_settled := (kind, !best) :: !expect_settled;
+        series := !best :: !series
+      done;
+      let expect_stop =
+        Engine.Types.stop_of ~faults:!aborted ~budget:(!iterations >= budget)
+          ~lower_bound:(!best <= lb_cost) ~capped:(!iterations >= max_iterations)
+      in
+      incr (fst (List.assoc expect_stop stops_seen));
+      artifact = !art && cost = !best
+      && stats.Engine.Types.invoked
+      && stats.Engine.Types.iterations = !iterations
+      && stats.Engine.Types.improved = !improved
+      && stats.Engine.Types.stop = expect_stop
+      && Array.to_list stats.Engine.Types.best_costs = List.rev !series
+      && !settled = !expect_settled && !ran = !iterations)
+
 let suite =
   [
     Alcotest.test_case "pheromone basics" `Quick test_pheromone_basics;
@@ -357,4 +515,9 @@ let suite =
   @ [
       Tu.qtest_witnessed ~witness:finished_pass2_ants ~what:"a finished pass-2 ant"
         prop_ant_bounds_sound;
+      Tu.qtest_witnessed_all
+        ((ties_replaced, "an equal-cost winner replacing the artifact")
+        :: (refusals, "a refused winner")
+        :: List.map snd stops_seen)
+        prop_loop_contract;
     ]

@@ -333,19 +333,25 @@ let warmup =
      ignore
        (Engine.Two_pass.run Gpusim.Par_aco.backend (ctx on_gpu ~seed:1 Engine.Types.Unlimited) rc))
 
-(* Every field but [work], which the colony's cut-off may only lower:
-   it stops ants the frozen loop runs to the end. *)
+(* Every field but [work], which the colony's cut-off may only lower
+   (it stops ants the frozen loop runs to the end), and [minor_words],
+   which may not exceed the frozen loop's: allocation is bounded, not
+   replayed. *)
 let check_seq_stats label (g : Engine.Types.pass_stats) (e : Engine.Types.pass_stats) =
   let key (s : Engine.Types.pass_stats) =
     ( (s.invoked, s.iterations, s.ants_simulated, s.improved),
-      (s.stop, Array.to_list s.best_costs, s.minor_words) )
+      (s.stop, Array.to_list s.best_costs) )
   in
   let show (s : Engine.Types.pass_stats) =
     Printf.sprintf "it=%d ants=%d work=%d imp=%b stop=%s mw=%.0f bc=%d" s.iterations
       s.ants_simulated s.work s.improved (stop_label s.stop) s.minor_words
       (Array.length s.best_costs)
   in
-  if key g <> key e || e.Engine.Types.work > g.Engine.Types.work then
+  if
+    key g <> key e
+    || e.Engine.Types.work > g.Engine.Types.work
+    || e.Engine.Types.minor_words > g.Engine.Types.minor_words
+  then
     Alcotest.failf "%s: pass stats diverged from the frozen driver (golden: %s | engine: %s)"
       label (show g) (show e);
   (* fields the sequential colony never touches stay at their defaults *)
@@ -366,6 +372,8 @@ let stop_of_ref_flags (g : Ref.Par_ref.pass_stats) =
     Engine.Types.Max_iterations
   else Engine.Types.Patience
 
+(* Every field exactly but [minor_words], which may not exceed the
+   frozen driver's. *)
 let check_par_stats label (g : Ref.Par_ref.pass_stats) (e : Engine.Types.pass_stats) =
   let gt =
     ( ( g.Ref.Par_ref.invoked,
@@ -381,7 +389,6 @@ let check_par_stats label (g : Ref.Par_ref.pass_stats) (e : Engine.Types.pass_st
         g.Ref.Par_ref.ant_steps,
         g.Ref.Par_ref.selections ),
       ( Array.to_list g.Ref.Par_ref.best_costs,
-        g.Ref.Par_ref.minor_words,
         g.Ref.Par_ref.retries,
         g.Ref.Par_ref.fault_counts ) )
   in
@@ -399,11 +406,13 @@ let check_par_stats label (g : Ref.Par_ref.pass_stats) (e : Engine.Types.pass_st
         e.Engine.Types.ant_steps,
         e.Engine.Types.selections ),
       ( Array.to_list e.Engine.Types.best_costs,
-        e.Engine.Types.minor_words,
         e.Engine.Types.retries,
         e.Engine.Types.fault_counts ) )
   in
-  if gt <> et then Alcotest.failf "%s: pass stats diverged from the frozen driver" label
+  if gt <> et then Alcotest.failf "%s: pass stats diverged from the frozen driver" label;
+  if e.Engine.Types.minor_words > g.Ref.Par_ref.minor_words then
+    Alcotest.failf "%s: %.0f minor words, above the frozen driver's %.0f" label
+      e.Engine.Types.minor_words g.Ref.Par_ref.minor_words
 
 (* Cases on which the engine spent strictly less work than the frozen
    driver: the differential must see at least one. *)
@@ -475,10 +484,16 @@ let seq_differential =
         [ max_int; 40_000; 500 ];
       true)
 
+(* Cases on which the GPU model ran a pass: the differential must see
+   at least one. It draws only regions the bounds leave open, as the seq
+   differential does: on arbitrary random regions both passes are
+   skipped and the GPU loop never runs. *)
+let par_searched = ref 0
+
 let par_differential =
   QCheck.Test.make ~count:8
     ~name:"par backend through the engine replays the frozen driver byte for byte"
-    (QCheck.pair (Tu.arb_region ~max_size:40 ()) QCheck.small_int)
+    (QCheck.pair (Tu.arb_searched_region ~max_size:40 ()) QCheck.small_int)
     (fun (region, seed) ->
       Lazy.force warmup;
       let rc = Engine.Region_ctx.of_region Tu.occ region in
@@ -517,7 +532,9 @@ let par_differential =
             <> Sched.Schedule.order e.Engine.Types.pass2_initial
           then Alcotest.failf "%s: pass-2 seeds diverged" label;
           check_par_stats (label ^ " pass1") g.Ref.Par_ref.pass1 e.Engine.Types.pass1;
-          check_par_stats (label ^ " pass2") g.Ref.Par_ref.pass2 e.Engine.Types.pass2)
+          check_par_stats (label ^ " pass2") g.Ref.Par_ref.pass2 e.Engine.Types.pass2;
+          if e.Engine.Types.pass1.Engine.Types.invoked || e.Engine.Types.pass2.Engine.Types.invoked
+          then incr par_searched)
         [
           (0.0, infinity, infinity, 2);
           (0.2, infinity, infinity, 2);
@@ -704,7 +721,8 @@ let suite =
   ]
   @ Tu.qtests [ race_picks_best ]
   @ [ Tu.qtest_witnessed ~witness:cut_cases ~what:"a cut ant" seq_differential ]
-  @ Tu.qtests [ par_differential; analyses_spec ]
+  @ [ Tu.qtest_witnessed ~witness:par_searched ~what:"a searched pass" par_differential ]
+  @ Tu.qtests [ analyses_spec ]
   @ [
       Tu.qtest_witnessed_all
         [ (luc_wins, "the LUC order winning"); (luc_skipped, "the LUC order skipped") ]

@@ -10,10 +10,10 @@
    bound leaves one test-scale region open, so each backend also has a
    digest over eight generator shapes every backend searches (the open
    fixture of [Tables.mmas_check_regions]).
-   Every pass's [minor_words] is zeroed before digesting: allocation is a
+   The digest hashes every pass's [minor_words] as 0.0: allocation is a
    host metric, bounded by the alloc gate, not behaviour. Everything else
-   the digest spells out — schedules, costs, convergence series, work,
-   simulated time, fault tallies, ledger entries — must match exactly.
+   it spells out — schedules, costs, convergence series, work, simulated
+   time, fault tallies, ledger entries — must match exactly.
 
    The standalone weighted-sum search feeds the [objective] bench table
    outside the pipeline, so its results are pinned separately. *)
@@ -33,31 +33,6 @@ let compile ?(fault_rate = 0.0) ?compile_budget_ms backend =
   Pipeline.Compile.run_suite ~cache:(Lazy.force cache)
     { config with Pipeline.Compile.run_sequential = false }
     (Lazy.force workload)
-
-let scrub_pass (p : Engine.Types.pass_stats) = { p with Engine.Types.minor_words = 0.0 }
-
-let scrub_region (r : Pipeline.Compile.region_report) =
-  let run (r : Pipeline.Compile.backend_run) =
-    let res = r.Pipeline.Compile.result in
-    {
-      r with
-      Pipeline.Compile.result =
-        {
-          res with
-          Engine.Types.pass1 = scrub_pass res.Engine.Types.pass1;
-          pass2 = scrub_pass res.Engine.Types.pass2;
-        };
-    }
-  in
-  { r with Pipeline.Compile.runs = List.map run r.Pipeline.Compile.runs }
-
-let scrub (report : Pipeline.Compile.suite_report) =
-  let kernel (k : Pipeline.Compile.kernel_report) =
-    { k with Pipeline.Compile.regions = List.map scrub_region k.Pipeline.Compile.regions }
-  in
-  { report with Pipeline.Compile.kernels = List.map kernel report.Pipeline.Compile.kernels }
-
-let digest report = Pipeline.Report_digest.digest (scrub report)
 
 let regions_of (report : Pipeline.Compile.suite_report) =
   List.concat_map
@@ -84,7 +59,10 @@ let check_invoked name regions =
 let golden name expected report () =
   let report = report () in
   check_invoked name (regions_of report);
-  Alcotest.(check string) (name ^ " behavioural digest") expected (digest report)
+  Alcotest.(check string)
+    (name ^ " behavioural digest")
+    expected
+    (Pipeline.Report_digest.digest report)
 
 let goldens =
   [
@@ -154,7 +132,7 @@ let open_golden backend ~searched expected () =
     (Digest.to_hex
        (Digest.string
           (String.concat ""
-             (List.map (fun r -> Pipeline.Report_digest.render_region (scrub_region r)) regions))))
+             (List.map Pipeline.Report_digest.render_region regions))))
 
 let open_goldens =
   [

@@ -432,9 +432,14 @@ let region_signature (r : Pipeline.Compile.region_report) =
       Pipeline.Compile.seq_pass1_time_ns r,
       Pipeline.Compile.seq_pass2_time_ns r ) )
 
+(* Compiles in which the traced run ran a pass: the regions are ones
+   the bounds leave open, so the iteration loop runs under the
+   recorders. *)
+let traced_passes = ref 0
+
 let tracing_is_inert =
   QCheck.Test.make ~count:8 ~name:"live recorders never perturb the compile"
-    (QCheck.pair (Tu.arb_region ~max_size:30 ()) QCheck.small_int)
+    (QCheck.pair (Tu.arb_searched_region ~max_size:30 ()) QCheck.small_int)
     (fun (region, seed) ->
       List.iter
         (fun (fault_rate, compile_budget_ms) ->
@@ -448,6 +453,8 @@ let tracing_is_inert =
           let on =
             Pipeline.Compile.run_region ~trace ~metrics ~log (cfg ()) ~name:"r" region
           in
+          if on.Pipeline.Compile.pass1_invoked || on.Pipeline.Compile.pass2_invoked then
+            incr traced_passes;
           if region_signature off <> region_signature on then
             Alcotest.failf
               "recorders perturbed the compile (fault_rate=%s budget=%s)"
@@ -477,10 +484,15 @@ let tracing_is_inert =
    with the null recorders explicitly passed must be byte-identical —
    same digest — to one where the hooks were never supplied at all.
    This is what lets production leave the instrumentation parameters in
-   place and toggle observability by value. *)
+   place and toggle observability by value. The digest leaves out host
+   allocation, so every pass's [minor_words] is compared on its own: a
+   null recorder must not allocate inside a pass either. The regions
+   are ones the bounds leave open, so the passes run. *)
+let null_passes = ref 0
+
 let null_recorders_are_absent =
   QCheck.Test.make ~count:10 ~name:"null log/trace digest-identical to absent"
-    (QCheck.pair (Tu.arb_region ~max_size:30 ()) QCheck.small_int)
+    (QCheck.pair (Tu.arb_searched_region ~max_size:30 ()) QCheck.small_int)
     (fun (region, seed) ->
       let cfg () = compile_cfg ~fault_rate:0.3 ~fault_seed:(seed + 3) () in
       let absent = Pipeline.Compile.run_region (cfg ()) ~name:"r" region in
@@ -491,6 +503,18 @@ let null_recorders_are_absent =
       Alcotest.(check string) "digest identical"
         (Pipeline.Report_digest.digest_region absent)
         (Pipeline.Report_digest.digest_region nulls);
+      let words (r : Pipeline.Compile.region_report) =
+        List.concat_map
+          (fun (run : Pipeline.Compile.backend_run) ->
+            let res = run.Pipeline.Compile.result in
+            List.map
+              (fun (p : Engine.Types.pass_stats) ->
+                if p.Engine.Types.invoked then incr null_passes;
+                p.Engine.Types.minor_words)
+              [ res.Engine.Types.pass1; res.Engine.Types.pass2 ])
+          r.Pipeline.Compile.runs
+      in
+      Alcotest.(check (list (float 0.0))) "minor words identical" (words absent) (words nulls);
       true)
 
 let suite =
@@ -510,4 +534,5 @@ let suite =
     ("metrics merge is commutative", `Quick, test_merge_commutative);
     ("wall-clock tracks", `Quick, test_wall_tracks);
   ]
-  @ Tu.qtests [ tracing_is_inert; null_recorders_are_absent ]
+  @ [ Tu.qtest_witnessed ~witness:traced_passes ~what:"a traced pass" tracing_is_inert ]
+  @ [ Tu.qtest_witnessed ~witness:null_passes ~what:"a pass that ran" null_recorders_are_absent ]

@@ -4,12 +4,13 @@
    inline pheromone code — proved at the table level against inline
    [Pheromone] ops and at the driver level against the frozen
    pre-refactor colony loop kept in [Ant_ref.colony_run_pass], comparing
-   schedules, every stats field and the minor-words window, plus the
-   position of the RNG stream afterwards; (2) the [Mmas] policy keeps
-   the trail inside [tau_min, tau_max] under arbitrary interleavings of
-   init / winner updates / winner-less updates / evaporations, restarts
-   to a uniform table at [tau_max] exactly when the mirror model says a
-   restart must fire, and meters those restarts. *)
+   schedules, every stats field and the position of the RNG stream
+   afterwards, with the loop's allocation bounded by the frozen loop's;
+   (2) the [Mmas] policy keeps the trail inside [tau_min, tau_max] under
+   arbitrary interleavings of init / winner updates / winner-less
+   updates / evaporations, restarts to a uniform table at [tau_max]
+   exactly when the mirror model says a restart must fire, and meters
+   those restarts. *)
 
 let params = Tu.test_params
 
@@ -58,8 +59,9 @@ let test_as_table_identity =
       Aco.Pheromone_policy.restarts policy = 0)
 
 (* ------------------------------------------------------------------ *)
-(* As byte-identity, driver level: [Colony.run_pass] with the As policy
-   vs the frozen pre-refactor loop in [Ant_ref.colony_run_pass]. *)
+(* As byte-identity, driver level: [Colony.run_pass] over the CPU
+   iteration with the As policy vs the frozen pre-refactor loop in
+   [Ant_ref.colony_run_pass]. *)
 
 (* Allocation-free costs, so the measured window holds the loops'
    allocation alone: the frozen loop costs every ant, the colony only
@@ -67,16 +69,16 @@ let test_as_table_identity =
 let rp_cost ~length:_ ~vgpr ~sgpr = Sched.Cost.rp_scalar_of_peaks Tu.occ ~vgpr ~sgpr
 let length_cost ~length ~vgpr:_ ~sgpr:_ = length
 
-(* Every stats field but [work]: the colony cuts ants the frozen loop
-   runs to the end, so its work may only be lower. *)
+(* Every stats field but [work] and [minor_words]: the colony cuts ants
+   the frozen loop runs to the end, so its work may only be lower, and
+   its allocation is bounded by the frozen loop's, not equal to it. *)
 let stats_key (s : Engine.Types.pass_stats) =
   ( s.Engine.Types.invoked,
     s.iterations,
     s.ants_simulated,
     s.improved,
     s.stop,
-    Array.to_list s.best_costs,
-    s.minor_words )
+    Array.to_list s.best_costs )
 
 type colony_driver = Policy_colony | Frozen_colony
 
@@ -96,12 +98,15 @@ let run_colony driver graph ~seed ~mode ~cost =
     in
     Aco.Colony.teardown colony;
     ( (Array.to_list best, cost, stats_key stats, Support.Rng.int rng 1_000_000),
-      stats.Engine.Types.work )
+      (stats.Engine.Types.work, stats.Engine.Types.minor_words) )
   in
   match driver with
   | Policy_colony ->
       common ~run:(fun ~initial_cost ~initial_order ~initial_artifact ->
-          Aco.Colony.run_pass colony ~mode ~cost ~artifact_of_ant ~budget_work:max_int
+          Aco.Colony.run_pass colony.Aco.Colony.search
+            ~iteration:(Aco.Colony.sequential colony ~mode ~cost ~budget:Engine.Types.Unlimited)
+            ~ties:Aco.Colony.Keep
+            ~artifact_of_ant:(fun ant -> Some (artifact_of_ant ant))
             ~pass_label:"p" ~initial_cost ~initial_order ~initial_artifact ~lb_cost:0)
   | Frozen_colony ->
       let cost_of_ant ant =
@@ -110,10 +115,10 @@ let run_colony driver graph ~seed ~mode ~cost =
       in
       common ~run:(fun ~initial_cost ~initial_order ~initial_artifact ->
           Ant_ref.colony_run_pass ~params ~rng ~ants:colony.Aco.Colony.ants
-            ~pheromone:colony.Aco.Colony.pheromone ~mode ~cost_of_ant ~artifact_of_ant
-            ~allow_optional_stalls:true ~budget_work:max_int ~metrics:Obs.Metrics.null
-            ~pass_label:"p" ~initial_cost ~initial_order ~initial_artifact ~lb_cost:0
-            ~termination)
+            ~pheromone:colony.Aco.Colony.search.Aco.Colony.pheromone ~mode ~cost_of_ant
+            ~artifact_of_ant ~allow_optional_stalls:true ~budget_work:max_int
+            ~metrics:Obs.Metrics.null ~pass_label:"p" ~initial_cost ~initial_order
+            ~initial_artifact ~lb_cost:0 ~termination)
 
 (* First runs pay one-time module/lazy initialization inside the
    measured minor-words window; force both paths once so the qcheck
@@ -131,12 +136,12 @@ let cut_cases = ref 0
 let check_colony_identity region seed mode cost =
   Lazy.force warmup;
   let graph = Ddg.Graph.build region in
-  let a, work_a = run_colony Policy_colony graph ~seed ~mode ~cost in
-  let b, work_b = run_colony Frozen_colony graph ~seed ~mode ~cost in
+  let a, (work_a, words_a) = run_colony Policy_colony graph ~seed ~mode ~cost in
+  let b, (work_b, words_b) = run_colony Frozen_colony graph ~seed ~mode ~cost in
   if a <> b then begin
-    let show (order, cost, (_, it, ants, _, _, bc, mw), rng) =
-      Printf.sprintf "cost=%d it=%d ants=%d bc=%d mw=%.0f rng=%d order=%d" cost it ants
-        (List.length bc) mw rng (List.length order)
+    let show (order, cost, (_, it, ants, _, _, bc), rng) =
+      Printf.sprintf "cost=%d it=%d ants=%d bc=%d rng=%d order=%d" cost it ants
+        (List.length bc) rng (List.length order)
     in
     QCheck.Test.fail_reportf
       "Colony.run_pass with the As policy diverged from the frozen pre-refactor loop (colony: \
@@ -146,6 +151,9 @@ let check_colony_identity region seed mode cost =
   if work_a > work_b then
     QCheck.Test.fail_reportf "the cut spent more work (%d) than the frozen loop (%d)" work_a
       work_b;
+  if words_a > words_b then
+    QCheck.Test.fail_reportf "the loop allocated more minor words (%.0f) than the frozen loop (%.0f)"
+      words_a words_b;
   if work_a < work_b then incr cut_cases;
   true
 
@@ -317,9 +325,13 @@ let test_mmas_colony_runs () =
       (Engine.Region_ctx.of_graph Tu.occ graph)
   in
   let best, cost, stats =
-    Aco.Colony.run_pass colony ~mode:Aco.Ant.Rp_pass ~cost:rp_cost
-      ~artifact_of_ant:(fun a -> Array.copy (Aco.Ant.order a))
-      ~budget_work:max_int ~pass_label:"p1" ~initial_cost:max_int ~initial_order:(ident n)
+    Aco.Colony.run_pass colony.Aco.Colony.search
+      ~iteration:
+        (Aco.Colony.sequential colony ~mode:Aco.Ant.Rp_pass ~cost:rp_cost
+           ~budget:Engine.Types.Unlimited)
+      ~ties:Aco.Colony.Keep
+      ~artifact_of_ant:(fun a -> Some (Aco.Ant.order a))
+      ~pass_label:"p1" ~initial_cost:max_int ~initial_order:(ident n)
       ~initial_artifact:(ident n) ~lb_cost:0
   in
   Aco.Colony.teardown colony;

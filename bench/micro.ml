@@ -58,7 +58,8 @@ let test_wavefront_iteration =
         let rng = Support.Rng.create 4 in
         fun () ->
           ignore
-            (Gpusim.Wavefront.run_iteration w ~rng ~mode:Aco.Ant.Rp_pass ~pheromone)))
+            (Gpusim.Wavefront.run_iteration w ~rng ~mode:Aco.Ant.Rp_pass ~pheromone
+               ~start_ns:0.0)))
 
 let tests =
   Test.make_grouped ~name:"core"
@@ -103,13 +104,14 @@ let measure () =
    per wavefront heuristic role (Section V-B: critical path,
    Last-Use-Count, source order). With the unboxed data plane (scores
    and roulette state in pooled [Support.Fmat] rows, eta^beta rows
-   shared by the colony, RP effects read from the tracker) the loop
-   allocates only per-iteration bookkeeping — outcome record, finished
-   list, the 5-word RNG split per lane — amortized over every ant step
-   of the iteration: under 1 minor word per step. Pass 2 runs at the targets
-   [Engine.Two_pass] would hand over from the pass-1 initial order, so
-   its fit filter rejects candidates and LUC scores take over near the
-   target. The ceiling applies to the worst row and keeps
+   shared by the colony, RP effects read from the tracker) and a
+   lockstep round of counted loops, an ant step allocates nothing; what
+   remains is per-iteration bookkeeping — the 5-word RNG split per lane,
+   the finished list, the outcome record — amortized over every ant step
+   of the iteration: about 0.1 minor words per step. Pass 2 runs at the
+   targets [Engine.Two_pass] would hand over from the pass-1 initial
+   order, so its fit filter rejects candidates and LUC scores take over
+   near the target. The ceiling applies to the worst row and keeps
    generous headroom so it trips on a real regression (a boxed float or
    a closure sneaking back into the selection loop costs several words
    per step on its own), not on noise. *)
@@ -133,11 +135,11 @@ let alloc_row ~pass ~mode heuristic =
   let pheromone = Aco.Pheromone.create ~n:g.Ddg.Graph.n ~initial:1.0 in
   let rng = Support.Rng.create 4 in
   (* Warm-up iteration so one-time setup is not charged to the loop. *)
-  ignore (Gpusim.Wavefront.run_iteration w ~rng ~mode ~pheromone);
+  ignore (Gpusim.Wavefront.run_iteration w ~rng ~mode ~pheromone ~start_ns:0.0);
   let steps = ref 0 in
   let before = Support.Perfcount.minor_words () in
   for _ = 1 to 20 do
-    let o = Gpusim.Wavefront.run_iteration w ~rng ~mode ~pheromone in
+    let o = Gpusim.Wavefront.run_iteration w ~rng ~mode ~pheromone ~start_ns:0.0 in
     steps := !steps + o.Gpusim.Wavefront.ant_steps
   done;
   let words = Support.Perfcount.minor_words () -. before in
@@ -187,14 +189,18 @@ let hot_loop () =
   let pheromone = Aco.Pheromone.create ~n:g.Ddg.Graph.n ~initial:1.0 in
   let rng = Support.Rng.create 4 in
   (* Warm-up iteration so one-time setup is not charged to the loop. *)
-  ignore (Gpusim.Wavefront.run_iteration w ~rng ~mode:Aco.Ant.Rp_pass ~pheromone);
+  ignore
+    (Gpusim.Wavefront.run_iteration w ~rng ~mode:Aco.Ant.Rp_pass ~pheromone
+       ~start_ns:0.0);
   let best_per_step = ref infinity and best_per_iter = ref infinity in
   let steps_seen = ref 0 in
   for _ = 1 to 8 do
     let steps = ref 0 in
     let t0 = Unix.gettimeofday () in
     for _ = 1 to 10 do
-      let o = Gpusim.Wavefront.run_iteration w ~rng ~mode:Aco.Ant.Rp_pass ~pheromone in
+      let o =
+        Gpusim.Wavefront.run_iteration w ~rng ~mode:Aco.Ant.Rp_pass ~pheromone ~start_ns:0.0
+      in
       steps := !steps + o.Gpusim.Wavefront.ant_steps
     done;
     let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
@@ -232,26 +238,27 @@ let obs_overhead () =
   let g = Lazy.force graph in
   let config = { Gpusim.Config.bench with Gpusim.Config.num_wavefronts = 1 } in
   let make ~traced =
+    let trace = if traced then Obs.Trace.create () else Obs.Trace.null in
+    let metrics = if traced then Obs.Metrics.create () else Obs.Metrics.null in
+    let log = if traced then Obs.Log.create () else Obs.Log.null in
     let w =
-      Gpusim.Wavefront.create config g Engine.Params.default
+      Gpusim.Wavefront.create ~trace ~metrics ~track:2 config g Engine.Params.default
         ~heuristic:Sched.Heuristic.Critical_path ~allow_optional_stalls:true
     in
-    let trace = if traced then Obs.Trace.create () else Obs.Trace.null in
-    let log = if traced then Obs.Log.create () else Obs.Log.null in
-    if traced then
-      Gpusim.Wavefront.set_obs w ~trace ~metrics:(Obs.Metrics.create ()) ~track:2
-        ~obs_cursor:(Array.make 2 0.0) ~simd_cursor:(Array.make 1 0.0) ~simd:0;
     let pheromone = Aco.Pheromone.create ~n:g.Ddg.Graph.n ~initial:1.0 in
     let rng = Support.Rng.create 4 in
     (* Warm-up iteration so one-time setup is not charged to the loop. *)
-    ignore (Gpusim.Wavefront.run_iteration w ~rng ~mode:Aco.Ant.Rp_pass ~pheromone);
+    ignore
+      (Gpusim.Wavefront.run_iteration w ~rng ~mode:Aco.Ant.Rp_pass ~pheromone
+         ~start_ns:0.0);
     let batch () =
       let t0 = Unix.gettimeofday () in
       for i = 1 to obs_batch do
         if traced then begin
           let wt0 = Obs.Trace.wall_now trace in
           ignore
-            (Gpusim.Wavefront.run_iteration w ~rng ~mode:Aco.Ant.Rp_pass ~pheromone);
+            (Gpusim.Wavefront.run_iteration w ~rng ~mode:Aco.Ant.Rp_pass ~pheromone
+               ~start_ns:0.0);
           Obs.Trace.span trace ~track:Obs.Trace.wall_track_base ~name:"iteration"
             ~ts:wt0
             ~dur:(Obs.Trace.wall_now trace -. wt0);
@@ -259,7 +266,8 @@ let obs_overhead () =
         end
         else
           ignore
-            (Gpusim.Wavefront.run_iteration w ~rng ~mode:Aco.Ant.Rp_pass ~pheromone)
+            (Gpusim.Wavefront.run_iteration w ~rng ~mode:Aco.Ant.Rp_pass ~pheromone
+               ~start_ns:0.0)
       done;
       (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int obs_batch
     in

@@ -663,18 +663,17 @@ let serve_socket path cfg metrics log ~batch =
       in
       graceful_signals ();
       Printf.eprintf "gpuaco serve: listening on %s\n%!" path;
-      let conn = ref 0 in
       with_pool_observer log (fun () ->
           (try
              while Pipeline.Serve.state srv <> `Drained do
                match Unix.accept sock with
                | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
                | fd, _ ->
-                   incr conn;
-                   let client = Printf.sprintf "conn-%d" !conn in
                    let ic = Unix.in_channel_of_descr fd in
                    current_out := Some (Unix.out_channel_of_descr fd);
-                   (try pump_channel srv ~client ~batch ic
+                   (* one label for the transport, as for stdio: a label
+                      per connection would mint a counter per accept *)
+                   (try pump_channel srv ~client:"socket" ~batch ic
                     with Sys_error _ -> () (* peer went away mid-frame *));
                    current_out := None;
                    (try Unix.close fd with Unix.Unix_error _ -> ())

@@ -4,14 +4,6 @@ type mode = Rp_pass | Ilp_pass of { target_vgpr : int; target_sgpr : int }
 
 type status = Active | Finished | Dead
 
-type op =
-  | Selected of { instr : int; explored : bool }
-  | Mandatory_stall
-  | Optional_stall
-  | Died
-
-type event = { op : op; ready_scanned : int; succs_updated : int }
-
 (* Region-wide state shared by every ant of a colony: the critical
    path, the interned register layout, the transitive-closure bound on
    the ready-list size (Section V-A: per-thread arrays are sized by this
@@ -115,12 +107,10 @@ type t = {
          the ready list's, so the ant keeps no per-cycle buffer *)
   mutable n_optional : int;
   mutable work : int;
-  (* last-step report, overwritten by each step (the divergence and
-     memory models read these instead of a per-step event record) *)
-  mutable last_rank : int;  (* Divergence path rank: 0 exploit, 1 explore,
-                               2 mandatory stall, 3 optional stall, 4 death *)
-  mutable last_instr : int;
-  mutable last_explored : bool;
+  (* last-step report, overwritten by each step: what the divergence
+     and memory models charge *)
+  mutable last_rank : int;  (* 0 exploit, 1 explore, 2 mandatory stall,
+                               3 optional stall, 4 death *)
   mutable last_scanned : int;
   mutable last_succs : int;
 }
@@ -201,8 +191,6 @@ let create ?shared ?arena ?fmat graph params =
     n_optional = 0;
     work = 0;
     last_rank = 4;
-    last_instr = -1;
-    last_explored = false;
     last_scanned = 0;
     last_succs = 0;
   }
@@ -340,10 +328,8 @@ let emit_stall t rl =
   Sched.Ready_list.stall rl;
   t.cycles <- t.cycles + 1
 
-let finish_step t ~rank ~instr ~explored ~scanned ~succs =
+let finish_step t ~rank ~scanned ~succs =
   t.last_rank <- rank;
-  t.last_instr <- instr;
-  t.last_explored <- explored;
   t.last_scanned <- scanned;
   t.last_succs <- succs;
   t.work <- t.work + scanned + succs + 3
@@ -351,10 +337,10 @@ let finish_step t ~rank ~instr ~explored ~scanned ~succs =
 let ready_count t =
   if t.status <> Active then 0 else Sched.Ready_list.ready_count t.rl
 
-(* The allocation-free step. [force_explore] is -1 (ant draws its own
-   coin), 0 (exploit) or 1 (explore); [ready_limit] is 0 for unlimited.
-   The step's kind/cost lands in the [last_*] fields. *)
-let step_hot t ~pheromone ~force_explore ~ready_limit =
+(* [force_explore] is -1 (ant draws its own coin), 0 (exploit) or 1
+   (explore); [ready_limit] is 0 for unlimited. The step's kind and
+   cost land in the [last_*] fields. *)
+let step t ~pheromone ~force_explore ~ready_limit =
   if t.status <> Active then invalid_arg "Ant.step: ant is not active";
   let rl = t.rl in
   let rn = Sched.Ready_list.ready_count rl in
@@ -380,13 +366,12 @@ let step_hot t ~pheromone ~force_explore ~ready_limit =
          remains. *)
       let i = select_slice t ~pheromone ~explored m in
       emit_instr t rl i;
-      finish_step t
-        ~rank:(if explored then 1 else 0)
-        ~instr:i ~explored ~scanned:m ~succs:(Ddg.Graph.num_succs t.graph i)
+      finish_step t ~rank:(if explored then 1 else 0) ~scanned:m
+        ~succs:(Ddg.Graph.num_succs t.graph i)
   | Ilp_pass { target_vgpr; target_sgpr } ->
       if m = 0 then begin
         emit_stall t rl;
-        finish_step t ~rank:2 ~instr:(-1) ~explored ~scanned:0 ~succs:0
+        finish_step t ~rank:2 ~scanned:0 ~succs:0
       end
       else begin
         (* [Stall_policy.classify]'s decision ladder over the candidate
@@ -404,11 +389,11 @@ let step_hot t ~pheromone ~force_explore ~ready_limit =
           if t.allow_optional && has_semi_ready then begin
             emit_stall t rl;
             t.n_optional <- t.n_optional + 1;
-            finish_step t ~rank:3 ~instr:(-1) ~explored ~scanned:m ~succs:0
+            finish_step t ~rank:3 ~scanned:m ~succs:0
           end
           else begin
             t.status <- Dead;
-            finish_step t ~rank:4 ~instr:(-1) ~explored ~scanned:m ~succs:0
+            finish_step t ~rank:4 ~scanned:m ~succs:0
           end
         else if
           t.allow_optional && has_semi_ready && fitting < m
@@ -417,14 +402,13 @@ let step_hot t ~pheromone ~force_explore ~ready_limit =
         then begin
           emit_stall t rl;
           t.n_optional <- t.n_optional + 1;
-          finish_step t ~rank:3 ~instr:(-1) ~explored ~scanned:m ~succs:0
+          finish_step t ~rank:3 ~scanned:m ~succs:0
         end
         else begin
           let i = select_slice t ~pheromone ~explored fitting in
           emit_instr t rl i;
-          finish_step t
-            ~rank:(if explored then 1 else 0)
-            ~instr:i ~explored ~scanned:m ~succs:(Ddg.Graph.num_succs t.graph i)
+          finish_step t ~rank:(if explored then 1 else 0) ~scanned:m
+            ~succs:(Ddg.Graph.num_succs t.graph i)
         end
       end
 
@@ -432,30 +416,11 @@ let last_rank t = t.last_rank
 let last_scanned t = t.last_scanned
 let last_succs t = t.last_succs
 
-let event_of_last t =
-  let op =
-    match t.last_rank with
-    | 0 | 1 -> Selected { instr = t.last_instr; explored = t.last_explored }
-    | 2 -> Mandatory_stall
-    | 3 -> Optional_stall
-    | _ -> Died
-  in
-  { op; ready_scanned = t.last_scanned; succs_updated = t.last_succs }
-
-let step ?force_explore ?ready_limit t ~pheromone =
-  let force_explore =
-    match force_explore with None -> -1 | Some false -> 0 | Some true -> 1
-  in
-  let ready_limit = match ready_limit with None -> 0 | Some k -> max 0 k in
-  step_hot t ~pheromone ~force_explore ~ready_limit;
-  event_of_last t
-
 let kill t = t.status <- Dead
 
-let run_to_completion ?force_explore t ~pheromone =
-  let fe = match force_explore with None -> -1 | Some false -> 0 | Some true -> 1 in
+let run_to_completion t ~pheromone =
   while t.status = Active do
-    step_hot t ~pheromone ~force_explore:fe ~ready_limit:0
+    step t ~pheromone ~force_explore:(-1) ~ready_limit:0
   done
 
 (* The read-out sorts instructions by the cycle the ready list recorded

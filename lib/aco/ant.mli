@@ -4,9 +4,10 @@
     The step interface exists because the parallel driver executes the 64
     ants of a wavefront in lockstep, one construction step per simulated
     GPU step (Section IV-B); the sequential driver simply steps each ant
-    to completion in turn. Each step reports what kind of operation the
-    ant performed and how much work it scanned, which is exactly what the
-    divergence and memory models of the GPU simulator charge for.
+    to completion in turn. After each step the [last_*] accessors report
+    what kind of operation the ant performed and how much work it
+    scanned, which is exactly what the divergence and memory models of
+    the GPU simulator charge for.
 
     All per-ant state (one ready list, the RP tracker, candidate
     scratch) is allocated once at [create] — batched into a
@@ -14,26 +15,13 @@
     across iterations, mirroring the paper's
     no-dynamic-allocation-on-the-GPU rule (Section V-A). The ready list
     serves both passes: {!start} sets its latency mode (ignored in the
-    RP pass, honoured in the ILP pass). The stepping
-    fast path ({!step_hot}) allocates nothing: candidates are scored over
-    an array slice with reusable scratch buffers sized by the
-    transitive-closure ready-list bound. *)
+    RP pass, honoured in the ILP pass). A {!step} allocates nothing:
+    candidates are scored over an array slice with reusable scratch
+    buffers sized by the transitive-closure ready-list bound. *)
 
 type mode = Rp_pass | Ilp_pass of { target_vgpr : int; target_sgpr : int }
 
 type status = Active | Finished | Dead
-
-type op =
-  | Selected of { instr : int; explored : bool }
-  | Mandatory_stall
-  | Optional_stall
-  | Died  (** could not proceed without breaching the pass-2 RP target *)
-
-type event = {
-  op : op;
-  ready_scanned : int;  (** ready-list entries examined at this step *)
-  succs_updated : int;  (** successor-list length traversed *)
-}
 
 type shared
 (** Region-wide state shared by every ant of a colony: critical path,
@@ -116,33 +104,30 @@ val start :
 
 val status : t -> status
 
-val step : ?force_explore:bool -> ?ready_limit:int -> t -> pheromone:Pheromone.t -> event
-(** Perform one construction step. [force_explore] overrides the ant's
-    own exploration coin flip — the wavefront-level
-    exploration/exploitation unification of Section V-B. [ready_limit]
-    caps how many ready-list entries the ant scans this step — the
+val step : t -> pheromone:Pheromone.t -> force_explore:int -> ready_limit:int -> unit
+(** Perform one construction step; its kind and costs land in the
+    [last_*] accessors below. [force_explore] is [-1] (the ant flips its
+    own exploration coin), [0] (exploit) or [1] (explore): forcing it is
+    the wavefront-level exploration/exploitation unification of
+    Section V-B. [ready_limit] ([0] for unlimited) caps how many
+    ready-list entries the ant scans in the RP pass — the
     ready-list-size unification the paper experimented with (and found
     unhelpful overall, Section V-B); correctness is unaffected because
     deferred candidates remain in the list for later steps. Raises
     [Invalid_argument] when the ant is not [Active]. *)
 
-val step_hot : t -> pheromone:Pheromone.t -> force_explore:int -> ready_limit:int -> unit
-(** Allocation-free {!step}: [force_explore] is [-1] (ant draws its own
-    coin), [0] (exploit) or [1] (explore); [ready_limit] is [0] for
-    unlimited. Instead of returning an event record, the step's kind and
-    costs land in the [last_*] accessors below. Identical construction
-    and RNG consumption to {!step}. *)
-
 val last_rank : t -> int
-(** Path rank of the last step, matching {!Divergence.path_rank}:
-    0 exploiting selection, 1 exploring selection, 2 mandatory stall,
-    3 optional stall, 4 death. *)
+(** The divergence path the last step took: 0 exploiting selection,
+    1 exploring selection (a different formula, hence a different
+    path), 2 mandatory stall, 3 optional stall, 4 death (no candidate
+    fits the pass-2 RP target and no stall can help). *)
 
 val last_scanned : t -> int
-(** [ready_scanned] of the last step. *)
+(** Ready-list entries the last step examined. *)
 
 val last_succs : t -> int
-(** [succs_updated] of the last step. *)
+(** Successor-list length the last step traversed (0 unless it
+    selected an instruction). *)
 
 val ready_count : t -> int
 (** Current ready-list size (0 when the ant is not [Active]); the
@@ -153,8 +138,9 @@ val kill : t -> unit
     (Section V-B), and the CPU colony's stop for an ant that can no
     longer win its iteration. *)
 
-val run_to_completion : ?force_explore:bool -> t -> pheromone:Pheromone.t -> unit
-(** Step until no longer active (sequential driver). *)
+val run_to_completion : t -> pheromone:Pheromone.t -> unit
+(** Step, flipping the ant's own coins, until it is no longer active
+    (sequential driver). *)
 
 val order : t -> int array
 (** Issue order of the constructed schedule (complete once [Finished]):

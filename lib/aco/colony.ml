@@ -190,7 +190,7 @@ let sequential colony ~mode ~(cost : length:int -> vgpr:int -> sgpr:int -> int) 
     else begin
       let vgpr = ref (-1) and sgpr = ref (-1) in
       while Ant.status ant = Ant.Active do
-        Ant.step_hot ant ~pheromone ~force_explore:(-1) ~ready_limit:0;
+        Ant.step ant ~pheromone ~force_explore:(-1) ~ready_limit:0;
         if Ant.status ant = Ant.Active then begin
           let v = Ant.peak ant Ir.Reg.Vgpr and s = Ant.peak ant Ir.Reg.Sgpr in
           if schedule_pass || v > !vgpr || s > !sgpr then begin

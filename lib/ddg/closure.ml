@@ -48,6 +48,3 @@ let max_independent t =
   !m
 
 let ready_list_upper_bound t = max_independent t + 1
-
-let descendants t i = t.desc.(i)
-let ancestors t i = t.anc.(i)

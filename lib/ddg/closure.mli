@@ -34,9 +34,3 @@ val max_independent : t -> int
 val ready_list_upper_bound : t -> int
 (** [max_independent + 1], the paper's tight ready-list bound
     (Section V-A; 5 for the example DDG of Figure 1.a). *)
-
-val descendants : t -> int -> Support.Bitset.t
-(** All nodes reachable from [i] (excluding [i]). The returned set is the
-    closure's internal state: do not mutate. *)
-
-val ancestors : t -> int -> Support.Bitset.t

@@ -53,18 +53,8 @@ let trace_iteration trace (config : Config.t) ~n ~track ~ts ~construction_ns =
       ~dur:update_ns
   end
 
-let pass_time_ns (config : Config.t) ~n ~ready_ub ~iteration_times =
+let pass_time_ns (config : Config.t) ~n ~ready_ub ~iterations_ns =
   config.launch_overhead_ns
   +. Mem_model.setup_time_ns config ~n ~ready_ub
-  +. List.fold_left ( +. ) 0.0 iteration_times
-  +. Mem_model.teardown_time_ns config ~n
-
-let pass_time_ns_buf (config : Config.t) ~n ~ready_ub ~times ~count =
-  let sum = ref 0.0 in
-  for i = 0 to count - 1 do
-    sum := !sum +. times.(i)
-  done;
-  config.launch_overhead_ns
-  +. Mem_model.setup_time_ns config ~n ~ready_ub
-  +. !sum
+  +. iterations_ns
   +. Mem_model.teardown_time_ns config ~n

@@ -6,8 +6,9 @@
     module turns per-wavefront construction times into an iteration wall
     time (wavefronts are assigned round-robin to the target's SIMD units;
     a SIMD executes its wavefronts back to back) and adds the reduction,
-    table-update and synchronization costs; and it assembles whole-pass
-    times from per-iteration times plus setup/teardown. *)
+    table-update and synchronization costs; and it assembles a whole
+    pass's time from its summed iteration time plus launch, setup and
+    teardown. *)
 
 val construction_time_ns : Config.t -> wavefront_times:float array -> float
 (** Wall time of the construction stage: max over SIMD units of the sum
@@ -37,11 +38,7 @@ val trace_iteration :
     simulated time [ts], with the same cost terms {!iteration_time_ns}
     charges. A no-op on a disabled recorder. *)
 
-val pass_time_ns :
-  Config.t -> n:int -> ready_ub:int -> iteration_times:float list -> float
-(** One ACO invocation: launch overhead + memory setup + the iterations +
-    teardown (Section IV-B's full kernel life cycle). *)
-
-val pass_time_ns_buf :
-  Config.t -> n:int -> ready_ub:int -> times:float array -> count:int -> float
-(** {!pass_time_ns} over the first [count] entries of a reused buffer. *)
+val pass_time_ns : Config.t -> n:int -> ready_ub:int -> iterations_ns:float -> float
+(** One ACO invocation: launch overhead + memory setup + the pass's
+    summed iteration (and retry backoff) time [iterations_ns] + teardown
+    (Section IV-B's full kernel life cycle). *)

@@ -1,11 +1,4 @@
-let step_transactions (config : Config.t) ~reads_per_lane =
-  match reads_per_lane with
-  | [] -> 0
-  | _ :: _ ->
-      if config.opts.Config.coalesced_layout then List.fold_left max 0 reads_per_lane
-      else List.fold_left ( + ) 0 reads_per_lane
-
-let step_transactions_acc (config : Config.t) ~active ~reads_max ~reads_sum =
+let step_transactions (config : Config.t) ~active ~reads_max ~reads_sum =
   if active = 0 then 0
   else if config.opts.Config.coalesced_layout then reads_max
   else reads_sum

@@ -16,15 +16,11 @@
     driver call. The ready-list upper bound from the transitive closure
     ([tight_ready_ub]) shrinks the dominant per-thread array. *)
 
-val step_transactions : Config.t -> reads_per_lane:int list -> int
-(** Transactions charged for one lockstep step given each active lane's
-    access count. *)
-
-val step_transactions_acc : Config.t -> active:int -> reads_max:int -> reads_sum:int -> int
-(** Accumulator form of {!step_transactions} for the allocation-free
-    lockstep loop: [active] is the number of lanes that stepped,
-    [reads_max]/[reads_sum] the maximum and sum of their access counts.
-    Equal to [step_transactions] on the corresponding list. *)
+val step_transactions : Config.t -> active:int -> reads_max:int -> reads_sum:int -> int
+(** Transactions charged for one lockstep step: [active] is the number
+    of lanes that stepped, [reads_max]/[reads_sum] the maximum and the
+    sum of their access counts. Coalesced, that is [reads_max]; strided,
+    [reads_sum]; 0 when no lane stepped. *)
 
 val words_per_thread : Config.t -> n:int -> ready_ub:int -> int
 (** Device words of per-thread state: schedule slots, ready array, RP

@@ -20,9 +20,11 @@ let allow_optional_for (config : Config.t) w =
   in
   w < allowed
 
-let make_wavefronts ?shared config graph params =
+(* Track layout of the flight recorder: 0 = driver, 1 = kernel stages,
+   2.. = one per wavefront. *)
+let make_wavefronts ~shared ~trace ~metrics config graph params =
   Array.init config.Config.num_wavefronts (fun w ->
-      Wavefront.create ?shared config graph params
+      Wavefront.create ~shared ~trace ~metrics ~track:(2 + w) config graph params
         ~heuristic:(heuristic_for config params w)
         ~allow_optional_stalls:(allow_optional_for config w))
 
@@ -35,12 +37,22 @@ type state = {
   iteration_deadline_ns : float;
   max_retries : int;
   trace : Obs.Trace.t;
-  obs_cursor : float array;
-  simd_cursor : float array;
   n : int;
   ready_ub : int;
   graph : Ddg.Graph.t;
   rp_scalar_of_ant : Aco.Ant.t -> int;
+}
+
+(* Simulated time of one pass: [elapsed] sums its iterations' and retry
+   backoffs' times. The rest is the flight recorder's, advanced only
+   while tracing: [last] is the latest iteration's time, [cursor] the
+   driver's position on the trace's time axis and [iter_start] the
+   current iteration's start. *)
+type clock = {
+  mutable elapsed : float;
+  mutable last : float;
+  mutable cursor : float;
+  mutable iter_start : float;
 }
 
 (* One pass's iteration on the simulated GPU (Section IV-B): every
@@ -62,7 +74,7 @@ let lockstep st ~mode ~(cost_of_ant : Aco.Ant.t -> int) ~budget ~pass_label =
         invalid_arg "Par_aco: work budgets belong to backends without a time model"
   in
   let { search = { Aco.Colony.pheromone; metrics; _ }; config; rng; wavefronts; faults;
-        iteration_deadline_ns; max_retries; trace; obs_cursor; simd_cursor; n; ready_ub; _ } =
+        iteration_deadline_ns; max_retries; trace; n; ready_ub; _ } =
     st
   in
   let lanes = config.target.Machine.Target.wavefront_size in
@@ -71,6 +83,7 @@ let lockstep st ~mode ~(cost_of_ant : Aco.Ant.t -> int) ~budget ~pass_label =
   let tracing = Obs.Trace.enabled trace in
   let metering = Obs.Metrics.enabled metrics in
   let pass_t0 = Obs.Trace.now trace in
+  let clock = { elapsed = 0.0; last = 0.0; cursor = 0.0; iter_start = 0.0 } in
   if tracing then begin
     let setup_ns = Mem_model.setup_time_ns config ~n ~ready_ub in
     Obs.Trace.span trace ~track:1 ~name:"kernel_launch" ~ts:pass_t0
@@ -78,7 +91,7 @@ let lockstep st ~mode ~(cost_of_ant : Aco.Ant.t -> int) ~budget ~pass_label =
     Obs.Trace.span trace ~track:1 ~name:"mem_setup"
       ~ts:(pass_t0 +. config.launch_overhead_ns)
       ~dur:setup_ns;
-    obs_cursor.(0) <- pass_t0 +. config.launch_overhead_ns +. setup_ns
+    clock.cursor <- pass_t0 +. config.launch_overhead_ns +. setup_ns
   end;
   let work = ref 0 in
   let serialized = ref 0 in
@@ -92,28 +105,30 @@ let lockstep st ~mode ~(cost_of_ant : Aco.Ant.t -> int) ~budget ~pass_label =
   let wavefront_times = Array.make (max 1 num_wavefronts) 0.0 in
   let finished = Array.make (max 1 num_wavefronts) [] in
   let cost_buf = Array.make threads max_int in
-  let red_cost = Array.make threads 0 in
-  let red_idx = Array.make threads 0 in
-  (* [clock].(0) sums the simulated time of the pass's iterations and
-     retry backoffs, [clock].(1) holds the last iteration's. *)
-  let clock = [| 0.0; 0.0 |] in
+  let reduction_scratch = Array.make threads 0 in
+  (* Wavefronts round-robin over the SIMD units; a unit runs its
+     wavefronts back to back, so while tracing, a wavefront's track
+     starts at the summed times of the earlier wavefronts on its unit,
+     [simd_time].(w mod simds). Only units that receive a wavefront need
+     an entry. *)
+  let simds = max 1 (min (Machine.Target.total_simds config.target) num_wavefronts) in
+  let simd_time = Array.make simds 0.0 in
   let run () =
     if tracing then begin
-      (* Wavefronts round-robin over the SIMD units; a unit runs its
-         wavefronts back to back, so a wavefront's track starts at the
-         sum of the times of the earlier wavefronts on the same unit.
-         The wavefronts read and advance these cursors themselves
-         (installed via [Wavefront.set_obs]). *)
-      Array.fill simd_cursor 0 (Array.length simd_cursor) 0.0;
-      obs_cursor.(1) <- obs_cursor.(0)
+      Array.fill simd_time 0 (Array.length simd_time) 0.0;
+      clock.iter_start <- clock.cursor
     end;
     (* Per-thread cost table for the reduction; losers and killed lanes
        report max_int. *)
     Array.fill cost_buf 0 threads max_int;
     let faulted = ref false in
     for w = 0 to num_wavefronts - 1 do
-      let wavefront = wavefronts.(w) in
-      let outcome = Wavefront.run_iteration ~faults wavefront ~rng ~mode ~pheromone in
+      let s = w mod simds in
+      let outcome =
+        Wavefront.run_iteration ~faults wavefronts.(w) ~rng ~mode ~pheromone
+          ~start_ns:(if tracing then clock.iter_start +. simd_time.(s) else 0.0)
+      in
+      if tracing then simd_time.(s) <- simd_time.(s) +. outcome.Wavefront.time_ns;
       finished.(w) <- outcome.Wavefront.finished;
       wavefront_times.(w) <- outcome.Wavefront.time_ns;
       work := !work + outcome.Wavefront.work;
@@ -127,23 +142,22 @@ let lockstep st ~mode ~(cost_of_ant : Aco.Ant.t -> int) ~budget ~pass_label =
         (fun k ant -> cost_buf.((w * lanes) + k) <- cost_of_ant ant)
         outcome.Wavefront.finished
     done;
-    let winner_cost, winner_idx =
-      Reduction.min_reduce_into ~costs:cost_buf ~scratch_cost:red_cost ~scratch_idx:red_idx
-    in
+    let winner_idx = Reduction.min_reduce cost_buf ~scratch:reduction_scratch in
+    let winner_cost = cost_buf.(winner_idx) in
     let dropped = Faults.enabled faults && Faults.reduction_drop faults in
     let iter_time, watchdog_fired =
       Kernel_sim.watchdog_clamp ~deadline_ns:iteration_deadline_ns
         (Kernel_sim.iteration_time_ns config ~n ~wavefront_times)
     in
-    clock.(0) <- clock.(0) +. iter_time;
-    clock.(1) <- iter_time;
+    clock.elapsed <- clock.elapsed +. iter_time;
     if tracing then begin
-      Kernel_sim.trace_iteration trace config ~n ~track:1 ~ts:obs_cursor.(1)
+      clock.last <- iter_time;
+      Kernel_sim.trace_iteration trace config ~n ~track:1 ~ts:clock.iter_start
         ~construction_ns:(Kernel_sim.construction_time_ns config ~wavefront_times);
-      obs_cursor.(0) <- obs_cursor.(1) +. iter_time;
+      clock.cursor <- clock.iter_start +. iter_time;
       if watchdog_fired then
-        Obs.Trace.instant trace ~track:0 ~name:"watchdog_fired" ~ts:obs_cursor.(0);
-      if dropped then Obs.Trace.instant trace ~track:1 ~name:"reduction_drop" ~ts:obs_cursor.(0)
+        Obs.Trace.instant trace ~track:0 ~name:"watchdog_fired" ~ts:clock.cursor;
+      if dropped then Obs.Trace.instant trace ~track:1 ~name:"reduction_drop" ~ts:clock.cursor
     end;
     if metering then begin
       if watchdog_fired then Obs.Metrics.incr metrics "faults.watchdog_fired";
@@ -171,30 +185,29 @@ let lockstep st ~mode ~(cost_of_ant : Aco.Ant.t -> int) ~budget ~pass_label =
           incr failures;
           ignore (Support.Rng.int64 rng);
           let backoff = Faults.retry_backoff_ns *. (2.0 ** float_of_int (!failures - 1)) in
-          clock.(0) <- clock.(0) +. backoff;
+          clock.elapsed <- clock.elapsed +. backoff;
           if tracing then begin
-            Obs.Trace.instant_arg trace ~track:0 ~name:"retry" ~ts:obs_cursor.(0)
-              ~key:"attempt"
+            Obs.Trace.instant_arg trace ~track:0 ~name:"retry" ~ts:clock.cursor ~key:"attempt"
               ~value:(float_of_int !failures);
-            Obs.Trace.span trace ~track:0 ~name:"retry_backoff" ~ts:obs_cursor.(0) ~dur:backoff;
-            obs_cursor.(0) <- obs_cursor.(0) +. backoff
+            Obs.Trace.span trace ~track:0 ~name:"retry_backoff" ~ts:clock.cursor ~dur:backoff;
+            clock.cursor <- clock.cursor +. backoff
           end;
           if metering then Obs.Metrics.incr metrics "robust.retries";
           true
       | Aco.Colony.Failed ->
-          if tracing then Obs.Trace.instant trace ~track:0 ~name:"fault_abort" ~ts:obs_cursor.(0);
+          if tracing then
+            Obs.Trace.instant trace ~track:0 ~name:"fault_abort" ~ts:clock.cursor;
           if metering then Obs.Metrics.incr metrics "robust.fault_aborts";
           false
     in
     if tracing then
-      Obs.Trace.span_arg trace ~track:0 ~name:"iteration" ~ts:obs_cursor.(1) ~dur:clock.(1)
+      Obs.Trace.span_arg trace ~track:0 ~name:"iteration" ~ts:clock.iter_start ~dur:clock.last
         ~key:"best_cost" ~value:(float_of_int best_cost);
     go_on
   in
-  let exhausted () = budget_ns < infinity && not (clock.(0) < budget_ns) in
+  let exhausted () = budget_ns < infinity && not (clock.elapsed < budget_ns) in
   let finish ~best_cost stats =
-    (* one entry, [clock].(0): the pass's summed iteration and backoff times *)
-    let time_ns = Kernel_sim.pass_time_ns_buf config ~n ~ready_ub ~times:clock ~count:1 in
+    let time_ns = Kernel_sim.pass_time_ns config ~n ~ready_ub ~iterations_ns:clock.elapsed in
     let budget_abort = exhausted () in
     if tracing then begin
       let teardown = Mem_model.teardown_time_ns config ~n in
@@ -205,7 +218,7 @@ let lockstep st ~mode ~(cost_of_ant : Aco.Ant.t -> int) ~budget ~pass_label =
         ~key:"best_cost"
         ~value:(float_of_int best_cost);
       if budget_abort then
-        Obs.Trace.instant trace ~track:0 ~name:"budget_abort" ~ts:obs_cursor.(0);
+        Obs.Trace.instant trace ~track:0 ~name:"budget_abort" ~ts:clock.cursor;
       Obs.Trace.set_now trace (pass_t0 +. time_ns)
     end;
     if metering && budget_abort then Obs.Metrics.incr metrics "robust.budget_aborts";
@@ -283,25 +296,12 @@ module Backend_impl = struct
     (* The region context's analyses (critical path, register layout,
        closure ready-list bound) feed every wavefront of the colony. *)
     let shared = Aco.Ant.shared_of_region_ctx ~beta:params.Engine.Params.beta rc in
-    let wavefronts = make_wavefronts ~shared config graph params in
-    (* Track layout: 0 = driver, 1 = kernel stages, 2.. = one per
-       wavefront. Hooks are attached here, outside any measured window, so
-       the per-iteration calls need no optional-argument wrapping. *)
-    let simds = Machine.Target.total_simds config.Config.target in
-    (* Driver-owned simulated-time cursors, shared with every wavefront:
-       [obs_cursor].(0) is the driver cursor, (1) the current iteration's
-       start; [simd_cursor].(s) sums the construction time of the
-       wavefronts already run on SIMD unit [s] this iteration. *)
-    let obs_cursor = Array.make 2 0.0 in
-    let simd_cursor = Array.make (max 1 simds) 0.0 in
-    if Obs.Trace.enabled trace || Obs.Metrics.enabled metrics then begin
+    let wavefronts = make_wavefronts ~shared ~trace ~metrics config graph params in
+    if Obs.Trace.enabled trace then begin
       Obs.Trace.name_track trace 0 "driver";
       Obs.Trace.name_track trace 1 "kernel: reduce + pheromone";
       Array.iteri
-        (fun w wf ->
-          Obs.Trace.name_track trace (2 + w) (Printf.sprintf "wavefront %d" w);
-          Wavefront.set_obs wf ~trace ~metrics ~track:(2 + w) ~obs_cursor ~simd_cursor
-            ~simd:(w mod simds))
+        (fun w _ -> Obs.Trace.name_track trace (2 + w) (Printf.sprintf "wavefront %d" w))
         wavefronts
     end;
     let ready_ub = Aco.Ant.shared_ready_ub shared in
@@ -318,8 +318,6 @@ module Backend_impl = struct
       iteration_deadline_ns;
       max_retries;
       trace;
-      obs_cursor;
-      simd_cursor;
       n;
       ready_ub;
       graph;

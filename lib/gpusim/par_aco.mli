@@ -28,7 +28,9 @@ val backend : Engine.Backend.t
     Observability: [ctx.trace] attaches a flight recorder — track 0
     carries driver-level iteration/pass spans and fault instants, track
     1 the kernel-stage budget, tracks 2.. one per wavefront —
-    timestamped in simulated nanoseconds. [ctx.metrics] records
+    timestamped in simulated nanoseconds; wavefronts round-robin over
+    the SIMD units, so a wavefront's rounds start where the earlier
+    wavefronts on its unit ended. [ctx.metrics] records
     per-iteration best-cost and pheromone-entropy series named
     ["<label>passN.*"] plus fault and robustness counters. Disabled
     recorders are true no-ops: schedules, RNG streams and simulated

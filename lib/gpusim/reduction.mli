@@ -2,20 +2,14 @@
 
     The kernel's second stage finds the best schedule of the iteration
     with a tree reduction over per-thread costs. This module performs the
-    reduction exactly as the tree would (so the test suite checks it
-    against a sequential fold) and reports its cost in simulated
-    operations: [log2] rounds over the thread block values, charged to
-    the efficient shared-memory pattern of Harris (reference [62]). *)
+    reduction exactly as the tree would — pairwise rounds with halving
+    stride, the efficient shared-memory pattern of Harris (reference
+    [62]) — so the test suite checks it against a sequential fold; its
+    cost in simulated operations is {!Kernel_sim.reduction_wall_ops}. *)
 
-val min_reduce : (int * int) array -> int * int
-(** [min_reduce costs] returns the minimum [(cost, index)] pair (ties to
-    the lower index), computed by pairwise tree rounds. Raises
-    [Invalid_argument] on an empty array. *)
-
-val min_reduce_into :
-  costs:int array -> scratch_cost:int array -> scratch_idx:int array -> int * int
-(** {!min_reduce} over [costs.(i)] paired with index [i], using
-    caller-owned scratch (each at least as long as [costs]) so the per
-    iteration reduction allocates only the result pair. Identical tree
-    shape and tie-breaking to [min_reduce (Array.mapi (fun i c -> (c, i))
-    costs)]. *)
+val min_reduce : int array -> scratch:int array -> int
+(** [min_reduce costs ~scratch] is the thread index of the least cost,
+    ties to the lower index. The tree rounds carry thread indices in
+    [scratch], which must be at least as long as [costs] and is
+    overwritten; nothing is allocated. Raises [Invalid_argument] on an
+    empty [costs] or a short [scratch]. *)

@@ -13,6 +13,9 @@ type t
 
 val create :
   ?shared:Aco.Ant.shared ->
+  ?trace:Obs.Trace.t ->
+  ?metrics:Obs.Metrics.t ->
+  ?track:int ->
   Config.t ->
   Ddg.Graph.t ->
   Engine.Params.t ->
@@ -22,7 +25,14 @@ val create :
 (** Allocate the wavefront's ants, batched into one SoA colony arena
     sized once from the transitive-closure ready-list bound; all state is
     reused across iterations. [shared] lets a driver reuse one set of
-    region analyses across every wavefront of the colony. *)
+    region analyses across every wavefront of the colony.
+
+    [trace] and [metrics] (default {!Obs.Trace.null} /
+    {!Obs.Metrics.null}, which cost nothing) record every iteration:
+    each lockstep round becomes a span on [track] (default 0), and lane
+    quarantines, memory replays and wavefront hangs become instant
+    events; metrics record ready-list occupancy, optional stalls and the
+    divergence serialization ratio. *)
 
 val lanes : t -> int
 
@@ -40,30 +50,6 @@ val scored_candidates : t -> int
 (** Cumulative fit-evaluated pass-2 candidates, summed over the lanes
     ({!Aco.Ant.scored_candidates}); the iteration loop reports its
     delta over a pass. *)
-
-val set_obs :
-  t ->
-  trace:Obs.Trace.t ->
-  metrics:Obs.Metrics.t ->
-  track:int ->
-  obs_cursor:float array ->
-  simd_cursor:float array ->
-  simd:int ->
-  unit
-(** Attach a flight recorder and metrics registry; [track] is this
-    wavefront's trace track, [simd] the SIMD unit it round-robins onto.
-    [obs_cursor].(1) must hold the current iteration's simulated start
-    time and [simd_cursor].(simd) the summed construction time of the
-    earlier wavefronts on the same unit; the wavefront adds its own time
-    to that slot as it finishes. Mutable fields rather than per-call
-    optional arguments — and driver-shared scratch arrays rather than
-    values threaded through closures — so the untraced hot path (defaults
-    [Obs.Trace.null] / [Obs.Metrics.null]) stays allocation-free. With
-    tracing on, each
-    lockstep round becomes a span on [track], and lane quarantines,
-    memory replays and wavefront hangs become instant events; metrics
-    record ready-list occupancy, optional stalls and the divergence
-    serialization ratio. *)
 
 type outcome = {
   time_ns : float;  (** simulated lockstep construction time *)
@@ -91,6 +77,7 @@ val run_iteration :
   rng:Support.Rng.t ->
   mode:Aco.Ant.mode ->
   pheromone:Aco.Pheromone.t ->
+  start_ns:float ->
   outcome
 (** Construct one candidate schedule per lane. [rng] seeds the lanes
     (each lane receives an independent split, as each GPU thread
@@ -98,4 +85,6 @@ val run_iteration :
     may hang the whole wavefront, quarantine individual lanes
     mid-construction, or replay a step's memory transactions; it never
     touches [rng], so a disabled injector leaves the construction
-    byte-identical. *)
+    byte-identical. [start_ns] is the simulated time the wavefront
+    starts constructing at, the origin of its trace events; nothing
+    else reads it. *)

@@ -39,12 +39,9 @@ let lds_read t ?name ~addr () = def_op t ?name Opcode.Lds addr fresh_vgpr
 
 let vstore t ?name ~data ~addr () = emit t ?name Opcode.Vmem_store ~defs:[] ~uses:(data @ addr)
 let lds_write t ?name ~data ~addr () = emit t ?name Opcode.Lds ~defs:[] ~uses:(data @ addr)
-let export t values = emit t Opcode.Export ~defs:[] ~uses:values
 
 let mark_live_out t r =
   if not (List.exists (Reg.equal r) t.live_out) then t.live_out <- r :: t.live_out
-
-let size t = t.next_id
 
 let finish t =
   Region.create_exn ~name:t.name ~live_out:(List.rev t.live_out) (List.rev t.rev_instrs)

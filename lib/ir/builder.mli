@@ -37,14 +37,8 @@ val sload : t -> ?name:string -> addr:Reg.t list -> unit -> Reg.t
 val lds_read : t -> ?name:string -> addr:Reg.t list -> unit -> Reg.t
 val lds_write : t -> ?name:string -> data:Reg.t list -> addr:Reg.t list -> unit -> unit
 
-val export : t -> Reg.t list -> unit
-(** Terminal export of the given values. *)
-
 val mark_live_out : t -> Reg.t -> unit
 (** Record a register as live past the region exit. *)
-
-val size : t -> int
-(** Instructions emitted so far. *)
 
 val finish : t -> Region.t
 (** Validate and return the region. Raises [Invalid_argument] if the

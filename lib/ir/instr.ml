@@ -35,5 +35,3 @@ let to_string t =
   let regs rs = String.concat " " (List.map Reg.to_string rs) in
   let lhs = if t.defs = [] then "" else regs t.defs ^ " <- " in
   Printf.sprintf "%%%d: %s %s%s" t.id t.name lhs (regs t.uses)
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -35,5 +35,3 @@ val uses_of_cls : t -> Reg.cls -> Reg.t list
 
 val to_string : t -> string
 (** E.g. ["%5: v_load v3 <- v1 v2"]. *)
-
-val pp : Format.formatter -> t -> unit

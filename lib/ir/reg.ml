@@ -18,5 +18,3 @@ let hash t = (cls_rank t.cls * 1000003) + t.id
 
 let to_string t =
   match t.cls with Vgpr -> "v" ^ string_of_int t.id | Sgpr -> "s" ^ string_of_int t.id
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

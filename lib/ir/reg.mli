@@ -22,5 +22,3 @@ val cls_equal : cls -> cls -> bool
 
 val to_string : t -> string
 (** ["v3"] or ["s7"]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -79,8 +79,6 @@ let live_in t = compute_live_in t.instrs
 
 let is_live_out t r = List.exists (Reg.equal r) t.live_out
 
-let instr t i = t.instrs.(i)
-
 let to_string t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "region %s (%d instrs)\n" t.name (size t));
@@ -93,5 +91,3 @@ let to_string t =
     Buffer.add_string buf
       ("  live-out: " ^ String.concat " " (List.map Reg.to_string t.live_out) ^ "\n");
   Buffer.contents buf
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

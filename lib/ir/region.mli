@@ -56,8 +56,4 @@ val live_in : t -> Reg.t list
 
 val is_live_out : t -> Reg.t -> bool
 
-val instr : t -> int -> Instr.t
-(** [instr r i] is the instruction with id [i]. *)
-
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

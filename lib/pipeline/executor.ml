@@ -55,7 +55,7 @@ let run_job ?trace ?(metrics = Obs.Metrics.null) ?(log = Obs.Log.null) ?cache
   Compile.run_region ?trace ~metrics ~log ?ctx ~budget_ns:job.j_budget_ns config
     ~name:job.j_name job.j_region
 
-let run_suite ?(jobs = 1) ?pool ?(progress = fun _ -> ()) ?(trace = Obs.Trace.null)
+let run_suite ?(jobs = 1) ?pool ?(trace = Obs.Trace.null)
     ?(metrics = Obs.Metrics.null) ?(log = Obs.Log.null) ?cache
     (config : Compile.config) (suite : Workload.Suite.t) =
   let jobs = max 1 jobs in
@@ -179,7 +179,6 @@ let run_suite ?(jobs = 1) ?pool ?(progress = fun _ -> ()) ?(trace = Obs.Trace.nu
   let kernels =
     List.map
       (fun (k : Workload.Suite.kernel) ->
-        progress k.Workload.Suite.kernel_name;
         let regions =
           List.map
             (fun _ ->

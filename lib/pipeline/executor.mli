@@ -47,7 +47,6 @@ val run_job :
 val run_suite :
   ?jobs:int ->
   ?pool:Support.Domain_pool.t ->
-  ?progress:(string -> unit) ->
   ?trace:Obs.Trace.t ->
   ?metrics:Obs.Metrics.t ->
   ?log:Obs.Log.t ->
@@ -61,8 +60,7 @@ val run_suite :
     [pool] (default {!Support.Domain_pool.global}, spawned once per
     process and reused across calls), clamped to the pool's size plus
     the calling domain, with workers claiming jobs largest first (ties
-    in suite order). [progress] fires once per kernel at merge time, in
-    suite order. The report is canonically identical to
+    in suite order). The report is canonically identical to
     [Compile.run_suite] with the same configuration, for any [jobs],
     [pool] and [cache] setting.
 

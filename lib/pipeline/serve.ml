@@ -350,6 +350,7 @@ type t = {
   mutable shed : int;
   mutable tally : Robust.tally;
   mutable persist_info : string;  (** provenance: cold / warm(...) / failed(...) *)
+  clients : (string, unit) Hashtbl.t;  (* names with their own request counter *)
 }
 
 let config t = t.cfg
@@ -509,6 +510,7 @@ let create ?(metrics = Obs.Metrics.null) ?(log = Obs.Log.null) ?pool
       shed = 0;
       tally = Robust.empty_tally;
       persist_info = "cold";
+      clients = Hashtbl.create 16;
     }
   in
   load_state t;
@@ -983,12 +985,30 @@ let drain t =
           ];
       send t (Drained { served = t.served; rejected = t.rejected; tally = t.tally })
 
+(* Per-client request counters: the first [max_client_labels] distinct
+   client names get their own [serve.client.<c>.requests] counter and
+   later ones count under [overflow_client], so a stream of fresh names
+   cannot grow the registry, or the [metrics] reply, without bound. *)
+let max_client_labels = 64
+let overflow_client = "overflow"
+
+let count_client t client =
+  let label =
+    if Hashtbl.mem t.clients client then client
+    else if Hashtbl.length t.clients < max_client_labels then begin
+      Hashtbl.replace t.clients client ();
+      client
+    end
+    else overflow_client
+  in
+  Obs.Metrics.incr t.metrics ("serve.client." ^ label ^ ".requests")
+
 let handle t ?(client = "anon") payload =
   t.received <- t.received + 1;
   Obs.Metrics.incr t.metrics "serve.requests";
   match parse_request payload with
   | Error (id, error) ->
-      Obs.Metrics.incr t.metrics ("serve.client." ^ client ^ ".requests");
+      count_client t client;
       reject t id error
   | Ok cmd -> (
       let client =
@@ -996,7 +1016,7 @@ let handle t ?(client = "anon") payload =
         | Compile { req_client = Some c; _ } -> c
         | _ -> client
       in
-      Obs.Metrics.incr t.metrics ("serve.client." ^ client ^ ".requests");
+      count_client t client;
       match cmd with
       (* the control plane stays responsive while draining; only new
          compile work is refused *)
@@ -1035,5 +1055,5 @@ let handle t ?(client = "anon") payload =
 let handle_frame_error t ?(client = "anon") err =
   t.received <- t.received + 1;
   Obs.Metrics.incr t.metrics "serve.requests";
-  Obs.Metrics.incr t.metrics ("serve.client." ^ client ^ ".requests");
+  count_client t client;
   reject t "-" (Bad_frame (Support.Frame.error_to_string err))

@@ -211,11 +211,20 @@ val create :
 val config : t -> config
 
 val handle : t -> ?client:string -> string -> unit
-(** Admit one frame payload from [client] (default ["anon"]): parse,
-    answer control commands immediately, reject malformed requests with
-    a typed error reply, shed past the pressure threshold, otherwise
-    enqueue. Every call produces exactly one reply — now, or when
-    {!process} reaches the queued request. *)
+(** Admit one frame payload from [client] (default ["anon"]; a compile
+    request's [client=] overrides it): parse, answer control commands
+    immediately, reject malformed requests with a typed error reply,
+    shed past the pressure threshold, otherwise enqueue. Every call
+    produces exactly one reply — now, or when {!process} reaches the
+    queued request. The request counts under
+    [serve.client.<client>.requests] while fewer than
+    {!max_client_labels} client names have a counter, under
+    [serve.client.overflow.requests] after. *)
+
+val max_client_labels : int
+(** How many distinct client names {!handle} gives a request counter of
+    their own (64): the bound on the per-client metrics a service
+    registers, whatever names its clients choose. *)
 
 val handle_frame_error : t -> ?client:string -> Support.Frame.error -> unit
 (** The transport saw a framing violation; replies [err code=bad-frame].

@@ -21,8 +21,6 @@ type spill_model = {
 
 type t = Cliff | Spill of spill_model
 
-let to_string = function Cliff -> "cliff" | Spill _ -> "spill"
-
 (* Pass-2 target meaning "unconstrained": far above any register-file
    size, same sentinel the weighted backend uses for its single pass. *)
 let no_target = 100000

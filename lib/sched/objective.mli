@@ -27,8 +27,6 @@ type spill_model = {
 
 type t = Cliff | Spill of spill_model
 
-val to_string : t -> string
-
 val no_target : int
 (** Pass-2 pressure target meaning "unconstrained" — far above any
     register-file size. *)

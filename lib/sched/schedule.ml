@@ -124,5 +124,3 @@ let to_string t =
         Buffer.add_string buf
           (Printf.sprintf "%4d: %s\n" c (Ir.Instr.to_string (Ddg.Graph.instr t.graph i))));
   Buffer.contents buf
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

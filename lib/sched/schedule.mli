@@ -83,4 +83,3 @@ val latency_pad : Ddg.Graph.t -> int array -> t
     be a valid dependence order. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -63,15 +63,12 @@ let reset t =
 
 let pool_limit = 8
 let pool_key : t list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-let pool_takes = Atomic.make 0
 let pool_reuses = Atomic.make 0
 
-let takes () = Atomic.get pool_takes
 let reuses () = Atomic.get pool_reuses
 
 let take ~ints ~floats =
   if ints < 0 || floats < 0 then invalid_arg "Arena.take: negative capacity";
-  Atomic.incr pool_takes;
   let pool = Domain.DLS.get pool_key in
   let fits a = Array.length a.ints >= max ints 1 && Array.length a.floats >= max floats 1 in
   let rec search acc = function

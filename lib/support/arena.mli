@@ -65,9 +65,6 @@ val give : t -> unit
     smallest resident is dropped on overflow). The caller must not touch
     the arena afterwards. *)
 
-val takes : unit -> int
-(** Process-wide {!take} count (all domains). *)
-
 val reuses : unit -> int
 (** Process-wide count of {!take}s served from a free list — the
     observable for "arenas are pooled, not re-created". *)

@@ -39,8 +39,6 @@ let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
-let clear t = Array.fill t.words 0 (Array.length t.words) 0
-
 let same_cap a b =
   if a.capacity <> b.capacity then invalid_arg "Bitset: capacity mismatch"
 
@@ -63,8 +61,6 @@ let inter_cardinal a b =
     acc := !acc + popcount (a.words.(i) land b.words.(i))
   done;
   !acc
-
-let equal a b = a.capacity = b.capacity && a.words = b.words
 
 let subset a b =
   same_cap a b;

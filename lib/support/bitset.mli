@@ -28,9 +28,6 @@ val cardinal : t -> int
 
 val is_empty : t -> bool
 
-val clear : t -> unit
-(** Remove all elements. *)
-
 val union_into : into:t -> t -> unit
 (** [union_into ~into s] sets [into := into U s]. Capacities must match. *)
 
@@ -39,8 +36,6 @@ val diff_into : into:t -> t -> unit
 
 val inter_cardinal : t -> t -> int
 (** [inter_cardinal a b] is [cardinal (a inter b)] without allocating. *)
-
-val equal : t -> t -> bool
 
 val subset : t -> t -> bool
 (** [subset a b] is true when every element of [a] is in [b]. *)

@@ -78,15 +78,12 @@ let to_array t = Array.init t.rows (fun r -> row_to_array t r)
 
 let pool_limit = 8
 let pool_key : mat list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-let pool_takes = Atomic.make 0
 let pool_reuses = Atomic.make 0
 
-let takes () = Atomic.get pool_takes
 let reuses () = Atomic.get pool_reuses
 
 let take ~rows ~cols =
   if rows < 0 || cols < 0 then invalid_arg "Fmat.take: negative dimension";
-  Atomic.incr pool_takes;
   let stride = stride_of_cols cols in
   let need = max (rows * stride) 1 in
   let pool = Domain.DLS.get pool_key in

@@ -64,8 +64,5 @@ val to_array : t -> float array array
 val take : rows:int -> cols:int -> t
 val give : t -> unit
 
-val takes : unit -> int
-(** Total [take] calls across all domains (diagnostics). *)
-
 val reuses : unit -> int
 (** How many [take]s were satisfied from a pool (diagnostics). *)

@@ -57,8 +57,4 @@ let pop t =
 
 let peek t = if t.size = 0 then None else Some t.data.(0)
 
-let to_list t =
-  let rec loop i acc = if i < 0 then acc else loop (i - 1) (t.data.(i) :: acc) in
-  loop (t.size - 1) []
-
 let clear t = t.size <- 0

@@ -20,7 +20,4 @@ val pop : 'a t -> 'a option
 
 val peek : 'a t -> 'a option
 
-val to_list : 'a t -> 'a list
-(** Snapshot of the contents in unspecified order. *)
-
 val clear : 'a t -> unit

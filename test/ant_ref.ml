@@ -20,7 +20,7 @@ type event = { op : op; ready_scanned : int; succs_updated : int }
    per cycle, independent of the product's schedule representation. *)
 type slot = Stall | Instr of int
 
-(* [Divergence.path_rank] encoding, as reported by [Aco.Ant.last_rank]. *)
+(* The divergence-path rank [Aco.Ant.last_rank] reports. *)
 let rank_of_op = function
   | Selected { explored = false; _ } -> 0
   | Selected { explored = true; _ } -> 1

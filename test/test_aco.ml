@@ -150,7 +150,7 @@ let prop_ant_bounds_sound =
         Aco.Ant.start ant ~rng:(Support.Rng.split rng) ~heuristic:params.Engine.Params.heuristic
           ~allow_optional_stalls:true mode
       in
-      let step () = Aco.Ant.step_hot ant ~pheromone ~force_explore:(-1) ~ready_limit:0 in
+      let step () = Aco.Ant.step ant ~pheromone ~force_explore:(-1) ~ready_limit:0 in
       let pass2 =
         Aco.Ant.Ilp_pass
           {
@@ -206,7 +206,7 @@ let test_ant_step_requires_active () =
   let ant = run_ant Aco.Ant.Rp_pass g in
   let pheromone = Aco.Pheromone.create ~n:g.Ddg.Graph.n ~initial:1.0 in
   Alcotest.check_raises "stepping a finished ant" (Invalid_argument "Ant.step: ant is not active")
-    (fun () -> ignore (Aco.Ant.step ant ~pheromone))
+    (fun () -> Aco.Ant.step ant ~pheromone ~force_explore:(-1) ~ready_limit:0)
 
 let test_ant_kill () =
   let g = Ddg.Graph.build (Tu.diamond_region ()) in

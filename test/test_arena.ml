@@ -3,14 +3,14 @@
    1. Unit tests of [Support.Arena] (bump offsets, exact capacities,
       exhaustion).
    2. qcheck differential: the arena-backed [Aco.Ant] stepped through
-      [step_hot] must be byte-identical to [Ant_ref] (the original
+      [Aco.Ant.step] must be byte-identical to [Ant_ref] (the original
       list-based implementation) on random regions — same events, same
       RNG consumption, same constructed order — across both passes,
       heuristics, forced exploration modes, ready-list limits and
       mid-construction kills.
    3. qcheck differential at the wavefront level: a reference lockstep
-      loop built from [Ant_ref] and the retained list-level cost models
-      must reproduce [Gpusim.Wavefront.run_iteration] exactly, including
+      loop built from [Ant_ref] and a list-level charge of its own must
+      reproduce [Gpusim.Wavefront.run_iteration] exactly, including
       under nonzero injected-fault rates (twin [Faults] instances with
       equal seeds replay the same fault stream). *)
 
@@ -81,7 +81,7 @@ let lockstep_compare ?(initial = 1.0) ?kill_at ~force_explore ~ready_limit ~mode
     else begin
       let fe = match force_explore with None -> -1 | Some true -> 1 | Some false -> 0 in
       let rl = match ready_limit with None -> 0 | Some k -> k in
-      Aco.Ant.step_hot ant ~pheromone ~force_explore:fe ~ready_limit:rl;
+      Aco.Ant.step ant ~pheromone ~force_explore:fe ~ready_limit:rl;
       let ev = Ant_ref.step ?force_explore ?ready_limit ant_ref ~pheromone in
       let rank = Aco.Ant.last_rank ant and ref_rank = Ant_ref.rank_of_op ev.Ant_ref.op in
       if rank <> ref_rank then
@@ -189,7 +189,7 @@ let shared_colony_lockstep ~mode graph params seed =
     Array.iteri
       (fun lane ant ->
         if Aco.Ant.status ant = Aco.Ant.Active then begin
-          Aco.Ant.step_hot ant ~pheromone ~force_explore:(-1) ~ready_limit:0;
+          Aco.Ant.step ant ~pheromone ~force_explore:(-1) ~ready_limit:0;
           let ev = Ant_ref.step refs.(lane) ~pheromone in
           Alcotest.(check string)
             (Printf.sprintf "lane %d step" lane)
@@ -263,11 +263,36 @@ type ref_outcome = {
   r_mem_faults : int;
 }
 
+(* The reference's own charge of one lockstep step over the stepped
+   lanes' events (Sections V-A and V-B): per divergence path — the step
+   kind — the most expensive lane's compute cost, summed over the paths
+   (serialized) and maximized over them (the single-path floor); and the
+   memory transactions, one per entry depth reached when coalesced, one
+   per access otherwise. Returns (serialized, single, transactions). *)
+let ref_step_charge config (events : Ant_ref.event list) =
+  let lane_cost (e : Ant_ref.event) = e.Ant_ref.ready_scanned + e.Ant_ref.succs_updated + 3 in
+  let lane_reads (e : Ant_ref.event) = e.Ant_ref.ready_scanned + e.Ant_ref.succs_updated + 1 in
+  let path_max rank =
+    List.fold_left
+      (fun acc (e : Ant_ref.event) ->
+        if Ant_ref.rank_of_op e.Ant_ref.op = rank then max acc (lane_cost e) else acc)
+      0 events
+  in
+  let maxima = List.map path_max [ 0; 1; 2; 3; 4 ] in
+  let reads = List.map lane_reads events in
+  let transactions =
+    if events = [] then 0
+    else if config.Gpusim.Config.opts.Gpusim.Config.coalesced_layout then
+      List.fold_left max 0 reads
+    else List.fold_left ( + ) 0 reads
+  in
+  (List.fold_left ( + ) 0 maxima, List.fold_left max 0 maxima, transactions)
+
 (* Reference lockstep loop: [Gpusim.Wavefront.run_iteration] re-derived
-   from [Ant_ref] and the list-level cost models, consuming [rng] and
-   [faults] in exactly the production order (hang coin, lane seed
-   splits, fault schedule, one exploration coin per step, one mem-fault
-   coin per step with transactions). *)
+   from [Ant_ref] and [ref_step_charge], consuming [rng] and [faults] in
+   exactly the production order (hang coin, lane seed splits, fault
+   schedule, one exploration coin per step, one mem-fault coin per step
+   with transactions). *)
 let ref_run_iteration config ~faults ~ants ~rng ~mode ~pheromone ~heuristic =
   let opts = config.Gpusim.Config.opts in
   if Gpusim.Faults.enabled faults && Gpusim.Faults.wavefront_hang faults then
@@ -345,28 +370,12 @@ let ref_run_iteration config ~faults ~ants ~rng ~mode ~pheromone ~heuristic =
           if Ant_ref.status a = Aco.Ant.Active then begin
             let ev = Ant_ref.step ?force_explore ?ready_limit a ~pheromone in
             if Ant_ref.rank_of_op ev.Ant_ref.op <= 1 then incr selections;
-            events :=
-              {
-                Aco.Ant.op =
-                  (match ev.Ant_ref.op with
-                  | Ant_ref.Selected { instr; explored } ->
-                      Aco.Ant.Selected { instr; explored }
-                  | Ant_ref.Mandatory_stall -> Aco.Ant.Mandatory_stall
-                  | Ant_ref.Optional_stall -> Aco.Ant.Optional_stall
-                  | Ant_ref.Died -> Aco.Ant.Died);
-                ready_scanned = ev.Ant_ref.ready_scanned;
-                succs_updated = ev.Ant_ref.succs_updated;
-              }
-              :: !events
+            events := ev :: !events
           end)
         ants;
       let events = List.rev !events in
       ant_steps := !ant_steps + List.length events;
-      let charge = Gpusim.Divergence.step_charge events in
-      let transactions =
-        Gpusim.Mem_model.step_transactions config
-          ~reads_per_lane:(List.map Gpusim.Divergence.lane_reads events)
-      in
+      let serialized_step, single_step, transactions = ref_step_charge config events in
       let transactions =
         if faults_on && transactions > 0 && Gpusim.Faults.mem_fault faults then begin
           incr mem_faults;
@@ -376,11 +385,10 @@ let ref_run_iteration config ~faults ~ants ~rng ~mode ~pheromone ~heuristic =
       in
       time :=
         !time
-        +. (float_of_int charge.Gpusim.Divergence.serialized_ops
-           *. config.Gpusim.Config.gpu_ns_per_op)
+        +. (float_of_int serialized_step *. config.Gpusim.Config.gpu_ns_per_op)
         +. (float_of_int transactions *. config.Gpusim.Config.mem_transaction_ns);
-      serialized := !serialized + charge.Gpusim.Divergence.serialized_ops;
-      single := !single + charge.Gpusim.Divergence.max_single_path_ops;
+      serialized := !serialized + serialized_step;
+      single := !single + single_step;
       if
         opts.Gpusim.Config.early_wavefront_termination
         && Array.exists (fun a -> Ant_ref.status a = Aco.Ant.Finished) ants
@@ -436,7 +444,7 @@ let wavefront_differential =
           let rng_a = Support.Rng.create seed and rng_b = Support.Rng.create seed in
           let o =
             Gpusim.Wavefront.run_iteration ~faults:(mk_faults ()) w ~rng:rng_a ~mode
-              ~pheromone
+              ~pheromone ~start_ns:0.0
           in
           let r =
             ref_run_iteration config ~faults:(mk_faults ()) ~ants:ref_ants ~rng:rng_b
@@ -482,7 +490,10 @@ let wavefront_determinism =
         in
         let rng = Support.Rng.create seed in
         let pheromone = Aco.Pheromone.create ~n:graph.Ddg.Graph.n ~initial:1.0 in
-        let o = Gpusim.Wavefront.run_iteration ~faults w ~rng ~mode:Aco.Ant.Rp_pass ~pheromone in
+        let o =
+          Gpusim.Wavefront.run_iteration ~faults w ~rng ~mode:Aco.Ant.Rp_pass ~pheromone
+            ~start_ns:0.0
+        in
         ( o.Gpusim.Wavefront.time_ns,
           o.Gpusim.Wavefront.steps,
           o.Gpusim.Wavefront.quarantined,

@@ -200,9 +200,14 @@ let test_auto_dispatch () =
   in
   Alcotest.(check string) "at threshold -> par" "par" above.Pipeline.Compile.product_backend
 
+(* Races in which some candidate searched: on a region every bound
+   closes, all three ship the heuristic schedule and the race decides
+   nothing. *)
+let races_searched = ref 0
+
 let race_picks_best =
   QCheck.Test.make ~count:6 ~name:"race dispatch ships the best schedule of the portfolio"
-    (Tu.arb_region ~max_size:30 ())
+    (Tu.arb_searched_region ~max_size:30 ())
     (fun region ->
       let r =
         Pipeline.Compile.run_region
@@ -210,6 +215,14 @@ let race_picks_best =
           ~name:"race" region
       in
       Alcotest.(check int) "all candidates ran" 3 (List.length r.Pipeline.Compile.runs);
+      if
+        List.exists
+          (fun (run : Pipeline.Compile.backend_run) ->
+            let res = run.Pipeline.Compile.result in
+            res.Engine.Types.pass1.Engine.Types.invoked
+            || res.Engine.Types.pass2.Engine.Types.invoked)
+          r.Pipeline.Compile.runs
+      then incr races_searched;
       let product = Pipeline.Compile.product_run r in
       List.iter
         (fun (run : Pipeline.Compile.backend_run) ->
@@ -719,7 +732,7 @@ let suite =
     ("auto dispatch follows the size threshold", `Quick, test_auto_dispatch);
     ("every stop reason and its ledger rung", `Quick, test_stop_reasons);
   ]
-  @ Tu.qtests [ race_picks_best ]
+  @ [ Tu.qtest_witnessed ~witness:races_searched ~what:"a race that searched" race_picks_best ]
   @ [ Tu.qtest_witnessed ~witness:cut_cases ~what:"a cut ant" seq_differential ]
   @ [ Tu.qtest_witnessed ~witness:par_searched ~what:"a searched pass" par_differential ]
   @ Tu.qtests [ analyses_spec ]

@@ -207,6 +207,42 @@ let test_weighted_run () =
                        (Sched.Schedule.order r.Aco.Weighted_aco.schedule)))))))
     weighted_pins
 
+(* The flight recorder, pinned: the Chrome trace JSON and the metrics
+   CSV of the compile [gpuaco compile --shape matmul --size 60
+   --fault-rate 0.9 --max-retries 3 --trace T --metrics M] writes, built
+   as the CLI builds it (the analysis cache records into the same
+   registry). At that fault rate the one compile records every event
+   kind the GPU model emits, so a refactor of the recording path that
+   moves, drops or re-times any event fails here. *)
+let test_flight_recorder () =
+  let region = Option.get (Workload.Shapes.of_spec ~name:"matmul" ~size:60 ~seed:2024) in
+  let config =
+    {
+      (Pipeline.Compile.make_config ~fault_rate:0.9 ~max_retries:3
+         ~dispatch:(Engine.Dispatch.Fixed "par") ())
+      with
+      Pipeline.Compile.run_sequential = false;
+    }
+  in
+  let trace = Obs.Trace.create () and metrics = Obs.Metrics.create () in
+  let cache = Pipeline.Analysis.create ~metrics () in
+  let ctx = Pipeline.Analysis.get cache config.Pipeline.Compile.occ region in
+  ignore (Pipeline.Compile.run_region ~trace ~metrics ~ctx config ~name:"matmul" region);
+  let recorded =
+    List.map (fun (name, _, _) -> name) (Obs.Trace.span_totals trace)
+    @ List.map fst (Obs.Trace.instant_counts trace)
+  in
+  List.iter
+    (fun kind ->
+      if not (List.mem kind recorded) then Alcotest.failf "no %s event recorded" kind)
+    [ "lockstep_round"; "lane_fault"; "mem_fault_replay"; "wavefront_hang"; "reduction_drop";
+      "retry"; "retry_backoff" ];
+  Alcotest.(check int) "events" 3110 (Obs.Trace.recorded trace);
+  Alcotest.(check string) "trace JSON digest" "ff8359c4975064178963c64c7a86aa0f"
+    (Digest.to_hex (Digest.string (Obs.Trace.to_chrome_json trace)));
+  Alcotest.(check string) "metrics CSV digest" "ac5b1a4dbcbf5c4305f6f83f13e9acda"
+    (Digest.to_hex (Digest.string (Obs.Metrics.to_csv metrics)))
+
 let suite =
   List.map
     (fun (name, expected, report) ->
@@ -221,4 +257,6 @@ let suite =
       open_goldens
   @ [
       Alcotest.test_case "weighted standalone run pinned" `Quick test_weighted_run;
+      Alcotest.test_case "flight recorder of a faulted compile pinned" `Quick
+        test_flight_recorder;
     ]

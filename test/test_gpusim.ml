@@ -1,47 +1,48 @@
-let mk_event op ~scanned ~succs =
-  { Aco.Ant.op; ready_scanned = scanned; succs_updated = succs }
+(* One lockstep step folded as the wavefront folds its lanes: each lane
+   is [(rank, scanned, succs)] — its [Aco.Ant.last_rank] and step
+   counters — and raises its path's entry of the 5-entry maxima to its
+   compute cost. *)
+let maxima_of lanes =
+  let maxima = Array.make 5 0 in
+  List.iter
+    (fun (rank, scanned, succs) ->
+      let cost = Gpusim.Divergence.cost_of ~ready_scanned:scanned ~succs_updated:succs in
+      if cost > maxima.(rank) then maxima.(rank) <- cost)
+    lanes;
+  maxima
 
-let sel ~explored = Aco.Ant.Selected { instr = 0; explored }
+let paths maxima = Array.fold_left (fun acc m -> if m > 0 then acc + 1 else acc) 0 maxima
 
 let test_divergence_single_path () =
-  let events =
-    [ mk_event (sel ~explored:false) ~scanned:5 ~succs:2;
-      mk_event (sel ~explored:false) ~scanned:3 ~succs:1 ]
-  in
-  let c = Gpusim.Divergence.step_charge events in
-  Alcotest.(check int) "one path" 1 c.Gpusim.Divergence.distinct_paths;
-  Alcotest.(check int) "cost = max lane" 10 c.Gpusim.Divergence.serialized_ops;
-  Alcotest.(check int) "floor = same" 10 c.Gpusim.Divergence.max_single_path_ops
+  let m = maxima_of [ (0, 5, 2); (0, 3, 1) ] in
+  Alcotest.(check int) "one path" 1 (paths m);
+  Alcotest.(check int) "cost = max lane" 10 (Gpusim.Divergence.serialized_of_maxima m);
+  Alcotest.(check int) "floor = same" 10 (Gpusim.Divergence.max_single_of_maxima m)
 
 let test_divergence_two_paths () =
-  let events =
-    [ mk_event (sel ~explored:false) ~scanned:5 ~succs:2;
-      mk_event (sel ~explored:true) ~scanned:3 ~succs:1;
-      mk_event Aco.Ant.Mandatory_stall ~scanned:0 ~succs:0 ]
-  in
-  let c = Gpusim.Divergence.step_charge events in
-  Alcotest.(check int) "three paths" 3 c.Gpusim.Divergence.distinct_paths;
+  let m = maxima_of [ (0, 5, 2); (1, 3, 1); (2, 0, 0) ] in
+  Alcotest.(check int) "three paths" 3 (paths m);
   (* 10 + 7 + 3 *)
-  Alcotest.(check int) "serialized sums maxima" 20 c.Gpusim.Divergence.serialized_ops;
-  Alcotest.(check int) "floor is overall max" 10 c.Gpusim.Divergence.max_single_path_ops
+  Alcotest.(check int) "serialized sums maxima" 20 (Gpusim.Divergence.serialized_of_maxima m);
+  Alcotest.(check int) "floor is overall max" 10 (Gpusim.Divergence.max_single_of_maxima m)
 
 let test_divergence_empty () =
-  let c = Gpusim.Divergence.step_charge [] in
-  Alcotest.(check int) "zero" 0 c.Gpusim.Divergence.serialized_ops
+  Alcotest.(check int) "zero" 0 (Gpusim.Divergence.serialized_of_maxima (maxima_of []))
 
 let prop_divergence_dominates =
   QCheck.Test.make ~name:"serialized >= single-path floor" ~count:200
     QCheck.(small_list (pair (int_bound 4) (pair (int_bound 30) (int_bound 10))))
     (fun raw ->
-      let ops =
-        [| sel ~explored:false; sel ~explored:true; Aco.Ant.Mandatory_stall;
-           Aco.Ant.Optional_stall; Aco.Ant.Died |]
+      let m =
+        maxima_of (List.map (fun (rank, (scanned, succs)) -> (rank, scanned, succs)) raw)
       in
-      let events =
-        List.map (fun (k, (scanned, succs)) -> mk_event ops.(k) ~scanned ~succs) raw
-      in
-      let c = Gpusim.Divergence.step_charge events in
-      c.Gpusim.Divergence.serialized_ops >= c.Gpusim.Divergence.max_single_path_ops)
+      Gpusim.Divergence.serialized_of_maxima m >= Gpusim.Divergence.max_single_of_maxima m)
+
+(* [Mem_model.step_transactions] over a list of per-lane access counts,
+   accumulated as the wavefront accumulates them. *)
+let transactions config reads =
+  Gpusim.Mem_model.step_transactions config ~active:(List.length reads)
+    ~reads_max:(List.fold_left max 0 reads) ~reads_sum:(List.fold_left ( + ) 0 reads)
 
 let test_mem_coalescing () =
   let coalesced = Tu.test_gpu in
@@ -49,24 +50,16 @@ let test_mem_coalescing () =
     Gpusim.Config.with_opts Tu.test_gpu Gpusim.Config.opts_no_memory
   in
   let reads = [ 4; 7; 2; 7 ] in
-  Alcotest.(check int) "coalesced = max" 7
-    (Gpusim.Mem_model.step_transactions coalesced ~reads_per_lane:reads);
-  Alcotest.(check int) "uncoalesced = sum" 20
-    (Gpusim.Mem_model.step_transactions uncoalesced ~reads_per_lane:reads);
-  Alcotest.(check int) "empty wavefront" 0
-    (Gpusim.Mem_model.step_transactions coalesced ~reads_per_lane:[])
+  Alcotest.(check int) "coalesced = max" 7 (transactions coalesced reads);
+  Alcotest.(check int) "uncoalesced = sum" 20 (transactions uncoalesced reads);
+  Alcotest.(check int) "empty wavefront" 0 (transactions coalesced [])
 
 let prop_coalescing_never_worse =
   QCheck.Test.make ~name:"coalesced transactions <= uncoalesced" ~count:200
     QCheck.(small_list (int_bound 50))
     (fun reads ->
-      let c = Gpusim.Mem_model.step_transactions Tu.test_gpu ~reads_per_lane:reads in
-      let u =
-        Gpusim.Mem_model.step_transactions
-          (Gpusim.Config.with_opts Tu.test_gpu Gpusim.Config.opts_no_memory)
-          ~reads_per_lane:reads
-      in
-      c <= u)
+      transactions Tu.test_gpu reads
+      <= transactions (Gpusim.Config.with_opts Tu.test_gpu Gpusim.Config.opts_no_memory) reads)
 
 let test_mem_sizing () =
   let tight = Gpusim.Mem_model.words_per_thread Tu.test_gpu ~n:100 ~ready_ub:10 in
@@ -84,27 +77,24 @@ let test_mem_sizing () =
   in
   Alcotest.(check bool) "batched setup cheaper" true (batched < unbatched)
 
+let min_reduce costs =
+  Gpusim.Reduction.min_reduce costs ~scratch:(Array.make (Array.length costs) 0)
+
 let test_reduction_matches_fold () =
-  let a = [| (5, 0); (3, 1); (9, 2); (3, 3) |] in
-  Alcotest.(check (pair int int)) "min with lowest index on ties" (3, 1)
-    (Gpusim.Reduction.min_reduce a)
+  Alcotest.(check int) "min with lowest index on ties" 1 (min_reduce [| 5; 3; 9; 3 |])
 
 let prop_reduction_correct =
   QCheck.Test.make ~name:"tree reduction = sequential min" ~count:200
     QCheck.(list_of_size (QCheck.Gen.int_range 1 100) int)
     (fun xs ->
-      let a = Array.of_list (List.mapi (fun i x -> (x, i)) xs) in
-      let tree = Gpusim.Reduction.min_reduce a in
-      let seq =
-        Array.fold_left
-          (fun (bc, bi) (c, i) -> if c < bc || (c = bc && i < bi) then (c, i) else (bc, bi))
-          a.(0) a
-      in
-      tree = seq)
+      let costs = Array.of_list xs in
+      let seq = ref 0 in
+      Array.iteri (fun i c -> if c < costs.(!seq) then seq := i) costs;
+      min_reduce costs = !seq)
 
 let test_reduction_empty () =
   Alcotest.check_raises "empty reduction" (Invalid_argument "Reduction.min_reduce: empty")
-    (fun () -> ignore (Gpusim.Reduction.min_reduce [||]))
+    (fun () -> ignore (min_reduce [||]))
 
 let test_kernel_sim_construction_time () =
   let config = Tu.test_gpu in
@@ -119,7 +109,7 @@ let test_kernel_sim_construction_time () =
 
 let test_kernel_sim_pass_time_includes_overheads () =
   let config = Tu.test_gpu in
-  let t = Gpusim.Kernel_sim.pass_time_ns config ~n:50 ~ready_ub:10 ~iteration_times:[ 1000.0 ] in
+  let t = Gpusim.Kernel_sim.pass_time_ns config ~n:50 ~ready_ub:10 ~iterations_ns:1000.0 in
   Alcotest.(check bool) "launch overhead dominates small kernels" true
     (t > config.Gpusim.Config.launch_overhead_ns)
 
@@ -130,7 +120,7 @@ let run_wavefront ?(opts = Gpusim.Config.opts_paper) mode g =
       ~allow_optional_stalls:true
   in
   let pheromone = Aco.Pheromone.create ~n:g.Ddg.Graph.n ~initial:1.0 in
-  Gpusim.Wavefront.run_iteration w ~rng:(Support.Rng.create 3) ~mode ~pheromone
+  Gpusim.Wavefront.run_iteration w ~rng:(Support.Rng.create 3) ~mode ~pheromone ~start_ns:0.0
 
 let test_wavefront_pass1_all_finish () =
   let g = Ddg.Graph.build (Tu.random_region 9) in

@@ -632,6 +632,34 @@ let prop_zero_fault_serve_is_direct =
             (Pipeline.Report_digest.digest_region direct)
       | _ -> false)
 
+(* A fresh client name on every request, as when the socket transport
+   labelled each connection: the per-client counters stop at
+   [max_client_labels] names plus the overflow counter, and together
+   they still count every request. *)
+let test_client_counters_bounded () =
+  let metrics = Obs.Metrics.create () in
+  let srv, replies = mk ~metrics (serve_cfg (compile_cfg ())) in
+  let overflow = 36 in
+  let requests = Pipeline.Serve.max_client_labels + overflow in
+  for i = 1 to requests do
+    Pipeline.Serve.handle srv
+      (spec_req ~id:(Printf.sprintf "r%d" i) ~extra:(Printf.sprintf " client=c%d" i)
+         "transform" 8 1);
+    ignore (Pipeline.Serve.process srv)
+  done;
+  Alcotest.(check int) "every request served" requests (List.length (compiled (replies ())));
+  let per_client =
+    List.filter
+      (fun name -> String.starts_with ~prefix:"serve.client." name)
+      (Obs.Metrics.names metrics)
+  in
+  Alcotest.(check int) "per-client counters bounded" (Pipeline.Serve.max_client_labels + 1)
+    (List.length per_client);
+  Alcotest.(check int) "overflow counts the rest" overflow
+    (counter metrics "serve.client.overflow.requests");
+  Alcotest.(check int) "every request counted once" requests
+    (List.fold_left (fun acc name -> acc + counter metrics name) 0 per_client)
+
 let suite =
   [
     Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
@@ -665,3 +693,7 @@ let suite =
       test_serve_log_threads_request_ids;
   ]
   @ Tu.qtests [ prop_zero_fault_serve_is_direct ]
+  @ [
+      Alcotest.test_case "per-client counters stay bounded" `Quick
+        test_client_counters_bounded;
+    ]

@@ -160,9 +160,9 @@ module Par_ref = struct
     in
     w < allowed
 
-  let make_wavefronts ?shared config graph params =
+  let make_wavefronts ?shared ~trace ~metrics config graph params =
     Array.init config.Gpusim.Config.num_wavefronts (fun w ->
-        Gpusim.Wavefront.create ?shared config graph params
+        Gpusim.Wavefront.create ?shared ~trace ~metrics ~track:(2 + w) config graph params
           ~heuristic:(heuristic_for config params w)
           ~allow_optional_stalls:(allow_optional_for config w))
 
@@ -234,7 +234,6 @@ module Par_ref = struct
     let wavefront_times = Array.make (max 1 num_wavefronts) 0.0 in
     let outcomes : Gpusim.Wavefront.outcome option array = Array.make (max 1 num_wavefronts) None in
     let cost_buf = Array.make threads max_int in
-    let red_cost = Array.make threads 0 in
     let red_idx = Array.make threads 0 in
     (* Iteration times land in a growable buffer (an iteration can add a
        backoff entry besides its own time, hence the factor 2). *)
@@ -264,10 +263,7 @@ module Par_ref = struct
       if tracing then begin
         (* Wavefronts round-robin over the SIMD units; a unit runs its
            wavefronts back to back, so a wavefront's track starts at the
-           sum of the times of the earlier wavefronts on the same unit.
-           The wavefronts read and advance these cursors themselves
-           (installed via [Gpusim.Wavefront.set_obs]) so the per-iteration closure
-           below captures nothing the untraced build does not. *)
+           sum of the times of the earlier wavefronts on the same unit. *)
         Array.fill simd_cursor 0 (Array.length simd_cursor) 0.0;
         obs_cursor.(1) <- obs_cursor.(0)
       end;
@@ -277,7 +273,13 @@ module Par_ref = struct
       let iter_faulted = ref false in
       Array.iteri
         (fun w wavefront ->
-          let outcome = Gpusim.Wavefront.run_iteration ~faults wavefront ~rng ~mode ~pheromone in
+          let simd = w mod Array.length simd_cursor in
+          let outcome =
+            Gpusim.Wavefront.run_iteration ~faults wavefront ~rng ~mode ~pheromone
+              ~start_ns:(if tracing then obs_cursor.(1) +. simd_cursor.(simd) else 0.0)
+          in
+          if tracing then
+            simd_cursor.(simd) <- simd_cursor.(simd) +. outcome.Gpusim.Wavefront.time_ns;
           outcomes.(w) <- Some outcome;
           wavefront_times.(w) <- outcome.Gpusim.Wavefront.time_ns;
           work := !work + outcome.Gpusim.Wavefront.work;
@@ -293,9 +295,8 @@ module Par_ref = struct
             (fun k ant -> cost_buf.((w * lanes) + k) <- cost_of_ant ant)
             outcome.Gpusim.Wavefront.finished)
         wavefronts;
-      let winner_cost, winner_idx =
-        Gpusim.Reduction.min_reduce_into ~costs:cost_buf ~scratch_cost:red_cost ~scratch_idx:red_idx
-      in
+      let winner_idx = Gpusim.Reduction.min_reduce cost_buf ~scratch:red_idx in
+      let winner_cost = cost_buf.(winner_idx) in
       let dropped = Gpusim.Faults.enabled faults && Gpusim.Faults.reduction_drop faults in
       if dropped then iter_faulted := true;
       let iter_time_raw = Gpusim.Kernel_sim.iteration_time_ns config ~n ~wavefront_times in
@@ -407,9 +408,8 @@ module Par_ref = struct
       end
     done;
     if budget_ns < infinity && not (within_budget ()) then aborted_budget := true;
-    let time_ns =
-      Gpusim.Kernel_sim.pass_time_ns_buf config ~n ~ready_ub ~times:!iter_times ~count:!iter_count
-    in
+    (* [elapsed] sums [iter_times] in push order *)
+    let time_ns = Gpusim.Kernel_sim.pass_time_ns config ~n ~ready_ub ~iterations_ns:!elapsed in
     (* The baseline evaluated the stats record's fields right to left, so
        [fault_counts] (which allocates) landed inside the measured window
        and the convergence series (textually before [minor_words]) must
@@ -477,25 +477,21 @@ module Par_ref = struct
     (* One set of region analyses (critical path, register layout, closure
        ready-list bound) feeds every wavefront of the colony. *)
     let shared = Aco.Ant.prepare_shared ~beta:params.Engine.Params.beta graph in
-    let wavefronts = make_wavefronts ~shared config graph params in
     (* Track layout: 0 = driver, 1 = kernel stages, 2.. = one per
-       wavefront. Hooks are attached here, outside any measured window, so
-       the per-iteration calls need no optional-argument wrapping. *)
+       wavefront. *)
+    let wavefronts = make_wavefronts ~shared ~trace ~metrics config graph params in
     let simds = Machine.Target.total_simds config.Gpusim.Config.target in
-    (* Driver-owned simulated-time cursors, shared with every wavefront:
-       [obs_cursor].(0) is the driver cursor, (1) the current iteration's
-       start; [simd_cursor].(s) sums the construction time of the
-       wavefronts already run on SIMD unit [s] this iteration. *)
+    (* Driver-owned simulated-time cursors: [obs_cursor].(0) is the
+       driver cursor, (1) the current iteration's start;
+       [simd_cursor].(s) sums the construction time of the wavefronts
+       already run on SIMD unit [s] this iteration. *)
     let obs_cursor = Array.make 2 0.0 in
     let simd_cursor = Array.make (max 1 simds) 0.0 in
     if Obs.Trace.enabled trace || Obs.Metrics.enabled metrics then begin
       Obs.Trace.name_track trace 0 "driver";
       Obs.Trace.name_track trace 1 "kernel: reduce + pheromone";
       Array.iteri
-        (fun w wf ->
-          Obs.Trace.name_track trace (2 + w) (Printf.sprintf "wavefront %d" w);
-          Gpusim.Wavefront.set_obs wf ~trace ~metrics ~track:(2 + w) ~obs_cursor ~simd_cursor
-            ~simd:(w mod simds))
+        (fun w _ -> Obs.Trace.name_track trace (2 + w) (Printf.sprintf "wavefront %d" w))
         wavefronts
     end;
     let pheromone = Aco.Pheromone.create ~n ~initial:params.Engine.Params.initial_pheromone in

@@ -54,12 +54,12 @@ let analysis_words_per_region () =
       (fun (k : Workload.Suite.kernel) -> k.Workload.Suite.regions)
       (Workload.Suite.generate Workload.Suite.test_scale).Workload.Suite.kernels
   in
-  let before = Support.Perfcount.minor_words () in
+  let before = Gc.minor_words () in
   List.iter
     (fun region ->
       ignore (Sys.opaque_identity (Engine.Region_ctx.of_region Machine.Occupancy.default region)))
     regions;
-  (Support.Perfcount.minor_words () -. before) /. float_of_int (List.length regions)
+  (Gc.minor_words () -. before) /. float_of_int (List.length regions)
 
 let write_json ~file ~jobs rows ~scaling =
   let oc = open_out file in

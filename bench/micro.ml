@@ -6,6 +6,13 @@ open Toolkit
 
 let region = lazy (Workload.Shapes.transform (Support.Rng.create 9) ~unroll:16 ~chain:4)
 let graph = lazy (Ddg.Graph.build (Lazy.force region))
+let rc = lazy (Engine.Region_ctx.of_graph Machine.Occupancy.default (Lazy.force graph))
+
+(* The colony-wide state every ant and wavefront below is carved over. *)
+let shared =
+  lazy
+    (Aco.Ant.shared_of_region_ctx ~beta:Engine.Params.default.Engine.Params.beta
+       (Lazy.force rc))
 
 let test_ddg_build =
   Test.make ~name:"ddg_build"
@@ -36,7 +43,7 @@ let test_one_ant =
     (Staged.stage
        (let g = Lazy.force graph in
         let params = Engine.Params.default in
-        let ant = Aco.Ant.create g params in
+        let ant = (Aco.Ant.lanes (Lazy.force shared) ~count:1 params).(0) in
         let pheromone = Aco.Pheromone.create ~n:g.Ddg.Graph.n ~initial:1.0 in
         let rng = Support.Rng.create 4 in
         fun () ->
@@ -51,7 +58,7 @@ let test_wavefront_iteration =
        (let g = Lazy.force graph in
         let config = { Gpusim.Config.bench with Gpusim.Config.num_wavefronts = 1 } in
         let w =
-          Gpusim.Wavefront.create config g Engine.Params.default
+          Gpusim.Wavefront.create config (Lazy.force shared) Engine.Params.default
             ~heuristic:Sched.Heuristic.Critical_path ~allow_optional_stalls:true
         in
         let pheromone = Aco.Pheromone.create ~n:g.Ddg.Graph.n ~initial:1.0 in
@@ -129,7 +136,7 @@ let alloc_row ~pass ~mode heuristic =
   let g = Lazy.force graph in
   let config = { Gpusim.Config.bench with Gpusim.Config.num_wavefronts = 1 } in
   let w =
-    Gpusim.Wavefront.create config g Engine.Params.default ~heuristic
+    Gpusim.Wavefront.create config (Lazy.force shared) Engine.Params.default ~heuristic
       ~allow_optional_stalls:true
   in
   let pheromone = Aco.Pheromone.create ~n:g.Ddg.Graph.n ~initial:1.0 in
@@ -137,12 +144,12 @@ let alloc_row ~pass ~mode heuristic =
   (* Warm-up iteration so one-time setup is not charged to the loop. *)
   ignore (Gpusim.Wavefront.run_iteration w ~rng ~mode ~pheromone ~start_ns:0.0);
   let steps = ref 0 in
-  let before = Support.Perfcount.minor_words () in
+  let before = Gc.minor_words () in
   for _ = 1 to 20 do
     let o = Gpusim.Wavefront.run_iteration w ~rng ~mode ~pheromone ~start_ns:0.0 in
     steps := !steps + o.Gpusim.Wavefront.ant_steps
   done;
-  let words = Support.Perfcount.minor_words () -. before in
+  let words = Gc.minor_words () -. before in
   let per_step = if !steps = 0 then 0.0 else words /. float_of_int !steps in
   {
     ag_pass = pass;
@@ -155,7 +162,7 @@ let alloc_row ~pass ~mode heuristic =
 (* Rows in pass order, heuristics in [Sched.Heuristic.all] order; the
    first (pass 1, critical path) is the historical headline figure. *)
 let alloc_gate () =
-  let rc = Engine.Region_ctx.of_graph Machine.Occupancy.default (Lazy.force graph) in
+  let rc = Lazy.force rc in
   let rp_target =
     Engine.Region_ctx.rp_of_order rc.Engine.Region_ctx.occ rc.Engine.Region_ctx.graph
       rc.Engine.Region_ctx.pass1_initial_order
@@ -183,7 +190,7 @@ let hot_loop () =
   let g = Lazy.force graph in
   let config = { Gpusim.Config.bench with Gpusim.Config.num_wavefronts = 1 } in
   let w =
-    Gpusim.Wavefront.create config g Engine.Params.default
+    Gpusim.Wavefront.create config (Lazy.force shared) Engine.Params.default
       ~heuristic:Sched.Heuristic.Critical_path ~allow_optional_stalls:true
   in
   let pheromone = Aco.Pheromone.create ~n:g.Ddg.Graph.n ~initial:1.0 in
@@ -242,7 +249,8 @@ let obs_overhead () =
     let metrics = if traced then Obs.Metrics.create () else Obs.Metrics.null in
     let log = if traced then Obs.Log.create () else Obs.Log.null in
     let w =
-      Gpusim.Wavefront.create ~trace ~metrics ~track:2 config g Engine.Params.default
+      Gpusim.Wavefront.create ~trace ~metrics ~track:2 config (Lazy.force shared)
+        Engine.Params.default
         ~heuristic:Sched.Heuristic.Critical_path ~allow_optional_stalls:true
     in
     let pheromone = Aco.Pheromone.create ~n:g.Ddg.Graph.n ~initial:1.0 in

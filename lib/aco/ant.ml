@@ -43,54 +43,45 @@ let eta_pow_row kind ~cp ~beta graph =
   done;
   row
 
-let prepare_shared ?cp ?layout ?ready_ub ?tails ~beta graph =
-  let cp = match cp with Some c -> c | None -> Ddg.Critpath.compute graph in
+(* The engine hands backends a [Region_ctx] whose analyses are exactly
+   the ones a colony shares; reusing them keeps a dispatch race at one
+   analysis pass per region instead of one per backend. *)
+let shared_of_region_ctx ~beta (rc : Engine.Region_ctx.t) =
+  let graph = rc.Engine.Region_ctx.graph and cp = rc.Engine.Region_ctx.critpath in
+  if Sched.Rp_tracker.layout_graph rc.Engine.Region_ctx.rp_layout != graph then
+    invalid_arg "Ant.shared_of_region_ctx: register layout is for another graph";
   {
     s_graph = graph;
     s_cp = cp;
-    s_layout =
-      (match layout with Some l -> l | None -> Sched.Rp_tracker.layout_of_graph graph);
-    s_ready_ub =
-      (match ready_ub with
-      | Some ub -> ub
-      | None -> Ddg.Closure.ready_list_upper_bound (Ddg.Closure.compute graph));
-    s_tails = (match tails with Some d -> d | None -> Ddg.Lower_bounds.tails graph);
+    s_layout = rc.Engine.Region_ctx.rp_layout;
+    s_ready_ub = rc.Engine.Region_ctx.ready_ub;
+    s_tails = rc.Engine.Region_ctx.tails;
     s_beta = beta;
     s_eta_cp = eta_pow_row Sched.Heuristic.Critical_path ~cp ~beta graph;
     s_eta_so = eta_pow_row Sched.Heuristic.Source_order ~cp ~beta graph;
   }
 
-(* The engine hands backends a [Region_ctx] whose analyses are exactly
-   the ones a colony shares; reusing them keeps a dispatch race at one
-   analysis pass per region instead of one per backend. *)
-let shared_of_region_ctx ~beta (rc : Engine.Region_ctx.t) =
-  prepare_shared ~cp:rc.Engine.Region_ctx.critpath ~layout:rc.Engine.Region_ctx.rp_layout
-    ~ready_ub:rc.Engine.Region_ctx.ready_ub ~tails:rc.Engine.Region_ctx.tails ~beta
-    rc.Engine.Region_ctx.graph
-
-let shared_ready_ub shared = shared.s_ready_ub
-
 type t = {
   graph : Ddg.Graph.t;
   params : Engine.Params.t;
+  store : Support.Arena.t;  (* the colony's store, shared by every lane *)
   rl : Sched.Ready_list.t;  (* latency-aware in pass 2 only; set at [start] *)
   rp : Sched.Rp_tracker.t;
   ctx : Sched.Heuristic.ctx;
   cand : int array;  (* scratch: candidate slice, ready order *)
-  (* The unboxed data plane: one [Support.Fmat] per ant (or two rows of
-     a pooled colony matrix), addressed by flat row bases. Row 0 is the
-     selection scratch — tau^a * eta^b per candidate in columns
-     [0..ub-1], the roulette total in column [ub] and the wheel
-     accumulator in column [ub+1] (Fmat cells keep float sums unboxed,
-     where a local [ref] may not be); row 1 is scratch for the dynamic
-     LUC heuristic's eta. The static heuristics' eta^beta rows are the
-     colony's ([shared]), read in place. *)
-  fm : Support.Fmat.t;
+  (* The unboxed data plane: two rows of the store's score matrix,
+     addressed by flat row bases. Row 0 is the selection scratch —
+     tau^a * eta^b per candidate in columns [0..ub-1], the roulette
+     total in column [ub] and the wheel accumulator in column [ub+1]
+     (Fmat cells keep float sums unboxed, where a local [ref] may not
+     be); row 1 is scratch for the dynamic LUC heuristic's eta. The
+     static heuristics' eta^beta rows are the colony's ([shared]), read
+     in place. *)
   fd : Support.Fmat.mat;
-      (* [fm]'s raw backing store: the selection loops read and write
-         through the concrete bigarray type so the accesses compile to
-         unboxed float64 loads/stores even without cross-module
-         inlining ([-opaque] dev builds) *)
+      (* the score matrix's raw backing store: the selection loops read
+         and write through the concrete bigarray type so the accesses
+         compile to unboxed float64 loads/stores even without
+         cross-module inlining ([-opaque] dev builds) *)
   score_base : int;
   luc_base : int;
   eta_cp : float array;  (* the colony's eta^beta rows *)
@@ -115,66 +106,35 @@ type t = {
   mutable last_succs : int;
 }
 
-let arena_demand shared =
-  let ints =
-    Sched.Ready_list.int_demand shared.s_graph + Sched.Rp_tracker.int_demand shared.s_layout
-  in
-  (ints, 0 (* float state moved wholesale to the Fmat data plane *))
+(* One lane's share of the store: the ints of one ready list and one
+   RP tracker, and two score rows (documented on [t]), each wide enough
+   for the ub+2-entry selection scratch. *)
+let int_demand shared =
+  Sched.Ready_list.int_demand shared.s_graph + Sched.Rp_tracker.int_demand shared.s_layout
 
-(* Rows/columns of one ant's slice of the score matrix: the two rows
-   documented on [t], each wide enough for the ub+2-entry selection
-   scratch. *)
-let fmat_rows = 2
-
-let fmat_demand shared = (fmat_rows, max 1 shared.s_ready_ub + 2)
+let score_rows = 2
+let score_cols shared = max 1 shared.s_ready_ub + 2
 
 (* The stream of an ant that has not started yet; [start] installs the
    real one. Shared by every ant: an ant that is not active never
    draws. *)
 let unstarted = Support.Rng.create 0
 
-let create ?shared ?arena ?fmat graph params =
-  let shared =
-    match shared with
-    | Some s ->
-        if s.s_graph != graph then invalid_arg "Ant.create: shared state is for another graph";
-        if not (Float.equal s.s_beta params.Engine.Params.beta) then
-          invalid_arg "Ant.create: shared eta^beta rows are for another beta";
-        s
-    | None ->
-        (* Stand-alone ants skip the closure: [n] is always a valid
-           ready-list bound. *)
-        prepare_shared ~ready_ub:graph.Ddg.Graph.n ~beta:params.Engine.Params.beta graph
-  in
-  let arena =
-    match arena with
-    | Some a -> a
-    | None ->
-        let ints, floats = arena_demand shared in
-        Support.Arena.create ~ints ~floats
-  in
-  let ub = max 1 shared.s_ready_ub in
-  let rows, cols = fmat_demand shared in
-  let fm, row0 =
-    match fmat with
-    | Some (fm, row0) ->
-        if
-          row0 < 0
-          || row0 + rows > Support.Fmat.rows fm
-          || Support.Fmat.cols fm < cols
-        then invalid_arg "Ant.create: score matrix slice too small";
-        (fm, row0)
-    | None -> (Support.Fmat.create ~rows ~cols, 0)
-  in
-  let rp = Sched.Rp_tracker.create_in arena shared.s_layout in
+(* Lane [lane] of [store]: its tracker and ready list are the next two
+   int segments, its score rows are rows [2 lane] and [2 lane + 1]. *)
+let carve shared store params lane =
+  let graph = shared.s_graph in
+  let fm = Support.Arena.scores store in
+  let row0 = lane * score_rows in
+  let rp = Sched.Rp_tracker.create_in store shared.s_layout in
   {
     graph;
     params;
-    rl = Sched.Ready_list.create_in arena graph;
+    store;
+    rl = Sched.Ready_list.create_in store graph;
     rp;
     ctx = Sched.Heuristic.make_ctx ~cp:shared.s_cp graph rp;
-    cand = Array.make ub 0;
-    fm;
+    cand = Array.make (max 1 shared.s_ready_ub) 0;
     fd = fm.Support.Fmat.data;
     score_base = Support.Fmat.row_base fm row0;
     luc_base = Support.Fmat.row_base fm (row0 + 1);
@@ -194,6 +154,18 @@ let create ?shared ?arena ?fmat graph params =
     last_scanned = 0;
     last_succs = 0;
   }
+
+let lanes shared ~count params =
+  if not (Float.equal shared.s_beta params.Engine.Params.beta) then
+    invalid_arg "Ant.lanes: shared eta^beta rows are for another beta";
+  let store =
+    Support.Arena.take ~ints:(count * int_demand shared) ~rows:(count * score_rows)
+      ~cols:(score_cols shared)
+  in
+  Array.init count (carve shared store params)
+
+(* Every lane of one [lanes] call shares the store. *)
+let release ants = if Array.length ants > 0 then Support.Arena.give ants.(0).store
 
 let start t ~rng ~heuristic ~allow_optional_stalls mode =
   t.rng <- rng;
@@ -267,8 +239,8 @@ let select_slice t ~pheromone ~explored m =
         done
     | Sched.Heuristic.Last_use_count ->
         let beta = t.params.Engine.Params.beta in
-        Sched.Heuristic.fill_luc_eta_mat t.ctx ~cand:t.cand ~n:m ~mat:t.fm
-          ~base:t.luc_base;
+        Sched.Heuristic.fill_luc_eta_mat t.ctx ~cand:t.cand ~n:m
+          ~mat:(Support.Arena.scores t.store) ~base:t.luc_base;
         for k = 0 to m - 1 do
           let tau = A1.unsafe_get ph (base + Array.unsafe_get t.cand k) in
           A1.unsafe_set fd (sb + k)

@@ -10,9 +10,9 @@
     the GPU simulator charge for.
 
     All per-ant state (one ready list, the RP tracker, candidate
-    scratch) is allocated once at [create] — batched into a
-    caller-supplied {!Support.Arena} when ants form a colony — and reused
-    across iterations, mirroring the paper's
+    scratch) is allocated once, when {!lanes} carves a colony's ants
+    from one pooled {!Support.Arena} store, and reused across
+    iterations, mirroring the paper's
     no-dynamic-allocation-on-the-GPU rule (Section V-A). The ready list
     serves both passes: {!start} sets its latency mode (ignored in the
     RP pass, honoured in the ILP pass). A {!step} allocates nothing:
@@ -30,66 +30,34 @@ type shared
     construction-state-independent heuristics (critical path, source
     order). *)
 
-val prepare_shared :
-  ?cp:Ddg.Critpath.t ->
-  ?layout:Sched.Rp_tracker.layout ->
-  ?ready_ub:int ->
-  ?tails:int array ->
-  beta:float ->
-  Ddg.Graph.t ->
-  shared
-(** Omitted analyses are computed from the graph; passing them reuses
-    work already done elsewhere (notably a shared
-    {!Engine.Region_ctx.t}). The critical-path and source-order
-    eta^beta rows are built here, once per colony, raised to [beta]:
-    every ant of the colony reads them in place instead of holding its
-    own copy, so only ants whose params carry this [beta] may use the
-    result ({!create} checks). *)
-
 val shared_of_region_ctx : beta:float -> Engine.Region_ctx.t -> shared
-(** [prepare_shared] fed entirely from the region context's precomputed
-    analyses — no graph traversal, no closure recomputation. *)
-
-val shared_ready_ub : shared -> int
-(** The transitive-closure ready-list bound, for drivers that also size
-    their memory model by it. *)
-
-val arena_demand : shared -> int * int
-(** [(ints, floats)] one ant's arena state needs; a colony arena is
-    sized as lanes times this (exact pre-sizing, no growth). The ints
-    are one ready list ({!Sched.Ready_list.int_demand}, [7n]) and one
-    RP tracker ({!Sched.Rp_tracker.int_demand}, [2n + 3 * nregs + 4]);
-    the per-ant fit and Last-Use-Count queries read the tracker in
-    O(1) per candidate. All float
-    state lives in the score matrix ({!fmat_demand}) since the unboxed
-    data-plane refactor, so the float demand is 0. *)
-
-val fmat_demand : shared -> int * int
-(** [(rows, cols)] of one ant's slice of the unboxed score matrix
-    ({!Support.Fmat}): two rows of [ub + 2] columns, [ub] being the
-    ready-list bound — the selection scratch row (scores, roulette
-    total, wheel accumulator) and the LUC eta scratch row. The
-    eta^beta rows are colony-wide ({!prepare_shared}), not per ant. A
-    colony matrix is sized as [lanes * rows] by [cols] and carved per
-    ant via [?fmat]. *)
+(** The shared state of the region context's analyses — no graph
+    traversal, no closure recomputation. The critical-path and
+    source-order eta^beta rows are built here, once per colony, raised
+    to [beta]: every ant of the colony reads them in place instead of
+    holding its own copy, so only ants whose params carry this [beta]
+    may use the result ({!lanes} checks). Raises [Invalid_argument]
+    when the context's register layout was built for another graph
+    than the context's. *)
 
 type t
 
-val create :
-  ?shared:shared ->
-  ?arena:Support.Arena.t ->
-  ?fmat:Support.Fmat.t * int ->
-  Ddg.Graph.t ->
-  Engine.Params.t ->
-  t
-(** Without [shared], the region analyses and eta^beta rows are
-    computed privately (and the scratch bound falls back to [n]).
-    Without [arena], a private exactly-sized arena backs this ant alone.
-    [?fmat] is [(matrix, first_row)]: the ant's {!fmat_demand} rows of a
-    pooled colony score matrix; without it a private matrix is created.
-    Raises [Invalid_argument] when [shared] belongs to a different graph
-    or was built for a different [beta] than the params', the arena is
-    too small, or the matrix slice is out of range. *)
+val lanes : shared -> count:int -> Engine.Params.t -> t array
+(** [count] ants carved from one pooled {!Support.Arena} store, taken
+    with [count] times one lane's demand: [9n + 3 * nregs + 4] ints
+    (one ready list, {!Sched.Ready_list.int_demand}, and one RP tracker,
+    {!Sched.Rp_tracker.int_demand}; the fit and Last-Use-Count queries
+    read the tracker in O(1) per candidate) and two score rows of
+    [ub + 2] columns, [ub] being the ready-list bound (the selection
+    scratch row and the LUC eta scratch row). Lane [k] owns the [k]th
+    tracker and ready-list segments and score rows [2k] and [2k + 1].
+    All state is reused across iterations. Raises [Invalid_argument]
+    when [shared] was built for a different [beta] than the params'. *)
+
+val release : t array -> unit
+(** Give the store of one {!lanes} call back to the pool, so the next
+    colony on this domain reuses it. Call it once, with that call's
+    ants; they are dead afterwards. *)
 
 val start :
   t ->

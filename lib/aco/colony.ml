@@ -57,7 +57,7 @@ let run_pass (type a) search ~iteration ~ties ~(artifact_of_ant : Ant.t -> a opt
   let best_costs = Array.make (1 + max_iterations) initial_cost in
   let replace_on_tie = match ties with Replace -> true | Keep -> false in
   let scored_before = iteration.scored () in
-  let minor_before = Support.Perfcount.minor_words () in
+  let minor_before = Gc.minor_words () in
   let best_cost = ref initial_cost in
   let best = ref initial_artifact in
   let improved = ref false in
@@ -109,7 +109,7 @@ let run_pass (type a) search ~iteration ~ties ~(artifact_of_ant : Ant.t -> a opt
       Obs.Metrics.push metrics m_entropy (Pheromone.row_entropy pheromone)
     end
   done;
-  let minor_words = Support.Perfcount.minor_words () -. minor_before in
+  let minor_words = Gc.minor_words () -. minor_before in
   let stats =
     {
       Engine.Types.no_pass with
@@ -130,38 +130,26 @@ type t = {
   search : search;
   rng : Support.Rng.t;
   ants : Ant.t array;
-  arena : Support.Arena.t;
-  fmat : Support.Fmat.t;
   allow_optional_stalls : bool;
 }
 
 let prepare ~policy ~allow_optional_stalls (ctx : Engine.Backend.ctx) (rc : Engine.Region_ctx.t) =
-  let graph = rc.Engine.Region_ctx.graph in
   let params = ctx.Engine.Backend.params in
-  (* The region context's analyses and one SoA arena back the whole
+  (* The region context's analyses and one pooled store back the whole
      colony; nothing region-derived is recomputed here. *)
   let shared = Ant.shared_of_region_ctx ~beta:params.Engine.Params.beta rc in
-  let ints, floats = Ant.arena_demand shared in
-  let fmat_rows, fmat_cols = Ant.fmat_demand shared in
-  let lanes = params.Engine.Params.ants_per_iteration in
-  let arena = Support.Arena.take ~ints:(lanes * ints) ~floats:(lanes * floats) in
-  let fmat = Support.Fmat.take ~rows:(lanes * fmat_rows) ~cols:fmat_cols in
   {
-    search = search policy ~params ~n:graph.Ddg.Graph.n ~metrics:ctx.Engine.Backend.metrics;
+    search =
+      search policy ~params ~n:rc.Engine.Region_ctx.graph.Ddg.Graph.n
+        ~metrics:ctx.Engine.Backend.metrics;
     rng = Support.Rng.create ctx.Engine.Backend.seed;
-    ants =
-      Array.init lanes (fun lane ->
-          Ant.create ~shared ~arena ~fmat:(fmat, lane * fmat_rows) graph params);
-    arena;
-    fmat;
+    ants = Ant.lanes shared ~count:params.Engine.Params.ants_per_iteration params;
     allow_optional_stalls;
   }
 
-(* Two_pass runs teardown even on raise. The ants' slices are dead by
-   now — results were extracted during the passes. *)
-let teardown c =
-  Support.Arena.give c.arena;
-  Support.Fmat.give c.fmat
+(* Two_pass runs teardown even on raise. The ants are dead by now —
+   results were extracted during the passes. *)
+let teardown c = Ant.release c.ants
 
 let sequential colony ~mode ~(cost : length:int -> vgpr:int -> sgpr:int -> int) ~budget =
   let { search = { params; pheromone; _ }; rng; ants; allow_optional_stalls; _ } = colony in

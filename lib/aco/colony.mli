@@ -85,9 +85,7 @@ val run_pass :
 type t = {
   search : search;
   rng : Support.Rng.t;  (** root stream; every ant start splits it *)
-  ants : Ant.t array;
-  arena : Support.Arena.t;  (** pooled integer state of every ant *)
-  fmat : Support.Fmat.t;  (** pooled score rows of every ant *)
+  ants : Ant.t array;  (** carved from one pooled store ({!Ant.lanes}) *)
   allow_optional_stalls : bool;
 }
 
@@ -97,18 +95,17 @@ val prepare :
   Engine.Backend.ctx ->
   Engine.Region_ctx.t ->
   t
-(** Build a colony of [ctx.params.ants_per_iteration] ants over the
-    region context's shared analyses, backed by one pooled arena and one
-    pooled score matrix, with its RNG seeded from [ctx.seed] and the
-    pheromone [policy] recording into [ctx.metrics].
+(** Build a colony of [ctx.params.ants_per_iteration] ants
+    ({!Ant.lanes}) over the region context's shared analyses, with its
+    RNG seeded from [ctx.seed] and the pheromone [policy] recording into
+    [ctx.metrics].
     [allow_optional_stalls] lets ants insert the optional stalls of
     Section IV-C. The colony serves both passes of a region: RNG and
     pheromone table carry over. *)
 
 val teardown : t -> unit
-(** Return the arena and score matrix to their pools, so the next
-    colony on this domain reuses the backing arrays. The ants are dead
-    afterwards. *)
+(** Release the ants' store ({!Ant.release}), so the next colony on
+    this domain reuses it. The ants are dead afterwards. *)
 
 val sequential :
   t ->

@@ -97,7 +97,8 @@ let default =
     fault_seed = 9001;
   }
 
-let with_faults ?(seed = default.fault_seed) t faults = { t with faults; fault_seed = seed }
+let with_faults ?seed t faults =
+  { t with faults; fault_seed = Option.value seed ~default:t.fault_seed }
 
 (* Splitmix-style finalizer over (seed, salt): well-spread derived seeds
    so consecutive retry attempts draw unrelated fault patterns, yet the

@@ -110,6 +110,8 @@ val bench : t
 val with_opts : t -> opts -> t
 
 val with_faults : ?seed:int -> t -> fault_rates -> t
+(** The same configuration under [faults], its fault seed replaced by
+    [seed] when given and kept otherwise. *)
 
 val reseed_faults : t -> salt:int -> t
 (** The same configuration with [fault_seed] replaced by a deterministic

@@ -22,9 +22,9 @@ let allow_optional_for (config : Config.t) w =
 
 (* Track layout of the flight recorder: 0 = driver, 1 = kernel stages,
    2.. = one per wavefront. *)
-let make_wavefronts ~shared ~trace ~metrics config graph params =
+let make_wavefronts ~shared ~trace ~metrics config params =
   Array.init config.Config.num_wavefronts (fun w ->
-      Wavefront.create ~shared ~trace ~metrics ~track:(2 + w) config graph params
+      Wavefront.create ~trace ~metrics ~track:(2 + w) config shared params
         ~heuristic:(heuristic_for config params w)
         ~allow_optional_stalls:(allow_optional_for config w))
 
@@ -296,7 +296,7 @@ module Backend_impl = struct
     (* The region context's analyses (critical path, register layout,
        closure ready-list bound) feed every wavefront of the colony. *)
     let shared = Aco.Ant.shared_of_region_ctx ~beta:params.Engine.Params.beta rc in
-    let wavefronts = make_wavefronts ~shared ~trace ~metrics config graph params in
+    let wavefronts = make_wavefronts ~shared ~trace ~metrics config params in
     if Obs.Trace.enabled trace then begin
       Obs.Trace.name_track trace 0 "driver";
       Obs.Trace.name_track trace 1 "kernel: reduce + pheromone";
@@ -304,7 +304,7 @@ module Backend_impl = struct
         (fun w _ -> Obs.Trace.name_track trace (2 + w) (Printf.sprintf "wavefront %d" w))
         wavefronts
     end;
-    let ready_ub = Aco.Ant.shared_ready_ub shared in
+    let ready_ub = rc.Engine.Region_ctx.ready_ub in
     let rp_scalar_of_ant ant =
       let v, s = Aco.Ant.rp_peaks ant in
       Sched.Cost.rp_scalar (Sched.Cost.rp_of_peaks occ ~vgpr:v ~sgpr:s)

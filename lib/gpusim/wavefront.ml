@@ -4,9 +4,6 @@ type t = {
   params : Engine.Params.t;
   heuristic : Sched.Heuristic.kind;
   allow_optional : bool;
-  arena : Support.Arena.t;
-  fmat : Support.Fmat.t;
-  arena_words : int;
   fault_at : int array;  (* per-lane injected fault step, -1 = none *)
   maxima : int array;  (* per-path-rank max op cost of one lockstep step *)
   trace : Obs.Trace.t;
@@ -14,29 +11,15 @@ type t = {
   track : int;  (* this wavefront's trace track *)
 }
 
-let create ?shared ?(trace = Obs.Trace.null) ?(metrics = Obs.Metrics.null) ?(track = 0) config
-    graph params ~heuristic ~allow_optional_stalls =
+let create ?(trace = Obs.Trace.null) ?(metrics = Obs.Metrics.null) ?(track = 0) config shared
+    params ~heuristic ~allow_optional_stalls =
   let lanes = config.Config.target.Machine.Target.wavefront_size in
-  let shared =
-    match shared with
-    | Some s -> s
-    | None -> Aco.Ant.prepare_shared ~beta:params.Engine.Params.beta graph
-  in
-  let ints, floats = Aco.Ant.arena_demand shared in
-  let fmat_rows, fmat_cols = Aco.Ant.fmat_demand shared in
-  let arena = Support.Arena.take ~ints:(lanes * ints) ~floats:(lanes * floats) in
-  let fmat = Support.Fmat.take ~rows:(lanes * fmat_rows) ~cols:fmat_cols in
   {
     config;
-    ants =
-      Array.init lanes (fun lane ->
-          Aco.Ant.create ~shared ~arena ~fmat:(fmat, lane * fmat_rows) graph params);
+    ants = Aco.Ant.lanes shared ~count:lanes params;
     params;
     heuristic;
     allow_optional = allow_optional_stalls;
-    arena;
-    fmat;
-    arena_words = Support.Arena.words arena;
     fault_at = Array.make lanes (-1);
     maxima = Array.make 5 0;
     trace;
@@ -46,14 +29,10 @@ let create ?shared ?(trace = Obs.Trace.null) ?(metrics = Obs.Metrics.null) ?(tra
 
 let lanes t = Array.length t.ants
 
-let arena_words t = t.arena_words
-
-(* Returns the arena to the domain-local pool. The wavefront must not run
-   again afterwards — the par_aco backend retires at teardown, after the
-   best schedule has been copied out of the lanes. *)
-let retire t =
-  Support.Arena.give t.arena;
-  Support.Fmat.give t.fmat
+(* The wavefront must not run again afterwards — the par_aco backend
+   retires at teardown, after the best schedule has been copied out of
+   the lanes. *)
+let retire t = Aco.Ant.release t.ants
 
 (* The candidate meter, summed over the lanes. Cumulative (the trackers
    are never reset); the iteration loop reports its delta over a pass. *)

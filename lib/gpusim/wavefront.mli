@@ -12,20 +12,19 @@
 type t
 
 val create :
-  ?shared:Aco.Ant.shared ->
   ?trace:Obs.Trace.t ->
   ?metrics:Obs.Metrics.t ->
   ?track:int ->
   Config.t ->
-  Ddg.Graph.t ->
+  Aco.Ant.shared ->
   Engine.Params.t ->
   heuristic:Sched.Heuristic.kind ->
   allow_optional_stalls:bool ->
   t
-(** Allocate the wavefront's ants, batched into one SoA colony arena
-    sized once from the transitive-closure ready-list bound; all state is
-    reused across iterations. [shared] lets a driver reuse one set of
-    region analyses across every wavefront of the colony.
+(** The wavefront's ants, one lane each, carved from one pooled store
+    ({!Aco.Ant.lanes}) sized once from the transitive-closure ready-list
+    bound; all state is reused across iterations. Every wavefront of a
+    colony shares one set of region analyses, the [shared] state.
 
     [trace] and [metrics] (default {!Obs.Trace.null} /
     {!Obs.Metrics.null}, which cost nothing) record every iteration:
@@ -36,12 +35,8 @@ val create :
 
 val lanes : t -> int
 
-val arena_words : t -> int
-(** Size of this wavefront's colony arena in words. *)
-
 val retire : t -> unit
-(** Return the colony arena and score matrix to their domain-local pools
-    ({!Support.Arena.give}, {!Support.Fmat.give}). The wavefront must
+(** Release the lanes' store ({!Aco.Ant.release}). The wavefront must
     not run again after retirement; drivers call this once at backend
     teardown, after the best schedule has been copied out of the
     lanes. *)

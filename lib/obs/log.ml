@@ -113,39 +113,21 @@ let entries t =
 
 (* --- JSONL rendering ---------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let field_json = function
-  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | Str s -> Printf.sprintf "\"%s\"" (Trace_check.json_escape s)
   | Int i -> string_of_int i
-  | Float v ->
-      if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-      else Printf.sprintf "%.6g" v
+  | Float v -> Trace_check.json_float v
   | Bool b -> if b then "true" else "false"
 
 let entry_json e =
   let buf = Buffer.create 128 in
   Buffer.add_string buf
     (Printf.sprintf "{\"ts\":%.6f,\"lvl\":\"%s\",\"evt\":\"%s\"" e.e_ts
-       (level_label e.e_level) (json_escape e.e_event));
+       (level_label e.e_level) (Trace_check.json_escape e.e_event));
   List.iter
     (fun (k, v) ->
       Buffer.add_string buf
-        (Printf.sprintf ",\"%s\":%s" (json_escape k) (field_json v)))
+        (Printf.sprintf ",\"%s\":%s" (Trace_check.json_escape k) (field_json v)))
     e.e_fields;
   Buffer.add_char buf '}';
   Buffer.contents buf

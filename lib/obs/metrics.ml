@@ -253,18 +253,6 @@ let to_csv t =
     (names t);
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
@@ -276,7 +264,7 @@ let to_json t =
       first := false;
       Buffer.add_string buf
         (Printf.sprintf "  \"%s\": {\"kind\": \"%s\", \"count\": %d, \"sum\": %s"
-           (json_escape m.m_name) (kind_label m.m_kind) m.m_count (fl m.m_sum));
+           (Trace_check.json_escape m.m_name) (kind_label m.m_kind) m.m_count (fl m.m_sum));
       if m.m_count > 0 then
         Buffer.add_string buf
           (Printf.sprintf ", \"min\": %s, \"max\": %s, \"mean\": %s, \"last\": %s" (fl m.m_min)

@@ -290,25 +290,6 @@ let track_events track evs =
   in
   List.merge (fun a b -> compare a.o_ts b.o_ts) (List.rev !out) instants
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let float_json v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.6g" v
-
 (* Wall-clock tracks are emitted under pid 1 ("host wall clock") so the
    simulated and monotonic timelines never interleave on one thread row
    — the viewer shows two process groups and the lint checks
@@ -351,7 +332,7 @@ let to_chrome_json t =
       emit
         (Printf.sprintf
            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"ts\":0,\"args\":{\"name\":\"%s\"}}"
-           (track_pid track) track (json_escape label)))
+           (track_pid track) track (Trace_check.json_escape label)))
     (List.sort compare (List.rev t.track_names));
   List.iter
     (fun e ->
@@ -360,12 +341,13 @@ let to_chrome_json t =
         match e.o_arg with
         | None -> ""
         | Some (k, v) ->
-            Printf.sprintf ",\"args\":{\"%s\":%s}" (json_escape k) (float_json v)
+            Printf.sprintf ",\"args\":{\"%s\":%s}" (Trace_check.json_escape k)
+              (Trace_check.json_float v)
       in
       let scope = if e.o_ph = 'i' then ",\"s\":\"t\"" else "" in
       emit
         (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"%c\",\"pid\":%d,\"tid\":%d,\"ts\":%.4f%s%s}"
-           (json_escape e.o_name) e.o_ph (track_pid e.o_track) e.o_track
+           (Trace_check.json_escape e.o_name) e.o_ph (track_pid e.o_track) e.o_track
            (e.o_ts /. 1000.0) scope args))
     all;
   Buffer.add_string buf "\n]}\n";

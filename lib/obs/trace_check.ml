@@ -14,6 +14,28 @@ type json =
 
 exception Parse_error of string
 
+(* The writers' half, next to the reader that re-reads what they
+   write: every JSON string and number the recorders emit goes through
+   these two. *)
+let json_escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let json_float v =
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.6g" v
+
 let parse_error fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
 type state = { src : string; mutable pos : int }

@@ -15,6 +15,16 @@ type json =
 
 exception Parse_error of string
 
+val json_escape : string -> string
+(** The body of a JSON string literal holding [s]: quote, backslash,
+    newline, tab and carriage return as their short escapes, every other
+    control character as [\u00XX], all other bytes as they are.
+    {!parse_json} reads the literal back as [s]. *)
+
+val json_float : float -> string
+(** A JSON number for a finite float: without a fraction when integral
+    and below 1e15 in magnitude, else [%.6g]. *)
+
 val parse_json : string -> json
 (** Parse a complete JSON document. @raise Parse_error on malformed input. *)
 

@@ -23,6 +23,26 @@ let ensure_backends () =
   Engine.Registry.register
     (Aco.Seq_aco.mmas_spill_backend (Gpusim.Mem_model.spill_model Gpusim.Config.bench))
 
+let override ~fault_rate ~fault_seed ~compile_budget_ms c =
+  match (fault_rate, fault_seed, compile_budget_ms) with
+  | None, None, None -> c
+  | _ ->
+      let gpu =
+        match (fault_rate, fault_seed) with
+        | None, None -> c.gpu
+        | _ ->
+            Gpusim.Config.with_faults ?seed:fault_seed c.gpu
+              (match fault_rate with
+              | Some rate -> Gpusim.Config.uniform_faults rate
+              | None -> c.gpu.Gpusim.Config.faults)
+      in
+      let robust =
+        match compile_budget_ms with
+        | Some ms -> { c.robust with Robust.compile_budget_ns = Robust.budgets_of_ms ms }
+        | None -> c.robust
+      in
+      { c with gpu; robust }
+
 let make_config ?(gpu = Gpusim.Config.bench) ?(filters = Filters.default)
     ?(robust = Robust.default) ?fault_rate ?fault_seed ?compile_budget_ms ?max_retries
     ?(dispatch = Engine.Dispatch.default) () =
@@ -32,36 +52,23 @@ let make_config ?(gpu = Gpusim.Config.bench) ?(filters = Filters.default)
       Engine.Params.ants_per_iteration = Gpusim.Config.threads gpu;
     }
   in
-  let gpu =
-    match fault_rate with
-    | Some rate ->
-        Gpusim.Config.with_faults ?seed:fault_seed gpu (Gpusim.Config.uniform_faults rate)
-    | None -> (
-        match fault_seed with
-        | Some seed -> { gpu with Gpusim.Config.fault_seed = seed }
-        | None -> gpu)
-  in
-  let robust =
-    match compile_budget_ms with
-    | Some ms -> { robust with Robust.compile_budget_ns = Robust.budgets_of_ms ms }
-    | None -> robust
-  in
   let robust =
     match max_retries with
     | Some k -> { robust with Robust.max_retries = max 0 k }
     | None -> robust
   in
-  {
-    occ = Machine.Occupancy.default;
-    gpu;
-    params;
-    filters;
-    robust;
-    dispatch;
-    seq_seed = 101;
-    par_seed = 202;
-    run_sequential = true;
-  }
+  override ~fault_rate ~fault_seed ~compile_budget_ms
+    {
+      occ = Machine.Occupancy.default;
+      gpu;
+      params;
+      filters;
+      robust;
+      dispatch;
+      seq_seed = 101;
+      par_seed = 202;
+      run_sequential = true;
+    }
 
 type backend_run = {
   backend : string;

@@ -57,10 +57,23 @@ val make_config :
     {!Engine.Dispatch.default} (the parallel backend everywhere).
 
     Robustness knobs layer on top of [robust] (default {!Robust.default},
-    i.e. fault-free and unbounded): [fault_rate] installs
-    {!Gpusim.Config.uniform_faults} on [gpu] (seeded by [fault_seed]),
-    [compile_budget_ms] installs {!Robust.budgets_of_ms}, and
-    [max_retries] overrides the retry allowance. *)
+    i.e. fault-free and unbounded): [fault_rate], [fault_seed] and
+    [compile_budget_ms] as {!override} applies them, and [max_retries]
+    overrides the retry allowance. *)
+
+val override :
+  fault_rate:float option ->
+  fault_seed:int option ->
+  compile_budget_ms:float option ->
+  config ->
+  config
+(** The configuration under a compile's fault and budget overrides, each
+    [None] leaving its part as it is: [fault_rate] installs
+    {!Gpusim.Config.uniform_faults} on [gpu], [fault_seed] replaces its
+    fault seed (kept otherwise, {!Gpusim.Config.with_faults}), and
+    [compile_budget_ms] installs {!Robust.budgets_of_ms}. Both
+    {!make_config} and the serve daemon's per-request configuration go
+    through it. *)
 
 type backend_run = {
   backend : string;  (** registry name *)

@@ -83,23 +83,13 @@ let of_report (report : Compile.suite_report) =
 
 (* --- JSONL ---------------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json_line q =
   Printf.sprintf
     "{\"region\":\"%s\",\"n\":%d,\"backend\":\"%s\",\"rung\":\"%s\",\"length\":%d,\"length_lb\":%d,\"gap\":%d,\"occupancy\":%d,\"occ_target\":%d,\"aprp_vgpr\":%d,\"aprp_sgpr\":%d,\"iterations\":%d,\"iters_to_best\":%d,\"improved\":%s}"
-    (json_escape q.q_region) q.q_n (json_escape q.q_backend) (json_escape q.q_rung)
+    (Obs.Trace_check.json_escape q.q_region)
+    q.q_n
+    (Obs.Trace_check.json_escape q.q_backend)
+    (Obs.Trace_check.json_escape q.q_rung)
     q.q_length q.q_length_lb q.q_gap q.q_occupancy q.q_occ_target q.q_aprp_vgpr
     q.q_aprp_sgpr q.q_iterations q.q_iters_to_best
     (if q.q_improved then "true" else "false")

@@ -300,21 +300,6 @@ let render_reply = function
         tally.Robust.total_retries
 
 (* ------------------------------------------------------------------ *)
-(* Budget arithmetic                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let budget_of_ns ns =
-  if ns = infinity || ns <= 0.0 then Engine.Types.Unlimited
-  else Engine.Types.Time_ns ns
-
-let deadline_of_budget gpu ~slack budget =
-  let slack = Float.max 1.0 slack in
-  match budget with
-  | Engine.Types.Unlimited -> infinity
-  | Engine.Types.Time_ns ns -> slack *. ns
-  | Engine.Types.Work w -> slack *. Gpusim.Cpu_model.pass_time_ns gpu ~work:w
-
-(* ------------------------------------------------------------------ *)
 (* The service                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -612,30 +597,11 @@ let reject t id error =
 (* ---- the compile path -------------------------------------------- *)
 
 let effective_config t (req : request) =
-  let c = t.cfg.compile in
-  let gpu =
-    match req.fault_rate with
-    | Some rate ->
-        let seed =
-          Option.value req.fault_seed ~default:c.Compile.gpu.Gpusim.Config.fault_seed
-        in
-        Gpusim.Config.with_faults ~seed c.Compile.gpu
-          (Gpusim.Config.uniform_faults rate)
-    | None -> (
-        match req.fault_seed with
-        | Some seed ->
-            Gpusim.Config.with_faults ~seed c.Compile.gpu
-              c.Compile.gpu.Gpusim.Config.faults
-        | None -> c.Compile.gpu)
+  let c =
+    Compile.override ~fault_rate:req.fault_rate ~fault_seed:req.fault_seed
+      ~compile_budget_ms:req.budget_ms t.cfg.compile
   in
-  let robust =
-    match req.budget_ms with
-    | Some ms ->
-        { c.Compile.robust with Robust.compile_budget_ns = Robust.budgets_of_ms ms }
-    | None -> c.Compile.robust
-  in
-  let dispatch = Option.value req.backend ~default:c.Compile.dispatch in
-  { c with Compile.gpu; robust; dispatch }
+  { c with Compile.dispatch = Option.value req.backend ~default:c.Compile.dispatch }
 
 (* [a] beats [b]: least degraded first, then the usual cost order. *)
 let better_report (a : Compile.region_report) (b : Compile.region_report) =
@@ -676,9 +642,11 @@ let hit_reply t (req : request) name (e : memo_entry) =
 let compute_miss t ?(log = Obs.Log.null) (cfg : Compile.config) rc name region =
   let n = Ir.Region.size region in
   let base = Robust.budget_for cfg.Compile.robust ~n in
+  (* the request deadline: [deadline_slack] (at least 1) times the
+     size-class budget, unbounded without one *)
   let deadline =
-    deadline_of_budget cfg.Compile.gpu ~slack:t.cfg.deadline_slack
-      (budget_of_ns base)
+    if base = infinity || base <= 0.0 then infinity
+    else Float.max 1.0 t.cfg.deadline_slack *. base
   in
   let rec go attempt spent best =
     let budget_ns = Float.max 0.0 (Float.min base (deadline -. spent)) in

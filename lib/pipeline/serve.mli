@@ -162,17 +162,6 @@ val render_reply : reply -> string
     [metrics]: a [metrics id=…] header line followed by the Prometheus
     text exposition verbatim. *)
 
-(** {1 Budget arithmetic} (exposed for tests) *)
-
-val budget_of_ns : float -> Engine.Types.budget
-(** [Time_ns], or [Unlimited] for an infinite/non-positive-free budget. *)
-
-val deadline_of_budget :
-  Gpusim.Config.t -> slack:float -> Engine.Types.budget -> float
-(** The request deadline in simulated nanoseconds: [slack] times the
-    budget converted to time — [Time_ns] directly, [Work] through
-    {!Gpusim.Cpu_model.pass_time_ns}, [Unlimited] is [infinity]. *)
-
 (** {1 The service} *)
 
 type t

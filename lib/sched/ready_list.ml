@@ -75,7 +75,7 @@ let create_in ?(latency_aware = true) arena (graph : Ddg.Graph.t) =
   t
 
 let create ?latency_aware (graph : Ddg.Graph.t) =
-  let arena = Support.Arena.create ~ints:(int_demand graph) ~floats:0 in
+  let arena = Support.Arena.create ~ints:(int_demand graph) in
   create_in ?latency_aware arena graph
 
 let reset = setup

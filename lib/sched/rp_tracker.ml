@@ -190,6 +190,7 @@ let layout_of_graph (graph : Ddg.Graph.t) =
   done;
   { graph; rank = rank_of; use_ids; def_ids; live_out; def_start; def_list; init; nregs }
 
+let layout_graph layout = layout.graph
 let int_demand layout = Array.length layout.init
 
 (* Counted loop, not [Array.blit]: the arena's backing array lives in

@@ -44,6 +44,9 @@ type layout
 val layout_of_graph : Ddg.Graph.t -> layout
 (** Build the layout of the region. *)
 
+val layout_graph : layout -> Ddg.Graph.t
+(** The graph the layout was built for. *)
+
 val layout_count : unit -> int
 (** Process-wide number of {!layout_of_graph} invocations (domain-safe,
     monotonic), counted like [Ddg.Closure.compute_count]: the compile

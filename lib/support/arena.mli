@@ -1,70 +1,64 @@
-(** Batched bump-pointer arena for colony state.
+(** The batched store of a colony's lanes.
 
     The paper's GPU implementation consolidates all per-ant device
     structures into one allocation per kernel invocation (Section V-A,
-    batched allocation); the host-side analogue here is a pair of flat
-    backing arrays — one for ints, one for unboxed floats — carved into
-    segments by a bump pointer. Each consumer receives a base offset and
-    indexes the shared backing array directly, so a whole wavefront's
-    state is two heap objects instead of hundreds.
+    batched allocation); the host-side analogue here is one flat int
+    backing array carved into segments by a bump pointer, plus one
+    score matrix ({!Fmat}) whose rows the lanes split between them. Each
+    consumer receives a base offset and indexes the shared backing
+    array directly, so a whole colony's state is two backing stores
+    instead of hundreds.
 
     Capacities are exact: consumers compute their demand up front (the
     ready-list upper bound from {!Ddg.Closure} sizes the scratch
-    segments) and the arena never grows, so base offsets stay valid for
-    the arena's lifetime. Exceeding a capacity raises
+    segments) and the store never grows, so base offsets stay valid for
+    the store's lifetime. Exceeding the int capacity raises
     [Invalid_argument]. *)
 
 type t
 
-val create : ints:int -> floats:int -> t
-(** Fresh arena with the given capacities (in elements). Zero-filled. *)
+val create : ints:int -> t
+(** Fresh store of [ints] zero-filled ints and no score rows: the
+    private backing of a stand-alone consumer. *)
 
 val alloc_ints : t -> int -> int
 (** [alloc_ints t n] reserves [n] ints and returns the base offset into
     [ints t]. Raises [Invalid_argument] when the capacity is exceeded. *)
 
-val alloc_floats : t -> int -> int
-(** Same for the float backing array. *)
-
 val ints : t -> int array
 (** The shared int backing array. Consumers should capture it once. *)
 
-val floats : t -> float array
-(** The shared float backing array (unboxed element storage). *)
-
 val int_capacity : t -> int
-val float_capacity : t -> int
 val int_used : t -> int
-val float_used : t -> int
 
-val words : t -> int
-(** Total backing-store size in words — the batched-allocation
-    footprint surfaced by the perf counters. *)
+val scores : t -> Fmat.t
+(** The lanes' score matrix: {!take}'s [rows] by [cols], zero-filled
+    when taken; 0 by 0 for a {!create}d store. *)
 
-(** {2 Per-domain arena pool}
+(** {2 Per-domain pool}
 
-    Backends create their colony arena in [prepare] and drop it in
-    [teardown] — one multi-kilobyte allocation pair per region job under
-    the executor. {!take}/{!give} route those through a small
-    domain-local free list so consecutive jobs on one domain reuse the
-    backing arrays. {!give} {!reset}s the arena (bump pointers rewound,
-    used prefixes zero-filled), so a reused arena is indistinguishable
+    Backends take their colony's store when they prepare a region and
+    give it back at teardown — one multi-kilobyte allocation pair per
+    region job under the executor. {!take}/{!give} route those through
+    two small domain-local free lists, one for int arrays and one for
+    score matrices, matched independently, so consecutive jobs on one
+    domain reuse the backing stores. {!give} zero-fills what the store's
+    owner could have written, so a reused store is indistinguishable
     from a fresh one; its capacities may exceed the request. *)
 
-val reset : t -> unit
-(** Rewind both bump pointers and zero-fill the previously used
-    prefixes, restoring the as-created state. Existing base offsets
-    become dangling — only call between consumers. *)
-
-val take : ints:int -> floats:int -> t
-(** A zeroed arena with {e at least} the given capacities: a pooled one
-    when this domain's free list has a fit, else a fresh allocation. *)
+val take : ints:int -> rows:int -> cols:int -> t
+(** A zeroed store with {e at least} [ints] ints and a [rows] by [cols]
+    score matrix (row stride [Fmat.stride_of_cols cols]): each half a
+    pooled one when this domain's free list has a fit, else a fresh
+    allocation. *)
 
 val give : t -> unit
-(** Reset the arena and park it on this domain's free list (bounded; the
-    smallest resident is dropped on overflow). The caller must not touch
-    the arena afterwards. *)
+(** Zero-fill the store and park both halves on this domain's free
+    lists (bounded; the smallest resident is dropped on overflow). The
+    caller must not touch the store, or anything carved from it,
+    afterwards. *)
 
 val reuses : unit -> int
-(** Process-wide count of {!take}s served from a free list — the
-    observable for "arenas are pooled, not re-created". *)
+(** Process-wide count of halves (int arrays and score matrices) that
+    {!take} served from a free list — the observable for "stores are
+    pooled, not re-created". *)

@@ -27,6 +27,12 @@ let create ~rows ~cols =
   Bigarray.Array1.fill data 0.0;
   { rows; cols; stride; data }
 
+let wrap data ~rows ~cols =
+  if rows < 0 || cols < 0 then invalid_arg "Fmat.wrap: negative dimension";
+  let stride = stride_of_cols cols in
+  if Bigarray.Array1.dim data < rows * stride then invalid_arg "Fmat.wrap: backing store too small";
+  { rows; cols; stride; data }
+
 let rows t = t.rows
 let cols t = t.cols
 let stride t = t.stride
@@ -65,54 +71,3 @@ let row_to_array t r =
   Array.init t.cols (fun j -> get t ((r * t.stride) + j))
 
 let to_array t = Array.init t.rows (fun r -> row_to_array t r)
-
-(* --- per-domain matrix pool ---------------------------------------------- *)
-
-(* Same contract as [Arena]: backends take their colony score table in
-   [prepare] and give it back in [teardown]. What is pooled is the raw
-   Bigarray (the malloc), not the descriptor record — the record is a
-   handful of words allocated outside every measured minor-words window.
-   A parked array is zero-filled over the prefix its last owner could
-   have written, so a pooled matrix is indistinguishable from a fresh
-   one. *)
-
-let pool_limit = 8
-let pool_key : mat list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-let pool_reuses = Atomic.make 0
-
-let reuses () = Atomic.get pool_reuses
-
-let take ~rows ~cols =
-  if rows < 0 || cols < 0 then invalid_arg "Fmat.take: negative dimension";
-  let stride = stride_of_cols cols in
-  let need = max (rows * stride) 1 in
-  let pool = Domain.DLS.get pool_key in
-  let rec search acc = function
-    | [] -> None
-    | (d : mat) :: rest when Bigarray.Array1.dim d >= need ->
-        pool := List.rev_append acc rest;
-        Some d
-    | d :: rest -> search (d :: acc) rest
-  in
-  match search [] !pool with
-  | Some data ->
-      Atomic.incr pool_reuses;
-      { rows; cols; stride; data }
-  | None -> create ~rows ~cols
-
-let give t =
-  (* Writes only ever land in [0, rows*stride): restoring that prefix to
-     zero restores the whole-array invariant for the next taker. *)
-  let used = min (t.rows * t.stride) (Bigarray.Array1.dim t.data) in
-  (if used > 0 then
-     let prefix = Bigarray.Array1.sub t.data 0 used in
-     Bigarray.Array1.fill prefix 0.0);
-  let pool = Domain.DLS.get pool_key in
-  if List.length !pool < pool_limit then pool := t.data :: !pool
-  else begin
-    (* full: drop the smallest resident so capacity ratchets upward *)
-    let dim (d : mat) = Bigarray.Array1.dim d in
-    let smallest = List.fold_left (fun m d -> if dim d < dim m then d else m) t.data !pool in
-    if smallest != t.data then
-      pool := t.data :: List.filter (fun d -> d != smallest) !pool
-  end

@@ -20,6 +20,12 @@ val stride_of_cols : int -> int
 val create : rows:int -> cols:int -> t
 (** Zero-filled matrix with [stride = stride_of_cols cols]. *)
 
+val wrap : mat -> rows:int -> cols:int -> t
+(** A matrix over an existing zero-filled backing store of at least
+    [rows * stride_of_cols cols] cells ({!Arena} hands pooled stores
+    out this way). Raises [Invalid_argument] when the store is too
+    small. *)
+
 val rows : t -> int
 val cols : t -> int
 val stride : t -> int
@@ -54,15 +60,3 @@ val row_to_array : t -> int -> float array
 
 val to_array : t -> float array array
 (** Snapshot the real [rows x cols] contents (diagnostics and tests). *)
-
-(** {1 Per-domain pool}
-
-    Mirrors {!Arena}'s pool: [take] in [prepare], [give] in [teardown].
-    The raw Bigarray is what gets reused; it is re-zeroed on [give], so
-    a pooled matrix is indistinguishable from a fresh one. *)
-
-val take : rows:int -> cols:int -> t
-val give : t -> unit
-
-val reuses : unit -> int
-(** How many [take]s were satisfied from a pool (diagnostics). *)

@@ -281,7 +281,7 @@ let colony_run_pass (type a) ~params ~rng ~ants ~pheromone ~mode
   let start_ant ant ~rng mode =
     Aco.Ant.start ant ~rng ~heuristic:params.heuristic ~allow_optional_stalls mode
   in
-  let minor_before = Support.Perfcount.minor_words () in
+  let minor_before = Gc.minor_words () in
   let best_cost = ref initial_cost in
   let best = ref initial_artifact in
   let improved = ref false in
@@ -332,7 +332,7 @@ let colony_run_pass (type a) ~params ~rng ~ants ~pheromone ~mode
       Obs.Metrics.push metrics m_entropy (Aco.Pheromone.row_entropy pheromone)
     end
   done;
-  let minor_delta = Support.Perfcount.minor_words () -. minor_before in
+  let minor_delta = Gc.minor_words () -. minor_before in
   let best_costs = Array.sub bc_buf 0 !bc_len in
   ( !best,
     !best_cost,

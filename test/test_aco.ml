@@ -80,7 +80,7 @@ let test_stall_policy_breach_paths () =
   | _ -> Alcotest.fail "expected Forced_breach in a no-stall wavefront"
 
 let run_ant mode g =
-  let ant = Aco.Ant.create g Tu.test_params in
+  let ant = Tu.lane g in
   let pheromone = Aco.Pheromone.create ~n:g.Ddg.Graph.n ~initial:1.0 in
   Aco.Ant.start ant ~rng:(Support.Rng.create 5) ~heuristic:Sched.Heuristic.Critical_path
     ~allow_optional_stalls:true mode;
@@ -140,9 +140,9 @@ let prop_ant_bounds_sound =
       let g = rc.Engine.Region_ctx.graph in
       let params = Tu.test_params in
       let ant =
-        Aco.Ant.create
-          ~shared:(Aco.Ant.shared_of_region_ctx ~beta:params.Engine.Params.beta rc)
-          g params
+        (Aco.Ant.lanes
+           (Aco.Ant.shared_of_region_ctx ~beta:params.Engine.Params.beta rc)
+           ~count:1 params).(0)
       in
       let pheromone = Aco.Pheromone.create ~n:g.Ddg.Graph.n ~initial:1.0 in
       let rng = Support.Rng.create seed in
@@ -210,7 +210,7 @@ let test_ant_step_requires_active () =
 
 let test_ant_kill () =
   let g = Ddg.Graph.build (Tu.diamond_region ()) in
-  let ant = Aco.Ant.create g Tu.test_params in
+  let ant = Tu.lane g in
   Aco.Ant.start ant ~rng:(Support.Rng.create 1) ~heuristic:Sched.Heuristic.Critical_path
     ~allow_optional_stalls:true Aco.Ant.Rp_pass;
   Aco.Ant.kill ant;
@@ -366,7 +366,7 @@ let arb_loop_script =
 let finished_ant =
   lazy
     (let g = Ddg.Graph.build (Tu.diamond_region ()) in
-     let ant = Aco.Ant.create g Tu.test_params in
+     let ant = Tu.lane g in
      Aco.Ant.start ant ~rng:(Support.Rng.create 1) ~heuristic:Sched.Heuristic.Critical_path
        ~allow_optional_stalls:false Aco.Ant.Rp_pass;
      Aco.Ant.run_to_completion ant ~pheromone:(Aco.Pheromone.create ~n:(Ddg.Graph.size g) ~initial:1.0);

@@ -15,30 +15,20 @@
       equal seeds replay the same fault stream). *)
 
 let arena_offsets () =
-  let a = Support.Arena.create ~ints:10 ~floats:4 in
+  let a = Support.Arena.create ~ints:10 in
   Alcotest.(check int) "first int base" 0 (Support.Arena.alloc_ints a 6);
   Alcotest.(check int) "second int base" 6 (Support.Arena.alloc_ints a 4);
   Alcotest.(check int) "ints used" 10 (Support.Arena.int_used a);
-  Alcotest.(check int) "first float base" 0 (Support.Arena.alloc_floats a 4);
-  Alcotest.(check int) "floats used" 4 (Support.Arena.float_used a);
   Alcotest.(check int) "int capacity" 10 (Support.Arena.int_capacity a);
-  Alcotest.(check int) "float capacity" 4 (Support.Arena.float_capacity a);
   Alcotest.(check bool) "zero-filled ints" true
-    (Array.for_all (fun x -> x = 0) (Support.Arena.ints a));
-  Alcotest.(check bool) "zero-filled floats" true
-    (Array.for_all (fun x -> x = 0.0) (Support.Arena.floats a))
+    (Array.for_all (fun x -> x = 0) (Support.Arena.ints a))
 
 let arena_exhaustion () =
-  let a = Support.Arena.create ~ints:4 ~floats:2 in
+  let a = Support.Arena.create ~ints:4 in
   let _ = Support.Arena.alloc_ints a 3 in
   Alcotest.(check bool) "int overflow raises" true
     (try
        ignore (Support.Arena.alloc_ints a 2);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "float overflow raises" true
-    (try
-       ignore (Support.Arena.alloc_floats a 3);
        false
      with Invalid_argument _ -> true);
   (* a fitting request still succeeds after a refused one *)
@@ -58,11 +48,9 @@ let rank_name = function
    (the wavefront quarantine path); [initial] = 0.0 exercises the
    degenerate roulette. *)
 let lockstep_compare ?(initial = 1.0) ?kill_at ~force_explore ~ready_limit ~mode ~heuristic
-    graph params seed =
-  let shared = Aco.Ant.prepare_shared ~beta:params.Engine.Params.beta graph in
-  let ints, floats = Aco.Ant.arena_demand shared in
-  let arena = Support.Arena.create ~ints ~floats in
-  let ant = Aco.Ant.create ~shared ~arena graph params in
+    ~shared graph params seed =
+  let lane = Aco.Ant.lanes shared ~count:1 params in
+  let ant = lane.(0) in
   let ant_ref = Ant_ref.create graph params in
   let n = graph.Ddg.Graph.n in
   let pheromone = Aco.Pheromone.create ~n ~initial in
@@ -106,7 +94,9 @@ let lockstep_compare ?(initial = 1.0) ?kill_at ~force_explore ~ready_limit ~mode
   Alcotest.(check (pair int int)) "rp peaks" (rv, rs) (pv, ps);
   (* the two RNGs must have consumed the same number of draws *)
   Alcotest.(check int64) "rng stream position" (Support.Rng.int64 rng_b)
-    (Support.Rng.int64 rng_a)
+    (Support.Rng.int64 rng_a);
+  (* the next comparison's lane reuses this store *)
+  Aco.Ant.release lane
 
 let tight_targets graph =
   (* targets at the heuristic schedule's peaks force the stall/death
@@ -121,6 +111,7 @@ let ant_differential =
     (QCheck.pair (Tu.arb_graph ~max_size:30 ()) QCheck.small_int)
     (fun (graph, seed) ->
       let params = Tu.test_params in
+      let shared = Tu.shared_of_graph graph in
       let modes =
         [
           Aco.Ant.Rp_pass;
@@ -136,25 +127,26 @@ let ant_differential =
         (fun mode ->
           List.iter
             (fun heuristic ->
-              lockstep_compare ~force_explore:None ~ready_limit:None ~mode ~heuristic graph
-                params seed;
+              lockstep_compare ~force_explore:None ~ready_limit:None ~mode ~heuristic ~shared
+                graph params seed;
               lockstep_compare ~force_explore:(Some true) ~ready_limit:(Some 2) ~mode
-                ~heuristic graph params (seed + 1);
+                ~heuristic ~shared graph params (seed + 1);
               lockstep_compare ~force_explore:(Some false) ~ready_limit:None ~mode ~heuristic
-                graph params (seed + 2);
+                ~shared graph params (seed + 2);
               lockstep_compare ~kill_at:(1 + (seed mod 11)) ~force_explore:None
-                ~ready_limit:None ~mode ~heuristic graph params (seed + 3))
+                ~ready_limit:None ~mode ~heuristic ~shared graph params (seed + 3))
             heuristics)
         modes;
       (* degenerate roulette: zero trail everywhere, always explore *)
       lockstep_compare ~initial:0.0 ~force_explore:(Some true) ~ready_limit:None
-        ~mode:Aco.Ant.Rp_pass ~heuristic:Sched.Heuristic.Critical_path graph params seed;
+        ~mode:Aco.Ant.Rp_pass ~heuristic:Sched.Heuristic.Critical_path ~shared graph params
+        seed;
       true)
 
 (* --- colony-wide eta^beta rows ------------------------------------------- *)
 
-(* Ants carved from one colony — one [shared], one arena, one score
-   matrix — each on its own heuristic, stepped round-robin against
+(* Ants carved from one colony — one [shared], one store — each on its
+   own heuristic, stepped round-robin against
    reference ants with twin RNGs. The standalone differential above
    gives every ant a private table; here the lanes read one set of
    eta^beta rows, so a lane writing through them, or a row read for the
@@ -165,15 +157,7 @@ let shared_colony_lockstep ~mode graph params seed =
        Sched.Heuristic.Source_order; Sched.Heuristic.Critical_path |]
   in
   let lanes = Array.length heuristics in
-  let shared = Aco.Ant.prepare_shared ~beta:params.Engine.Params.beta graph in
-  let ints, floats = Aco.Ant.arena_demand shared in
-  let rows, cols = Aco.Ant.fmat_demand shared in
-  let arena = Support.Arena.create ~ints:(lanes * ints) ~floats:(lanes * floats) in
-  let fmat = Support.Fmat.create ~rows:(lanes * rows) ~cols in
-  let ants =
-    Array.init lanes (fun lane ->
-        Aco.Ant.create ~shared ~arena ~fmat:(fmat, lane * rows) graph params)
-  in
+  let ants = Aco.Ant.lanes (Tu.shared_of_graph graph) ~count:lanes params in
   let refs = Array.init lanes (fun _ -> Ant_ref.create graph params) in
   let pheromone = Aco.Pheromone.create ~n:graph.Ddg.Graph.n ~initial:1.0 in
   Aco.Pheromone.deposit_path pheromone (Ddg.Topo.order graph) 0.75;
@@ -211,7 +195,8 @@ let shared_colony_lockstep ~mode graph params seed =
       Alcotest.(check (pair int int)) "rp peaks" (Ant_ref.rp_peaks r) (Aco.Ant.rp_peaks ant);
       Alcotest.(check int64) "rng stream position" (Support.Rng.int64 ref_rngs.(lane))
         (Support.Rng.int64 rngs.(lane)))
-    ants
+    ants;
+  Aco.Ant.release ants
 
 let shared_eta_differential =
   QCheck.Test.make ~count:20 ~name:"colony-shared eta^beta rows byte-identical to reference"
@@ -227,25 +212,30 @@ let shared_eta_differential =
       true)
 
 (* The rows are raised to the colony's beta once, so an ant whose params
-   carry another beta must not read them — just as it must not read
-   another graph's. *)
+   carry another beta must not read them. And the lanes take their graph
+   from the shared state, whose register layout must be that graph's: a
+   region context pairing one graph with another's analyses builds
+   none. *)
 let shared_mismatch () =
   let graph = Ddg.Graph.build (Tu.random_region 5) in
   let params = Tu.test_params in
-  let rejects what shared =
-    match Aco.Ant.create ~shared graph params with
-    | _ -> Alcotest.failf "Ant.create accepted a shared state for %s" what
-    | exception Invalid_argument _ -> ()
-  in
-  rejects "another beta"
-    (Aco.Ant.prepare_shared ~beta:(params.Engine.Params.beta +. 1.0) graph);
-  rejects "another graph"
-    (Aco.Ant.prepare_shared ~beta:params.Engine.Params.beta
-       (Ddg.Graph.build (Tu.random_region 6)));
-  ignore
-    (Aco.Ant.create
-       ~shared:(Aco.Ant.prepare_shared ~beta:params.Engine.Params.beta graph)
-       graph params)
+  let rc = Engine.Region_ctx.of_graph Tu.occ graph in
+  (match
+     Aco.Ant.lanes
+       (Aco.Ant.shared_of_region_ctx ~beta:(params.Engine.Params.beta +. 1.0) rc)
+       ~count:1 params
+   with
+  | _ -> Alcotest.fail "Ant.lanes accepted a shared state for another beta"
+  | exception Invalid_argument _ -> ());
+  (match
+     Aco.Ant.shared_of_region_ctx ~beta:params.Engine.Params.beta
+       { rc with Engine.Region_ctx.graph = Ddg.Graph.build (Tu.random_region 6) }
+   with
+  | _ -> Alcotest.fail "a region context with another graph built a shared state"
+  | exception Invalid_argument _ -> ());
+  Aco.Ant.release
+    (Aco.Ant.lanes (Aco.Ant.shared_of_region_ctx ~beta:params.Engine.Params.beta rc) ~count:1
+       params)
 
 (* --- wavefront-level differential --------------------------------------- *)
 
@@ -426,7 +416,7 @@ let wavefront_differential =
       let params = Tu.test_params in
       let config = Tu.test_gpu in
       let w =
-        Gpusim.Wavefront.create config graph params
+        Gpusim.Wavefront.create config (Tu.shared_of_graph graph) params
           ~heuristic:Sched.Heuristic.Critical_path ~allow_optional_stalls:true
       in
       let lanes = Gpusim.Wavefront.lanes w in
@@ -472,6 +462,7 @@ let wavefront_differential =
           (0.15, Aco.Ant.Rp_pass);
           (0.15, tight_targets graph);
         ];
+      Gpusim.Wavefront.retire w;
       true)
 
 let wavefront_determinism =
@@ -482,7 +473,7 @@ let wavefront_determinism =
       let config = Tu.test_gpu in
       let run () =
         let w =
-          Gpusim.Wavefront.create config graph params
+          Gpusim.Wavefront.create config (Tu.shared_of_graph graph) params
             ~heuristic:Sched.Heuristic.Last_use_count ~allow_optional_stalls:true
         in
         let faults =
@@ -494,11 +485,16 @@ let wavefront_determinism =
           Gpusim.Wavefront.run_iteration ~faults w ~rng ~mode:Aco.Ant.Rp_pass ~pheromone
             ~start_ns:0.0
         in
-        ( o.Gpusim.Wavefront.time_ns,
-          o.Gpusim.Wavefront.steps,
-          o.Gpusim.Wavefront.quarantined,
-          o.Gpusim.Wavefront.mem_faults,
-          List.map Aco.Ant.order o.Gpusim.Wavefront.finished )
+        let outcome =
+          ( o.Gpusim.Wavefront.time_ns,
+            o.Gpusim.Wavefront.steps,
+            o.Gpusim.Wavefront.quarantined,
+            o.Gpusim.Wavefront.mem_faults,
+            List.map Aco.Ant.order o.Gpusim.Wavefront.finished )
+        in
+        (* the second run's lanes reuse this store *)
+        Gpusim.Wavefront.retire w;
+        outcome
       in
       run () = run ())
 
@@ -526,18 +522,28 @@ let fmat_layout () =
   Alcotest.(check bool) "clear zeroes everything" true
     (Array.for_all (Array.for_all (fun v -> v = 0.0)) (Support.Fmat.to_array m))
 
+(* The store's matrix half. On a domain of its own, whose pool starts
+   empty, so the parked matrix is the one the next take finds. *)
 let fmat_pool () =
-  let m = Support.Fmat.take ~rows:2 ~cols:3 in
-  Support.Fmat.set m (Support.Fmat.row_base m 1 + 2) 9.0;
-  Support.Fmat.give m;
-  let reuses_before = Support.Fmat.reuses () in
-  let m2 = Support.Fmat.take ~rows:2 ~cols:3 in
-  Alcotest.(check bool) "same-shape take reuses the pooled store" true
-    (Support.Fmat.reuses () > reuses_before);
-  (* re-zeroed on give: a pooled matrix is indistinguishable from fresh *)
-  Alcotest.(check bool) "pooled matrix comes back zeroed" true
-    (Array.for_all (Array.for_all (fun v -> v = 0.0)) (Support.Fmat.to_array m2));
-  Support.Fmat.give m2
+  Domain.join
+    (Domain.spawn (fun () ->
+         let s = Support.Arena.take ~ints:1 ~rows:2 ~cols:3 in
+         let m = Support.Arena.scores s in
+         Support.Fmat.set m (Support.Fmat.row_base m 1 + 2) 9.0;
+         Support.Arena.give s;
+         let reuses_before = Support.Arena.reuses () in
+         let s2 = Support.Arena.take ~ints:1 ~rows:2 ~cols:3 in
+         let m2 = Support.Arena.scores s2 in
+         Alcotest.(check bool) "same-shape take reuses the pooled matrix" true
+           (m2.Support.Fmat.data == m.Support.Fmat.data);
+         Alcotest.(check int) "both halves counted as reuses" 2
+           (Support.Arena.reuses () - reuses_before);
+         Alcotest.(check (pair int int)) "shape as requested" (2, 8)
+           (Support.Fmat.rows m2, Support.Fmat.stride m2);
+         (* re-zeroed on give: a pooled matrix is indistinguishable from fresh *)
+         Alcotest.(check bool) "pooled matrix comes back zeroed" true
+           (Array.for_all (Array.for_all (fun v -> v = 0.0)) (Support.Fmat.to_array m2));
+         Support.Arena.give s2))
 
 (* --- the Chen bound ---------------------------------------------------- *)
 

@@ -116,8 +116,8 @@ let test_kernel_sim_pass_time_includes_overheads () =
 let run_wavefront ?(opts = Gpusim.Config.opts_paper) mode g =
   let config = Gpusim.Config.with_opts Tu.test_gpu opts in
   let w =
-    Gpusim.Wavefront.create config g Tu.test_params ~heuristic:Sched.Heuristic.Critical_path
-      ~allow_optional_stalls:true
+    Gpusim.Wavefront.create config (Tu.shared_of_graph g) Tu.test_params
+      ~heuristic:Sched.Heuristic.Critical_path ~allow_optional_stalls:true
   in
   let pheromone = Aco.Pheromone.create ~n:g.Ddg.Graph.n ~initial:1.0 in
   Gpusim.Wavefront.run_iteration w ~rng:(Support.Rng.create 3) ~mode ~pheromone ~start_ns:0.0
@@ -211,6 +211,16 @@ let test_config_threads () =
   Alcotest.(check int) "threads = wavefronts x 64" (2 * 64) (Gpusim.Config.threads Tu.test_gpu);
   Alcotest.(check int) "paper geometry" (180 * 64) (Gpusim.Config.threads Gpusim.Config.default)
 
+(* Installing fault rates changes the rates only: a config keeps its own
+   fault seed unless one is given. *)
+let test_with_faults_keeps_seed () =
+  let seeded = { Tu.test_gpu with Gpusim.Config.fault_seed = 5 } in
+  let rates = Gpusim.Config.uniform_faults 0.3 in
+  Alcotest.(check int) "the config's own seed" 5
+    (Gpusim.Config.with_faults seeded rates).Gpusim.Config.fault_seed;
+  Alcotest.(check int) "a given seed replaces it" 7
+    (Gpusim.Config.with_faults ~seed:7 seeded rates).Gpusim.Config.fault_seed
+
 let suite =
   [
     Alcotest.test_case "divergence single path" `Quick test_divergence_single_path;
@@ -238,3 +248,4 @@ let suite =
         prop_par_aco_valid;
         prop_par_aco_never_worse_rp;
       ]
+  @ [ Alcotest.test_case "with_faults keeps the config's own seed" `Quick test_with_faults_keeps_seed ]

@@ -517,6 +517,16 @@ let null_recorders_are_absent =
       Alcotest.(check (list (float 0.0))) "minor words identical" (words absent) (words nulls);
       true)
 
+(* Every string the recorders write goes through the one escaper; the
+   one reader must return it byte for byte, control characters, quotes,
+   backslashes and non-ASCII bytes included. *)
+let escape_round_trips =
+  QCheck.Test.make ~count:500 ~name:"json_escape round-trips through parse_json"
+    QCheck.(string_gen Gen.char)
+    (fun s ->
+      Obs.Trace_check.parse_json ("\"" ^ Obs.Trace_check.json_escape s ^ "\"")
+      = Obs.Trace_check.Str s)
+
 let suite =
   [
     ("trace ring wrap", `Quick, test_ring_wrap);
@@ -536,3 +546,4 @@ let suite =
   ]
   @ [ Tu.qtest_witnessed ~witness:traced_passes ~what:"a traced pass" tracing_is_inert ]
   @ [ Tu.qtest_witnessed ~witness:null_passes ~what:"a pass that ran" null_recorders_are_absent ]
+  @ Tu.qtests [ escape_round_trips ]

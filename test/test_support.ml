@@ -182,48 +182,73 @@ let test_pqueue_peek_clear () =
   Support.Pqueue.clear q;
   Alcotest.(check bool) "cleared" true (Support.Pqueue.is_empty q)
 
-exception Probe_failed
+(* --- the pooled store of a colony's lanes --------------------------------- *)
 
-let test_perfcount_span_exception_safe () =
-  let c = Support.Perfcount.create () in
-  (* a raising measured function must still accumulate its delta and
-     re-raise the original exception *)
-  Alcotest.check_raises "re-raises" Probe_failed (fun () ->
-      ignore
-        (Support.Perfcount.span ~into:c (fun () ->
-             ignore (Sys.opaque_identity (Array.make 256 0.0));
-             raise Probe_failed)));
-  Alcotest.(check bool) "delta accumulated before the raise" true
-    (Support.Perfcount.total c >= 256.0);
-  (* the counter remains usable: a closed span keeps accumulating *)
-  let before = Support.Perfcount.total c in
-  let (), d =
-    Support.Perfcount.span ~into:c (fun () ->
-        ignore (Sys.opaque_identity (Array.make 128 0.0)))
+(* The pool tests run on a domain of their own: its free lists start
+   empty, so what a take finds is exactly what the test parked. *)
+let on_fresh_domain f = Domain.join (Domain.spawn f)
+
+let test_store_halves_independent () =
+  on_fresh_domain (fun () ->
+      let big_ints = Support.Arena.take ~ints:4096 ~rows:1 ~cols:1 in
+      let ints = Support.Arena.ints big_ints in
+      ints.(Support.Arena.alloc_ints big_ints 4096 + 17) <- 5;
+      let scores = (Support.Arena.scores big_ints).Support.Fmat.data in
+      Support.Arena.give big_ints;
+      let before = Support.Arena.reuses () in
+      let big_scores = Support.Arena.take ~ints:16 ~rows:64 ~cols:40 in
+      Alcotest.(check bool) "the int half is reused" true
+        (Support.Arena.ints big_scores == ints);
+      Alcotest.(check bool) "the reused int half comes back zeroed" true
+        (Array.for_all (fun x -> x = 0) ints);
+      Alcotest.(check bool) "the matrix half is allocated" false
+        ((Support.Arena.scores big_scores).Support.Fmat.data == scores);
+      Alcotest.(check int) "one half served from the pool" 1
+        (Support.Arena.reuses () - before);
+      Alcotest.(check int) "the matrix is as requested" (64 * 40)
+        (Support.Fmat.rows (Support.Arena.scores big_scores)
+        * Support.Fmat.stride (Support.Arena.scores big_scores)))
+
+(* Lanes of [graph] on a store from [Ant.lanes], each lane on its own
+   heuristic and seed, through both passes: what every lane built. *)
+let lane_outcomes graph shared =
+  let params = Tu.test_params in
+  let ants = Aco.Ant.lanes shared ~count:4 params in
+  let pheromone = Aco.Pheromone.create ~n:graph.Ddg.Graph.n ~initial:1.0 in
+  Aco.Pheromone.deposit_path pheromone (Ddg.Topo.order graph) 0.75;
+  let heuristics = Array.of_list Sched.Heuristic.all in
+  let outcomes =
+    List.concat_map
+      (fun mode ->
+        List.mapi
+          (fun lane ant ->
+            Aco.Ant.start ant ~rng:(Support.Rng.create lane)
+              ~heuristic:heuristics.(lane mod Array.length heuristics)
+              ~allow_optional_stalls:true mode;
+            Aco.Ant.run_to_completion ant ~pheromone;
+            (Aco.Ant.order ant, Aco.Ant.length ant, Aco.Ant.rp_peaks ant))
+          (Array.to_list ants))
+      [ Aco.Ant.Rp_pass; Aco.Ant.Ilp_pass { target_vgpr = 24; target_sgpr = 80 } ]
   in
-  Alcotest.(check bool) "span returns its own delta" true (d >= 128.0);
-  Alcotest.(check (float 1e-9)) "into accumulates the same delta" (before +. d)
-    (Support.Perfcount.total c)
+  Aco.Ant.release ants;
+  outcomes
 
-let test_perfcount_stop_without_start () =
-  let c = Support.Perfcount.create () in
-  (* stop on a never-started counter is a no-op, not an error *)
-  Support.Perfcount.stop c;
-  Alcotest.(check (float 0.0)) "nothing counted" 0.0 (Support.Perfcount.total c);
-  (* reset closes any open window; a following stop must also be a no-op *)
-  Support.Perfcount.start c;
-  ignore (Sys.opaque_identity (Array.make 64 0.0));
-  Support.Perfcount.reset c;
-  Support.Perfcount.stop c;
-  Alcotest.(check (float 0.0)) "reset discards the open window" 0.0
-    (Support.Perfcount.total c);
-  (* double stop after a real window counts the window exactly once *)
-  Support.Perfcount.start c;
-  ignore (Sys.opaque_identity (Array.make 64 0.0));
-  Support.Perfcount.stop c;
-  let t = Support.Perfcount.total c in
-  Support.Perfcount.stop c;
-  Alcotest.(check (float 1e-9)) "second stop adds nothing" t (Support.Perfcount.total c)
+let test_reused_store_lanes () =
+  let graph = Ddg.Graph.build (Tu.random_region ~max_size:20 3) in
+  let larger = Ddg.Graph.build (Tu.random_region ~max_size:60 4) in
+  let shared = Tu.shared_of_graph graph in
+  let fresh = on_fresh_domain (fun () -> lane_outcomes graph shared) in
+  let reused =
+    on_fresh_domain (fun () ->
+        ignore (lane_outcomes larger (Tu.shared_of_graph larger));
+        let before = Support.Arena.reuses () in
+        let outcomes = lane_outcomes graph shared in
+        Alcotest.(check int) "both halves of the larger store reused" 2
+          (Support.Arena.reuses () - before);
+        outcomes)
+  in
+  Alcotest.(check (list (triple (array int) int (pair int int))))
+    "orders, lengths and peaks as on a fresh store" fresh reused
 
 let test_pool_observer () =
   (* the process-global observer sees the pool's lifecycle: lazy spawns
@@ -395,9 +420,10 @@ let suite =
     Alcotest.test_case "histogram" `Quick test_histogram;
     Alcotest.test_case "pqueue drain" `Quick test_pqueue_drains_sorted;
     Alcotest.test_case "pqueue peek/clear" `Quick test_pqueue_peek_clear;
-    Alcotest.test_case "perfcount span exception-safe" `Quick
-      test_perfcount_span_exception_safe;
-    Alcotest.test_case "perfcount stop is total" `Quick test_perfcount_stop_without_start;
+    Alcotest.test_case "store halves are pooled independently" `Quick
+      test_store_halves_independent;
+    Alcotest.test_case "lanes on a reused store match a fresh store" `Quick
+      test_reused_store_lanes;
     Alcotest.test_case "domain pool lifecycle observer" `Quick test_pool_observer;
     Alcotest.test_case "parallel_for runs every index once" `Quick
       test_parallel_for_exactly_once;

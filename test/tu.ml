@@ -167,11 +167,11 @@ let qtest_witnessed ~witness ~what prop = qtest_witnessed_all [ (witness, what) 
    allocation-free [f] reads exactly 0. *)
 let minor_words_per_call ~calls f =
   let measure g =
-    let before = Support.Perfcount.minor_words () in
+    let before = Gc.minor_words () in
     for _ = 1 to calls do
       g ()
     done;
-    Support.Perfcount.minor_words () -. before
+    Gc.minor_words () -. before
   in
   let harness = measure ignore in
   (measure f -. harness) /. float_of_int calls
@@ -186,3 +186,12 @@ let rung =
 let test_params = { Engine.Params.default with Engine.Params.ants_per_iteration = 24; max_iterations = 8 }
 
 let test_gpu = { Gpusim.Config.bench with Gpusim.Config.num_wavefronts = 2 }
+
+(* The shared state a colony over [g] builds from its region context,
+   for ants carrying [test_params]. *)
+let shared_of_graph g =
+  Aco.Ant.shared_of_region_ctx ~beta:test_params.Engine.Params.beta
+    (Engine.Region_ctx.of_graph occ g)
+
+(* One stand-alone ant: a one-lane store over [shared_of_graph g]. *)
+let lane g = (Aco.Ant.lanes (shared_of_graph g) ~count:1 test_params).(0)

@@ -20,11 +20,10 @@ module Seq_ref = struct
     let n = graph.Ddg.Graph.n in
     let rng = Support.Rng.create seed in
     (* One set of region analyses and one SoA arena back the whole colony. *)
-    let shared = Aco.Ant.prepare_shared ~beta:params.Engine.Params.beta graph in
-    let ints, floats = Aco.Ant.arena_demand shared in
-    let lanes = params.Engine.Params.ants_per_iteration in
-    let arena = Support.Arena.create ~ints:(lanes * ints) ~floats:(lanes * floats) in
-    let ants = Array.init lanes (fun _ -> Aco.Ant.create ~shared ~arena graph params) in
+    let shared = Aco.Ant.shared_of_region_ctx ~beta:params.Engine.Params.beta setup in
+    let ants =
+      Aco.Ant.lanes shared ~count:params.Engine.Params.ants_per_iteration params
+    in
     let pheromone = Aco.Pheromone.create ~n ~initial:params.Engine.Params.initial_pheromone in
     let termination = Engine.Params.termination_condition n in
     let rp_scalar_of_ant ant =
@@ -160,9 +159,9 @@ module Par_ref = struct
     in
     w < allowed
 
-  let make_wavefronts ?shared ~trace ~metrics config graph params =
+  let make_wavefronts ~shared ~trace ~metrics config params =
     Array.init config.Gpusim.Config.num_wavefronts (fun w ->
-        Gpusim.Wavefront.create ?shared ~trace ~metrics ~track:(2 + w) config graph params
+        Gpusim.Wavefront.create ~trace ~metrics ~track:(2 + w) config shared params
           ~heuristic:(heuristic_for config params w)
           ~allow_optional_stalls:(allow_optional_for config w))
 
@@ -214,7 +213,7 @@ module Par_ref = struct
         ~dur:setup_ns;
       obs_cursor.(0) <- pass_t0 +. config.Gpusim.Config.launch_overhead_ns +. setup_ns
     end;
-    let minor_before = Support.Perfcount.minor_words () in
+    let minor_before = Gc.minor_words () in
     let best_cost = ref initial_cost in
     let best = ref initial_artifact in
     let improved = ref false in
@@ -235,19 +234,6 @@ module Par_ref = struct
     let outcomes : Gpusim.Wavefront.outcome option array = Array.make (max 1 num_wavefronts) None in
     let cost_buf = Array.make threads max_int in
     let red_idx = Array.make threads 0 in
-    (* Iteration times land in a growable buffer (an iteration can add a
-       backoff entry besides its own time, hence the factor 2). *)
-    let iter_times = ref (Array.make (max 8 (min ((2 * params.max_iterations) + 4) 4096)) 0.0) in
-    let iter_count = ref 0 in
-    let push_time x =
-      if !iter_count = Array.length !iter_times then begin
-        let grown = Array.make (2 * Array.length !iter_times) 0.0 in
-        Array.blit !iter_times 0 grown 0 !iter_count;
-        iter_times := grown
-      end;
-      !iter_times.(!iter_count) <- x;
-      incr iter_count
-    in
     let elapsed = ref 0.0 in
     let retries = ref 0 in
     let consecutive_failures = ref 0 in
@@ -304,7 +290,6 @@ module Par_ref = struct
         Gpusim.Kernel_sim.watchdog_clamp ~deadline_ns:iteration_deadline_ns iter_time_raw
       in
       if watchdog_fired then iter_faulted := true;
-      push_time iter_time;
       elapsed := !elapsed +. iter_time;
       if tracing then begin
         Gpusim.Kernel_sim.trace_iteration trace config ~n ~track:1 ~ts:obs_cursor.(1)
@@ -372,7 +357,6 @@ module Par_ref = struct
           let backoff =
             Gpusim.Faults.retry_backoff_ns *. (2.0 ** float_of_int (!consecutive_failures - 1))
           in
-          push_time backoff;
           elapsed := !elapsed +. backoff;
           if tracing then begin
             Obs.Trace.instant_arg trace ~track:0 ~name:"retry" ~ts:obs_cursor.(0)
@@ -408,7 +392,7 @@ module Par_ref = struct
       end
     done;
     if budget_ns < infinity && not (within_budget ()) then aborted_budget := true;
-    (* [elapsed] sums [iter_times] in push order *)
+    (* [elapsed] sums the iteration and backoff times in order *)
     let time_ns = Gpusim.Kernel_sim.pass_time_ns config ~n ~ready_ub ~iterations_ns:!elapsed in
     (* The baseline evaluated the stats record's fields right to left, so
        [fault_counts] (which allocates) landed inside the measured window
@@ -416,7 +400,7 @@ module Par_ref = struct
        stay out of it: bind them explicitly in that order to keep the
        reported delta byte-identical with tracing off. *)
     let fault_counts = Engine.Types.fault_counts_sub (Gpusim.Faults.counts faults) faults_before in
-    let minor_delta = Support.Perfcount.minor_words () -. minor_before in
+    let minor_delta = Gc.minor_words () -. minor_before in
     let best_costs = Array.sub bc_buf 0 !bc_len in
     if tracing then begin
       let teardown = Gpusim.Mem_model.teardown_time_ns config ~n in
@@ -476,10 +460,10 @@ module Par_ref = struct
     let rng = Support.Rng.create seed in
     (* One set of region analyses (critical path, register layout, closure
        ready-list bound) feeds every wavefront of the colony. *)
-    let shared = Aco.Ant.prepare_shared ~beta:params.Engine.Params.beta graph in
+    let shared = Aco.Ant.shared_of_region_ctx ~beta:params.Engine.Params.beta setup in
     (* Track layout: 0 = driver, 1 = kernel stages, 2.. = one per
        wavefront. *)
-    let wavefronts = make_wavefronts ~shared ~trace ~metrics config graph params in
+    let wavefronts = make_wavefronts ~shared ~trace ~metrics config params in
     let simds = Machine.Target.total_simds config.Gpusim.Config.target in
     (* Driver-owned simulated-time cursors: [obs_cursor].(0) is the
        driver cursor, (1) the current iteration's start;
@@ -496,7 +480,7 @@ module Par_ref = struct
     end;
     let pheromone = Aco.Pheromone.create ~n ~initial:params.Engine.Params.initial_pheromone in
     let termination = Engine.Params.termination_condition n in
-    let ready_ub = Aco.Ant.shared_ready_ub shared in
+    let ready_ub = setup.Engine.Region_ctx.ready_ub in
     let rp_scalar_of_ant ant =
       let v, s = Aco.Ant.rp_peaks ant in
       Sched.Cost.rp_scalar (Sched.Cost.rp_of_peaks occ ~vgpr:v ~sgpr:s)

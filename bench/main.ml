@@ -143,16 +143,7 @@ let () =
       match metrics_file with Some _ -> Obs.Metrics.create () | None -> Obs.Metrics.null
     in
     let t0 = Unix.gettimeofday () in
-    let done_kernels = ref 0 in
-    let report =
-      Pipeline.Compile.run_suite
-        ~progress:(fun k ->
-          incr done_kernels;
-          Printf.eprintf "# [%d/%d] %s (%.0fs)\n%!" !done_kernels
-            stats.Workload.Suite.num_kernels k
-            (Unix.gettimeofday () -. t0))
-        ~trace ~metrics config suite
-    in
+    let report = Pipeline.Executor.run_suite ~trace ~metrics config suite in
     Printf.eprintf "# compiled in %.1fs\n%!" (Unix.gettimeofday () -. t0);
     (match trace_file with
     | Some file ->

@@ -111,10 +111,7 @@ let table4b =
     ~baseline:Gpusim.Config.opts_no_divergence
 
 let table5 ctx =
-  let t =
-    Pipeline.Timing.compile_totals ~threshold:ctx.filters.Pipeline.Filters.cycle_threshold
-      ctx.report
-  in
+  let t = Pipeline.Timing.compile_totals ctx.filters ctx.report in
   let sec ns = Printf.sprintf "%.0f" (ns /. 1e9) in
   let with_pct ns =
     Printf.sprintf "%s (%.1f%%)" (sec ns) (Pipeline.Timing.pct_increase t.Pipeline.Timing.base_ns ns)
@@ -244,7 +241,7 @@ let faults ctx =
       run_sequential = false;
     }
   in
-  let report = Pipeline.Compile.run_suite fault_config ctx.report.Pipeline.Compile.suite in
+  let report = Pipeline.Executor.run_suite fault_config ctx.report.Pipeline.Compile.suite in
   let rows =
     Pipeline.Report.degradation_table report @ Pipeline.Report.degradation_total report
   in

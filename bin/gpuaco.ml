@@ -28,6 +28,40 @@ let with_shape cmd name ~size ~seed k =
   | None -> usage (Printf.sprintf "unknown shape %S (known: %s)" name (String.concat ", " shape_names))
   | exception Invalid_argument m -> usage (Printf.sprintf "shape %s at --size %d: %s" name size m)
 
+(* Run [k] on the dispatch policy of [backend] (if given) once
+   [Pipeline.Compile.check_options] accepts the fault rate, compile
+   budget and backend spec; a value it refuses is a one-line usage
+   error and exits 2, in this command's wording. *)
+let with_options cmd ?auto_threshold ~fault_rate ~budget_ms backend k =
+  let usage m =
+    Printf.eprintf "gpuaco %s: %s\n" cmd m;
+    2
+  in
+  let spec = Option.value backend ~default:"" in
+  let registered () =
+    Pipeline.Compile.ensure_backends ();
+    String.concat ", " (Engine.Registry.names ())
+  in
+  match
+    Pipeline.Compile.check_options ?auto_threshold ~fault_rate:(Some fault_rate)
+      ~compile_budget_ms:budget_ms backend
+  with
+  | Ok dispatch -> k dispatch
+  | Error (Pipeline.Compile.Fault_rate r) ->
+      usage (Printf.sprintf "--fault-rate %g is not a rate in [0,1]" r)
+  | Error (Pipeline.Compile.Compile_budget_ms ms) ->
+      usage (Printf.sprintf "--compile-budget-ms %g is not a budget (a number >= 0)" ms)
+  | Error (Pipeline.Compile.No_backend _) ->
+      usage (Printf.sprintf "no backend named in %S (registered: %s)" spec (registered ()))
+  | Error (Pipeline.Compile.Duplicate_backend b) ->
+      usage
+        (Printf.sprintf
+           "backend %S appears twice in the race list %S — racing a deterministic \
+            backend against itself only reproduces its own schedule"
+           b spec)
+  | Error (Pipeline.Compile.Unknown_backend b) ->
+      usage (Printf.sprintf "unknown backend %S (registered: %s)" b (registered ()))
+
 let shape_arg =
   let doc =
     "Kernel shape to generate: " ^ String.concat ", " shape_names ^ "."
@@ -345,41 +379,14 @@ let run_compile_suite config ~seed ~jobs ~cache_mode metrics metrics_out trace_o
   in
   degradation_exit worst
 
-(* The [--backend] spec as a dispatch policy whose every name is
-   registered, or the one-line usage error naming what is wrong. *)
-let dispatch_of_spec ~auto_threshold spec =
-  Pipeline.Compile.ensure_backends ();
-  let unusable what =
-    Error
-      (Printf.sprintf "%s (registered: %s)" what
-         (String.concat ", " (Engine.Registry.names ())))
-  in
-  match Engine.Dispatch.of_string ~auto_threshold spec with
-  | exception Engine.Dispatch.Duplicate_backend b ->
-      Error
-        (Printf.sprintf
-           "backend %S appears twice in the race list %S — racing a deterministic \
-            backend against itself only reproduces its own schedule"
-           b spec)
-  | exception Invalid_argument _ -> unusable (Printf.sprintf "no backend named in %S" spec)
-  | dispatch -> (
-      let names = Engine.Dispatch.backend_names dispatch in
-      match List.find_opt (fun b -> not (Engine.Registry.mem b)) names with
-      | Some b -> unusable (Printf.sprintf "unknown backend %S" b)
-      | None -> Ok dispatch)
-
 let run_compile shape size seed fault_rate fault_seed budget_ms max_retries backend
     auto_threshold jobs cache_mode suite trace_out metrics_out log_out quality_ledger
     convergence =
-  match dispatch_of_spec ~auto_threshold backend with
-  | Error m ->
-      Printf.eprintf "gpuaco compile: %s\n" m;
-      2
-  | Ok dispatch ->
+  with_options "compile" ~auto_threshold ~fault_rate ~budget_ms (Some backend)
+  @@ fun dispatch ->
   let config =
-    Pipeline.Compile.make_config
-      ~fault_rate:(Float.max 0.0 (Float.min 1.0 fault_rate))
-      ?fault_seed ?compile_budget_ms:budget_ms ~max_retries ~dispatch ()
+    Pipeline.Compile.make_config ~fault_rate ?fault_seed ?compile_budget_ms:budget_ms
+      ~max_retries ?dispatch ()
   in
   let config = { config with Pipeline.Compile.run_sequential = false } in
   let metrics =
@@ -707,11 +714,11 @@ let run_serve socket_path queue_capacity max_in_flight shed_threshold serve_retr
     in
     loop ()
   end
-  else begin
+  else
+    with_options "serve" ~fault_rate ~budget_ms None @@ fun _ ->
     let compile =
-      Pipeline.Compile.make_config
-        ~fault_rate:(Float.max 0.0 (Float.min 1.0 fault_rate))
-        ?fault_seed ?compile_budget_ms:budget_ms ~max_retries ()
+      Pipeline.Compile.make_config ~fault_rate ?fault_seed ?compile_budget_ms:budget_ms
+        ~max_retries ()
     in
     let compile = { compile with Pipeline.Compile.run_sequential = false } in
     let cfg =
@@ -744,7 +751,6 @@ let run_serve socket_path queue_capacity max_in_flight shed_threshold serve_retr
     (* the framed reply stream owns stdout in stdio mode *)
     (match log_out with Some file -> write_log ~err:true log file | None -> ());
     code
-  end
 
 let serve_cmd =
   let info =
@@ -898,11 +904,11 @@ let run_trace shape size seed fault_rate fault_seed budget_ms max_retries out me
       print_string (Obs.Trace_check.report_to_string rep);
       if Obs.Trace_check.ok rep then 0 else 1
   | None ->
+      with_options "trace" ~fault_rate ~budget_ms None @@ fun _ ->
       with_shape "trace" shape ~size ~seed @@ fun region ->
       let config =
-        Pipeline.Compile.make_config
-          ~fault_rate:(Float.max 0.0 (Float.min 1.0 fault_rate))
-          ?fault_seed ?compile_budget_ms:budget_ms ~max_retries ()
+        Pipeline.Compile.make_config ~fault_rate ?fault_seed ?compile_budget_ms:budget_ms
+          ~max_retries ()
       in
       let config = { config with Pipeline.Compile.run_sequential = seq } in
       let trace = Obs.Trace.create () in

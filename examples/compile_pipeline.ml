@@ -37,7 +37,7 @@ let () =
         (if not final.Pipeline.Perf_model.aco_ran then "  [ACO not invoked]" else ""))
     report.Pipeline.Compile.kernels;
   print_newline ();
-  let totals = Pipeline.Timing.compile_totals ~threshold:filters.Pipeline.Filters.cycle_threshold report in
+  let totals = Pipeline.Timing.compile_totals filters report in
   Printf.printf "compile time: base %.1fs, +seq ACO %.1f%%, +parallel ACO %.1f%% (simulated)\n"
     (totals.Pipeline.Timing.base_ns /. 1e9)
     (Pipeline.Timing.pct_increase totals.Pipeline.Timing.base_ns totals.Pipeline.Timing.seq_ns)

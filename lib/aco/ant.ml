@@ -346,12 +346,13 @@ let step t ~pheromone ~force_explore ~ready_limit =
         finish_step t ~rank:2 ~scanned:0 ~succs:0
       end
       else begin
-        (* [Stall_policy.classify]'s decision ladder over the candidate
-           slice, inlined as straight-line integer code (a variant
+        (* The optional-stall decision ladder of Section IV-C over the
+           candidate slice, as straight-line integer code (a variant
            result would be a per-step allocation). Filter, coin and
-           ordering are identical — the single optional-stall coin is
-           drawn under exactly the same conditions, so the RNG stream
-           position matches the list-level reference bit for bit. *)
+           ordering match the reference ant's list-level ladder
+           (test/ant_ref.ml) — the single optional-stall coin is drawn
+           under exactly the same conditions, so the RNG stream
+           position matches it bit for bit. *)
         let has_semi_ready = Sched.Ready_list.has_semi_ready rl in
         let fitting =
           Sched.Rp_tracker.filter_fits_prefix t.rp ~cand:t.cand ~n_cand:m ~target_vgpr

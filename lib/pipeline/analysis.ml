@@ -162,6 +162,15 @@ let get t occ region =
             raise exn)
   end
 
+let resident t =
+  locked t (fun () ->
+      Hashtbl.fold
+        (fun _ e acc ->
+          match e.e_cell with Ready rc -> (e.e_used, rc) :: acc | Computing | Failed _ -> acc)
+        t.tbl []
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+      |> List.map snd)
+
 let stats t =
   locked t (fun () ->
       {

@@ -55,6 +55,11 @@ val get : t -> Machine.Occupancy.t -> Ir.Region.t -> Engine.Region_ctx.t
     (everything the compiler emits — orders, slots, costs, stats — is
     name-independent). *)
 
+val resident : t -> Engine.Region_ctx.t list
+(** The contexts the cache holds, least recently used first: looking
+    their regions up again in this order, in a fresh cache of the same
+    capacity, restores the recency order. Empty when caching is off. *)
+
 val stats : t -> stats
 
 val hit_rate : stats -> float

@@ -2,7 +2,6 @@ type config = {
   occ : Machine.Occupancy.t;
   gpu : Gpusim.Config.t;
   params : Engine.Params.t;
-  filters : Filters.config;
   robust : Robust.config;
   dispatch : Engine.Dispatch.policy;
   seq_seed : int;
@@ -43,9 +42,8 @@ let override ~fault_rate ~fault_seed ~compile_budget_ms c =
       in
       { c with gpu; robust }
 
-let make_config ?(gpu = Gpusim.Config.bench) ?(filters = Filters.default)
-    ?(robust = Robust.default) ?fault_rate ?fault_seed ?compile_budget_ms ?max_retries
-    ?(dispatch = Engine.Dispatch.default) () =
+let make_config ?(gpu = Gpusim.Config.bench) ?(robust = Robust.default) ?fault_rate
+    ?fault_seed ?compile_budget_ms ?max_retries ?(dispatch = Engine.Dispatch.default) () =
   let params =
     {
       Engine.Params.default with
@@ -62,13 +60,39 @@ let make_config ?(gpu = Gpusim.Config.bench) ?(filters = Filters.default)
       occ = Machine.Occupancy.default;
       gpu;
       params;
-      filters;
       robust;
       dispatch;
       seq_seed = 101;
       par_seed = 202;
       run_sequential = true;
     }
+
+type invalid_option =
+  | Fault_rate of float
+  | Compile_budget_ms of float
+  | No_backend of string
+  | Duplicate_backend of string
+  | Unknown_backend of string
+
+(* The comparisons are written so that NaN fails them. *)
+let check_options ?auto_threshold ~fault_rate ~compile_budget_ms backend =
+  match (fault_rate, compile_budget_ms, backend) with
+  | Some rate, _, _ when not (rate >= 0.0 && rate <= 1.0) -> Error (Fault_rate rate)
+  | _, Some ms, _ when not (ms >= 0.0) -> Error (Compile_budget_ms ms)
+  | _, _, None -> Ok None
+  | _, _, Some spec -> (
+      match Engine.Dispatch.of_string ?auto_threshold spec with
+      | exception Invalid_argument m -> Error (No_backend m)
+      | exception Engine.Dispatch.Duplicate_backend b -> Error (Duplicate_backend b)
+      | policy -> (
+          ensure_backends ();
+          match
+            List.find_opt
+              (fun b -> not (Engine.Registry.mem b))
+              (Engine.Dispatch.backend_names policy)
+          with
+          | Some b -> Error (Unknown_backend b)
+          | None -> Ok (Some policy)))
 
 type backend_run = {
   backend : string;
@@ -111,37 +135,12 @@ type suite_report = {
   kernels : kernel_report list;
 }
 
-(* --- per-backend compat accessors --------------------------------------- *)
-
 let find_run r name = List.find_opt (fun run -> String.equal run.backend name) r.runs
 
 let product_run r =
   match find_run r r.product_backend with
   | Some run -> run
   | None -> invalid_arg "Compile.product_run: report lost its product run"
-
-let seq_pass1 r = Option.map (fun run -> run.result.Engine.Types.pass1) (find_run r "seq")
-let seq_pass2 r = Option.map (fun run -> run.result.Engine.Types.pass2) (find_run r "seq")
-
-let par_pass1 r =
-  match find_run r "par" with
-  | Some run -> run.result.Engine.Types.pass1
-  | None -> Engine.Types.no_pass
-
-let par_pass2 r =
-  match find_run r "par" with
-  | Some run -> run.result.Engine.Types.pass2
-  | None -> Engine.Types.no_pass
-
-let run_time_ns ~pass r name =
-  match find_run r name with
-  | Some run -> ( match pass with `One -> run.run_pass1_time_ns | `Two -> run.run_pass2_time_ns)
-  | None -> 0.0
-
-let seq_pass1_time_ns r = run_time_ns ~pass:`One r "seq"
-let seq_pass2_time_ns r = run_time_ns ~pass:`Two r "seq"
-let par_pass1_time_ns r = run_time_ns ~pass:`One r "par"
-let par_pass2_time_ns r = run_time_ns ~pass:`Two r "par"
 
 (* Worst-case product: the AMD heuristic schedule dressed up as an ACO
    result. This is what the driver ships when a backend itself trapped —
@@ -357,28 +356,6 @@ let run_region ?(trace = Obs.Trace.null) ?(metrics = Obs.Metrics.null)
     retries = product.run_retries;
     fault_counts = product.run_fault_counts;
   }
-
-let run_suite ?(progress = fun _ -> ()) ?(trace = Obs.Trace.null)
-    ?(metrics = Obs.Metrics.null) ?(log = Obs.Log.null) ?cache config
-    (suite : Workload.Suite.t) =
-  let ctx_of region =
-    Option.map (fun cache -> Analysis.get cache config.occ region) cache
-  in
-  let kernels =
-    List.map
-      (fun (k : Workload.Suite.kernel) ->
-        progress k.Workload.Suite.kernel_name;
-        let regions =
-          List.mapi
-            (fun i region ->
-              let name = Printf.sprintf "%s/r%d" k.Workload.Suite.kernel_name i in
-              run_region ~trace ~metrics ~log ?ctx:(ctx_of region) config ~name region)
-            k.Workload.Suite.regions
-        in
-        { kernel = k; regions })
-      suite.Workload.Suite.kernels
-  in
-  { suite; compile_config = config; kernels }
 
 (* [hot_index] comes from workload metadata; an out-of-range index must
    not crash the reporting path, so clamp it into the region list. *)

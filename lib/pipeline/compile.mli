@@ -1,4 +1,5 @@
-(** The per-region and per-suite compile flow of Section VI-A.
+(** The per-region compile flow of Section VI-A ({!Executor.run_suite}
+    runs it over a suite).
 
     Every region is scheduled by the AMD heuristic; when the heuristic
     schedule is not provably optimal (its RP cost or length is above the
@@ -15,15 +16,14 @@
     the dependence height — is recorded. {!Report} then synthesizes the
     compiler's output for any cycle-threshold setting (the tuned
     default, and Table 7's sweep) without recompiling: a region whose
-    gap is below the threshold is treated as never having invoked ACO
-    at all, pass 1 included (Section VI-F calls this "filtering out
-    unpromising scheduling regions"). *)
+    gap is below the threshold ({!Filters.region_kept}) is treated as
+    never having invoked ACO at all, pass 1 included (Section VI-F
+    calls this "filtering out unpromising scheduling regions"). *)
 
 type config = {
   occ : Machine.Occupancy.t;
   gpu : Gpusim.Config.t;
   params : Engine.Params.t;
-  filters : Filters.config;
   robust : Robust.config;  (** budgets, watchdog deadline, retry allowance *)
   dispatch : Engine.Dispatch.policy;  (** which backend(s) compile each region *)
   seq_seed : int;
@@ -43,7 +43,6 @@ val ensure_backends : unit -> unit
 
 val make_config :
   ?gpu:Gpusim.Config.t ->
-  ?filters:Filters.config ->
   ?robust:Robust.config ->
   ?fault_rate:float ->
   ?fault_seed:int ->
@@ -74,6 +73,28 @@ val override :
     [compile_budget_ms] installs {!Robust.budgets_of_ms}. Both
     {!make_config} and the serve daemon's per-request configuration go
     through it. *)
+
+(** Why {!check_options} refused a value. *)
+type invalid_option =
+  | Fault_rate of float  (** NaN, or outside [0,1] *)
+  | Compile_budget_ms of float  (** NaN, or negative *)
+  | No_backend of string
+      (** the backend spec names no backend (the parser's message) *)
+  | Duplicate_backend of string  (** a race list names this backend twice *)
+  | Unknown_backend of string  (** not in {!Engine.Registry} *)
+
+val check_options :
+  ?auto_threshold:int ->
+  fault_rate:float option ->
+  compile_budget_ms:float option ->
+  string option ->
+  (Engine.Dispatch.policy option, invalid_option) result
+(** The one validity rule for a compile's fault rate, compile budget
+    and backend spec, checked in that order ([None] is always valid).
+    A valid spec comes back parsed by {!Engine.Dispatch.of_string}
+    ([auto_threshold] as there), every backend it names registered
+    ({!ensure_backends} runs first). The serve protocol and the
+    [gpuaco] commands both call it, each with its own error wording. *)
 
 type backend_run = {
   backend : string;  (** registry name *)
@@ -133,26 +154,14 @@ type suite_report = {
   kernels : kernel_report list;
 }
 
-(** {2 Per-backend accessors}
+(** {2 Per-backend runs}
 
-    [runs] is keyed by backend name; these wrap the common lookups. The
-    [seq_*]/[par_*] accessors keep the shape of the pre-engine report:
-    an absent ["par"] run reads as {!Engine.Types.no_pass} / [0.0], an
-    absent ["seq"] run as [None] / [0.0]. *)
+    [runs] is keyed by backend name. *)
 
 val find_run : region_report -> string -> backend_run option
 
 val product_run : region_report -> backend_run
 (** The run behind [product_backend] (always present). *)
-
-val seq_pass1 : region_report -> Engine.Types.pass_stats option
-val seq_pass2 : region_report -> Engine.Types.pass_stats option
-val par_pass1 : region_report -> Engine.Types.pass_stats
-val par_pass2 : region_report -> Engine.Types.pass_stats
-val seq_pass1_time_ns : region_report -> float
-val seq_pass2_time_ns : region_report -> float
-val par_pass1_time_ns : region_report -> float
-val par_pass2_time_ns : region_report -> float
 
 val run_region :
   ?trace:Obs.Trace.t ->
@@ -192,24 +201,6 @@ val run_region :
     product; a caller that binds a request id via
     {!Obs.Log.with_fields} sees it stamped on every backend-pass
     entry. *)
-
-val run_suite :
-  ?progress:(string -> unit) ->
-  ?trace:Obs.Trace.t ->
-  ?metrics:Obs.Metrics.t ->
-  ?log:Obs.Log.t ->
-  ?cache:Analysis.t ->
-  config ->
-  Workload.Suite.t ->
-  suite_report
-(** Compile every kernel of the suite (kernels shared between benchmarks
-    are compiled once — and once per backend the dispatch runs).
-    [progress] receives one message per kernel; [trace] / [metrics] are
-    threaded to every {!run_region}. [cache] routes analysis contexts
-    through the content-addressed {!Analysis} cache, so structurally
-    repeated regions are analysed once; the report is unchanged by the
-    cache (see {!Report_digest}). Sequential; {!Executor.run_suite} is
-    the multi-domain entry point. *)
 
 val hot_region : kernel_report -> region_report
 (** The region backing the kernel's hot loop. Total for any [hot_index]:

@@ -9,8 +9,8 @@
     ({!Support.Domain_pool.parallel_for}) in descending region size, so
     the giants start first and the small jobs level the tail. The
     reports merge back by index, which makes the suite report
-    canonically identical ({!Report_digest}) to a sequential
-    {!Compile.run_suite} for every jobs count.
+    canonically identical ({!Report_digest}) to the one-worker compile
+    for every jobs count. {!run_suite} is the only suite driver.
 
     Observability is sharded: each worker records into a private metrics
     registry and a private flight-recorder ring, both merged on the
@@ -60,8 +60,8 @@ val run_suite :
     [pool] (default {!Support.Domain_pool.global}, spawned once per
     process and reused across calls), clamped to the pool's size plus
     the calling domain, with workers claiming jobs largest first (ties
-    in suite order). The report is canonically identical to
-    [Compile.run_suite] with the same configuration, for any [jobs],
+    in suite order). The report is canonically identical to the
+    [jobs = 1] report with the same configuration, for any [jobs],
     [pool] and [cache] setting.
 
     [log] (default disabled) is shared across workers — the ring is

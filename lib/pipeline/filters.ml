@@ -21,6 +21,9 @@ let no_filtering =
     equal_occupancy_length_slack = max_int;
   }
 
+let region_kept config (r : Compile.region_report) =
+  r.Compile.pass2_gap >= config.cycle_threshold
+
 type verdict = Keep_aco | Revert_to_heuristic
 
 let post_schedule config ~(heuristic : Sched.Cost.t) ~(aco : Sched.Cost.t) =

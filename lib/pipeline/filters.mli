@@ -8,8 +8,8 @@
       is dropped, pass 1 included, as if ACO had never run (a small
       schedule-length win rarely survives un-modeled factors; Table 7
       tunes the threshold to 21). [Report], [Perf_model] and [Timing]
-      apply it after the compile, so one compile serves every
-      threshold;
+      apply it after the compile through {!region_kept}, so one compile
+      serves every threshold;
     - the *post-scheduling filter* compares the final ACO schedule with
       the heuristic schedule and reverts when ACO bought a small
       occupancy gain with a disproportionate length penalty
@@ -34,6 +34,11 @@ val default : config
 
 val no_filtering : config
 (** Threshold 1, revert disabled (for ablations). *)
+
+val region_kept : config -> Compile.region_report -> bool
+(** The cycle-threshold gate: the region's [pass2_gap] reaches
+    [cycle_threshold], so its ACO result may ship. A region that fails
+    it ships its heuristic schedule. *)
 
 type verdict = Keep_aco | Revert_to_heuristic
 

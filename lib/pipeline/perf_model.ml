@@ -8,8 +8,9 @@ type final_choice = {
 let final_for (filters : Filters.config) (r : Compile.region_report) =
   (* The cycle-threshold filter is a region-level gate: an unpromising
      region (small heuristic gap to the bound) never invokes ACO. *)
-  let region_kept = r.Compile.pass2_gap >= filters.Filters.cycle_threshold in
-  let aco_ran = region_kept && (r.Compile.pass1_invoked || r.Compile.pass2_invoked) in
+  let aco_ran =
+    Filters.region_kept filters r && (r.Compile.pass1_invoked || r.Compile.pass2_invoked)
+  in
   if not aco_ran then
     { cost = r.Compile.heuristic_cost; order = r.Compile.heuristic_order; reverted = false; aco_ran }
   else
@@ -69,19 +70,12 @@ let unmodeled_factor ~heuristic_order ~order =
     let u = order_hash order in
     d *. ((u *. 0.33) -. 0.25)
 
-let find_kernel_report (report : Compile.suite_report) (b : Workload.Suite.benchmark) =
-  List.find
-    (fun (kr : Compile.kernel_report) ->
-      String.equal kr.Compile.kernel.Workload.Suite.kernel_name
-        b.Workload.Suite.kernel.Workload.Suite.kernel_name)
-    report.Compile.kernels
-
 (* Memory latency is fully hidden once enough wavefronts are resident;
    beyond the saturation point extra occupancy no longer buys time. *)
 let occupancy_saturation = 9.0
 
 let benchmark_time view (report : Compile.suite_report) (b : Workload.Suite.benchmark) =
-  let kr = find_kernel_report report b in
+  let kr = Compile.find_kernel report b in
   let hot = Compile.hot_region kr in
   let cost = region_cost view hot in
   let occ = kernel_occupancy view kr in

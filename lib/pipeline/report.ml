@@ -20,14 +20,11 @@ let instance_regions report benchmarks =
     (fun b -> (Compile.find_kernel report b).Compile.regions)
     benchmarks
 
-let region_kept (filters : Filters.config) (r : Compile.region_report) =
-  r.Compile.pass2_gap >= filters.Filters.cycle_threshold
-
 let pass1_kept filters (r : Compile.region_report) =
-  r.Compile.pass1_invoked && region_kept filters r
+  r.Compile.pass1_invoked && Filters.region_kept filters r
 
 let pass2_kept filters (r : Compile.region_report) =
-  r.Compile.pass2_invoked && region_kept filters r
+  r.Compile.pass2_invoked && Filters.region_kept filters r
 
 let table1 filters report =
   let benchmarks = sensitive_benchmarks report in
@@ -130,24 +127,27 @@ type speedup_row = {
   min_speedup : float;
 }
 
+(* Sequential over parallel simulated time of one pass, where both
+   backends ran it for the same number of iterations. *)
 let region_speedup ~pass (r : Compile.region_report) =
-  match pass with
-  | `One -> (
-      match Compile.seq_pass1 r with
-      | Some s
-        when s.Engine.Types.invoked && r.Compile.pass1_invoked
-             && s.Engine.Types.iterations = (Compile.par_pass1 r).Engine.Types.iterations
-             && Compile.par_pass1_time_ns r > 0.0 ->
-          Some (Compile.seq_pass1_time_ns r /. Compile.par_pass1_time_ns r)
-      | Some _ | None -> None)
-  | `Two -> (
-      match Compile.seq_pass2 r with
-      | Some s
-        when s.Engine.Types.invoked && r.Compile.pass2_invoked
-             && s.Engine.Types.iterations = (Compile.par_pass2 r).Engine.Types.iterations
-             && Compile.par_pass2_time_ns r > 0.0 ->
-          Some (Compile.seq_pass2_time_ns r /. Compile.par_pass2_time_ns r)
-      | Some _ | None -> None)
+  let of_pass (run : Compile.backend_run) =
+    match pass with
+    | `One -> (run.Compile.result.Engine.Types.pass1, run.Compile.run_pass1_time_ns)
+    | `Two -> (run.Compile.result.Engine.Types.pass2, run.Compile.run_pass2_time_ns)
+  in
+  let invoked =
+    match pass with `One -> r.Compile.pass1_invoked | `Two -> r.Compile.pass2_invoked
+  in
+  match (Compile.find_run r "seq", Compile.find_run r "par") with
+  | Some seq, Some par ->
+      let s, seq_ns = of_pass seq and p, par_ns = of_pass par in
+      if
+        s.Engine.Types.invoked && invoked
+        && s.Engine.Types.iterations = p.Engine.Types.iterations
+        && par_ns > 0.0
+      then Some (seq_ns /. par_ns)
+      else None
+  | _ -> None
 
 let processed_for_pass ~pass filters (r : Compile.region_report) =
   match pass with `One -> pass1_kept filters r | `Two -> pass2_kept filters r
@@ -343,18 +343,17 @@ type perf_row = {
    much OCaml minor-heap allocation they cost. The arena refactor's
    budget is minor words per ant step. *)
 let perf_row_of regions cat =
-  let add f =
-    List.fold_left
-      (fun acc (r : Compile.region_report) ->
-        acc + f (Compile.par_pass1 r) + f (Compile.par_pass2 r))
-      0 regions
+  let passes =
+    List.concat_map
+      (fun (r : Compile.region_report) ->
+        match Compile.find_run r "par" with
+        | Some run ->
+            [ run.Compile.result.Engine.Types.pass1; run.Compile.result.Engine.Types.pass2 ]
+        | None -> [])
+      regions
   in
-  let addf f =
-    List.fold_left
-      (fun acc (r : Compile.region_report) ->
-        acc +. f (Compile.par_pass1 r) +. f (Compile.par_pass2 r))
-      0.0 regions
-  in
+  let add f = List.fold_left (fun acc p -> acc + f p) 0 passes in
+  let addf f = List.fold_left (fun acc p -> acc +. f p) 0.0 passes in
   let steps = add (fun (p : Engine.Types.pass_stats) -> p.Engine.Types.ant_steps) in
   let words = addf (fun (p : Engine.Types.pass_stats) -> p.Engine.Types.minor_words) in
   {

@@ -152,13 +152,10 @@ let parse_request payload =
           | None -> bad "%s=%S is not an integer" k v)
         (get k)
     in
+    let not_a_number k v = bad "%s=%S is not a number" k v in
     let get_float k =
       Option.map
-        (fun v ->
-          match float_of_string_opt v with
-          | Some f when Float.is_nan f -> bad "%s=%S is not a number" k v
-          | Some f -> f
-          | None -> bad "%s=%S is not a number" k v)
+        (fun v -> match float_of_string_opt v with Some f -> f | None -> not_a_number k v)
         (get k)
     in
     let id = Option.value (get "id") ~default:"-" in
@@ -198,34 +195,24 @@ let parse_request payload =
               | Ok region -> Inline region
               | Error e -> raise (Err (Bad_region e)))
         in
-        let fault_rate =
-          Option.map
-            (fun r ->
-              if r < 0.0 || r > 1.0 then bad "fault-rate=%g out of range [0,1]" r
-              else r)
-            (get_float "fault-rate")
-        in
-        let budget_ms =
-          Option.map
-            (fun b -> if b < 0.0 then bad "budget-ms=%g is negative" b else b)
-            (get_float "budget-ms")
-        in
+        let fault_rate = get_float "fault-rate" in
+        let budget_ms = get_float "budget-ms" in
+        let raw k = Option.value (get k) ~default:"" in
         let backend =
-          match get "backend" with
-          | None -> None
-          | Some spec ->
-              let policy =
-                try Engine.Dispatch.of_string spec with
-                | Invalid_argument m -> bad "backend: %s" m
-                | Engine.Dispatch.Duplicate_backend b ->
-                    bad "backend: %S appears twice in %S" b spec
-              in
-              Compile.ensure_backends ();
-              List.iter
-                (fun b ->
-                  if not (Engine.Registry.mem b) then raise (Err (Unknown_backend b)))
-                (Engine.Dispatch.backend_names policy);
-              Some policy
+          match
+            Compile.check_options ~fault_rate ~compile_budget_ms:budget_ms (get "backend")
+          with
+          | Ok backend -> backend
+          | Error (Compile.Fault_rate r) when Float.is_nan r ->
+              not_a_number "fault-rate" (raw "fault-rate")
+          | Error (Compile.Fault_rate r) -> bad "fault-rate=%g out of range [0,1]" r
+          | Error (Compile.Compile_budget_ms b) when Float.is_nan b ->
+              not_a_number "budget-ms" (raw "budget-ms")
+          | Error (Compile.Compile_budget_ms b) -> bad "budget-ms=%g is negative" b
+          | Error (Compile.No_backend m) -> bad "backend: %s" m
+          | Error (Compile.Duplicate_backend b) ->
+              bad "backend: %S appears twice in %S" b (raw "backend")
+          | Error (Compile.Unknown_backend b) -> raise (Err (Unknown_backend b))
         in
         Ok
           (Compile
@@ -303,15 +290,6 @@ let render_reply = function
 (* The service                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type memo_entry = {
-  memo_outcome : Robust.degradation;
-  memo_cost : Sched.Cost.t;
-  memo_order : int array;
-  memo_digest : string;
-  memo_retries : int;
-  memo_latency_ns : float;
-}
-
 type t = {
   cfg : config;
   metrics : Obs.Metrics.t;
@@ -319,13 +297,11 @@ type t = {
   pool : Support.Domain_pool.t option;
   on_reply : reply -> unit;
   cache : Analysis.t;
-  memo : (string, memo_entry) Hashtbl.t;
+  memo : (string, compile_reply) Hashtbl.t;  (** the miss's reply, per key *)
   memo_use : (string, int) Hashtbl.t;
   mutable memo_tick : int;
   mutable memo_hits : int;
   mutable memo_misses : int;
-  (* fingerprint -> canonical wire text, for persistence *)
-  seen_regions : (string, string) Hashtbl.t;
   queue : (request * Ir.Region.t * string) Queue.t;
   mutable state : [ `Serving | `Draining | `Drained ];
   mutable in_flight : int;  (** misses computing in the current batch *)
@@ -358,8 +334,10 @@ let shed_point t =
 
 (* Bumped whenever what a blob holds changes meaning, the memoized
    report digests included: a warm restart must not replay digests an
-   older encoding computed. 2: digests hash [minor_words] as 0.0. *)
-let persist_version = 2
+   older encoding computed. 2: digests hash [minor_words] as 0.0.
+   3: the memo holds whole replies, under keys that hash the whole
+   effective config. *)
+let persist_version = 3
 let regions_path dir = Filename.concat dir "analysis.blob"
 let memo_path dir = Filename.concat dir "memo.blob"
 
@@ -376,8 +354,13 @@ let persist t =
   | Some dir -> (
       try
         mkdir_p dir;
+        (* the cache's resident regions, least recently used first, so
+           that reloading them in order restores the recency order *)
         let regions =
-          Hashtbl.fold (fun _ wire acc -> wire :: acc) t.seen_regions []
+          List.map
+            (fun (rc : Engine.Region_ctx.t) ->
+              Ir.Parse.region_to_wire rc.Engine.Region_ctx.graph.Ddg.Graph.region)
+            (Analysis.resident t.cache)
         in
         Support.Blobfile.save ~kind:"serve-analysis" ~version:persist_version
           (regions_path dir)
@@ -385,19 +368,9 @@ let persist t =
         let memo = Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.memo [] in
         Support.Blobfile.save ~kind:"serve-memo" ~version:persist_version
           (memo_path dir)
-          (Marshal.to_string (memo : (string * memo_entry) list) []);
+          (Marshal.to_string (memo : (string * compile_reply) list) []);
         Obs.Metrics.incr t.metrics "serve.persist.saved"
       with Sys_error _ -> Obs.Metrics.incr t.metrics "serve.persist.save_failed")
-
-let record_region t (rc : Engine.Region_ctx.t) region =
-  let cap = (Analysis.stats t.cache).Analysis.capacity in
-  if
-    cap > 0
-    && (not (Hashtbl.mem t.seen_regions rc.Engine.Region_ctx.fingerprint))
-    && Hashtbl.length t.seen_regions < cap
-  then
-    Hashtbl.replace t.seen_regions rc.Engine.Region_ctx.fingerprint
-      (Ir.Parse.region_to_wire region)
 
 (* Reload both cache levels. Decoding is defensive end to end: Blobfile
    verifies kind/version/length/checksum, Marshal is wrapped, and every
@@ -430,10 +403,7 @@ let load_state t =
                 (fun wire ->
                   match Ir.Parse.region_of_string wire with
                   | Ok region ->
-                      let rc =
-                        Analysis.get t.cache t.cfg.compile.Compile.occ region
-                      in
-                      record_region t rc region;
+                      ignore (Analysis.get t.cache t.cfg.compile.Compile.occ region);
                       incr regions_loaded
                   | Error _ ->
                       Obs.Metrics.incr t.metrics "serve.persist.load_failed")
@@ -446,7 +416,7 @@ let load_state t =
       | Error e -> failed (Support.Blobfile.error_to_string e)
       | Ok payload -> (
           match
-            try Some (Marshal.from_string payload 0 : (string * memo_entry) list)
+            try Some (Marshal.from_string payload 0 : (string * compile_reply) list)
             with _ -> None
           with
           | None -> failed "memo payload undecodable"
@@ -485,7 +455,6 @@ let create ?(metrics = Obs.Metrics.null) ?(log = Obs.Log.null) ?pool
       memo_tick = 0;
       memo_hits = 0;
       memo_misses = 0;
-      seen_regions = Hashtbl.create 64;
       queue = Queue.create ();
       state = `Serving;
       in_flight = 0;
@@ -518,21 +487,7 @@ let create ?(metrics = Obs.Metrics.null) ?(log = Obs.Log.null) ?pool
    backend must miss. Marshal is structural, so equal values give equal
    keys across process restarts (the memo persists). *)
 let memo_key (cfg : Compile.config) ~name fingerprint =
-  let payload =
-    Marshal.to_string
-      ( name,
-        cfg.Compile.occ,
-        cfg.Compile.gpu,
-        cfg.Compile.params,
-        cfg.Compile.filters,
-        cfg.Compile.robust,
-        cfg.Compile.dispatch,
-        cfg.Compile.seq_seed,
-        cfg.Compile.par_seed,
-        cfg.Compile.run_sequential )
-      []
-  in
-  fingerprint ^ "#" ^ Digest.to_hex (Digest.string payload)
+  fingerprint ^ "#" ^ Digest.to_hex (Digest.string (Marshal.to_string (name, cfg) []))
 
 let memo_find t key =
   match Hashtbl.find_opt t.memo key with
@@ -610,26 +565,15 @@ let better_report (a : Compile.region_report) (b : Compile.region_report) =
   if sa <> sb then sa < sb
   else Sched.Cost.better_rp_then_length a.Compile.aco_cost b.Compile.aco_cost
 
-let hit_reply t (req : request) name (e : memo_entry) =
+(* A hit replays the miss's reply under the request's id: no attempts,
+   and no simulated compile time. *)
+let hit_reply t (req : request) (stored : compile_reply) =
   t.memo_hits <- t.memo_hits + 1;
   Obs.Metrics.incr t.metrics "serve.memo.hits";
-  t.tally <- Robust.tally_add t.tally e.memo_outcome;
-  Robust.observe Obs.Trace.null t.metrics ~region:name e.memo_outcome;
+  t.tally <- Robust.tally_add t.tally stored.rep_outcome;
+  Robust.observe Obs.Trace.null t.metrics ~region:stored.rep_region stored.rep_outcome;
   Compiled
-    {
-      rep_id = req.req_id;
-      rep_region = name;
-      rep_outcome = e.memo_outcome;
-      rep_cost = e.memo_cost;
-      rep_order = e.memo_order;
-      rep_digest = e.memo_digest;
-      rep_attempts = 0;
-      rep_retries = e.memo_retries;
-      (* a hit costs no simulated compile time; the recorded latency
-         is what the original compile spent *)
-      rep_latency_ns = 0.0;
-      rep_memo = `Hit;
-    }
+    { stored with rep_id = req.req_id; rep_attempts = 0; rep_latency_ns = 0.0; rep_memo = `Hit }
 
 (* The attempt loop of a memo miss. Deadline-bounded: each retry reseeds
    the fault stream (attempt 0 is the identity reseed, so a fault-free
@@ -697,30 +641,23 @@ let miss_reply t (req : request) name key (best, attempts, spent) =
         Quality.append ~file [ Quality.of_region best ];
         Obs.Metrics.incr t.metrics "serve.quality.recorded"
       with Sys_error _ -> Obs.Metrics.incr t.metrics "serve.quality.write_failed"));
-  let digest = Report_digest.digest_region best in
-  memo_store t key
-    {
-      memo_outcome = best.Compile.degradation;
-      memo_cost = best.Compile.aco_cost;
-      memo_order = best.Compile.aco_order;
-      memo_digest = digest;
-      memo_retries = best.Compile.retries;
-      memo_latency_ns = spent;
-    };
-  t.tally <- Robust.tally_add t.tally best.Compile.degradation;
-  Compiled
+  let reply =
     {
       rep_id = req.req_id;
       rep_region = name;
       rep_outcome = best.Compile.degradation;
       rep_cost = best.Compile.aco_cost;
       rep_order = best.Compile.aco_order;
-      rep_digest = digest;
+      rep_digest = Report_digest.digest_region best;
       rep_attempts = attempts;
       rep_retries = best.Compile.retries;
       rep_latency_ns = spent;
       rep_memo = `Miss;
     }
+  in
+  memo_store t key reply;
+  t.tally <- Robust.tally_add t.tally best.Compile.degradation;
+  Compiled reply
 
 (* Shedding answers from analysis alone: the Critical-Path schedule is
    already in the region context, so the reply costs no ACO work at
@@ -728,7 +665,6 @@ let miss_reply t (req : request) name key (best, attempts, spent) =
 let shed_reply t (req : request) region name =
   let cfg = effective_config t req in
   let rc = Analysis.get t.cache cfg.Compile.occ region in
-  record_region t rc region;
   t.shed <- t.shed + 1;
   Obs.Metrics.incr t.metrics "serve.shed_overload";
   t.tally <- Robust.tally_add t.tally Robust.Shed_overload;
@@ -859,7 +795,6 @@ let process_batch t pool ~limit =
     gauge_queue t;
     let cfg = effective_config t req in
     let rc = Analysis.get t.cache cfg.Compile.occ region in
-    record_region t rc region;
     let key = memo_key cfg ~name rc.Engine.Region_ctx.fingerprint in
     items := (req, region, name, cfg, rc, key) :: !items;
     incr n
@@ -921,7 +856,7 @@ let process_batch t pool ~limit =
                   (compute_miss t ~log:(req_log req) cfg rc name region))
         | `Hit | `Dup -> (
             match memo_find t key with
-            | Some e -> hit_reply t req name e
+            | Some stored -> hit_reply t req stored
             | None ->
                 miss_reply t req name key
                   (compute_miss t ~log:(req_log req) cfg rc name region))

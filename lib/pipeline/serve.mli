@@ -30,11 +30,16 @@
       deadline, and the best attempt by (severity, cost) ships.
     - {b Memoisation}: a second-level schedule memo over the PR-5
       analysis cache, keyed on (structural fingerprint, request name,
-      effective compile configuration). A hit replays the recorded
-      reply — including the report digest — without touching ACO.
+      effective compile configuration). The memo stores the miss's
+      {!compile_reply}; a hit replays it — report digest included —
+      under the request's id, with 0 attempts and 0 latency, without
+      touching ACO.
     - {b Persistence}: with a [state_dir], {!drain} (and {!persist})
       writes both cache levels through {!Support.Blobfile} (checksummed,
-      atomically renamed). {!create} reloads them; a missing, corrupt,
+      atomically renamed): the regions of the analysis cache's resident
+      contexts, least recently used first ({!Analysis.resident}), and
+      the memo's replies. {!create} reloads them, the regions in that
+      order, so the cache's recency order survives; a missing, corrupt,
       truncated or version-skewed file counts a metric and starts cold —
       it never raises.
     - {b Drain}: {!drain} finishes every queued request, refuses new
@@ -126,7 +131,9 @@ val parse_request : string -> (command, string * proto_error) result
     [fault-rate], [fault-seed], [budget-ms], [backend]); any following
     lines are inline region text. Validation is strict — unknown keys,
     duplicate keys, unparseable values, a missing source or both sources
-    at once are all typed errors, never exceptions. The [string] in the
+    at once are all typed errors, never exceptions; [fault-rate],
+    [budget-ms] and [backend] pass {!Compile.check_options}, the rule
+    the [gpuaco] commands apply to the same options. The [string] in the
     error is the best-effort request id for the error reply. *)
 
 type compile_reply = {

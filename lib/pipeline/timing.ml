@@ -8,13 +8,16 @@ type totals = { base_ns : float; seq_ns : float; par_ns : float }
 let region_base_ns (r : Compile.region_report) =
   (float_of_int r.Compile.n *. codegen_ns_per_instr) +. heuristic_schedule_ns ~n:r.Compile.n
 
-let region_aco_ns ~threshold ~pass1 ~pass2 (r : Compile.region_report) =
-  if r.Compile.pass2_gap < threshold then 0.0
-  else
-    (if r.Compile.pass1_invoked then pass1 else 0.0)
-    +. (if r.Compile.pass2_invoked then pass2 else 0.0)
+(* The simulated ACO time [backend] spent on a region the filters keep:
+   the passes the product invoked, zero when the backend did not run. *)
+let region_aco_ns filters backend (r : Compile.region_report) =
+  match Compile.find_run r backend with
+  | Some run when Filters.region_kept filters r ->
+      (if r.Compile.pass1_invoked then run.Compile.run_pass1_time_ns else 0.0)
+      +. if r.Compile.pass2_invoked then run.Compile.run_pass2_time_ns else 0.0
+  | Some _ | None -> 0.0
 
-let compile_totals ~threshold (report : Compile.suite_report) =
+let compile_totals filters (report : Compile.suite_report) =
   let by_name = Hashtbl.create 64 in
   List.iter
     (fun (kr : Compile.kernel_report) ->
@@ -30,14 +33,8 @@ let compile_totals ~threshold (report : Compile.suite_report) =
           List.iter
             (fun (r : Compile.region_report) ->
               base := !base +. region_base_ns r;
-              seq :=
-                !seq
-                +. region_aco_ns ~threshold ~pass1:(Compile.seq_pass1_time_ns r)
-                     ~pass2:(Compile.seq_pass2_time_ns r) r;
-              par :=
-                !par
-                +. region_aco_ns ~threshold ~pass1:(Compile.par_pass1_time_ns r)
-                     ~pass2:(Compile.par_pass2_time_ns r) r)
+              seq := !seq +. region_aco_ns filters "seq" r;
+              par := !par +. region_aco_ns filters "par" r)
             kr.Compile.regions)
     report.Compile.suite.Workload.Suite.benchmarks;
   { base_ns = !base; seq_ns = !base +. !seq; par_ns = !base +. !par }

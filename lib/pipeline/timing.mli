@@ -26,11 +26,11 @@ type totals = {
   par_ns : float;  (** base + parallel ACO on the GPU *)
 }
 
-val compile_totals : threshold:int -> Compile.suite_report -> totals
+val compile_totals : Filters.config -> Compile.suite_report -> totals
 (** Totals over the suite's benchmarks (kernels shared by several
     benchmarks are recompiled per benchmark, as template instantiation
-    does in rocPRIM). [threshold] gates pass-2 ACO times, as in the
-    shipping configuration. *)
+    does in rocPRIM). The cycle-threshold gate ({!Filters.region_kept})
+    drops a region's ACO times, as in the shipping configuration. *)
 
 val pct_increase : float -> float -> float
 (** [pct_increase base x] is [(x - base) / base * 100]. *)

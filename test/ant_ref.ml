@@ -2,7 +2,8 @@
    (modulo the shared roulette-degenerate fix) as the differential-test
    oracle for the arena-backed [Aco.Ant]. It allocates freely and uses
    only the retained list-level public APIs — [Sched.Ready_list]'s list
-   view, [Stall_policy.classify], [Pheromone.get], [Sched.Heuristic.eta]
+   view, [Pheromone.get], [Sched.Heuristic.eta] — and decides stalls with
+   its own list-level [Stall_policy.classify] below
    — so it cannot silently share the optimized code paths it is meant to
    check. Every RNG draw and float operation happens in the same order
    as in the production ant; the qcheck suite in [Test_arena] asserts
@@ -165,6 +166,51 @@ let rec take k = function
   | [] -> []
   | x :: rest -> if k <= 0 then [] else x :: take (k - 1) rest
 
+(* The optional-stall heuristic of pass 2 (Section IV-C), as a decision
+   over the list of ready instructions. When the ready list is empty a
+   stall is mandatory. When it is not, scheduling a stall can still pay
+   off if every ready instruction would push the peak pressure past the
+   pass-2 target while a semi-ready instruction, one that waiting
+   unblocks, could avoid that. The stall probability is damped as more
+   optional stalls accumulate. [Aco.Ant.step] inlines the same ladder
+   over its candidate slice. *)
+module Stall_policy = struct
+  type decision =
+    | Schedule_from of int list
+        (* schedule one of these (ready instructions that fit the target) *)
+    | Optional_stall
+    | Forced_breach
+        (* no ready instruction fits and waiting cannot help: the ant
+           breaches the target and dies *)
+
+  (* [target_*] are APRP targets from pass 1. When [allow_optional] is
+     false the ant never stalls voluntarily (the divergence optimization
+     that restricts optional stalls to a fraction of wavefronts,
+     Section V-B). *)
+  let classify ~rng ~allow_optional ~base_probability ~rp ~target_vgpr ~target_sgpr
+      ~ready ~has_semi_ready ~optional_stalls_so_far =
+    let fitting =
+      List.filter (fun i -> Sched.Rp_tracker.fits_within rp i ~target_vgpr ~target_sgpr) ready
+    in
+    match fitting with
+    | [] ->
+        (* Waiting is the only move that can keep the ant alive, but an
+           ant in a no-optional-stall wavefront may not take it. *)
+        if allow_optional && has_semi_ready then Optional_stall else Forced_breach
+    | _ :: _ ->
+        (* Some candidates fit. Waiting can still be attractive when
+           other candidates would breach and something is in flight;
+           its probability is damped geometrically by the stalls already
+           inserted. *)
+        let some_breach = List.length fitting < List.length ready in
+        if
+          allow_optional && has_semi_ready && some_breach
+          && Support.Rng.bool rng
+               (base_probability *. (0.5 ** float_of_int optional_stalls_so_far))
+        then Optional_stall
+        else Schedule_from fitting
+end
+
 let step ?force_explore ?ready_limit t ~pheromone =
   if t.status <> Aco.Ant.Active then invalid_arg "Ant_ref.step: ant is not active";
   let rl = ready_list t in
@@ -201,20 +247,20 @@ let step ?force_explore ?ready_limit t ~pheromone =
       else begin
         let has_semi_ready = Sched.Ready_list.min_semi_ready_cycle rl <> None in
         match
-          Aco.Stall_policy.classify ~rng:t.rng ~allow_optional:t.allow_optional
+          Stall_policy.classify ~rng:t.rng ~allow_optional:t.allow_optional
             ~base_probability:t.params.Engine.Params.stall_base_probability ~rp:t.rp
             ~target_vgpr ~target_sgpr ~ready ~has_semi_ready
             ~optional_stalls_so_far:t.n_optional
         with
-        | Aco.Stall_policy.Schedule_from fitting ->
+        | Stall_policy.Schedule_from fitting ->
             let i = select t ~pheromone ~explored fitting in
             emit_instr t rl i;
             selected_event i
-        | Aco.Stall_policy.Optional_stall ->
+        | Stall_policy.Optional_stall ->
             emit_stall t rl;
             t.n_optional <- t.n_optional + 1;
             finish_event t { op = Optional_stall; ready_scanned = n_ready; succs_updated = 0 }
-        | Aco.Stall_policy.Forced_breach ->
+        | Stall_policy.Forced_breach ->
             t.status <- Aco.Ant.Dead;
             finish_event t { op = Died; ready_scanned = n_ready; succs_updated = 0 }
       end

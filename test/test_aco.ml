@@ -44,13 +44,13 @@ let test_stall_policy_fits () =
   let _, rp = stall_fixture () in
   let rng = Support.Rng.create 1 in
   match
-    Aco.Stall_policy.classify ~rng ~allow_optional:true ~base_probability:1.0 ~rp
+    Ant_ref.Stall_policy.classify ~rng ~allow_optional:true ~base_probability:1.0 ~rp
       ~target_vgpr:10 ~target_sgpr:10 ~ready:[ 0 ] ~has_semi_ready:false
       ~optional_stalls_so_far:0
   with
-  | Aco.Stall_policy.Schedule_from [ 0 ] -> ()
-  | Aco.Stall_policy.Schedule_from _ | Aco.Stall_policy.Optional_stall
-  | Aco.Stall_policy.Forced_breach ->
+  | Ant_ref.Stall_policy.Schedule_from [ 0 ] -> ()
+  | Ant_ref.Stall_policy.Schedule_from _ | Ant_ref.Stall_policy.Optional_stall
+  | Ant_ref.Stall_policy.Forced_breach ->
       Alcotest.fail "expected Schedule_from [0]"
 
 let test_stall_policy_breach_paths () =
@@ -58,25 +58,25 @@ let test_stall_policy_breach_paths () =
   let rng = Support.Rng.create 1 in
   (* target 0 VGPRs: everything breaches *)
   (match
-     Aco.Stall_policy.classify ~rng ~allow_optional:true ~base_probability:1.0 ~rp
+     Ant_ref.Stall_policy.classify ~rng ~allow_optional:true ~base_probability:1.0 ~rp
        ~target_vgpr:(-1) ~target_sgpr:(-1) ~ready:[ 1 ] ~has_semi_ready:true
        ~optional_stalls_so_far:0
    with
-  | Aco.Stall_policy.Optional_stall -> ()
+  | Ant_ref.Stall_policy.Optional_stall -> ()
   | _ -> Alcotest.fail "expected Optional_stall when waiting can help");
   (match
-     Aco.Stall_policy.classify ~rng ~allow_optional:true ~base_probability:1.0 ~rp
+     Ant_ref.Stall_policy.classify ~rng ~allow_optional:true ~base_probability:1.0 ~rp
        ~target_vgpr:(-1) ~target_sgpr:(-1) ~ready:[ 1 ] ~has_semi_ready:false
        ~optional_stalls_so_far:0
    with
-  | Aco.Stall_policy.Forced_breach -> ()
+  | Ant_ref.Stall_policy.Forced_breach -> ()
   | _ -> Alcotest.fail "expected Forced_breach when nothing is in flight");
   match
-    Aco.Stall_policy.classify ~rng ~allow_optional:false ~base_probability:1.0 ~rp
+    Ant_ref.Stall_policy.classify ~rng ~allow_optional:false ~base_probability:1.0 ~rp
       ~target_vgpr:(-1) ~target_sgpr:(-1) ~ready:[ 1 ] ~has_semi_ready:true
       ~optional_stalls_so_far:0
   with
-  | Aco.Stall_policy.Forced_breach -> ()
+  | Ant_ref.Stall_policy.Forced_breach -> ()
   | _ -> Alcotest.fail "expected Forced_breach in a no-stall wavefront"
 
 let run_ant mode g =

@@ -126,7 +126,7 @@ let test_prepare_lazy () =
   in
   prepared := [];
   torn_down := [];
-  let report = Pipeline.Compile.run_suite config suite in
+  let report = Pipeline.Executor.run_suite config suite in
   (* Every compiled region, keyed by fingerprint, split by whether its
      product run invoked a pass. *)
   let searched, skipped =

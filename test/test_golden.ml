@@ -30,7 +30,7 @@ let compile ?(fault_rate = 0.0) ?compile_budget_ms backend =
     Pipeline.Compile.make_config ~fault_rate ?compile_budget_ms ~max_retries:2
       ~dispatch:(Engine.Dispatch.Fixed backend) ()
   in
-  Pipeline.Compile.run_suite ~cache:(Lazy.force cache)
+  Pipeline.Executor.run_suite ~cache:(Lazy.force cache)
     { config with Pipeline.Compile.run_sequential = false }
     (Lazy.force workload)
 

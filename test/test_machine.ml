@@ -78,15 +78,6 @@ let test_target_constants () =
   Alcotest.(check int) "vgpr budget" 256 (Machine.Target.reg_budget t Ir.Reg.Vgpr);
   Alcotest.(check int) "sgpr granularity" 16 (Machine.Target.granularity t Ir.Reg.Sgpr)
 
-let test_issue_model () =
-  Alcotest.(check int) "single issue width" 1
-    (Machine.Issue_model.issue_width Machine.Issue_model.single_issue);
-  Alcotest.(check int) "slots per cycle" 1
-    (Machine.Issue_model.slots_per_cycle Machine.Issue_model.single_issue Ir.Opcode.Valu);
-  Alcotest.check_raises "rejects non-positive width"
-    (Invalid_argument "Issue_model.make: non-positive width") (fun () ->
-      ignore (Machine.Issue_model.make ~issue_width:0))
-
 let test_occupancy_rejects_negative () =
   Alcotest.check_raises "negative pressure"
     (Invalid_argument "Occupancy.of_class_pressure: negative pressure") (fun () ->
@@ -100,7 +91,6 @@ let suite =
     Alcotest.test_case "of_pressures is min" `Quick test_of_pressures_is_min;
     Alcotest.test_case "sgpr mapping" `Quick test_sgpr_mapping;
     Alcotest.test_case "target constants" `Quick test_target_constants;
-    Alcotest.test_case "issue model" `Quick test_issue_model;
     Alcotest.test_case "occupancy domain" `Quick test_occupancy_rejects_negative;
   ]
   @ Tu.qtests

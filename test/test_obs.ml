@@ -397,7 +397,7 @@ let compile_cfg ?fault_rate ?fault_seed ?compile_budget_ms () =
 (* The observables that must not move when the recorders attach. Host
    minor_words legitimately differs (the recorders themselves allocate),
    so it is excluded; everything the simulation computes is included. *)
-let par_signature (p : Engine.Types.pass_stats) =
+let pass_signature (p : Engine.Types.pass_stats) =
   ( ( p.Engine.Types.invoked,
       p.Engine.Types.iterations,
       p.Engine.Types.ants_simulated,
@@ -412,25 +412,21 @@ let par_signature (p : Engine.Types.pass_stats) =
       Engine.Types.fault_counts_total p.Engine.Types.fault_counts,
       Array.to_list p.Engine.Types.best_costs ) )
 
+let run_signature (run : Pipeline.Compile.backend_run) =
+  ( run.Pipeline.Compile.backend,
+    pass_signature run.Pipeline.Compile.result.Engine.Types.pass1,
+    pass_signature run.Pipeline.Compile.result.Engine.Types.pass2,
+    run.Pipeline.Compile.run_pass1_time_ns,
+    run.Pipeline.Compile.run_pass2_time_ns )
+
 let region_signature (r : Pipeline.Compile.region_report) =
   ( ( Array.to_list r.Pipeline.Compile.aco_order,
       Array.to_list r.Pipeline.Compile.pass1_only_order,
       r.Pipeline.Compile.aco_cost,
       r.Pipeline.Compile.degradation,
       r.Pipeline.Compile.retries ),
-    ( par_signature (Pipeline.Compile.par_pass1 r),
-      par_signature (Pipeline.Compile.par_pass2 r),
-      Pipeline.Compile.par_pass1_time_ns r,
-      Pipeline.Compile.par_pass2_time_ns r,
-      Engine.Types.fault_counts_total r.Pipeline.Compile.fault_counts ),
-    ( Option.map
-        (fun (s : Engine.Types.pass_stats) -> Array.to_list s.Engine.Types.best_costs)
-        (Pipeline.Compile.seq_pass1 r),
-      Option.map
-        (fun (s : Engine.Types.pass_stats) -> Array.to_list s.Engine.Types.best_costs)
-        (Pipeline.Compile.seq_pass2 r),
-      Pipeline.Compile.seq_pass1_time_ns r,
-      Pipeline.Compile.seq_pass2_time_ns r ) )
+    Engine.Types.fault_counts_total r.Pipeline.Compile.fault_counts,
+    List.map run_signature r.Pipeline.Compile.runs )
 
 (* Compiles in which the traced run ran a pass: the regions are ones
    the bounds leave open, so the iteration loop runs under the
@@ -470,7 +466,8 @@ let tracing_is_inert =
           (match Obs.Metrics.get metrics "r.par.pass2.best_cost" with
           | Some m ->
               let pushed = Array.map int_of_float (Obs.Metrics.series m) in
-              let stats = (Pipeline.Compile.par_pass2 on).Engine.Types.best_costs in
+              let par = Option.get (Pipeline.Compile.find_run on "par") in
+              let stats = par.Pipeline.Compile.result.Engine.Types.pass2.Engine.Types.best_costs in
               (* the registry sees one push per attempted iteration:
                  the series drops the initial-cost entry 0 *)
               Alcotest.(check (array int)) "metrics series matches pass stats"

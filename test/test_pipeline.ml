@@ -74,7 +74,7 @@ let test_final_for_threshold_synthesis () =
 let suite_report =
   lazy
     (let suite = Workload.Suite.generate Workload.Suite.test_scale in
-     Pipeline.Compile.run_suite (compile_cfg ()) suite)
+     Pipeline.Executor.run_suite (compile_cfg ()) suite)
 
 let test_suite_report_shape () =
   let report = Lazy.force suite_report in
@@ -90,10 +90,11 @@ let test_suite_report_shape () =
 
 let test_timing_totals_monotone () =
   let report = Lazy.force suite_report in
-  let t = Pipeline.Timing.compile_totals ~threshold:21 report in
+  let at threshold = { Pipeline.Filters.default with Pipeline.Filters.cycle_threshold = threshold } in
+  let t = Pipeline.Timing.compile_totals (at 21) report in
   Alcotest.(check bool) "seq >= base" true (t.Pipeline.Timing.seq_ns >= t.Pipeline.Timing.base_ns);
   Alcotest.(check bool) "par >= base" true (t.Pipeline.Timing.par_ns >= t.Pipeline.Timing.base_ns);
-  let loose = Pipeline.Timing.compile_totals ~threshold:1 report in
+  let loose = Pipeline.Timing.compile_totals (at 1) report in
   Alcotest.(check bool) "lower threshold means more ACO time" true
     (loose.Pipeline.Timing.seq_ns >= t.Pipeline.Timing.seq_ns);
   Alcotest.(check (float 1e-6)) "pct of base is zero" 0.0

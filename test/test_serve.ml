@@ -200,6 +200,18 @@ let test_parse_typed_errors () =
     (code "op=compile id=x shape=scan size=8 seed=1 backend=seq,seq");
   Alcotest.(check string) "retired backend" "unknown-backend"
     (code "op=compile id=x shape=scan size=8 seed=1 backend=seq-prune");
+  (* values Compile.check_options refuses, NaN included *)
+  List.iter
+    (fun opt ->
+      Alcotest.(check string) opt "bad-request"
+        (code ("op=compile id=x shape=scan size=8 seed=1 " ^ opt)))
+    [ "fault-rate=nan"; "fault-rate=1.5"; "fault-rate=-0.1"; "budget-ms=-1"; "budget-ms=nan" ];
+  (match
+     Pipeline.Serve.parse_request
+       "op=compile id=x shape=scan size=8 seed=1 fault-rate=1 budget-ms=0"
+   with
+  | Ok (Pipeline.Serve.Compile _) -> ()
+  | _ -> Alcotest.fail "a fault rate of 1 and a zero budget are valid");
   Alcotest.(check string) "inline region parse error" "bad-region"
     (code "op=compile id=x\nregion broken (1 instrs)\n  %0: not_an_opcode v0 <-");
   let inline latency =
@@ -660,6 +672,53 @@ let test_client_counters_bounded () =
   Alcotest.(check int) "every request counted once" requests
     (List.fold_left (fun acc name -> acc + counter metrics name) 0 per_client)
 
+(* After more distinct regions than the analysis cache holds, the state
+   dir keeps the cache's resident regions, not the first ones analysed:
+   a restart finds the newest region in its cache and misses on the
+   least recently used one, which the first daemon had evicted. *)
+let test_persistence_keeps_resident_regions () =
+  let capacity = Pipeline.Analysis.default_capacity in
+  let seeds = List.init (capacity + 100) (fun i -> i + 1) in
+  let fingerprint seed =
+    match Workload.Shapes.of_spec ~name:"transform" ~size:40 ~seed with
+    | Some region -> Engine.Region_ctx.fingerprint_of_region region
+    | None -> Alcotest.fail "transform is a known shape"
+  in
+  (* each distinct region's last use; the earliest of them is the LRU
+     victim once more than [capacity] distinct regions were analysed *)
+  let last_use = Hashtbl.create 1024 in
+  List.iter (fun seed -> Hashtbl.replace last_use (fingerprint seed) seed) seeds;
+  Alcotest.(check bool) "more distinct regions than the cache holds" true
+    (Hashtbl.length last_use > capacity);
+  let evicted = Hashtbl.fold (fun _ seed acc -> min seed acc) last_use max_int in
+  let newest = List.nth seeds (List.length seeds - 1) in
+  with_state_dir (fun dir ->
+      let cfg = serve_cfg ~state_dir:dir (compile_cfg ()) in
+      let srv1, _ = mk cfg in
+      List.iter
+        (fun seed ->
+          Pipeline.Serve.handle srv1 (spec_req ~id:(string_of_int seed) "transform" 40 seed);
+          ignore (Pipeline.Serve.process srv1))
+        seeds;
+      Alcotest.(check bool) "the first daemon evicted regions" true
+        ((Pipeline.Serve.analysis_stats srv1).Pipeline.Analysis.evictions > 0);
+      Pipeline.Serve.drain srv1;
+      let metrics = Obs.Metrics.create () in
+      let srv2, _ = mk ~metrics cfg in
+      Alcotest.(check int) "a full cache reloads" capacity
+        (int_of_float
+           (Option.fold ~none:0.0 ~some:Obs.Metrics.value
+              (Obs.Metrics.get metrics "serve.persist.regions_loaded")));
+      let lookup seed =
+        let before = Pipeline.Serve.analysis_stats srv2 in
+        Pipeline.Serve.handle srv2 (spec_req ~id:"again" "transform" 40 seed);
+        ignore (Pipeline.Serve.process srv2);
+        let after = Pipeline.Serve.analysis_stats srv2 in
+        after.Pipeline.Analysis.hits - before.Pipeline.Analysis.hits
+      in
+      Alcotest.(check int) "the newest region was reloaded" 1 (lookup newest);
+      Alcotest.(check int) "the evicted region was not" 0 (lookup evicted))
+
 let suite =
   [
     Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
@@ -696,4 +755,6 @@ let suite =
   @ [
       Alcotest.test_case "per-client counters stay bounded" `Quick
         test_client_counters_bounded;
+      Alcotest.test_case "persistence keeps the cache's resident regions" `Quick
+        test_persistence_keeps_resident_regions;
     ]

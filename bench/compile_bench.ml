@@ -196,7 +196,7 @@ let run ~small () =
 (* CI gate: the parallel executor must pay for itself. On a >= 4-core
    host, jobs-4 must beat jobs-1 by 1.5x on the skewed suite; on 2-3
    cores it must at least break even; on a single core it may cost at
-   most 10% (the parallel branch's shard and merge overhead, with
+   most 10% (the parallel branch's claim and join overhead, with
    every job on the calling domain). Trials interleave jobs-1 and jobs-4
    (three each, best per side) so wall-clock drift on a shared runner
    hits both sides alike; digests must match in every trial. *)

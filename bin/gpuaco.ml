@@ -507,9 +507,10 @@ let shed_threshold_arg =
 
 let serve_retries_arg =
   let doc =
-    "Serve-level re-attempts after a degraded compile (faults, budget). Each \
-     retry backs off exponentially and reseeds the fault stream; 0 ships the \
-     first attempt unconditionally."
+    "Serve-level re-attempts after a degraded compile (faults, budget) that \
+     injects faults. Each retry backs off exponentially and reseeds the fault \
+     stream; 0 ships the first attempt unconditionally, and a fault-free \
+     compile never retries."
   in
   Arg.(value & opt int 2 & info [ "serve-retries" ] ~docv:"K" ~doc)
 

@@ -17,7 +17,7 @@ let kind_label = function
 (* Histogram bucket upper bounds: powers of 4 from 1 — a fixed
    log-scale ladder wide enough for nanosecond latencies (4^15 ≈ 1.07e9
    ns ≈ 1 s) with a +Inf overflow bucket at the end. Static bounds keep
-   [observe] allocation-free and make shard merge an elementwise add. *)
+   [observe] allocation-free. *)
 let bucket_bounds =
   Array.init 16 (fun i -> Float.of_int (1 lsl (2 * i)))
 
@@ -48,7 +48,8 @@ let null = { on = false; lock = Mutex.create (); tbl = Hashtbl.create 1; order =
 let[@inline] enabled t = t.on
 
 (* Every mutation and registry read takes [t.lock], so one registry can
-   be shared by the executor's domain workers. Write paths branch on
+   be shared by the executor's and the serve batch's pool workers. Write
+   paths branch on
    [t.on] before locking, so the disabled registry stays a no-op that
    never touches the mutex. *)
 let locked t f =
@@ -125,61 +126,6 @@ let push t name v =
         m.m_series.(m.m_len) <- v;
         m.m_len <- m.m_len + 1;
         update m v)
-
-(* Shard merge for the executor: each worker domain accumulates into a
-   private registry (no contention), and the shards fold into the
-   caller's registry at join — the only point that takes the
-   destination's mutex. The source must be quiescent (its workers
-   joined); only [into]'s lock is taken, so there is no lock-order
-   hazard. Metrics registered in both keep [into]'s position; new names
-   append in the source's registration order. *)
-let merge_into src ~into =
-  if src.on && into.on then
-    locked into (fun () ->
-        List.iter
-          (fun name ->
-            let sm = Hashtbl.find src.tbl name in
-            let m = find into name sm.m_kind in
-            match sm.m_kind with
-            | Counter ->
-                m.m_count <- m.m_count + sm.m_count;
-                m.m_sum <- m.m_sum +. sm.m_sum
-            | Gauge ->
-                m.m_count <- m.m_count + sm.m_count;
-                m.m_sum <- m.m_sum +. sm.m_sum;
-                if sm.m_min < m.m_min then m.m_min <- sm.m_min;
-                if sm.m_max > m.m_max then m.m_max <- sm.m_max;
-                if sm.m_count > 0 then m.m_last <- sm.m_last
-            | Histogram ->
-                (* Commutative across shard join order: count/sum/min/max
-                   and the bucket counts are symmetric folds, and [m_last]
-                   — meaningless as "most recent" once shards join in
-                   arbitrary order — is defined as the max over non-empty
-                   shards' lasts. Before the split from the Gauge branch,
-                   merged m_last depended on which worker joined last. *)
-                let had = m.m_count > 0 in
-                m.m_count <- m.m_count + sm.m_count;
-                m.m_sum <- m.m_sum +. sm.m_sum;
-                if sm.m_min < m.m_min then m.m_min <- sm.m_min;
-                if sm.m_max > m.m_max then m.m_max <- sm.m_max;
-                if sm.m_count > 0 then
-                  m.m_last <- (if had then Float.max m.m_last sm.m_last else sm.m_last);
-                Array.iteri
-                  (fun i n -> m.m_buckets.(i) <- m.m_buckets.(i) + n)
-                  sm.m_buckets
-            | Series ->
-                let need = m.m_len + sm.m_len in
-                if need > Array.length m.m_series then begin
-                  let grown = Array.make (max need (2 * max 1 m.m_len)) 0.0 in
-                  Array.blit m.m_series 0 grown 0 m.m_len;
-                  m.m_series <- grown
-                end;
-                Array.blit sm.m_series 0 m.m_series m.m_len sm.m_len;
-                m.m_len <- need;
-                for i = 0 to sm.m_len - 1 do
-                  update m sm.m_series.(i)
-                done)
-          (List.rev src.order))
 
 let names t = locked t (fun () -> List.rev t.order)
 

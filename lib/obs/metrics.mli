@@ -6,8 +6,11 @@
     no allocation and no writes.
 
     An enabled registry is domain-safe: every mutation and registry read
-    takes an internal mutex, so the executor's domain workers may share
-    one registry. The disabled registry never touches the mutex. *)
+    takes an internal mutex, so the executor's and the serve batch's
+    pool workers write one registry. Names register in first-touch
+    order, so concurrent writers may list the same values in another
+    order than a sequential run. The disabled registry never touches
+    the mutex. *)
 
 type t
 
@@ -32,16 +35,6 @@ val observe : t -> string -> float -> unit
 val push : t -> string -> float -> unit
 (** Append to a series: like {!observe} but the individual values are
     kept in order and exported (convergence curves). *)
-
-val merge_into : t -> into:t -> unit
-(** Fold every metric of the source registry into [into]: counters add;
-    gauges combine count/sum/min/max with the source's last winning
-    when it saw any; histograms combine count/sum/min/max/buckets
-    {e commutatively} (the merged last is the max over non-empty
-    shards, so the result is independent of worker join order); series
-    append their points. The executor's per-domain shards merge through
-    this at join — the source must be quiescent; only [into]'s mutex is
-    taken. No-op when either registry is disabled. *)
 
 (** {2 Reading back} *)
 

@@ -38,11 +38,8 @@ type t = {
    (and the lint) treats the clocks independently. *)
 let wall_track_base = 1024
 
-let create ?(capacity = 65536) ?wall_origin () =
+let create ?(capacity = 65536) () =
   let cap = max 16 capacity in
-  let wall0 =
-    match wall_origin with Some w -> w | None -> Unix.gettimeofday ()
-  in
   {
     on = true;
     cap;
@@ -58,7 +55,7 @@ let create ?(capacity = 65536) ?wall_origin () =
     n_names = 0;
     intern_tbl = Hashtbl.create 64;
     clock = [| 0.0 |];
-    wall0;
+    wall0 = Unix.gettimeofday ();
     track_names = [];
   }
 
@@ -90,11 +87,11 @@ let dropped t = max 0 (t.count - t.cap)
 let[@inline] now t = t.clock.(0)
 let set_now t v = if t.on then t.clock.(0) <- v
 let advance t d = if t.on then t.clock.(0) <- t.clock.(0) +. d
-let wall_origin t = t.wall0
 
-(* Wall-clock ns since the recorder's origin. The disabled recorder
+(* Wall-clock ns since the recorder's creation. The disabled recorder
    returns 0.0 without touching the system clock, so an uninstrumented
-   run makes no syscalls. *)
+   run makes no syscalls. Reads only immutable fields, so any domain
+   may read the clock of a recorder another domain records into. *)
 let wall_now t = if t.on then (Unix.gettimeofday () -. t.wall0) *. 1e9 else 0.0
 
 let intern t s =
@@ -146,51 +143,23 @@ let instant_arg t ~track ~name ~ts ~key ~value =
    replays the slices in job-index order, shifting each by [dt] so the
    merged timeline is the one a sequential run would have produced —
    every timestamp inside a job is its worker's clock-at-entry plus
-   simulated deltas, so a linear shift relocates the job exactly.
-
-   Wall-clock events (track >= wall_track_base) are excluded: their
-   timestamps are already absolute against a shared origin, so the
-   simulated shift would corrupt them and the per-job slicing would
-   drop any recorded between jobs. [append_wall] carries them over
-   whole-ring, unshifted, at join. *)
+   simulated deltas, so a linear shift relocates the job exactly. *)
 let append_range src ~into ~first ~last ~dt =
   if src.on && into.on then begin
     List.iter
-      (fun (track, label) ->
-        if track < wall_track_base then name_track into track label)
+      (fun (track, label) -> name_track into track label)
       (List.rev src.track_names);
     (* events before [count - cap] were lost to ring wrap-around *)
     let lo = max first (src.count - src.cap) in
     for j = lo to min last src.count - 1 do
       let i = j mod src.cap in
-      if src.track.(i) < wall_track_base then
-        record into
-          (Char.code (Bytes.get src.kind i))
-          ~track:src.track.(i)
-          ~name:src.names.(src.name.(i))
-          ~ts:(src.ts.(i) +. dt) ~dur:src.dur.(i)
-          ~akey:(if src.akey.(i) < 0 then None else Some src.names.(src.akey.(i)))
-          ~aval:src.aval.(i)
-    done
-  end
-
-let append_wall src ~into =
-  if src.on && into.on then begin
-    List.iter
-      (fun (track, label) ->
-        if track >= wall_track_base then name_track into track label)
-      (List.rev src.track_names);
-    let lo = max 0 (src.count - src.cap) in
-    for j = lo to src.count - 1 do
-      let i = j mod src.cap in
-      if src.track.(i) >= wall_track_base then
-        record into
-          (Char.code (Bytes.get src.kind i))
-          ~track:src.track.(i)
-          ~name:src.names.(src.name.(i))
-          ~ts:src.ts.(i) ~dur:src.dur.(i)
-          ~akey:(if src.akey.(i) < 0 then None else Some src.names.(src.akey.(i)))
-          ~aval:src.aval.(i)
+      record into
+        (Char.code (Bytes.get src.kind i))
+        ~track:src.track.(i)
+        ~name:src.names.(src.name.(i))
+        ~ts:(src.ts.(i) +. dt) ~dur:src.dur.(i)
+        ~akey:(if src.akey.(i) < 0 then None else Some src.names.(src.akey.(i)))
+        ~aval:src.aval.(i)
     done
   end
 

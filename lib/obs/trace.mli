@@ -17,12 +17,10 @@
 
 type t
 
-val create : ?capacity:int -> ?wall_origin:float -> unit -> t
+val create : ?capacity:int -> unit -> t
 (** An enabled recorder holding the last [capacity] (default 65536,
-    minimum 16) events. [wall_origin] is the wall-clock zero in Unix
-    seconds (default: creation time); worker rings that merge into a
-    parent recorder must share the parent's {!wall_origin} so their
-    wall-clock timestamps land on one axis. *)
+    minimum 16) events. Its wall clock ({!wall_now}) starts at
+    creation. *)
 
 val null : t
 (** The disabled recorder; shared, never records. *)
@@ -61,12 +59,13 @@ val advance : t -> float -> unit
 val wall_track_base : int
 (** First wall-clock track id (1024). *)
 
-val wall_origin : t -> float
-(** The recorder's wall-clock zero, Unix seconds. *)
-
 val wall_now : t -> float
-(** Wall-clock ns elapsed since {!wall_origin}. The disabled recorder
-    returns [0.] without reading the system clock. *)
+(** Wall-clock ns elapsed since the recorder's creation. The disabled
+    recorder returns [0.] without reading the system clock. It reads
+    only immutable fields of the recorder, so a domain may read the
+    clock of a recorder that another domain records into: the
+    executor's workers time their jobs on the caller's clock, and the
+    caller records the spans at the join. *)
 
 (** {2 Recording} *)
 
@@ -90,22 +89,15 @@ val instant_arg : t -> track:int -> name:string -> ts:float -> key:string -> val
     The multi-domain executor gives each worker a private ring on its
     own simulated clock and merges at join: for every job it remembers
     the worker's {!recorded} count and {!now} before and after, then
-    replays the slices in job order with a per-slice shift. *)
+    replays the slices in job order with a per-slice shift. Worker
+    rings hold only simulated tracks. *)
 
 val append_range : t -> into:t -> first:int -> last:int -> dt:float -> unit
 (** Replay the source events numbered [first] (inclusive) to [last]
     (exclusive) — indices as counted by {!recorded} — into [into],
     shifting every timestamp by [dt]. Track labels are carried over
     (first label wins). Events already lost to the source ring's
-    wrap-around are skipped, as are wall-clock events (their absolute
-    timestamps must not be shifted — use {!append_wall}). No-op when
-    either recorder is disabled. *)
-
-val append_wall : t -> into:t -> unit
-(** Replay every surviving wall-clock event (track >=
-    {!wall_track_base}) into [into] unshifted — both recorders must
-    share a {!wall_origin}. Complements {!append_range}, which carries
-    only the simulated tracks. *)
+    wrap-around are skipped. No-op when either recorder is disabled. *)
 
 (** {2 Reading back} *)
 

@@ -17,17 +17,30 @@
    region size, so the giants start first and the small jobs level the
    tail.
 
-   The shared mutable state of a sequential compile — the metrics
-   registry, the flight-recorder ring, the allocation arenas — is
-   sharded per worker and merged at join, so the hot loop takes no locks
-   beyond the analysis cache's (which itself computes misses outside its
-   mutex). Traces merge on the simulated timeline: each job records into
-   its worker's private ring, the executor remembers the ring slice and
-   clock interval per job, and replays the slices in job-index order
-   with a per-slice shift — exactly the timeline a sequential compile
-   would have laid down, modulo float rounding of the shifts. *)
+   Workers write the caller's metrics registry and logger directly (both
+   take their own mutex) and carve their lanes from domain-local arenas.
+   Only the simulated timeline is private: each job records into its
+   worker's ring, the executor remembers the ring slice and clock
+   interval per job, and replays the slices in job-index order with a
+   per-slice shift — exactly the timeline a sequential compile would
+   have laid down, modulo float rounding of the shifts. A job's
+   wall-clock span is timed on the caller's recorder and recorded at
+   the join. *)
 
 type job = { j_name : string; j_region : Ir.Region.t; j_budget_ns : float }
+
+(* Where a parallel job's trace events sit: the slice [first, last) of
+   its worker's ring, the ring's simulated clock around the job, and the
+   caller's wall clock around it. *)
+type segment = {
+  worker : int;
+  first : int;
+  last : int;
+  t0 : float;
+  t1 : float;
+  wall0 : float;
+  wall1 : float;
+}
 
 let jobs_of_suite (config : Compile.config) (suite : Workload.Suite.t) =
   let jobs = ref [] in
@@ -76,53 +89,34 @@ let run_suite ?(jobs = 1) ?pool ?(trace = Obs.Trace.null)
     in
     let k = min k (Support.Domain_pool.size pool + 1) in
     let tracing = Obs.Trace.enabled trace in
-    let metering = Obs.Metrics.enabled metrics in
-    (* Worker rings share the parent's wall-clock origin so their
-       wall-track events land on one absolute axis and merge unshifted. *)
     let rings =
       Array.init k (fun _ ->
-          if tracing then
-            Obs.Trace.create ~capacity:(Obs.Trace.capacity trace)
-              ~wall_origin:(Obs.Trace.wall_origin trace) ()
+          if tracing then Obs.Trace.create ~capacity:(Obs.Trace.capacity trace) ()
           else Obs.Trace.null)
     in
     let logs =
       Array.init k (fun w -> Obs.Log.with_fields log [ ("worker", Obs.Log.Int w) ])
     in
-    if tracing then
-      for w = 0 to k - 1 do
-        Obs.Trace.name_track rings.(w)
-          (Obs.Trace.wall_track_base + w)
-          (Printf.sprintf "worker %d (wall)" w)
-      done;
-    let shards =
-      Array.init k (fun _ -> if metering then Obs.Metrics.create () else Obs.Metrics.null)
-    in
-    (* Per-job trace-merge bookkeeping: which ring holds the job's
-       events, the event-count slice, and the simulated-clock interval. *)
-    let seg_worker = Array.make njobs 0 in
-    let seg_c0 = Array.make njobs 0 in
-    let seg_c1 = Array.make njobs 0 in
-    let seg_t0 = Array.make njobs 0.0 in
-    let seg_t1 = Array.make njobs 0.0 in
+    (* Per-job trace-merge bookkeeping, filled only when tracing. *)
+    let segs = Array.make njobs None in
     let run_one w i =
       let ring = rings.(w) in
-      let wt0 = Obs.Trace.wall_now ring in
-      seg_worker.(i) <- w;
-      seg_c0.(i) <- Obs.Trace.recorded ring;
-      seg_t0.(i) <- Obs.Trace.now ring;
+      let first = Obs.Trace.recorded ring and t0 = Obs.Trace.now ring in
+      let wall0 = Obs.Trace.wall_now trace in
       results.(i) <-
-        Some (run_job ~trace:ring ~metrics:shards.(w) ~log:logs.(w) ?cache config work.(i));
-      seg_c1.(i) <- Obs.Trace.recorded ring;
-      seg_t1.(i) <- Obs.Trace.now ring;
-      (* The job's real duration on this worker, on the wall track —
-         what the simulated timeline cannot show (utilization, skew). *)
+        Some (run_job ~trace:ring ~metrics ~log:logs.(w) ?cache config work.(i));
       if tracing then
-        Obs.Trace.span_arg ring
-          ~track:(Obs.Trace.wall_track_base + w)
-          ~name:("job " ^ work.(i).j_name) ~ts:wt0
-          ~dur:(Obs.Trace.wall_now ring -. wt0)
-          ~key:"job" ~value:(float_of_int i)
+        segs.(i) <-
+          Some
+            {
+              worker = w;
+              first;
+              last = Obs.Trace.recorded ring;
+              t0;
+              t1 = Obs.Trace.now ring;
+              wall0;
+              wall1 = Obs.Trace.wall_now trace;
+            }
     in
     (* Largest first, ties by index: the giants start before the tail
        that levels the workers' finishing times. *)
@@ -135,31 +129,31 @@ let run_suite ?(jobs = 1) ?pool ?(trace = Obs.Trace.null)
     Support.Domain_pool.parallel_for pool ~workers:k njobs (fun w p ->
         run_one w order.(p));
     let pw1 = Obs.Trace.wall_now trace in
-    (* Merge, all on the caller. Metrics shards fold in worker order;
-       note that *registration order* of names in the merged registry
-       follows first-touch across shards, so exports may list the same
-       values in a different order than a sequential run. *)
-    for w = 0 to k - 1 do
-      Obs.Metrics.merge_into shards.(w) ~into:metrics
-    done;
-    (* Trace slices replay in job-index order: job [i]'s events shift by
-       (merged clock so far - the clock its ring showed when it started),
-       which lands them exactly where a sequential compile would have. *)
     if tracing then begin
       let mw0 = Obs.Trace.wall_now trace in
-      let off = ref (Obs.Trace.now trace) in
-      for i = 0 to njobs - 1 do
-        let w = seg_worker.(i) in
-        Obs.Trace.append_range rings.(w) ~into:trace ~first:seg_c0.(i) ~last:seg_c1.(i)
-          ~dt:(!off -. seg_t0.(i));
-        off := !off +. (seg_t1.(i) -. seg_t0.(i))
-      done;
-      Obs.Trace.set_now trace !off;
-      (* Wall-clock events carry over whole-ring and unshifted: their
-         timestamps are already absolute against the shared origin. *)
       for w = 0 to k - 1 do
-        Obs.Trace.append_wall rings.(w) ~into:trace
+        Obs.Trace.name_track trace
+          (Obs.Trace.wall_track_base + w)
+          (Printf.sprintf "worker %d (wall)" w)
       done;
+      (* Trace slices replay in job-index order: job [i]'s events shift by
+         (merged clock so far - the clock its ring showed when it started),
+         which lands them exactly where a sequential compile would have.
+         Its real duration goes on its worker's wall track — what the
+         simulated timeline cannot show (utilization, skew). *)
+      let off = ref (Obs.Trace.now trace) in
+      Array.iteri
+        (fun i seg ->
+          let s = Option.get seg in
+          Obs.Trace.append_range rings.(s.worker) ~into:trace ~first:s.first
+            ~last:s.last ~dt:(!off -. s.t0);
+          off := !off +. (s.t1 -. s.t0);
+          Obs.Trace.span_arg trace
+            ~track:(Obs.Trace.wall_track_base + s.worker)
+            ~name:("job " ^ work.(i).j_name) ~ts:s.wall0 ~dur:(s.wall1 -. s.wall0)
+            ~key:"job" ~value:(float_of_int i))
+        segs;
+      Obs.Trace.set_now trace !off;
       let caller_track = Obs.Trace.wall_track_base + k in
       Obs.Trace.name_track trace caller_track "executor (wall)";
       Obs.Trace.span_arg trace ~track:caller_track ~name:"pool.run" ~ts:pw0

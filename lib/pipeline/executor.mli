@@ -12,15 +12,15 @@
     canonically identical ({!Report_digest}) to the one-worker compile
     for every jobs count. {!run_suite} is the only suite driver.
 
-    Observability is sharded: each worker records into a private metrics
-    registry and a private flight-recorder ring, both merged on the
-    caller at join. Tracing therefore works at {e any} jobs count — the
-    per-job ring slices replay in job-index order on the simulated
+    Workers write the caller's metrics registry and logger directly;
+    only the simulated timeline is recorded privately. Each worker
+    traces into its own flight-recorder ring, and the per-job ring
+    slices replay in job-index order on the caller's simulated
     timeline, reconstructing the sequential trace up to float rounding
-    of the per-slice shifts. Merged-registry caveat: the {e registration
-    order} of metric names follows first-touch across shards, so exports
-    may list the same values in a different order than a sequential
-    run. *)
+    of the per-slice shifts, so tracing works at {e any} jobs count.
+    The registry lists metric names in first-touch order, so a parallel
+    run's exports may list the same values in another order than a
+    sequential run's. *)
 
 type job = {
   j_name : string;  (** ["<kernel>/r<i>"], as in sequential compiles *)
@@ -64,12 +64,12 @@ val run_suite :
     [jobs = 1] report with the same configuration, for any [jobs],
     [pool] and [cache] setting.
 
-    [log] (default disabled) is shared across workers — the ring is
-    mutex-protected — with each worker's entries stamped with its
-    index. A traced parallel run additionally lays down {e wall-clock}
-    tracks (one per worker plus one for the caller, ids from
-    {!Obs.Trace.wall_track_base}): a span per job with real duration,
-    and the caller's [pool.run] / [merge] phases — a worker was idle
-    for whatever part of [pool.run] its job spans leave uncovered. Wall
-    events merge unshifted via {!Obs.Trace.append_wall}; the simulated
-    timeline is untouched. *)
+    [metrics] and [log] (default disabled) are shared across workers —
+    both are mutex-protected — with each worker's log entries stamped
+    with its index. A traced parallel run additionally lays down
+    {e wall-clock} tracks (one per worker plus one for the caller, ids
+    from {!Obs.Trace.wall_track_base}): a span per job with real
+    duration, timed on [trace]'s wall clock, and the caller's
+    [pool.run] / [merge] phases — a worker was idle for whatever part
+    of [pool.run] its job spans leave uncovered. The simulated timeline
+    is untouched by them. *)

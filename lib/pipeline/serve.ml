@@ -365,7 +365,14 @@ let persist t =
         Support.Blobfile.save ~kind:"serve-analysis" ~version:persist_version
           (regions_path dir)
           (Marshal.to_string (regions : string list) []);
-        let memo = Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.memo [] in
+        (* the memo's replies, least recently used first, likewise *)
+        let memo =
+          Hashtbl.fold
+            (fun k e acc -> (Hashtbl.find t.memo_use k, (k, e)) :: acc)
+            t.memo []
+          |> List.sort (fun (a, _) (b, _) -> compare a b)
+          |> List.map snd
+        in
         Support.Blobfile.save ~kind:"serve-memo" ~version:persist_version
           (memo_path dir)
           (Marshal.to_string (memo : (string * compile_reply) list) []);
@@ -421,12 +428,12 @@ let load_state t =
           with
           | None -> failed "memo payload undecodable"
           | Some entries ->
-              List.iter
-                (fun (k, e) ->
-                  if
-                    t.cfg.memo_capacity > 0
-                    && Hashtbl.length t.memo < t.cfg.memo_capacity
-                  then begin
+              (* least recently used first: stamping recency in list
+                 order restores it, and a smaller memo keeps the newest *)
+              let skip = List.length entries - t.cfg.memo_capacity in
+              List.iteri
+                (fun i (k, e) ->
+                  if i >= skip then begin
                     Hashtbl.replace t.memo k e;
                     t.memo_tick <- t.memo_tick + 1;
                     Hashtbl.replace t.memo_use k t.memo_tick;
@@ -578,7 +585,10 @@ let hit_reply t (req : request) (stored : compile_reply) =
 (* The attempt loop of a memo miss. Deadline-bounded: each retry reseeds
    the fault stream (attempt 0 is the identity reseed, so a fault-free
    serve compile is bit-for-bit the direct compile) and charges
-   exponential backoff against the deadline before it may run.
+   exponential backoff against the deadline before it may run. Only a
+   config that injects faults retries: reseeding changes nothing else,
+   and no later attempt gets a larger budget than the first, so a
+   fault-free retry would replay the same compile.
 
    Deterministic in its inputs and touching only [t.metrics] (its
    registry carries its own mutex) and the domain-safe analysis cache —
@@ -612,7 +622,10 @@ let compute_miss t ?(log = Obs.Log.null) (cfg : Compile.config) rc name region =
     in
     let attempts = attempt + 1 in
     if Robust.severity report.Compile.degradation = 0 then (best, attempts, spent)
-    else if attempt >= t.cfg.max_retries then (best, attempts, spent)
+    else if
+      attempt >= t.cfg.max_retries
+      || not (Gpusim.Config.faults_enabled cfg.Compile.gpu.Gpusim.Config.faults)
+    then (best, attempts, spent)
     else begin
       let backoff = t.cfg.backoff_base_ns *. Float.pow 2.0 (float_of_int attempt) in
       if spent +. backoff >= deadline then begin

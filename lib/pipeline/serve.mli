@@ -23,11 +23,14 @@
       as {!Robust.Shed_overload}. The service degrades, never stalls.
     - {b Deadlines and retry}: each request's budget becomes an
       {!Engine.Types.budget}; the request deadline is that budget times
-      [deadline_slack]. A degraded attempt (faults, budget exhaustion)
-      is retried up to [max_retries] times with exponential backoff and
-      a per-attempt reseeded fault stream
+      [deadline_slack]. Under a config that injects faults
+      ({!Gpusim.Config.faults_enabled}), a degraded attempt (faults,
+      budget exhaustion) is retried up to [max_retries] times with
+      exponential backoff and a per-attempt reseeded fault stream
       ({!Gpusim.Config.reseed_faults}); backoff is charged against the
-      deadline, and the best attempt by (severity, cost) ships.
+      deadline, and the best attempt by (severity, cost) ships. A
+      fault-free degraded attempt ships at once: a retry would replay
+      the same compile on the same or a smaller budget.
     - {b Memoisation}: a second-level schedule memo over the PR-5
       analysis cache, keyed on (structural fingerprint, request name,
       effective compile configuration). The memo stores the miss's
@@ -37,11 +40,11 @@
     - {b Persistence}: with a [state_dir], {!drain} (and {!persist})
       writes both cache levels through {!Support.Blobfile} (checksummed,
       atomically renamed): the regions of the analysis cache's resident
-      contexts, least recently used first ({!Analysis.resident}), and
-      the memo's replies. {!create} reloads them, the regions in that
-      order, so the cache's recency order survives; a missing, corrupt,
-      truncated or version-skewed file counts a metric and starts cold —
-      it never raises.
+      contexts ({!Analysis.resident}) and the memo's replies, each
+      least recently used first. {!create} reloads them in that order,
+      so both recency orders survive (a smaller memo keeps the newest
+      replies); a missing, corrupt, truncated or version-skewed file
+      counts a metric and starts cold — it never raises.
     - {b Drain}: {!drain} finishes every queued request, refuses new
       ones with a typed [shutting-down] reply, persists state and emits
       a final [bye] reply with the full degradation tally.
@@ -61,8 +64,9 @@ type config = {
       (** fraction of [queue_capacity] past which compile requests are
           shed to the Critical-Path schedule (clamped to [0,1]) *)
   max_retries : int;
-      (** serve-level re-attempts after a degraded first attempt; [0]
-          ships the first attempt unconditionally *)
+      (** serve-level re-attempts after a degraded first attempt of a
+          compile that injects faults; [0] ships the first attempt
+          unconditionally, and a fault-free compile never retries *)
   backoff_base_ns : float;
       (** backoff before retry [k] is [backoff_base_ns * 2^k] simulated
           nanoseconds, charged against the request deadline *)

@@ -47,10 +47,10 @@ val parallel_for : t -> workers:int -> int -> (int -> int -> unit) -> unit
     [min workers (size + 1)] workers — the calling domain as worker 0,
     pool helpers as the rest — each take the next index from one shared
     atomic cursor until the cursor passes [n], so indices are claimed in
-    increasing order and [f] learns which worker [w] runs it (to pick a
-    per-worker shard). If any [f w i] raises, that worker stops
-    claiming, the others run on, and the first failure is re-raised
-    once every worker has stopped.
+    increasing order and [f] learns which worker [w] runs it (to pick
+    per-worker state, such as the executor's trace rings). If any
+    [f w i] raises, that worker stops claiming, the others run on, and
+    the first failure is re-raised once every worker has stopped.
 
     A call made while the pool is busy — from inside [f], or
     concurrently from another domain — runs every index on its calling

@@ -336,29 +336,68 @@ let test_pool_spawns_once () =
         after_first
         (Support.Domain_pool.spawned pool))
 
-(* --- metrics shard merging ------------------------------------------------ *)
+(* --- one metrics registry across workers --------------------------------- *)
 
-let test_metrics_merge () =
-  let into = Obs.Metrics.create () in
-  let src = Obs.Metrics.create () in
-  Obs.Metrics.add into "c" 2;
-  Obs.Metrics.add src "c" 3;
-  Obs.Metrics.set src "g" 2.5;
-  Obs.Metrics.observe into "h" 1.0;
-  Obs.Metrics.observe src "h" 3.0;
-  Obs.Metrics.push into "s" 1.0;
-  Obs.Metrics.push src "s" 2.0;
-  Obs.Metrics.push src "s" 3.0;
-  Obs.Metrics.merge_into src ~into;
-  let m name = Option.get (Obs.Metrics.get into name) in
-  Alcotest.(check int) "counter events add" 2 (Obs.Metrics.count (m "c"));
-  Alcotest.(check (float 1e-9)) "counter totals add" 5.0 (Obs.Metrics.sum (m "c"));
-  Alcotest.(check (float 1e-9)) "gauge carried over" 2.5 (Obs.Metrics.last (m "g"));
-  Alcotest.(check int) "histogram counts add" 2 (Obs.Metrics.count (m "h"));
-  Alcotest.(check (float 1e-9)) "histogram sums add" 4.0 (Obs.Metrics.sum (m "h"));
-  Alcotest.(check int) "series appends" 3 (Obs.Metrics.count (m "s"));
-  Alcotest.(check (array (float 1e-9))) "series points in order" [| 1.0; 2.0; 3.0 |]
-    (Obs.Metrics.series (m "s"))
+let test_parallel_metrics () =
+  (* Workers write the caller's registry directly, so a four-worker
+     compile must meter what the sequential compile meters. Only the
+     order names register in and float rounding of histogram sums may
+     differ: the rows compared keep every counter total, every count,
+     min and max, every series point, and each histogram's bucket
+     ladder. *)
+  let suite = Workload.Suite.generate Workload.Suite.test_scale in
+  let config =
+    { (Pipeline.Compile.make_config ~gpu ()) with Pipeline.Compile.params }
+  in
+  let meter ~jobs ?pool () =
+    let metrics = Obs.Metrics.create () in
+    ignore
+      (Pipeline.Executor.run_suite ~jobs ?pool ~metrics
+         ~cache:(Pipeline.Analysis.create ())
+         config suite);
+    metrics
+  in
+  let rows metrics =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ',' line with
+        | [ name; kind; index; value; count; _sum; vmin; vmax; _mean ] ->
+            let value = if kind = "counter" || kind = "point" then value else "" in
+            Some (String.concat "," [ name; kind; index; value; count; vmin; vmax ])
+        | _ -> None)
+      (List.tl (String.split_on_char '\n' (Obs.Metrics.to_csv metrics)))
+    |> List.sort compare
+  in
+  let ladders metrics =
+    List.filter_map
+      (fun name ->
+        let m = Option.get (Obs.Metrics.get metrics name) in
+        match Obs.Metrics.kind_of m with
+        | Obs.Metrics.Histogram -> Some (name, Array.to_list (Obs.Metrics.buckets m))
+        | _ -> None)
+      (List.sort compare (Obs.Metrics.names metrics))
+  in
+  let sequential = meter ~jobs:1 () in
+  let pool = Support.Domain_pool.create ~size:3 () in
+  let parallel =
+    Fun.protect
+      ~finally:(fun () -> Support.Domain_pool.shutdown pool)
+      (fun () -> meter ~jobs:4 ~pool ())
+  in
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) "the compile meters every kind it records" true
+        (List.exists
+           (fun name ->
+             Obs.Metrics.kind_of (Option.get (Obs.Metrics.get sequential name)) = kind)
+           (Obs.Metrics.names sequential)))
+    [ Obs.Metrics.Counter; Obs.Metrics.Histogram; Obs.Metrics.Series ];
+  Alcotest.(check (list string)) "same names"
+    (List.sort compare (Obs.Metrics.names sequential))
+    (List.sort compare (Obs.Metrics.names parallel));
+  Alcotest.(check (list string)) "same totals, counts, extremes and points"
+    (rows sequential) (rows parallel);
+  Alcotest.(check bool) "same bucket ladders" true (ladders sequential = ladders parallel)
 
 (* --- arena pooling -------------------------------------------------------- *)
 
@@ -468,7 +507,8 @@ let suite =
     ("jobs flatten in suite order", `Quick, test_jobs_flatten);
     ("parallel run claims every job exactly once", `Quick, test_claims_every_job_once);
     ("domain pool spawns once, reused across runs", `Quick, test_pool_spawns_once);
-    ("metrics shards merge", `Quick, test_metrics_merge);
+    ("a parallel compile meters what a sequential one does", `Quick,
+     test_parallel_metrics);
     ("arenas pool across region jobs", `Quick, test_arena_pooling);
     ("parallel trace merges onto the simulated timeline", `Quick, test_trace_merge);
     ("analysis cache is content-addressed", `Quick, test_cache_content_addressing);

@@ -301,54 +301,62 @@ let test_prometheus () =
     (let p = Obs.Metrics.percentile h 0.5 in
      p >= 1.0 && p <= 1e9)
 
-let test_merge_commutative () =
-  (* two shards observing the same histogram with different tails must
-     merge to the same registry whichever joins first *)
-  let shard seed =
-    let m = Obs.Metrics.create () in
-    Obs.Metrics.add m "jobs" (seed * 3);
-    Obs.Metrics.set m "depth" (float_of_int seed);
-    List.iter
-      (Obs.Metrics.observe m "lat")
-      (if seed = 1 then [ 2.0; 70.0; 4100.0 ] else [ 9.0; 300.0 ]);
-    Obs.Metrics.push m "curve" (float_of_int (100 - seed));
-    m
+let test_concurrent_writers () =
+  (* The executor's and the serve batch's pool workers write one
+     registry, so updates racing from several domains must all land:
+     totals, counts and bucket ladders come out exact. *)
+  let domains = 4 and rounds = 2000 in
+  let lat d i = float_of_int (((i * 37) + (d * 101)) mod 5000) in
+  let shared = Obs.Metrics.create () in
+  let writers =
+    List.init domains (fun d ->
+        Domain.spawn (fun () ->
+            for i = 1 to rounds do
+              Obs.Metrics.incr shared "jobs";
+              Obs.Metrics.add shared "work" (d + 1);
+              Obs.Metrics.observe shared "lat" (lat d i);
+              Obs.Metrics.push shared (Printf.sprintf "curve.%d" d) (float_of_int i);
+              Obs.Metrics.push shared "all" (float_of_int d)
+            done))
   in
-  let joined order =
-    let into = Obs.Metrics.create () in
-    (* pre-register the names so first-touch order cannot differ *)
-    Obs.Metrics.add into "jobs" 0;
-    Obs.Metrics.set into "depth" 0.0;
-    List.iter (fun s -> Obs.Metrics.merge_into (shard s) ~into) order;
-    into
-  in
-  let ab = joined [ 1; 2 ] and ba = joined [ 2; 1 ] in
-  let h m = Option.get (Obs.Metrics.get m "lat") in
-  Alcotest.(check int) "count independent of join order" (Obs.Metrics.count (h ab))
-    (Obs.Metrics.count (h ba));
-  Alcotest.(check (float 0.0)) "sum independent of join order"
-    (Obs.Metrics.sum (h ab)) (Obs.Metrics.sum (h ba));
-  Alcotest.(check (float 0.0)) "last independent of join order"
-    (Obs.Metrics.last (h ab)) (Obs.Metrics.last (h ba));
-  Alcotest.(check bool) "bucket ladders identical" true
-    (Obs.Metrics.buckets (h ab) = Obs.Metrics.buckets (h ba));
-  Alcotest.(check (float 0.0)) "counters add" 9.0
-    (Obs.Metrics.value (Option.get (Obs.Metrics.get ab "jobs")));
-  (* quantiles read off the merged ladder agree too (gauges are
-     deliberately latest-join-wins, so only the histogram family is
-     held to commutativity) *)
-  List.iter
-    (fun q ->
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "p%.0f independent of join order" (q *. 100.0))
-        (Obs.Metrics.percentile (h ab) q)
-        (Obs.Metrics.percentile (h ba) q))
-    [ 0.0; 0.5; 0.99; 1.0 ]
+  List.iter Domain.join writers;
+  (* the same updates from one domain: the exact reference *)
+  let alone = Obs.Metrics.create () in
+  for d = 0 to domains - 1 do
+    for i = 1 to rounds do
+      Obs.Metrics.observe alone "lat" (lat d i)
+    done
+  done;
+  let m name = Option.get (Obs.Metrics.get shared name) in
+  let total = domains * rounds in
+  Alcotest.(check int) "increments counted" total (Obs.Metrics.count (m "jobs"));
+  Alcotest.(check (float 0.0)) "increments total" (float_of_int total)
+    (Obs.Metrics.value (m "jobs"));
+  Alcotest.(check (float 0.0)) "additions total"
+    (float_of_int (rounds * domains * (domains + 1) / 2))
+    (Obs.Metrics.value (m "work"));
+  let h = m "lat" and h' = Option.get (Obs.Metrics.get alone "lat") in
+  Alcotest.(check int) "observations counted" total (Obs.Metrics.count h);
+  Alcotest.(check (float 0.0)) "observations summed" (Obs.Metrics.sum h')
+    (Obs.Metrics.sum h);
+  Alcotest.(check bool) "bucket ladder exact" true
+    (Obs.Metrics.buckets h = Obs.Metrics.buckets h');
+  for d = 0 to domains - 1 do
+    Alcotest.(check (array (float 0.0)))
+      (Printf.sprintf "writer %d's series in order" d)
+      (Array.init rounds (fun i -> float_of_int (i + 1)))
+      (Obs.Metrics.series (m (Printf.sprintf "curve.%d" d)))
+  done;
+  let all = Obs.Metrics.series (m "all") in
+  Array.sort compare all;
+  Alcotest.(check (array (float 0.0))) "a shared series keeps every point"
+    (Array.init total (fun i -> float_of_int (i / rounds)))
+    all
 
 (* --- wall-clock tracks ----------------------------------------------------- *)
 
 let test_wall_tracks () =
-  let t = Obs.Trace.create ~wall_origin:1000.0 () in
+  let t = Obs.Trace.create () in
   Obs.Trace.name_track t 0 "driver";
   Obs.Trace.name_track t Obs.Trace.wall_track_base "worker 0 (wall)";
   Obs.Trace.span t ~track:0 ~name:"region" ~ts:0.0 ~dur:50.0;
@@ -359,23 +367,17 @@ let test_wall_tracks () =
     Alcotest.failf "wall-clock trace fails lint:\n%s" (Obs.Trace_check.report_to_string r);
   Alcotest.(check int) "two tracks" 2 r.Obs.Trace_check.tracks;
   Alcotest.(check int) "one wall track under its own pid" 1 r.Obs.Trace_check.wall_tracks;
-  (* append_range carries only the simulated timeline, shifted *)
-  let sim = Obs.Trace.create ~wall_origin:1000.0 () in
-  Obs.Trace.append_range t ~into:sim ~first:0 ~last:(Obs.Trace.recorded t) ~dt:100.0;
-  (match Obs.Trace.events sim with
-  | [ e ] ->
-      Alcotest.(check string) "simulated span carried" "region" e.Obs.Trace.e_name;
-      Alcotest.(check (float 0.0)) "timestamp shifted" 100.0 e.Obs.Trace.e_ts
-  | es -> Alcotest.failf "append_range carried %d events, expected 1" (List.length es));
-  (* append_wall carries only the wall events, unshifted *)
-  let wall = Obs.Trace.create ~wall_origin:1000.0 () in
-  Obs.Trace.append_wall t ~into:wall;
-  (match Obs.Trace.events wall with
+  (* append_range replays a slice, every timestamp shifted *)
+  let merged = Obs.Trace.create () in
+  Obs.Trace.append_range t ~into:merged ~first:1 ~last:3 ~dt:100.0;
+  (match Obs.Trace.events merged with
   | [ s; i ] ->
-      Alcotest.(check string) "wall span carried" "job" s.Obs.Trace.e_name;
-      Alcotest.(check (float 0.0)) "wall timestamp unshifted" 10.0 s.Obs.Trace.e_ts;
-      Alcotest.(check string) "wall instant carried" "steal" i.Obs.Trace.e_name
-  | es -> Alcotest.failf "append_wall carried %d events, expected 2" (List.length es));
+      Alcotest.(check string) "span carried" "job" s.Obs.Trace.e_name;
+      Alcotest.(check (float 0.0)) "span shifted" 110.0 s.Obs.Trace.e_ts;
+      Alcotest.(check (float 0.0)) "duration kept" 5.0 s.Obs.Trace.e_dur;
+      Alcotest.(check string) "instant carried" "steal" i.Obs.Trace.e_name;
+      Alcotest.(check (float 0.0)) "instant shifted" 112.0 i.Obs.Trace.e_ts
+  | es -> Alcotest.failf "append_range carried %d events, expected 2" (List.length es));
   (* the wall clock on a disabled recorder never reads the system clock *)
   Alcotest.(check (float 0.0)) "null wall_now pinned" 0.0
     (Obs.Trace.wall_now Obs.Trace.null)
@@ -538,7 +540,7 @@ let suite =
     ("log child field stamping", `Quick, test_log_child_fields);
     ("log JSONL escaping round-trips", `Quick, test_log_jsonl);
     ("prometheus exposition", `Quick, test_prometheus);
-    ("metrics merge is commutative", `Quick, test_merge_commutative);
+    ("one registry takes concurrent writers", `Quick, test_concurrent_writers);
     ("wall-clock tracks", `Quick, test_wall_tracks);
   ]
   @ [ Tu.qtest_witnessed ~witness:traced_passes ~what:"a traced pass" tracing_is_inert ]

@@ -39,7 +39,7 @@ let mk ?metrics cfg =
 
 let counter metrics name =
   match Obs.Metrics.get metrics name with
-  | Some m -> Obs.Metrics.count m
+  | Some m -> int_of_float (Obs.Metrics.value m)
   | None -> 0
 
 let compiled replies =
@@ -719,6 +719,78 @@ let test_persistence_keeps_resident_regions () =
       Alcotest.(check int) "the newest region was reloaded" 1 (lookup newest);
       Alcotest.(check int) "the evicted region was not" 0 (lookup evicted))
 
+(* Without faults a retry would replay the same compile on the same or
+   a smaller budget, so a budget-stopped attempt ships at once, as a
+   service that never retries ships it. *)
+let test_fault_free_budget_stop_ships_at_once () =
+  let cfg = compile_cfg ~compile_budget_ms:1.0 () in
+  let serve retries =
+    let metrics = Obs.Metrics.create () in
+    let srv, replies = mk ~metrics (serve_cfg ~retries cfg) in
+    Pipeline.Serve.handle srv (spec_req "matmul" 120 3);
+    ignore (Pipeline.Serve.process srv);
+    match compiled (replies ()) with
+    | [ r ] -> (r, metrics)
+    | rs -> Alcotest.failf "expected 1 reply, got %d" (List.length rs)
+  in
+  let r, metrics = serve 2 in
+  let once, _ = serve 0 in
+  (match r.Pipeline.Serve.rep_outcome with
+  | Pipeline.Robust.Budget_exceeded -> ()
+  | _ -> Alcotest.fail "the first attempt must stop on its budget");
+  let region = Option.get (Workload.Shapes.of_spec ~name:"matmul" ~size:120 ~seed:3) in
+  let budget =
+    Pipeline.Robust.budget_for cfg.Pipeline.Compile.robust ~n:(Ir.Region.size region)
+  in
+  let defaults = Pipeline.Serve.default_config cfg in
+  Alcotest.(check bool) "a retry would fit under the deadline" true
+    (once.Pipeline.Serve.rep_latency_ns +. defaults.Pipeline.Serve.backoff_base_ns
+    < defaults.Pipeline.Serve.deadline_slack *. budget);
+  Alcotest.(check int) "one attempt" 1 r.Pipeline.Serve.rep_attempts;
+  Alcotest.(check int) "no serve retries counted" 0 (counter metrics "serve.retries");
+  Alcotest.(check string) "the digest of a service that never retries"
+    once.Pipeline.Serve.rep_digest r.Pipeline.Serve.rep_digest;
+  Alcotest.(check (float 0.0)) "the latency of a service that never retries"
+    once.Pipeline.Serve.rep_latency_ns r.Pipeline.Serve.rep_latency_ns
+
+(* A warm restart keeps the memo's recency order: after A, B, A a
+   restarted two-entry memo evicts B, not A, to make room for C. *)
+let test_persistence_keeps_memo_recency () =
+  List.iter
+    (fun seed ->
+      with_state_dir (fun dir ->
+          let cfg memo =
+            {
+              (serve_cfg ~state_dir:dir (compile_cfg ())) with
+              Pipeline.Serve.memo_capacity = memo;
+            }
+          in
+          let ask srv shape =
+            Pipeline.Serve.handle srv (spec_req ~id:shape shape 20 seed);
+            ignore (Pipeline.Serve.process srv)
+          in
+          let srv1, _ = mk (cfg 2) in
+          List.iter (ask srv1) [ "transform"; "scan"; "transform" ];
+          Pipeline.Serve.drain srv1;
+          let srv2, replies = mk (cfg 2) in
+          List.iter (ask srv2) [ "stencil"; "transform" ];
+          (match List.rev (compiled (replies ())) with
+          | a :: _ ->
+              Alcotest.(check bool)
+                (Printf.sprintf "seed %d: the most recently used reply survives" seed)
+                true (a.Pipeline.Serve.rep_memo = `Hit)
+          | [] -> Alcotest.fail "no reply");
+          (* a smaller memo reloads the newest reply *)
+          let srv3, replies = mk (cfg 1) in
+          ask srv3 "transform";
+          match compiled (replies ()) with
+          | [ a ] ->
+              Alcotest.(check bool)
+                (Printf.sprintf "seed %d: a one-entry memo keeps the newest reply" seed)
+                true (a.Pipeline.Serve.rep_memo = `Hit)
+          | rs -> Alcotest.failf "expected 1 reply, got %d" (List.length rs)))
+    [ 1; 2; 3; 4; 5; 6 ]
+
 let suite =
   [
     Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
@@ -757,4 +829,8 @@ let suite =
         test_client_counters_bounded;
       Alcotest.test_case "persistence keeps the cache's resident regions" `Quick
         test_persistence_keeps_resident_regions;
+      Alcotest.test_case "a fault-free budget stop ships without retrying" `Quick
+        test_fault_free_budget_stop_ships_at_once;
+      Alcotest.test_case "persistence keeps the memo's recency order" `Quick
+        test_persistence_keeps_memo_recency;
     ]

@@ -1,16 +1,13 @@
-(* The compile-service benchmark and its CI gates.
+(* The compile-service benchmark and its CI gate.
 
    [run] times the same suite compile four ways — cold cache, warm
    cache, cache off, and multi-domain — checks that all four reports
    agree canonically, sweeps a skewed suite over jobs 1/2/4 (the
    [scaling] series of BENCH_compile.json), and writes the file.
-   [cache_gate] asserts the two service invariants on a duplicate-heavy
-   suite: the analysis-cache hit rate stays above one half, and (under a
-   race dispatch plus the ride-along baseline, i.e. several consumers
-   per region) the closure, the register layout and the critical path
-   are each built exactly once per distinct region. [scaling_gate]
-   asserts the multi-domain executor actually wins on multicore hosts
-   (and at least does no harm on small ones). *)
+   [scaling_gate] asserts the multi-domain executor actually wins on
+   multicore hosts (and at least does no harm on small ones). The
+   once-per-distinct-region analysis and the cache hit rate are
+   test_exec's "analysis runs once per distinct region". *)
 
 type row = {
   label : string;
@@ -247,71 +244,3 @@ let scaling_gate () =
     exit 1
   end;
   print_endline "scaling-gate: OK"
-
-let cache_gate () =
-  let suite =
-    Workload.Suite.replicate ~copies:2
-      (Workload.Suite.generate Workload.Suite.test_scale)
-  in
-  let distinct =
-    let seen = Hashtbl.create 64 in
-    List.iter
-      (fun region ->
-        Hashtbl.replace seen (Engine.Region_ctx.fingerprint_of_region region) ())
-      (List.concat_map
-         (fun (k : Workload.Suite.kernel) -> k.Workload.Suite.regions)
-         suite.Workload.Suite.kernels);
-    Hashtbl.length seen
-  in
-  (* Race dispatch plus the ride-along baseline: every region has four
-     analysis consumers, the hostile case for the once-per-region
-     invariant. *)
-  let config =
-    {
-      (Pipeline.Compile.make_config
-         ~dispatch:(Engine.Dispatch.Race [ "par"; "weighted" ])
-         ())
-      with
-      Pipeline.Compile.run_sequential = true;
-    }
-  in
-  let cache = Pipeline.Analysis.create () in
-  let c0 = Ddg.Closure.compute_count () in
-  let l0 = Sched.Rp_tracker.layout_count () in
-  let p0 = Ddg.Critpath.compute_count () in
-  let report = Pipeline.Executor.run_suite ~jobs:1 ~cache config suite in
-  let closures = Ddg.Closure.compute_count () - c0 in
-  let layouts = Sched.Rp_tracker.layout_count () - l0 in
-  let critpaths = Ddg.Critpath.compute_count () - p0 in
-  let s = Pipeline.Analysis.stats cache in
-  let hit_rate = Pipeline.Analysis.hit_rate s in
-  Printf.printf
-    "cache-gate: %d regions (%d distinct), %d hits / %d misses (%.0f%% hit rate), %d \
-     closure analyses, %d register layouts, %d critical paths\n"
-    (List.length
-       (List.concat_map
-          (fun (kr : Pipeline.Compile.kernel_report) -> kr.Pipeline.Compile.regions)
-          report.Pipeline.Compile.kernels))
-    distinct s.Pipeline.Analysis.hits s.Pipeline.Analysis.misses (100.0 *. hit_rate)
-    closures layouts critpaths;
-  let fail msg =
-    Printf.eprintf "cache-gate: FAIL — %s\n" msg;
-    exit 1
-  in
-  if hit_rate < 0.5 then
-    fail
-      (Printf.sprintf "hit rate %.2f below 0.5 on a duplicate-region suite" hit_rate);
-  if s.Pipeline.Analysis.computed <> distinct then
-    fail
-      (Printf.sprintf "%d analyses for %d distinct regions" s.Pipeline.Analysis.computed
-         distinct);
-  let once what count =
-    if count <> distinct then
-      fail
-        (Printf.sprintf "%d %s for %d distinct regions under race dispatch" count what
-           distinct)
-  in
-  once "closure computations" closures;
-  once "register layouts" layouts;
-  once "critical paths" critpaths;
-  print_endline "cache-gate: OK"

@@ -6,13 +6,9 @@
      dune exec bench/main.exe                 # everything, bench scale
      dune exec bench/main.exe -- table3 fig4  # selected experiments
      dune exec bench/main.exe -- --small      # quick run on the test scale
-     dune exec bench/main.exe -- micro        # micro-benchmarks only
-     dune exec bench/main.exe -- alloc-gate   # assert the per-step allocation budget
-     dune exec bench/main.exe -- obs-gate     # assert the trace-on overhead budget
+     dune exec bench/main.exe -- micro        # micro-benchmarks -> BENCH_arena.json, BENCH_obs.json
      dune exec bench/main.exe -- compile      # time cold/warm cache and multi-domain compiles
-     dune exec bench/main.exe -- cache-gate   # assert analysis-cache hit rate + once-per-region analysis
      dune exec bench/main.exe -- scaling-gate # assert the jobs-4 executor speedup floor (nproc-aware)
-     dune exec bench/main.exe -- serve        # serving mode: req/s, latency percentiles, warm-cache hit rate
      dune exec bench/main.exe -- check        # regression sentinel vs committed BENCH_*.json
      dune exec bench/main.exe -- --trace=F --metrics=G ...  # flight-record the compile *)
 
@@ -163,59 +159,24 @@ let () =
   end;
   if want "micro" then begin
     let rows = Micro.run () in
-    let alloc = Micro.alloc_gate () in
+    let alloc = Micro.alloc_rows () in
     let worst = Micro.alloc_worst alloc in
     Printf.printf "  %-28s %12.1f mnr-words/ant-step (worst row; ceiling %.0f)\n"
       "alloc_gate" worst.Micro.ag_per_step Micro.alloc_ceiling;
     let hot_per_step, hot_per_iter, hot_steps = Micro.hot_loop () in
-    Printf.printf "  %-28s %12.1f cycles/scheduled-instruction (%.0f ns/iteration)\n\n"
+    Printf.printf "  %-28s %12.1f cycles/scheduled-instruction (%.0f ns/iteration)\n"
       "hot_loop" hot_per_step hot_per_iter;
+    let untraced_ns, traced_ns, overhead_pct = Micro.obs_overhead () in
+    Printf.printf
+      "  %-28s %12.2f%% trace-on overhead (median of %d pairs; ceiling %.0f%%)\n\n"
+      "obs_overhead" overhead_pct Micro.obs_pairs Micro.obs_ceiling_pct;
     write_bench_json rows ~alloc ~hot_ns_per_step:hot_per_step ~hot_ns_per_iter:hot_per_iter
-      ~hot_steps
-  end;
-  if List.mem "alloc-gate" wanted then begin
-    let alloc = Micro.alloc_gate () in
-    List.iter
-      (fun (r : Micro.alloc_row) ->
-        Printf.printf "alloc-gate: pass %d %-15s %5.2f minor words per ant step (%d ant steps)\n"
-          r.Micro.ag_pass
-          (Sched.Heuristic.to_string r.Micro.ag_heuristic)
-          r.Micro.ag_per_step r.Micro.ag_steps)
-      alloc;
-    let worst = Micro.alloc_worst alloc in
-    Printf.printf "alloc-gate: worst row %.2f minor words per ant step (ceiling %.0f)\n"
-      worst.Micro.ag_per_step Micro.alloc_ceiling;
-    if worst.Micro.ag_per_step > Micro.alloc_ceiling then begin
-      Printf.eprintf
-        "alloc-gate: FAIL — pass %d under %s allocates %.1f minor words per ant step \
-         (ceiling %.0f)\n"
-        worst.Micro.ag_pass
-        (Sched.Heuristic.to_string worst.Micro.ag_heuristic)
-        worst.Micro.ag_per_step Micro.alloc_ceiling;
-      exit 1
-    end
-    else print_endline "alloc-gate: OK"
+      ~hot_steps;
+    write_obs_json ~untraced_ns ~traced_ns ~overhead_pct
   end;
   if List.mem "compile" wanted then Compile_bench.run ~small ();
-  if List.mem "cache-gate" wanted then Compile_bench.cache_gate ();
   if List.mem "scaling-gate" wanted then Compile_bench.scaling_gate ();
-  if List.mem "serve" wanted then Serve_bench.run ~small ();
   if List.mem "check" wanted then begin
     let rc = Check.run () in
     if rc <> 0 then exit rc
-  end;
-  if List.mem "obs-gate" wanted then begin
-    let untraced_ns, traced_ns, overhead_pct = Micro.obs_overhead () in
-    Printf.printf
-      "obs-gate: wavefront_iteration %.0f ns untraced, %.0f ns traced (median of %d pairs; \
-       overhead %.2f%%, ceiling %.0f%%)\n"
-      untraced_ns traced_ns Micro.obs_pairs overhead_pct Micro.obs_ceiling_pct;
-    write_obs_json ~untraced_ns ~traced_ns ~overhead_pct;
-    if overhead_pct > Micro.obs_ceiling_pct then begin
-      Printf.eprintf
-        "obs-gate: FAIL — tracing the wavefront loop costs %.2f%% (ceiling %.0f%%)\n"
-        overhead_pct Micro.obs_ceiling_pct;
-      exit 1
-    end
-    else print_endline "obs-gate: OK"
   end

@@ -161,7 +161,7 @@ let alloc_row ~pass ~mode heuristic =
 
 (* Rows in pass order, heuristics in [Sched.Heuristic.all] order; the
    first (pass 1, critical path) is the historical headline figure. *)
-let alloc_gate () =
+let alloc_rows () =
   let rc = Lazy.force rc in
   let rp_target =
     Engine.Region_ctx.rp_of_order rc.Engine.Region_ctx.occ rc.Engine.Region_ctx.graph

@@ -62,6 +62,43 @@ let with_options cmd ?auto_threshold ~fault_rate ~budget_ms backend k =
   | Error (Pipeline.Compile.Unknown_backend b) ->
       usage (Printf.sprintf "unknown backend %S (registered: %s)" b (registered ()))
 
+(* Run [k] once every output file the command names can be created.
+   Each is opened for writing without truncation, so an existing file
+   keeps its contents until the command writes it (a ledger is appended
+   to). A file that cannot be created is a one-line usage error and
+   exits 2 before any compile or serve work, not an exception after it;
+   the files this check created for the command are removed again. *)
+let with_outputs cmd files k =
+  let rec create made = function
+    | [] -> k ()
+    | file :: rest -> (
+        let fresh = not (Sys.file_exists file) in
+        match close_out (open_out_gen [ Open_wronly; Open_creat ] 0o644 file) with
+        | () -> create (if fresh then file :: made else made) rest
+        | exception Sys_error m ->
+            List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) made;
+            Printf.eprintf "gpuaco %s: cannot create %s\n" cmd m;
+            2)
+  in
+  create [] (List.filter_map Fun.id files)
+
+(* Write each named output at the end of a command. [with_outputs]
+   created the files, so a write fails here only if a file went away or
+   the disk filled meanwhile: that costs one stderr line, and the
+   result is [false] so the command can exit 1. *)
+let write_outputs cmd writes =
+  List.fold_left
+    (fun ok (file, write) ->
+      match file with
+      | None -> ok
+      | Some file -> (
+          match write file with
+          | () -> ok
+          | exception Sys_error m ->
+              Printf.eprintf "gpuaco %s: cannot write %s (%s)\n%!" cmd file m;
+              false))
+    true writes
+
 let shape_arg =
   let doc =
     "Kernel shape to generate: " ^ String.concat ", " shape_names ^ "."
@@ -289,6 +326,26 @@ let write_log ?(err = false) log file =
   in
   if err then (output_string stderr note; flush stderr) else print_string note
 
+(* The outputs [compile] writes at its end, in this order, with the
+   line each prints once written. *)
+let compile_outputs ~trace ~metrics ~log ~trace_out ~metrics_out ~log_out ~quality_ledger
+    append_quality =
+  write_outputs "compile"
+    [
+      ( trace_out,
+        fun file ->
+          Obs.Trace.write_chrome_json trace file;
+          Printf.printf "trace: %d events written to %s (%d dropped)\n"
+            (min (Obs.Trace.recorded trace) (Obs.Trace.capacity trace))
+            file (Obs.Trace.dropped trace) );
+      ( metrics_out,
+        fun file ->
+          write_metrics metrics file;
+          Printf.printf "metrics: written to %s\n" file );
+      (log_out, fun file -> write_log log file);
+      (quality_ledger, append_quality);
+    ]
+
 let print_cache_stats cache =
   Format.printf "%a@." Pipeline.Analysis.pp_stats (Pipeline.Analysis.stats cache)
 
@@ -347,26 +404,14 @@ let run_compile_suite config ~seed ~jobs ~cache_mode metrics metrics_out trace_o
     tally.Pipeline.Robust.shed_overload;
   Printf.printf "report digest: %s\n" (Pipeline.Report_digest.digest report);
   if cache_mode = `Stats then print_cache_stats cache;
-  (match trace_out with
-  | Some file ->
-      Obs.Trace.write_chrome_json trace file;
-      Printf.printf "trace: %d events written to %s (%d dropped)\n"
-        (min (Obs.Trace.recorded trace) (Obs.Trace.capacity trace))
-        file (Obs.Trace.dropped trace)
-  | None -> ());
-  (match metrics_out with
-  | Some file ->
-      write_metrics metrics file;
-      Printf.printf "metrics: written to %s\n" file
-  | None -> ());
-  (match log_out with Some file -> write_log log file | None -> ());
-  (match quality_ledger with
-  | Some file ->
-      let records = Pipeline.Quality.of_report report in
-      Pipeline.Quality.append ~file records;
-      Printf.printf "quality: %d record(s) appended to %s\n" (List.length records)
-        file
-  | None -> ());
+  let written =
+    compile_outputs ~trace ~metrics ~log ~trace_out ~metrics_out ~log_out ~quality_ledger
+      (fun file ->
+        let records = Pipeline.Quality.of_report report in
+        Pipeline.Quality.append ~file records;
+        Printf.printf "quality: %d record(s) appended to %s\n" (List.length records)
+          file)
+  in
   let worst =
     List.fold_left
       (fun acc (r : Pipeline.Compile.region_report) ->
@@ -377,7 +422,7 @@ let run_compile_suite config ~seed ~jobs ~cache_mode metrics metrics_out trace_o
         else acc)
       Pipeline.Robust.Clean regions
   in
-  degradation_exit worst
+  if written then degradation_exit worst else 1
 
 let run_compile shape size seed fault_rate fault_seed budget_ms max_retries backend
     auto_threshold jobs cache_mode suite trace_out metrics_out log_out quality_ledger
@@ -393,10 +438,15 @@ let run_compile shape size seed fault_rate fault_seed budget_ms max_retries back
     match metrics_out with Some _ -> Obs.Metrics.create () | None -> Obs.Metrics.null
   in
   let log = match log_out with Some _ -> Obs.Log.create () | None -> Obs.Log.null in
+  let with_outputs =
+    with_outputs "compile" [ trace_out; metrics_out; log_out; quality_ledger ]
+  in
   if suite then
+    with_outputs @@ fun () ->
     run_compile_suite config ~seed ~jobs ~cache_mode metrics metrics_out trace_out log
       log_out quality_ledger
   else with_shape "compile" shape ~size ~seed @@ fun region ->
+  with_outputs @@ fun () ->
   let trace =
     match trace_out with Some _ -> Obs.Trace.create () | None -> Obs.Trace.null
   in
@@ -443,25 +493,13 @@ let run_compile shape size seed fault_rate fault_seed budget_ms max_retries back
     print_string
       (Pipeline.Report.render_convergence (Pipeline.Report.convergence_rows_of_region r));
   if cache_mode = `Stats then print_cache_stats cache;
-  (match trace_out with
-  | Some file ->
-      Obs.Trace.write_chrome_json trace file;
-      Printf.printf "trace: %d events written to %s (%d dropped)\n"
-        (min (Obs.Trace.recorded trace) (Obs.Trace.capacity trace))
-        file (Obs.Trace.dropped trace)
-  | None -> ());
-  (match metrics_out with
-  | Some file ->
-      write_metrics metrics file;
-      Printf.printf "metrics: written to %s\n" file
-  | None -> ());
-  (match log_out with Some file -> write_log log file | None -> ());
-  (match quality_ledger with
-  | Some file ->
-      Pipeline.Quality.append ~file [ Pipeline.Quality.of_region r ];
-      Printf.printf "quality: 1 record appended to %s\n" file
-  | None -> ());
-  degradation_exit r.Pipeline.Compile.degradation
+  let written =
+    compile_outputs ~trace ~metrics ~log ~trace_out ~metrics_out ~log_out ~quality_ledger
+      (fun file ->
+        Pipeline.Quality.append ~file [ Pipeline.Quality.of_region r ];
+        Printf.printf "quality: 1 record appended to %s\n" file)
+  in
+  if written then degradation_exit r.Pipeline.Compile.degradation else 1
 
 let compile_cmd =
   let info =
@@ -743,15 +781,21 @@ let run_serve socket_path queue_capacity max_in_flight shed_threshold serve_retr
     let log =
       match log_out with Some _ -> Obs.Log.create () | None -> Obs.Log.null
     in
+    with_outputs "serve" [ metrics_out; log_out ] @@ fun () ->
     let code =
       match socket_path with
       | None -> serve_stdio cfg metrics log ~batch:pump_batch
       | Some path -> serve_socket path cfg metrics log ~batch:pump_batch
     in
-    (match metrics_out with Some file -> write_metrics metrics file | None -> ());
-    (* the framed reply stream owns stdout in stdio mode *)
-    (match log_out with Some file -> write_log ~err:true log file | None -> ());
-    code
+    let written =
+      write_outputs "serve"
+        [
+          (metrics_out, write_metrics metrics);
+          (* the framed reply stream owns stdout in stdio mode *)
+          (log_out, write_log ~err:true log);
+        ]
+    in
+    if written || code <> 0 then code else 1
 
 let serve_cmd =
   let info =
@@ -900,13 +944,18 @@ let trace_seq_arg =
 let run_trace shape size seed fault_rate fault_seed budget_ms max_retries out metrics_out
     seq lint =
   match lint with
-  | Some file ->
-      let rep = Obs.Trace_check.lint_file file in
-      print_string (Obs.Trace_check.report_to_string rep);
-      if Obs.Trace_check.ok rep then 0 else 1
+  | Some file -> (
+      match Obs.Trace_check.lint_file file with
+      | exception Sys_error m ->
+          Printf.eprintf "gpuaco trace: %s\n" m;
+          1
+      | rep ->
+          print_string (Obs.Trace_check.report_to_string rep);
+          if Obs.Trace_check.ok rep then 0 else 1)
   | None ->
       with_options "trace" ~fault_rate ~budget_ms None @@ fun _ ->
       with_shape "trace" shape ~size ~seed @@ fun region ->
+      with_outputs "trace" [ Some out; metrics_out ] @@ fun () ->
       let config =
         Pipeline.Compile.make_config ~fault_rate ?fault_seed ?compile_budget_ms:budget_ms
           ~max_retries ()
@@ -939,20 +988,24 @@ let run_trace shape size seed fault_rate fault_seed budget_ms max_retries out me
       print_newline ();
       print_string
         (Pipeline.Report.render_convergence (Pipeline.Report.convergence_rows_of_region r));
-      Obs.Trace.write_chrome_json trace out;
-      Printf.printf "\ntrace written to %s (open in Perfetto or chrome://tracing)\n" out;
-      (match metrics_out with
-      | Some file ->
-          write_metrics metrics file;
-          Printf.printf "metrics written to %s\n" file
-      | None -> ());
+      let written =
+        write_outputs "trace"
+          [
+            ( Some out,
+              fun file ->
+                Obs.Trace.write_chrome_json trace file;
+                Printf.printf "\ntrace written to %s (open in Perfetto or chrome://tracing)\n"
+                  file );
+            ( metrics_out,
+              fun file ->
+                write_metrics metrics file;
+                Printf.printf "metrics written to %s\n" file );
+          ]
+      in
       (* Self-check: the recording we just produced must lint clean. *)
       let rep = Obs.Trace_check.lint_string (Obs.Trace.to_chrome_json trace) in
-      if Obs.Trace_check.ok rep then 0
-      else begin
-        print_string (Obs.Trace_check.report_to_string rep);
-        1
-      end
+      if not (Obs.Trace_check.ok rep) then print_string (Obs.Trace_check.report_to_string rep);
+      if written && Obs.Trace_check.ok rep then 0 else 1
 
 let trace_cmd =
   let info =

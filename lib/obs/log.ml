@@ -144,5 +144,7 @@ let to_jsonl t =
 let write_jsonl t file =
   let oc = open_out file in
   Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_jsonl t))
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      output_string oc (to_jsonl t);
+      close_out oc)

@@ -80,3 +80,5 @@ val to_jsonl : t -> string
 (** All surviving entries, one JSON object per line. *)
 
 val write_jsonl : t -> string -> unit
+(** Write {!to_jsonl} to a file. Raises [Sys_error] when the file cannot
+    be opened or written (a failed final flush included). *)

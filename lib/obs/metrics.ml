@@ -340,10 +340,13 @@ let to_prometheus t =
         (List.rev !order);
       Buffer.contents buf)
 
-let write_csv t file =
+let write_file file text =
   let oc = open_out file in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_csv t))
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      output_string oc text;
+      close_out oc)
 
-let write_json t file =
-  let oc = open_out file in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_json t))
+let write_csv t file = write_file file (to_csv t)
+let write_json t file = write_file file (to_json t)

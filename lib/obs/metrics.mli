@@ -89,3 +89,5 @@ val to_prometheus : t -> string
 
 val write_csv : t -> string -> unit
 val write_json : t -> string -> unit
+(** Write {!to_csv} / {!to_json} to a file. Raise [Sys_error] when the
+    file cannot be opened or written (a failed final flush included). *)

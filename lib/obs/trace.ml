@@ -325,8 +325,10 @@ let to_chrome_json t =
 let write_chrome_json t file =
   let oc = open_out file in
   Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_chrome_json t))
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      output_string oc (to_chrome_json t);
+      close_out oc)
 
 (* Total span duration by name — the phase breakdown the CLI summary
    prints (where simulated time goes). *)

@@ -130,3 +130,5 @@ val to_chrome_json : t -> string
     unit) at nanosecond resolution. *)
 
 val write_chrome_json : t -> string -> unit
+(** Write {!to_chrome_json} to a file. Raises [Sys_error] when the file
+    cannot be opened or written (a failed final flush included). *)

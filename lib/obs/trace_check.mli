@@ -49,5 +49,7 @@ val lint_string : string -> report
     ["traceEvents"] array. Never raises; parse failures land in [errors]. *)
 
 val lint_file : string -> report
+(** {!lint_string} of a file's contents. Raises [Sys_error] when the file
+    cannot be read; only its contents are never an exception. *)
 
 val report_to_string : report -> string

@@ -151,13 +151,14 @@ let of_json_line line =
 let append ~file records =
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 file in
   Fun.protect
-    ~finally:(fun () -> close_out oc)
+    ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
       List.iter
         (fun q ->
           output_string oc (to_json_line q);
           output_char oc '\n')
-        records)
+        records;
+      close_out oc)
 
 let load ~file =
   let ic = open_in file in

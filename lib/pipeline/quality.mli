@@ -47,7 +47,9 @@ val of_json_line : string -> record option
 (** Inverse of {!to_json_line}; [None] on malformed or foreign lines. *)
 
 val append : file:string -> record list -> unit
-(** Append records to the ledger, creating it if missing. *)
+(** Append records to the ledger, creating it if missing. Raises
+    [Sys_error] when the file cannot be opened or written (a failed
+    final flush included). *)
 
 val load : file:string -> record list
 (** Read a ledger back, skipping malformed lines. Raises [Sys_error]

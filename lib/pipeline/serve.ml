@@ -945,9 +945,11 @@ let handle t ?(client = "anon") payload =
           in
           send t (Metrics_reply { met_id = id; body })
       | Watch id -> send t (Watch_reply { wat_id = id; body = watch_body t })
-      | Shutdown _ ->
-          (* the Drained reply acknowledges the shutdown *)
-          drain t
+      | Shutdown id ->
+          (* the Drained reply acknowledges the shutdown; once it went
+             out, a later shutdown is refused like a late compile, so it
+             still gets its one reply *)
+          if t.state = `Serving then drain t else reject t id Shutting_down
       | Compile req when t.state <> `Serving -> reject t req.req_id Shutting_down
       | Compile req -> (
           match region_of_source req.source with

@@ -240,7 +240,9 @@ val process : t -> int
 val drain : t -> unit
 (** Finish every queued request (ignoring [max_in_flight]), persist
     state, emit the final [bye] reply and refuse all later requests.
-    Idempotent. *)
+    Idempotent: a later call sends nothing. A shutdown request that
+    {!handle} receives after the drain is answered like a late compile,
+    [err code=shutting-down], so it still gets exactly one reply. *)
 
 val persist : t -> unit
 (** Write both cache levels to [state_dir] now (no-op without one).

@@ -94,10 +94,11 @@ let test_cache_disabled () =
   Alcotest.(check int) "nothing retained" 0 s.Pipeline.Analysis.entries
 
 let test_cache_computes_once () =
-  (* The once-per-distinct-region invariant, measured in closure
-     computations: a duplicate-heavy suite compiled under a race dispatch
-     plus the ride-along baseline (four analysis consumers per region)
-     must run one closure analysis per distinct region. *)
+  (* The once-per-distinct-region invariant: a duplicate-heavy suite
+     compiled under a race dispatch plus the ride-along baseline (four
+     analysis consumers per region) must build one closure, one register
+     layout and one critical path per distinct region. A count above the
+     distinct-region count means some consumer built its own. *)
   let suite =
     Workload.Suite.replicate ~copies:2
       (Workload.Suite.generate
@@ -122,9 +123,15 @@ let test_cache_computes_once () =
   in
   let cache = Pipeline.Analysis.create () in
   let c0 = Ddg.Closure.compute_count () in
+  let l0 = Sched.Rp_tracker.layout_count () in
+  let p0 = Ddg.Critpath.compute_count () in
   ignore (Pipeline.Executor.run_suite ~jobs:1 ~cache config suite);
   Alcotest.(check int) "one closure analysis per distinct region" distinct
     (Ddg.Closure.compute_count () - c0);
+  Alcotest.(check int) "one register layout per distinct region" distinct
+    (Sched.Rp_tracker.layout_count () - l0);
+  Alcotest.(check int) "one critical path per distinct region" distinct
+    (Ddg.Critpath.compute_count () - p0);
   let s = Pipeline.Analysis.stats cache in
   Alcotest.(check int) "one cache computation per distinct region" distinct
     s.Pipeline.Analysis.computed;

@@ -526,6 +526,29 @@ let escape_round_trips =
       Obs.Trace_check.parse_json ("\"" ^ Obs.Trace_check.json_escape s ^ "\"")
       = Obs.Trace_check.Str s)
 
+(* A write whose final flush fails (a full disk: /dev/full accepts the
+   open and fails every write) raises a plain [Sys_error], which callers
+   catch, not [Fun.Finally_raised] from the channel's close. *)
+let test_writers_report_a_full_disk () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let trace = Obs.Trace.create () in
+  Obs.Trace.instant trace ~track:0 ~name:"x" ~ts:0.0;
+  let metrics = Obs.Metrics.create () in
+  Obs.Metrics.incr metrics "x";
+  let log = Obs.Log.create () in
+  Obs.Log.info log "x" [];
+  List.iter
+    (fun (what, write) ->
+      match write "/dev/full" with
+      | () -> Alcotest.failf "%s: a write to a full disk succeeded" what
+      | exception Sys_error _ -> ())
+    [
+      ("trace", Obs.Trace.write_chrome_json trace);
+      ("metrics csv", Obs.Metrics.write_csv metrics);
+      ("metrics json", Obs.Metrics.write_json metrics);
+      ("log", Obs.Log.write_jsonl log);
+    ]
+
 let suite =
   [
     ("trace ring wrap", `Quick, test_ring_wrap);
@@ -546,3 +569,4 @@ let suite =
   @ [ Tu.qtest_witnessed ~witness:traced_passes ~what:"a traced pass" tracing_is_inert ]
   @ [ Tu.qtest_witnessed ~witness:null_passes ~what:"a pass that ran" null_recorders_are_absent ]
   @ Tu.qtests [ escape_round_trips ]
+  @ [ ("writers report a full disk as Sys_error", `Quick, test_writers_report_a_full_disk) ]

@@ -157,6 +157,15 @@ let test_summary_by_backend () =
   in
   Alcotest.(check bool) "no split for one backend" false (flat_contains "per backend:")
 
+(* A ledger append whose flush fails (/dev/full fails every write)
+   raises a plain [Sys_error], the exception the serve daemon counts as
+   [serve.quality.write_failed] and the CLI reports in one line. *)
+let test_append_reports_a_full_disk () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  match Pipeline.Quality.append ~file:"/dev/full" [ sample_record 0 ] with
+  | () -> Alcotest.fail "an append to a full disk succeeded"
+  | exception Sys_error _ -> ()
+
 let suite =
   [
     Alcotest.test_case "iters_to_best" `Quick test_iters_to_best;
@@ -167,4 +176,6 @@ let suite =
       test_ledger_load_skips_torn_lines;
     Alcotest.test_case "corpus summary" `Quick test_summary;
     Alcotest.test_case "per-backend summary split" `Quick test_summary_by_backend;
+    Alcotest.test_case "an append to a full disk raises Sys_error" `Quick
+      test_append_reports_a_full_disk;
   ]

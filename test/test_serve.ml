@@ -621,9 +621,7 @@ let test_serve_log_threads_request_ids () =
 (* --- property: serving changes nothing ------------------------------------ *)
 
 (* At fault rate zero a served reply is byte-identical — same report
-   digest — to a direct Compile.run_region of the same region. Both
-   sides run uninstrumented: the digest covers the passes' GC counters,
-   so identity requires identical instrumentation (see DESIGN.md). *)
+   digest — to a direct Compile.run_region of the same region. *)
 let prop_zero_fault_serve_is_direct =
   QCheck.Test.make ~count:15
     ~name:"zero-fault serve reply is byte-identical to a direct compile"
@@ -791,6 +789,74 @@ let test_persistence_keeps_memo_recency () =
           | rs -> Alcotest.failf "expected 1 reply, got %d" (List.length rs)))
     [ 1; 2; 3; 4; 5; 6 ]
 
+(* One generator spec per shape family, each sent three times in
+   interleaved rounds: every reply, memo replays included, carries the
+   digest of a direct Compile.run_region of the same spec, and only the
+   first copy of a spec may miss the memo. *)
+let test_duplicate_stream_replays_direct_digests () =
+  let compile = compile_cfg () in
+  let srv, replies = mk (serve_cfg compile) in
+  let specs =
+    List.mapi (fun i shape -> (shape, 12 + i, (i * 131) + 7)) Workload.Shapes.spec_names
+  in
+  for round = 1 to 3 do
+    List.iteri
+      (fun i (shape, size, seed) ->
+        Pipeline.Serve.handle srv
+          (spec_req ~id:(Printf.sprintf "s%d.%d" i round) shape size seed);
+        ignore (Pipeline.Serve.process srv))
+      specs
+  done;
+  let direct =
+    List.map
+      (fun (shape, size, seed) ->
+        match Workload.Shapes.of_spec ~name:shape ~size ~seed with
+        | Some region ->
+            Pipeline.Report_digest.digest_region
+              (Pipeline.Compile.run_region compile ~name:shape region)
+        | None -> Alcotest.failf "shape %s is not a generator spec" shape)
+      specs
+  in
+  let rs = compiled (replies ()) in
+  Alcotest.(check int) "every request answered" (3 * List.length specs) (List.length rs);
+  List.iter
+    (fun (r : Pipeline.Serve.compile_reply) ->
+      let i = Scanf.sscanf r.Pipeline.Serve.rep_id "s%d.%d" (fun i _ -> i) in
+      Alcotest.(check string)
+        (r.Pipeline.Serve.rep_id ^ " carries the direct compile's digest")
+        (List.nth direct i) r.Pipeline.Serve.rep_digest)
+    rs;
+  let _, misses, _ = Pipeline.Serve.memo_stats srv in
+  Alcotest.(check bool) "at most one memo miss per distinct request" true
+    (misses <= List.length specs)
+
+(* After the drain, every further frame is answered exactly once: a
+   second shutdown is refused like a late compile, since the one bye
+   already went out. *)
+let test_every_frame_answered_after_drain () =
+  let srv, replies = mk (serve_cfg (compile_cfg ())) in
+  List.iter (Pipeline.Serve.handle srv)
+    [
+      "op=ping id=p1";
+      "op=shutdown id=s1";
+      "op=shutdown id=s2";
+      "op=ping id=p2";
+      spec_req ~id:"late" "reduction" 16 1;
+    ];
+  let rs = replies () in
+  Alcotest.(check int) "one reply per frame" (Pipeline.Serve.received srv)
+    (List.length rs);
+  Alcotest.(check (list string)) "replies in frame order"
+    [ "pong"; "bye"; "err s2 shutting-down"; "pong"; "err late shutting-down" ]
+    (List.map
+       (function
+         | Pipeline.Serve.Pong _ -> "pong"
+         | Pipeline.Serve.Drained _ -> "bye"
+         | Pipeline.Serve.Rejected { rej_id; error } ->
+             Printf.sprintf "err %s %s" rej_id (Pipeline.Serve.proto_error_code error)
+         | r -> Pipeline.Serve.render_reply r)
+       rs)
+
 let suite =
   [
     Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
@@ -833,4 +899,8 @@ let suite =
         test_fault_free_budget_stop_ships_at_once;
       Alcotest.test_case "persistence keeps the memo's recency order" `Quick
         test_persistence_keeps_memo_recency;
+      Alcotest.test_case "a duplicate stream replays the direct compiles' digests" `Quick
+        test_duplicate_stream_replays_direct_digests;
+      Alcotest.test_case "every frame after the drain gets one reply" `Quick
+        test_every_frame_answered_after_drain;
     ]

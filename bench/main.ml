@@ -118,6 +118,13 @@ let () =
   let table_names = List.map fst Tables.all in
   let needs_compile = List.exists want table_names in
   if needs_compile then begin
+    (* the output files exist before the suite compile, or the run is a
+       usage error that compiles nothing *)
+    (match Support.Outputs.create (List.filter_map Fun.id [ trace_file; metrics_file ]) with
+    | Ok () -> ()
+    | Error m ->
+        Printf.eprintf "bench: cannot create %s\n%!" m;
+        exit 2);
     let scale = if small then Workload.Suite.test_scale else Workload.Suite.bench_scale in
     let suite = Workload.Suite.generate scale in
     let stats = Workload.Suite.stats suite in

@@ -62,25 +62,15 @@ let with_options cmd ?auto_threshold ~fault_rate ~budget_ms backend k =
   | Error (Pipeline.Compile.Unknown_backend b) ->
       usage (Printf.sprintf "unknown backend %S (registered: %s)" b (registered ()))
 
-(* Run [k] once every output file the command names can be created.
-   Each is opened for writing without truncation, so an existing file
-   keeps its contents until the command writes it (a ledger is appended
-   to). A file that cannot be created is a one-line usage error and
-   exits 2 before any compile or serve work, not an exception after it;
-   the files this check created for the command are removed again. *)
+(* Run [k] once every output file the command names can be created
+   ({!Support.Outputs.create}); a file that cannot be is a one-line
+   usage error that exits 2 before any compile or serve work. *)
 let with_outputs cmd files k =
-  let rec create made = function
-    | [] -> k ()
-    | file :: rest -> (
-        let fresh = not (Sys.file_exists file) in
-        match close_out (open_out_gen [ Open_wronly; Open_creat ] 0o644 file) with
-        | () -> create (if fresh then file :: made else made) rest
-        | exception Sys_error m ->
-            List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) made;
-            Printf.eprintf "gpuaco %s: cannot create %s\n" cmd m;
-            2)
-  in
-  create [] (List.filter_map Fun.id files)
+  match Support.Outputs.create (List.filter_map Fun.id files) with
+  | Ok () -> k ()
+  | Error m ->
+      Printf.eprintf "gpuaco %s: cannot create %s\n" cmd m;
+      2
 
 (* Write each named output at the end of a command. [with_outputs]
    created the files, so a write fails here only if a file went away or
@@ -629,11 +619,10 @@ let unescape s =
    (the length prefix is gone) but answered first; EOF flushes the queue
    so every admitted request is replied to before the stream closes. *)
 let pump_channel srv ~client ~batch ic =
-  let limit = (Pipeline.Serve.config srv).Pipeline.Serve.frame_limit in
   let rec loop pending =
     if Pipeline.Serve.state srv = `Drained then ()
     else
-      match Support.Frame.read ~limit ic with
+      match Support.Frame.read ic with
       | Ok (Some payload) ->
           Pipeline.Serve.handle srv ~client payload;
           let pending = pending + 1 in

@@ -3,8 +3,8 @@
     {!run_pass} is the one iteration loop of every backend: the paper's
     algorithm with one iteration's ant run as its parameter. The CPU
     colony's iteration ({!sequential}) runs the ants one after another,
-    for {!Seq_aco} (["seq"], ["mmas"], ["mmas-spill"]) and
-    {!Weighted_aco}; the GPU model's ([Gpusim.Par_aco]) runs lockstep
+    for every backend {!Seq_aco.make_backend} builds (["seq"],
+    ["mmas"], ["mmas-spill"], ["weighted"]); the GPU model's ([Gpusim.Par_aco]) runs lockstep
     wavefronts and retries its failed iterations. *)
 
 type search = {

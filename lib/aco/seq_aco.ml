@@ -2,41 +2,32 @@ type cost = length:int -> vgpr:int -> sgpr:int -> int
 
 type state = {
   colony : Colony.t;
+  objective : Sched.Objective.t;
+  rc : Engine.Region_ctx.t;
   rp_cost : cost;  (* the objective's RP scalar of the peaks *)
-  pass2_cost : cost;
-      (* schedule length, plus the priced spill traffic of the peaks
-         under a spill objective *)
-  pass2_extra_of_initial : Sched.Schedule.t -> int;
-      (* same spill term for the pass-2 initial schedule, so initial and
-         ant costs stay comparable (always 0 under the cliff) *)
+  pass2_cost : cost;  (* schedule length plus the objective's pass-2 term *)
 }
 
-let prepare ~policy ~(objective : Sched.Objective.t option) ctx (rc : Engine.Region_ctx.t) =
-  let graph = rc.Engine.Region_ctx.graph in
+let prepare ~policy ~objective ctx (rc : Engine.Region_ctx.t) =
   let occ = rc.Engine.Region_ctx.occ in
-  let colony = Colony.prepare ~policy ~allow_optional_stalls:true ctx rc in
-  let obj = match objective with Some o -> o | None -> Sched.Objective.Cliff in
-  let rp_cost ~length:_ ~vgpr ~sgpr = Sched.Objective.rp_scalar_of_peaks obj occ ~vgpr ~sgpr in
-  let pass2_cost, pass2_extra_of_initial =
-    match obj with
-    | Sched.Objective.Cliff -> ((fun ~length ~vgpr:_ ~sgpr:_ -> length), fun _ -> 0)
-    | Sched.Objective.Spill m ->
-        ( (fun ~length ~vgpr ~sgpr -> length + Sched.Objective.spill_cycles obj ~vgpr ~sgpr),
-          fun schedule ->
-            let tracker =
-              Sched.Rp_tracker.create ~layout:rc.Engine.Region_ctx.rp_layout graph
-            in
-            Array.iter
-              (fun i -> Sched.Rp_tracker.schedule tracker i)
-              (Sched.Schedule.order schedule);
-            let ev, es =
-              Sched.Rp_tracker.peak_excess tracker ~target_vgpr:m.Sched.Objective.allow_vgpr
-                ~target_sgpr:m.Sched.Objective.allow_sgpr
-            in
-            (ev * m.Sched.Objective.vgpr_spill_cycles)
-            + (es * m.Sched.Objective.sgpr_spill_cycles) )
+  let rp_cost ~length:_ ~vgpr ~sgpr =
+    Sched.Objective.rp_scalar_of_peaks objective occ ~vgpr ~sgpr
   in
-  { colony; rp_cost; pass2_cost; pass2_extra_of_initial }
+  (* The cut-off costs every ant after every step: under the cliff the
+     term is 0, so the closure is the length alone. *)
+  let pass2_cost =
+    match objective with
+    | Sched.Objective.Cliff -> fun ~length ~vgpr:_ ~sgpr:_ -> length
+    | Sched.Objective.Spill _ | Sched.Objective.Weighted ->
+        fun ~length ~vgpr ~sgpr -> length + Sched.Objective.pass2_term objective occ ~vgpr ~sgpr
+  in
+  {
+    colony = Colony.prepare ~policy ~allow_optional_stalls:true ctx rc;
+    objective;
+    rc;
+    rp_cost;
+    pass2_cost;
+  }
 
 let run_order_pass st (req : Engine.Backend.order_request) =
   let order, _, stats =
@@ -54,7 +45,13 @@ let run_order_pass st (req : Engine.Backend.order_request) =
   in
   (order, stats)
 
+(* The initial schedule and the bound are costed like the ants: length
+   plus the objective's term, at the initial order's peaks and at the
+   region's RP lower bounds. *)
 let run_schedule_pass st (req : Engine.Backend.schedule_request) =
+  let rc = st.rc in
+  let occ = rc.Engine.Region_ctx.occ and graph = rc.Engine.Region_ctx.graph in
+  let initial_order = Sched.Schedule.order req.Engine.Backend.s_initial in
   let schedule, _, stats =
     Colony.run_pass st.colony.Colony.search
       ~iteration:
@@ -70,23 +67,25 @@ let run_schedule_pass st (req : Engine.Backend.schedule_request) =
       ~pass_label:req.Engine.Backend.s_label
       ~initial_cost:
         (req.Engine.Backend.s_initial_length
-        + st.pass2_extra_of_initial req.Engine.Backend.s_initial)
-      ~initial_order:(Sched.Schedule.order req.Engine.Backend.s_initial)
-      ~initial_artifact:req.Engine.Backend.s_initial
-      ~lb_cost:req.Engine.Backend.s_length_lb
+        + Sched.Objective.pass2_term_of_order st.objective
+            ~layout:rc.Engine.Region_ctx.rp_layout occ graph initial_order)
+      ~initial_order ~initial_artifact:req.Engine.Backend.s_initial
+      ~lb_cost:
+        (req.Engine.Backend.s_length_lb + Sched.Objective.pass2_term_lb st.objective occ graph)
   in
   (schedule, stats)
 
 let make_backend ~name:backend_name ~policy ?objective () : Engine.Backend.t =
+  let obj = Option.value objective ~default:Sched.Objective.Cliff in
   (module struct
     let name = backend_name
-    let caps = { Engine.Types.rp_pass = true; time_model = false }
+    let caps = { Engine.Types.rp_pass = Sched.Objective.rp_pass obj; time_model = false }
 
     let objective = objective
 
     type nonrec state = state
 
-    let prepare ctx rc = prepare ~policy ~objective ctx rc
+    let prepare ctx rc = prepare ~policy ~objective:obj ctx rc
     let run_order_pass = run_order_pass
     let run_schedule_pass = run_schedule_pass
     let teardown st = Colony.teardown st.colony

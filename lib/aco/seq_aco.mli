@@ -20,12 +20,13 @@ val make_backend :
   unit ->
   Engine.Backend.t
 (** A CPU-colony backend with the given registry name, pheromone policy
-    and (optional) RP objective. {!backend}, {!mmas_backend} and
-    {!mmas_spill_backend} are the instantiations the product registers;
-    the constructor is exposed so tests and experiments can build
-    others. Under a spill objective, pass 2 runs unconstrained (the
-    targets are {!Sched.Objective.no_target}) and its cost is schedule
-    length plus the priced spill traffic of each ant's peaks. *)
+    and objective (default {!Sched.Objective.Cliff}). {!backend},
+    {!mmas_backend}, {!mmas_spill_backend} and [Weighted_aco.backend]
+    are the instantiations the product registers; the constructor is
+    exposed so tests and experiments can build others. The objective
+    decides whether pass 1 runs ({!Sched.Objective.rp_pass}), and pass
+    2 costs every schedule — ants, the initial schedule and the bound —
+    as its length plus {!Sched.Objective.pass2_term} of its peaks. *)
 
 val backend : Engine.Backend.t
 (** The ["seq"] backend: RP pass, no time model, vanilla Ant System

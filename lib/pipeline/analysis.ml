@@ -26,15 +26,13 @@ type stats = {
 
 type cell = Computing | Ready of Engine.Region_ctx.t | Failed of exn
 
-type entry = { mutable e_cell : cell; mutable e_used : int }
+type entry = { mutable cell : cell }
 
 type t = {
-  capacity : int;
   metrics : Obs.Metrics.t;
   lock : Mutex.t;
   cond : Condition.t;
-  tbl : (string, entry) Hashtbl.t;
-  mutable tick : int;
+  tbl : (string, entry) Support.Lru.t;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -45,12 +43,10 @@ let default_capacity = 512
 
 let create ?(metrics = Obs.Metrics.null) ?(capacity = default_capacity) () =
   {
-    capacity = max 0 capacity;
     metrics;
     lock = Mutex.create ();
     cond = Condition.create ();
-    tbl = Hashtbl.create 64;
-    tick = 0;
+    tbl = Support.Lru.create capacity;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -59,127 +55,82 @@ let create ?(metrics = Obs.Metrics.null) ?(capacity = default_capacity) () =
 
 let disabled () = create ~capacity:0 ()
 
-let caching t = t.capacity > 0
-
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let caching t = Support.Lru.capacity t.tbl > 0
 
 (* Occupancy is part of the analysis (heuristic costs, RP bounds), so it
    salts the key; [Occupancy.t] is plain data, so Marshal is a faithful
    rendering. *)
-let key_of occ region =
-  let fingerprint = Engine.Region_ctx.fingerprint_of_region region in
-  (Digest.to_hex (Digest.string (Marshal.to_string occ [])) ^ ":" ^ fingerprint, fingerprint)
+let key_of occ fingerprint =
+  Digest.to_hex (Digest.string (Marshal.to_string occ [])) ^ ":" ^ fingerprint
 
-(* Lock held. Linear scan over the table: capacities are small (hundreds)
-   and eviction only happens on a miss that also ran a full analysis.
-   [Computing] entries are never victims — evicting one would let a
-   racing requester re-analyse the same region and break the
+(* A [Computing] cell is pinned: evicting it would let a racing
+   requester re-analyse the same region and break the
    once-per-distinct-region invariant (waiters also hold the entry). *)
-let evict_if_full t =
-  if Hashtbl.length t.tbl >= t.capacity then begin
-    let victim =
-      Hashtbl.fold
-        (fun k e acc ->
-          match e.e_cell with
-          | Computing -> acc
-          | Ready _ | Failed _ -> (
-              match acc with
-              | Some (_, best) when best <= e.e_used -> acc
-              | _ -> Some (k, e.e_used)))
-        t.tbl None
-    in
-    match victim with
-    | Some (k, _) ->
-        Hashtbl.remove t.tbl k;
-        t.evictions <- t.evictions + 1;
-        Obs.Metrics.incr t.metrics "analysis.cache.evictions"
-    | None -> ()
-  end
+let computing e = match e.cell with Computing -> true | Ready _ | Failed _ -> false
 
-(* Lock held (released around nothing — counters only). *)
-let count_miss t =
-  t.misses <- t.misses + 1;
-  t.computed <- t.computed + 1;
-  Obs.Metrics.incr t.metrics "analysis.cache.misses";
-  Obs.Metrics.incr t.metrics "analysis.cache.computed"
-
-let get t occ region =
-  let key, fingerprint = key_of occ region in
-  if t.capacity = 0 then begin
-    (* metering-only: count under the lock, analyse outside it *)
-    locked t (fun () ->
-        t.tick <- t.tick + 1;
-        count_miss t);
-    Engine.Region_ctx.of_region ~fingerprint occ region
-  end
-  else begin
-    Mutex.lock t.lock;
-    t.tick <- t.tick + 1;
-    match Hashtbl.find_opt t.tbl key with
-    | Some e ->
-        (* hit — possibly on a cell still computing: wait, don't
-           re-analyse. Waiting counts as a hit (no analysis ran). *)
-        e.e_used <- t.tick;
-        t.hits <- t.hits + 1;
-        Obs.Metrics.incr t.metrics "analysis.cache.hits";
-        let rec await () =
-          match e.e_cell with
-          | Ready rc ->
-              Mutex.unlock t.lock;
-              rc
-          | Failed exn ->
-              Mutex.unlock t.lock;
-              raise exn
-          | Computing ->
-              Condition.wait t.cond t.lock;
-              await ()
-        in
-        await ()
-    | None ->
-        count_miss t;
-        evict_if_full t;
-        let e = { e_cell = Computing; e_used = t.tick } in
-        Hashtbl.add t.tbl key e;
-        Mutex.unlock t.lock;
-        (* the expensive part, outside the lock *)
-        (match Engine.Region_ctx.of_region ~fingerprint occ region with
-        | rc ->
-            Mutex.lock t.lock;
-            e.e_cell <- Ready rc;
-            Condition.broadcast t.cond;
+let get t ?fingerprint occ region =
+  let fingerprint =
+    match fingerprint with Some f -> f | None -> Engine.Region_ctx.fingerprint_of_region region
+  in
+  let key = key_of occ fingerprint in
+  Mutex.lock t.lock;
+  match Support.Lru.find t.tbl key with
+  | Some e ->
+      (* hit — possibly on a cell still computing: wait, don't
+         re-analyse. Waiting counts as a hit (no analysis ran). *)
+      t.hits <- t.hits + 1;
+      Obs.Metrics.incr t.metrics "analysis.cache.hits";
+      let rec await () =
+        match e.cell with
+        | Ready rc ->
             Mutex.unlock t.lock;
             rc
-        | exception exn ->
-            (* waiters see [Failed] through their entry reference; the
-               table forgets the key so a later request may retry *)
-            Mutex.lock t.lock;
-            e.e_cell <- Failed exn;
-            Hashtbl.remove t.tbl key;
-            Condition.broadcast t.cond;
+        | Failed exn ->
             Mutex.unlock t.lock;
-            raise exn)
-  end
-
-let resident t =
-  locked t (fun () ->
-      Hashtbl.fold
-        (fun _ e acc ->
-          match e.e_cell with Ready rc -> (e.e_used, rc) :: acc | Computing | Failed _ -> acc)
-        t.tbl []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-      |> List.map snd)
+            raise exn
+        | Computing ->
+            Condition.wait t.cond t.lock;
+            await ()
+      in
+      await ()
+  | None ->
+      t.misses <- t.misses + 1;
+      t.computed <- t.computed + 1;
+      Obs.Metrics.incr t.metrics "analysis.cache.misses";
+      Obs.Metrics.incr t.metrics "analysis.cache.computed";
+      let e = { cell = Computing } in
+      if Support.Lru.add ~pinned:computing t.tbl key e then begin
+        t.evictions <- t.evictions + 1;
+        Obs.Metrics.incr t.metrics "analysis.cache.evictions"
+      end;
+      Mutex.unlock t.lock;
+      (* the expensive part, outside the lock *)
+      (match Engine.Region_ctx.of_region ~fingerprint occ region with
+      | rc ->
+          Mutex.lock t.lock;
+          e.cell <- Ready rc;
+          Condition.broadcast t.cond;
+          Mutex.unlock t.lock;
+          rc
+      | exception exn ->
+          (* waiters see [Failed] through their entry reference; the
+             table forgets the key so a later request may retry *)
+          Mutex.lock t.lock;
+          e.cell <- Failed exn;
+          Support.Lru.remove t.tbl key;
+          Condition.broadcast t.cond;
+          Mutex.unlock t.lock;
+          raise exn)
 
 let stats t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       {
         hits = t.hits;
         misses = t.misses;
         evictions = t.evictions;
         computed = t.computed;
-        entries = Hashtbl.length t.tbl;
-        capacity = t.capacity;
+        entries = Support.Lru.length t.tbl;
+        capacity = Support.Lru.capacity t.tbl;
       })
 
 let hit_rate (s : stats) =

@@ -17,10 +17,10 @@
     re-analysing. The compile-service invariant — a distinct region is
     analysed exactly once no matter how many domains or racing backends
     want its context — holds, while domains missing on {e different}
-    regions analyse concurrently. Eviction is LRU with a bounded entry
-    count (in-flight cells are never evicted); all traffic is counted
-    and mirrored into the registry's [analysis.cache.*] counters when
-    one is attached. *)
+    regions analyse concurrently. Eviction is {!Support.Lru}'s, with a
+    bounded entry count; a cell still computing is pinned, never
+    evicted. All traffic is counted and mirrored into the registry's
+    [analysis.cache.*] counters when one is attached. *)
 
 type t
 
@@ -36,9 +36,9 @@ type stats = {
 val default_capacity : int
 
 val create : ?metrics:Obs.Metrics.t -> ?capacity:int -> unit -> t
-(** [capacity <= 0] turns storage off: every {!get} computes (and
-    counts) but nothing is retained — the [--cache off] configuration,
-    still usable as a computation meter. *)
+(** [capacity <= 0] turns storage off: the table keeps nothing, so
+    every {!get} computes (and counts) — the [--cache off]
+    configuration, still usable as a computation meter. *)
 
 val disabled : unit -> t
 (** [create ~capacity:0 ()]. *)
@@ -46,19 +46,17 @@ val disabled : unit -> t
 val caching : t -> bool
 (** [capacity > 0]. *)
 
-val get : t -> Machine.Occupancy.t -> Ir.Region.t -> Engine.Region_ctx.t
+val get :
+  t -> ?fingerprint:string -> Machine.Occupancy.t -> Ir.Region.t -> Engine.Region_ctx.t
 (** The region's analysis context, from cache when a structurally equal
-    region was analysed before. A lookup that finds another domain's
-    analysis still in flight waits for it (and counts as a hit). Note
-    that a hit returns the context of the {e first} structurally-equal
-    region seen: instruction names may differ from the requester's
-    (everything the compiler emits — orders, slots, costs, stats — is
-    name-independent). *)
-
-val resident : t -> Engine.Region_ctx.t list
-(** The contexts the cache holds, least recently used first: looking
-    their regions up again in this order, in a fresh cache of the same
-    capacity, restores the recency order. Empty when caching is off. *)
+    region was analysed before. [fingerprint] is the region's
+    {!Engine.Region_ctx.fingerprint_of_region}, for a caller that
+    already hashed it; without it the region is hashed here. A lookup
+    that finds another domain's analysis still in flight waits for it
+    (and counts as a hit). Note that a hit returns the context of the
+    {e first} structurally-equal region seen: instruction names may
+    differ from the requester's (everything the compiler emits —
+    orders, slots, costs, stats — is name-independent). *)
 
 val stats : t -> stats
 

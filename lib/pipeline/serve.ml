@@ -22,7 +22,6 @@ type config = {
   deadline_slack : float;
   memo_capacity : int;
   state_dir : string option;
-  frame_limit : int;
   quality_ledger : string option;
 }
 
@@ -37,7 +36,6 @@ let default_config compile =
     deadline_slack = 4.0;
     memo_capacity = 512;
     state_dir = None;
-    frame_limit = Support.Frame.default_limit;
     quality_ledger = None;
   }
 
@@ -297,9 +295,7 @@ type t = {
   pool : Support.Domain_pool.t option;
   on_reply : reply -> unit;
   cache : Analysis.t;
-  memo : (string, compile_reply) Hashtbl.t;  (** the miss's reply, per key *)
-  memo_use : (string, int) Hashtbl.t;
-  mutable memo_tick : int;
+  memo : (string, compile_reply) Support.Lru.t;  (** the miss's reply, per key *)
   mutable memo_hits : int;
   mutable memo_misses : int;
   queue : (request * Ir.Region.t * string) Queue.t;
@@ -323,7 +319,7 @@ let served t = t.served
 let rejected t = t.rejected
 let tally t = t.tally
 let analysis_stats t = Analysis.stats t.cache
-let memo_stats t = (t.memo_hits, t.memo_misses, Hashtbl.length t.memo)
+let memo_stats t = (t.memo_hits, t.memo_misses, Support.Lru.length t.memo)
 
 let shed_point t =
   let cap = max 1 t.cfg.queue_capacity in
@@ -338,7 +334,6 @@ let shed_point t =
    3: the memo holds whole replies, under keys that hash the whole
    effective config. *)
 let persist_version = 3
-let regions_path dir = Filename.concat dir "analysis.blob"
 let memo_path dir = Filename.concat dir "memo.blob"
 
 let rec mkdir_p dir =
@@ -348,42 +343,27 @@ let rec mkdir_p dir =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
+(* Only the memo persists: its key needs no analysis (see [memo_key]),
+   so a warm restart answers a persisted request without analysing its
+   region. The memo's replies go least recently used first, so that
+   reloading them in order restores the recency order. *)
 let persist t =
   match t.cfg.state_dir with
   | None -> ()
   | Some dir -> (
       try
         mkdir_p dir;
-        (* the cache's resident regions, least recently used first, so
-           that reloading them in order restores the recency order *)
-        let regions =
-          List.map
-            (fun (rc : Engine.Region_ctx.t) ->
-              Ir.Parse.region_to_wire rc.Engine.Region_ctx.graph.Ddg.Graph.region)
-            (Analysis.resident t.cache)
-        in
-        Support.Blobfile.save ~kind:"serve-analysis" ~version:persist_version
-          (regions_path dir)
-          (Marshal.to_string (regions : string list) []);
-        (* the memo's replies, least recently used first, likewise *)
-        let memo =
-          Hashtbl.fold
-            (fun k e acc -> (Hashtbl.find t.memo_use k, (k, e)) :: acc)
-            t.memo []
-          |> List.sort (fun (a, _) (b, _) -> compare a b)
-          |> List.map snd
-        in
         Support.Blobfile.save ~kind:"serve-memo" ~version:persist_version
           (memo_path dir)
-          (Marshal.to_string (memo : (string * compile_reply) list) []);
+          (Marshal.to_string (Support.Lru.to_list t.memo : (string * compile_reply) list) []);
         Obs.Metrics.incr t.metrics "serve.persist.saved"
       with Sys_error _ -> Obs.Metrics.incr t.metrics "serve.persist.save_failed")
 
-(* Reload both cache levels. Decoding is defensive end to end: Blobfile
-   verifies kind/version/length/checksum, Marshal is wrapped, and every
-   region re-parses through the validating text parser — a stale,
+(* Reload the memo. Decoding is defensive end to end: Blobfile verifies
+   kind/version/length/checksum and Marshal is wrapped — a stale,
    truncated or corrupt file downgrades to a cold start plus a metric,
-   never an exception. *)
+   never an exception. Adding the entries oldest first restores their
+   recency, and a smaller memo keeps the newest. *)
 let load_state t =
   match t.cfg.state_dir with
   | None -> ()
@@ -392,29 +372,6 @@ let load_state t =
         Obs.Metrics.incr t.metrics "serve.persist.load_failed";
         t.persist_info <- "failed(" ^ what ^ ")"
       in
-      let regions_loaded = ref 0 and memo_loaded = ref 0 in
-      (match
-         Support.Blobfile.load ~kind:"serve-analysis" ~version:persist_version
-           (regions_path dir)
-       with
-      | Error Support.Blobfile.Missing -> ()
-      | Error e -> failed (Support.Blobfile.error_to_string e)
-      | Ok payload -> (
-          match
-            try Some (Marshal.from_string payload 0 : string list)
-            with _ -> None
-          with
-          | None -> failed "analysis payload undecodable"
-          | Some wires ->
-              List.iter
-                (fun wire ->
-                  match Ir.Parse.region_of_string wire with
-                  | Ok region ->
-                      ignore (Analysis.get t.cache t.cfg.compile.Compile.occ region);
-                      incr regions_loaded
-                  | Error _ ->
-                      Obs.Metrics.incr t.metrics "serve.persist.load_failed")
-                wires));
       (match
          Support.Blobfile.load ~kind:"serve-memo" ~version:persist_version
            (memo_path dir)
@@ -428,23 +385,10 @@ let load_state t =
           with
           | None -> failed "memo payload undecodable"
           | Some entries ->
-              (* least recently used first: stamping recency in list
-                 order restores it, and a smaller memo keeps the newest *)
-              let skip = List.length entries - t.cfg.memo_capacity in
-              List.iteri
-                (fun i (k, e) ->
-                  if i >= skip then begin
-                    Hashtbl.replace t.memo k e;
-                    t.memo_tick <- t.memo_tick + 1;
-                    Hashtbl.replace t.memo_use k t.memo_tick;
-                    incr memo_loaded
-                  end)
-                entries));
-      Obs.Metrics.add t.metrics "serve.persist.regions_loaded" !regions_loaded;
-      Obs.Metrics.add t.metrics "serve.persist.memo_loaded" !memo_loaded;
-      if !regions_loaded > 0 || !memo_loaded > 0 then
-        t.persist_info <-
-          Printf.sprintf "warm(%d-regions,%d-memo)" !regions_loaded !memo_loaded
+              List.iter (fun (k, e) -> ignore (Support.Lru.add t.memo k e)) entries));
+      let loaded = Support.Lru.length t.memo in
+      Obs.Metrics.add t.metrics "serve.persist.memo_loaded" loaded;
+      if loaded > 0 then t.persist_info <- Printf.sprintf "warm(%d-memo)" loaded
 
 let create ?(metrics = Obs.Metrics.null) ?(log = Obs.Log.null) ?pool
     ?(on_reply = fun _ -> ()) cfg =
@@ -457,9 +401,7 @@ let create ?(metrics = Obs.Metrics.null) ?(log = Obs.Log.null) ?pool
       pool;
       on_reply;
       cache = Analysis.create ~metrics ();
-      memo = Hashtbl.create 64;
-      memo_use = Hashtbl.create 64;
-      memo_tick = 0;
+      memo = Support.Lru.create cfg.memo_capacity;
       memo_hits = 0;
       memo_misses = 0;
       queue = Queue.create ();
@@ -488,49 +430,15 @@ let create ?(metrics = Obs.Metrics.null) ?(log = Obs.Log.null) ?pool
 (* ---- memo -------------------------------------------------------- *)
 
 (* The memo key must pin everything that can change the reply: the
-   region's structure (fingerprint), the region *name* (it is part of
-   the report and hence the digest), and the whole effective compile
-   configuration — a duplicate request with a different budget or
-   backend must miss. Marshal is structural, so equal values give equal
-   keys across process restarts (the memo persists). *)
+   region's structure (its fingerprint, the content address the
+   analysis cache also keys on, so a memo hit needs no analysis), the
+   region *name* (it is part of the report and hence the digest), and
+   the whole effective compile configuration — a duplicate request with
+   a different budget or backend must miss. Marshal is structural, so
+   equal values give equal keys across process restarts (the memo
+   persists). *)
 let memo_key (cfg : Compile.config) ~name fingerprint =
   fingerprint ^ "#" ^ Digest.to_hex (Digest.string (Marshal.to_string (name, cfg) []))
-
-let memo_find t key =
-  match Hashtbl.find_opt t.memo key with
-  | None -> None
-  | Some e ->
-      t.memo_tick <- t.memo_tick + 1;
-      Hashtbl.replace t.memo_use key t.memo_tick;
-      Some e
-
-let memo_store t key entry =
-  if t.cfg.memo_capacity > 0 then begin
-    if
-      (not (Hashtbl.mem t.memo key))
-      && Hashtbl.length t.memo >= t.cfg.memo_capacity
-    then begin
-      let victim =
-        Hashtbl.fold
-          (fun k tick acc ->
-            match acc with
-            | Some (_, best) when best <= tick -> acc
-            | _ -> Some (k, tick))
-          t.memo_use None
-      in
-      match victim with
-      | Some (k, _) ->
-          Hashtbl.remove t.memo k;
-          Hashtbl.remove t.memo_use k;
-          Obs.Metrics.incr t.metrics "serve.memo.evictions"
-      | None -> ()
-    end;
-    Hashtbl.replace t.memo key entry;
-    t.memo_tick <- t.memo_tick + 1;
-    Hashtbl.replace t.memo_use key t.memo_tick;
-    Obs.Metrics.set t.metrics "serve.memo.entries"
-      (float_of_int (Hashtbl.length t.memo))
-  end
 
 (* ---- replies ----------------------------------------------------- *)
 
@@ -593,7 +501,8 @@ let hit_reply t (req : request) (stored : compile_reply) =
    Deterministic in its inputs and touching only [t.metrics] (its
    registry carries its own mutex) and the domain-safe analysis cache —
    the batched pump runs several of these on the domain pool at once. *)
-let compute_miss t ?(log = Obs.Log.null) (cfg : Compile.config) rc name region =
+let compute_miss t ?(log = Obs.Log.null) (cfg : Compile.config) ~fingerprint name region =
+  let rc = Analysis.get t.cache ~fingerprint cfg.Compile.occ region in
   let n = Ir.Region.size region in
   let base = Robust.budget_for cfg.Compile.robust ~n in
   (* the request deadline: [deadline_slack] (at least 1) times the
@@ -668,7 +577,12 @@ let miss_reply t (req : request) name key (best, attempts, spent) =
       rep_memo = `Miss;
     }
   in
-  memo_store t key reply;
+  if t.cfg.memo_capacity > 0 then begin
+    if Support.Lru.add t.memo key reply then
+      Obs.Metrics.incr t.metrics "serve.memo.evictions";
+    Obs.Metrics.set t.metrics "serve.memo.entries"
+      (float_of_int (Support.Lru.length t.memo))
+  end;
   t.tally <- Robust.tally_add t.tally best.Compile.degradation;
   Compiled reply
 
@@ -729,7 +643,7 @@ let stats_body t =
     ("total-retries", string_of_int y.Robust.total_retries);
     ("memo-hits", string_of_int t.memo_hits);
     ("memo-misses", string_of_int t.memo_misses);
-    ("memo-entries", string_of_int (Hashtbl.length t.memo));
+    ("memo-entries", string_of_int (Support.Lru.length t.memo));
     ("analysis-hits", string_of_int astats.Analysis.hits);
     ("analysis-misses", string_of_int astats.Analysis.misses);
     ("persist", t.persist_info);
@@ -787,12 +701,14 @@ let region_of_source = function
 (* Batched pump over the domain pool. Three phases per batch:
 
      1. pop (in order) and classify: memo hit / first-in-batch miss /
-        in-batch duplicate of a miss. Classification probes the memo
-        without bumping its LRU clock — the bump happens in phase 3, in
-        pop order, exactly where the sequential pump would have bumped.
-     2. run the distinct misses' attempt loops on the pool. Each is
-        deterministic in its inputs, so which domain runs it cannot
-        change its reply.
+        in-batch duplicate of a miss. The memo key comes from the
+        region alone, so nothing is analysed here. Classification
+        probes the memo with [mem], which leaves its recency alone —
+        the bump happens in phase 3, in pop order, exactly where the
+        sequential pump would have bumped.
+     2. run the distinct misses' analyses and attempt loops on the
+        pool. Each is deterministic in its inputs, so which domain runs
+        it cannot change its reply.
      3. reply in pop order: hits and duplicates go through the memo
         (an in-batch duplicate replies [memo=hit], as it would have
         sequentially — the first occurrence stored its entry in this
@@ -807,9 +723,8 @@ let process_batch t pool ~limit =
     let req, region, name = Queue.pop t.queue in
     gauge_queue t;
     let cfg = effective_config t req in
-    let rc = Analysis.get t.cache cfg.Compile.occ region in
-    let key = memo_key cfg ~name rc.Engine.Region_ctx.fingerprint in
-    items := (req, region, name, cfg, rc, key) :: !items;
+    let fingerprint = Engine.Region_ctx.fingerprint_of_region region in
+    items := (req, region, name, cfg, fingerprint, memo_key cfg ~name fingerprint) :: !items;
     incr n
   done;
   let items = Array.of_list (List.rev !items) in
@@ -818,7 +733,7 @@ let process_batch t pool ~limit =
   let classes =
     Array.map
       (fun (_, _, _, _, _, key) ->
-        if Hashtbl.mem t.memo key then `Hit
+        if Support.Lru.mem t.memo key then `Hit
         else if t.cfg.memo_capacity > 0 && Hashtbl.mem seen key then `Dup
         else begin
           Hashtbl.replace seen key ();
@@ -839,8 +754,8 @@ let process_batch t pool ~limit =
     else Obs.Log.null
   in
   let compute i =
-    let req, region, name, cfg, rc, _ = items.(i) in
-    results.(i) <- Some (compute_miss t ~log:(req_log req) cfg rc name region)
+    let req, region, name, cfg, fingerprint, _ = items.(i) in
+    results.(i) <- Some (compute_miss t ~log:(req_log req) cfg ~fingerprint name region)
   in
   t.in_flight <- Array.length todo;
   Obs.Metrics.set t.metrics "serve.in_flight" (float_of_int t.in_flight);
@@ -858,21 +773,17 @@ let process_batch t pool ~limit =
   t.in_flight <- 0;
   Obs.Metrics.set t.metrics "serve.in_flight" 0.0;
   Array.iteri
-    (fun i (req, region, name, cfg, rc, key) ->
+    (fun i (req, region, name, cfg, fingerprint, key) ->
+      let stored =
+        match classes.(i) with `Compute -> None | `Hit | `Dup -> Support.Lru.find t.memo key
+      in
       let reply =
-        match classes.(i) with
-        | `Compute -> (
-            match results.(i) with
-            | Some r -> miss_reply t req name key r
-            | None ->
-                miss_reply t req name key
-                  (compute_miss t ~log:(req_log req) cfg rc name region))
-        | `Hit | `Dup -> (
-            match memo_find t key with
-            | Some stored -> hit_reply t req stored
-            | None ->
-                miss_reply t req name key
-                  (compute_miss t ~log:(req_log req) cfg rc name region))
+        match (stored, results.(i)) with
+        | Some stored, _ -> hit_reply t req stored
+        | None, Some r -> miss_reply t req name key r
+        | None, None ->
+            miss_reply t req name key
+              (compute_miss t ~log:(req_log req) cfg ~fingerprint name region)
       in
       send t reply)
     items;

@@ -31,20 +31,24 @@
       deadline, and the best attempt by (severity, cost) ships. A
       fault-free degraded attempt ships at once: a retry would replay
       the same compile on the same or a smaller budget.
-    - {b Memoisation}: a second-level schedule memo over the PR-5
-      analysis cache, keyed on (structural fingerprint, request name,
+    - {b Memoisation}: a schedule memo ({!Support.Lru}, [memo_capacity]
+      entries) keyed on (the region's content address
+      {!Engine.Region_ctx.fingerprint_of_region}, request name,
       effective compile configuration). The memo stores the miss's
       {!compile_reply}; a hit replays it — report digest included —
-      under the request's id, with 0 attempts and 0 latency, without
-      touching ACO.
+      under the request's id, with 0 attempts and 0 latency, touching
+      neither the {!Analysis} cache nor ACO. Only a miss or a shed
+      analyses its region, through the service's analysis cache.
     - {b Persistence}: with a [state_dir], {!drain} (and {!persist})
-      writes both cache levels through {!Support.Blobfile} (checksummed,
-      atomically renamed): the regions of the analysis cache's resident
-      contexts ({!Analysis.resident}) and the memo's replies, each
-      least recently used first. {!create} reloads them in that order,
-      so both recency orders survive (a smaller memo keeps the newest
-      replies); a missing, corrupt, truncated or version-skewed file
-      counts a metric and starts cold — it never raises.
+      writes the memo's replies, least recently used first, through
+      {!Support.Blobfile} (checksummed, atomically renamed) to
+      [memo.blob]. {!create} reloads them in that order, so the recency
+      order survives (a smaller memo keeps the newest replies) and a
+      warm restart answers a persisted request without analysing
+      anything; a missing, corrupt, truncated or version-skewed file
+      counts a metric and starts cold — it never raises. The analysis
+      cache is not persisted: a restart analyses a region again only
+      when a miss or a shed needs it.
     - {b Drain}: {!drain} finishes every queued request, refuses new
       ones with a typed [shutting-down] reply, persists state and emits
       a final [bye] reply with the full degradation tally.
@@ -75,7 +79,6 @@ type config = {
           retries stop when the next attempt cannot fit *)
   memo_capacity : int;  (** schedule-memo entries (LRU; 0 disables) *)
   state_dir : string option;  (** persistence directory; [None] = off *)
-  frame_limit : int;  (** max accepted frame payload, bytes *)
   quality_ledger : string option;
       (** JSONL file that every computed miss appends a
           {!Quality.record} to; [None] = off. Writes are append-only on
@@ -86,7 +89,7 @@ type config = {
 val default_config : Compile.config -> config
 (** Queue of 64, 4 in flight, shed at 75%, 2 retries from a 50µs base
     backoff, slack 4.0, 512 memo entries, no persistence, no quality
-    ledger, {!Support.Frame.default_limit}. *)
+    ledger. *)
 
 (** {1 Protocol} *)
 
@@ -184,9 +187,9 @@ val create :
   ?on_reply:(reply -> unit) ->
   config ->
   t
-(** A fresh service. With a [state_dir], previously persisted analysis
-    regions and memo entries are reloaded (failures count
-    [serve.persist.load_failed] and start cold). [on_reply] receives
+(** A fresh service. With a [state_dir], previously persisted memo
+    entries are reloaded (failures count [serve.persist.load_failed]
+    and start cold). [on_reply] receives
     every reply, in order; default ignores them.
 
     [log] (default disabled) receives the service's structured event
@@ -245,7 +248,7 @@ val drain : t -> unit
     [err code=shutting-down], so it still gets exactly one reply. *)
 
 val persist : t -> unit
-(** Write both cache levels to [state_dir] now (no-op without one).
+(** Write the memo to [state_dir] now (no-op without one).
     {!drain} calls this; long-lived pumps may checkpoint earlier. *)
 
 (** {1 Introspection} *)

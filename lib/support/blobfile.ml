@@ -34,12 +34,18 @@ let save ~kind ~version path payload =
   check_kind kind;
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc "%s %s %d %d %s\n" magic kind version (String.length payload)
-        (Digest.to_hex (Digest.string payload));
-      output_string oc payload);
+  (* A checked close: a write that fails only at the final flush (a full
+     disk) must not reach the rename, or it would replace the previous
+     blob with a truncated one. *)
+  (try
+     Printf.fprintf oc "%s %s %d %d %s\n" magic kind version (String.length payload)
+       (Digest.to_hex (Digest.string payload));
+     output_string oc payload;
+     close_out oc
+   with Sys_error _ as e ->
+     close_out_noerr oc;
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
   (* Atomic on POSIX: readers see the old blob or the new one, never a
      half-written file — the crash-safety half of the contract. *)
   Sys.rename tmp path

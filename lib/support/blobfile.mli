@@ -27,7 +27,9 @@ val save : kind:string -> version:int -> string -> string -> unit
 (** [save ~kind ~version path payload] writes atomically; the file is
     either the complete new blob or untouched. [kind] must be a single
     token (no spaces/newlines). Raises [Sys_error] only for real I/O
-    failures (permissions, missing directory). *)
+    failures (permissions, missing directory, a full disk — a failure
+    at the final flush included); the temp file is then removed and
+    the previous blob stays in place. *)
 
 val load : kind:string -> version:int -> string -> (string, error) result
 (** Read back a payload saved with the same [kind] and [version]. *)

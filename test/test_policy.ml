@@ -343,7 +343,7 @@ let test_mmas_colony_runs () =
   Array.iteri (fun i s -> if not s then Alcotest.failf "instruction %d missing" i) seen
 
 (* ------------------------------------------------------------------ *)
-(* Spill-aware objective arithmetic and the tracker's peak_excess. *)
+(* The objectives' arithmetic and the tracker's peak_excess. *)
 
 let spill_model =
   {
@@ -364,19 +364,28 @@ let test_objective_arithmetic () =
   Alcotest.(check int)
     "cliff scalar unchanged" (Sched.Cost.rp_scalar r)
     (Sched.Objective.rp_scalar Sched.Objective.Cliff r);
-  Alcotest.(check (pair int int))
-    "spill pass 2 is unconstrained"
-    (Sched.Objective.no_target, Sched.Objective.no_target)
-    (Sched.Objective.breach_targets spill r);
-  Alcotest.(check (pair int int))
-    "cliff pass 2 targets the achieved APRP" (12, 4)
-    (Sched.Objective.breach_targets Sched.Objective.Cliff r);
-  Alcotest.(check int)
-    "spill cycles price per-class excess"
-    ((2 * 4) + (2 * 2))
-    (Sched.Objective.spill_cycles spill ~vgpr:12 ~sgpr:7);
-  Alcotest.(check int) "cliff never spills" 0
-    (Sched.Objective.spill_cycles Sched.Objective.Cliff ~vgpr:12 ~sgpr:7)
+  let unconstrained = (Sched.Objective.no_target, Sched.Objective.no_target) in
+  List.iter
+    (fun (what, obj, rp_pass, targets, term) ->
+      Alcotest.(check bool) (what ^ ": RP pass") rp_pass (Sched.Objective.rp_pass obj);
+      Alcotest.(check (pair int int))
+        (what ^ ": pass-2 targets") targets
+        (Sched.Objective.breach_targets obj r);
+      Alcotest.(check int)
+        (what ^ ": pass-2 term") term
+        (Sched.Objective.pass2_term obj Tu.occ ~vgpr:12 ~sgpr:7))
+    [
+      (* the cliff targets the achieved APRP and never adds a term *)
+      ("cliff", Sched.Objective.Cliff, true, (12, 4), 0);
+      (* spill runs pass 2 unconstrained and prices per-class excess *)
+      ("spill", spill, true, unconstrained, (2 * 4) + (2 * 2));
+      (* the weighted sum has no RP pass and adds the RP scalar *)
+      ( "weighted",
+        Sched.Objective.Weighted,
+        false,
+        unconstrained,
+        Sched.Cost.rp_scalar_of_peaks Tu.occ ~vgpr:12 ~sgpr:7 );
+    ]
 
 let test_peak_excess () =
   let graph = Ddg.Graph.build (Tu.diamond_region ()) in

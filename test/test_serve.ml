@@ -466,6 +466,9 @@ let test_persistence_roundtrip () =
             original.Pipeline.Serve.rep_digest r.Pipeline.Serve.rep_digest
       | rs -> Alcotest.failf "expected 1 reply, got %d" (List.length rs))
 
+(* Each way the memo file can be wrong counts exactly one load failure
+   and starts cold: a truncated memo, then a version-skewed one. An
+   analysis blob an older build left in the state dir is ignored. *)
 let test_persistence_corruption_starts_cold () =
   with_state_dir (fun dir ->
       let cfg = serve_cfg ~state_dir:dir (compile_cfg ()) in
@@ -473,27 +476,33 @@ let test_persistence_corruption_starts_cold () =
       Pipeline.Serve.handle srv1 (spec_req "histogram" 16 9);
       ignore (Pipeline.Serve.process srv1);
       Pipeline.Serve.drain srv1;
-      (* truncate one blob and version-skew the other: a restart must
-         count the failures and start cold, never raise *)
+      Support.Blobfile.save ~kind:"serve-analysis" ~version:999
+        (Filename.concat dir "analysis.blob")
+        "stale payload from some future build";
+      (* a restart that is never drained, so it leaves the file alone *)
+      let restart what =
+        let metrics = Obs.Metrics.create () in
+        let srv2, replies2 = mk ~metrics cfg in
+        Alcotest.(check int)
+          (what ^ ": one failure counted")
+          1
+          (counter metrics "serve.persist.load_failed");
+        Pipeline.Serve.handle srv2 (spec_req "histogram" 16 9);
+        ignore (Pipeline.Serve.process srv2);
+        match compiled (replies2 ()) with
+        | [ r ] ->
+            if r.Pipeline.Serve.rep_memo <> `Miss then
+              Alcotest.failf "%s: corrupt state must mean a cold compile" what
+        | rs -> Alcotest.failf "%s: expected 1 reply, got %d" what (List.length rs)
+      in
       let memo = Filename.concat dir "memo.blob" in
       let raw = In_channel.with_open_bin memo In_channel.input_all in
       Out_channel.with_open_bin memo (fun oc ->
           Out_channel.output_string oc (String.sub raw 0 (String.length raw / 2)));
-      Support.Blobfile.save ~kind:"serve-analysis" ~version:999
-        (Filename.concat dir "analysis.blob")
+      restart "truncated memo";
+      Support.Blobfile.save ~kind:"serve-memo" ~version:999 memo
         "stale payload from some future build";
-      let metrics = Obs.Metrics.create () in
-      let srv2, replies2 = mk ~metrics cfg in
-      Alcotest.(check bool) "failures counted" true
-        (counter metrics "serve.persist.load_failed" >= 2);
-      Pipeline.Serve.handle srv2 (spec_req "histogram" 16 9);
-      ignore (Pipeline.Serve.process srv2);
-      match compiled (replies2 ()) with
-      | [ r ] -> (
-          match r.Pipeline.Serve.rep_memo with
-          | `Miss -> ()
-          | _ -> Alcotest.fail "corrupt state must mean a cold compile")
-      | rs -> Alcotest.failf "expected 1 reply, got %d" (List.length rs))
+      restart "version-skewed memo")
 
 (* --- observability verbs and the quality ledger --------------------------- *)
 
@@ -670,52 +679,34 @@ let test_client_counters_bounded () =
   Alcotest.(check int) "every request counted once" requests
     (List.fold_left (fun acc name -> acc + counter metrics name) 0 per_client)
 
-(* After more distinct regions than the analysis cache holds, the state
-   dir keeps the cache's resident regions, not the first ones analysed:
-   a restart finds the newest region in its cache and misses on the
-   least recently used one, which the first daemon had evicted. *)
-let test_persistence_keeps_resident_regions () =
-  let capacity = Pipeline.Analysis.default_capacity in
-  let seeds = List.init (capacity + 100) (fun i -> i + 1) in
-  let fingerprint seed =
-    match Workload.Shapes.of_spec ~name:"transform" ~size:40 ~seed with
-    | Some region -> Engine.Region_ctx.fingerprint_of_region region
-    | None -> Alcotest.fail "transform is a known shape"
-  in
-  (* each distinct region's last use; the earliest of them is the LRU
-     victim once more than [capacity] distinct regions were analysed *)
-  let last_use = Hashtbl.create 1024 in
-  List.iter (fun seed -> Hashtbl.replace last_use (fingerprint seed) seed) seeds;
-  Alcotest.(check bool) "more distinct regions than the cache holds" true
-    (Hashtbl.length last_use > capacity);
-  let evicted = Hashtbl.fold (fun _ seed acc -> min seed acc) last_use max_int in
-  let newest = List.nth seeds (List.length seeds - 1) in
+(* A warm restart answers a persisted request from the memo alone: the
+   same request replays the first reply's digest as a memo hit, and no
+   region is analysed, neither at startup nor for the hit. *)
+let test_warm_memo_hit_runs_no_analysis () =
   with_state_dir (fun dir ->
       let cfg = serve_cfg ~state_dir:dir (compile_cfg ()) in
-      let srv1, _ = mk cfg in
-      List.iter
-        (fun seed ->
-          Pipeline.Serve.handle srv1 (spec_req ~id:(string_of_int seed) "transform" 40 seed);
-          ignore (Pipeline.Serve.process srv1))
-        seeds;
-      Alcotest.(check bool) "the first daemon evicted regions" true
-        ((Pipeline.Serve.analysis_stats srv1).Pipeline.Analysis.evictions > 0);
-      Pipeline.Serve.drain srv1;
-      let metrics = Obs.Metrics.create () in
-      let srv2, _ = mk ~metrics cfg in
-      Alcotest.(check int) "a full cache reloads" capacity
-        (int_of_float
-           (Option.fold ~none:0.0 ~some:Obs.Metrics.value
-              (Obs.Metrics.get metrics "serve.persist.regions_loaded")));
-      let lookup seed =
-        let before = Pipeline.Serve.analysis_stats srv2 in
-        Pipeline.Serve.handle srv2 (spec_req ~id:"again" "transform" 40 seed);
-        ignore (Pipeline.Serve.process srv2);
-        let after = Pipeline.Serve.analysis_stats srv2 in
-        after.Pipeline.Analysis.hits - before.Pipeline.Analysis.hits
+      let ask srv =
+        Pipeline.Serve.handle srv (spec_req "matmul" 18 4);
+        ignore (Pipeline.Serve.process srv)
       in
-      Alcotest.(check int) "the newest region was reloaded" 1 (lookup newest);
-      Alcotest.(check int) "the evicted region was not" 0 (lookup evicted))
+      let srv1, replies1 = mk cfg in
+      ask srv1;
+      Pipeline.Serve.drain srv1;
+      let closures = Ddg.Closure.compute_count () in
+      let srv2, replies2 = mk cfg in
+      ask srv2;
+      match (compiled (replies1 ()), compiled (replies2 ())) with
+      | [ first ], [ again ] ->
+          Alcotest.(check bool) "the restart hits the memo" true
+            (again.Pipeline.Serve.rep_memo = `Hit);
+          Alcotest.(check string) "the first reply's digest"
+            first.Pipeline.Serve.rep_digest again.Pipeline.Serve.rep_digest;
+          Alcotest.(check int) "no closure computed" 0
+            (Ddg.Closure.compute_count () - closures);
+          let a = Pipeline.Serve.analysis_stats srv2 in
+          Alcotest.(check (pair int int)) "no analysis cache traffic" (0, 0)
+            (a.Pipeline.Analysis.hits, a.Pipeline.Analysis.misses)
+      | _ -> Alcotest.fail "expected one compile reply per service")
 
 (* Without faults a retry would replay the same compile on the same or
    a smaller budget, so a budget-stopped attempt ships at once, as a
@@ -830,6 +821,39 @@ let test_duplicate_stream_replays_direct_digests () =
   Alcotest.(check bool) "at most one memo miss per distinct request" true
     (misses <= List.length specs)
 
+(* A write that fails at the final flush must raise and leave the
+   previous state file as it was: here the temp file is a symlink to
+   /dev/full, so the checked close raises ENOSPC. Nothing loads the
+   path: had the failed save renamed the symlink over it, reading it
+   would never end. *)
+let test_blobfile_failed_write_keeps_old () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let path = tmp_name "blob" in
+  let tmp = path ^ ".tmp" in
+  let exists f =
+    match Unix.lstat f with
+    | _ -> true
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> false
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun f -> if exists f then Sys.remove f) [ path; tmp ])
+  @@ fun () ->
+  Support.Blobfile.save ~kind:"k" ~version:1 path "old state";
+  let old = In_channel.with_open_bin path In_channel.input_all in
+  Unix.symlink "/dev/full" tmp;
+  (match Support.Blobfile.save ~kind:"k" ~version:1 path "new state" with
+  | () -> Alcotest.fail "a write that fails at the flush must raise"
+  | exception Sys_error _ -> ());
+  Alcotest.(check bool) "the state file is still a regular file" true
+    ((Unix.lstat path).Unix.st_kind = Unix.S_REG);
+  let bytes =
+    In_channel.with_open_bin path (fun ic ->
+        let buf = Bytes.create 4096 in
+        Bytes.sub_string buf 0 (In_channel.input ic buf 0 4096))
+  in
+  Alcotest.(check string) "the state file holds the old bytes" old bytes;
+  Alcotest.(check bool) "no temp file is left" false (exists tmp)
+
 (* After the drain, every further frame is answered exactly once: a
    second shutdown is refused like a late compile, since the one bye
    already went out. *)
@@ -893,8 +917,8 @@ let suite =
   @ [
       Alcotest.test_case "per-client counters stay bounded" `Quick
         test_client_counters_bounded;
-      Alcotest.test_case "persistence keeps the cache's resident regions" `Quick
-        test_persistence_keeps_resident_regions;
+      Alcotest.test_case "a warm restart's memo hit runs no analysis" `Quick
+        test_warm_memo_hit_runs_no_analysis;
       Alcotest.test_case "a fault-free budget stop ships without retrying" `Quick
         test_fault_free_budget_stop_ships_at_once;
       Alcotest.test_case "persistence keeps the memo's recency order" `Quick
@@ -903,4 +927,6 @@ let suite =
         test_duplicate_stream_replays_direct_digests;
       Alcotest.test_case "every frame after the drain gets one reply" `Quick
         test_every_frame_answered_after_drain;
+      Alcotest.test_case "a failed blob write keeps the old file" `Quick
+        test_blobfile_failed_write_keeps_old;
     ]

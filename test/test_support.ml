@@ -402,6 +402,88 @@ let test_tablefmt () =
   Alcotest.(check string) "thousands" "181,883" (Support.Tablefmt.int 181883);
   Alcotest.(check string) "negative thousands" "-1,234" (Support.Tablefmt.int (-1234))
 
+(* Support.Lru against a list model, least recently used first: [find]
+   and [add] move a key to the back, [mem] leaves the order alone, a new
+   key at capacity evicts the first entry that is not pinned (a value
+   carries its own pin), and a capacity <= 0 keeps nothing. *)
+type lru_op = Find of int | Mem of int | Add of int * bool | Remove of int
+
+let lru_bumped = ref 0
+let lru_skipped_pin = ref 0
+let lru_dropped = ref 0
+
+let prop_lru_model =
+  let op =
+    QCheck.Gen.(
+      let key = int_bound 5 in
+      frequency
+        [
+          (3, map (fun k -> Find k) key);
+          (2, map (fun k -> Mem k) key);
+          (5, map2 (fun k p -> Add (k, p = 0)) key (int_bound 3));
+          (1, map (fun k -> Remove k) key);
+        ])
+  in
+  let print_op = function
+    | Find k -> Printf.sprintf "find %d" k
+    | Mem k -> Printf.sprintf "mem %d" k
+    | Add (k, p) -> Printf.sprintf "add%s %d" (if p then " pinned" else "") k
+    | Remove k -> Printf.sprintf "remove %d" k
+  in
+  QCheck.Test.make ~name:"lru matches a list model" ~count:300
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "capacity %d: %s" cap (String.concat "; " (List.map print_op ops)))
+       QCheck.Gen.(pair (int_range (-1) 4) (list_size (int_bound 30) op)))
+    (fun (capacity, ops) ->
+      let t = Support.Lru.create capacity in
+      (* (key, (stamp, pinned)), least recently used first *)
+      let model = ref [] in
+      let touch k v = model := List.remove_assoc k !model @ [ (k, v) ] in
+      let step i op =
+        match op with
+        | Find k ->
+            let expect = List.assoc_opt k !model in
+            (match !model with
+            | (lru, _) :: _ :: _ when lru = k -> incr lru_bumped
+            | _ -> ());
+            Option.iter (touch k) expect;
+            Support.Lru.find t k = expect
+        | Mem k -> Support.Lru.mem t k = List.mem_assoc k !model
+        | Remove k ->
+            Support.Lru.remove t k;
+            model := List.remove_assoc k !model;
+            true
+        | Add (k, pinned) ->
+            let v = (i, pinned) in
+            let evicted =
+              if capacity <= 0 then begin
+                incr lru_dropped;
+                false
+              end
+              else begin
+                let victim =
+                  if List.mem_assoc k !model || List.length !model < capacity then None
+                  else List.find_opt (fun (_, (_, p)) -> not p) !model
+                in
+                (match (victim, !model) with
+                | Some (vk, _), (first, _) :: _ when vk <> first -> incr lru_skipped_pin
+                | _ -> ());
+                Option.iter (fun (vk, _) -> model := List.remove_assoc vk !model) victim;
+                touch k v;
+                victim <> None
+              end
+            in
+            Support.Lru.add ~pinned:snd t k v = evicted
+      in
+      Support.Lru.capacity t = max 0 capacity
+      && List.for_all
+           (fun (i, op) ->
+             step i op
+             && Support.Lru.to_list t = !model
+             && Support.Lru.length t = List.length !model)
+           (List.mapi (fun i op -> (i, op)) ops))
+
 let suite =
   [
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
@@ -441,3 +523,12 @@ let suite =
         prop_stats_geomean_le_mean;
         prop_pqueue_sorted;
       ]
+  @ [
+      Tu.qtest_witnessed_all
+        [
+          (lru_bumped, "a find that moves the least recently used entry");
+          (lru_skipped_pin, "an eviction past a pinned entry");
+          (lru_dropped, "an add dropped at capacity <= 0");
+        ]
+        prop_lru_model;
+    ]

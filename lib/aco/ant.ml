@@ -67,8 +67,16 @@ type t = {
   store : Support.Arena.t;  (* the colony's store, shared by every lane *)
   rl : Sched.Ready_list.t;  (* latency-aware in pass 2 only; set at [start] *)
   rp : Sched.Rp_tracker.t;
-  ctx : Sched.Heuristic.ctx;
-  cand : int array;  (* scratch: candidate slice, ready order *)
+  shared : shared;  (* the colony's: critical path, eta^beta rows *)
+  (* The store's ints, where the ready list and the tracker keep their
+     state: the step reads the ready prefix and the pressures there, in
+     place, instead of copying the prefix or calling a query. *)
+  ints : int array;
+  ready_at : int;  (* the ready prefix starts here *)
+  press_at : int;
+      (* current VGPR and SGPR pressure, then the two peaks
+         ([Sched.Rp_tracker.pressure_base]) *)
+  cand : int array;  (* scratch: pass 2's fitting candidates, ready order *)
   (* The unboxed data plane: two rows of the store's score matrix,
      addressed by flat row bases. Row 0 is the selection scratch —
      tau^a * eta^b per candidate in columns [0..ub-1], the roulette
@@ -84,9 +92,6 @@ type t = {
          cross-module inlining ([-opaque] dev builds) *)
   score_base : int;
   luc_base : int;
-  eta_cp : float array;  (* the colony's eta^beta rows *)
-  eta_so : float array;
-  tails : int array;  (* the colony's length-bound tails *)
   mutable rng : Support.Rng.t;
   mutable heuristic : Sched.Heuristic.kind;
   mutable allow_optional : bool;
@@ -122,25 +127,26 @@ let unstarted = Support.Rng.create 0
 
 (* Lane [lane] of [store]: its tracker and ready list are the next two
    int segments, its score rows are rows [2 lane] and [2 lane + 1]. *)
-let carve shared store params lane =
+let carve shared store params ~ring lane =
   let graph = shared.s_graph in
   let fm = Support.Arena.scores store in
   let row0 = lane * score_rows in
   let rp = Sched.Rp_tracker.create_in store shared.s_layout in
+  let rl = Sched.Ready_list.create_in ~ring ~tails:shared.s_tails store graph in
   {
     graph;
     params;
     store;
-    rl = Sched.Ready_list.create_in store graph;
+    rl;
     rp;
-    ctx = Sched.Heuristic.make_ctx ~cp:shared.s_cp graph rp;
+    shared;
+    ints = Support.Arena.ints store;
+    ready_at = Sched.Ready_list.ready_offset rl;
+    press_at = Sched.Rp_tracker.pressure_base rp;
     cand = Array.make (max 1 shared.s_ready_ub) 0;
     fd = fm.Support.Fmat.data;
     score_base = Support.Fmat.row_base fm row0;
     luc_base = Support.Fmat.row_base fm (row0 + 1);
-    eta_cp = shared.s_eta_cp;
-    eta_so = shared.s_eta_so;
-    tails = shared.s_tails;
     rng = unstarted;
     heuristic = params.Engine.Params.heuristic;
     allow_optional = true;
@@ -162,7 +168,8 @@ let lanes shared ~count params =
     Support.Arena.take ~ints:(count * int_demand shared) ~rows:(count * score_rows)
       ~cols:(score_cols shared)
   in
-  Array.init count (carve shared store params)
+  (* one edge scan sizes every lane's pending ring *)
+  Array.init count (carve shared store params ~ring:(Sched.Ready_list.ring_size shared.s_graph))
 
 (* Every lane of one [lanes] call shares the store. *)
 let release ants = if Array.length ants > 0 then Support.Arena.give ants.(0).store
@@ -193,8 +200,8 @@ let effective_heuristic t =
   match t.mode with
   | Rp_pass -> t.heuristic
   | Ilp_pass { target_vgpr; target_sgpr } ->
-      let headroom_v = target_vgpr - Sched.Rp_tracker.current t.rp Ir.Reg.Vgpr in
-      let headroom_s = target_sgpr - Sched.Rp_tracker.current t.rp Ir.Reg.Sgpr in
+      let headroom_v = target_vgpr - t.ints.(t.press_at) in
+      let headroom_s = target_sgpr - t.ints.(t.press_at + 1) in
       if headroom_v <= 2 || headroom_s <= 8 then Sched.Heuristic.Last_use_count
       else t.heuristic
 
@@ -208,19 +215,21 @@ let[@inline] unit_float rng = float_of_int (Support.Rng.float_bits rng) *. 0x1p-
    tau^alpha * eta^beta), otherwise explore (roulette wheel over the same
    values). *)
 
-(* Selection over the candidate slice [t.cand.(0 .. m-1)]: fill the
-   score row with tau^a * eta^b, then exploit (argmax, first maximum
-   wins) or explore (roulette wheel). Every float lives in the Fmat —
-   raw unboxed loads and stores throughout, no boxing, no allocation.
-   The float-operation order matches the seed's list folds exactly, so
-   the constructed schedules are byte-identical. *)
-let select_slice t ~pheromone ~explored m =
+(* Selection over the candidate slice [src.(base .. base+m-1)] (the
+   ready prefix in the store, or pass 2's fitting candidates in
+   [t.cand]): fill the score row with tau^a * eta^b, then exploit
+   (argmax, first maximum wins) or explore (roulette wheel). Every float
+   lives in the Fmat — raw unboxed loads and stores throughout, no
+   boxing, no allocation. The float-operation order matches the seed's
+   list folds exactly, so the constructed schedules are
+   byte-identical. *)
+let select_slice t ~pheromone ~explored ~src ~base m =
   if m = 0 then invalid_arg "Ant.select: empty candidate list"
-  else if m = 1 then t.cand.(0)
+  else if m = 1 then src.(base)
   else begin
     let heuristic = effective_heuristic t in
     let ph = (Pheromone.mat pheromone).Support.Fmat.data in
-    let base = Pheromone.row_base pheromone ~src:t.last in
+    let row = Pheromone.row_base pheromone ~src:t.last in
     let alpha = t.params.Engine.Params.alpha in
     let fd = t.fd in
     let sb = t.score_base in
@@ -231,18 +240,21 @@ let select_slice t ~pheromone ~explored m =
        scratch row. *)
     (match heuristic with
     | Sched.Heuristic.Critical_path | Sched.Heuristic.Source_order ->
-        let eta = if heuristic = Sched.Heuristic.Critical_path then t.eta_cp else t.eta_so in
+        let eta =
+          if heuristic = Sched.Heuristic.Critical_path then t.shared.s_eta_cp
+          else t.shared.s_eta_so
+        in
         for k = 0 to m - 1 do
-          let i = Array.unsafe_get t.cand k in
-          let tau = A1.unsafe_get ph (base + i) in
+          let i = Array.unsafe_get src (base + k) in
+          let tau = A1.unsafe_get ph (row + i) in
           A1.unsafe_set fd (sb + k) (pow_fast tau alpha *. Array.unsafe_get eta i)
         done
     | Sched.Heuristic.Last_use_count ->
         let beta = t.params.Engine.Params.beta in
-        Sched.Heuristic.fill_luc_eta_mat t.ctx ~cand:t.cand ~n:m
-          ~mat:(Support.Arena.scores t.store) ~base:t.luc_base;
+        Sched.Heuristic.fill_luc_eta_mat t.rp ~cp:t.shared.s_cp ~src ~base ~n:m ~mat:fd
+          ~dst:t.luc_base;
         for k = 0 to m - 1 do
-          let tau = A1.unsafe_get ph (base + Array.unsafe_get t.cand k) in
+          let tau = A1.unsafe_get ph (row + Array.unsafe_get src (base + k)) in
           A1.unsafe_set fd (sb + k)
             (pow_fast tau alpha *. pow_fast (A1.unsafe_get fd (t.luc_base + k)) beta)
         done);
@@ -271,21 +283,21 @@ let select_slice t ~pheromone ~explored m =
           A1.unsafe_set fd acc (A1.unsafe_get fd acc +. A1.unsafe_get fd (sb + !k));
           if A1.unsafe_get fd acc >= target then chosen := !k else incr k
         done;
-        t.cand.(!chosen)
+        src.(base + !chosen)
       end
       else
         (* Degenerate wheel: every value is zero (e.g. the row's
            pheromone underflowed), so the wheel would silently pick the
            first candidate every time. Fall back to a uniform pick,
            reusing the single draw the wheel consumes. *)
-        t.cand.(min (m - 1) (int_of_float (u *. float_of_int m)))
+        src.(base + min (m - 1) (int_of_float (u *. float_of_int m)))
     end
     else begin
       let bk = ref 0 in
       for k = 1 to m - 1 do
         if A1.unsafe_get fd (sb + k) > A1.unsafe_get fd (sb + !bk) then bk := k
       done;
-      t.cand.(!bk)
+      src.(base + !bk)
     end
   end
 
@@ -324,22 +336,22 @@ let step t ~pheromone ~force_explore ~ready_limit =
     | Rp_pass when ready_limit >= 1 && ready_limit < rn -> ready_limit
     | Rp_pass | Ilp_pass _ -> rn
   in
-  Sched.Ready_list.blit_ready rl t.cand m;
   (* The exploration coin is drawn before the mode dispatch (even for a
      mandatory stall) so the RNG stream is independent of the decision —
-     part of the construction's byte-identity contract. *)
+     part of the construction's byte-identity contract. [unit_float]
+     is [Rng.bool]'s draw bit for bit. *)
   let explored =
     if force_explore >= 0 then force_explore = 1
-    else not (Support.Rng.bool t.rng t.params.Engine.Params.q0)
+    else not (unit_float t.rng < t.params.Engine.Params.q0)
   in
   match t.mode with
   | Rp_pass ->
       (* Latencies ignored: the ready list is never empty while work
-         remains. *)
-      let i = select_slice t ~pheromone ~explored m in
+         remains. The candidates are the ready prefix, in place. *)
+      let i = select_slice t ~pheromone ~explored ~src:t.ints ~base:t.ready_at m in
       emit_instr t rl i;
       finish_step t ~rank:(if explored then 1 else 0) ~scanned:m
-        ~succs:(Ddg.Graph.num_succs t.graph i)
+        ~succs:(Array.length t.graph.Ddg.Graph.succs.(i))
   | Ilp_pass { target_vgpr; target_sgpr } ->
       if m = 0 then begin
         emit_stall t rl;
@@ -347,7 +359,7 @@ let step t ~pheromone ~force_explore ~ready_limit =
       end
       else begin
         (* The optional-stall decision ladder of Section IV-C over the
-           candidate slice, as straight-line integer code (a variant
+           fitting candidates, as straight-line integer code (a variant
            result would be a per-step allocation). Filter, coin and
            ordering match the reference ant's list-level ladder
            (test/ant_ref.ml) — the single optional-stall coin is drawn
@@ -355,8 +367,8 @@ let step t ~pheromone ~force_explore ~ready_limit =
            position matches it bit for bit. *)
         let has_semi_ready = Sched.Ready_list.has_semi_ready rl in
         let fitting =
-          Sched.Rp_tracker.filter_fits_prefix t.rp ~cand:t.cand ~n_cand:m ~target_vgpr
-            ~target_sgpr
+          Sched.Rp_tracker.filter_fits t.rp ~src:t.ints ~base:t.ready_at ~n_cand:m ~into:t.cand
+            ~target_vgpr ~target_sgpr
         in
         if fitting = 0 then
           if t.allow_optional && has_semi_ready then begin
@@ -378,10 +390,10 @@ let step t ~pheromone ~force_explore ~ready_limit =
           finish_step t ~rank:3 ~scanned:m ~succs:0
         end
         else begin
-          let i = select_slice t ~pheromone ~explored fitting in
+          let i = select_slice t ~pheromone ~explored ~src:t.cand ~base:0 fitting in
           emit_instr t rl i;
           finish_step t ~rank:(if explored then 1 else 0) ~scanned:m
-            ~succs:(Ddg.Graph.num_succs t.graph i)
+            ~succs:(Array.length t.graph.Ddg.Graph.succs.(i))
         end
       end
 
@@ -391,10 +403,48 @@ let last_succs t = t.last_succs
 
 let kill t = t.status <- Dead
 
-let run_to_completion t ~pheromone =
-  while t.status = Active do
-    step t ~pheromone ~force_explore:(-1) ~ready_limit:0
-  done
+(* The CPU colony's whole ant in one call: step until the ant finishes
+   or dies, or until its cost bound reaches [cutoff]. The cost is the
+   length (schedule pass only) plus [term] of the peaks; both running
+   values are lower bounds on the final ones and the cost is
+   nondecreasing in each, so a bound at the cutoff means the ant cannot
+   win. The term is re-evaluated only when a peak rises, so the
+   per-step test is an integer compare, and the O(1) over-estimate of
+   the length bound screens the exact one: the exact bound is scanned
+   only when the over-estimate reaches the cutoff, which leaves every
+   kill where the exact check puts it. Status and peaks are read in
+   place: per step the loop calls only the step and the over-estimate,
+   neither through the generic application. *)
+let run t ~pheromone ~term ~cutoff =
+  if cutoff = max_int then
+    while t.status = Active do
+      step t ~pheromone ~force_explore:(-1) ~ready_limit:0
+    done
+  else begin
+    let ints = t.ints and pk = t.press_at + 2 in
+    let schedule_pass = match t.mode with Rp_pass -> false | Ilp_pass _ -> true in
+    let vgpr = ref (-1) and sgpr = ref (-1) and cost = ref 0 in
+    while t.status = Active do
+      step t ~pheromone ~force_explore:(-1) ~ready_limit:0;
+      if t.status = Active then begin
+        let v = ints.(pk) and s = ints.(pk + 1) in
+        if v > !vgpr || s > !sgpr then begin
+          vgpr := v;
+          sgpr := s;
+          cost := term ~vgpr:v ~sgpr:s;
+          if (not schedule_pass) && !cost >= cutoff then t.status <- Dead
+        end;
+        if
+          schedule_pass
+          && Sched.Ready_list.length_lb_hi t.rl + !cost >= cutoff
+          && Sched.Ready_list.length_lb t.rl + !cost >= cutoff
+        then t.status <- Dead
+      end
+    done
+  end
+
+let no_term ~vgpr:_ ~sgpr:_ = 0
+let run_to_completion t ~pheromone = run t ~pheromone ~term:no_term ~cutoff:max_int
 
 (* The read-out sorts instructions by the cycle the ready list recorded
    for each (-1 for the unissued, which sort first and are dropped):
@@ -419,7 +469,8 @@ let schedule t =
 let peak t cls = Sched.Rp_tracker.peak t.rp cls
 let rp_peaks t = (peak t Ir.Reg.Vgpr, peak t Ir.Reg.Sgpr)
 let length t = t.cycles
-let length_lb t = Sched.Ready_list.length_lb t.rl ~tails:t.tails
+let length_lb t = Sched.Ready_list.length_lb t.rl
+let length_lb_hi t = Sched.Ready_list.length_lb_hi t.rl
 let optional_stalls t = t.n_optional
 let work t = t.work
 

@@ -44,10 +44,11 @@ type t
 
 val lanes : shared -> count:int -> Engine.Params.t -> t array
 (** [count] ants carved from one pooled {!Support.Arena} store, taken
-    with [count] times one lane's demand: [9n + 3 * nregs + 4] ints
-    (one ready list, {!Sched.Ready_list.int_demand}, and one RP tracker,
-    {!Sched.Rp_tracker.int_demand}; the fit and Last-Use-Count queries
-    read the tracker in O(1) per candidate) and two score rows of
+    with [count] times one lane's demand: [8n + ring + 3 * nregs + 4]
+    ints (one ready list, {!Sched.Ready_list.int_demand}, whose pending
+    ring has one bucket more than the largest edge weight, and one RP
+    tracker, {!Sched.Rp_tracker.int_demand}; the step reads both in
+    place, the tracker in O(1) per candidate) and two score rows of
     [ub + 2] columns, [ub] being the ready-list bound (the selection
     scratch row and the LUC eta scratch row). Lane [k] owns the [k]th
     tracker and ready-list segments and score rows [2k] and [2k + 1].
@@ -106,9 +107,22 @@ val kill : t -> unit
     (Section V-B), and the CPU colony's stop for an ant that can no
     longer win its iteration. *)
 
+val run :
+  t -> pheromone:Pheromone.t -> term:(vgpr:int -> sgpr:int -> int) -> cutoff:int -> unit
+(** The CPU colony's ant in one call: step, flipping the ant's own
+    coins, until the ant is no longer active or its cost bound reaches
+    [cutoff]; then it is killed ({!kill}, keeping its {!work}). The
+    ant's cost is its length (schedule pass only) plus [term] of its
+    peaks, and the bound is that cost at {!length_lb} and the running
+    peaks. [term] must be allocation-free and nondecreasing in each
+    peak; it is called only when a peak rises. The exact {!length_lb}
+    is scanned only when the cost at {!length_lb_hi} reaches the
+    cutoff, so the ant dies at the step the exact per-step check would
+    kill it at. With [cutoff = max_int] the ant runs to the end and
+    [term] is never called. Allocates nothing. *)
+
 val run_to_completion : t -> pheromone:Pheromone.t -> unit
-(** Step, flipping the ant's own coins, until it is no longer active
-    (sequential driver). *)
+(** {!run} without a cutoff. *)
 
 val order : t -> int array
 (** Issue order of the constructed schedule (complete once [Finished]):
@@ -136,9 +150,13 @@ val length_lb : t -> int
     larger of the cycles so far plus the unscheduled instructions and,
     in the schedule pass, the maximum over ready and latency-pending
     instructions of max (current cycle, ready cycle) + tail + 1. Equals
-    {!length} once the ant has [Finished]. The CPU colony stops an ant
-    once its cost at this length and its running peaks reaches the best
-    cost its iteration already has. *)
+    {!length} once the ant has [Finished]. {!run} stops an ant once its
+    cost at this length and its running peaks reaches the cutoff. *)
+
+val length_lb_hi : t -> int
+(** The O(1) over-estimate of {!length_lb} that {!run} screens the
+    exact bound with ({!Sched.Ready_list.length_lb_hi}): never below
+    it, and equal to it right after a {!length_lb}. *)
 
 val optional_stalls : t -> int
 

@@ -6,12 +6,12 @@
    colony below runs them one after another, the GPU model
    ([Gpusim.Par_aco]) runs lockstep wavefronts.
 
-   The CPU iteration stops an ant once a lower bound on its final cost
-   reaches the best cost an earlier ant of the same iteration finished
-   with: such an ant can no longer win the iteration (a winner must be
-   strictly cheaper), and the policy only ever sees the winner. Each ant
-   draws only from its own [Rng.split] stream, so the cut changes no
-   draw of any other ant. *)
+   The CPU iteration stops an ant ([Ant.run]) once a lower bound on its
+   final cost reaches the best cost an earlier ant of the same iteration
+   finished with: such an ant can no longer win the iteration (a winner
+   must be strictly cheaper), and the policy only ever sees the winner.
+   Each ant draws only from its own [Rng.split] stream, so the cut
+   changes no draw of any other ant. *)
 
 type search = {
   params : Engine.Params.t;
@@ -151,7 +151,7 @@ let prepare ~policy ~allow_optional_stalls (ctx : Engine.Backend.ctx) (rc : Engi
    results were extracted during the passes. *)
 let teardown c = Ant.release c.ants
 
-let sequential colony ~mode ~(cost : length:int -> vgpr:int -> sgpr:int -> int) ~budget =
+let sequential colony ~mode ~(term : vgpr:int -> sgpr:int -> int) ~budget =
   let { search = { params; pheromone; _ }; rng; ants; allow_optional_stalls; _ } = colony in
   let heuristic = params.Engine.Params.heuristic in
   (* The colony meters abstract work units, never wall time; the
@@ -166,41 +166,19 @@ let sequential colony ~mode ~(cost : length:int -> vgpr:int -> sgpr:int -> int) 
   in
   let n = Pheromone.size pheromone in
   let work = ref 0 in
-  (* Run one ant, stopping it once [cost] at its length bound and its
-     running peaks (both only lower bounds on the final values, and
-     [cost] is nondecreasing in each) reaches [cutoff], the best cost
-     already finished in this iteration. The first ant of an iteration
-     has no cutoff. A pass-1 cost reads only the peaks, so it is checked
-     only when a peak rises. *)
   let schedule_pass = match mode with Ant.Rp_pass -> false | Ant.Ilp_pass _ -> true in
-  let run_ant ant cutoff =
-    if cutoff = max_int then Ant.run_to_completion ant ~pheromone
-    else begin
-      let vgpr = ref (-1) and sgpr = ref (-1) in
-      while Ant.status ant = Ant.Active do
-        Ant.step ant ~pheromone ~force_explore:(-1) ~ready_limit:0;
-        if Ant.status ant = Ant.Active then begin
-          let v = Ant.peak ant Ir.Reg.Vgpr and s = Ant.peak ant Ir.Reg.Sgpr in
-          if schedule_pass || v > !vgpr || s > !sgpr then begin
-            vgpr := v;
-            sgpr := s;
-            if cost ~length:(Ant.length_lb ant) ~vgpr:v ~sgpr:s >= cutoff then Ant.kill ant
-          end
-        end
-      done
-    end
-  in
   let run () =
     let winner = ref (-1) and winner_cost = ref max_int in
     for k = 0 to Array.length ants - 1 do
       let ant = ants.(k) in
       Ant.start ant ~rng:(Support.Rng.split rng) ~heuristic ~allow_optional_stalls mode;
-      run_ant ant !winner_cost;
+      (* The first ant of an iteration has no cutoff. *)
+      Ant.run ant ~pheromone ~term ~cutoff:!winner_cost;
       work := !work + Ant.work ant;
       if Ant.status ant = Ant.Finished then begin
         let c =
-          cost ~length:(Ant.length ant) ~vgpr:(Ant.peak ant Ir.Reg.Vgpr)
-            ~sgpr:(Ant.peak ant Ir.Reg.Sgpr)
+          (if schedule_pass then Ant.length ant else 0)
+          + term ~vgpr:(Ant.peak ant Ir.Reg.Vgpr) ~sgpr:(Ant.peak ant Ir.Reg.Sgpr)
         in
         if c < !winner_cost then begin
           winner_cost := c;

@@ -110,22 +110,23 @@ val teardown : t -> unit
 val sequential :
   t ->
   mode:Ant.mode ->
-  cost:(length:int -> vgpr:int -> sgpr:int -> int) ->
+  term:(vgpr:int -> sgpr:int -> int) ->
   budget:Engine.Types.budget ->
   iteration
 (** The CPU colony's iteration: each ant starts from its own
-    [Rng.split] of the colony stream and runs in turn, and the winner is
-    the first finished ant of least [cost ~length ~vgpr ~sgpr]. It never
+    [Rng.split] of the colony stream and runs in turn ({!Ant.run}), and
+    the winner is the first finished ant of least cost, its length
+    (schedule pass only) plus [term ~vgpr ~sgpr] of its peaks. It never
     fails, charges the table upkeep as work, and is exhausted once its
     work reaches a [Work] [budget] (a [Time_ns] budget raises
     [Invalid_argument]: the CPU colony has no time model).
 
-    [cost] must be allocation-free and nondecreasing in each argument:
-    at an unfinished ant's {!Ant.length_lb} and running peaks it bounds
-    the ant's final cost, and the ant is stopped (keeping its work) once
-    that bound reaches the best cost an earlier ant of the iteration
-    finished with. Without a budget this changes no search decision —
-    winners, RNG positions, tables, series and iteration counts are
-    those of running every ant to the end — and only [work] and the
-    candidate meters fall; under a budget a pass may run more
+    [term] must be allocation-free and nondecreasing in each peak: at
+    an unfinished ant's {!Ant.length_lb} and running peaks the cost
+    bounds the ant's final cost, and the ant is stopped (keeping its
+    work) once that bound reaches the best cost an earlier ant of the
+    iteration finished with. Without a budget this changes no search
+    decision — winners, RNG positions, tables, series and iteration
+    counts are those of running every ant to the end — and only [work]
+    and the candidate meters fall; under a budget a pass may run more
     iterations. *)

@@ -1,39 +1,28 @@
-type cost = length:int -> vgpr:int -> sgpr:int -> int
+type term = vgpr:int -> sgpr:int -> int
 
 type state = {
   colony : Colony.t;
   objective : Sched.Objective.t;
   rc : Engine.Region_ctx.t;
-  rp_cost : cost;  (* the objective's RP scalar of the peaks *)
-  pass2_cost : cost;  (* schedule length plus the objective's pass-2 term *)
+  rp_term : term;  (* pass 1's cost: the objective's RP scalar of the peaks *)
+  pass2_term : term;  (* what pass 2 adds to the length *)
 }
 
 let prepare ~policy ~objective ctx (rc : Engine.Region_ctx.t) =
   let occ = rc.Engine.Region_ctx.occ in
-  let rp_cost ~length:_ ~vgpr ~sgpr =
-    Sched.Objective.rp_scalar_of_peaks objective occ ~vgpr ~sgpr
-  in
-  (* The cut-off costs every ant after every step: under the cliff the
-     term is 0, so the closure is the length alone. *)
-  let pass2_cost =
-    match objective with
-    | Sched.Objective.Cliff -> fun ~length ~vgpr:_ ~sgpr:_ -> length
-    | Sched.Objective.Spill _ | Sched.Objective.Weighted ->
-        fun ~length ~vgpr ~sgpr -> length + Sched.Objective.pass2_term objective occ ~vgpr ~sgpr
-  in
   {
     colony = Colony.prepare ~policy ~allow_optional_stalls:true ctx rc;
     objective;
     rc;
-    rp_cost;
-    pass2_cost;
+    rp_term = (fun ~vgpr ~sgpr -> Sched.Objective.rp_scalar_of_peaks objective occ ~vgpr ~sgpr);
+    pass2_term = (fun ~vgpr ~sgpr -> Sched.Objective.pass2_term objective occ ~vgpr ~sgpr);
   }
 
 let run_order_pass st (req : Engine.Backend.order_request) =
   let order, _, stats =
     Colony.run_pass st.colony.Colony.search
       ~iteration:
-        (Colony.sequential st.colony ~mode:Ant.Rp_pass ~cost:st.rp_cost
+        (Colony.sequential st.colony ~mode:Ant.Rp_pass ~term:st.rp_term
            ~budget:req.Engine.Backend.o_budget)
       ~ties:Colony.Keep
       ~artifact_of_ant:(fun ant -> Some (Ant.order ant))
@@ -62,7 +51,7 @@ let run_schedule_pass st (req : Engine.Backend.schedule_request) =
                   target_vgpr = req.Engine.Backend.s_target_vgpr;
                   target_sgpr = req.Engine.Backend.s_target_sgpr;
                 })
-           ~cost:st.pass2_cost ~budget:req.Engine.Backend.s_budget)
+           ~term:st.pass2_term ~budget:req.Engine.Backend.s_budget)
       ~ties:Colony.Keep ~artifact_of_ant:Ant.schedule
       ~pass_label:req.Engine.Backend.s_label
       ~initial_cost:

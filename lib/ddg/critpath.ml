@@ -24,6 +24,7 @@ let compute (g : Graph.t) =
 
 let forward t i = t.fwd.(i)
 let backward t i = t.bwd.(i)
+let backward_distances t = t.bwd
 let through t i = t.fwd.(i) + t.bwd.(i)
 
 let critical_path_length t =

@@ -24,6 +24,11 @@ val forward : t -> int -> int
 val backward : t -> int -> int
 (** Longest latency-weighted path from [i] to any leaf (0 at leaves). *)
 
+val backward_distances : t -> int array
+(** {!backward} of every instruction, as the array behind it (shared,
+    not copied: callers read it and never write it). Hot loops index it
+    instead of calling {!backward} per instruction. *)
+
 val through : t -> int -> int
 (** [forward + backward]: length of the longest path through [i]. *)
 

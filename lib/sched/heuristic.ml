@@ -37,28 +37,35 @@ let[@inline] pos v = if v > 0.0 then v else 0.0
    probability zero. Inlined at every use below, so each is the same
    float expression and the filled values are bit-identical to [eta]
    (the ACO selection is byte-reproducible across the list-backed
-   reference ant and the production one). *)
-let[@inline] eta_of_score s = 1.0 +. (pos (s +. 4096.0) /. 512.0)
+   reference ant and the production one). The scale is 1/512 as a
+   multiply: a power-of-two scale is exact either way, so the value is
+   the division's bit for bit, and a divide costs several multiplies in
+   the LUC fill's loop. *)
+let[@inline] eta_of_score s = 1.0 +. (pos (s +. 4096.0) *. 0x1p-9)
 
 let eta kind ctx i = eta_of_score (score kind ctx i)
 
 (* LUC's [eta] over a candidate slice, for the unboxed data plane: the
    ant's per-step LUC row is filled through this (the static heuristics
-   read the colony's [static_eta] rows instead). Stores into a
-   [Support.Fmat] row slice at flat offset [base] with raw float64
-   stores through the matrix's concrete bigarray — the primitive
-   specializes on the static type at this call site, so the stores stay
-   unboxed even when cross-module inlining is off ([-opaque] dev
-   builds). *)
-let fill_luc_eta_mat ctx ~cand ~n ~mat ~base =
-  let d = mat.Support.Fmat.data in
+   read the colony's [static_eta] rows instead). The candidates are
+   read where they live (the ready prefix or the ant's filtered slice),
+   and the tracker's effects and the backward distances as arrays, so
+   the loop makes no call per candidate. Stores into the matrix's
+   bigarray at flat offset [dst] with raw float64 stores — the
+   annotation gives [mat] its concrete type, so the primitive
+   specializes at this call site and the stores stay unboxed even when
+   cross-module inlining is off ([-opaque] dev builds). *)
+let fill_luc_eta_mat rp ~cp ~src ~base ~n ~(mat : Support.Fmat.mat) ~dst =
+  if n > 0 && (base < 0 || base + n > Array.length src) then
+    invalid_arg "Heuristic.fill_luc_eta_mat: slice outside the candidates";
+  let fx = Rp_tracker.store rp and fb = Rp_tracker.effects_base rp in
+  let bwd = Ddg.Critpath.backward_distances cp in
   for k = 0 to n - 1 do
-    let i = cand.(k) in
-    let net = Rp_tracker.closes_minus_opens ctx.rp i in
-    let s =
-      (float_of_int net *. 1024.0) +. float_of_int (Ddg.Critpath.backward ctx.cp i)
-    in
-    Bigarray.Array1.unsafe_set d (base + k) (eta_of_score s)
+    let i = Array.unsafe_get src (base + k) in
+    let e = fb + (2 * i) in
+    let net = -(fx.(e) + fx.(e + 1)) in
+    let s = (float_of_int net *. 1024.0) +. float_of_int bwd.(i) in
+    Bigarray.Array1.unsafe_set mat (dst + k) (eta_of_score s)
   done
 
 (* The construction-state-independent heuristics need no tracker: their

@@ -31,13 +31,24 @@ val eta : kind -> ctx -> int -> float
     a monotone transform of [score]. *)
 
 val fill_luc_eta_mat :
-  ctx -> cand:int array -> n:int -> mat:Support.Fmat.t -> base:int -> unit
-(** [fill_luc_eta_mat ctx ~cand ~n ~mat ~base] stores
-    [eta Last_use_count ctx cand.(k)] at flat index [base + k] of the
-    {!Support.Fmat} for [0 <= k < n], bit-identical to per-candidate
-    {!eta} calls but with raw unboxed float64 stores and no allocation —
-    the ACO selection hot path over a candidate slice under the one
-    heuristic whose [eta] depends on the construction state. *)
+  Rp_tracker.t ->
+  cp:Ddg.Critpath.t ->
+  src:int array ->
+  base:int ->
+  n:int ->
+  mat:Support.Fmat.mat ->
+  dst:int ->
+  unit
+(** [fill_luc_eta_mat rp ~cp ~src ~base ~n ~mat ~dst] stores
+    [eta Last_use_count ctx src.(base + k)] (for a [ctx] over [rp] and
+    [cp]) at flat index [dst + k] of the matrix store [mat] for
+    [0 <= k < n], bit-identical to per-candidate {!eta} calls but with
+    raw unboxed float64 stores, no allocation and no call per candidate
+    (the tracker's effects and the backward distances are read as
+    arrays) — the ACO selection hot path over a candidate slice under
+    the one heuristic whose [eta] depends on the construction state.
+    Raises [Invalid_argument] unless the [n] candidates lie inside
+    [src]; the [n] cells from [dst] must lie inside [mat] (unchecked). *)
 
 val static_eta : kind -> cp:Ddg.Critpath.t -> Ddg.Graph.t -> float array
 (** [eta] of every instruction [0 .. n-1] under a heuristic whose score

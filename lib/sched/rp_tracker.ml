@@ -315,11 +315,6 @@ let schedule t i =
 let current t cls = t.buf.(t.cur_base + rank cls)
 let peak t cls = t.buf.(t.peak_base + rank cls)
 
-let[@inline] clamp0 x = if x > 0 then x else 0
-
-let peak_excess t ~target_vgpr ~target_sgpr =
-  (clamp0 (t.buf.(t.peak_base) - target_vgpr), clamp0 (t.buf.(t.peak_base + 1) - target_sgpr))
-
 let delta_if_scheduled t i cls = t.buf.(t.net_base + (2 * i) + rank cls)
 
 (* The class-rank [c] peak right after issuing [i]; int comparisons, not
@@ -335,22 +330,26 @@ let peaks_if_scheduled t i f = f ~vgpr:(peak_after t i 0) ~sgpr:(peak_after t i 
 let fits_within t i ~target_vgpr ~target_sgpr =
   peak_after t i 0 <= target_vgpr && peak_after t i 1 <= target_sgpr
 
-(* Stable in-place filter: compact the candidates of [cand.(0..n_cand-1)]
-   that fit the targets into the prefix, preserving order, and return
-   their count. Equivalent to testing [fits_within] on each candidate,
-   with the peak test and the headroom loads hoisted out of the loop.
+(* Stable filter: copy the candidates of [src.(base .. base+n_cand-1)]
+   that fit the targets into [into], in order, and return their count.
+   Equivalent to testing [fits_within] on each candidate, with the peak
+   test and the headroom loads hoisted out of the loop. [src] is where
+   the candidates already live (the ready list's store), so the one
+   pass both reads them in place and compacts them.
 
    Shape notes for the hot loop:
    - Mask-and-select compaction: the candidate is stored at the write
      cursor unconditionally and the cursor advances by a computed 0/1
-     bit. Positions below the cursor are already-kept candidates and the
-     cursor never passes the read index, so the blind store can only
-     touch consumed or duplicate cells — no taken/not-taken branch.
+     bit. The cursor never passes the read count, so the blind store
+     stays inside the [n_cand] cells checked below — no taken/not-taken
+     branch.
    - The in-range tests fold into sign bits: [a <= b] for the small
      pressure integers here is the sign of [b - a], and two tests OR
      into one word whose sign is extracted with [asr 62] (any negative
      63-bit int has that bit set). *)
-let filter_fits_prefix t ~cand ~n_cand ~target_vgpr ~target_sgpr =
+let filter_fits t ~src ~base ~n_cand ~into ~target_vgpr ~target_sgpr =
+  if n_cand < 0 || base < 0 || base + n_cand > Array.length src || n_cand > Array.length into
+  then invalid_arg "Rp_tracker.filter_fits";
   let buf = t.buf in
   if buf.(t.peak_base) > target_vgpr || buf.(t.peak_base + 1) > target_sgpr then 0
     (* the peak already exceeds a target: nothing can fit *)
@@ -358,11 +357,11 @@ let filter_fits_prefix t ~cand ~n_cand ~target_vgpr ~target_sgpr =
     let room_v = target_vgpr - buf.(t.cur_base) and room_s = target_sgpr - buf.(t.cur_base + 1) in
     let net = t.net_base in
     let m = ref 0 in
-    for k = 0 to n_cand - 1 do
-      let i = Array.unsafe_get cand k in
+    for k = base to base + n_cand - 1 do
+      let i = Array.unsafe_get src k in
       let e = net + (2 * i) in
       let d = (room_v - Array.unsafe_get buf e) lor (room_s - Array.unsafe_get buf (e + 1)) in
-      Array.unsafe_set cand !m i;
+      Array.unsafe_set into !m i;
       m := !m + 1 + (d asr 62)
     done;
     t.scored <- t.scored + n_cand;
@@ -374,6 +373,10 @@ let scored_candidates t = t.scored
 let closes_minus_opens t i =
   let e = t.net_base + (2 * i) in
   -(t.buf.(e) + t.buf.(e + 1))
+
+let store t = t.buf
+let effects_base t = t.net_base
+let pressure_base t = t.cur_base
 
 (* Independent reference implementation over live-range intervals; assumes
    single-definition registers (all generated workloads are SSA-like).

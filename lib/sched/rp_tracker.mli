@@ -12,7 +12,7 @@
     Besides the pressure, the tracker keeps the effect issuing each
     unscheduled instruction would have now, so the per-candidate queries
     below ({!delta_if_scheduled}, {!peak_if_scheduled},
-    {!peaks_if_scheduled}, {!fits_within}, {!filter_fits_prefix},
+    {!peaks_if_scheduled}, {!fits_within}, {!filter_fits},
     {!closes_minus_opens}) are O(1) array reads. For an unscheduled
     instruction [i] and a register class [c], with [rem r] the use
     occurrences of [r] still unscheduled and [live r] its liveness:
@@ -83,11 +83,6 @@ val schedule : t -> int -> unit
 val current : t -> Ir.Reg.cls -> int
 val peak : t -> Ir.Reg.cls -> int
 
-val peak_excess : t -> target_vgpr:int -> target_sgpr:int -> int * int
-(** Per-class peak pressure above the given targets (clamped at 0) —
-    the raw-register excess a spill-aware objective prices
-    (see {!Objective}). *)
-
 val peak_if_scheduled : t -> int -> Ir.Reg.cls -> int
 (** Peak pressure the class would have right after scheduling the
     unscheduled instruction — the larger of the peak and [current +
@@ -111,16 +106,27 @@ val fits_within : t -> int -> target_vgpr:int -> target_sgpr:int -> bool
     within the given targets? Two reads (the pass-2 hot path).
     Unspecified on a scheduled instruction. *)
 
-val filter_fits_prefix :
-  t -> cand:int array -> n_cand:int -> target_vgpr:int -> target_sgpr:int -> int
-(** Stable in-place filter of [cand.(0..n_cand-1)], all unscheduled:
-    compacts the candidates for which {!fits_within} holds into the
-    prefix (ready order preserved) and returns their count. Branchless
-    mask-and-select compaction over O(1) reads per candidate. *)
+val filter_fits :
+  t ->
+  src:int array ->
+  base:int ->
+  n_cand:int ->
+  into:int array ->
+  target_vgpr:int ->
+  target_sgpr:int ->
+  int
+(** Stable filter of the candidates [src.(base .. base + n_cand - 1)],
+    all unscheduled: writes those for which {!fits_within} holds to the
+    prefix of [into], in their order, and returns their count — one
+    pass that reads the candidates where they live (the ready list's
+    store, {!Ready_list.ready_store}). Branchless mask-and-select
+    compaction over O(1) reads per candidate. Raises
+    [Invalid_argument] unless the [n_cand] cells lie inside [src] and
+    [into] holds [n_cand] cells. *)
 
 val scored_candidates : t -> int
 (** Cumulative count of candidates whose fit decision
-    {!filter_fits_prefix} evaluated since the tracker was created (every
+    {!filter_fits} evaluated since the tracker was created (every
     candidate, unless a class peak already breaches its target). Not
     cleared by {!reset}: it meters work, not schedule state — drivers
     snapshot it around a pass. *)
@@ -130,6 +136,27 @@ val closes_minus_opens : t -> int -> int
     minus those it would open — the Last-Use-Count heuristic's key
     (Section IV-A / reference [61]). Unspecified on a scheduled
     instruction. *)
+
+(** {2 The state in place}
+
+    The ant's step reads the tracker's state where it lives instead of
+    calling a query per candidate or per step: class rank 0 is VGPR,
+    1 SGPR. *)
+
+val store : t -> int array
+(** The int array the tracker's state lives in (the arena's, for a
+    tracker made by {!create_in}). Read-only for callers. *)
+
+val effects_base : t -> int
+(** The effect (opens − closes) of issuing the unscheduled [i] on class
+    rank [c] is [(store t).(effects_base t + 2 * i + c)]; so
+    {!closes_minus_opens} is the negated sum of the pair. *)
+
+val pressure_base : t -> int
+(** The current pressure of class rank [c] is
+    [(store t).(pressure_base t + c)], its peak
+    [(store t).(pressure_base t + 2 + c)]. Fixed for the tracker's
+    lifetime. *)
 
 val naive_peaks : Ddg.Graph.t -> int array -> (Ir.Reg.cls -> int)
 (** Reference implementation: peak pressures of a complete instruction

@@ -127,9 +127,18 @@ let prop_ant_dead_or_within_target =
    that is exact only while both are lower bounds on the final values.
    Pass 2 under random RP targets: at every step of an ant that
    finishes, the length bound is at most the final length, and equal to
-   it at the end. Pass 1: the RP cost of the running peaks never
-   decreases, under the cliff and the spill objective. Ants share the
-   region context's tails, as a colony's do. *)
+   it at the end, and after every step it equals its definition,
+   recomputed from issue cycles the test records. The cut screens the
+   exact bound with the O(1)
+   [Ant.length_lb_hi], which must never fall below it: a twin ant on
+   the same stream takes the same steps but is scanned only every
+   [period] steps (every step, every second, every third, never), so
+   its kept maxima drift between scans, and after every step its
+   over-estimate is checked against the scanned ant's exact bound;
+   right after a scan the two are equal. Pass 1: the RP cost of the
+   running peaks never decreases, under the cliff and the spill
+   objective. Ants share the region context's tails, as a colony's
+   do. *)
 let finished_pass2_ants = ref 0
 
 let prop_ant_bounds_sound =
@@ -139,16 +148,22 @@ let prop_ant_bounds_sound =
       let rc = Engine.Region_ctx.of_region Tu.occ region in
       let g = rc.Engine.Region_ctx.graph in
       let params = Tu.test_params in
-      let ant =
-        (Aco.Ant.lanes
-           (Aco.Ant.shared_of_region_ctx ~beta:params.Engine.Params.beta rc)
-           ~count:1 params).(0)
+      let ants =
+        Aco.Ant.lanes
+          (Aco.Ant.shared_of_region_ctx ~beta:params.Engine.Params.beta rc)
+          ~count:2 params
       in
+      let ant = ants.(0) and twin = ants.(1) in
       let pheromone = Aco.Pheromone.create ~n:g.Ddg.Graph.n ~initial:1.0 in
       let rng = Support.Rng.create seed in
-      let start mode =
-        Aco.Ant.start ant ~rng:(Support.Rng.split rng) ~heuristic:params.Engine.Params.heuristic
-          ~allow_optional_stalls:true mode
+      let start ?(twin_too = false) mode =
+        let r = Support.Rng.split rng in
+        let go a r =
+          Aco.Ant.start a ~rng:r ~heuristic:params.Engine.Params.heuristic
+            ~allow_optional_stalls:true mode
+        in
+        if twin_too then go twin (Support.Rng.copy r);
+        go ant r
       in
       let step () = Aco.Ant.step ant ~pheromone ~force_explore:(-1) ~ready_limit:0 in
       let pass2 =
@@ -159,12 +174,64 @@ let prop_ant_bounds_sound =
           }
       in
       let spill = Sched.Objective.Spill (Gpusim.Mem_model.spill_model Gpusim.Config.bench) in
-      for _ = 1 to 4 do
-        start pass2;
-        let bounds = ref [ Aco.Ant.length_lb ant ] in
+      (* The bound from its definition, over issue cycles the test
+         records itself: the larger of the cycles used plus one per
+         unissued instruction and, over the unissued instructions whose
+         predecessors are all issued, max (cycle, ready cycle) + tail +
+         1. *)
+      let n = g.Ddg.Graph.n and tails = rc.Engine.Region_ctx.tails in
+      let issued = Array.make n (-1) in
+      let reference () =
+        let cycle = Aco.Ant.length ant in
+        let lb = ref (cycle + Array.fold_left (fun k c -> if c < 0 then k + 1 else k) 0 issued) in
+        for i = 0 to n - 1 do
+          let preds = g.Ddg.Graph.preds.(i) in
+          if issued.(i) < 0 && Array.for_all (fun (p, _) -> issued.(p) >= 0) preds then
+            let ready = Array.fold_left (fun c (p, lat) -> max c (issued.(p) + max lat 1)) 0 preds in
+            lb := max !lb (max cycle ready + tails.(i) + 1)
+        done;
+        !lb
+      in
+      let record_step () =
+        let cycle = Aco.Ant.length ant in
+        step ();
+        if Aco.Ant.last_rank ant <= 1 then begin
+          let order = Aco.Ant.order ant in
+          issued.(order.(Array.length order - 1)) <- cycle
+        end
+      in
+      (* the exact bound after a step, equal to its definition and
+         checked against the twin's over-estimate; right after a scan
+         an over-estimate equals it *)
+      let exact ~scan_twin =
+        let lb = Aco.Ant.length_lb ant in
+        if lb <> reference () then
+          QCheck.Test.fail_reportf "length bound %d, by its definition %d" lb (reference ());
+        let equal a =
+          if Aco.Ant.length_lb_hi a <> lb then
+            QCheck.Test.fail_reportf "after a scan the over-estimate %d is not the bound %d"
+              (Aco.Ant.length_lb_hi a) lb
+        in
+        if Aco.Ant.length_lb_hi twin < lb then
+          QCheck.Test.fail_reportf "over-estimate %d below the length bound %d"
+            (Aco.Ant.length_lb_hi twin) lb;
+        equal ant;
+        if scan_twin then begin
+          ignore (Aco.Ant.length_lb twin);
+          equal twin
+        end;
+        lb
+      in
+      for round = 1 to 4 do
+        let period = if round = 4 then max_int else round in
+        start ~twin_too:true pass2;
+        Array.fill issued 0 n (-1);
+        let bounds = ref [ exact ~scan_twin:false ] and steps = ref 0 in
         while Aco.Ant.status ant = Aco.Ant.Active do
-          step ();
-          bounds := Aco.Ant.length_lb ant :: !bounds
+          record_step ();
+          Aco.Ant.step twin ~pheromone ~force_explore:(-1) ~ready_limit:0;
+          incr steps;
+          bounds := exact ~scan_twin:(!steps mod period = 0) :: !bounds
         done;
         if Aco.Ant.status ant = Aco.Ant.Finished then begin
           incr finished_pass2_ants;

@@ -63,11 +63,11 @@ let test_as_table_identity =
    iteration with the As policy vs the frozen pre-refactor loop in
    [Ant_ref.colony_run_pass]. *)
 
-(* Allocation-free costs, so the measured window holds the loops'
+(* Allocation-free peak terms, so the measured window holds the loops'
    allocation alone: the frozen loop costs every ant, the colony only
-   the ants it does not cut. *)
-let rp_cost ~length:_ ~vgpr ~sgpr = Sched.Cost.rp_scalar_of_peaks Tu.occ ~vgpr ~sgpr
-let length_cost ~length ~vgpr:_ ~sgpr:_ = length
+   the ants it does not cut. A pass-2 cost adds the length. *)
+let rp_term ~vgpr ~sgpr = Sched.Cost.rp_scalar_of_peaks Tu.occ ~vgpr ~sgpr
+let no_term ~vgpr:_ ~sgpr:_ = 0
 
 (* Every stats field but [work] and [minor_words]: the colony cuts ants
    the frozen loop runs to the end, so its work may only be lower, and
@@ -82,7 +82,7 @@ let stats_key (s : Engine.Types.pass_stats) =
 
 type colony_driver = Policy_colony | Frozen_colony
 
-let run_colony driver graph ~seed ~mode ~cost =
+let run_colony driver graph ~seed ~mode ~term =
   let n = Ddg.Graph.size graph in
   let colony =
     Aco.Colony.prepare ~policy:Aco.Pheromone_policy.As ~allow_optional_stalls:true
@@ -104,14 +104,15 @@ let run_colony driver graph ~seed ~mode ~cost =
   | Policy_colony ->
       common ~run:(fun ~initial_cost ~initial_order ~initial_artifact ->
           Aco.Colony.run_pass colony.Aco.Colony.search
-            ~iteration:(Aco.Colony.sequential colony ~mode ~cost ~budget:Engine.Types.Unlimited)
+            ~iteration:(Aco.Colony.sequential colony ~mode ~term ~budget:Engine.Types.Unlimited)
             ~ties:Aco.Colony.Keep
             ~artifact_of_ant:(fun ant -> Some (artifact_of_ant ant))
             ~pass_label:"p" ~initial_cost ~initial_order ~initial_artifact ~lb_cost:0)
   | Frozen_colony ->
+      let length_counts = match mode with Aco.Ant.Rp_pass -> false | Aco.Ant.Ilp_pass _ -> true in
       let cost_of_ant ant =
-        cost ~length:(Aco.Ant.length ant) ~vgpr:(Aco.Ant.peak ant Ir.Reg.Vgpr)
-          ~sgpr:(Aco.Ant.peak ant Ir.Reg.Sgpr)
+        (if length_counts then Aco.Ant.length ant else 0)
+        + term ~vgpr:(Aco.Ant.peak ant Ir.Reg.Vgpr) ~sgpr:(Aco.Ant.peak ant Ir.Reg.Sgpr)
       in
       common ~run:(fun ~initial_cost ~initial_order ~initial_artifact ->
           Ant_ref.colony_run_pass ~params ~rng ~ants:colony.Aco.Colony.ants
@@ -126,18 +127,18 @@ let run_colony driver graph ~seed ~mode ~cost =
 let warmup =
   lazy
     (let graph = Ddg.Graph.build (Tu.diamond_region ()) in
-     ignore (run_colony Policy_colony graph ~seed:3 ~mode:Aco.Ant.Rp_pass ~cost:rp_cost);
-     ignore (run_colony Frozen_colony graph ~seed:3 ~mode:Aco.Ant.Rp_pass ~cost:rp_cost))
+     ignore (run_colony Policy_colony graph ~seed:3 ~mode:Aco.Ant.Rp_pass ~term:rp_term);
+     ignore (run_colony Frozen_colony graph ~seed:3 ~mode:Aco.Ant.Rp_pass ~term:rp_term))
 
 (* Generated cases on which the colony spent strictly less work than the
    frozen loop: each identity property must see at least one. *)
 let cut_cases = ref 0
 
-let check_colony_identity region seed mode cost =
+let check_colony_identity region seed mode term =
   Lazy.force warmup;
   let graph = Ddg.Graph.build region in
-  let a, (work_a, words_a) = run_colony Policy_colony graph ~seed ~mode ~cost in
-  let b, (work_b, words_b) = run_colony Frozen_colony graph ~seed ~mode ~cost in
+  let a, (work_a, words_a) = run_colony Policy_colony graph ~seed ~mode ~term in
+  let b, (work_b, words_b) = run_colony Frozen_colony graph ~seed ~mode ~term in
   if a <> b then begin
     let show (order, cost, (_, it, ants, _, _, bc), rng) =
       Printf.sprintf "cost=%d it=%d ants=%d bc=%d rng=%d order=%d" cost it ants
@@ -160,14 +161,14 @@ let check_colony_identity region seed mode cost =
 let test_colony_identity_rp =
   QCheck.Test.make ~count:10 ~name:"colony As pass 1 byte-identical to frozen loop"
     (QCheck.pair (Tu.arb_region ~max_size:40 ()) QCheck.small_int)
-    (fun (region, seed) -> check_colony_identity region seed Aco.Ant.Rp_pass rp_cost)
+    (fun (region, seed) -> check_colony_identity region seed Aco.Ant.Rp_pass rp_term)
 
 let test_colony_identity_ilp =
   QCheck.Test.make ~count:10 ~name:"colony As pass 2 byte-identical to frozen loop"
     (QCheck.pair (Tu.arb_region ~max_size:40 ()) QCheck.small_int)
     (fun (region, seed) ->
       let mode = Aco.Ant.Ilp_pass { target_vgpr = 1000; target_sgpr = 1000 } in
-      check_colony_identity region seed mode length_cost)
+      check_colony_identity region seed mode no_term)
 
 (* ------------------------------------------------------------------ *)
 (* MMAS invariants: mirror the policy's bookkeeping (best-so-far cost,
@@ -327,7 +328,7 @@ let test_mmas_colony_runs () =
   let best, cost, stats =
     Aco.Colony.run_pass colony.Aco.Colony.search
       ~iteration:
-        (Aco.Colony.sequential colony ~mode:Aco.Ant.Rp_pass ~cost:rp_cost
+        (Aco.Colony.sequential colony ~mode:Aco.Ant.Rp_pass ~term:rp_term
            ~budget:Engine.Types.Unlimited)
       ~ties:Aco.Colony.Keep
       ~artifact_of_ant:(fun a -> Some (Aco.Ant.order a))
@@ -343,7 +344,7 @@ let test_mmas_colony_runs () =
   Array.iteri (fun i s -> if not s then Alcotest.failf "instruction %d missing" i) seen
 
 (* ------------------------------------------------------------------ *)
-(* The objectives' arithmetic and the tracker's peak_excess. *)
+(* The objectives' arithmetic, and the ant's one-call cut. *)
 
 let spill_model =
   {
@@ -387,20 +388,75 @@ let test_objective_arithmetic () =
         Sched.Cost.rp_scalar_of_peaks Tu.occ ~vgpr:12 ~sgpr:7 );
     ]
 
-let test_peak_excess () =
-  let graph = Ddg.Graph.build (Tu.diamond_region ()) in
-  let tracker = Sched.Rp_tracker.create graph in
-  for i = 0 to Ddg.Graph.size graph - 1 do
-    Sched.Rp_tracker.schedule tracker i
+(* [Ant.run] against a cutoff kills an ant at the step where the exact
+   per-step check would: a twin ant on the same stream, stepped by hand
+   and killed once its cost at [Ant.length_lb] and the running peaks
+   reaches the cutoff, ends with the same status, work, length, peaks
+   and issued prefix. Cutoffs sweep from below the first step's bound
+   to above the finished cost, over both passes, a zero and a peak term
+   in pass 2, and tight and loose RP targets. *)
+let test_ant_run_cut () =
+  let kills = ref 0 and finishes = ref 0 in
+  let spill = Sched.Objective.Spill (Gpusim.Mem_model.spill_model Gpusim.Config.bench) in
+  for seed = 1 to 12 do
+    let g = Ddg.Graph.build (Tu.random_region ~max_size:40 seed) in
+    let ants = Aco.Ant.lanes (Tu.shared_of_graph g) ~count:2 params in
+    let a = ants.(0) and b = ants.(1) in
+    let pheromone = Aco.Pheromone.create ~n:g.Ddg.Graph.n ~initial:1.0 in
+    let lb cls = Ddg.Lower_bounds.register_pressure g cls in
+    let passes =
+      [
+        (Aco.Ant.Rp_pass, rp_term);
+        (Aco.Ant.Ilp_pass { target_vgpr = 1000; target_sgpr = 1000 }, no_term);
+        ( Aco.Ant.Ilp_pass { target_vgpr = 1000; target_sgpr = 1000 },
+          fun ~vgpr ~sgpr -> Sched.Objective.pass2_term spill Tu.occ ~vgpr ~sgpr );
+        ( Aco.Ant.Ilp_pass
+            { target_vgpr = lb Ir.Reg.Vgpr + 2; target_sgpr = lb Ir.Reg.Sgpr + 4 },
+          no_term );
+      ]
+    in
+    List.iter
+      (fun (mode, term) ->
+        let length_counts = match mode with Aco.Ant.Rp_pass -> false | _ -> true in
+        let cost ant ~length =
+          (if length_counts then length else 0)
+          + term ~vgpr:(Aco.Ant.peak ant Ir.Reg.Vgpr) ~sgpr:(Aco.Ant.peak ant Ir.Reg.Sgpr)
+        in
+        let start ant =
+          Aco.Ant.start ant ~rng:(Support.Rng.create seed)
+            ~heuristic:Sched.Heuristic.Last_use_count ~allow_optional_stalls:true mode
+        in
+        start a;
+        Aco.Ant.run_to_completion a ~pheromone;
+        let completes = Aco.Ant.status a = Aco.Ant.Finished in
+        let final = cost a ~length:(Aco.Ant.length a) in
+        for cutoff = final - 12 to final + 1 do
+          start a;
+          Aco.Ant.run a ~pheromone ~term ~cutoff;
+          start b;
+          while Aco.Ant.status b = Aco.Ant.Active do
+            Aco.Ant.step b ~pheromone ~force_explore:(-1) ~ready_limit:0;
+            if
+              Aco.Ant.status b = Aco.Ant.Active
+              && cost b ~length:(Aco.Ant.length_lb b) >= cutoff
+            then Aco.Ant.kill b
+          done;
+          let what = Printf.sprintf "region %d, cutoff %d: " seed cutoff in
+          Alcotest.(check bool) (what ^ "status") true (Aco.Ant.status a = Aco.Ant.status b);
+          Alcotest.(check int) (what ^ "work") (Aco.Ant.work b) (Aco.Ant.work a);
+          Alcotest.(check int) (what ^ "length") (Aco.Ant.length b) (Aco.Ant.length a);
+          Alcotest.(check (pair int int)) (what ^ "peaks") (Aco.Ant.rp_peaks b) (Aco.Ant.rp_peaks a);
+          Alcotest.(check (array int)) (what ^ "issued") (Aco.Ant.order b) (Aco.Ant.order a);
+          match Aco.Ant.status a with
+          | Aco.Ant.Dead when completes -> incr kills
+          | Aco.Ant.Finished -> incr finishes
+          | Aco.Ant.Dead | Aco.Ant.Active -> ()
+        done)
+      passes;
+    Aco.Ant.release ants
   done;
-  let v = Sched.Rp_tracker.peak tracker Ir.Reg.Vgpr in
-  let s = Sched.Rp_tracker.peak tracker Ir.Reg.Sgpr in
-  Alcotest.(check (pair int int))
-    "excess above tight targets" (1, 1)
-    (Sched.Rp_tracker.peak_excess tracker ~target_vgpr:(v - 1) ~target_sgpr:(s - 1));
-  Alcotest.(check (pair int int))
-    "no excess at the peaks" (0, 0)
-    (Sched.Rp_tracker.peak_excess tracker ~target_vgpr:v ~target_sgpr:s)
+  Alcotest.(check bool) "some ant was cut" true (!kills > 0);
+  Alcotest.(check bool) "some ant finished under a cutoff" true (!finishes > 0)
 
 let test_mem_model_spill () =
   let m = Gpusim.Mem_model.spill_model Gpusim.Config.bench in
@@ -417,7 +473,7 @@ let suite =
     Alcotest.test_case "mmas restart walk" `Quick test_mmas_restart_walk;
     Alcotest.test_case "mmas colony pass" `Quick test_mmas_colony_runs;
     Alcotest.test_case "objective arithmetic" `Quick test_objective_arithmetic;
-    Alcotest.test_case "rp_tracker peak_excess" `Quick test_peak_excess;
+    Alcotest.test_case "ant run cuts where the exact check does" `Quick test_ant_run_cut;
     Alcotest.test_case "mem_model spill model" `Quick test_mem_model_spill;
   ]
   @ Tu.qtests [ test_as_table_identity ]

@@ -94,11 +94,12 @@ let prop_tracker_predictions =
       done;
       !ok)
 
-(* [filter_fits_prefix] against its definition: walking a random
-   topological order under loose and punishing targets, the kept prefix
-   is exactly the ready candidates [fits_within] accepts, in ready order,
-   and the meter counts every candidate unless a peak already breaches a
-   target (then nothing is evaluated and nothing kept). *)
+(* [filter_fits] against its definition: walking a random topological
+   order under loose and punishing targets, the filter reads the ready
+   prefix where the list keeps it and keeps exactly the candidates
+   [fits_within] accepts, in ready order, and the meter counts every
+   candidate unless a peak already breaches a target (then nothing is
+   evaluated and nothing kept). *)
 let prop_fit_filter =
   QCheck.Test.make ~name:"fit filter keeps exactly the candidates that fit" ~count:60
     (QCheck.pair (Tu.arb_graph ~max_size:20 ()) QCheck.small_int)
@@ -110,19 +111,20 @@ let prop_fit_filter =
       let targets = [| (256, 800); (4, 4); (1, 1); (7, 2) |] in
       while not (Sched.Ready_list.finished ready) do
         let m = Sched.Ready_list.ready_count ready in
-        Sched.Ready_list.blit_ready ready cand m;
         let tv, ts = targets.(Support.Rng.int rng (Array.length targets)) in
         let fitting =
           List.filter
             (fun i -> Sched.Rp_tracker.fits_within t i ~target_vgpr:tv ~target_sgpr:ts)
-            (Array.to_list (Array.sub cand 0 m))
+            (Sched.Ready_list.ready_list ready)
         in
         let breached =
           Sched.Rp_tracker.peak t Ir.Reg.Vgpr > tv || Sched.Rp_tracker.peak t Ir.Reg.Sgpr > ts
         in
         let scored_before = Sched.Rp_tracker.scored_candidates t in
         let kept =
-          Sched.Rp_tracker.filter_fits_prefix t ~cand ~n_cand:m ~target_vgpr:tv ~target_sgpr:ts
+          Sched.Rp_tracker.filter_fits t ~src:(Sched.Ready_list.ready_store ready)
+            ~base:(Sched.Ready_list.ready_offset ready) ~n_cand:m ~into:cand ~target_vgpr:tv
+            ~target_sgpr:ts
         in
         Alcotest.(check (list int)) "kept prefix" fitting (Array.to_list (Array.sub cand 0 kept));
         Alcotest.(check int) "scored candidates"
@@ -256,16 +258,17 @@ let prop_tracker_nonssa =
       while not (Sched.Ready_list.finished rl) do
         check_step ();
         let m = Sched.Ready_list.ready_count rl in
-        Sched.Ready_list.blit_ready rl cand m;
         let target cls = Sched.Rp_tracker.current t cls + Support.Rng.int rng 3 - 1 in
         let tv = target Ir.Reg.Vgpr and ts = target Ir.Reg.Sgpr in
         let fitting =
           List.filter
             (fun i -> Sched.Rp_tracker.fits_within t i ~target_vgpr:tv ~target_sgpr:ts)
-            (Array.to_list (Array.sub cand 0 m))
+            (Sched.Ready_list.ready_list rl)
         in
         let kept =
-          Sched.Rp_tracker.filter_fits_prefix t ~cand ~n_cand:m ~target_vgpr:tv ~target_sgpr:ts
+          Sched.Rp_tracker.filter_fits t ~src:(Sched.Ready_list.ready_store rl)
+            ~base:(Sched.Ready_list.ready_offset rl) ~n_cand:m ~into:cand ~target_vgpr:tv
+            ~target_sgpr:ts
         in
         Alcotest.(check (list int)) "kept prefix" fitting (Array.to_list (Array.sub cand 0 kept));
         let i = Sched.Ready_list.ready rl (Support.Rng.int rng m) in
@@ -338,6 +341,134 @@ let test_ready_list_rejects_unready () =
     (Invalid_argument "Ready_list: instruction is not ready") (fun () ->
       Sched.Ready_list.schedule rl 5)
 
+(* The pending ring against a list model: the pre-ring sorted window,
+   a list of (ready cycle, instr) where a new entry goes before every
+   entry of its cycle, promoted from the front into a ready array that
+   removes by swapping in its last entry. Random regions with explicit
+   latencies: edges as heavy as the 1,024-cycle cap, regions whose
+   largest edge weight is 1 (a two-bucket ring), and the latency-free
+   list over the heavy ones. After every [schedule] and [stall] the
+   ready order, [semi_ready] and its summaries must match the model. *)
+let heavy_edges = ref 0
+let unit_edges = ref 0
+let latency_free_runs = ref 0
+
+let timed_region ~heavy seed =
+  let rng = Support.Rng.create seed in
+  let b = Ir.Builder.create ~name:(Printf.sprintf "ring%d" seed) in
+  let n = 2 + Support.Rng.int rng 34 in
+  let lats = if heavy then [| 0; 1; 4; 40; 1024 |] else [| 0; 1 |] in
+  let defs = ref [] in
+  for k = 0 to n - 1 do
+    let latency =
+      if heavy && k = 0 then 1024 else lats.(Support.Rng.int rng (Array.length lats))
+    in
+    let pool = Array.of_list !defs in
+    let uses =
+      if k = 1 && heavy then [ pool.(0) ]
+      else List.init (min (Array.length pool) (Support.Rng.int rng 3)) (fun _ ->
+          pool.(Support.Rng.int rng (Array.length pool)))
+    in
+    let d = Ir.Builder.fresh_vgpr b in
+    Ir.Builder.emit b ~latency Ir.Opcode.Valu ~defs:[ d ] ~uses:(List.sort_uniq Ir.Reg.compare uses);
+    defs := d :: !defs
+  done;
+  Ir.Builder.finish b
+
+let check_ring_against_model (g : Ddg.Graph.t) ~latency_aware seed =
+  let n = g.n in
+  let rl = Sched.Ready_list.create ~latency_aware g in
+  let rng = Support.Rng.create seed in
+  let unsched = Array.init n (Ddg.Graph.num_preds g) in
+  let earliest = Array.make n 0 in
+  let ready = Array.make (max n 1) 0 and pos = Array.make n (-1) and ready_n = ref 0 in
+  let pending = ref [] and cycle = ref 0 in
+  let push i =
+    ready.(!ready_n) <- i;
+    pos.(i) <- !ready_n;
+    incr ready_n
+  in
+  let rec insert c i = function
+    | (c', _) :: _ as l when c <= c' -> (c, i) :: l
+    | e :: rest -> e :: insert c i rest
+    | [] -> [ (c, i) ]
+  in
+  let rec promote () =
+    match !pending with
+    | (c, i) :: rest when c <= !cycle ->
+        push i;
+        pending := rest;
+        promote ()
+    | _ -> ()
+  in
+  let model_schedule i =
+    let p = pos.(i) in
+    let moved = ready.(!ready_n - 1) in
+    ready.(p) <- moved;
+    pos.(moved) <- p;
+    decr ready_n;
+    pos.(i) <- -1;
+    Array.iter
+      (fun (j, lat) ->
+        unsched.(j) <- unsched.(j) - 1;
+        let lat = if latency_aware && lat > 1 then lat else 1 in
+        earliest.(j) <- max earliest.(j) (!cycle + lat);
+        if unsched.(j) = 0 then pending := insert earliest.(j) j !pending)
+      g.succs.(i);
+    incr cycle;
+    promote ()
+  in
+  for i = 0 to n - 1 do
+    if unsched.(i) = 0 then push i
+  done;
+  let check what =
+    Alcotest.(check (list int))
+      (what ^ ": ready order")
+      (Array.to_list (Array.sub ready 0 !ready_n))
+      (Sched.Ready_list.ready_list rl);
+    Alcotest.(check (list (pair int int)))
+      (what ^ ": semi-ready")
+      (List.map (fun (c, i) -> (i, c)) !pending)
+      (Sched.Ready_list.semi_ready rl);
+    Alcotest.(check (option int))
+      (what ^ ": next ready cycle")
+      (match !pending with (c, _) :: _ -> Some c | [] -> None)
+      (Sched.Ready_list.min_semi_ready_cycle rl);
+    Alcotest.(check bool)
+      (what ^ ": has semi-ready") (!pending <> [])
+      (Sched.Ready_list.has_semi_ready rl)
+  in
+  check "start";
+  while not (Sched.Ready_list.finished rl) do
+    if !ready_n = 0 || (!pending <> [] && Support.Rng.int rng 4 = 0) then begin
+      Sched.Ready_list.stall rl;
+      incr cycle;
+      promote ();
+      check (Printf.sprintf "stall at %d" !cycle)
+    end
+    else begin
+      let i = ready.(Support.Rng.int rng !ready_n) in
+      Sched.Ready_list.schedule rl i;
+      model_schedule i;
+      check (Printf.sprintf "issue %d at %d" i (!cycle - 1))
+    end
+  done
+
+let prop_ready_ring =
+  QCheck.Test.make ~name:"pending ring promotes like the sorted list" ~count:150
+    QCheck.(pair small_nat bool)
+    (fun (seed, heavy) ->
+      let g = Ddg.Graph.build (timed_region ~heavy seed) in
+      let weights = Array.map (fun (e : Ddg.Graph.edge) -> max e.latency 1) g.edges in
+      if Array.exists (fun w -> w = 1024) weights then incr heavy_edges;
+      if Array.length weights > 0 && Array.for_all (fun w -> w = 1) weights then incr unit_edges;
+      check_ring_against_model g ~latency_aware:true seed;
+      if heavy then begin
+        incr latency_free_runs;
+        check_ring_against_model g ~latency_aware:false seed
+      end;
+      true)
+
 let prop_list_scheduler_valid =
   QCheck.Test.make ~name:"list scheduler output validates (all heuristics)" ~count:60
     (Tu.arb_graph ()) (fun g ->
@@ -395,8 +526,10 @@ let test_rp_queries_allocation_free () =
   let target_vgpr = Sched.Rp_tracker.current t Ir.Reg.Vgpr in
   let target_sgpr = Sched.Rp_tracker.current t Ir.Reg.Sgpr in
   let all = Array.init n Fun.id in
-  let cand = Array.copy all in
-  let fitting = Sched.Rp_tracker.filter_fits_prefix t ~cand ~n_cand:n ~target_vgpr ~target_sgpr in
+  let cand = Array.make n 0 in
+  let fitting =
+    Sched.Rp_tracker.filter_fits t ~src:all ~base:0 ~n_cand:n ~into:cand ~target_vgpr ~target_sgpr
+  in
   Alcotest.(check bool) "targets reject a candidate" true (fitting < n);
   (* a candidate [fits_within] rejects *)
   let i =
@@ -404,7 +537,7 @@ let test_rp_queries_allocation_free () =
       (fun i -> not (Sched.Rp_tracker.fits_within t i ~target_vgpr ~target_sgpr))
       (List.init n Fun.id)
   in
-  let ctx = Sched.Heuristic.make_ctx g t in
+  let cp = Ddg.Critpath.compute g in
   let mat = Support.Fmat.create ~rows:1 ~cols:n in
   let sink = ref 0 in
   List.iter
@@ -412,11 +545,11 @@ let test_rp_queries_allocation_free () =
       Alcotest.(check (float 0.0)) (name ^ ": minor words per call") 0.0
         (Tu.minor_words_per_call ~calls:10_000 f))
     [
-      ( "filter_fits_prefix",
+      ( "filter_fits",
         fun () ->
-          Array.blit all 0 cand 0 n;
           sink :=
-            Sched.Rp_tracker.filter_fits_prefix t ~cand ~n_cand:n ~target_vgpr ~target_sgpr );
+            Sched.Rp_tracker.filter_fits t ~src:all ~base:0 ~n_cand:n ~into:cand ~target_vgpr
+              ~target_sgpr );
       ( "fits_within",
         fun () ->
           if Sched.Rp_tracker.fits_within t i ~target_vgpr ~target_sgpr then incr sink );
@@ -424,7 +557,9 @@ let test_rp_queries_allocation_free () =
       ( "delta_if_scheduled",
         fun () -> sink := Sched.Rp_tracker.delta_if_scheduled t i Ir.Reg.Vgpr );
       ( "fill_luc_eta_mat",
-        fun () -> Sched.Heuristic.fill_luc_eta_mat ctx ~cand:all ~n ~mat ~base:0 );
+        fun () ->
+          Sched.Heuristic.fill_luc_eta_mat t ~cp ~src:all ~base:0 ~n ~mat:mat.Support.Fmat.data
+            ~dst:0 );
     ]
 
 let test_cost_ordering () =
@@ -712,6 +847,13 @@ let suite =
           (nonssa_live_in_redef, "a redefined live-in");
         ]
         prop_tracker_nonssa;
+      Tu.qtest_witnessed_all
+        [
+          (heavy_edges, "an edge at the 1,024-cycle latency cap");
+          (unit_edges, "a region whose largest edge weight is 1");
+          (latency_free_runs, "a latency-free list");
+        ]
+        prop_ready_ring;
       Tu.qtest_witnessed_all
         [
           (feasible_cases, "cycles that wait out every latency");

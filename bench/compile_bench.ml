@@ -75,10 +75,9 @@ let write_json ~file ~jobs rows ~scaling =
         | None -> "null"
         | Some s ->
             Printf.sprintf
-              "{\"hits\": %d, \"misses\": %d, \"evictions\": %d, \"computed\": %d, \
-               \"hit_rate\": %.3f}"
+              "{\"hits\": %d, \"misses\": %d, \"evictions\": %d, \"hit_rate\": %.3f}"
               s.Pipeline.Analysis.hits s.Pipeline.Analysis.misses
-              s.Pipeline.Analysis.evictions s.Pipeline.Analysis.computed
+              s.Pipeline.Analysis.evictions
               (Pipeline.Analysis.hit_rate s)
       in
       Buffer.add_string buf

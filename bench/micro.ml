@@ -31,7 +31,9 @@ let test_rp_tracking =
     (Staged.stage (fun () ->
          let g = Lazy.force graph in
          let t = Sched.Rp_tracker.create g in
-         Array.iter (Sched.Rp_tracker.schedule t) (Ddg.Topo.order g)))
+         for i = 0 to g.n - 1 do
+           Sched.Rp_tracker.schedule t i
+         done))
 
 let test_list_schedule =
   Test.make ~name:"list_schedule_cp"

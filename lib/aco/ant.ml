@@ -321,6 +321,10 @@ let finish_step t ~rank ~scanned ~succs =
 let ready_count t =
   if t.status <> Active then 0 else Sched.Ready_list.ready_count t.rl
 
+(* Read off the rows here: [Ddg.Graph.num_succs] would be a generic
+   application per step. *)
+let succ_count (g : Ddg.Graph.t) i = g.succ_start.(i + 1) - g.succ_start.(i)
+
 (* [force_explore] is -1 (ant draws its own coin), 0 (exploit) or 1
    (explore); [ready_limit] is 0 for unlimited. The step's kind and
    cost land in the [last_*] fields. *)
@@ -351,7 +355,7 @@ let step t ~pheromone ~force_explore ~ready_limit =
       let i = select_slice t ~pheromone ~explored ~src:t.ints ~base:t.ready_at m in
       emit_instr t rl i;
       finish_step t ~rank:(if explored then 1 else 0) ~scanned:m
-        ~succs:(Array.length t.graph.Ddg.Graph.succs.(i))
+        ~succs:(succ_count t.graph i)
   | Ilp_pass { target_vgpr; target_sgpr } ->
       if m = 0 then begin
         emit_stall t rl;
@@ -393,7 +397,7 @@ let step t ~pheromone ~force_explore ~ready_limit =
           let i = select_slice t ~pheromone ~explored ~src:t.cand ~base:0 fitting in
           emit_instr t rl i;
           finish_step t ~rank:(if explored then 1 else 0) ~scanned:m
-            ~succs:(Array.length t.graph.Ddg.Graph.succs.(i))
+            ~succs:(succ_count t.graph i)
         end
       end
 

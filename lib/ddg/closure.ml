@@ -12,25 +12,23 @@ let compute (g : Graph.t) =
   let n = g.n in
   let desc = Array.init n (fun _ -> Support.Bitset.create n) in
   let anc = Array.init n (fun _ -> Support.Bitset.create n) in
-  (* Children-first accumulation: desc(i) = U_{(i,j)} ({j} U desc(j)). *)
-  let rev = Topo.reverse_order g in
-  Array.iter
-    (fun i ->
-      Array.iter
-        (fun (j, _) ->
-          Support.Bitset.add desc.(i) j;
-          Support.Bitset.union_into ~into:desc.(i) desc.(j))
-        g.succs.(i))
-    rev;
-  let fwd = Topo.order g in
-  Array.iter
-    (fun i ->
-      Array.iter
-        (fun (j, _) ->
-          Support.Bitset.add anc.(i) j;
-          Support.Bitset.union_into ~into:anc.(i) anc.(j))
-        g.preds.(i))
-    fwd;
+  (* Every edge points forward, so descending ids visit children first:
+     desc(i) = U_{(i,j)} ({j} U desc(j)); ascending ids visit parents
+     first for the ancestors. *)
+  for i = n - 1 downto 0 do
+    for k = g.succ_start.(i) to g.succ_start.(i + 1) - 1 do
+      let j = g.succ_list.(k) in
+      Support.Bitset.add desc.(i) j;
+      Support.Bitset.union_into ~into:desc.(i) desc.(j)
+    done
+  done;
+  for i = 0 to n - 1 do
+    for k = g.pred_start.(i) to g.pred_start.(i + 1) - 1 do
+      let j = g.pred_list.(k) in
+      Support.Bitset.add anc.(i) j;
+      Support.Bitset.union_into ~into:anc.(i) anc.(j)
+    done
+  done;
   { n; desc; anc }
 
 let reaches t i j = Support.Bitset.mem t.desc.(i) j

@@ -10,16 +10,20 @@ let compute (g : Graph.t) =
   Atomic.incr computations;
   let n = g.n in
   let fwd = Array.make n 0 and bwd = Array.make n 0 in
-  let order = Topo.order g in
-  Array.iter
-    (fun i ->
-      Array.iter (fun (j, lat) -> fwd.(j) <- max fwd.(j) (fwd.(i) + lat)) g.succs.(i))
-    order;
-  let rev = Topo.reverse_order g in
-  Array.iter
-    (fun i ->
-      Array.iter (fun (j, lat) -> bwd.(j) <- max bwd.(j) (bwd.(i) + lat)) g.preds.(i))
-    rev;
+  (* Instruction ids are a topological order (every edge points
+     forward). *)
+  for i = 0 to n - 1 do
+    for k = g.succ_start.(i) to g.succ_start.(i + 1) - 1 do
+      let j = g.succ_list.(k) in
+      fwd.(j) <- max fwd.(j) (fwd.(i) + g.succ_lat.(k))
+    done
+  done;
+  for i = n - 1 downto 0 do
+    for k = g.pred_start.(i) to g.pred_start.(i + 1) - 1 do
+      let j = g.pred_list.(k) in
+      bwd.(j) <- max bwd.(j) (bwd.(i) + g.pred_lat.(k))
+    done
+  done;
   { fwd; bwd }
 
 let forward t i = t.fwd.(i)

@@ -54,10 +54,14 @@ let heads_tails (g : Graph.t) =
   let n = g.n in
   let rel = Array.make n 0 and del = Array.make n 0 in
   for i = 0 to n - 1 do
-    Array.iter (fun (p, lat) -> rel.(i) <- max rel.(i) (rel.(p) + weight lat)) g.preds.(i)
+    for k = g.pred_start.(i) to g.pred_start.(i + 1) - 1 do
+      rel.(i) <- max rel.(i) (rel.(g.pred_list.(k)) + weight g.pred_lat.(k))
+    done
   done;
   for i = n - 1 downto 0 do
-    Array.iter (fun (s, lat) -> del.(i) <- max del.(i) (del.(s) + weight lat)) g.succs.(i)
+    for k = g.succ_start.(i) to g.succ_start.(i + 1) - 1 do
+      del.(i) <- max del.(i) (del.(g.succ_list.(k)) + weight g.succ_lat.(k))
+    done
   done;
   (rel, del)
 
@@ -74,9 +78,11 @@ let single_issue g =
   relaxed (machine ()) ~rel ~del
 
 (* One recursive strengthening (Langevin & Cerny) of [heads], visiting
-   nodes in [order] (every node's [edges]-neighbours before it). A
-   node's ancestors along [edges] are a single-issue instance of their
-   own: ancestor [a] issues no earlier than [heads.(a)] and leaves
+   the nodes in program order along the predecessor rows, or, with
+   [~tails], in reverse program order along the successor rows: either
+   way every node's row neighbours are visited before it. A node's
+   ancestors along those rows are a single-issue instance of their own:
+   ancestor [a] issues no earlier than [heads.(a)] and leaves
    [dist (a, v)] cycles before [v] can issue, so [v]'s head is at least
    Jackson's makespan over them with delivery [dist - 1]. Their heads
    are final by the time [v] is visited, and the visited nodes are kept
@@ -88,38 +94,43 @@ let single_issue g =
    descendants (release [dist - 1], delivery their tail) into jobs
    released at their tail and delivered at [dist - 1], which Jackson's
    rule schedules to the same makespan. *)
-let strengthen m ~order ~(edges : (int * int) array array) heads =
-  let n = Array.length heads in
+let strengthen m (g : Graph.t) ~tails heads =
+  let n = g.n in
+  let start, list, lat =
+    if tails then (g.succ_start, g.succ_list, g.succ_lat)
+    else (g.pred_start, g.pred_list, g.pred_lat)
+  in
+  let node k = if tails then n - 1 - k else k in
   let dist = Array.make n (-1) in
   let sorted = Array.make n 0 in
-  Array.iteri
-    (fun k v ->
-      dist.(v) <- 0;
-      for j = k downto 0 do
-        let u = order.(j) in
-        if dist.(u) >= 0 then
-          for e = 0 to Array.length edges.(u) - 1 do
-            let a, lat = edges.(u).(e) in
-            dist.(a) <- max dist.(a) (dist.(u) + weight lat)
-          done
-      done;
-      reset m;
-      for j = 0 to k - 1 do
-        let a = sorted.(j) in
-        if dist.(a) > 0 then admit m ~rel:heads.(a) ~del:(dist.(a) - 1)
-      done;
-      heads.(v) <- max heads.(v) (finish m);
-      for j = 0 to k do
-        dist.(order.(j)) <- -1
-      done;
-      (* insert [v] into the head-sorted prefix *)
-      let j = ref k in
-      while !j > 0 && heads.(sorted.(!j - 1)) > heads.(v) do
-        sorted.(!j) <- sorted.(!j - 1);
-        decr j
-      done;
-      sorted.(!j) <- v)
-    order
+  for k = 0 to n - 1 do
+    let v = node k in
+    dist.(v) <- 0;
+    for j = k downto 0 do
+      let u = node j in
+      if dist.(u) >= 0 then
+        for e = start.(u) to start.(u + 1) - 1 do
+          let a = list.(e) in
+          dist.(a) <- max dist.(a) (dist.(u) + weight lat.(e))
+        done
+    done;
+    reset m;
+    for j = 0 to k - 1 do
+      let a = sorted.(j) in
+      if dist.(a) > 0 then admit m ~rel:heads.(a) ~del:(dist.(a) - 1)
+    done;
+    heads.(v) <- max heads.(v) (finish m);
+    for j = 0 to k do
+      dist.(node j) <- -1
+    done;
+    (* insert [v] into the head-sorted prefix *)
+    let j = ref k in
+    while !j > 0 && heads.(sorted.(!j - 1)) > heads.(v) do
+      sorted.(!j) <- sorted.(!j - 1);
+      decr j
+    done;
+    sorted.(!j) <- v
+  done
 
 let tails g = snd (heads_tails g)
 
@@ -129,8 +140,8 @@ let schedule_length_tails ?(upper = max_int) (g : Graph.t) =
   let plain = relaxed m ~rel ~del in
   if plain >= upper then (plain, del)
   else begin
-    strengthen m ~order:(Array.init g.n Fun.id) ~edges:g.preds rel;
-    strengthen m ~order:(Array.init g.n (fun i -> g.n - 1 - i)) ~edges:g.succs del;
+    strengthen m g ~tails:false rel;
+    strengthen m g ~tails:true del;
     (relaxed m ~rel ~del, del)
   end
 

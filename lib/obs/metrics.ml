@@ -1,10 +1,11 @@
 (* Metrics registry: named counters, gauges, histogram summaries and
    append-only series, with JSON and CSV export.
 
-   Metrics are registered on first use; the registry keeps insertion
-   order for stable export. The disabled registry [null] turns every
-   operation into a branch on an immutable bool, so instrumentation
-   sites guarded by [enabled] cost nothing when metrics are off. *)
+   Metrics are registered on first use and exported sorted by name, so
+   an export does not depend on which writer touched a name first. The
+   disabled registry [null] turns every operation into a branch on an
+   immutable bool, so instrumentation sites guarded by [enabled] cost
+   nothing when metrics are off. *)
 
 type kind = Counter | Gauge | Histogram | Series
 
@@ -40,11 +41,10 @@ type t = {
   on : bool;
   lock : Mutex.t;
   tbl : (string, metric) Hashtbl.t;
-  mutable order : string list; (* reversed insertion order *)
 }
 
-let create () = { on = true; lock = Mutex.create (); tbl = Hashtbl.create 64; order = [] }
-let null = { on = false; lock = Mutex.create (); tbl = Hashtbl.create 1; order = [] }
+let create () = { on = true; lock = Mutex.create (); tbl = Hashtbl.create 64 }
+let null = { on = false; lock = Mutex.create (); tbl = Hashtbl.create 1 }
 let[@inline] enabled t = t.on
 
 (* Every mutation and registry read takes [t.lock], so one registry can
@@ -80,7 +80,6 @@ let find t name kind =
         }
       in
       Hashtbl.add t.tbl name m;
-      t.order <- name :: t.order;
       m
 
 let update m v =
@@ -127,7 +126,11 @@ let push t name v =
         m.m_len <- m.m_len + 1;
         update m v)
 
-let names t = locked t (fun () -> List.rev t.order)
+(* Callers hold [t.lock]. *)
+let sorted_names t =
+  List.sort String.compare (Hashtbl.fold (fun name _ acc -> name :: acc) t.tbl [])
+
+let names t = locked t (fun () -> sorted_names t)
 
 let get t name = locked t (fun () -> Hashtbl.find_opt t.tbl name)
 
@@ -283,8 +286,9 @@ let prom_labels = function
 
 let to_prometheus t =
   locked t (fun () ->
-      (* Group samples by family, first-touch order, so all samples of
-         one family are contiguous as the exposition format requires. *)
+      (* Group samples by family, families in the order of their first
+         name, so all samples of one family are contiguous as the
+         exposition format requires. *)
       let fams = Hashtbl.create 16 in
       let order = ref [] in
       let family fam ty =
@@ -328,7 +332,7 @@ let to_prometheus t =
               lines := Printf.sprintf "%s_sum%s %s" fam (lbl []) (fl m.m_sum) :: !lines;
               lines := Printf.sprintf "%s_count%s %d" fam (lbl []) m.m_count :: !lines
           | Series -> ())
-        (List.rev t.order);
+        (sorted_names t);
       let buf = Buffer.create 4096 in
       List.iter
         (fun fam ->

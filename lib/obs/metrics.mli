@@ -7,10 +7,10 @@
 
     An enabled registry is domain-safe: every mutation and registry read
     takes an internal mutex, so the executor's and the serve batch's
-    pool workers write one registry. Names register in first-touch
-    order, so concurrent writers may list the same values in another
-    order than a sequential run. The disabled registry never touches
-    the mutex. *)
+    pool workers write one registry. Every listing and export orders
+    names by [String.compare], so concurrent writers export the same
+    bytes as a sequential run that records the same values. The
+    disabled registry never touches the mutex. *)
 
 type t
 
@@ -42,7 +42,7 @@ type metric
 type kind = Counter | Gauge | Histogram | Series
 
 val names : t -> string list
-(** Registration order. *)
+(** Sorted by [String.compare]. *)
 
 val get : t -> string -> metric option
 val kind_of : metric -> kind
@@ -79,10 +79,10 @@ val to_json : t -> string
 
 val to_prometheus : t -> string
 (** Prometheus text exposition: each metric becomes a
-    [gpuaco_]-prefixed family ([# TYPE] line then samples) in
-    registration order. Counters expose their total, gauges their last
-    value, histograms cumulative [_bucket{le="…"}] lines plus [_sum]
-    and [_count]. The per-client admission counters
+    [gpuaco_]-prefixed family ([# TYPE] line then samples), families in
+    the order of their first name. Counters expose their total, gauges
+    their last value, histograms cumulative [_bucket{le="…"}] lines plus
+    [_sum] and [_count]. The per-client admission counters
     ([serve.client.<c>.requests]) collapse into one
     [gpuaco_serve_client_requests] family with the client as an
     escaped label value. Series are omitted (no Prometheus shape). *)

@@ -19,7 +19,6 @@ type stats = {
   hits : int;
   misses : int;
   evictions : int;
-  computed : int;
   entries : int;
   capacity : int;
 }
@@ -36,7 +35,6 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  mutable computed : int;
 }
 
 let default_capacity = 512
@@ -50,7 +48,6 @@ let create ?(metrics = Obs.Metrics.null) ?(capacity = default_capacity) () =
     hits = 0;
     misses = 0;
     evictions = 0;
-    computed = 0;
   }
 
 let disabled () = create ~capacity:0 ()
@@ -95,9 +92,7 @@ let get t ?fingerprint occ region =
       await ()
   | None ->
       t.misses <- t.misses + 1;
-      t.computed <- t.computed + 1;
       Obs.Metrics.incr t.metrics "analysis.cache.misses";
-      Obs.Metrics.incr t.metrics "analysis.cache.computed";
       let e = { cell = Computing } in
       if Support.Lru.add ~pinned:computing t.tbl key e then begin
         t.evictions <- t.evictions + 1;
@@ -128,7 +123,6 @@ let stats t =
         hits = t.hits;
         misses = t.misses;
         evictions = t.evictions;
-        computed = t.computed;
         entries = Support.Lru.length t.tbl;
         capacity = Support.Lru.capacity t.tbl;
       })
@@ -139,8 +133,7 @@ let hit_rate (s : stats) =
 
 let pp_stats ppf (s : stats) =
   Format.fprintf ppf
-    "analysis cache: %d hits, %d misses (%.0f%% hit rate), %d computed, %d evicted, \
-     %d/%d entries"
+    "analysis cache: %d hits, %d misses (%.0f%% hit rate), %d evicted, %d/%d entries"
     s.hits s.misses
     (100.0 *. hit_rate s)
-    s.computed s.evictions s.entries s.capacity
+    s.evictions s.entries s.capacity

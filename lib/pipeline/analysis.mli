@@ -26,9 +26,8 @@ type t
 
 type stats = {
   hits : int;
-  misses : int;
+  misses : int;  (** lookups that ran a full analysis *)
   evictions : int;
-  computed : int;  (** full analyses run (= misses, counted separately for gates) *)
   entries : int;  (** current resident contexts *)
   capacity : int;  (** 0 when caching is off *)
 }

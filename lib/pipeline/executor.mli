@@ -18,9 +18,8 @@
     slices replay in job-index order on the caller's simulated
     timeline, reconstructing the sequential trace up to float rounding
     of the per-slice shifts, so tracing works at {e any} jobs count.
-    The registry lists metric names in first-touch order, so a parallel
-    run's exports may list the same values in another order than a
-    sequential run's. *)
+    The registry exports names sorted, so a parallel run's counters
+    export the same rows, in the same order, as a sequential run's. *)
 
 type job = {
   j_name : string;  (** ["<kernel>/r<i>"], as in sequential compiles *)

@@ -52,7 +52,9 @@ let min_peak_pressure (g : Ddg.Graph.t) cls =
   in
   let pred_mask = Array.make n 0 in
   for i = 0 to n - 1 do
-    Array.iter (fun (p, _) -> pred_mask.(i) <- pred_mask.(i) lor (1 lsl p)) g.preds.(i)
+    for k = g.pred_start.(i) to g.pred_start.(i + 1) - 1 do
+      pred_mask.(i) <- pred_mask.(i) lor (1 lsl g.pred_list.(k))
+    done
   done;
   let full = (1 lsl n) - 1 in
   let f = Array.make (full + 1) max_int in
@@ -95,10 +97,11 @@ let min_schedule_length (g : Ddg.Graph.t) =
       for i = 0 to n - 1 do
         if cycle_of.(i) < 0 then begin
           let earliest = ref cycle in
-          Array.iter
-            (fun (p, lat) ->
-              if cycle_of.(p) >= 0 then earliest := max !earliest (cycle_of.(p) + max lat 1))
-            g.preds.(i);
+          for k = g.pred_start.(i) to g.pred_start.(i + 1) - 1 do
+            let p = g.pred_list.(k) in
+            if cycle_of.(p) >= 0 then
+              earliest := max !earliest (cycle_of.(p) + max g.pred_lat.(k) 1)
+          done;
           bound := max !bound (!earliest + Ddg.Critpath.backward cp i + 1)
         end
       done;
@@ -109,11 +112,11 @@ let min_schedule_length (g : Ddg.Graph.t) =
         if cycle_of.(i) < 0 then begin
           let all_sched = ref true in
           let earliest = ref 0 in
-          Array.iter
-            (fun (p, lat) ->
-              if cycle_of.(p) < 0 then all_sched := false
-              else earliest := max !earliest (cycle_of.(p) + max lat 1))
-            g.preds.(i);
+          for k = g.pred_start.(i) to g.pred_start.(i + 1) - 1 do
+            let p = g.pred_list.(k) in
+            if cycle_of.(p) < 0 then all_sched := false
+            else earliest := max !earliest (cycle_of.(p) + max g.pred_lat.(k) 1)
+          done;
           if !all_sched then
             if !earliest <= cycle then ready := i :: !ready
             else next_event := min !next_event !earliest

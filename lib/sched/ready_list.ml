@@ -44,11 +44,10 @@ type t = {
 
 (* One bucket past the largest edge weight max (latency, 1). *)
 let ring_size (graph : Ddg.Graph.t) =
-  let edges = graph.Ddg.Graph.edges in
+  let lat = graph.Ddg.Graph.succ_lat in
   let w = ref 1 in
-  for k = 0 to Array.length edges - 1 do
-    let lat = edges.(k).Ddg.Graph.latency in
-    if lat > !w then w := lat
+  for k = 0 to Array.length lat - 1 do
+    if lat.(k) > !w then w := lat.(k)
   done;
   !w + 1
 
@@ -70,10 +69,10 @@ let push_ready t i =
    call per instruction is a generic application per ant start. *)
 let setup t =
   let n = t.graph.Ddg.Graph.n in
-  let preds = t.graph.Ddg.Graph.preds in
+  let pred_start = t.graph.Ddg.Graph.pred_start in
   let buf = t.buf in
   for i = 0 to n - 1 do
-    buf.(t.unsched_preds + i) <- Array.length (Array.unsafe_get preds i);
+    buf.(t.unsched_preds + i) <- pred_start.(i + 1) - pred_start.(i);
     buf.(t.earliest + i) <- 0;
     buf.(t.sched_cycle + i) <- -1;
     buf.(t.pos_in_ready + i) <- -1
@@ -207,13 +206,11 @@ let schedule t i =
   let buf = t.buf in
   buf.(t.sched_cycle + i) <- t.cycle;
   t.scheduled_n <- t.scheduled_n + 1;
-  (* Counted loop, not [Array.iter]: the closure would capture [t] and
-     allocate once per scheduled instruction — this is the single
-     hottest successor walk in the system. Destructuring the edge tuple
-     reads its fields in place; no allocation. *)
-  let succs = t.graph.Ddg.Graph.succs.(i) in
-  for k = 0 to Array.length succs - 1 do
-    let j, lat = Array.unsafe_get succs k in
+  (* Counted loop over the successor row: this is the single hottest
+     successor walk in the system. *)
+  let g = t.graph in
+  for k = g.Ddg.Graph.succ_start.(i) to g.Ddg.Graph.succ_start.(i + 1) - 1 do
+    let j = g.Ddg.Graph.succ_list.(k) and lat = g.Ddg.Graph.succ_lat.(k) in
     buf.(t.unsched_preds + j) <- buf.(t.unsched_preds + j) - 1;
     (* int comparison: the polymorphic [max] is a C call per edge *)
     let lat = if t.latency_aware && lat > 1 then lat else 1 in

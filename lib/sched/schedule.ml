@@ -21,17 +21,22 @@ let violation_to_string = function
 
 (* The first violation, checked in this order: an instruction never
    issued, two issued at one cycle (neighbours in the by-cycle [order]),
-   then each dependence edge in edge order. *)
+   then each dependence edge in (src, dst) order, walking the successor
+   rows. *)
 let validate t ~latency_aware =
-  let edge (e : Ddg.Graph.edge) =
-    let got = t.cycle_of.(e.dst) - t.cycle_of.(e.src) in
-    if got <= 0 then Some (Order_violation { src = e.src; dst = e.dst })
-    else if latency_aware && got < e.latency then
-      Some (Latency_violation { src = e.src; dst = e.dst; need = e.latency; got })
-    else None
+  let g = t.graph in
+  let rec edge src k =
+    if src >= g.n then None
+    else if k >= g.succ_start.(src + 1) then edge (src + 1) k
+    else
+      let dst = g.succ_list.(k) and need = g.succ_lat.(k) in
+      let got = t.cycle_of.(dst) - t.cycle_of.(src) in
+      if got <= 0 then Some (Order_violation { src; dst })
+      else if latency_aware && got < need then Some (Latency_violation { src; dst; need; got })
+      else edge src (k + 1)
   in
   let rec shared_cycle k =
-    if k >= Array.length t.order then Array.find_map edge t.graph.Ddg.Graph.edges
+    if k >= Array.length t.order then edge 0 0
     else
       let first = t.order.(k - 1) and second = t.order.(k) in
       if t.cycle_of.(first) = t.cycle_of.(second) then
@@ -106,11 +111,11 @@ let latency_pad (g : Ddg.Graph.t) order =
     (fun i ->
       (* Earliest cycle satisfying all predecessor latencies. *)
       let c = ref !next in
-      Array.iter
-        (fun (p, lat) ->
-          if cycle_of.(p) < 0 then invalid_arg "Schedule.latency_pad: order violates dependences";
-          c := max !c (cycle_of.(p) + max lat 1))
-        g.preds.(i);
+      for k = g.pred_start.(i) to g.pred_start.(i + 1) - 1 do
+        let p = g.pred_list.(k) in
+        if cycle_of.(p) < 0 then invalid_arg "Schedule.latency_pad: order violates dependences";
+        c := max !c (cycle_of.(p) + max g.pred_lat.(k) 1)
+      done;
       cycle_of.(i) <- !c;
       next := !c + 1)
     order;

@@ -185,10 +185,15 @@ let prop_ant_bounds_sound =
         let cycle = Aco.Ant.length ant in
         let lb = ref (cycle + Array.fold_left (fun k c -> if c < 0 then k + 1 else k) 0 issued) in
         for i = 0 to n - 1 do
-          let preds = g.Ddg.Graph.preds.(i) in
-          if issued.(i) < 0 && Array.for_all (fun (p, _) -> issued.(p) >= 0) preds then
-            let ready = Array.fold_left (fun c (p, lat) -> max c (issued.(p) + max lat 1)) 0 preds in
-            lb := max !lb (max cycle ready + tails.(i) + 1)
+          if issued.(i) < 0 then begin
+            let preds_issued = ref true and ready = ref 0 in
+            for k = g.Ddg.Graph.pred_start.(i) to g.Ddg.Graph.pred_start.(i + 1) - 1 do
+              let p = g.Ddg.Graph.pred_list.(k) in
+              if issued.(p) < 0 then preds_issued := false
+              else ready := max !ready (issued.(p) + max g.Ddg.Graph.pred_lat.(k) 1)
+            done;
+            if !preds_issued then lb := max !lb (max cycle !ready + tails.(i) + 1)
+          end
         done;
         !lb
       in

@@ -55,7 +55,7 @@ let lockstep_compare ?(initial = 1.0) ?kill_at ~force_explore ~ready_limit ~mode
   let n = graph.Ddg.Graph.n in
   let pheromone = Aco.Pheromone.create ~n ~initial in
   (* a non-uniform trail so the wheel has structure *)
-  if initial > 0.0 then Aco.Pheromone.deposit_path pheromone (Ddg.Topo.order graph) 0.75;
+  if initial > 0.0 then Aco.Pheromone.deposit_path pheromone (Array.init n Fun.id) 0.75;
   let rng_a = Support.Rng.create seed and rng_b = Support.Rng.create seed in
   Aco.Ant.start ant ~rng:rng_a ~heuristic ~allow_optional_stalls:true mode;
   Ant_ref.start ant_ref ~rng:rng_b ~heuristic ~allow_optional_stalls:true mode;
@@ -160,7 +160,7 @@ let shared_colony_lockstep ~mode graph params seed =
   let ants = Aco.Ant.lanes (Tu.shared_of_graph graph) ~count:lanes params in
   let refs = Array.init lanes (fun _ -> Ant_ref.create graph params) in
   let pheromone = Aco.Pheromone.create ~n:graph.Ddg.Graph.n ~initial:1.0 in
-  Aco.Pheromone.deposit_path pheromone (Ddg.Topo.order graph) 0.75;
+  Aco.Pheromone.deposit_path pheromone (Array.init graph.Ddg.Graph.n Fun.id) 0.75;
   let rngs = Array.init lanes (fun lane -> Support.Rng.create (seed + lane)) in
   let ref_rngs = Array.init lanes (fun lane -> Support.Rng.create (seed + lane)) in
   Array.iteri
@@ -422,7 +422,7 @@ let wavefront_differential =
       let lanes = Gpusim.Wavefront.lanes w in
       let ref_ants = Array.init lanes (fun _ -> Ant_ref.create graph params) in
       let pheromone = Aco.Pheromone.create ~n:graph.Ddg.Graph.n ~initial:1.0 in
-      Aco.Pheromone.deposit_path pheromone (Ddg.Topo.order graph) 0.5;
+      Aco.Pheromone.deposit_path pheromone (Array.init graph.Ddg.Graph.n Fun.id) 0.5;
       List.iter
         (fun (fault_rate, mode) ->
           let mk_faults () =

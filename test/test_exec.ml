@@ -56,7 +56,6 @@ let test_cache_content_addressing () =
   let s = Pipeline.Analysis.stats cache in
   Alcotest.(check int) "hits" 1 s.Pipeline.Analysis.hits;
   Alcotest.(check int) "misses" 2 s.Pipeline.Analysis.misses;
-  Alcotest.(check int) "computed" 2 s.Pipeline.Analysis.computed;
   Alcotest.(check int) "entries" 2 s.Pipeline.Analysis.entries
 
 let test_cache_lru_eviction () =
@@ -75,12 +74,12 @@ let test_cache_lru_eviction () =
   (* [ra] survived (recently used), [rb] was evicted and recomputes *)
   ignore (Pipeline.Analysis.get cache Tu.occ ra);
   Alcotest.(check int) "victim is the LRU entry"
-    (s.Pipeline.Analysis.computed)
-    (Pipeline.Analysis.stats cache).Pipeline.Analysis.computed;
+    (s.Pipeline.Analysis.misses)
+    (Pipeline.Analysis.stats cache).Pipeline.Analysis.misses;
   ignore (Pipeline.Analysis.get cache Tu.occ rb);
   Alcotest.(check int) "evicted entry recomputes"
-    (s.Pipeline.Analysis.computed + 1)
-    (Pipeline.Analysis.stats cache).Pipeline.Analysis.computed
+    (s.Pipeline.Analysis.misses + 1)
+    (Pipeline.Analysis.stats cache).Pipeline.Analysis.misses
 
 let test_cache_disabled () =
   let cache = Pipeline.Analysis.disabled () in
@@ -90,7 +89,7 @@ let test_cache_disabled () =
   ignore (Pipeline.Analysis.get cache Tu.occ r);
   let s = Pipeline.Analysis.stats cache in
   Alcotest.(check int) "no hits without storage" 0 s.Pipeline.Analysis.hits;
-  Alcotest.(check int) "every lookup computes" 2 s.Pipeline.Analysis.computed;
+  Alcotest.(check int) "every lookup computes" 2 s.Pipeline.Analysis.misses;
   Alcotest.(check int) "nothing retained" 0 s.Pipeline.Analysis.entries
 
 let test_cache_computes_once () =
@@ -134,7 +133,7 @@ let test_cache_computes_once () =
     (Ddg.Critpath.compute_count () - p0);
   let s = Pipeline.Analysis.stats cache in
   Alcotest.(check int) "one cache computation per distinct region" distinct
-    s.Pipeline.Analysis.computed;
+    s.Pipeline.Analysis.misses;
   Alcotest.(check bool) "duplicate suite hits at least half the lookups" true
     (Pipeline.Analysis.hit_rate s >= 0.5)
 

@@ -113,18 +113,39 @@ let test_lint_rejects_malformed () =
 (* --- metrics registry ----------------------------------------------------- *)
 
 let test_metrics_kinds () =
-  let m = Obs.Metrics.create () in
-  Obs.Metrics.incr m "c";
-  Obs.Metrics.add m "c" 4;
-  Obs.Metrics.set m "g" 2.0;
-  Obs.Metrics.set m "g" 7.0;
-  Obs.Metrics.observe m "h" 1.0;
-  Obs.Metrics.observe m "h" 3.0;
-  Obs.Metrics.push m "s" 10.0;
-  Obs.Metrics.push m "s" 8.0;
-  Obs.Metrics.push m "s" 8.0;
+  let by_name =
+    [
+      (fun m ->
+        Obs.Metrics.incr m "c";
+        Obs.Metrics.add m "c" 4);
+      (fun m ->
+        Obs.Metrics.set m "g" 2.0;
+        Obs.Metrics.set m "g" 7.0);
+      (fun m ->
+        Obs.Metrics.observe m "h" 1.0;
+        Obs.Metrics.observe m "h" 3.0);
+      (fun m ->
+        Obs.Metrics.push m "s" 10.0;
+        Obs.Metrics.push m "s" 8.0;
+        Obs.Metrics.push m "s" 8.0);
+    ]
+  in
+  let registry touches =
+    let m = Obs.Metrics.create () in
+    List.iter (fun touch -> touch m) touches;
+    m
+  in
+  (* The same values, every name first touched in the opposite order:
+     names list sorted, so every export is byte-equal. *)
+  let m = registry by_name and reversed = registry (List.rev by_name) in
   Alcotest.(check (list string)) "registration order" [ "c"; "g"; "h"; "s" ]
-    (Obs.Metrics.names m);
+    (Obs.Metrics.names reversed);
+  Alcotest.(check string) "CSV independent of touch order" (Obs.Metrics.to_csv m)
+    (Obs.Metrics.to_csv reversed);
+  Alcotest.(check string) "JSON independent of touch order" (Obs.Metrics.to_json m)
+    (Obs.Metrics.to_json reversed);
+  Alcotest.(check string) "Prometheus independent of touch order" (Obs.Metrics.to_prometheus m)
+    (Obs.Metrics.to_prometheus reversed);
   let get n = Option.get (Obs.Metrics.get m n) in
   Alcotest.(check bool) "counter kind" true (Obs.Metrics.kind_of (get "c") = Obs.Metrics.Counter);
   Alcotest.(check (float 0.0)) "counter value" 5.0 (Obs.Metrics.value (get "c"));

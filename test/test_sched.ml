@@ -56,14 +56,14 @@ let test_latency_pad_minimal () =
 let prop_latency_pad_valid =
   QCheck.Test.make ~name:"latency_pad always yields valid schedules" ~count:80
     (Tu.arb_graph ()) (fun g ->
-      let order = Ddg.Topo.order g in
+      let order = Array.init g.n Fun.id in
       let s = Sched.Schedule.latency_pad g order in
       Result.is_ok (Sched.Schedule.validate s ~latency_aware:true))
 
 let prop_tracker_matches_naive =
   QCheck.Test.make ~name:"incremental RP = naive interval RP" ~count:80 (Tu.arb_graph ())
     (fun g ->
-      let order = Ddg.Topo.order g in
+      let order = Array.init g.n Fun.id in
       let t = Sched.Rp_tracker.create g in
       Array.iter (Sched.Rp_tracker.schedule t) order;
       let naive = Sched.Rp_tracker.naive_peaks g order in
@@ -293,7 +293,9 @@ let prop_tracker_reset =
     (fun g ->
       let t = Sched.Rp_tracker.create g in
       let v0 = Sched.Rp_tracker.current t Ir.Reg.Vgpr in
-      Array.iter (Sched.Rp_tracker.schedule t) (Ddg.Topo.order g);
+      for i = 0 to g.n - 1 do
+        Sched.Rp_tracker.schedule t i
+      done;
       Sched.Rp_tracker.reset t;
       Sched.Rp_tracker.current t Ir.Reg.Vgpr = v0
       && Sched.Rp_tracker.peak t Ir.Reg.Vgpr = v0)
@@ -408,13 +410,13 @@ let check_ring_against_model (g : Ddg.Graph.t) ~latency_aware seed =
     pos.(moved) <- p;
     decr ready_n;
     pos.(i) <- -1;
-    Array.iter
-      (fun (j, lat) ->
-        unsched.(j) <- unsched.(j) - 1;
-        let lat = if latency_aware && lat > 1 then lat else 1 in
-        earliest.(j) <- max earliest.(j) (!cycle + lat);
-        if unsched.(j) = 0 then pending := insert earliest.(j) j !pending)
-      g.succs.(i);
+    for k = g.succ_start.(i) to g.succ_start.(i + 1) - 1 do
+      let j = g.succ_list.(k) and lat = g.succ_lat.(k) in
+      unsched.(j) <- unsched.(j) - 1;
+      let lat = if latency_aware && lat > 1 then lat else 1 in
+      earliest.(j) <- max earliest.(j) (!cycle + lat);
+      if unsched.(j) = 0 then pending := insert earliest.(j) j !pending
+    done;
     incr cycle;
     promote ()
   in
@@ -459,7 +461,7 @@ let prop_ready_ring =
     QCheck.(pair small_nat bool)
     (fun (seed, heavy) ->
       let g = Ddg.Graph.build (timed_region ~heavy seed) in
-      let weights = Array.map (fun (e : Ddg.Graph.edge) -> max e.latency 1) g.edges in
+      let weights = Array.map (fun lat -> max lat 1) g.succ_lat in
       if Array.exists (fun w -> w = 1024) weights then incr heavy_edges;
       if Array.length weights > 0 && Array.for_all (fun w -> w = 1) weights then incr unit_edges;
       check_ring_against_model g ~latency_aware:true seed;
@@ -718,7 +720,10 @@ let timed_order (g : Ddg.Graph.t) rng =
   Array.iter
     (fun i ->
       let c = ref (!next + Support.Rng.int rng 4) in
-      if wait then Array.iter (fun (p, lat) -> c := max !c (cycles.(p) + lat)) g.preds.(i);
+      if wait then
+        for k = g.pred_start.(i) to g.pred_start.(i + 1) - 1 do
+          c := max !c (cycles.(g.pred_list.(k)) + g.pred_lat.(k))
+        done;
       cycles.(i) <- !c;
       next := !c + 1)
     order;
@@ -748,11 +753,13 @@ let prop_schedule_of_cycles =
         && Sched.Schedule.num_stalls s = last + 1 - n
       in
       (* latency-aware acceptance, decided here from the edges alone *)
-      let feasible =
-        Array.for_all
-          (fun (e : Ddg.Graph.edge) -> cycles.(e.dst) - cycles.(e.src) >= e.latency)
-          g.edges
-      in
+      let feasible = ref true in
+      for i = 0 to n - 1 do
+        for k = g.succ_start.(i) to g.succ_start.(i + 1) - 1 do
+          if cycles.(g.succ_list.(k)) - cycles.(i) < g.succ_lat.(k) then feasible := false
+        done
+      done;
+      let feasible = !feasible in
       incr (if feasible then feasible_cases else infeasible_cases);
       let latency_checked = Result.is_ok (build ~latency_aware:true cycles) = feasible in
       let mutated f =
@@ -772,14 +779,20 @@ let prop_schedule_of_cycles =
         | Error (Sched.Schedule.Missing k) -> k = i
         | Ok _ | Error _ -> false
       in
+      let edges = g.succ_start.(n) in
       let swapped =
-        Array.length g.edges = 0
+        edges = 0
         ||
-        let e = g.edges.(Support.Rng.int rng (Array.length g.edges)) in
+        let k = Support.Rng.int rng edges in
+        let src = ref 0 in
+        while g.succ_start.(!src + 1) <= k do
+          incr src
+        done;
+        let src = !src and dst = g.succ_list.(k) in
         match
           mutated (fun c ->
-              c.(e.src) <- cycles.(e.dst);
-              c.(e.dst) <- cycles.(e.src))
+              c.(src) <- cycles.(dst);
+              c.(dst) <- cycles.(src))
         with
         | Error (Sched.Schedule.Order_violation _) -> true
         | Ok _ | Error _ -> false
@@ -790,11 +803,10 @@ let prop_schedule_of_cycles =
       let prev = ref (-1) in
       Array.iter
         (fun i ->
-          asap.(i) <-
-            Array.fold_left
-              (fun c (e : Ddg.Graph.edge) ->
-                if e.dst = i then max c (asap.(e.src) + max e.latency 1) else c)
-              (!prev + 1) g.edges;
+          asap.(i) <- !prev + 1;
+          for k = g.pred_start.(i) to g.pred_start.(i + 1) - 1 do
+            asap.(i) <- max asap.(i) (asap.(g.pred_list.(k)) + max g.pred_lat.(k) 1)
+          done;
           prev := asap.(i))
         order;
       let padded = Sched.Schedule.latency_pad g order in

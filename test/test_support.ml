@@ -215,7 +215,7 @@ let lane_outcomes graph shared =
   let params = Tu.test_params in
   let ants = Aco.Ant.lanes shared ~count:4 params in
   let pheromone = Aco.Pheromone.create ~n:graph.Ddg.Graph.n ~initial:1.0 in
-  Aco.Pheromone.deposit_path pheromone (Ddg.Topo.order graph) 0.75;
+  Aco.Pheromone.deposit_path pheromone (Array.init graph.Ddg.Graph.n Fun.id) 0.75;
   let heuristics = Array.of_list Sched.Heuristic.all in
   let outcomes =
     List.concat_map
